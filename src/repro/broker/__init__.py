@@ -52,7 +52,6 @@ from repro.broker.remote import (
     RemoteBrokerError,
     RemoteFatalError,
     RemoteRetriableError,
-    ThreadedBrokerServer,
 )
 from repro.broker.metadata import (
     ClusterMetadata,
@@ -89,7 +88,6 @@ __all__ = [
     "replica_indices",
     "shard_for_partition",
     "BrokerServer",
-    "ThreadedBrokerServer",
     "RemoteBroker",
     "RemoteBrokerError",
     "RemoteRetriableError",

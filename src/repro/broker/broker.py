@@ -180,7 +180,7 @@ class Broker:
         sequence: int | None = None,
         acks: str | None = None,
     ) -> RecordMetadata:
-        """Append a record; returns its metadata (offset assignment).
+        """Append one record — a batch of one through :meth:`append_many`.
 
         ``acks`` is accepted for surface uniformity: an unreplicated
         broker acknowledges at append time regardless (``"all"`` and
@@ -188,21 +188,19 @@ class Broker:
         the knob only changes behavior on a replicated
         :class:`~repro.broker.cluster.ShardBroker`.
         """
-        self._check_producer_epoch(producer_id, producer_epoch)
-        log = self.topic(topic).partition(partition)
-        start = time.monotonic() if self.tracer is not None else 0.0
-        record = log.append(
-            value,
-            key=key,
+        md = self.append_many(
+            topic,
+            partition,
+            [value],
+            keys=[key],
             headers=headers,
             produce_ts=produce_ts,
             producer_id=producer_id,
             producer_epoch=producer_epoch,
-            sequence=sequence,
+            base_sequence=sequence,
+            acks=acks,
         )
-        if self.tracer is not None:
-            self._trace_appends((record,), topic, partition, start)
-        return RecordMetadata(topic=topic, partition=partition, offset=record.offset)
+        return RecordMetadata(topic=topic, partition=partition, offset=md.base_offset)
 
     def append_many(
         self,

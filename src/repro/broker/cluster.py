@@ -29,9 +29,8 @@ clients route per partition. Three pieces:
 
 Ownership is a *rule* (:mod:`repro.broker.metadata`), so the metadata
 payload is O(shards) and newly created topics need no epoch bump. With
-``num_shards=1`` everything degenerates to today's single-process
-behavior, which is also how old single-broker clients stay compatible:
-a plain :class:`RemoteBroker` pointed at one shard works unchanged.
+``num_shards=1`` everything degenerates to single-process behavior: a
+plain :class:`RemoteBroker` pointed at one shard works unchanged.
 
 This is ROADMAP item 1's skeleton: a partition→process map is a
 partition→broker map in miniature, and ``NotOwnerError`` is
@@ -64,6 +63,7 @@ from repro.broker.metadata import (
     replica_indices,
     shard_for_partition,
 )
+from repro.broker.ops import OPS, CoordinatorClient, Op, install_stubs
 from repro.broker.reactor import ReactorBrokerServer
 from repro.broker.remote import (
     RemoteBroker,
@@ -82,9 +82,10 @@ from repro.util.validation import ValidationError
 class ShardBroker(Broker):
     """A broker that owns a deterministic slice of the partition space.
 
-    Partition-affine ops (``append``/``append_many``/``fetch``/offsets/
-    ``partition_log`` — the last one covers the reactor's long-poll
-    parking path) check ownership *first* and raise
+    Partition-affine ops (``append_many`` — and with it the batch-of-one
+    ``append`` — ``fetch``/offsets/``partition_log``, the last one
+    covering the reactor's long-poll parking path) check ownership
+    *first* and raise
     :class:`NotOwnerError` before any state is read or written; group-
     affine ops (coordination, commits) check the group's coordinator
     shard the same way via the coordinator's guard hook. Topics are
@@ -188,7 +189,7 @@ class ShardBroker(Broker):
             rep.wake()
 
     def attach_server(self, server) -> None:
-        """Both broker servers call this on start(); keeps a handle so
+        """The broker server calls this on start(); keeps a handle so
         the reactor's gauges can be served over the wire."""
         self._server = server
 
@@ -250,17 +251,6 @@ class ShardBroker(Broker):
             )
 
     # -- partition-affine surface --------------------------------------------
-
-    def append(self, topic, partition, value, **kwargs):
-        self._check_owner(topic, partition)
-        acks = kwargs.pop("acks", None)
-        try:
-            md = super().append(topic, partition, value, **kwargs)
-        except ProducerFencedError as exc:
-            self._journal_fenced(topic, partition, exc)
-            raise
-        self._after_append(topic, partition, md.offset + 1, acks)
-        return md
 
     def append_many(self, topic, partition, values, **kwargs):
         self._check_owner(topic, partition)
@@ -1453,69 +1443,6 @@ class ClusterBrokerSupervisor:
 # -- the cluster-aware client ------------------------------------------------
 
 
-class _ClusterCoordinator:
-    """Routes each group's coordination to its coordinator shard."""
-
-    def __init__(self, cluster: "ClusterBroker") -> None:
-        self._cluster = cluster
-
-    def join(self, group_id, member_id, topics, strategy=None, session_timeout_ms=None):
-        if strategy is not None:
-            raise ValidationError("remote coordinator uses the server's strategy")
-        topics = list(topics)
-        return self._cluster._group_invoke(
-            group_id,
-            lambda r: r.coordinator.join(
-                group_id, member_id, topics, session_timeout_ms=session_timeout_ms
-            ),
-        )
-
-    def leave(self, group_id, member_id):
-        self._cluster._group_invoke(
-            group_id, lambda r: r.coordinator.leave(group_id, member_id)
-        )
-
-    def heartbeat(self, group_id, member_id):
-        return self._cluster._group_invoke(
-            group_id, lambda r: r.coordinator.heartbeat(group_id, member_id)
-        )
-
-    def assignment(self, group_id, member_id):
-        return self._cluster._group_invoke(
-            group_id, lambda r: r.coordinator.assignment(group_id, member_id)
-        )
-
-    def generation(self, group_id):
-        return self._cluster._group_invoke(
-            group_id, lambda r: r.coordinator.generation(group_id)
-        )
-
-    def group_ids(self):
-        """Union over every shard (each only knows the groups it hosts)."""
-        ids: set[str] = set()
-        for remote in self._cluster._live_remotes():
-            try:
-                ids.update(remote.coordinator.group_ids())
-            except (BrokerError, ConnectionError, OSError):
-                continue
-        return sorted(ids)
-
-    def members(self, group_id):
-        return self._cluster._group_invoke(
-            group_id, lambda r: r.coordinator.members(group_id)
-        )
-
-    def group_topics(self, group_id):
-        return self._cluster._group_invoke(
-            group_id, lambda r: r.coordinator.group_topics(group_id)
-        )
-
-    def committed_offsets(self, group_id):
-        return self._cluster._group_invoke(
-            group_id, lambda r: r.coordinator.committed_offsets(group_id)
-        )
-
-
 class ClusterBroker:
     """Cluster-aware client: one pipelined connection per shard, ops
     routed by the same ownership rule the shards enforce.
@@ -1556,7 +1483,7 @@ class ClusterBroker:
         self._tracer = tracer
         self.max_in_flight_requests = int(max_in_flight_requests)
         self.name = f"cluster://{bootstrap[0][0]}:{bootstrap[0][1]}"
-        self.coordinator = _ClusterCoordinator(self)
+        self.coordinator = CoordinatorClient(self)
         #: Successful metadata refreshes (bootstrap + re-routes).
         self.metadata_refreshes = 0
         self._fault_injector = None
@@ -1655,14 +1582,6 @@ class ClusterBroker:
             remote.close()
         return existing
 
-    def _live_remotes(self):
-        """Connected shard handles, skipping addresses that refuse."""
-        for addr in self._meta.shards:
-            try:
-                yield self._remote(addr)
-            except (ConnectionError, OSError):
-                continue
-
     @property
     def fault_injector(self):
         return self._fault_injector
@@ -1690,6 +1609,8 @@ class ClusterBroker:
 
     # -- routing core --------------------------------------------------------
 
+    _backoff = RemoteBroker._backoff  # same capped schedule as one connection
+
     def _invoke(self, pick, fn, replayable: bool = True):
         """Route one op: pick a shard from the current map, run it, and
         on NotOwner / connection loss refresh metadata and re-route.
@@ -1701,13 +1622,7 @@ class ClusterBroker:
         """
         last_exc: Exception | None = None
         for attempt in range(self.max_attempts):
-            if attempt:
-                time.sleep(
-                    min(
-                        self.reconnect_backoff_ms / 1000.0 * (2 ** (attempt - 1)),
-                        self._max_backoff_s,
-                    )
-                )
+            self._backoff(attempt)
             try:
                 remote = self._remote(pick(self._meta))
             except (ConnectionError, OSError) as exc:
@@ -1735,25 +1650,11 @@ class ClusterBroker:
             f"{self.name}: {last_exc}"
         ) from last_exc
 
-    def _partition_invoke(self, topic, partition, fn, replayable: bool = True):
-        return self._invoke(lambda m: m.owner(topic, partition), fn, replayable)
-
-    def _group_invoke(self, group, fn):
-        # Group ops (joins, heartbeats, commits) are all replayable:
-        # joins/commits are idempotent upserts, heartbeats are reads.
-        return self._invoke(lambda m: m.coordinator(group), fn)
-
     def _any_invoke(self, fn):
         """Run *fn* against any responsive shard (topic metadata, etc.)."""
         last_exc: Exception | None = None
         for attempt in range(self.max_attempts):
-            if attempt:
-                time.sleep(
-                    min(
-                        self.reconnect_backoff_ms / 1000.0 * (2 ** (attempt - 1)),
-                        self._max_backoff_s,
-                    )
-                )
+            self._backoff(attempt)
             for addr in self._meta.shards:
                 try:
                     return fn(self._remote(addr))
@@ -1772,11 +1673,56 @@ class ClusterBroker:
             f"{self.name}: {last_exc}"
         ) from last_exc
 
-    # -- broker surface used by Producer/Consumer -----------------------------
+    def _ask_shard(self, index: int, fn):
+        """``fn(remote)`` on the shard at *index*; ``None`` when it is out
+        of range or does not answer."""
+        shards = self._meta.shards
+        if not 0 <= index < len(shards):
+            return None
+        try:
+            return fn(self._remote(shards[index]))
+        except (BrokerError, ConnectionError, OSError):
+            return None
+
+    def _call_op(self, spec: Op, bound: dict):
+        """Send one table op where its routing key says it goes.
+
+        The request is encoded once; each routed attempt re-sends the
+        same frame through the chosen shard's :class:`RemoteBroker`
+        (whose pipelining, deadlines and replay rule apply unchanged).
+        """
+        fields, blobs = spec.request(bound)
+
+        def send(remote):
+            return remote._roundtrip(spec, fields, blobs)
+
+        if spec.route == "every-shard":
+            # Shards that do not answer are left out of the fold.
+            answers = {
+                index: spec.response(*raw, fields)
+                for index in range(self.num_shards)
+                if (raw := self._ask_shard(index, send)) is not None
+            }
+            return spec.merge(self, answers)
+        if spec.route == "partition":
+            raw = self._invoke(
+                lambda m: m.owner(fields["topic"], fields["partition"]),
+                send,
+                spec.replayable(fields),
+            )
+        elif spec.route == "group":
+            key = fields[spec.fields[0].name]
+            raw = self._invoke(lambda m: m.coordinator(key), send, spec.replayable(fields))
+        else:
+            raw = self._any_invoke(send)
+        return spec.response(*raw, fields)
+
+    # -- hand-routed ops (see _HAND_ROUTED) ------------------------------------
 
     def create_topic(self, name: str, num_partitions: int = 1, exist_ok: bool = False):
         """Create the topic on *every* shard (full partition set each —
-        ownership is enforced per op, not per log)."""
+        ownership is enforced per op, not per log). Unlike the folded
+        every-shard reads, every shard must succeed."""
         out = None
         for index, addr in enumerate(self._meta.shards):
             topic = self._remote(addr).create_topic(
@@ -1788,120 +1734,6 @@ class ClusterBroker:
             )
             out = out if out is not None else topic
         return out
-
-    def topic(self, name: str):
-        return self._any_invoke(lambda r: r.topic(name))
-
-    def list_topics(self) -> list:
-        return self._any_invoke(lambda r: r.list_topics())
-
-    def register_producer(self, client_id: str) -> tuple[int, int]:
-        # Producer registration is hashed like a group id so the same
-        # client id always re-registers (and epoch-fences) on one shard.
-        return self._invoke(
-            lambda m: m.coordinator(client_id),
-            lambda r: r.register_producer(client_id),
-        )
-
-    def append(
-        self,
-        topic,
-        partition,
-        value,
-        key=None,
-        headers=None,
-        produce_ts=None,
-        producer_id=None,
-        producer_epoch=0,
-        sequence=None,
-        acks=None,
-    ):
-        return self._partition_invoke(
-            topic,
-            partition,
-            lambda r: r.append(
-                topic,
-                partition,
-                value,
-                key=key,
-                headers=headers,
-                produce_ts=produce_ts,
-                producer_id=producer_id,
-                producer_epoch=producer_epoch,
-                sequence=sequence,
-                acks=acks,
-            ),
-            replayable=producer_id is not None,
-        )
-
-    def append_many(
-        self,
-        topic,
-        partition,
-        values,
-        keys=None,
-        headers=None,
-        produce_ts=None,
-        producer_id=None,
-        producer_epoch=0,
-        base_sequence=None,
-        acks=None,
-    ):
-        values = list(values)
-        return self._partition_invoke(
-            topic,
-            partition,
-            lambda r: r.append_many(
-                topic,
-                partition,
-                values,
-                keys=keys,
-                headers=headers,
-                produce_ts=produce_ts,
-                producer_id=producer_id,
-                producer_epoch=producer_epoch,
-                base_sequence=base_sequence,
-                acks=acks,
-            ),
-            replayable=producer_id is not None,
-        )
-
-    def fetch(self, topic, partition, offset, max_records=64, timeout=0.0, min_bytes=1):
-        return self._partition_invoke(
-            topic,
-            partition,
-            lambda r: r.fetch(
-                topic,
-                partition,
-                offset,
-                max_records=max_records,
-                timeout=timeout,
-                min_bytes=min_bytes,
-            ),
-        )
-
-    def earliest_offset(self, topic, partition):
-        return self._partition_invoke(
-            topic, partition, lambda r: r.earliest_offset(topic, partition)
-        )
-
-    def latest_offset(self, topic, partition):
-        return self._partition_invoke(
-            topic, partition, lambda r: r.latest_offset(topic, partition)
-        )
-
-    def commit_offset(self, group, topic, partition, offset):
-        self._group_invoke(
-            group, lambda r: r.commit_offset(group, topic, partition, offset)
-        )
-
-    def committed_offset(self, group, topic, partition):
-        return self._group_invoke(
-            group, lambda r: r.committed_offset(group, topic, partition)
-        )
-
-    def committed_offsets(self, group):
-        return self.coordinator.committed_offsets(group)
 
     def consumer_lag(self, group) -> dict:
         """Cluster-wide lag: committed offsets from the group's
@@ -1925,15 +1757,10 @@ class ClusterBroker:
             lag[tp] = max(0, depth["end_offset"] - base)
         return lag
 
-    def partition_depths(self) -> dict:
-        """Union of every responsive shard's owned-partition depths."""
-        out: dict[tuple, dict] = {}
-        for remote in self._live_remotes():
-            try:
-                out.update(remote.partition_depths())
-            except (BrokerError, ConnectionError, OSError):
-                continue
-        return out
+    append = Broker.append  # a single record is a batch of one
+
+    def committed_offsets(self, group):
+        return self.coordinator.committed_offsets(group)
 
     # -- telemetry ------------------------------------------------------------
 
@@ -1949,32 +1776,16 @@ class ClusterBroker:
             remotes = list(self._remotes.values())
         return sum(r.requests_sent for r in remotes)
 
-    def replication_status(self) -> dict:
-        """Union of every responsive shard's led-partition ISR state."""
-        out: dict = {"replication_factor": 1, "partitions": []}
-        for remote in self._live_remotes():
-            try:
-                status = remote.replication_status()
-            except (BrokerError, ConnectionError, OSError):
-                continue
-            out["replication_factor"] = max(
-                out["replication_factor"], status.get("replication_factor", 1)
-            )
-            out["partitions"].extend(status.get("partitions", ()))
-        return out
+    # -- per-shard views of the shard-index ops ---------------------------------
+
+    def _ask_every_shard(self, fn) -> dict:
+        return {index: self._ask_shard(index, fn) for index in range(self.num_shards)}
 
     def shard_metrics(self) -> dict:
         """``{shard_index: server_metrics}`` for every responsive shard;
         dead shards are simply absent (the sampler counts them)."""
-        out: dict[int, dict] = {}
-        for index, addr in enumerate(self._meta.shards):
-            try:
-                out[index] = self._remote(addr).server_metrics()
-            except (BrokerError, ConnectionError, OSError):
-                continue
-        return out
-
-    # -- observability plane ---------------------------------------------------
+        answers = self._ask_every_shard(lambda r: r.server_metrics())
+        return {i: m for i, m in answers.items() if m is not None}
 
     def metrics_snapshots(self) -> dict:
         """``{shard_index: metrics_snapshot | None}`` across the cluster.
@@ -1982,106 +1793,53 @@ class ClusterBroker:
         Unreachable shards map to ``None`` (not absent) so the
         aggregator can tell "shard down" from "shard never existed".
         """
-        out: dict[int, dict | None] = {}
-        for index, addr in enumerate(self._meta.shards):
-            try:
-                out[index] = self._remote(addr).metrics_snapshot()
-            except (BrokerError, ConnectionError, OSError):
-                out[index] = None
-        return out
+        return self._ask_every_shard(lambda r: r.metrics_snapshot())
 
     def shard_events(self, index: int, since: int = 0) -> dict | None:
         """One shard's ``events_since`` payload (``None`` if unreachable)."""
-        shards = self._meta.shards
-        if not 0 <= index < len(shards):
-            return None
-        try:
-            return self._remote(shards[index]).events_since(since)
-        except (BrokerError, ConnectionError, OSError):
-            return None
+        return self._ask_shard(index, lambda r: r.events_since(since))
 
     def events_snapshots(self, cursors: dict | None = None) -> dict:
         """``{shard_index: events_since payload | None}`` for the whole
         cluster, each shard drained past its cursor in *cursors*."""
         cursors = cursors or {}
-        out: dict[int, dict | None] = {}
-        for index, addr in enumerate(self._meta.shards):
-            try:
-                out[index] = self._remote(addr).events_since(
-                    int(cursors.get(index, 0))
-                )
-            except (BrokerError, ConnectionError, OSError):
-                out[index] = None
-        return out
+        return {
+            index: self.shard_events(index, int(cursors.get(index, 0)))
+            for index in range(self.num_shards)
+        }
 
     def shard_spans(self, index: int, since: int = 0) -> dict | None:
         """One shard's ``trace_spans`` payload (``None`` if unreachable)."""
-        shards = self._meta.shards
-        if not 0 <= index < len(shards):
-            return None
-        try:
-            return self._remote(shards[index]).trace_spans(since)
-        except (BrokerError, ConnectionError, OSError):
-            return None
+        return self._ask_shard(index, lambda r: r.trace_spans(since))
 
     def span_snapshots(self, cursors: dict | None = None) -> dict:
         """``{shard_index: trace_spans payload | None}`` across the cluster."""
         cursors = cursors or {}
-        out: dict[int, dict | None] = {}
-        for index, addr in enumerate(self._meta.shards):
-            try:
-                out[index] = self._remote(addr).trace_spans(
-                    int(cursors.get(index, 0))
-                )
-            except (BrokerError, ConnectionError, OSError):
-                out[index] = None
-        return out
-
-    def stats(self) -> dict:
-        """Per-shard stats merged: counters summed, topics unioned."""
-        merged: dict = {
-            "broker": self.name,
-            "epoch": self._meta.epoch,
-            "shards": {},
-            "topics": {},
-            "duplicates_dropped": 0,
-            "long_polls_parked": 0,
-            "members_evicted": 0,
+        return {
+            index: self.shard_spans(index, int(cursors.get(index, 0)))
+            for index in range(self.num_shards)
         }
-        for index, addr in enumerate(self._meta.shards):
-            try:
-                stats = self._remote(addr).stats()
-            except (BrokerError, ConnectionError, OSError):
-                continue
-            merged["shards"][index] = stats.get("broker")
-            for key in ("duplicates_dropped", "long_polls_parked", "members_evicted"):
-                merged[key] += stats.get(key, 0)
-            for name, topic in stats.get("topics", {}).items():
-                agg = merged["topics"].setdefault(
-                    name,
-                    {
-                        "partitions": topic["partitions"],
-                        "records_in": 0,
-                        "bytes_in": 0,
-                        "bytes_retained": 0,
-                        "duplicates_dropped": 0,
-                        "long_polls_parked": 0,
-                    },
-                )
-                for key in (
-                    "records_in",
-                    "bytes_in",
-                    "bytes_retained",
-                    "duplicates_dropped",
-                    "long_polls_parked",
-                ):
-                    agg[key] += topic.get(key, 0)
-        return merged
 
     def __repr__(self) -> str:
         meta = self._meta
         shards = meta.num_shards if meta is not None else 0
         return f"ClusterBroker({self.name!r}, shards={shards})"
+
+
+#: Table ops :class:`ClusterBroker` answers by hand instead of by routing
+#: key: ``create_topic`` is every-shard but strict (no fold — every shard
+#: must succeed), ``consumer_lag`` is composed from other ops because no
+#: single shard sees both offsets and depths, and the two metadata ops
+#: are answered from the client's cached shard map.
+_HAND_ROUTED = ("create_topic", "consumer_lag", "describe_cluster", "find_coordinator")
+
+# shard-index ops name their shard; they surface as the per-shard views
+# above, not as routed methods.
+install_stubs(
+    ClusterBroker,
+    unless=_HAND_ROUTED
+    + tuple(op.method for op in OPS.values() if op.route == "shard-index"),
+)
 
 
 # -- bootstrap ---------------------------------------------------------------
@@ -2095,8 +1853,10 @@ def connect_bootstrap(addresses, **kwargs):
     If the responder speaks ``describe_cluster`` the result is a
     :class:`ClusterBroker` over the full shard map; a plain single
     broker (which answers ``unknown op``) yields an ordinary
-    :class:`RemoteBroker` — old deployments keep working with the same
-    entry point. *kwargs* are forwarded to the client constructor.
+    :class:`RemoteBroker`. That downgrade is kept on purpose: a plain
+    ``BrokerServer(Broker())`` is a shape the benchmark ladder and the
+    tests deploy, not a legacy peer. *kwargs* are forwarded to the
+    client constructor.
     """
     addresses = [(str(h), int(p)) for h, p in addresses]
     if not addresses:

@@ -285,60 +285,17 @@ class PartitionLog:
         producer_epoch: int = 0,
         sequence: int | None = None,
     ) -> Record:
-        """Append one record; returns it (with offset and append_ts set).
-
-        With ``producer_id``/``sequence`` set, the append is idempotent: a
-        replayed record (same producer, already-seen sequence) is dropped
-        and the *original* record is returned instead of a new offset.
-        """
-        now = time.monotonic()
-        headers = dict(headers or {})
-        if produce_ts is None:
-            produce_ts = now
-        with self._lock:
-            if producer_id is not None and sequence is not None:
-                cached = self._check_sequence(producer_id, producer_epoch, sequence, 1)
-                if cached is not None:
-                    original = self._record_at(cached[0])
-                    if original is not None:
-                        return original
-                    # Original evicted by retention: synthesize the ack.
-                    return Record(
-                        self.topic, self.partition, cached[0], value, key, headers,
-                        produce_ts, now,
-                    )
-            record = Record(
-                self.topic,
-                self.partition,
-                self._next_offset,
-                value,
-                key,
-                headers,
-                produce_ts,
-                now,
-            )
-            self._records.append(record)
-            if producer_id is not None and sequence is not None:
-                self._commit_sequence(producer_id, sequence, record.offset, 1)
-            self._next_offset += 1
-            self._bytes += record.size
-            self.total_appended += 1
-            self.total_bytes_in += record.size
-            if self._store is not None:
-                self._store.append_batch(
-                    (record,),
-                    producer_id=producer_id if sequence is not None else None,
-                    producer_epoch=producer_epoch,
-                    base_sequence=sequence,
-                )
-                self._evict_flushed_locked()
-            self._enforce_retention()
-            self._notify()
-        if self._fsync_acks:
-            # Outside the log lock so concurrent producers pile into the
-            # same group commit instead of serializing on one fsync each.
-            self._wait_durable(record.offset + 1)
-        return record
+        """Append one record — a batch of one; returns it (with offset
+        and append_ts set). See :meth:`append_many` for idempotence."""
+        return self.append_many(
+            [value],
+            keys=[key],
+            headers=headers,
+            produce_ts=produce_ts,
+            producer_id=producer_id,
+            producer_epoch=producer_epoch,
+            base_sequence=sequence,
+        )[0]
 
     def _wait_durable(self, offset: int) -> None:
         if not self._store.wait_durable(offset, _FSYNC_ACK_TIMEOUT):
@@ -363,13 +320,6 @@ class PartitionLog:
             self._bytes -= evicted.size
         self._mem_base = records[0].offset if records else self._next_offset
 
-    def _record_at(self, offset: int) -> Record | None:
-        """The retained record at *offset*, if any (caller holds the lock)."""
-        batch = self._slice_at_offset(offset, 1)
-        if batch and batch[0].offset == offset:
-            return batch[0]
-        return None
-
     def append_many(
         self,
         values,
@@ -382,10 +332,10 @@ class PartitionLog:
     ) -> list[Record]:
         """Append a batch of records under one lock acquisition.
 
-        This is the produce fast path: one lock round-trip, one retention
-        sweep and one consumer notification for the whole batch, versus
-        one of each per record on the single-append path. Offsets within
-        the batch are contiguous.
+        This is the one produce path (:meth:`append` is a batch of one):
+        one lock round-trip, one retention sweep and one consumer
+        notification for the whole batch. Offsets within the batch are
+        contiguous.
 
         Parameters
         ----------
@@ -401,9 +351,10 @@ class PartitionLog:
             per-record timestamps; defaults to the append time.
         producer_id, producer_epoch, base_sequence:
             Idempotent-producer identity. When set, a replayed batch
-            (already-appended base_sequence) is **not** re-appended: the
-            original records are returned so the producer gets the same
-            ack twice — at-least-once delivery with duplicate-free
+            (already-appended base_sequence) is **not** re-appended: it
+            is acked at its original offsets — with the original records
+            where retention still holds them — so the producer gets the
+            same ack twice: at-least-once delivery with duplicate-free
             offsets. A stale epoch raises :class:`ProducerFencedError`;
             a sequence gap raises :class:`OutOfOrderSequenceError`.
 
@@ -439,15 +390,13 @@ class PartitionLog:
         records: list[Record] = []
         add = records.append
         with self._lock:
+            cached = None
             if producer_id is not None and base_sequence is not None:
                 cached = self._check_sequence(
                     producer_id, producer_epoch, base_sequence, n
                 )
-                if cached is not None:
-                    # Replay: ack with the original records (whatever
-                    # retention still holds of them).
-                    return self._slice_at_offset(cached[0], cached[1])
-            offset = self._next_offset
+            # A replayed batch is acked at its original offsets.
+            offset = self._next_offset if cached is None else cached[0]
             bytes_added = 0
             for i in range(n):
                 value = values[i]
@@ -464,6 +413,13 @@ class PartitionLog:
                 )
                 add(record)
                 bytes_added += len(value) + (len(key) if key else 0)
+            if cached is not None:
+                # Replay: nothing is appended. The ack is the original
+                # records where retention still holds them and the
+                # replayed copies where it does not — never whatever
+                # now sits at the retention floor.
+                retained = {r.offset: r for r in self._slice_at_offset(offset, n)}
+                return [retained.get(r.offset, r) for r in records]
             self._records.extend(records)
             if producer_id is not None and base_sequence is not None:
                 self._commit_sequence(producer_id, base_sequence, offset, n)

@@ -147,8 +147,7 @@ class Producer:
         self.client_id = client_id or new_id("producer")
         self.acks = acks if isinstance(acks, str) else int(acks)
         # What rides to the broker: only "all" changes broker behavior
-        # (0/1/"leader" all ack at the leader), and omitting the field
-        # keeps the wire schema old servers already understand.
+        # (0/1/"leader" all ack at the leader).
         self._wire_acks = "all" if self.acks == "all" else None
         self.retries = int(retries)
         self.retry_backoff_ms = float(retry_backoff_ms)
@@ -265,56 +264,22 @@ class Producer:
         partition: int | None = None,
         headers: dict | None = None,
     ) -> RecordMetadata | None:
-        """Serialize and append one record; returns its metadata.
+        """Serialize and append one record — a batch of one through
+        :meth:`send_many`, on the partition its *key* selects.
 
         With ``acks=0`` transport failures return ``None`` instead of
         raising (fire-and-forget).
         """
         self._check_open()
-        payload = self._serde.serialize(value)
         if partition is None:
             num = self._broker.topic(topic).num_partitions
             partition = self._partitioner.select(key, num)
-        produce_ts = time.monotonic()
-        spans = None
-        if self._tracer is not None:
-            spans, hdr_list = self._trace_send(headers, 1)
-            headers = hdr_list[0]
-        if self.idempotent:
-            self._ensure_registered()
-            sequence = self._next_sequence(topic, partition, 1)
-        else:
-            sequence = None
-        # Stamp acks only when it changes broker behavior, so brokers
-        # (and broker-shaped proxies) without the knob stay compatible.
-        extra = {} if self._wire_acks is None else {"acks": self._wire_acks}
-        try:
-            md = self._call_with_retries(
-                lambda: self._broker.append(
-                    topic,
-                    partition,
-                    payload,
-                    key=key,
-                    headers=headers,
-                    produce_ts=produce_ts,
-                    producer_id=self._pid,
-                    producer_epoch=self._epoch,
-                    sequence=sequence,
-                    **extra,
-                )
-            )
-        except Exception as exc:
-            self._finish_spans(spans, error=type(exc).__name__)
-            if sequence is not None:
-                self._rollback_sequence(topic, partition, 1)
-            self.sends_failed += 1
-            if self.acks == 0:
-                return None
-            raise
-        self._finish_spans(spans)
-        self.records_sent += 1
-        self.bytes_sent += len(payload)
-        return md
+        md = self.send_many(
+            topic, [value], keys=[key], partition=partition, headers=headers
+        )
+        if md is None:
+            return None
+        return RecordMetadata(topic=topic, partition=partition, offset=md.base_offset)
 
     def send_many(
         self,
@@ -349,7 +314,6 @@ class Producer:
             base_sequence = self._next_sequence(topic, partition, len(payloads))
         else:
             base_sequence = None
-        extra = {} if self._wire_acks is None else {"acks": self._wire_acks}
         try:
             md = self._call_with_retries(
                 lambda: self._broker.append_many(
@@ -362,7 +326,7 @@ class Producer:
                     producer_id=self._pid,
                     producer_epoch=self._epoch,
                     base_sequence=base_sequence,
-                    **extra,
+                    acks=self._wire_acks,
                 )
             )
         except Exception as exc:

@@ -1,10 +1,8 @@
 """Reactor broker server: one event loop, O(1) threads, 1k+ connections.
 
-The thread-per-connection server (:class:`repro.broker.remote.ThreadedBrokerServer`)
-spends one OS thread per client plus one side thread per parked
-long-poll — a model that collapses well before the connection counts an
-edge deployment needs. This module replaces the server half of the wire
-path with a ``selectors``-based reactor:
+A thread per client plus a side thread per parked long-poll collapses
+well before the connection counts an edge deployment needs, so the
+server half of the wire path is a ``selectors``-based reactor:
 
 * **One I/O thread** multiplexes every client socket with non-blocking
   reads and writes. Inbound bytes feed a per-connection incremental
@@ -28,7 +26,7 @@ The wire format and the client (:class:`repro.broker.remote.RemoteBroker`)
 are untouched: correlation-id pipelining, per-op semantics, deadlines,
 and reconnect/replay behavior all hold. Frames still carry the optional
 ``"trace"`` field; a ``server.<op>`` span covers dispatch (and for a
-parked fetch, the full park duration — same as the old side thread).
+parked fetch, the full park duration).
 
 Tuning knobs: ``num_workers`` (dispatch parallelism; the default of 4
 is plenty for a GIL-bound op table), ``max_buffered_bytes`` (per-
@@ -49,13 +47,8 @@ from collections import deque
 from functools import partial
 
 from repro.broker.broker import Broker
-from repro.broker.wire import (
-    FrameDecoder,
-    encode_frame,
-    execute_op,
-    format_fetch,
-    is_parkable,
-)
+from repro.broker.ops import find, lookup
+from repro.broker.wire import FrameDecoder, encode_frame
 
 _READ = selectors.EVENT_READ
 _WRITE = selectors.EVENT_WRITE
@@ -99,25 +92,21 @@ class _Conn:
 class _ParkedFetch:
     """A long-poll fetch parked as reactor state instead of a thread."""
 
-    __slots__ = (
-        "conn", "op", "cid", "span", "log",
-        "topic", "partition", "offset", "max_records", "min_bytes",
-        "deadline", "done",
-    )
+    __slots__ = ("conn", "op", "cid", "span", "log", "key", "want", "deadline", "done")
 
-    def __init__(self, conn, op, cid, span, request) -> None:
+    def __init__(self, conn, op, cid, span) -> None:
         self.conn = conn
         self.op = op
         self.cid = cid
         self.span = span
-        self.log = None
-        self.topic = request.get("topic")
-        self.partition = request.get("partition")
-        self.offset = request.get("offset")
-        self.max_records = request.get("max_records", 64)
-        self.min_bytes = request.get("min_bytes", 1)
+        #: Set once the request decodes: the partition log, its
+        #: ``(topic, partition)`` and ``(offset, max_records, min_bytes)``.
+        self.log = self.key = self.want = None
         self.deadline = 0.0
         self.done = False
+
+    def probe(self) -> tuple:
+        return self.log.poll_fetch(*self.want)
 
 
 class _PartitionWaker:
@@ -145,10 +134,9 @@ class _PartitionWaker:
 class ReactorBrokerServer:
     """Serves an in-process broker over TCP from one event loop.
 
-    Drop-in replacement for the threaded server: same constructor, same
-    public counters (``connections_served`` / ``requests_served`` /
-    ``op_counts``), same wire behavior. Exported from
-    ``repro.broker.remote`` as ``BrokerServer``.
+    Public counters: ``connections_served`` / ``requests_served`` /
+    ``op_counts``. Exported from ``repro.broker.remote`` as
+    ``BrokerServer``.
     """
 
     def __init__(
@@ -403,10 +391,11 @@ class ReactorBrokerServer:
                 if frame is None:
                     break
                 request, blobs = frame
-                if is_parkable(request):
+                op = find(request.get("op"))
+                if op is not None and op.park_seconds(request) > 0:
                     # Long-polls never occupy a worker: probe, then park
                     # as loop state or complete through the strand.
-                    self._begin_parkable_fetch(conn, request, blobs)
+                    self._begin_parkable_fetch(conn, op, request, blobs)
                 else:
                     self._enqueue_task(
                         conn, partial(self._handle_request, conn, request, blobs)
@@ -510,34 +499,45 @@ class ReactorBrokerServer:
 
     # -- request handling (workers) -----------------------------------------
 
-    def _count_op(self, op) -> None:
-        with self._counts_lock:
-            self.op_counts[op] = self.op_counts.get(op, 0) + 1
-
-    def _handle_request(self, conn: _Conn, request: dict, blobs) -> None:
+    def _open(self, request: dict) -> tuple:
+        """Take the envelope off *request*: returns its correlation id
+        and, for a traced frame, the ``server.<op>`` span; counts the op."""
         cid = request.pop("cid", None)
         trace_ctx = request.pop("trace", None)
         op = request.get("op")
-        self._count_op(op)
+        if not isinstance(op, str):
+            op = repr(op)  # outside input: keep the counter key hashable
+        with self._counts_lock:
+            self.op_counts[op] = self.op_counts.get(op, 0) + 1
         span = None
         if self._tracer is not None and trace_ctx is not None:
             span = self._tracer.start_span(
                 f"server.{op}", parent=trace_ctx, site=self.broker.name
             )
-        out_blobs: list = []
+        return cid, span
+
+    def _handle_request(self, conn: _Conn, request: dict, blobs) -> None:
+        cid, span = self._open(request)
+        self._answer(
+            conn,
+            cid,
+            span,
+            lambda: lookup(request.get("op")).invoke(self.broker, request, blobs),
+        )
+
+    def _answer(self, conn: _Conn, cid, span, produce) -> None:
+        """Send ``produce() -> (result, out blobs)``, or the error it
+        raised, as the response to *cid*."""
         try:
-            result, out_blobs = execute_op(self.broker, request, blobs)
+            result, out_blobs = produce()
             response = {"ok": True, "result": result}
         except Exception as exc:  # noqa: BLE001 — all errors go to the client
-            out_blobs = []
+            out_blobs = ()
             if span is not None:
                 span.set_attr("error", type(exc).__name__)
             response = {"ok": False, "error": type(exc).__name__, "message": str(exc)}
         if span is not None:
             span.finish()
-        self._respond(conn, cid, response, out_blobs)
-
-    def _respond(self, conn: _Conn, cid, response: dict, out_blobs) -> None:
         if cid is not None:
             response["cid"] = cid
         with self._counts_lock:
@@ -550,23 +550,15 @@ class ReactorBrokerServer:
 
     # -- long-poll parking (reactor thread) ---------------------------------
 
-    def _begin_parkable_fetch(self, conn: _Conn, request: dict, blobs) -> None:
-        cid = request.pop("cid", None)
-        trace_ctx = request.pop("trace", None)
-        op = request.get("op")
-        self._count_op(op)
-        span = None
-        if self._tracer is not None and trace_ctx is not None:
-            # The span covers the full park, like the old side thread did.
-            span = self._tracer.start_span(
-                f"server.{op}", parent=trace_ctx, site=self.broker.name
-            )
-        entry = _ParkedFetch(conn, op, cid, span, request)
+    def _begin_parkable_fetch(self, conn: _Conn, op, request: dict, blobs) -> None:
+        cid, span = self._open(request)  # the span covers the full park
+        entry = _ParkedFetch(conn, op, cid, span)
         try:
-            entry.log = self.broker.partition_log(entry.topic, entry.partition)
-            records, satisfied = entry.log.poll_fetch(
-                entry.offset, entry.max_records, entry.min_bytes
-            )
+            args = op.arguments(request, blobs)
+            entry.key = key = (args["topic"], args["partition"])
+            entry.want = (args["offset"], args["max_records"], args["min_bytes"])
+            entry.log = self.broker.partition_log(*key)
+            records, satisfied = entry.probe()
         except Exception as exc:  # noqa: BLE001
             self._finish_parked(entry, error=exc)
             return
@@ -576,8 +568,7 @@ class ReactorBrokerServer:
         # Park: waiter first, then re-probe, so an append racing the park
         # can never be missed (it either lands before the probe or sets
         # the waker after registration).
-        entry.deadline = time.monotonic() + float(request.get("timeout"))
-        key = (entry.topic, entry.partition)
+        entry.deadline = time.monotonic() + op.park_seconds(request)
         bucket = self._parked.setdefault(key, [])
         bucket.append(entry)
         if key not in self._wakers:
@@ -586,9 +577,7 @@ class ReactorBrokerServer:
             entry.log.register_waiter(waker)
         heapq.heappush(self._deadlines, (entry.deadline, next(self._park_seq), entry))
         try:
-            records, satisfied = entry.log.poll_fetch(
-                entry.offset, entry.max_records, entry.min_bytes
-            )
+            records, satisfied = entry.probe()
         except Exception as exc:  # noqa: BLE001
             self._unpark(entry)
             self._finish_parked(entry, error=exc)
@@ -601,7 +590,7 @@ class ReactorBrokerServer:
 
     def _unpark(self, entry: _ParkedFetch) -> None:
         entry.done = True
-        key = (entry.topic, entry.partition)
+        key = entry.key
         bucket = self._parked.get(key)
         if bucket is None:
             return
@@ -617,30 +606,15 @@ class ReactorBrokerServer:
 
     def _finish_parked(self, entry: _ParkedFetch, records=None, error=None) -> None:
         """Complete a (possibly never-parked) long-poll via the strand."""
-        self._enqueue_task(
-            entry.conn, partial(self._complete_fetch, entry, records, error)
-        )
 
-    def _complete_fetch(self, entry: _ParkedFetch, records, error) -> None:
-        out_blobs: list = []
-        if error is None:
-            try:
-                result, out_blobs = format_fetch(entry.op, records or [])
-                response = {"ok": True, "result": result}
-            except Exception as exc:  # noqa: BLE001
-                error = exc
-        if error is not None:
-            out_blobs = []
-            if entry.span is not None:
-                entry.span.set_attr("error", type(error).__name__)
-            response = {
-                "ok": False,
-                "error": type(error).__name__,
-                "message": str(error),
-            }
-        if entry.span is not None:
-            entry.span.finish()
-        self._respond(entry.conn, entry.cid, response, out_blobs)
+        def produce():
+            if error is not None:
+                raise error
+            return entry.op.codec.encode(records or [])
+
+        self._enqueue_task(
+            entry.conn, partial(self._answer, entry.conn, entry.cid, entry.span, produce)
+        )
 
     def _process_wakes(self) -> None:
         with self._wake_lock:
@@ -653,9 +627,7 @@ class ReactorBrokerServer:
                 continue
             for entry in list(bucket):
                 try:
-                    records, satisfied = entry.log.poll_fetch(
-                        entry.offset, entry.max_records, entry.min_bytes
-                    )
+                    records, satisfied = entry.probe()
                 except Exception as exc:  # noqa: BLE001
                     self._unpark(entry)
                     self._finish_parked(entry, error=exc)
@@ -675,9 +647,7 @@ class ReactorBrokerServer:
             try:
                 # Deadline contract: return whatever is available, even
                 # if the min_bytes threshold never filled (possibly []).
-                records, _ = entry.log.poll_fetch(
-                    entry.offset, entry.max_records, entry.min_bytes
-                )
+                records, _ = entry.probe()
             except Exception as exc:  # noqa: BLE001
                 self._finish_parked(entry, error=exc)
                 continue

@@ -8,12 +8,13 @@ paper's actual Kafka deployment.
 Protocol: length-prefixed JSON frames (4-byte big-endian length, then a
 UTF-8 JSON object). A frame may additionally carry *binary blobs*: when
 the JSON object has an ``"nblobs": k`` field, the frame is followed by
-``k`` length-prefixed raw byte strings. The batched data-path ops
+``k`` length-prefixed raw byte strings. The data-path ops
 (``append_batch`` / ``fetch_batch``) move record payloads as blobs —
 one socket round-trip per batch and no base64 (which inflates payloads
 by ~33% and burns CPU on both ends). Small fields (keys, headers,
-offsets) stay base64-in-JSON for debuggability; the legacy per-record
-``append`` / ``fetch`` ops are still served for compatibility.
+offsets) stay base64-in-JSON for debuggability. A single record is a
+batch of one: there are no per-record wire ops. Client and server ship
+in one package, so the wire schema carries no compatibility shims.
 
 The protocol is *pipelined*: every request carries a correlation id
 (``"cid"``) that the server echoes in the response, so one connection
@@ -26,20 +27,18 @@ Server side: :class:`BrokerServer` is the ``selectors``-based reactor
 from :mod:`repro.broker.reactor` — one event-loop thread multiplexing
 every client socket, a small worker pool for op dispatch, and long-poll
 fetches parked as loop state instead of side threads.
-:class:`ThreadedBrokerServer` is the previous one-thread-per-connection
-implementation, kept as the benchmark baseline the reactor is gated
-against; both share the framing and op table in
-:mod:`repro.broker.wire`, so they are wire-identical.
 
-Client side: :class:`RemoteBroker` implements the same data-path surface
-(`append`, `append_many`, `fetch`, offsets, commits, coordinator
-operations), so the existing :class:`~repro.broker.producer.Producer`
-and :class:`~repro.broker.consumer.Consumer` work against it unchanged
-— including the batched `Producer.send_many` fast path. A dedicated
-reader thread dispatches responses to per-request futures; concurrency
-is bounded by ``max_in_flight_requests``, and non-idempotent ops cap
-in-flight at 1 (Kafka-style) so a reconnect can never replay or reorder
-them.
+Client side: :class:`RemoteBroker` exposes the same data-path surface as
+:class:`~repro.broker.broker.Broker` (`append`, `append_many`, `fetch`,
+offsets, commits, coordinator operations), so the existing
+:class:`~repro.broker.producer.Producer` and
+:class:`~repro.broker.consumer.Consumer` work against it unchanged.
+Its methods are not written out: each is a stub generated from the op
+table in :mod:`repro.broker.ops`, which also decides what may be
+replayed. A dedicated reader thread dispatches responses to per-request
+futures; concurrency is bounded by ``max_in_flight_requests``, and ops
+that are not replay-safe cap in-flight at 1 (Kafka-style) so a reconnect
+can never replay or reorder them.
 """
 
 from __future__ import annotations
@@ -56,24 +55,11 @@ from repro.broker.errors import (
     DisconnectedError,
     FatalError,
     RetriableError,
-    UnknownMemberError,
 )
-from repro.broker.message import BatchMetadata, Record, RecordMetadata
+from repro.broker.ops import CoordinatorClient, Op, install_stubs
 from repro.broker.reactor import ReactorBrokerServer
-from repro.broker.wire import (
-    LEN as _LEN,
-    MAX_FRAME,
-    b64 as _b64,
-    execute_op,
-    recv_frame as _recv_frame,
-    send_frame as _send_frame,
-    sendall_vectored as _sendall_vectored,
-    unb64 as _unb64,
-)
-from repro.util.validation import ValidationError
+from repro.broker.wire import recv_frame as _recv_frame, send_frame as _send_frame
 
-#: The reactor is the default server; the threaded implementation below
-#: remains as the baseline the connection-scale benchmark compares against.
 BrokerServer = ReactorBrokerServer
 
 
@@ -115,258 +101,13 @@ _FATAL_WIRE = {
 }
 
 
-def _raise_wire_error(name: str, message: str):
+def _wire_error(name: str, message: str) -> RemoteBrokerError:
     text = f"{name}: {message}"
     if name in _RETRIABLE_WIRE:
-        raise RemoteRetriableError(text, error_name=name)
+        return RemoteRetriableError(text, error_name=name)
     if name in _FATAL_WIRE:
-        raise RemoteFatalError(text, error_name=name)
-    raise RemoteBrokerError(text, error_name=name)
-
-
-class ThreadedBrokerServer:
-    """Serves an in-process broker over TCP (one thread per client).
-
-    The pre-reactor server: an accept thread, one handler thread per
-    connection, and one side thread per parked long-poll fetch. Kept as
-    the baseline the connection-scale benchmark gates the reactor
-    against; production code should use :class:`BrokerServer` (the
-    reactor), which this class is wire-compatible with.
-    """
-
-    def __init__(
-        self,
-        broker: Broker | None = None,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        tracer=None,
-    ) -> None:
-        self.broker = broker if broker is not None else Broker()
-        #: Optional :class:`repro.monitoring.Tracer`. When set, requests
-        #: carrying the optional ``"trace"`` frame field get a
-        #: ``server.<op>`` span (child of the client's RPC span). Frames
-        #: without the field — i.e. from pre-tracing clients — dispatch
-        #: exactly as before.
-        self._tracer = tracer
-        self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self._listener.bind((host, port))
-        self._listener.listen(32)
-        # A blocked accept() is not reliably woken by close() from
-        # another thread; poll with a short timeout instead.
-        self._listener.settimeout(0.1)
-        self.host, self.port = self._listener.getsockname()
-        self._stop = threading.Event()
-        self._accept_thread: threading.Thread | None = None
-        self.connections_served = 0
-        self.requests_served = 0
-        #: op name -> number of requests dispatched (batching telemetry).
-        self.op_counts: dict[str, int] = {}
-        self._counts_lock = threading.Lock()
-
-    # -- lifecycle ----------------------------------------------------------
-
-    def start(self) -> "ThreadedBrokerServer":
-        if self._accept_thread is not None:
-            raise RuntimeError("server already started")
-        # Shard brokers want a handle on their server (to serve
-        # ``server_metrics`` over the wire); plain brokers have no hook.
-        attach = getattr(self.broker, "attach_server", None)
-        if attach is not None:
-            attach(self)
-        self._accept_thread = threading.Thread(
-            target=self._accept_loop, name=f"broker-server:{self.port}", daemon=True
-        )
-        self._accept_thread.start()
-        return self
-
-    def stop(self) -> None:
-        self._stop.set()
-        try:
-            self._listener.close()
-        except OSError:
-            pass
-        if self._accept_thread is not None:
-            self._accept_thread.join(timeout=5)
-            self._accept_thread = None
-
-    def __enter__(self) -> "ThreadedBrokerServer":
-        return self.start()
-
-    def __exit__(self, *exc) -> None:
-        self.stop()
-
-    @property
-    def address(self) -> tuple:
-        return (self.host, self.port)
-
-    def metrics(self) -> dict:
-        """Connection-level gauges (subset of the reactor's surface)."""
-        with self._counts_lock:
-            return {
-                "requests_served": self.requests_served,
-                "connections_served": self.connections_served,
-            }
-
-    # -- serving --------------------------------------------------------------
-
-    def _accept_loop(self) -> None:
-        while not self._stop.is_set():
-            try:
-                conn, _ = self._listener.accept()
-            except socket.timeout:
-                continue
-            except OSError:
-                return  # listener closed
-            conn.settimeout(None)
-            self.connections_served += 1
-            threading.Thread(
-                target=self._serve_client, args=(conn,), daemon=True
-            ).start()
-
-    @staticmethod
-    def _is_parkable(request: dict) -> bool:
-        """Requests that may legitimately block server-side (long-polls).
-
-        These are handed to a side thread so a parked fetch cannot
-        head-of-line-block the pipelined requests queued behind it on the
-        same connection — an append racing a long-poll on the *same*
-        partition must get through, or neither would ever complete.
-        """
-        if request.get("op") not in ("fetch", "fetch_batch"):
-            return False
-        try:
-            return float(request.get("timeout") or 0.0) > 0
-        except (TypeError, ValueError):
-            return False
-
-    def _serve_client(self, conn: socket.socket) -> None:
-        # Responses from the inline path and from parked long-poll side
-        # threads interleave on one socket; the lock keeps frames whole.
-        send_lock = threading.Lock()
-        with conn:
-            while not self._stop.is_set():
-                try:
-                    request, blobs = _recv_frame(conn)
-                except (ConnectionError, OSError, json.JSONDecodeError):
-                    return
-                if self._is_parkable(request):
-                    threading.Thread(
-                        target=self._handle_request,
-                        args=(conn, send_lock, request, blobs),
-                        daemon=True,
-                    ).start()
-                elif not self._handle_request(conn, send_lock, request, blobs):
-                    return
-
-    def _handle_request(
-        self, conn: socket.socket, send_lock: threading.Lock, request: dict, blobs
-    ) -> bool:
-        """Dispatch one request and send its response; False on dead socket."""
-        cid = request.pop("cid", None)
-        # Optional frame-level trace context (absent on old clients).
-        trace_ctx = request.pop("trace", None)
-        span = None
-        if self._tracer is not None and trace_ctx is not None:
-            span = self._tracer.start_span(
-                f"server.{request.get('op')}",
-                parent=trace_ctx,
-                site=self.broker.name,
-            )
-        out_blobs: list = []
-        try:
-            result, out_blobs = self._dispatch(request, blobs)
-            response = {"ok": True, "result": result}
-        except Exception as exc:  # noqa: BLE001 — all errors go to the client
-            out_blobs = []
-            if span is not None:
-                span.set_attr("error", type(exc).__name__)
-            response = {
-                "ok": False,
-                "error": type(exc).__name__,
-                "message": str(exc),
-            }
-        if span is not None:
-            span.finish()
-        if cid is not None:
-            response["cid"] = cid
-        with self._counts_lock:
-            self.requests_served += 1
-        try:
-            with send_lock:
-                _send_frame(conn, response, out_blobs)
-        except OSError:
-            return False
-        return True
-
-    def _dispatch(self, request: dict, blobs: list[bytes]):
-        op = request.get("op")
-        with self._counts_lock:
-            self.op_counts[op] = self.op_counts.get(op, 0) + 1
-        return execute_op(self.broker, request, blobs)
-
-
-class _RemoteCoordinator:
-    """Client-side face of the group coordinator."""
-
-    def __init__(self, remote: "RemoteBroker") -> None:
-        self._remote = remote
-
-    def join(self, group_id, member_id, topics, strategy=None, session_timeout_ms=None):
-        if strategy is not None:
-            raise ValidationError("remote coordinator uses the server's strategy")
-        return self._remote._call(
-            "group_join",
-            group=group_id,
-            member=member_id,
-            topics=list(topics),
-            session_timeout_ms=session_timeout_ms,
-        )
-
-    def leave(self, group_id, member_id):
-        self._remote._call("group_leave", group=group_id, member=member_id)
-
-    def heartbeat(self, group_id, member_id):
-        try:
-            return self._remote._call("group_heartbeat", group=group_id, member=member_id)
-        except RemoteBrokerError as exc:
-            if exc.error_name == "UnknownMemberError":
-                # Re-raise as the typed error so Consumer's rejoin logic
-                # works identically against remote and in-proc brokers.
-                raise UnknownMemberError(group_id, member_id) from exc
-            raise
-
-    def assignment(self, group_id, member_id):
-        out = self._remote._call("group_assignment", group=group_id, member=member_id)
-        return out["generation"], [tuple(tp) for tp in out["assignment"]]
-
-    def generation(self, group_id):
-        return self._remote._call("group_generation", group=group_id)
-
-    def group_ids(self):
-        return self._remote._call("group_ids")
-
-    def members(self, group_id):
-        return self._remote._call("group_members", group=group_id)
-
-    def committed_offsets(self, group_id):
-        return {
-            (t, p): off
-            for t, p, off in self._remote._call("committed_offsets", group=group_id)
-        }
-
-    def group_topics(self, group_id):
-        return set(self._remote._call("group_topics", group=group_id))
-
-
-class _RemoteTopic:
-    def __init__(self, name: str, num_partitions: int) -> None:
-        self.name = name
-        self.num_partitions = num_partitions
-
-    @property
-    def partitions(self) -> tuple:
-        return tuple(range(self.num_partitions))
+        return RemoteFatalError(text, error_name=name)
+    return RemoteBrokerError(text, error_name=name)
 
 
 class _Pending:
@@ -516,15 +257,16 @@ class RemoteBroker:
     Thread safety: the connection is *pipelined* — any number of threads
     may issue requests concurrently; up to ``max_in_flight_requests``
     travel on the wire at once and a dedicated reader thread routes each
-    response to its caller by correlation id. Non-idempotent ops (plain
-    appends without a producer id) serialize at in-flight = 1 so a
-    reconnect can never replay or reorder them.
-    """
+    response to its caller by correlation id. Ops the table marks
+    replay-safe only ``with_producer_id`` (plain appends) serialize at
+    in-flight = 1 without one, so a reconnect can never replay or
+    reorder them.
 
-    #: Ops whose effect is safe to replay on a fresh connection. Append
-    #: ops join the list only when they carry idempotent-producer fields
-    #: (the broker's dedup window then absorbs the replay).
-    _NON_IDEMPOTENT_OPS = frozenset({"append", "append_batch"})
+    Every broker method here other than :meth:`append` is a stub
+    generated from :data:`repro.broker.ops.OPS`; ops the served broker
+    lacks (the cluster, replication and observability ops on a plain
+    broker) answer ``unknown op``.
+    """
 
     #: Extra headroom on top of a long-poll's server-side wait before the
     #: client declares the server dead — covers scheduling jitter and the
@@ -555,7 +297,7 @@ class RemoteBroker:
         self.reconnect_backoff_ms = float(reconnect_backoff_ms)
         self._max_backoff_s = 2.0
         self.name = f"remote://{host}:{port}"
-        self.coordinator = _RemoteCoordinator(self)
+        self.coordinator = CoordinatorClient(self)
         #: Requests written to the wire by this client.
         self.requests_sent = 0
         #: Transport failures that triggered a successful reconnect.
@@ -631,29 +373,35 @@ class RemoteBroker:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    def _call(self, op: str, _blobs=(), **kwargs):
-        result, _ = self._call_with_blobs(op, _blobs, **kwargs)
-        return result
-
-    def _deadline_for(self, op: str, kwargs: dict) -> float:
-        # Blocking fetches legitimately park server-side for up to their
-        # requested timeout; give them that long, plus slack for the
-        # response's return trip, plus the op budget.
-        wait = float(kwargs.get("timeout") or 0.0)
-        slack = self._LONG_POLL_SLACK_S if wait > 0 else 0.0
-        return self.op_timeout + wait + slack
-
     def _new_cid(self) -> int:
         with self._cid_lock:
             self._next_cid += 1
             return self._next_cid
 
-    def _call_with_blobs(self, op: str, _blobs=(), **kwargs):
+    def _backoff(self, attempt: int) -> None:
+        """Capped exponential sleep before retry *attempt* (none before
+        the first), so a flapping server is not re-dialed in a tight loop."""
+        if attempt:
+            time.sleep(
+                min(
+                    self.reconnect_backoff_ms / 1000.0 * (2 ** (attempt - 1)),
+                    self._max_backoff_s,
+                )
+            )
+
+    def _call_op(self, spec: Op, bound: dict):
+        """One op end to end: encode, round-trip, decode."""
+        fields, blobs = spec.request(bound)
+        result, out_blobs = self._roundtrip(spec, fields, blobs)
+        return spec.response(result, out_blobs, fields)
+
+    def _roundtrip(self, spec: Op, fields: dict, blobs) -> tuple:
+        """Send one encoded request; returns ``(wire result, blobs)``."""
         if self._tracer is None:
-            return self._invoke(op, _blobs, None, kwargs)
-        span = self._tracer.start_trace(f"rpc.{op}", site=self.name)
+            return self._invoke(spec, fields, blobs, None)
+        span = self._tracer.start_trace(f"rpc.{spec.name}", site=self.name)
         try:
-            result = self._invoke(op, _blobs, span, kwargs)
+            result = self._invoke(spec, fields, blobs, span)
         except Exception as exc:
             span.set_attr("error", type(exc).__name__)
             span.finish()
@@ -661,21 +409,17 @@ class RemoteBroker:
         span.finish()
         return result
 
-    def _invoke(self, op: str, _blobs, span, kwargs):
-        replayable = op not in self._NON_IDEMPOTENT_OPS or (
-            kwargs.get("producer_id") is not None
-        )
-        deadline = self._deadline_for(op, kwargs)
+    def _invoke(self, spec: Op, fields: dict, blobs, span):
+        op = spec.name
+        replayable = spec.replayable(fields)
+        # A parkable op legitimately waits server-side for up to its
+        # timeout; give it that long, plus slack for the response's
+        # return trip, plus the op budget.
+        wait = spec.park_seconds(fields)
+        deadline = self.op_timeout + wait + (self._LONG_POLL_SLACK_S if wait else 0.0)
         last_exc: Exception | None = None
         for attempt in range(self.max_attempts):
-            if attempt:
-                # Capped backoff before re-dialing a flapping server.
-                time.sleep(
-                    min(
-                        self.reconnect_backoff_ms / 1000.0 * (2 ** (attempt - 1)),
-                        self._max_backoff_s,
-                    )
-                )
+            self._backoff(attempt)
             if self._closed:
                 raise DisconnectedError(f"{self.name} is closed")
             try:
@@ -699,12 +443,12 @@ class RemoteBroker:
                         self.link.rtt_delay()
                     if self.fault_injector is not None:
                         self.fault_injector.on_remote_op(op, conn.sock)
-                    frame = {"op": op, "cid": cid, **kwargs}
+                    frame = {"op": op, "cid": cid, **fields}
                     if span is not None and span.recording:
                         frame["trace"] = span.context
                     with conn.send_lock:
                         self.requests_sent += 1
-                        _send_frame(conn.sock, frame, _blobs)
+                        _send_frame(conn.sock, frame, blobs)
                 except (ConnectionError, OSError) as exc:
                     conn.discard(cid)
                     self._drop_conn(conn, exc)
@@ -743,9 +487,15 @@ class RemoteBroker:
             response = pend.response
             if response.get("ok"):
                 return response.get("result"), pend.blobs
-            _raise_wire_error(
+            error = _wire_error(
                 response.get("error", "Error"), response.get("message", "")
             )
+            # Ops that declare a typed error re-raise it, so callers'
+            # handling works identically against remote and in-proc brokers.
+            typed = spec.typed_error(error.error_name, fields)
+            if typed is not None:
+                raise typed from error
+            raise error
         if isinstance(last_exc, socket.timeout):
             raise BrokerTimeoutError(
                 f"{op} timed out after {self.max_attempts} attempts on {self.name}"
@@ -754,235 +504,15 @@ class RemoteBroker:
             f"{op} failed after {self.max_attempts} attempts on {self.name}: {last_exc}"
         ) from last_exc
 
-    # -- broker surface used by Producer/Consumer -----------------------------
-
-    def create_topic(self, name: str, num_partitions: int = 1, exist_ok: bool = False):
-        out = self._call(
-            "create_topic", topic=name, num_partitions=num_partitions, exist_ok=exist_ok
-        )
-        return _RemoteTopic(name, out["partitions"])
-
-    def topic(self, name: str) -> _RemoteTopic:
-        return _RemoteTopic(name, self._call("num_partitions", topic=name))
-
-    def list_topics(self) -> list:
-        return self._call("list_topics")
-
-    def register_producer(self, client_id: str) -> tuple[int, int]:
-        out = self._call("register_producer", client_id=client_id)
-        return out["producer_id"], out["epoch"]
-
-    def append(
-        self,
-        topic,
-        partition,
-        value,
-        key=None,
-        headers=None,
-        produce_ts=None,
-        producer_id=None,
-        producer_epoch=0,
-        sequence=None,
-        acks=None,
-    ):
-        kwargs = dict(
-            topic=topic,
-            partition=partition,
-            value=_b64(value),
-            key=_b64(key),
-            headers=headers or {},
-            produce_ts=produce_ts,
-            producer_id=producer_id,
-            producer_epoch=producer_epoch,
-            sequence=sequence,
-        )
-        if acks is not None:
-            # Only stamped when non-default, so frames to pre-replication
-            # servers keep the exact old schema.
-            kwargs["acks"] = acks
-        out = self._call("append", **kwargs)
-        return RecordMetadata(topic=topic, partition=partition, offset=out["offset"])
-
-    def append_many(
-        self,
-        topic,
-        partition,
-        values,
-        keys=None,
-        headers=None,
-        produce_ts=None,
-        producer_id=None,
-        producer_epoch=0,
-        base_sequence=None,
-        acks=None,
-    ):
-        """Batched append: one socket round-trip, values as binary blobs."""
-        values = list(values)
-        kwargs = dict(
-            topic=topic,
-            partition=partition,
-            keys=None if keys is None else [_b64(k) for k in keys],
-            headers=headers,
-            produce_ts=produce_ts,
-            producer_id=producer_id,
-            producer_epoch=producer_epoch,
-            base_sequence=base_sequence,
-        )
-        if acks is not None:
-            kwargs["acks"] = acks
-        out = self._call("append_batch", _blobs=values, **kwargs)
-        return BatchMetadata(
-            topic=topic,
-            partition=partition,
-            base_offset=out["base_offset"],
-            count=out["count"],
-        )
-
-    def fetch(self, topic, partition, offset, max_records=64, timeout=0.0, min_bytes=1):
-        """Fetch records; values travel as binary blobs (``fetch_batch``).
-
-        With ``timeout > 0`` the server long-polls: it parks on the
-        partition until at least *min_bytes* of payload (or a full batch)
-        is available rather than returning empty for the client to
-        re-poll over the WAN.
-        """
-        meta, blobs = self._call_with_blobs(
-            "fetch_batch",
-            topic=topic,
-            partition=partition,
-            offset=offset,
-            max_records=max_records,
-            timeout=timeout,
-            min_bytes=min_bytes,
-        )
-        return [
-            Record(
-                topic=topic,
-                partition=partition,
-                offset=m["offset"],
-                value=blobs[i],
-                key=_unb64(m.get("key")),
-                headers=m.get("headers") or {},
-                produce_ts=m.get("produce_ts", 0.0),
-                append_ts=m.get("append_ts", 0.0),
-            )
-            for i, m in enumerate(meta)
-        ]
-
-    def earliest_offset(self, topic, partition):
-        return self._call("earliest_offset", topic=topic, partition=partition)
-
-    def latest_offset(self, topic, partition):
-        return self._call("latest_offset", topic=topic, partition=partition)
-
-    def commit_offset(self, group, topic, partition, offset):
-        self._call(
-            "commit_offset", group=group, topic=topic, partition=partition, offset=offset
-        )
-
-    def committed_offset(self, group, topic, partition):
-        return self._call("committed_offset", group=group, topic=topic, partition=partition)
+    append = Broker.append  # a single record is a batch of one
 
     def committed_offsets(self, group):
         return self.coordinator.committed_offsets(group)
-
-    def consumer_lag(self, group) -> dict:
-        """Per-partition committed-offset lag for *group* (server-side)."""
-        return {
-            (t, p): lag for t, p, lag in self._call("consumer_lag", group=group)
-        }
-
-    def partition_depths(self) -> dict:
-        """Per-partition depth/end-offset/bytes snapshot (server-side)."""
-        return {
-            (t, p): {"depth": depth, "end_offset": end, "bytes": nbytes}
-            for t, p, depth, end, nbytes in self._call("partition_depths")
-        }
 
     @property
     def requests_in_flight(self) -> int:
         """Requests currently on the wire (telemetry gauge)."""
         return self._gate.active
 
-    def stats(self) -> dict:
-        return self._call("stats")
 
-    # -- cluster surface (sharded brokers only) -------------------------------
-
-    def describe_cluster(self) -> dict:
-        """Shard address map + epoch; ``unknown op`` on a plain broker."""
-        return self._call("describe_cluster")
-
-    def find_coordinator(self, group: str) -> dict:
-        """Which shard coordinates *group*; ``unknown op`` on a plain broker."""
-        return self._call("find_coordinator", group=group)
-
-    def server_metrics(self) -> dict:
-        """The serving process's reactor gauges (sharded brokers only)."""
-        return self._call("server_metrics")
-
-    def metrics_snapshot(self) -> dict:
-        """The shard's typed registry snapshot for federated aggregation."""
-        return self._call("metrics_snapshot")
-
-    def events_since(self, since: int = 0) -> dict:
-        """Drain the shard's control-plane event journal past ``since``."""
-        return self._call("events_since", since=since)
-
-    def trace_spans(self, since: int = 0) -> dict:
-        """Drain the shard tracer's finished spans past cursor ``since``."""
-        return self._call("trace_spans", since=since)
-
-    # -- replication surface (replicated shards only) --------------------------
-
-    def replicate_append(
-        self,
-        topic,
-        partition,
-        *,
-        base_offset,
-        records,
-        leader,
-        leader_epoch,
-        high_watermark,
-        producers=None,
-    ):
-        """Leader->follower push of a contiguous batch starting at *base_offset*.
-
-        Record values travel as binary blobs; everything else (offsets,
-        keys, timestamps) rides in the JSON frame so the follower can
-        reconstruct the records byte-identically at the same offsets.
-        """
-        metas = []
-        values = []
-        for rec in records:
-            metas.append(
-                {
-                    "offset": rec.offset,
-                    "key": _b64(rec.key),
-                    "headers": rec.headers or None,
-                    "produce_ts": rec.produce_ts,
-                    "append_ts": rec.append_ts,
-                }
-            )
-            values.append(rec.value)
-        kwargs = dict(
-            topic=topic,
-            partition=partition,
-            base_offset=base_offset,
-            records=metas,
-            leader=leader,
-            leader_epoch=leader_epoch,
-            hwm=high_watermark,
-        )
-        if producers is not None:
-            kwargs["producers"] = producers
-        return self._call("replicate_append", _blobs=values, **kwargs)
-
-    def replica_ack(self, topic, partition) -> dict:
-        """A follower's replication progress for one partition."""
-        return self._call("replica_ack", topic=topic, partition=partition)
-
-    def replication_status(self) -> dict:
-        """ISR / high-watermark state for every partition this shard leads."""
-        return self._call("replication_status")
+install_stubs(RemoteBroker)

@@ -1,4 +1,4 @@
-"""Wire framing and op dispatch shared by the broker servers and client.
+"""Wire framing shared by the broker server and client.
 
 Protocol: length-prefixed JSON frames (4-byte big-endian length, then a
 UTF-8 JSON object). A frame may additionally carry *binary blobs*: when
@@ -11,16 +11,15 @@ offsets) stay base64-in-JSON for debuggability.
 
 Two decode styles share the same format:
 
-* :func:`recv_frame` — blocking, for the threaded client/server paths
-  (one ``recv`` loop per frame on a blocking socket).
+* :func:`recv_frame` — blocking, for the client's reader thread (one
+  ``recv`` loop per frame on a blocking socket).
 * :class:`FrameDecoder` — incremental, for the reactor server: bytes are
   fed in whatever chunks the event loop reads and complete frames pop
   out; partial frames cost no re-parsing (the decoder remembers exactly
   how many bytes it still needs).
 
-:func:`execute_op` is the single server-side op table, shared by the
-reactor server and the legacy threaded server so both speak an
-identical wire schema.
+What travels *inside* a frame — the ops, their fields and codecs — is
+declared once in :mod:`repro.broker.ops`.
 """
 
 from __future__ import annotations
@@ -30,7 +29,6 @@ import json
 import socket
 import struct
 
-from repro.broker.message import Record
 from repro.util.validation import ValidationError
 
 LEN = struct.Struct(">I")
@@ -205,274 +203,3 @@ def b64(data: bytes | None) -> str | None:
 
 def unb64(data: str | None) -> bytes | None:
     return None if data is None else base64.b64decode(data)
-
-
-def record_to_wire(record: Record) -> dict:
-    return {
-        "topic": record.topic,
-        "partition": record.partition,
-        "offset": record.offset,
-        "value": b64(record.value),
-        "key": b64(record.key),
-        "headers": record.headers,
-        "produce_ts": record.produce_ts,
-        "append_ts": record.append_ts,
-    }
-
-
-def record_from_wire(obj: dict) -> Record:
-    return Record(
-        topic=obj["topic"],
-        partition=obj["partition"],
-        offset=obj["offset"],
-        value=unb64(obj["value"]) or b"",
-        key=unb64(obj.get("key")),
-        headers=obj.get("headers") or {},
-        produce_ts=obj.get("produce_ts", 0.0),
-        append_ts=obj.get("append_ts", 0.0),
-    )
-
-
-def record_meta_to_wire(record: Record) -> dict:
-    """Record metadata for ``fetch_batch``: the value travels as a blob."""
-    return {
-        "offset": record.offset,
-        "key": b64(record.key),
-        "headers": record.headers,
-        "produce_ts": record.produce_ts,
-        "append_ts": record.append_ts,
-    }
-
-
-def format_fetch(op: str, records) -> tuple:
-    """(result, out_blobs) for a fetch-style op's records."""
-    if op == "fetch_batch":
-        return [record_meta_to_wire(r) for r in records], [r.value for r in records]
-    return [record_to_wire(r) for r in records], ()
-
-
-# -- server-side op table ----------------------------------------------------
-
-
-def execute_op(broker, request: dict, blobs: list) -> tuple:
-    """Dispatch one decoded request against *broker*.
-
-    Returns ``(result, out_blobs)``; raises whatever the broker raises
-    (the caller maps exceptions onto wire error responses). Both broker
-    servers route every op through this table, so the wire schema cannot
-    drift between them.
-    """
-    op = request.get("op")
-    if op == "create_topic":
-        topic = broker.create_topic(
-            request["topic"],
-            num_partitions=request.get("num_partitions", 1),
-            exist_ok=request.get("exist_ok", False),
-        )
-        return {"partitions": topic.num_partitions}, ()
-    if op == "num_partitions":
-        return broker.topic(request["topic"]).num_partitions, ()
-    if op == "list_topics":
-        return broker.list_topics(), ()
-    if op == "append":
-        md = broker.append(
-            request["topic"],
-            request["partition"],
-            unb64(request["value"]) or b"",
-            key=unb64(request.get("key")),
-            headers=request.get("headers"),
-            produce_ts=request.get("produce_ts"),
-            producer_id=request.get("producer_id"),
-            producer_epoch=request.get("producer_epoch", 0),
-            sequence=request.get("sequence"),
-            acks=request.get("acks"),
-        )
-        return {"offset": md.offset}, ()
-    if op == "append_batch":
-        # Values arrive as the frame's binary blobs — no base64.
-        keys = request.get("keys")
-        md = broker.append_many(
-            request["topic"],
-            request["partition"],
-            blobs,
-            keys=None if keys is None else [unb64(k) for k in keys],
-            headers=request.get("headers"),
-            produce_ts=request.get("produce_ts"),
-            producer_id=request.get("producer_id"),
-            producer_epoch=request.get("producer_epoch", 0),
-            base_sequence=request.get("base_sequence"),
-            acks=request.get("acks"),
-        )
-        return {"base_offset": md.base_offset, "count": md.count}, ()
-    if op == "register_producer":
-        pid, epoch = broker.register_producer(request["client_id"])
-        return {"producer_id": pid, "epoch": epoch}, ()
-    if op in ("fetch", "fetch_batch"):
-        records = broker.fetch(
-            request["topic"],
-            request["partition"],
-            request["offset"],
-            max_records=request.get("max_records", 64),
-            timeout=request.get("timeout", 0.0),
-            min_bytes=request.get("min_bytes", 1),
-        )
-        return format_fetch(op, records)
-    if op == "earliest_offset":
-        return broker.earliest_offset(request["topic"], request["partition"]), ()
-    if op == "latest_offset":
-        return broker.latest_offset(request["topic"], request["partition"]), ()
-    if op == "commit_offset":
-        broker.commit_offset(
-            request["group"], request["topic"], request["partition"], request["offset"]
-        )
-        return None, ()
-    if op == "committed_offset":
-        return (
-            broker.committed_offset(
-                request["group"], request["topic"], request["partition"]
-            ),
-            (),
-        )
-    if op == "group_join":
-        kwargs = {}
-        if request.get("session_timeout_ms") is not None:
-            kwargs["session_timeout_ms"] = request["session_timeout_ms"]
-        return (
-            broker.coordinator.join(
-                request["group"], request["member"], request["topics"], **kwargs
-            ),
-            (),
-        )
-    if op == "group_heartbeat":
-        return (
-            broker.coordinator.heartbeat(request["group"], request["member"]),
-            (),
-        )
-    if op == "group_leave":
-        broker.coordinator.leave(request["group"], request["member"])
-        return None, ()
-    if op == "group_assignment":
-        generation, assignment = broker.coordinator.assignment(
-            request["group"], request["member"]
-        )
-        return {"generation": generation, "assignment": assignment}, ()
-    if op == "group_generation":
-        return broker.coordinator.generation(request["group"]), ()
-    if op == "group_ids":
-        return broker.coordinator.group_ids(), ()
-    if op == "group_members":
-        return broker.coordinator.members(request["group"]), ()
-    if op == "committed_offsets":
-        return (
-            [[t, p, off] for (t, p), off in broker.committed_offsets(request["group"]).items()],
-            (),
-        )
-    if op == "consumer_lag":
-        return (
-            [[t, p, lag] for (t, p), lag in broker.consumer_lag(request["group"]).items()],
-            (),
-        )
-    if op == "partition_depths":
-        return (
-            [
-                [t, p, d["depth"], d["end_offset"], d["bytes"]]
-                for (t, p), d in broker.partition_depths().items()
-            ],
-            (),
-        )
-    if op == "stats":
-        return broker.stats(), ()
-    if op == "group_topics":
-        return sorted(broker.coordinator.group_topics(request["group"])), ()
-    if op == "describe_cluster":
-        # Only shard brokers carry cluster metadata; a plain broker
-        # answers "unknown op" so old single-broker clients (and the
-        # bootstrap probe) can tell the two apart.
-        describe = getattr(broker, "describe_cluster", None)
-        if describe is None:
-            raise ValidationError(f"unknown op {op!r}")
-        return describe(), ()
-    if op == "find_coordinator":
-        find = getattr(broker, "find_coordinator", None)
-        if find is None:
-            raise ValidationError(f"unknown op {op!r}")
-        return find(request["group"]), ()
-    if op == "server_metrics":
-        metrics = getattr(broker, "server_metrics", None)
-        if metrics is None:
-            raise ValidationError(f"unknown op {op!r}")
-        return metrics(), ()
-    if op == "replicate_append":
-        # Leader → follower batch push. Values travel as blobs (like
-        # fetch_batch, the format this mirrors); offsets are preserved
-        # exactly — a replica log is a byte-for-byte copy of the
-        # leader's, not a re-append.
-        handler = getattr(broker, "replicate_append", None)
-        if handler is None:
-            raise ValidationError(f"unknown op {op!r}")
-        topic = request["topic"]
-        partition = request["partition"]
-        records = [
-            Record(
-                topic=topic,
-                partition=partition,
-                offset=m["offset"],
-                value=blobs[i],
-                key=unb64(m.get("key")),
-                headers=m.get("headers") or {},
-                produce_ts=m.get("produce_ts", 0.0),
-                append_ts=m.get("append_ts", 0.0),
-            )
-            for i, m in enumerate(request.get("records", ()))
-        ]
-        return (
-            handler(
-                topic,
-                partition,
-                base_offset=request["base_offset"],
-                records=records,
-                leader=request.get("leader", 0),
-                leader_epoch=request.get("leader_epoch", 0),
-                high_watermark=request.get("hwm", 0),
-                producers=request.get("producers"),
-            ),
-            (),
-        )
-    if op == "replica_ack":
-        handler = getattr(broker, "replica_ack", None)
-        if handler is None:
-            raise ValidationError(f"unknown op {op!r}")
-        return handler(request["topic"], request["partition"]), ()
-    if op == "replication_status":
-        handler = getattr(broker, "replication_status", None)
-        if handler is None:
-            raise ValidationError(f"unknown op {op!r}")
-        return handler(), ()
-    if op == "metrics_snapshot":
-        # Federated metrics scrape: the shard's typed registry snapshot,
-        # merged supervisor-side by the cluster aggregator.
-        handler = getattr(broker, "metrics_snapshot", None)
-        if handler is None:
-            raise ValidationError(f"unknown op {op!r}")
-        return handler(), ()
-    if op == "events_since":
-        handler = getattr(broker, "events_since", None)
-        if handler is None:
-            raise ValidationError(f"unknown op {op!r}")
-        return handler(request.get("since", 0)), ()
-    if op == "trace_spans":
-        handler = getattr(broker, "trace_spans", None)
-        if handler is None:
-            raise ValidationError(f"unknown op {op!r}")
-        return handler(request.get("since", 0)), ()
-    raise ValidationError(f"unknown op {op!r}")
-
-
-def is_parkable(request: dict) -> bool:
-    """Requests that may legitimately block server-side (long-polls)."""
-    if request.get("op") not in ("fetch", "fetch_batch"):
-        return False
-    try:
-        return float(request.get("timeout") or 0.0) > 0
-    except (TypeError, ValueError):
-        return False

@@ -154,8 +154,7 @@ class TelemetrySampler:
 
         Works with any server exposing a ``metrics()`` dict (the reactor
         server's ``connections_active`` / ``parked_fetches`` /
-        ``reactor_loop_lag_s``); missing keys are simply not sampled, so
-        the threaded baseline server can be watched too.
+        ``reactor_loop_lag_s``); missing keys are simply not sampled.
         """
         name = getattr(getattr(server, "broker", None), "name", None) or "server"
 

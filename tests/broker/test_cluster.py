@@ -24,9 +24,9 @@ from repro.broker import (
 )
 from repro.broker.errors import DisconnectedError
 from repro.broker.remote import (
+    BrokerServer,
     RemoteBroker,
     RemoteRetriableError,
-    ThreadedBrokerServer,
 )
 from repro.broker.wire import recv_frame, send_frame
 from repro.util.validation import ValidationError
@@ -281,7 +281,7 @@ class TestBackwardCompat:
             assert record.value == b"legacy"
 
     def test_connect_bootstrap_downgrades_for_plain_broker(self):
-        with ThreadedBrokerServer() as server:
+        with BrokerServer() as server:
             client = connect_bootstrap([(server.host, server.port)])
             try:
                 assert isinstance(client, RemoteBroker)
@@ -371,7 +371,7 @@ class TestSupervisorLifecycle:
             owner = shard_for_partition("t", partition, 2)
             send_frame(
                 socks[owner],
-                {"op": "fetch", "topic": "t", "partition": partition,
+                {"op": "fetch_batch", "topic": "t", "partition": partition,
                  "offset": 0, "timeout": 60.0, "cid": 1},
             )
             time.sleep(0.3)  # let the fetch park server-side

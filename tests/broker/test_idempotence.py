@@ -7,8 +7,10 @@ from repro.broker import (
     Broker,
     Consumer,
     OutOfOrderSequenceError,
+    PartitionLog,
     Producer,
     ProducerFencedError,
+    StorageConfig,
     is_retriable,
 )
 from repro.broker.errors import (
@@ -47,6 +49,50 @@ class TestBrokerDedup:
         md2 = broker.append("t", 0, b"x", producer_id=pid, producer_epoch=epoch, sequence=0)
         assert md2.offset == md1.offset
         assert broker.latest_offset("t", 0) == 1
+
+    @pytest.mark.parametrize("durable", [False, True], ids=["memory", "log_dir"])
+    def test_replay_after_retention_eviction_acks_original_offsets(
+        self, tmp_path, durable
+    ):
+        """A replayed batch whose records retention already dropped is
+        acked at its cached offsets, not at whatever now sits at the
+        retention floor (it used to answer base_offset=11 here)."""
+        kwargs = {}
+        if durable:
+            kwargs = {
+                "log_dir": str(tmp_path),
+                "storage": StorageConfig(
+                    segment_bytes=64, flush_ms=60_000.0, flush_bytes=1 << 30
+                ),
+            }
+        log = PartitionLog("t", 0, retention_bytes=40, **kwargs)
+        try:
+            first = log.append_many([b"aaaa"] * 3, producer_id=7, base_sequence=0)
+            assert [r.offset for r in first] == [0, 1, 2]
+            for i in range(4):
+                log.append_many([b"b" * 10] * 3, producer_id=7, base_sequence=3 + 3 * i)
+                if durable:
+                    log.storage.flush()  # seal, so retention can drop segments
+            assert log.earliest_offset > 2  # the first batch is gone
+            replay = log.append_many([b"aaaa"] * 3, producer_id=7, base_sequence=0)
+            assert [r.offset for r in replay] == [0, 1, 2]
+            assert [r.value for r in replay] == [b"aaaa"] * 3
+            assert log.append(b"aaaa", producer_id=9, sequence=0).offset == 15
+            assert log.latest_offset == 16  # only the fresh record landed
+            assert log.duplicates_dropped == 3
+        finally:
+            log.close()
+
+    def test_replay_with_nothing_retained_acks_original_offsets(self):
+        broker = Broker()
+        broker.create_topic("r", 1, retention_bytes=1)
+        pid, epoch = broker.register_producer("p")
+        ids = {"producer_id": pid, "producer_epoch": epoch}
+        md1 = broker.append_many("r", 0, [b"aa", b"bb"], base_sequence=0, **ids)
+        broker.append_many("r", 0, [b"cc"], base_sequence=2, **ids)
+        md2 = broker.append_many("r", 0, [b"aa", b"bb"], base_sequence=0, **ids)
+        assert (md2.base_offset, md2.count) == (md1.base_offset, md1.count) == (0, 2)
+        assert broker.append("r", 0, b"cc", sequence=2, **ids).offset == 2
 
     def test_sequence_gap_raises(self, broker):
         pid, epoch = broker.register_producer("p")

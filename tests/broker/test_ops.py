@@ -1,0 +1,218 @@
+"""The op table is the one definition of every broker op: the client
+stubs, the cluster routing, the replay rule, parkability and the docs
+must all agree with it — and ShardBroker's hand-written ownership
+guards must agree with its routing keys."""
+
+import inspect
+import re
+from pathlib import Path
+
+import pytest
+
+from repro.broker import (
+    Broker,
+    BrokerServer,
+    ClusterBroker,
+    GroupCoordinator,
+    NotOwnerError,
+    RemoteBroker,
+    RemoteBrokerError,
+    ShardBroker,
+    coordinator_shard,
+    shard_for_partition,
+)
+from repro.broker.cluster import _HAND_ROUTED
+from repro.broker.ops import OPS, REQUIRED, CoordinatorClient
+
+BROKER_OPS = [op for op in OPS.values() if op.on == "broker"]
+COORDINATOR_OPS = [op for op in OPS.values() if op.on == "coordinator"]
+
+
+def _public_methods(cls) -> set:
+    return {
+        name
+        for name, attr in vars(cls).items()
+        if not name.startswith("_") and inspect.isfunction(attr)
+    }
+
+
+class TestSurfacesComeFromTheTable:
+    def test_remote_broker_is_the_table_plus_three(self):
+        table = {op.method for op in BROKER_OPS}
+        # append is the batch-of-one wrapper, committed_offsets an alias
+        # onto the coordinator face, close is lifecycle.
+        assert _public_methods(RemoteBroker) - table == {
+            "append", "committed_offsets", "close",
+        }
+        assert table <= _public_methods(RemoteBroker)
+
+    def test_coordinator_face_is_exactly_the_table(self):
+        assert _public_methods(CoordinatorClient) == {op.method for op in COORDINATOR_OPS}
+        with BrokerServer() as server, RemoteBroker(server.host, server.port) as remote:
+            assert type(remote.coordinator) is CoordinatorClient
+            # Unknown attributes still raise (getattr-with-default probes
+            # in Consumer and the benchmark's proxies depend on it).
+            assert getattr(remote, "partition_log", None) is None
+            assert getattr(remote.coordinator, "session_timeout_ms", 0.0) == 0.0
+
+    def test_cluster_broker_routes_the_table(self):
+        routed = {op.method for op in BROKER_OPS if op.route != "shard-index"}
+        assert set(_HAND_ROUTED) <= routed
+        assert routed <= _public_methods(ClusterBroker)
+        # What is left is lifecycle, the two wrappers RemoteBroker also
+        # has, and the per-shard views of the shard-index ops.
+        assert _public_methods(ClusterBroker) - routed == {
+            "append", "committed_offsets", "close", "refresh_metadata",
+            "shard_metrics", "metrics_snapshots", "shard_events",
+            "events_snapshots", "shard_spans", "span_snapshots",
+        }
+        for op in BROKER_OPS:
+            if op.route == "shard-index":
+                assert not hasattr(ClusterBroker, op.method), op.name
+            if op.route == "every-shard" and op.method not in _HAND_ROUTED:
+                assert op.merge is not None, op.name
+
+    @pytest.mark.parametrize("op", list(OPS.values()), ids=lambda op: op.name)
+    def test_fields_match_the_serving_method(self, op):
+        """Parameter names and defaults are the in-process method's."""
+        owner = GroupCoordinator if op.on == "coordinator" else ShardBroker
+        method = getattr(owner, op.method)
+        if any(
+            p.kind is p.VAR_KEYWORD for p in inspect.signature(method).parameters.values()
+        ):
+            method = getattr(Broker, op.method)  # a guard wrapper: see through it
+        params = inspect.signature(method).parameters
+        for field in op.fields:
+            name = field.param or field.name
+            assert name in params, f"{op.name}: {name}"
+            default = params[name].default
+            if field.default is REQUIRED:
+                assert default is inspect.Parameter.empty, f"{op.name}: {name}"
+            elif default is not inspect.Parameter.empty:
+                assert default == field.default, f"{op.name}: {name}"
+
+
+#: A value for every required field, by field name.
+_VALUES = {
+    "topic": "t", "partition": 0, "offset": 0, "values": [b"x"], "topics": ["t"],
+    "group": "g", "group_id": "g", "member_id": "m", "client_id": "c",
+    "base_offset": 0, "records": [],
+}
+
+
+def _request(op, **override) -> tuple:
+    """A minimal well-formed (request frame, blobs) for *op*."""
+    bound = {
+        (f.param or f.name): _VALUES[f.name]
+        for f in op.fields
+        if f.default is REQUIRED
+    }
+    bound.update(override)
+    return op.request(op.bind((), bound))
+
+
+class TestRoutingKeysMatchShardGuards:
+    @pytest.fixture
+    def shards(self):
+        shards = [ShardBroker(shard_index=i, num_shards=2) for i in range(2)]
+        for shard in shards:
+            shard.set_cluster([("h", 1), ("h", 2)], epoch=1)
+            shard.create_topic("t", 4)
+        return shards
+
+    @pytest.mark.parametrize(
+        "op", [op for op in OPS.values() if op.route == "partition"], ids=lambda op: op.name
+    )
+    def test_partition_routed_ops_are_owner_guarded(self, shards, op):
+        partition = next(p for p in range(4) if shard_for_partition("t", p, 2) == 1)
+        frame, blobs = _request(op, partition=partition)
+        with pytest.raises(NotOwnerError):
+            op.invoke(shards[0], frame, blobs)
+        op.invoke(shards[1], frame, blobs)  # the owner serves it
+
+    @pytest.mark.parametrize(
+        "op", [op for op in OPS.values() if op.route == "group"], ids=lambda op: op.name
+    )
+    def test_group_routed_ops_are_coordinator_guarded(self, shards, op):
+        key = op.fields[0].param or op.fields[0].name
+        group = next(f"g{i}" for i in range(64) if coordinator_shard(f"g{i}", 2) == 1)
+        frame, blobs = _request(op, **{key: group})
+        if op.name == "register_producer":
+            # Routed like a group so one client id always fences on one
+            # shard, but not guarded: strided producer ids make any
+            # shard's answer safe, so direct single-shard clients work.
+            pid, _ = op.invoke(shards[0], frame, blobs)[0]
+            assert pid % 2 == 0
+            return
+        with pytest.raises(NotOwnerError):
+            op.invoke(shards[0], frame, blobs)
+        if op.name != "group_heartbeat":  # nobody joined: UnknownMemberError
+            op.invoke(shards[1], frame, blobs)
+
+
+class TestReplayAndParking:
+    def test_exactly_the_with_producer_id_ops_take_the_exclusive_gate(self):
+        """Driven through a real client: the in-flight gate sees
+        exclusive=True only for those ops, and only without a producer id."""
+        shard = ShardBroker(shard_index=0, num_shards=1)
+        shard.create_topic("t", 1)
+        with BrokerServer(shard) as server:
+            shard.set_cluster([(server.host, server.port)], epoch=1)
+            with RemoteBroker(server.host, server.port) as remote:
+                seen = []
+                acquire = remote._gate.acquire
+
+                def spy(exclusive, timeout):
+                    seen.append(exclusive)
+                    return acquire(exclusive=exclusive, timeout=timeout)
+
+                remote._gate.acquire = spy
+                exclusive = set()
+                for producer_id in (None, 7):
+                    for op in OPS.values():
+                        override = {}
+                        if any(f.name == "producer_id" for f in op.fields):
+                            override = {"producer_id": producer_id, "base_sequence": 0}
+                        frame, blobs = _request(op, **override)
+                        del seen[:]
+                        try:
+                            remote._roundtrip(op, frame, blobs)
+                        except RemoteBrokerError:
+                            pass  # the gate decision is what is under test
+                        assert len(seen) == 1, op.name
+                        if seen[0]:
+                            exclusive.add((op.name, producer_id))
+        guarded = {op.name for op in OPS.values() if op.replay == "with_producer_id"}
+        assert guarded == {"append_batch"}
+        assert exclusive == {(name, None) for name in guarded}
+
+    def test_exactly_the_timed_fetch_is_parkable(self):
+        assert {op.name for op in OPS.values() if op.parkable} == {"fetch_batch"}
+        fetch = OPS["fetch_batch"]
+        assert fetch.park_seconds({"timeout": 1.5}) == 1.5
+        for untimed in ({}, {"timeout": 0}, {"timeout": None}, {"timeout": "soon"}):
+            assert fetch.park_seconds(untimed) == 0.0
+        assert OPS["append_batch"].park_seconds({"timeout": 9.0}) == 0.0
+
+
+class TestDocsFollowTheTable:
+    def test_api_op_reference_matches_the_registry(self):
+        text = (Path(__file__).parents[2] / "docs" / "API.md").read_text()
+        section = text.split("#### Op reference", 1)[1].split("\n### ", 1)[0]
+        rows = re.findall(
+            r"^\| `(\w+)` \| `([\w.]+)` \| ([\w-]+) \| (\w+) \| (\S+) \| (\S+) \|$",
+            section,
+            re.MULTILINE,
+        )
+        documented = {row[0]: row[1:] for row in rows}
+        assert list(documented) == list(OPS)
+        for name, (serves, route, replay, blobs, parkable) in documented.items():
+            op = OPS[name]
+            assert serves.split(".")[-1] == op.method
+            assert serves.startswith("coordinator.") == (op.on == "coordinator")
+            assert (route, replay) == (op.route, op.replay)
+            assert ("in" in blobs) == any(
+                f.kind in ("blobs", "records") for f in op.fields
+            )
+            assert ("out" in blobs) == op.codec.blobs
+            assert (parkable == "yes") == op.parkable

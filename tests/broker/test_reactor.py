@@ -11,7 +11,7 @@ from repro.broker import Broker
 from repro.broker.errors import OffsetOutOfRangeError
 from repro.broker.partition import PartitionLog
 from repro.broker.reactor import ReactorBrokerServer
-from repro.broker.remote import BrokerServer, RemoteBroker, ThreadedBrokerServer
+from repro.broker.remote import BrokerServer, RemoteBroker
 from repro.broker.wire import (
     LEN,
     FrameDecoder,
@@ -137,7 +137,7 @@ class TestReactorWirePath:
             assert record.value == b"payload"
         assert server.connections_served >= 1
         assert server.requests_served >= 3
-        assert server.op_counts.get("append") == 1
+        assert server.op_counts.get("append_batch") == 1
 
     def test_long_poll_parks_without_a_thread(self, server):
         server.broker.create_topic("t", 1)
@@ -146,7 +146,7 @@ class TestReactorWirePath:
         try:
             send_frame(
                 sock,
-                {"op": "fetch", "topic": "t", "partition": 0, "offset": 0,
+                {"op": "fetch_batch", "topic": "t", "partition": 0, "offset": 0,
                  "timeout": 30.0, "cid": 1},
             )
             assert _wait_until(lambda: server.parked_fetches == 1)
@@ -170,7 +170,7 @@ class TestReactorWirePath:
             t0 = time.monotonic()
             send_frame(
                 sock,
-                {"op": "fetch", "topic": "t", "partition": 0, "offset": 0,
+                {"op": "fetch_batch", "topic": "t", "partition": 0, "offset": 0,
                  "timeout": 0.2, "cid": 9},
             )
             sock.settimeout(5)
@@ -186,7 +186,7 @@ class TestReactorWirePath:
         try:
             send_frame(
                 sock,
-                {"op": "fetch", "topic": "t", "partition": 0, "offset": 0,
+                {"op": "fetch_batch", "topic": "t", "partition": 0, "offset": 0,
                  "timeout": 30.0, "cid": 1},
             )
             assert _wait_until(lambda: server.parked_fetches == 1)
@@ -194,15 +194,15 @@ class TestReactorWirePath:
             # the append that wakes the parked fetch.
             send_frame(
                 sock,
-                {"op": "append", "topic": "t", "partition": 0,
-                 "value": "d2FrZQ==", "cid": 2},
+                {"op": "append_batch", "topic": "t", "partition": 0, "cid": 2},
+                [b"wake"],
             )
             sock.settimeout(5)
             by_cid = {}
             for _ in range(2):
                 response, _ = recv_frame(sock)
                 by_cid[response["cid"]] = response
-            assert by_cid[2]["ok"] and by_cid[2]["result"]["offset"] == 0
+            assert by_cid[2]["ok"] and by_cid[2]["result"]["base_offset"] == 0
             assert by_cid[1]["ok"] and len(by_cid[1]["result"]) == 1
         finally:
             sock.close()
@@ -246,7 +246,7 @@ class TestDeterministicStop:
             # One connection parks a long-poll that would outlive stop().
             send_frame(
                 socks[0],
-                {"op": "fetch", "topic": "t", "partition": 0, "offset": 0,
+                {"op": "fetch_batch", "topic": "t", "partition": 0, "offset": 0,
                  "timeout": 60.0},
             )
             assert _wait_until(lambda: server.parked_fetches == 1)
@@ -276,12 +276,24 @@ class TestDeterministicStop:
         server.stop()
 
 
-class TestThreadedBaseline:
-    def test_threaded_server_still_serves(self):
-        with ThreadedBrokerServer() as srv:
-            with RemoteBroker(srv.host, srv.port) as remote:
-                remote.create_topic("t", 1)
-                remote.append("t", 0, b"x")
-                [record] = remote.fetch("t", 0, 0)
-                assert record.value == b"x"
-            assert srv.metrics()["requests_served"] >= 3
+class TestRetiredOps:
+    @pytest.mark.parametrize("op", ["append", "fetch", ["fetch_batch"], None])
+    def test_per_record_wire_ops_answer_unknown_op(self, server, op):
+        """A single record is a batch of one: the base64 per-record ops
+        are gone from the wire, not served beside the batch ops. (An op
+        field that is not even a string gets the same answer.)"""
+        server.broker.create_topic("t", 1)
+        sock = _connect(server)
+        try:
+            send_frame(
+                sock,
+                {"op": op, "topic": "t", "partition": 0, "offset": 0,
+                 "value": "eA==", "timeout": 1.0, "cid": 4},
+            )
+            sock.settimeout(5)
+            response, _ = recv_frame(sock)
+            assert not response["ok"] and response["cid"] == 4
+            assert response["message"] == f"unknown op {op!r}"
+            assert server.parked_fetches == 0
+        finally:
+            sock.close()

@@ -15,7 +15,7 @@ import tracemalloc
 import pytest
 
 from repro.broker.reactor import ReactorBrokerServer
-from repro.broker.wire import b64, recv_frame, send_frame
+from repro.broker.wire import recv_frame, send_frame
 
 TARGET_CLIENTS = 1000
 N_PRODUCERS = 100
@@ -83,7 +83,7 @@ def test_1k_concurrent_clients_on_one_reactor():
         for sock in pollers:
             send_frame(
                 sock,
-                {"op": "fetch", "topic": "lp", "partition": 0, "offset": 0,
+                {"op": "fetch_batch", "topic": "lp", "partition": 0, "offset": 0,
                  "timeout": 60.0, "cid": 0},
             )
         assert _wait_until(lambda: server.parked_fetches == N_LONG_POLLERS)
@@ -97,8 +97,8 @@ def test_1k_concurrent_clients_on_one_reactor():
             for j in range(APPENDS_PER_PRODUCER):
                 send_frame(
                     sock,
-                    {"op": "append", "topic": "prod", "partition": 0,
-                     "value": b64(b"m%d-%d" % (i, j)), "cid": j},
+                    {"op": "append_batch", "topic": "prod", "partition": 0, "cid": j},
+                    [b"m%d-%d" % (i, j)],
                 )
         for sock in producers:
             cids = set()

@@ -78,7 +78,7 @@ class TestFaultyBroker:
     def test_injected_drop_surfaces_as_connection_error(self):
         broker = Broker()
         broker.create_topic("t", 1)
-        faulty = FaultyBroker(broker, FaultInjector().drop_next(1, op="append"))
+        faulty = FaultyBroker(broker, FaultInjector().drop_next(1, op="append_many"))
         producer = Producer(faulty)
         with pytest.raises(ConnectionError):
             producer.send("t", b"x", partition=0)

@@ -129,7 +129,7 @@ class TestServerKill:
             remote = RemoteBroker(server.host, server.port)
             remote.create_topic("t", 1)
             injector = FaultInjector()
-            injector.kill_socket_once(op="append")
+            injector.kill_socket_once(op="append_batch")
             remote.fault_injector = injector
             with pytest.raises(RetriableError):
                 remote.append("t", 0, b"x")

@@ -151,20 +151,6 @@ class TestWatchServer:
                 finally:
                     http.shutdown()
 
-    def test_threaded_server_subset_sampled(self):
-        from repro.broker.remote import RemoteBroker, ThreadedBrokerServer
-
-        with ThreadedBrokerServer(Broker(name="base")) as srv:
-            with RemoteBroker(srv.host, srv.port) as remote:
-                remote.list_topics()
-                sampler = TelemetrySampler()
-                sampler.watch_server(srv)
-                values = sampler.sample_now()
-                assert values["server.base.requests_served"] >= 1
-                # The threaded baseline has no reactor gauges — the
-                # sampler just records the subset it exposes.
-                assert "server.base.connections_active" not in values
-
 
 class TestWatchCluster:
     def test_shard_labeled_series_and_fleet_gauges(self):
