@@ -40,7 +40,7 @@ from repro.broker.message import BatchMetadata, Record, RecordMetadata
 from repro.broker.partition import PartitionLog
 from repro.broker.topic import Topic
 from repro.broker.broker import Broker
-from repro.broker.producer import BatchAccumulator, Producer, Partitioner, KeyHashPartitioner, RoundRobinPartitioner, StickyPartitioner
+from repro.broker.producer import Producer, Partitioner, KeyHashPartitioner, RoundRobinPartitioner, StickyPartitioner
 from repro.broker.consumer import Consumer
 from repro.broker.group import GroupCoordinator, AssignmentStrategy, RangeAssignor, RoundRobinAssignor
 from repro.broker.serde import Serde, BytesSerde, JsonSerde, BlockSerde, PickleSerde
@@ -108,7 +108,6 @@ __all__ = [
     "Record",
     "RecordMetadata",
     "BatchMetadata",
-    "BatchAccumulator",
     "PartitionLog",
     "Topic",
     "Broker",

@@ -15,9 +15,9 @@ Performance notes: records live in a :class:`collections.deque`, making
 head eviction (retention) O(1) instead of the O(n) shift of
 ``list.pop(0)``. :meth:`append_many` stamps a whole batch under a single
 lock acquisition and a single notification — the produce fast path.
-Fetches on *dense* logs (no compaction gaps: exactly one record per
-offset in ``[base, next)``) translate offsets to positions with direct
-index arithmetic; only compacted logs fall back to binary search.
+The log is dense by construction (exactly one record per offset in
+``[base, next)``), so fetches translate offsets to positions with direct
+index arithmetic.
 
 Durability: with ``log_dir`` (or a shared ``storage`` manager) set, the
 log gains a :class:`~repro.broker.storage.log.SegmentStore` backend.
@@ -37,12 +37,9 @@ import time
 from collections import deque
 from itertools import islice
 
-from repro.broker.errors import (
-    OffsetOutOfRangeError,
-    OutOfOrderSequenceError,
-    ProducerFencedError,
-)
+from repro.broker.errors import OffsetOutOfRangeError
 from repro.broker.message import Record
+from repro.broker.producer_state import ProducerStateTable
 from repro.broker.storage.log import (
     GroupCommitFlusher,
     LogStorageManager,
@@ -52,39 +49,10 @@ from repro.broker.storage.log import (
 )
 from repro.util.validation import ValidationError, check_non_negative, check_positive
 
-#: Recent-batch window per producer (Kafka caches the last 5 batches):
-#: a retried batch older than this window is a protocol violation.
-_DEDUP_WINDOW = 5
-
 #: Upper bound on an fsync-acked append's wait for its group commit; a
 #: healthy flusher retires the queue within one flush interval, so
 #: hitting this means the disk (or an injected fault) wedged the store.
 _FSYNC_ACK_TIMEOUT = 30.0
-
-
-class _ProducerState:
-    """Per-producer idempotence bookkeeping for one partition.
-
-    Tracks the producer's epoch, the highest sequence number appended,
-    and a sliding window of recently appended batches so a retried
-    (replayed) batch can be acknowledged with its *original* offsets
-    instead of being appended twice.
-    """
-
-    __slots__ = ("epoch", "last_sequence", "recent")
-
-    def __init__(self, epoch: int) -> None:
-        self.epoch = epoch
-        self.last_sequence = -1
-        #: deque of (base_sequence, base_offset, count), newest last.
-        self.recent: deque[tuple[int, int, int]] = deque(maxlen=_DEDUP_WINDOW)
-
-    def find_batch(self, base_sequence: int, count: int) -> tuple[int, int] | None:
-        """Original (base_offset, count) of an already-appended batch."""
-        for seq, offset, n in self.recent:
-            if seq == base_sequence and n == count:
-                return offset, n
-        return None
 
 
 class PartitionLog:
@@ -146,8 +114,8 @@ class PartitionLog:
         # Cumulative counters for broker-side metrics.
         self.total_appended = 0
         self.total_bytes_in = 0
-        #: Idempotent-producer bookkeeping: producer_id -> _ProducerState.
-        self._producers: dict[int, _ProducerState] = {}
+        #: Idempotent-producer bookkeeping, fed on every append.
+        self._producers = ProducerStateTable()
         #: Records dropped because a retried batch was already appended.
         self.duplicates_dropped = 0
         #: Fetches that parked on the condition variable at least once
@@ -205,12 +173,7 @@ class PartitionLog:
         self._bytes = sum(r.size for r in recovered.records)
         self.total_appended = len(recovered.records)
         self.total_bytes_in = self._bytes
-        for pid_str, data in recovered.producer_snapshot.items():
-            state = _ProducerState(int(data["epoch"]))
-            state.last_sequence = int(data["last_sequence"])
-            for seq, offset, n in data.get("recent", ()):
-                state.recent.append((int(seq), int(offset), int(n)))
-            self._producers[int(pid_str)] = state
+        self._producers.install(recovered.producer_snapshot)
         # A restart may find retention already exceeded (e.g. the cap was
         # lowered, or eviction raced the crash): sweep immediately.
         if self.retention_bytes or self.retention_seconds:
@@ -232,48 +195,6 @@ class PartitionLog:
             self._owned_flusher.stop()
 
     # -- write path ---------------------------------------------------------
-
-    def _check_sequence(
-        self, producer_id: int, producer_epoch: int, base_sequence: int, n: int
-    ) -> tuple[int, int] | None:
-        """Validate an idempotent batch's sequence (caller holds the lock).
-
-        Returns ``None`` when the batch is fresh and should be appended,
-        or the original ``(base_offset, count)`` when it is a replay of an
-        already-appended batch (the caller acks it without re-appending).
-        Raises :class:`ProducerFencedError` on a stale epoch and
-        :class:`OutOfOrderSequenceError` on sequence gaps or replays older
-        than the dedup window.
-        """
-        state = self._producers.get(producer_id)
-        if state is None or producer_epoch > state.epoch:
-            # First contact (or a new epoch): accept the producer's
-            # starting sequence as the baseline.
-            state = _ProducerState(producer_epoch)
-            state.last_sequence = base_sequence - 1
-            self._producers[producer_id] = state
-        elif producer_epoch < state.epoch:
-            raise ProducerFencedError(producer_id, producer_epoch, state.epoch)
-        expected = state.last_sequence + 1
-        if base_sequence == expected:
-            return None
-        if base_sequence + n - 1 <= state.last_sequence:
-            cached = state.find_batch(base_sequence, n)
-            if cached is None:
-                # Replay from beyond the dedup window (or with a different
-                # batch boundary): we cannot prove it duplicate-free.
-                raise OutOfOrderSequenceError(producer_id, expected, base_sequence)
-            self.duplicates_dropped += n
-            return cached
-        raise OutOfOrderSequenceError(producer_id, expected, base_sequence)
-
-    def _commit_sequence(
-        self, producer_id: int, base_sequence: int, base_offset: int, n: int
-    ) -> None:
-        """Record a freshly appended batch (caller holds the lock)."""
-        state = self._producers[producer_id]
-        state.last_sequence = base_sequence + n - 1
-        state.recent.append((base_sequence, base_offset, n))
 
     def append(
         self,
@@ -392,7 +313,7 @@ class PartitionLog:
         with self._lock:
             cached = None
             if producer_id is not None and base_sequence is not None:
-                cached = self._check_sequence(
+                cached = self._producers.check(
                     producer_id, producer_epoch, base_sequence, n
                 )
             # A replayed batch is acked at its original offsets.
@@ -418,11 +339,12 @@ class PartitionLog:
                 # records where retention still holds them and the
                 # replayed copies where it does not — never whatever
                 # now sits at the retention floor.
+                self.duplicates_dropped += n
                 retained = {r.offset: r for r in self._slice_at_offset(offset, n)}
                 return [retained.get(r.offset, r) for r in records]
             self._records.extend(records)
             if producer_id is not None and base_sequence is not None:
-                self._commit_sequence(producer_id, base_sequence, offset, n)
+                self._producers.commit(producer_id, base_sequence, offset, n)
             self._next_offset = offset + n
             self._bytes += bytes_added
             self.total_appended += n
@@ -611,24 +533,12 @@ class PartitionLog:
         retries into visible duplicates.
         """
         with self._lock:
-            return {
-                str(pid): {
-                    "epoch": state.epoch,
-                    "last_sequence": state.last_sequence,
-                    "recent": [list(entry) for entry in state.recent],
-                }
-                for pid, state in self._producers.items()
-            }
+            return self._producers.to_wire()
 
     def install_producer_state(self, snapshot: dict) -> None:
         """Install a leader's producer-state snapshot (follower side)."""
         with self._lock:
-            for pid_str, data in snapshot.items():
-                state = _ProducerState(int(data["epoch"]))
-                state.last_sequence = int(data["last_sequence"])
-                for seq, offset, n in data.get("recent", ()):
-                    state.recent.append((int(seq), int(offset), int(n)))
-                self._producers[int(pid_str)] = state
+            self._producers.install(snapshot)
             if self._store is not None:
                 # Replica installs carry no per-batch producer ids, so
                 # the store's recovery mirror must track the pushed
@@ -655,8 +565,6 @@ class PartitionLog:
     def _evict_head(self) -> None:
         evicted = self._records.popleft()
         self._bytes -= evicted.size
-        # The retention floor is the offset of the surviving head; after
-        # compaction the head can jump across an offset gap.
         self._base_offset = (
             self._records[0].offset if self._records else self._next_offset
         )
@@ -666,34 +574,6 @@ class PartitionLog:
         """Apply retention policies now (normally piggybacked on append)."""
         with self._lock:
             self._enforce_retention()
-
-    def compact(self) -> int:
-        """Key-based log compaction: keep only the newest record per key.
-
-        Keyless records are always retained (they cannot be superseded).
-        Offsets of surviving records are preserved — like Kafka, a
-        compacted log has offset gaps. Returns the number of records
-        removed.
-        """
-        if self._store is not None:
-            raise ValidationError(
-                "compaction is not supported on durable (segment-backed) logs"
-            )
-        with self._lock:
-            latest_for_key: dict = {}
-            for record in self._records:
-                if record.key is not None:
-                    latest_for_key[record.key] = record.offset
-            kept = [
-                r
-                for r in self._records
-                if r.key is None or latest_for_key[r.key] == r.offset
-            ]
-            removed = len(self._records) - len(kept)
-            if removed:
-                self._records = deque(kept)
-                self._bytes = sum(r.size for r in kept)
-            return removed
 
     # -- consumer wakeup across partitions ----------------------------------
 
@@ -711,16 +591,10 @@ class PartitionLog:
 
     # -- read path ------------------------------------------------------------
 
-    def _is_dense(self) -> bool:
-        # Dense = exactly one record per offset in [mem_base, next):
-        # positions map to offsets by plain arithmetic. Compaction breaks
-        # density until eviction catches the head back up. (On a durable
-        # log the deque holds only [mem_base, next) — the active-segment
-        # tail — and is always dense.)
-        return len(self._records) == self._next_offset - self._mem_base
-
-    def _slice(self, start: int, count: int) -> list[Record]:
-        """Positional slice of the deque (caller holds the lock)."""
+    def _mem_slice(self, offset: int, count: int) -> list[Record]:
+        """Deque records in ``[offset, offset+count)`` (lock held): the
+        deque is dense, so positions are offsets minus ``_mem_base``."""
+        start = max(offset, self._mem_base) - self._mem_base
         n = len(self._records)
         stop = min(start + count, n)
         if start >= stop:
@@ -732,15 +606,6 @@ class PartitionLog:
         # indexing costs O(n - i) per item from the closer end.
         records = self._records
         return [records[i] for i in range(start, stop)]
-
-    def _mem_slice(self, offset: int, count: int) -> list[Record]:
-        """Deque records in ``[offset, offset+count)`` (lock held)."""
-        offset = max(offset, self._mem_base)
-        if self._is_dense():
-            start = offset - self._mem_base
-        else:
-            start = bisect.bisect_left(self._records, offset, key=lambda r: r.offset)
-        return self._slice(start, count)
 
     def _slice_at_offset(self, offset: int, count: int) -> list[Record]:
         """Retained records in ``[offset, offset+count)`` (lock held).
@@ -760,6 +625,33 @@ class PartitionLog:
             resume = disk[-1].offset + 1 if disk else self._mem_base
             return disk + self._mem_slice(resume, count - len(disk))
         return self._mem_slice(offset, count)
+
+    def _probe(self, offset: int, max_records: int, min_bytes: int) -> tuple[list[Record], bool]:
+        """One look at the log for a fetch (caller holds the lock).
+
+        Returns ``(batch, satisfied)``: the consumer-visible records in
+        ``[offset, offset+max_records)`` and whether the long-poll
+        contract would hand them out now (data present and the
+        ``min_bytes`` / full-batch threshold met). Raises
+        :class:`OffsetOutOfRangeError` for offsets below the retention
+        floor or beyond the head.
+        """
+        if offset < self._base_offset or offset > self._next_offset:
+            raise OffsetOutOfRangeError(
+                self.topic, self.partition, offset, self._base_offset, self._next_offset
+            )
+        batch = self._slice_at_offset(offset, max_records)
+        if self._hwm is not None and batch:
+            # Replication fence: records past the high-watermark exist
+            # but are not ISR-acknowledged yet — invisible.
+            visible = self._visible_end()
+            batch = [r for r in batch if r.offset < visible]
+        satisfied = bool(batch) and (
+            min_bytes <= 1
+            or len(batch) >= max_records
+            or sum(r.size for r in batch) >= min_bytes
+        )
+        return batch, satisfied
 
     def fetch(
         self,
@@ -781,26 +673,12 @@ class PartitionLog:
         """
         check_non_negative("offset", offset)
         check_positive("max_records", max_records)
-        min_bytes = max(1, int(min_bytes))
         deadline = time.monotonic() + timeout
         parked = False
         with self._lock:
             while True:
-                if offset < self._base_offset or offset > self._next_offset:
-                    raise OffsetOutOfRangeError(
-                        self.topic, self.partition, offset, self._base_offset, self._next_offset
-                    )
-                batch = self._slice_at_offset(offset, int(max_records))
-                if self._hwm is not None and batch:
-                    # Replication fence: records past the high-watermark
-                    # exist but are not ISR-acknowledged yet — invisible.
-                    visible = self._visible_end()
-                    batch = [r for r in batch if r.offset < visible]
-                if batch and (
-                    min_bytes <= 1
-                    or len(batch) >= int(max_records)
-                    or sum(r.size for r in batch) >= min_bytes
-                ):
+                batch, satisfied = self._probe(offset, int(max_records), int(min_bytes))
+                if satisfied:
                     return batch
                 remaining = deadline - time.monotonic()
                 if timeout <= 0 or remaining <= 0:
@@ -827,22 +705,8 @@ class PartitionLog:
         """
         check_non_negative("offset", offset)
         check_positive("max_records", max_records)
-        min_bytes = max(1, int(min_bytes))
         with self._lock:
-            if offset < self._base_offset or offset > self._next_offset:
-                raise OffsetOutOfRangeError(
-                    self.topic, self.partition, offset, self._base_offset, self._next_offset
-                )
-            batch = self._slice_at_offset(offset, int(max_records))
-            if self._hwm is not None and batch:
-                visible = self._visible_end()
-                batch = [r for r in batch if r.offset < visible]
-            satisfied = bool(batch) and (
-                min_bytes <= 1
-                or len(batch) >= int(max_records)
-                or sum(r.size for r in batch) >= min_bytes
-            )
-            return batch, satisfied
+            return self._probe(offset, int(max_records), int(min_bytes))
 
     def note_long_poll_parked(self) -> None:
         """Count a long-poll that parked outside the condition variable.
@@ -899,8 +763,8 @@ class PartitionLog:
 
     def __len__(self) -> int:
         if self._store is not None:
-            # Durable logs are dense (no compaction), so the retained
-            # count is pure offset arithmetic — no disk touched.
+            # The retained count is pure offset arithmetic — no disk
+            # touched.
             with self._lock:
                 return self._next_offset - self._base_offset
         with self._lock:

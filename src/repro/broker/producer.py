@@ -19,7 +19,7 @@ from repro.broker.errors import is_retriable
 from repro.broker.message import BatchMetadata, RecordMetadata
 from repro.broker.serde import BytesSerde, Serde
 from repro.util.ids import new_id
-from repro.util.validation import ValidationError, check_non_negative, check_positive
+from repro.util.validation import ValidationError, check_non_negative
 
 
 class Partitioner:
@@ -174,7 +174,6 @@ class Producer:
         self.bytes_sent = 0
         self.produce_retries = 0
         self.sends_failed = 0
-        self._accumulators: list["BatchAccumulator"] = []
         self._closed = False
 
     @property
@@ -293,11 +292,11 @@ class Producer:
 
         The whole batch lands on **one** partition: either the explicit
         ``partition`` or one chosen once by the partitioner (per-record
-        key routing would split the batch — use :class:`BatchAccumulator`
-        for that). ``keys`` are stored with the records (compaction) but
-        do not route. Against a :class:`~repro.broker.remote.RemoteBroker`
-        this is a single socket round-trip. With ``acks=0`` transport
-        failures return ``None`` instead of raising.
+        key routing would split the batch). ``keys`` are stored with the
+        records but do not route. Against a
+        :class:`~repro.broker.remote.RemoteBroker` this is a single socket
+        round-trip. With ``acks=0`` transport failures return ``None``
+        instead of raising.
         """
         self._check_open()
         payloads = [self._serde.serialize(v) for v in values]
@@ -344,27 +343,16 @@ class Producer:
 
     # -- lifecycle ---------------------------------------------------------
 
-    def flush(self) -> None:
-        """Flush every registered :class:`BatchAccumulator` buffer."""
-        for accumulator in self._accumulators:
-            accumulator.flush()
-
     def close(self) -> None:
-        """Flush buffered records, then mark the producer closed.
-
-        Closing without flushing would silently lose whatever linger
-        batches are still sitting in attached accumulators.
-        """
+        """Mark the producer closed (sends are synchronous: nothing is
+        buffered) and release a broker connection it opened itself."""
         if self._closed:
             return
-        try:
-            self.flush()
-        finally:
-            self._closed = True
-            if self._owns_broker:
-                close = getattr(self._broker, "close", None)
-                if close is not None:
-                    close()
+        self._closed = True
+        if self._owns_broker:
+            close = getattr(self._broker, "close", None)
+            if close is not None:
+                close()
 
     def __enter__(self) -> "Producer":
         return self
@@ -386,77 +374,3 @@ class Producer:
             "idempotent": self.idempotent,
         }
 
-
-class BatchAccumulator:
-    """Linger-style client-side batching on top of :class:`Producer`.
-
-    Records are buffered per ``(topic, partition)`` — keyed records are
-    routed by the producer's partitioner at :meth:`add` time — and
-    flushed as one :meth:`Producer.send_many` batch whenever a buffer
-    reaches ``batch_records``. Call :meth:`flush` (or leave the context
-    manager) to push out partial batches. This is the shape of Kafka's
-    record accumulator, minus the background linger thread: flushing is
-    caller-driven, so producers embedded in task loops control exactly
-    when they pay the broker round-trip.
-    """
-
-    def __init__(self, producer: Producer, batch_records: int = 64) -> None:
-        check_positive("batch_records", batch_records)
-        self._producer = producer
-        self._batch_records = int(batch_records)
-        #: (topic, partition) -> [(value, key, headers), ...]
-        self._buffers: dict[tuple, list] = {}
-        self.batches_flushed = 0
-        # Register with the producer so Producer.close() drains buffered
-        # records instead of silently losing them.
-        producer._accumulators.append(self)
-
-    def add(
-        self,
-        topic: str,
-        value,
-        key: bytes | None = None,
-        partition: int | None = None,
-        headers: dict | None = None,
-    ) -> BatchMetadata | None:
-        """Buffer one record; returns batch metadata if a flush triggered."""
-        if partition is None:
-            num = self._producer._broker.topic(topic).num_partitions
-            partition = self._producer._partitioner.select(key, num)
-        buffer = self._buffers.setdefault((topic, partition), [])
-        buffer.append((value, key, headers))
-        if len(buffer) >= self._batch_records:
-            return self._flush_one(topic, partition)
-        return None
-
-    @property
-    def pending_records(self) -> int:
-        return sum(len(b) for b in self._buffers.values())
-
-    def _flush_one(self, topic: str, partition: int) -> BatchMetadata | None:
-        buffer = self._buffers.pop((topic, partition), None)
-        if not buffer:
-            return None
-        values = [v for v, _, _ in buffer]
-        keys = [k for _, k, _ in buffer]
-        headers = [h for _, _, h in buffer]
-        md = self._producer.send_many(
-            topic, values, keys=keys, partition=partition, headers=headers
-        )
-        self.batches_flushed += 1
-        return md
-
-    def flush(self) -> list[BatchMetadata]:
-        """Flush every partial buffer; returns one metadata per batch."""
-        out = []
-        for topic, partition in list(self._buffers):
-            md = self._flush_one(topic, partition)
-            if md is not None:
-                out.append(md)
-        return out
-
-    def __enter__(self) -> "BatchAccumulator":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.flush()

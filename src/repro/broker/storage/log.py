@@ -24,8 +24,9 @@ for offsets below the active segment's base.
 Recovery scans **only the active segment** (CRC-verifying every batch,
 truncating at the first torn/corrupt one); sealed segments are trusted
 by construction — they were fsynced and renamed into immutability at
-roll time — and their sparse indexes are rebuilt lazily if missing, so
-boot cost is linear in the active segment size, not the log size.
+roll time — and their per-batch position lists are rebuilt lazily by
+one header scan, so boot cost is linear in the active segment size, not
+the log size.
 """
 
 from __future__ import annotations
@@ -36,28 +37,21 @@ import os
 import threading
 import time
 from bisect import bisect_right
-from collections import OrderedDict, deque
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import NamedTuple
 
+from repro.broker.producer_state import ProducerStateTable
 from repro.broker.storage.segment import (
-    build_sparse_index,
     decode_batch,
     encode_batch,
     encoded_batch_size,
     read_batch_info,
-    read_index_file,
     scan_batches,
     segment_filename,
-    write_index_file,
-    INDEX_SUFFIX,
     LOG_SUFFIX,
 )
-from repro.util.validation import check_non_negative, check_positive
-
-#: Producer dedup window replayed into snapshots (mirrors
-#: ``partition._DEDUP_WINDOW`` — kept local to avoid a circular import).
-_DEDUP_WINDOW = 5
+from repro.util.validation import check_positive
 
 #: Producer-state snapshot file (JSON, atomically replaced).
 SNAPSHOT_FILE = "producer.snap"
@@ -82,27 +76,18 @@ class StorageConfig:
     scans one active segment); ``flush_ms``/``flush_bytes`` set the
     group-commit window; ``fsync_acks`` makes appends block until their
     batch is fsynced (single-node durability) instead of relying on the
-    background window + replication. ``decode_cache_records`` bounds the
-    per-partition LRU of decoded sealed batches (0 disables it): hot
-    sealed ranges — replays, lagging consumers, fan-out groups — decode
-    once instead of per fetch.
+    background window + replication.
     """
 
     segment_bytes: int = 32 * 1024 * 1024
-    segment_seconds: float = 0.0  # 0 = roll by size only
     flush_ms: float = 50.0
     flush_bytes: int = 1024 * 1024
     fsync_acks: bool = False
-    index_interval_bytes: int = 4096
-    decode_cache_records: int = 16384
 
     def __post_init__(self) -> None:
         check_positive("segment_bytes", self.segment_bytes)
-        check_non_negative("segment_seconds", self.segment_seconds)
         check_positive("flush_ms", self.flush_ms)
         check_positive("flush_bytes", self.flush_bytes)
-        check_positive("index_interval_bytes", self.index_interval_bytes)
-        check_non_negative("decode_cache_records", self.decode_cache_records)
 
 
 class RecoveryResult(NamedTuple):
@@ -173,7 +158,8 @@ class GroupCommitFlusher:
                 try:
                     store.flush()
                 except StorageError:
-                    pass  # the store marked itself failed; waiters see it
+                    # The store marked itself failed; waiters see it.
+                    store.counters["flush_errors"] += 1
 
     def stop(self) -> None:
         with self._cond:
@@ -182,6 +168,10 @@ class GroupCommitFlusher:
         if self._thread is not None:
             self._thread.join(timeout=10.0)
             self._thread = None
+
+
+#: Records the per-partition LRU of decoded sealed batches may hold.
+_DECODE_CACHE_RECORDS = 16384
 
 
 class _DecodeCache:
@@ -197,18 +187,15 @@ class _DecodeCache:
     why the cache is cleared whenever segments are unwound or evicted).
     """
 
-    __slots__ = ("capacity", "_entries", "_records", "_lock", "counters")
+    __slots__ = ("_entries", "_records", "_lock", "counters")
 
-    def __init__(self, capacity_records: int, counters: dict) -> None:
-        self.capacity = capacity_records
+    def __init__(self, counters: dict) -> None:
         self._entries: OrderedDict = OrderedDict()
         self._records = 0
         self._lock = threading.Lock()
         self.counters = counters
 
     def get(self, key) -> list | None:
-        if not self.capacity:
-            return None
         with self._lock:
             records = self._entries.get(key)
             if records is None:
@@ -219,14 +206,14 @@ class _DecodeCache:
             return records
 
     def put(self, key, records: list) -> None:
-        if not self.capacity or not records:
+        if not records:
             return
         with self._lock:
             if key in self._entries:
                 return
             self._entries[key] = records
             self._records += len(records)
-            while self._records > self.capacity and len(self._entries) > 1:
+            while self._records > _DECODE_CACHE_RECORDS and len(self._entries) > 1:
                 _, evicted = self._entries.popitem(last=False)
                 self._records -= len(evicted)
 
@@ -244,7 +231,6 @@ class _SealedSegment:
         "end",
         "size",
         "path",
-        "index_path",
         "last_write_ts",
         "_mmap",
         "_view",
@@ -255,7 +241,6 @@ class _SealedSegment:
     def __init__(self, path: str, base: int, end: int, size: int,
                  last_write_ts: float, batches: list | None = None):
         self.path = path
-        self.index_path = path[: -len(LOG_SUFFIX)] + INDEX_SUFFIX
         self.base = base
         self.end = end
         self.size = size
@@ -279,13 +264,8 @@ class _SealedSegment:
                 self._view = memoryview(self._mmap)
             return self._view
 
-    def dense_index(self, interval_bytes: int, counters: dict) -> list:
-        """Dense per-batch positions, built by one header scan if absent.
-
-        The scan also restores a missing/corrupt on-disk sparse index
-        (the crash-recovery story for index files: they are pure caches,
-        rebuilt from the segment itself).
-        """
+    def dense_index(self) -> list:
+        """Dense per-batch positions, built by one header scan if absent."""
         with self._open_lock:
             if self._dense is not None:
                 return self._dense
@@ -294,24 +274,16 @@ class _SealedSegment:
             (info.base_offset, info.pos)
             for info in scan_batches(view, 0, self.size)
         ]
-        if read_index_file(self.index_path) is None:
-            counters["index_rebuilds"] = counters.get("index_rebuilds", 0) + 1
-            try:
-                write_index_file(
-                    self.index_path, build_sparse_index(dense, interval_bytes)
-                )
-            except OSError:
-                pass  # cache only; serve from memory regardless
         with self._open_lock:
             self._dense = dense
         return dense
 
     def read(self, offset: int, max_count: int, topic: str, partition: int,
-             interval_bytes: int, counters: dict, cache=None) -> list:
+             cache: _DecodeCache) -> list:
         """Records in ``[offset, offset+max_count)`` held by this segment."""
         dense = self._dense
         if dense is None:
-            dense = self.dense_index(interval_bytes, counters)
+            dense = self.dense_index()
         # (offset,) sorts before (offset, pos): lands on the first batch
         # whose base is >= offset, step back to the one containing it.
         i = bisect_right(dense, (offset,)) - 1
@@ -320,14 +292,13 @@ class _SealedSegment:
         n = len(dense)
         end_cap = offset + max_count
         seg_base = self.base
-        get = cache.get if cache is not None else None
         view = None
         out: list = []
         while i < n:
             base, pos = dense[i]
             if base >= end_cap:
                 break
-            records = get((seg_base, pos)) if get is not None else None
+            records = cache.get((seg_base, pos))
             if records is None:
                 if view is None:
                     view = self.open_map()
@@ -335,8 +306,7 @@ class _SealedSegment:
                 if info is None:
                     break
                 records = decode_batch(view, info, topic, partition)
-                if cache is not None:
-                    cache.put((seg_base, pos), records)
+                cache.put((seg_base, pos), records)
             if base + len(records) <= offset:
                 i += 1
                 continue
@@ -397,17 +367,6 @@ class _PendingBatch(NamedTuple):
         return buffers
 
 
-class _MirrorState:
-    """Store-side replica of a producer's dedup window (flushed data only)."""
-
-    __slots__ = ("epoch", "last_sequence", "recent")
-
-    def __init__(self, epoch: int) -> None:
-        self.epoch = epoch
-        self.last_sequence = -1
-        self.recent: deque = deque(maxlen=_DEDUP_WINDOW)
-
-
 class SegmentStore:
     """Durable backend for one partition: segments + group-commit + mmap.
 
@@ -457,8 +416,9 @@ class SegmentStore:
         self._sealed: list[_SealedSegment] = []
         self._pending: list[_PendingBatch] = []
         self._pending_bytes = 0
-        self._mirror: dict[int, _MirrorState] = {}
-        self._snapshot_as_of = 0
+        #: Producer dedup state of *flushed* data only (what the snapshot
+        #: file may claim); the partition log keeps its own, fed on append.
+        self._mirror = ProducerStateTable()
         self._failed: BaseException | None = None
         self._closed = False
         self.counters: dict = {
@@ -469,7 +429,8 @@ class SegmentStore:
             "segments_sealed": 0,
             "segments_deleted": 0,
             "segments_offloaded": 0,
-            "index_rebuilds": 0,
+            "offload_errors": 0,
+            "flush_errors": 0,
             "truncations": 0,
             "torn_writes": 0,
             "recovered_records": 0,
@@ -478,15 +439,12 @@ class SegmentStore:
             "decode_cache_hits": 0,
             "decode_cache_misses": 0,
         }
-        self._decode_cache = _DecodeCache(
-            self.config.decode_cache_records, self.counters
-        )
+        self._decode_cache = _DecodeCache(self.counters)
         self._active_fd = -1
         self._active_path = ""
         self._active_base = 0
         self._active_size = 0  # flushed bytes in the active file
         self._active_batches: list = []  # (base_offset, file_pos) per batch
-        self._active_opened = time.monotonic()
         self._last_write_ts = time.monotonic()
         self._base_offset = 0
         self._end_offset = 0  # next offset (includes pending)
@@ -566,8 +524,7 @@ class SegmentStore:
         snapshot_as_of, mirror = self._load_snapshot(active_base)
         for info in producer_batches:
             if info.base_offset >= snapshot_as_of:
-                self._mirror_apply(
-                    mirror,
+                mirror.apply(
                     info.producer_id,
                     info.producer_epoch,
                     info.base_sequence,
@@ -593,52 +550,25 @@ class SegmentStore:
             records=records,
             base_offset=self._base_offset,
             next_offset=next_offset,
-            producer_snapshot=self._mirror_snapshot_locked(),
+            producer_snapshot=mirror.to_wire(),
             scan_bytes=file_size,
             truncated_bytes=file_size - valid_end,
             segments=len(self._sealed),
         )
 
-    def _load_snapshot(self, default_as_of: int) -> tuple[int, dict]:
+    def _load_snapshot(self, default_as_of: int) -> tuple[int, ProducerStateTable]:
         path = os.path.join(self.directory, SNAPSHOT_FILE)
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 data = json.load(fh)
         except (OSError, ValueError):
-            return default_as_of, {}
-        mirror: dict[int, _MirrorState] = {}
-        for pid_str, entry in data.get("producers", {}).items():
-            state = _MirrorState(int(entry["epoch"]))
-            state.last_sequence = int(entry["last_sequence"])
-            for seq, offset, n in entry.get("recent", ()):
-                state.recent.append((int(seq), int(offset), int(n)))
-            mirror[int(pid_str)] = state
-        return int(data.get("as_of", default_as_of)), mirror
+            return default_as_of, ProducerStateTable()
+        return (
+            int(data.get("as_of", default_as_of)),
+            ProducerStateTable.from_wire(data.get("producers", {})),
+        )
 
     # -- producer-state mirror ----------------------------------------------
-
-    @staticmethod
-    def _mirror_apply(mirror, pid, epoch, base_seq, base_offset, count) -> None:
-        state = mirror.get(pid)
-        if state is None or epoch > state.epoch:
-            state = _MirrorState(epoch)
-            state.last_sequence = base_seq - 1
-            mirror[pid] = state
-        elif epoch < state.epoch:
-            return
-        if base_seq + count - 1 > state.last_sequence:
-            state.last_sequence = base_seq + count - 1
-            state.recent.append((base_seq, base_offset, count))
-
-    def _mirror_snapshot_locked(self) -> dict:
-        return {
-            str(pid): {
-                "epoch": state.epoch,
-                "last_sequence": state.last_sequence,
-                "recent": [list(entry) for entry in state.recent],
-            }
-            for pid, state in self._mirror.items()
-        }
 
     def _write_snapshot(self, snapshot: dict, as_of: int) -> None:
         """Best-effort (no fsync) snapshot write; recovery replays the
@@ -664,13 +594,7 @@ class SegmentStore:
         at most the window since the last roll, and the leader re-pushes
         on the first post-restart batch anyway).
         """
-        mirror: dict[int, _MirrorState] = {}
-        for pid_str, entry in snapshot.items():
-            state = _MirrorState(int(entry["epoch"]))
-            state.last_sequence = int(entry["last_sequence"])
-            for seq, offset, n in entry.get("recent", ()):
-                state.recent.append((int(seq), int(offset), int(n)))
-            mirror[int(pid_str)] = state
+        mirror = ProducerStateTable.from_wire(snapshot)
         with self._lock:
             self._mirror = mirror
 
@@ -749,34 +673,22 @@ class SegmentStore:
                 return self._flushed_offset
             pending = self._pending
             if not pending:
-                flushed = self._flushed_offset
-                age_roll = (
-                    self.config.segment_seconds > 0
-                    and self._active_size > 0
-                    and time.monotonic() - self._active_opened
-                    >= self.config.segment_seconds
-                )
-                if not age_roll:
-                    return flushed
-                pending = []
-            else:
-                self._pending = []
-                self._pending_bytes = 0
-        io_elapsed = 0.0
+                return self._flushed_offset
+            self._pending = []
+            self._pending_bytes = 0
         try:
-            if pending:
-                injector = self.fault_injector
-                if injector is not None and injector.on_flush(
-                    f"{self.topic}/{self.partition}"
-                ):
-                    self._torn_write(pending)
-                buffers: list = []
-                for batch in pending:
-                    buffers.extend(batch.encode())
-                io_start = time.perf_counter()
-                self._write_buffers(buffers)
-                os.fsync(self._active_fd)
-                io_elapsed = time.perf_counter() - io_start
+            injector = self.fault_injector
+            if injector is not None and injector.on_flush(
+                f"{self.topic}/{self.partition}"
+            ):
+                self._torn_write(pending)
+            buffers: list = []
+            for batch in pending:
+                buffers.extend(batch.encode())
+            io_start = time.perf_counter()
+            self._write_buffers(buffers)
+            os.fsync(self._active_fd)
+            io_elapsed = time.perf_counter() - io_start
         except TornWriteError:
             raise
         except BaseException as exc:
@@ -784,53 +696,50 @@ class SegmentStore:
                 self._failed = exc
                 self._flush_cond.notify_all()
             raise StorageError(f"flush failed: {exc}") from exc
+        flushed_bytes = sum(b.nbytes for b in pending)
         with self._lock:
-            if pending:
-                pos = self._active_size
-                for batch in pending:
-                    self._active_batches.append((batch.base, pos))
-                    pos += batch.nbytes
-                    if batch.producer_id is not None and batch.base_sequence is not None:
-                        self._mirror_apply(
-                            self._mirror,
-                            batch.producer_id,
-                            batch.producer_epoch,
-                            batch.base_sequence,
-                            batch.base,
-                            batch.end - batch.base,
-                        )
-                self._active_size = pos
-                self._flushed_offset = pending[-1].end
-                self._last_write_ts = pending[-1].write_ts
-                self.counters["flushes"] += 1
-                self.counters["fsyncs"] += 1
-                self.counters["flushed_bytes"] += sum(b.nbytes for b in pending)
-                self._flush_cond.notify_all()
-            flushed = self._flushed_offset
+            pos = self._active_size
+            for batch in pending:
+                self._active_batches.append((batch.base, pos))
+                pos += batch.nbytes
+                if batch.producer_id is not None and batch.base_sequence is not None:
+                    self._mirror.apply(
+                        batch.producer_id,
+                        batch.producer_epoch,
+                        batch.base_sequence,
+                        batch.base,
+                        batch.end - batch.base,
+                    )
+            self._active_size = pos
+            self._flushed_offset = pending[-1].end
+            self._last_write_ts = pending[-1].write_ts
+            self.counters["flushes"] += 1
+            self.counters["fsyncs"] += 1
+            self.counters["flushed_bytes"] += flushed_bytes
+            self._flush_cond.notify_all()
             pending_bytes_now = self._pending_bytes
-        if pending:
-            registry = self.registry
-            if registry is not None:
-                registry.histogram("storage.fsync_latency_seconds").observe(io_elapsed)
-                now = time.monotonic()
-                registry.histogram("storage.flush_window_seconds").observe_many(
-                    [now - b.write_ts for b in pending]
-                )
-                registry.gauge(
-                    f"storage.pending_bytes.{self.topic}.{self.partition}"
-                ).set(pending_bytes_now)
-            journal = self.journal
-            if journal is not None and io_elapsed >= self.flush_stall_s:
-                journal.emit(
-                    "flush_stall",
-                    topic=self.topic,
-                    partition=self.partition,
-                    duration_ms=round(io_elapsed * 1000.0, 3),
-                    bytes=sum(b.nbytes for b in pending),
-                    batches=len(pending),
-                )
+        registry = self.registry
+        if registry is not None:
+            registry.histogram("storage.fsync_latency_seconds").observe(io_elapsed)
+            now = time.monotonic()
+            registry.histogram("storage.flush_window_seconds").observe_many(
+                [now - b.write_ts for b in pending]
+            )
+            registry.gauge(
+                f"storage.pending_bytes.{self.topic}.{self.partition}"
+            ).set(pending_bytes_now)
+        journal = self.journal
+        if journal is not None and io_elapsed >= self.flush_stall_s:
+            journal.emit(
+                "flush_stall",
+                topic=self.topic,
+                partition=self.partition,
+                duration_ms=round(io_elapsed * 1000.0, 3),
+                bytes=flushed_bytes,
+                batches=len(pending),
+            )
         self._maybe_roll_io()
-        return flushed
+        return pending[-1].end
 
     def _write_buffers(self, buffers: list) -> None:
         fd = self._active_fd
@@ -867,36 +776,21 @@ class SegmentStore:
     def _maybe_roll_io(self) -> None:
         # Caller holds _io_lock; pending has just been flushed.
         with self._lock:
-            if self._active_size <= 0:
-                return
-            size_due = self._active_size >= self.config.segment_bytes
-            age_due = (
-                self.config.segment_seconds > 0
-                and time.monotonic() - self._active_opened
-                >= self.config.segment_seconds
-            )
-            if not size_due and not age_due:
+            if self._active_size < self.config.segment_bytes:
                 return
             base = self._active_base
             end = self._flushed_offset
             size = self._active_size
             batches = list(self._active_batches)
-            snapshot = self._mirror_snapshot_locked()
+            snapshot = self._mirror.to_wire()
             last_ts = self._last_write_ts
-        # Seal: the file is complete and fsynced; freeze a sparse index
-        # and the producer snapshot next to it, then swap in a fresh
-        # active segment. Readers flip from the deque to the mmap only
-        # after the sealed entry is published under the lock.
+        # Seal: the file is complete and fsynced; freeze the producer
+        # snapshot next to it, then swap in a fresh active segment.
+        # Readers flip from the deque to the mmap only after the sealed
+        # entry is published under the lock.
         os.close(self._active_fd)
         seg = _SealedSegment(self._active_path, base, end, size, last_ts,
                              batches=batches)
-        try:
-            write_index_file(
-                seg.index_path,
-                build_sparse_index(batches, self.config.index_interval_bytes),
-            )
-        except OSError:
-            pass
         self._write_snapshot(snapshot, end)
         seg.open_map()
         new_path = os.path.join(self.directory, segment_filename(end))
@@ -908,8 +802,6 @@ class SegmentStore:
             self._active_base = end
             self._active_size = 0
             self._active_batches = []
-            self._active_opened = time.monotonic()
-            self._snapshot_as_of = end
             self.counters["segments_sealed"] += 1
 
     # -- read path -----------------------------------------------------------
@@ -959,7 +851,6 @@ class SegmentStore:
         if i < 0:
             i = 0
         out: list = []
-        interval = self.config.index_interval_bytes
         while i < len(sealed) and len(out) < max_count:
             seg = sealed[i]
             if offset < seg.end:
@@ -968,9 +859,7 @@ class SegmentStore:
                     max_count - len(out),
                     self.topic,
                     self.partition,
-                    interval,
-                    self.counters,
-                    cache=self._decode_cache,
+                    self._decode_cache,
                 )
                 out.extend(records)
                 if records:
@@ -1023,11 +912,7 @@ class SegmentStore:
                     return None
                 self.counters["truncations"] += 1
                 active_base = self._active_base
-                for state in self._mirror.values():
-                    state.recent = deque(
-                        (entry for entry in state.recent if entry[1] < offset),
-                        maxlen=_DEDUP_WINDOW,
-                    )
+                self._mirror.truncate(offset)
             if offset >= active_base:
                 self._truncate_active_io(offset)
                 return None
@@ -1122,12 +1007,11 @@ class SegmentStore:
         new_path = os.path.join(self.directory, segment_filename(new_base))
         for seg in victims:
             seg.close()
-            for path in (seg.path, seg.index_path):
-                if path != new_path:
-                    try:
-                        os.unlink(path)
-                    except OSError:
-                        pass
+            if seg.path != new_path:
+                try:
+                    os.unlink(seg.path)
+                except OSError:
+                    pass
         fd = os.open(new_path, os.O_CREAT | os.O_RDWR | os.O_APPEND, 0o644)
         os.ftruncate(fd, 0)
         with self._lock:
@@ -1136,7 +1020,6 @@ class SegmentStore:
             self._active_base = new_base
             self._active_size = 0
             self._active_batches = []
-            self._active_opened = time.monotonic()
             self._flushed_offset = new_base
             self._end_offset = new_base
             self._base_offset = keep[0].base if keep else new_base
@@ -1202,13 +1085,13 @@ class SegmentStore:
                             bytes=seg.size,
                         )
                 except Exception:
-                    pass  # offload is best-effort; retention proceeds
+                    # Offload is best-effort; retention proceeds.
+                    self.counters["offload_errors"] += 1
             seg.close()
-            for path in (seg.path, seg.index_path):
-                try:
-                    os.unlink(path)
-                except OSError:
-                    pass
+            try:
+                os.unlink(seg.path)
+            except OSError:
+                pass
             dropped += seg.size
             self.counters["segments_deleted"] += 1
         if victims:
@@ -1230,7 +1113,7 @@ class SegmentStore:
                 if self._closed:
                     return
                 self._closed = True
-                snapshot = self._mirror_snapshot_locked()
+                snapshot = self._mirror.to_wire()
                 as_of = self._flushed_offset
                 sealed = list(self._sealed)
                 fd = self._active_fd

@@ -21,12 +21,6 @@ makes a *torn tail* (power loss mid-``write``) detectable: recovery
 truncates the file at the first batch whose length prefix runs past EOF
 or whose CRC does not match, exactly the LogCabin/Kafka rule.
 
-A sealed segment gets a *sparse index* file mapping offsets to byte
-positions roughly every ``index_interval_bytes``; a lookup binary-
-searches the index and scans forward over at most one interval of
-batch headers. The index is a pure cache — if it is missing or
-unreadable it is rebuilt from a segment scan.
-
 Everything here operates on buffers (``bytes``, ``mmap``,
 ``memoryview``) and stays allocation-light: decoding a batch from an
 ``mmap`` yields records whose values are ``memoryview`` slices of the
@@ -52,10 +46,6 @@ RECORD_HEADER = struct.Struct(">IiIdd")
 #: Segment data files are named by their base offset, zero-padded so
 #: lexicographic order is offset order.
 LOG_SUFFIX = ".log"
-INDEX_SUFFIX = ".index"
-INDEX_MAGIC = b"RIDX1\n"
-#: One sparse-index entry: [offset][file position].
-INDEX_ENTRY = struct.Struct(">QQ")
 
 
 def segment_filename(base_offset: int) -> str:
@@ -246,47 +236,3 @@ def decode_batch(buf, info: BatchInfo, topic: str, partition: int, copy: bool = 
         offset += 1
     return out
 
-
-# -- sparse index ------------------------------------------------------------
-
-
-def build_sparse_index(batch_positions, interval_bytes: int) -> list:
-    """Thin ``[(base_offset, pos), ...]`` down to ~one entry per interval.
-
-    The first batch is always indexed so a lookup below the second entry
-    still lands inside the segment instead of scanning from position 0
-    of nothing.
-    """
-    entries = []
-    last_pos = None
-    for base_offset, pos in batch_positions:
-        if last_pos is None or pos - last_pos >= interval_bytes:
-            entries.append((base_offset, pos))
-            last_pos = pos
-    return entries
-
-
-def write_index_file(path: str, entries) -> None:
-    parts = [INDEX_MAGIC]
-    parts.extend(INDEX_ENTRY.pack(offset, pos) for offset, pos in entries)
-    data = b"".join(parts)
-    with open(path, "wb") as fh:
-        fh.write(data)
-
-
-def read_index_file(path: str) -> list | None:
-    """Entries from an index file, or ``None`` when missing/corrupt."""
-    try:
-        with open(path, "rb") as fh:
-            data = fh.read()
-    except OSError:
-        return None
-    if not data.startswith(INDEX_MAGIC):
-        return None
-    body = data[len(INDEX_MAGIC) :]
-    if len(body) % INDEX_ENTRY.size:
-        return None
-    return [
-        INDEX_ENTRY.unpack_from(body, i)
-        for i in range(0, len(body), INDEX_ENTRY.size)
-    ]

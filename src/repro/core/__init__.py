@@ -43,14 +43,6 @@ from repro.core.workloads import (
     passthrough_processor,
     make_compression_edge_processor,
 )
-from repro.core.triggers import DataTrigger
-from repro.core.windows import (
-    TumblingWindow,
-    make_aggregating_edge_processor,
-    make_threshold_filter,
-    make_windowed_edge_processor,
-    compose_edge_processors,
-)
 
 __all__ = [
     "FunctionContext",
@@ -71,10 +63,4 @@ __all__ = [
     "make_model_processor",
     "passthrough_processor",
     "make_compression_edge_processor",
-    "DataTrigger",
-    "TumblingWindow",
-    "make_aggregating_edge_processor",
-    "make_threshold_filter",
-    "make_windowed_edge_processor",
-    "compose_edge_processors",
 ]

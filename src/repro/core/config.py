@@ -33,11 +33,6 @@ class PipelineConfig:
     topic: str = "pilot-edge-data"
     #: Max records per consumer poll.
     poll_batch: int = 8
-    #: Producer-side batching: each device accumulates this many encoded
-    #: messages and publishes them through one batched broker append
-    #: (one lock round-trip in-process, one socket round-trip remotely).
-    #: 1 = send every message individually (the paper's per-message shape).
-    produce_batch: int = 1
     #: Consumer-side batching: up to this many freshly polled records are
     #: decoded together and handed to the application in ONE
     #: ``process_cloud_batch(context, blocks)`` call (or one call of a
@@ -60,8 +55,6 @@ class PipelineConfig:
     keep_results: int = 1024
     #: Seconds between produced messages per device (0 = as fast as possible).
     produce_interval: float = 0.0
-    #: Commit consumer offsets every N processed records.
-    commit_interval: int = 32
     #: Backpressure: producers pause while more than this many messages
     #: are in flight (produced but not yet processed). 0 = unbounded —
     #: the paper's configuration, where the broker absorbs the backlog.
@@ -106,35 +99,22 @@ class PipelineConfig:
     #: recovers them on restart. None (default) keeps the in-memory
     #: deque logs — the paper's configuration.
     log_dir: str | None = None
-    #: Group-commit window (ms) for the durable log's shared flusher:
-    #: all appends arriving within it are retired by one write+fsync.
-    log_flush_ms: float = 50.0
     #: Make appends block until their batch is fsynced (single-node
     #: durability before the ack). Off by default: the ack is in-memory
     #: and the flush timer bounds the loss window, which `acks="all"`
     #: replication covers.
     log_fsync_acks: bool = False
-    #: Roll segment files at this size; also bounds recovery cost (boot
-    #: scans only the active segment).
-    log_segment_bytes: int = 32 * 1024 * 1024
-    #: On-disk retention cap per partition (0 = unbounded). Whole sealed
-    #: segments are dropped oldest-first — the edge-tier half of the
-    #: tiered-storage story (pair with a PilotDataOffloader for the
-    #: cloud half).
-    log_retention_bytes: int = 0
 
     def __post_init__(self) -> None:
         check_positive("num_devices", self.num_devices)
         check_positive("messages_per_device", self.messages_per_device)
         check_non_negative("num_consumers", self.num_consumers)
         check_positive("poll_batch", self.poll_batch)
-        check_positive("produce_batch", self.produce_batch)
         check_positive("consume_batch", self.consume_batch)
         check_positive("poll_timeout", self.poll_timeout)
         check_positive("max_duration", self.max_duration)
         check_positive("keep_results", self.keep_results)
         check_non_negative("produce_interval", self.produce_interval)
-        check_positive("commit_interval", self.commit_interval)
         check_non_negative("max_inflight", self.max_inflight)
         check_non_negative("producer_retries", self.producer_retries)
         check_non_negative("retry_backoff_ms", self.retry_backoff_ms)
@@ -144,9 +124,6 @@ class PipelineConfig:
         check_non_negative("fetch_max_wait_ms", self.fetch_max_wait_ms)
         check_non_negative("fetch_prefetch_batches", self.fetch_prefetch_batches)
         check_positive("fetch_max_buffer_bytes", self.fetch_max_buffer_bytes)
-        check_positive("log_flush_ms", self.log_flush_ms)
-        check_positive("log_segment_bytes", self.log_segment_bytes)
-        check_non_negative("log_retention_bytes", self.log_retention_bytes)
         if self.log_fsync_acks and not self.log_dir:
             raise ValidationError("log_fsync_acks requires log_dir")
         if not self.topic:

@@ -58,6 +58,9 @@ from repro.util.ids import new_run_id
 from repro.util.ringbuffer import RingBuffer
 from repro.util.validation import ValidationError, check_positive
 
+#: Consumer tasks commit their offsets every this many processed records.
+_COMMIT_INTERVAL = 32
+
 
 class _AtomicCounter:
     __slots__ = ("_value", "_lock")
@@ -165,11 +168,7 @@ class EdgeToCloudPipeline:
             if cfg.log_dir is not None:
                 from repro.broker.storage import StorageConfig
 
-                storage = StorageConfig(
-                    segment_bytes=cfg.log_segment_bytes,
-                    flush_ms=cfg.log_flush_ms,
-                    fsync_acks=cfg.log_fsync_acks,
-                )
+                storage = StorageConfig(fsync_acks=cfg.log_fsync_acks)
             self._broker = Broker(
                 name=f"{self.run_id}-broker",
                 tracer=tracer,
@@ -191,6 +190,11 @@ class EdgeToCloudPipeline:
         # from _count_processed* as messages drain.
         self._backpressure = threading.Condition()
         self._produced = _AtomicCounter()
+        # Completion target: the configured total until every producer
+        # task has ended, then what they actually produced (guarded by
+        # ``_processed_lock``, like the count it is compared with).
+        self._expected = self.config.total_messages
+        self._producers_left = self.config.num_devices
         self._done = threading.Event()
         self._abort = threading.Event()
         self._started = False
@@ -250,7 +254,7 @@ class EdgeToCloudPipeline:
                 else:
                     self._processed_ids.add(message_id)
                     flags.append(True)
-            if len(self._processed_ids) >= self._expected_messages():
+            if len(self._processed_ids) >= self._expected:
                 self._done.set()
         # Always notify: besides backpressured producers, outside callers
         # (RunningPipeline.wait_for_processed) wait on this condition for
@@ -400,53 +404,6 @@ class EdgeToCloudPipeline:
             self._decision is not None and self._decision.processing_tier == "edge"
         )
         sent = 0
-        #: (message_id, payload, headers) awaiting one batched publish.
-        pending: list[tuple] = []
-
-        def flush() -> None:
-            """Publish the accumulated batch in one broker append."""
-            nonlocal sent
-            if not pending:
-                return
-            count = len(pending)
-            mids = [mid for mid, _, _ in pending]
-            self._collector.stamp_many(
-                mids, "uplink_start", time.monotonic(), site=edge_site
-            )
-            payload_bytes = sum(len(p) for _, p, _ in pending)
-            for attempt in range(cfg.producer_retries + 1):
-                try:
-                    if uplink is not None:
-                        uplink.transfer(payload_bytes)
-                    producer.send_many(
-                        cfg.topic,
-                        [p for _, p, _ in pending],
-                        partition=device_index,
-                        headers=[h for _, _, h in pending],
-                    )
-                    break
-                except ConnectionError:
-                    if attempt < cfg.producer_retries:
-                        # At-least-once mode: the uplink dropped the
-                        # batch (or the broker flapped) — resend it. The
-                        # producer's idempotent sequence makes a resend of
-                        # an already-landed batch a broker-side no-op.
-                        self._collector.incr("produce_retries")
-                        continue
-                    # Lossy-link drop: account for the batch (QoS-0
-                    # semantics) so the run can still complete.
-                    self._collector.incr("messages_dropped", count)
-                    self._count_processed_many(mids)
-                    self._produced.increment(count)
-                    pending.clear()
-                    return
-            self._collector.stamp_many(
-                mids, "broker_in", time.monotonic(), site=broker_site
-            )
-            sent += count
-            self._produced.increment(count)
-            pending.clear()
-
         for seq in range(cfg.messages_per_device):
             if self._abort.is_set():
                 break
@@ -510,14 +467,37 @@ class EdgeToCloudPipeline:
                 site=edge_site,
                 partition=device_index,
             )
-            pending.append((message_id, payload, headers))
-            if len(pending) >= cfg.produce_batch or cfg.produce_interval > 0:
-                # Paced producers deliver per message (batching would
-                # add linger latency that pacing exists to avoid).
-                flush()
+            self._collector.stamp_many(
+                (message_id,), "uplink_start", time.monotonic(), site=edge_site
+            )
+            for attempt in range(cfg.producer_retries + 1):
+                if attempt:
+                    # At-least-once mode: the uplink dropped the message
+                    # (or the broker flapped) — resend it. The producer's
+                    # idempotent sequence makes a resend of an
+                    # already-landed message a broker-side no-op.
+                    self._collector.incr("produce_retries")
+                try:
+                    if uplink is not None:
+                        uplink.transfer(len(payload))
+                    producer.send_many(
+                        cfg.topic, [payload], partition=device_index, headers=[headers]
+                    )
+                except ConnectionError:
+                    continue
+                self._collector.stamp_many(
+                    (message_id,), "broker_in", time.monotonic(), site=broker_site
+                )
+                sent += 1
+                break
+            else:
+                # Lossy-link drop: account for the message (QoS-0
+                # semantics) so the run can still complete.
+                self._collector.incr("messages_dropped")
+                self._count_processed(message_id)
+            self._produced.increment()
             if cfg.produce_interval > 0:
                 time.sleep(cfg.produce_interval)
-        flush()
         producer.close()
         if producer.produce_retries:
             self._collector.incr("produce_retries", producer.produce_retries)
@@ -545,7 +525,7 @@ class EdgeToCloudPipeline:
                     records, context, downlink, broker_site, proc_site
                 )
                 since_commit += len(records)
-                if since_commit >= cfg.commit_interval:
+                if since_commit >= _COMMIT_INTERVAL:
                     try:
                         consumer.commit()
                     except RebalanceInProgressError:
@@ -745,8 +725,18 @@ class EdgeToCloudPipeline:
         for result in results:
             self._results.append(result)
 
-    def _expected_messages(self) -> int:
-        return self.config.total_messages
+    def _producer_ended(self, _future) -> None:
+        """Done-callback of every producer task (returned, went quiet
+        early or raised). After the last one nothing more will arrive, so
+        the run ends when what was produced is processed instead of
+        waiting out ``max_duration`` for messages that never existed."""
+        with self._processed_lock:
+            self._producers_left -= 1
+            if self._producers_left:
+                return
+            self._expected = self._produced.value
+            if len(self._processed_ids) >= self._expected:
+                self._done.set()
 
     # -- the run -----------------------------------------------------------------------
 
@@ -782,13 +772,8 @@ class EdgeToCloudPipeline:
             compression_ratio=getattr(self._edge_fn, "compression_ratio", 1.0),
         )
 
-        # Remote/cluster broker proxies don't all accept retention_bytes;
-        # only thread it through when the config actually sets a cap.
-        topic_kwargs = {"exist_ok": True}
-        if cfg.log_retention_bytes:
-            topic_kwargs["retention_bytes"] = cfg.log_retention_bytes
         self._broker.create_topic(
-            cfg.topic, num_partitions=cfg.num_devices, **topic_kwargs
+            cfg.topic, num_partitions=cfg.num_devices, exist_ok=True
         )
 
         if self._sampler is not None:
@@ -831,6 +816,8 @@ class EdgeToCloudPipeline:
             )
             for device in range(cfg.num_devices)
         ]
+        for future in producer_futures:
+            future.add_done_callback(self._producer_ended)
 
         handle = RunningPipeline(self, producer_futures, consumer_futures)
         if wait:
@@ -895,7 +882,11 @@ class EdgeToCloudPipeline:
         )
         return PipelineResult(
             run_id=self.run_id,
-            completed=completed and not self._errors,
+            completed=(
+                completed
+                and self.processed_count >= cfg.total_messages
+                and not self._errors
+            ),
             report=report,
             bottleneck=analyze_bottleneck(self._collector),
             results=self._results.to_list(),

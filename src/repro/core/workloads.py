@@ -10,6 +10,7 @@ hybrid transatlantic deployments.
 
 from __future__ import annotations
 
+import zlib
 from typing import Callable
 
 import numpy as np
@@ -42,7 +43,7 @@ def make_block_producer(
         device_id = context.get(device, "device-0") if context else "device-0"
         gen = generators.get(device_id)
         if gen is None:
-            device_seed = seed + (hash(device_id) % 10_000)
+            device_seed = seed + (zlib.crc32(device_id.encode()) % 10_000)
             gen = DataBlockGenerator(
                 GeneratorConfig(
                     points=points,

@@ -18,7 +18,6 @@ from repro.data.serde import (
     HEADER_SIZE,
     BYTES_PER_VALUE,
 )
-from repro.data.streams import BlockStream, ReplayStream, PoissonArrivals
 
 __all__ = [
     "DataBlockGenerator",
@@ -31,7 +30,4 @@ __all__ = [
     "encoded_size",
     "HEADER_SIZE",
     "BYTES_PER_VALUE",
-    "BlockStream",
-    "ReplayStream",
-    "PoissonArrivals",
 ]

@@ -60,10 +60,6 @@ class ParameterClient:
         self._link = link
         self._namespace = namespace
         self.network_seconds = 0.0
-        #: version-keyed entry cache backing :meth:`get_cached`
-        self._cache: dict[str, Entry] = {}
-        self.cache_hits = 0
-        self.cache_misses = 0
 
     def _key(self, key: str) -> str:
         return f"{self._namespace}/{key}" if self._namespace else key
@@ -77,30 +73,6 @@ class ParameterClient:
     def get(self, key: str) -> Entry:
         entry = self._server.get(self._key(key))
         self._charge(entry.value)
-        return entry
-
-    def get_cached(self, key: str) -> Entry:
-        """Version-aware read: only pay the transfer when the key moved.
-
-        Compares the server-side entry version against the client's last
-        seen version for *key*; when unchanged, the cached entry is
-        returned without charging the link (or re-deserializing) — so
-        per-message model-weight reads (federated rounds, low/high
-        fidelity model swap polling) stop re-paying the full weight
-        transfer when nothing was published in between. A version bump
-        invalidates the cache and charges one normal transfer.
-
-        ``cache_hits`` / ``cache_misses`` expose the accounting; raises
-        :class:`~repro.params.store.KeyNotFound` like :meth:`get`.
-        """
-        entry = self._server.get(self._key(key))
-        cached = self._cache.get(key)
-        if cached is not None and cached.version == entry.version:
-            self.cache_hits += 1
-            return cached
-        self.cache_misses += 1
-        self._charge(entry.value)
-        self._cache[key] = entry
         return entry
 
     def get_value(self, key: str, default: Any = None) -> Any:

@@ -20,12 +20,8 @@ per configuration. This package replays the *same pipeline structure*
 from repro.sim.engine import Simulator, SimProcessError, FifoServer
 from repro.sim.costmodel import StageCostModel, calibrate_model_cost, calibrate_produce_cost
 from repro.sim.pipeline import SimulatedPipeline, SimConfig, SimResult
-from repro.sim.multitier import MultiTierSimulation, MultiTierResult, Tier
 
 __all__ = [
-    "MultiTierSimulation",
-    "MultiTierResult",
-    "Tier",
     "Simulator",
     "SimProcessError",
     "FifoServer",

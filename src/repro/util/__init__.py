@@ -16,7 +16,6 @@ from repro.util.validation import (
     check_one_of,
 )
 from repro.util.ringbuffer import RingBuffer
-from repro.util.rate import RateEstimator, EWMA
 
 __all__ = [
     "new_id",
@@ -32,6 +31,4 @@ __all__ = [
     "check_type",
     "check_one_of",
     "RingBuffer",
-    "RateEstimator",
-    "EWMA",
 ]

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.broker import (
-    BatchAccumulator,
     Broker,
     Consumer,
     OutOfOrderSequenceError,
@@ -19,6 +18,7 @@ from repro.broker.errors import (
     FatalError,
     RetriableError,
 )
+from repro.broker.producer_state import ProducerStateTable
 from repro.faults import FaultInjector, FaultyBroker
 from repro.util.validation import ValidationError
 
@@ -179,26 +179,58 @@ class TestProducerRetries:
 
 
 class TestProducerLifecycle:
-    def test_close_flushes_accumulator(self, broker):
-        producer = Producer(broker, client_id="p")
-        accumulator = BatchAccumulator(producer, batch_records=100)
-        accumulator.add("t", b"a", partition=0)
-        accumulator.add("t", b"b", partition=0)
-        producer.close()
-        assert broker.latest_offset("t", 0) == 2
-        assert accumulator.pending_records == 0
-
     def test_closed_producer_rejects_sends(self, broker):
         producer = Producer(broker)
         producer.close()
         with pytest.raises(ValidationError):
             producer.send("t", b"x", partition=0)
 
-    def test_context_manager_flushes(self, broker):
-        with Producer(broker, client_id="p") as producer:
-            accumulator = BatchAccumulator(producer, batch_records=100)
-            accumulator.add("t", b"a", partition=0)
-        assert broker.latest_offset("t", 0) == 1
+
+class TestProducerStateTable:
+    """The one table both PartitionLog and SegmentStore keep."""
+
+    @staticmethod
+    def filled() -> ProducerStateTable:
+        table = ProducerStateTable()
+        for pid, epoch, batches in (
+            (7, 0, [(0, 0, 3), (3, 3, 2), (5, 10, 1)]),
+            (8, 2, [(40, 5, 5)]),
+        ):
+            for seq, offset, n in batches:
+                assert table.check(pid, epoch, seq, n) is None
+                table.commit(pid, seq, offset, n)
+        return table
+
+    def test_wire_round_trip(self):
+        table = self.filled()
+        wire = table.to_wire()
+        copy = ProducerStateTable.from_wire(wire)
+        assert copy.to_wire() == wire
+        # The copy dedups exactly like the original: a replay is acked at
+        # its original offsets, the next sequence is fresh, an old epoch
+        # is fenced.
+        assert copy.check(7, 0, 3, 2) == (3, 2)
+        assert copy.check(7, 0, 6, 1) is None
+        with pytest.raises(ProducerFencedError):
+            copy.check(8, 1, 45, 1)
+
+    def test_truncate_drops_exactly_the_entries_at_or_above_the_cut(self):
+        table = self.filled()
+        table.truncate(5)
+        wire = table.to_wire()
+        assert wire["7"]["recent"] == [[0, 0, 3], [3, 3, 2]]
+        assert wire["8"]["recent"] == []
+        # Sequences are not rewound: the truncated batches stay "seen".
+        assert (wire["7"]["last_sequence"], wire["8"]["last_sequence"]) == (5, 44)
+
+    def test_apply_replays_without_raising(self):
+        table = self.filled()
+        before = table.to_wire()
+        table.apply(7, 0, 3, 3, 2)  # already covered
+        table.apply(8, 1, 0, 0, 1)  # stale epoch
+        assert table.to_wire() == before
+        table.apply(7, 0, 9, 20, 2)  # a gap is accepted on replay
+        assert table.to_wire()["7"]["last_sequence"] == 10
 
 
 class TestErrorTaxonomy:

@@ -113,28 +113,6 @@ class TestBatchedProducer:
         with pytest.raises(ValidationError):
             Producer(topic_broker).send_many("t", [])
 
-    def test_accumulator_flushes_at_batch_size(self, topic_broker):
-        from repro.broker import BatchAccumulator
-
-        producer = Producer(topic_broker)
-        acc = BatchAccumulator(producer, batch_records=3)
-        for i in range(7):
-            acc.add("t", bytes([i]), partition=0)
-        assert acc.batches_flushed == 2  # two full auto-flushes
-        assert acc.pending_records == 1
-        flushed = acc.flush()
-        assert acc.pending_records == 0
-        assert sum(md.count for md in flushed) == 1
-        records = topic_broker.fetch("t", 0, 0, max_records=16)
-        assert [r.value for r in records] == [bytes([i]) for i in range(7)]
-
-    def test_accumulator_context_manager_flushes(self, topic_broker):
-        from repro.broker import BatchAccumulator
-
-        with BatchAccumulator(Producer(topic_broker), batch_records=100) as acc:
-            acc.add("t", b"x", partition=1)
-        assert topic_broker.latest_offset("t", 1) == 1
-
 
 class TestConsumerManualAssign:
     def test_assign_and_poll(self, topic_broker):

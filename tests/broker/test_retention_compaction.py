@@ -1,4 +1,4 @@
-"""Tests for time retention, compaction and offset-for-time lookup."""
+"""Tests for time retention and offset-for-time lookup."""
 
 import time
 
@@ -38,61 +38,6 @@ class TestTimeRetention:
         time.sleep(0.03)
         log.enforce_retention()
         assert len(log) == 1
-
-
-class TestCompaction:
-    def test_keeps_latest_per_key(self):
-        log = PartitionLog("t", 0)
-        log.append(b"v1", key=b"k")
-        log.append(b"v2", key=b"k")
-        log.append(b"v3", key=b"k")
-        removed = log.compact()
-        assert removed == 2
-        records = log.fetch(0, max_records=10)
-        assert [r.value for r in records] == [b"v3"]
-        assert records[0].offset == 2  # original offset preserved
-
-    def test_keyless_records_survive(self):
-        log = PartitionLog("t", 0)
-        log.append(b"a", key=None)
-        log.append(b"b", key=b"k")
-        log.append(b"c", key=b"k")
-        assert log.compact() == 1
-        values = [r.value for r in log.fetch(0, max_records=10)]
-        assert values == [b"a", b"c"]
-
-    def test_fetch_across_compaction_gaps(self):
-        log = PartitionLog("t", 0)
-        for i in range(6):
-            log.append(bytes([i]), key=b"k" if i < 5 else b"other")
-        log.compact()
-        # Surviving offsets: 4 (latest for k) and 5 (other).
-        records = log.fetch(0, max_records=10)
-        assert [r.offset for r in records] == [4, 5]
-        # Fetch from a gap offset lands on the next surviving record.
-        records = log.fetch(2, max_records=10)
-        assert [r.offset for r in records] == [4, 5]
-
-    def test_compaction_updates_size(self):
-        log = PartitionLog("t", 0)
-        log.append(b"x" * 100, key=b"k")
-        log.append(b"y" * 50, key=b"k")
-        log.compact()
-        assert log.size_bytes == 51  # 50-byte value + 1-byte key
-
-    def test_compaction_of_distinct_keys_removes_nothing(self):
-        log = PartitionLog("t", 0)
-        log.append(b"a", key=b"k1")
-        log.append(b"b", key=b"k2")
-        assert log.compact() == 0
-
-    def test_offsets_still_monotonic_after_compaction(self):
-        log = PartitionLog("t", 0)
-        log.append(b"a", key=b"k")
-        log.append(b"b", key=b"k")
-        log.compact()
-        md = log.append(b"c", key=b"k")
-        assert md.offset == 2
 
 
 class TestOffsetForTime:

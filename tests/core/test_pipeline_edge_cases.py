@@ -1,5 +1,7 @@
 """Edge-case behaviour of the pipeline."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -39,10 +41,15 @@ class TestProducerBehaviour:
             running_pilots, produce=finite_producer, messages_per_device=100,
             max_duration=5.0,
         )
+        started = time.monotonic()
         result = pipeline.run()
+        elapsed = time.monotonic() - started
         # The run cannot complete (fewer messages than expected) but must
-        # terminate at the deadline with the 3 real messages processed.
+        # terminate with the 3 real messages processed — as soon as the
+        # producer has returned, not at the deadline.
         assert result.report.messages == 3
+        assert not result.completed
+        assert elapsed < 1.0
 
     def test_producer_exception_recorded(self, running_pilots):
         def exploding_producer(context):
@@ -51,9 +58,12 @@ class TestProducerBehaviour:
         pipeline = build(
             running_pilots, produce=exploding_producer, max_duration=3.0
         )
+        started = time.monotonic()
         result = pipeline.run()
+        elapsed = time.monotonic() - started
         assert not result.completed
         assert any("producer" in e for e in result.errors)
+        assert elapsed < 1.0
 
     def test_static_policies_never_probe(self, running_pilots):
         # With the default (static) placement, the producer is called

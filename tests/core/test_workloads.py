@@ -1,5 +1,10 @@
 """Tests for the prebuilt FaaS workload functions."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -33,6 +38,30 @@ class TestBlockProducer:
     def test_none_context_defaults(self):
         produce = make_block_producer(points=10, features=2, clusters=2)
         assert produce(None).shape == (10, 2)
+
+    def test_first_block_same_in_every_interpreter(self):
+        # The device seed must not depend on str hashing, which differs
+        # per interpreter unless PYTHONHASHSEED is pinned.
+        script = (
+            "from repro.core import FunctionContext, make_block_producer;"
+            "import sys;"
+            "ctx = FunctionContext.build('r', device_id='device-7');"
+            "sys.stdout.buffer.write("
+            "make_block_producer(points=20, features=4, clusters=3)(ctx).tobytes())"
+        )
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        blocks = [
+            subprocess.run(
+                [sys.executable, "-c", script],
+                env={**os.environ, "PYTHONHASHSEED": hashseed, "PYTHONPATH": src},
+                capture_output=True,
+                check=True,
+                timeout=60,
+            ).stdout
+            for hashseed in ("1", "2")
+        ]
+        assert len(blocks[0]) == 20 * 4 * 8
+        assert blocks[0] == blocks[1]
 
 
 class TestPassthroughProcessor:

@@ -21,10 +21,7 @@ EXAMPLES = {
     "geo_distribution.py": "cost-based placement",
     "dynamic_scaling.py": "messages per model",
     "hierarchical_continuum.py": "Small messages tolerate",
-    "federated_learning.py": "model weights over the transatlantic link",
-    "objective_planning.py": "acquired pilots",
     "telemetry_tracing.py": "telemetry accounting verified",
-    "visual_inspection.py": "accounting verified",
 }
 
 

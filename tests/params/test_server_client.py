@@ -131,46 +131,6 @@ class TestParameterClient:
             client.get("missing")
 
 
-class TestGetCached:
-    def test_hit_and_miss_accounting(self, param_server):
-        client = ParameterClient(param_server, namespace="ns")
-        client.set("w", [1, 2, 3])
-        first = client.get_cached("w")
-        again = client.get_cached("w")
-        assert first.value == [1, 2, 3]
-        assert again is first  # unchanged version: the cached entry itself
-        assert (client.cache_misses, client.cache_hits) == (1, 1)
-
-    def test_version_bump_invalidates(self, param_server):
-        client = ParameterClient(param_server, namespace="ns")
-        client.set("w", "v1")
-        assert client.get_cached("w").value == "v1"
-        client.set("w", "v2")
-        entry = client.get_cached("w")
-        assert entry.value == "v2"
-        assert entry.version == 2
-        assert client.cache_misses == 2
-
-    def test_link_charged_only_on_miss(self, param_server):
-        profile = LinkProfile("slow", 10.0, 10.0, 100.0, 100.0)
-        link = Link(profile, time_scale=0.0)
-        client = ParameterClient(param_server, link=link)
-        client.set("w", np.zeros(1000))
-        after_set = client.network_seconds
-        client.get_cached("w")
-        after_miss = client.network_seconds
-        assert after_miss > after_set  # the miss pays one transfer
-        for _ in range(5):
-            client.get_cached("w")
-        assert client.network_seconds == after_miss  # hits are free
-
-    def test_missing_key_raises(self, param_server):
-        client = ParameterClient(param_server)
-        with pytest.raises(KeyNotFound):
-            client.get_cached("missing")
-        assert (client.cache_hits, client.cache_misses) == (0, 0)
-
-
 class TestModelWeightSharing:
     """End-to-end: share model weights across 'sites' via the server."""
 

@@ -97,33 +97,6 @@ class TestBatchSingleEquivalence:
             _build_batched(records, sizes, retention_bytes=retention),
         )
 
-    @given(
-        records=records_strategy,
-        sizes=st.lists(st.integers(1, 7), min_size=1, max_size=4),
-        compact_after=st.integers(min_value=0, max_value=40),
-    )
-    @settings(max_examples=60)
-    def test_across_compaction(self, records, sizes, compact_after):
-        # Compact both logs at the same point in the record sequence,
-        # then keep appending: surviving offsets, gap handling and the
-        # dense/bisect fetch paths must agree.
-        head, tail = records[:compact_after], records[compact_after:]
-        single = _build_single(head)
-        removed_single = single.compact()
-        for value, key, h in tail:
-            single.append(value, key=key, headers={"h": h})
-
-        batched = _build_batched(head, sizes)
-        removed_batched = batched.compact()
-        for batch in _chunk(tail, sizes):
-            batched.append_many(
-                [v for v, _, _ in batch],
-                keys=[k for _, k, _ in batch],
-                headers=[{"h": h} for _, _, h in batch],
-            )
-        assert removed_batched == removed_single
-        _assert_logs_equivalent(single, batched)
-
     @given(records=records_strategy, sizes=st.lists(st.integers(1, 7), min_size=1, max_size=4))
     @settings(max_examples=30)
     def test_fetch_from_every_offset(self, records, sizes):

@@ -1,61 +1,13 @@
-"""Additional property-based tests: compaction, state machines, windows."""
+"""Additional property-based tests: pilot state machine, streaming k-means."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.broker import PartitionLog
-from repro.core.windows import TumblingWindow
 from repro.ml import StreamingKMeans
 from repro.pilot import InvalidTransition, PilotState
 from repro.pilot.states import check_transition
-from repro.sim import MultiTierSimulation, StageCostModel, Tier
-
-
-class TestCompactionProperties:
-    @given(
-        ops=st.lists(
-            st.tuples(st.sampled_from([b"k1", b"k2", b"k3", None]), st.binary(max_size=8)),
-            min_size=1,
-            max_size=60,
-        )
-    )
-    @settings(max_examples=50)
-    def test_compaction_preserves_latest_per_key(self, ops):
-        log = PartitionLog("t", 0)
-        latest: dict = {}
-        keyless = []
-        for key, value in ops:
-            record = log.append(value, key=key)
-            if key is None:
-                keyless.append(record.offset)
-            else:
-                latest[key] = record.offset
-        log.compact()
-        survivors = log.fetch(0, max_records=1000)
-        offsets = {r.offset for r in survivors}
-        # Every keyless record and every latest-per-key record survives;
-        # nothing else does.
-        assert offsets == set(keyless) | set(latest.values())
-        # Offsets remain strictly increasing.
-        ordered = [r.offset for r in survivors]
-        assert ordered == sorted(ordered)
-
-    @given(
-        ops=st.lists(
-            st.tuples(st.sampled_from([b"a", b"b"]), st.binary(max_size=4)),
-            min_size=1,
-            max_size=40,
-        )
-    )
-    @settings(max_examples=30)
-    def test_compaction_idempotent(self, ops):
-        log = PartitionLog("t", 0)
-        for key, value in ops:
-            log.append(value, key=key)
-        log.compact()
-        assert log.compact() == 0  # second pass removes nothing
 
 
 class TestPilotStateMachineProperties:
@@ -98,33 +50,6 @@ def _legal(a, b):
         return False
 
 
-class TestTumblingWindowProperties:
-    @given(
-        size=st.integers(min_value=1, max_value=10),
-        n_blocks=st.integers(min_value=0, max_value=50),
-    )
-    @settings(max_examples=50)
-    def test_row_conservation(self, size, n_blocks):
-        """Rows in == rows out (emitted + flushed)."""
-        window = TumblingWindow(size)
-        rows_in = 0
-        rows_out = 0
-        rng = np.random.default_rng(0)
-        for _ in range(n_blocks):
-            rows = int(rng.integers(1, 5))
-            rows_in += rows
-            out = window.add(np.zeros((rows, 2)))
-            if out is not None:
-                rows_out += out.shape[0]
-        tail = window.flush()
-        if tail is not None:
-            rows_out += tail.shape[0]
-        assert rows_in == rows_out
-        assert window.windows_emitted == (n_blocks // size) + (
-            1 if n_blocks % size else 0
-        )
-
-
 class TestKMeansProperties:
     @given(seed=st.integers(min_value=0, max_value=2**31 - 1))
     @settings(max_examples=20)
@@ -153,28 +78,3 @@ class TestKMeansProperties:
             km.partial_fit(rng.normal(size=(n, 2)))
             total += n
         assert km._counts.sum() == total
-
-
-class TestMultiTierProperties:
-    @given(
-        n_tiers=st.integers(min_value=1, max_value=4),
-        devices=st.integers(min_value=1, max_value=4),
-        messages=st.integers(min_value=1, max_value=16),
-    )
-    @settings(max_examples=20, deadline=None)
-    def test_message_conservation_through_chain(self, n_tiers, devices, messages):
-        tiers = [
-            Tier(f"t{i}", process_cost=StageCostModel("p", 1e-4, jitter=0.0))
-            for i in range(n_tiers)
-        ]
-        result = MultiTierSimulation(
-            tiers,
-            num_devices=devices,
-            messages_per_device=messages,
-            message_bytes=1000,
-            seed=0,
-        ).run()
-        expected = devices * messages
-        assert result.report.messages == expected
-        for i in range(n_tiers):
-            assert result.tier_stats[f"t{i}"]["jobs_served"] == expected

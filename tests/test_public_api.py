@@ -13,13 +13,11 @@ SUBPACKAGES = [
     "repro.data",
     "repro.ml",
     "repro.ml.nn",
-    "repro.ml.federated",
     "repro.monitoring",
     "repro.netem",
     "repro.params",
     "repro.pilot",
     "repro.pilotdata",
-    "repro.planner",
     "repro.sim",
     "repro.util",
     "repro.cli",
