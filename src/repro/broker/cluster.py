@@ -44,6 +44,7 @@ import os
 import signal
 import threading
 import time
+from functools import partial
 from multiprocessing.connection import wait as connection_wait
 
 from repro.broker.broker import Broker
@@ -273,32 +274,52 @@ class ShardBroker(Broker):
             current_epoch=exc.current_epoch,
         )
 
+    def create_topic(self, name, *args, **kwargs):
+        # Every log reports waiters left behind its fence to this shard
+        # (a no-op until replication starts and while it is stopped).
+        topic = super().create_topic(name, *args, **kwargs)
+        for partition in topic.partitions:
+            topic.partition(partition).on_fence_wait = partial(
+                self._pump_now, name, partition
+            )
+        return topic
+
+    def _pump_now(self, topic, partition) -> None:
+        """Somebody is waiting for records behind this partition's fence
+        (a parked fetch, per the log's ``on_fence_wait``, or an
+        ``acks="all"`` producer): replicate it now, not at the sweep."""
+        rep = self._replicator
+        if rep is not None:
+            rep.mark_dirty(topic, partition)
+
     def _after_append(self, topic, partition, end_offset: int, acks) -> None:
         """Replication hand-off for one acknowledged append.
 
-        For ``acks="all"``, wakes the replicator (so the batch ships on
-        the next pump cycle instead of the next poll tick) and blocks
-        until the partition's high-watermark covers *end_offset* — i.e.
-        every in-sync replica holds the records. A stalled ISR surfaces
+        The append never waits for the push and never pays a replica
+        RPC: waking the pump is a set insert and an ``Event.set()``.
+        *Whether* it wakes the pump depends on one observable property
+        — somebody is waiting on the fence. A consumer parked on this
+        partition (the log calls :meth:`_pump_now` through its
+        ``on_fence_wait`` hook) or an ``acks="all"`` producer (here)
+        gets the records shipped as soon as the previous push returns,
+        so they are consumable one follower round-trip after the ack;
+        with nobody waiting the records ride the next ``interval_s``
+        sweep, which batches a produce-only burst instead of competing
+        with it. Only ``acks="all"`` *waits*: it blocks until the
+        partition's high-watermark covers *end_offset* — i.e. every
+        in-sync replica holds the records — and a stalled ISR surfaces
         as the retriable :class:`NotEnoughReplicasError` rather than an
-        indefinite hang. ``acks=leader`` appends deliberately do *not*
-        wake the pump: nobody is waiting, and letting the timer batch
-        them (interval_s of records per push) keeps the leader's fast
-        path within a few percent of an unreplicated shard instead of
-        paying a synchronous replica RPC per client append.
+        indefinite hang.
         """
-        rep = self._replicator
-        if rep is None:
-            return
-        if acks != "all":
+        if acks != "all" or self._replicator is None:
             return
         log = Broker.partition_log(self, topic, partition)
-        # Arm the visibility fence before waiting: before the pump's
-        # first cycle touches this partition the fence is down and the
-        # wait would trivially pass, acknowledging records no replica
-        # holds (monotonic, so a no-op once armed).
+        # Arm the visibility fence before waiting: before the pump first
+        # touches this partition the fence is down and the wait would
+        # trivially pass, acknowledging records no replica holds
+        # (monotonic, so a no-op once armed).
         log.set_high_watermark(0)
-        rep.wake()
+        self._pump_now(topic, partition)
         if not log.wait_for_high_watermark(end_offset, self.acks_timeout_s):
             raise NotEnoughReplicasError(
                 topic, partition, end_offset, self.acks_timeout_s
@@ -630,9 +651,22 @@ class _ShardReplicator:
       Kafka rule), installed into the partition log so consumers and
       ``acks="all"`` producers only ever see ISR-covered records.
 
-    The pump is edge-triggered by appends (``wake``) and level-polled at
-    ``interval_s`` otherwise, so replication latency stays well under a
-    producer round-trip without busy-spinning an idle shard.
+    Two clocks drive the one thread. *Demand* — whenever somebody is
+    waiting for records behind a partition's fence (a parked fetch, an
+    ``acks="all"`` producer; see :meth:`ShardBroker._after_append`)
+    :meth:`mark_dirty` wakes it, and a cycle so woken pumps the dirty
+    partitions only. Batching is self-clocked: whatever was appended
+    while a ``replicate_append`` was in flight rides the next one (up
+    to the 512-record slice), Kafka's follower-fetch rule, so there is
+    no linger setting to tune. *The sweep* — every ``interval_s`` one
+    cycle walks all led partitions instead: records nobody is waiting
+    for, heartbeats to caught-up followers, first contact, ISR join and
+    evict, leadership moves and progress pruning live there, on a
+    deadline of their own that a stream of wakes can neither starve nor
+    hurry. A cycle that raises is counted
+    (``replication.pump_errors.<type>``) and the pump sits out one
+    ``interval_s``, so a persistent error costs what it did under the
+    timer, not one failure per append.
     """
 
     def __init__(
@@ -661,6 +695,11 @@ class _ShardReplicator:
         # (topic, partition) -> {follower_index: progress dict}; guarded
         # by _lock only for *structural* changes (status() snapshots).
         self._progress: dict = {}
+        # (topic, partition)s marked since the pump last looked; swapped
+        # out under _lock (markers race the drain).
+        self._dirty: set = set()
+        #: time.monotonic() at which the next full sweep is due.
+        self._sweep_at = 0.0
         self._lock = threading.Lock()
 
     # -- lifecycle -----------------------------------------------------------
@@ -682,22 +721,48 @@ class _ShardReplicator:
         for index in list(self._remotes):
             self._drop_remote(index)
 
+    def mark_dirty(self, topic: str, partition: int) -> None:
+        """Pump this partition as soon as the thread is free. Called on
+        the ack and fetch paths — never blocks on I/O."""
+        with self._lock:
+            self._dirty.add((topic, partition))
+        self._wake.set()
+
     def wake(self) -> None:
+        """The cluster map changed: sweep now, not at the deadline."""
+        self._sweep_at = 0.0
         self._wake.set()
 
     def _run(self) -> None:
         while not self._stopping.is_set():
-            self._wake.wait(self.interval_s)
+            self._wake.wait(max(0.0, self._sweep_at - time.monotonic()))
+            # Clear before draining: a mark_dirty racing this cycle
+            # either lands in the set drained below or re-sets the event.
             self._wake.clear()
             if self._stopping.is_set():
                 return
+            with self._lock:
+                # Drained either way: a sweep covers every partition.
+                dirty, self._dirty = self._dirty, set()
             try:
-                self._tick()
-            except Exception:
-                # The pump must survive anything one cycle throws
-                # (metadata mid-swap, topic deleted underneath it);
-                # the next cycle re-reads the world and recovers.
-                continue
+                if time.monotonic() >= self._sweep_at:
+                    # Deadline first, then the walk: a wake() racing the
+                    # sweep re-arms it instead of being overwritten.
+                    self._sweep_at = time.monotonic() + self.interval_s
+                    self._tick()
+                else:
+                    self._pump_dirty(dirty)
+            except Exception as exc:  # noqa: BLE001 — the pump must survive
+                # Anything one cycle throws (metadata mid-swap, topic
+                # deleted underneath it) is survivable — the next cycle
+                # re-reads the world — but not silent, and not allowed
+                # to recur at append rate.
+                registry = self._broker.registry
+                if registry is not None:
+                    registry.counter(
+                        f"replication.pump_errors.{type(exc).__name__}"
+                    ).inc()
+                self._stopping.wait(self.interval_s)
 
     # -- follower connections ------------------------------------------------
 
@@ -728,6 +793,16 @@ class _ShardReplicator:
                 pass
 
     # -- the pump ------------------------------------------------------------
+
+    def _pump_dirty(self, dirty: set) -> None:
+        broker = self._broker
+        meta = broker._cluster_meta
+        if meta.num_shards != broker.num_shards:
+            return
+        for name, partition in dirty:
+            # Leadership may have moved since the partition was marked.
+            if broker._leader_index(name, partition) == broker.shard_index:
+                self._pump_partition(name, partition, meta)
 
     def _tick(self) -> None:
         broker = self._broker
@@ -787,7 +862,12 @@ class _ShardReplicator:
                     ack = remote.replica_ack(name, partition)
                     state["acked"] = min(int(ack["log_end"]), log.high_watermark)
                 if state["acked"] < leader_end:
-                    records, _, visible = log.replication_slice(state["acked"])
+                    # The slice's own log end, not the one read above: an
+                    # append racing this cycle rides the push, and the
+                    # watermark below must be allowed to cover it.
+                    records, leader_end, visible, producers = (
+                        log.replication_slice(state["acked"])
+                    )
                     push_start = time.perf_counter()
                     response = remote.replicate_append(
                         name,
@@ -797,7 +877,7 @@ class _ShardReplicator:
                         leader=broker.shard_index,
                         leader_epoch=epoch,
                         high_watermark=visible,
-                        producers=log.producer_snapshot() if records else None,
+                        producers=producers,
                     )
                     if self._ack_latency is not None:
                         self._ack_latency.observe(time.perf_counter() - push_start)

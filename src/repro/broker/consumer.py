@@ -549,6 +549,20 @@ class Consumer:
             # positions before reading: this is where seeks, rebalances
             # and revocations invalidate buffered records.
             self._prefetcher.sync(self._assignment, self._positions, int(max_records))
+        if timeout > 0 and self._prefetcher is None and len(self._assignment) == 1:
+            # One partition and willing to wait: block directly inside
+            # that partition's fetch (works locally and over the wire).
+            # The long-poll answers at once when records are there, so a
+            # non-blocking pass first would only add a round trip — and,
+            # on a replicated leader, hide this consumer from the
+            # replicator, which ships on demand to parked fetches.
+            tp = self._assignment[0]
+            batch = self._broker.fetch(
+                *tp, self._positions[tp], max_records=int(max_records), timeout=timeout
+            )
+            if batch:
+                self._positions[tp] = batch[-1].offset + 1
+            return self._account(batch)
         out = self._fetch_ready(int(max_records))
         if out or timeout <= 0:
             return self._account(out)
@@ -564,19 +578,9 @@ class Consumer:
                 out = self._fetch_ready(int(max_records))
                 if out:
                     return self._account(out)
-        # Blocking pass. A single assigned partition can block directly
-        # inside that partition's fetch (works locally and over the
-        # wire); with several partitions we must wake on data arriving on
-        # *any* of them — waiting on only the first would leave records
-        # landing on the others stuck for the full timeout.
-        if len(self._assignment) == 1:
-            tp = self._assignment[0]
-            batch = self._broker.fetch(
-                *tp, self._positions[tp], max_records=int(max_records), timeout=timeout
-            )
-            if batch:
-                self._positions[tp] = batch[-1].offset + 1
-            return self._account(batch)
+        # Blocking pass over several partitions: we must wake on data
+        # arriving on *any* of them — waiting on only the first would
+        # leave records landing on the others stuck for the full timeout.
         logs = self._partition_logs()
         if logs is not None:
             return self._account(

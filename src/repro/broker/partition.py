@@ -8,8 +8,8 @@ condition variable lets consumers block on new data with a timeout, which
 is what gives the pipeline its push-like latency without busy polling.
 Consumers that need to wait across *several* partitions register a shared
 :class:`threading.Event` with each log (:meth:`register_waiter`) — the
-log sets it on every append, so one consumer thread can sleep on many
-partitions at once.
+log sets it whenever new records become visible, so one consumer thread
+can sleep on many partitions at once.
 
 Performance notes: records live in a :class:`collections.deque`, making
 head eviction (retention) O(1) instead of the O(n) shift of
@@ -109,7 +109,8 @@ class PartitionLog:
         self._lock = threading.Lock()
         self._data_available = threading.Condition(self._lock)
         # Events registered by consumers blocking across multiple
-        # partitions; set (never cleared here) on every append.
+        # partitions; set (never cleared here) whenever the visible end
+        # moves.
         self._waiters: list[threading.Event] = []
         # Cumulative counters for broker-side metrics.
         self.total_appended = 0
@@ -130,6 +131,13 @@ class PartitionLog:
         # appended but not yet acknowledged by the full in-sync replica
         # set, so exposing them could un-deliver data on failover.
         self._hwm: int | None = None
+        #: Set by a replicating owner (``ShardBroker``): called, outside
+        #: the lock and without blocking, whenever a registered waiter is
+        #: left waiting for records that exist but sit behind the fence —
+        #: one registers while such records are there, or they land while
+        #: one is registered. It is how replication learns that somebody
+        #: wants those records *now* rather than at its next sweep.
+        self.on_fence_wait = None
         # Durable backend (None = deque-only). _owned_flusher is set when
         # this log created a private flusher (log_dir form) and must stop
         # it on close; manager-provided stores share the manager's.
@@ -358,7 +366,9 @@ class PartitionLog:
                 )
                 self._evict_flushed_locked()
             self._enforce_retention()
-            self._notify()
+            starved = self._notify_appended()
+        if starved:
+            self._fence_wait()
         if self._fsync_acks:
             self._wait_durable(offset + n)
         return records
@@ -369,6 +379,25 @@ class PartitionLog:
         if self._waiters:
             for event in self._waiters:
                 event.set()
+
+    def _fence_wait(self) -> None:
+        hook = self.on_fence_wait
+        if hook is not None:
+            hook()
+
+    def _notify_appended(self) -> bool:
+        """The log end moved (caller holds the lock): wake whoever waits
+        for data, or report that they are left waiting. Every wait here
+        — parked fetches, registered waiters, ``acks="all"`` — is on the
+        *visible* end, and behind an armed fence (``_hwm <=
+        _next_offset`` always) an append cannot move that:
+        :meth:`set_high_watermark` is then the one wake, and the return
+        value says whether a registered waiter is stuck until it comes.
+        """
+        if self._hwm is None:
+            self._notify()
+            return False
+        return bool(self._waiters)
 
     # -- replication: high-watermark, truncation, state transfer -------------
 
@@ -481,15 +510,26 @@ class PartitionLog:
     def replication_slice(self, offset: int, max_records: int = 512) -> tuple:
         """One consistent snapshot for a leader→follower push.
 
-        Returns ``(records, log_end, high_watermark)`` under a single
-        lock acquisition, so the batch, the end offset it extends toward,
-        and the fence it carries can never disagree. Reads the raw log —
-        replication must ship records *above* the high-watermark; that is
-        the whole point of shipping them.
+        Returns ``(records, log_end, high_watermark, producers)`` under a
+        single lock acquisition, so the batch, the end offset it extends
+        toward, the fence it carries and the idempotence state that rides
+        with it can never disagree. *producers* is the dedup table
+        clipped to the end of *records* (``None`` for an empty slice):
+        an append racing the push, or the slice cap cutting the backlog
+        short, must not let the follower learn of batches it was not
+        sent — after a failover it would ack their retries at offsets
+        that exist nowhere. Shipping the table at all is what lets a
+        newly elected leader keep deduplicating retries the old leader
+        already appended. Reads the raw log — replication must ship
+        records *above* the high-watermark; that is the whole point of
+        shipping them.
         """
         with self._lock:
             records = self._slice_at_offset(offset, int(max_records))
-            return records, self._next_offset, self._visible_end()
+            producers = (
+                self._producers.to_wire(records[-1].offset + 1) if records else None
+            )
+            return records, self._next_offset, self._visible_end(), producers
 
     def install_replica_batch(self, base_offset: int, records) -> tuple[bool, int]:
         """Follower-side install of a replicated batch at exact offsets.
@@ -521,19 +561,8 @@ class PartitionLog:
                     self._store.append_batch(records)
                     self._evict_flushed_locked()
                 self._enforce_retention()
-                self._notify()
+                self._notify_appended()
             return True, self._next_offset
-
-    def producer_snapshot(self) -> dict:
-        """Wire-able snapshot of the idempotence state (dedup windows).
-
-        Replicated alongside batches so a newly elected leader can keep
-        deduplicating producer retries that the old leader already
-        appended — without this, every failover would turn at-least-once
-        retries into visible duplicates.
-        """
-        with self._lock:
-            return self._producers.to_wire()
 
     def install_producer_state(self, snapshot: dict) -> None:
         """Install a leader's producer-state snapshot (follower side)."""
@@ -578,9 +607,13 @@ class PartitionLog:
     # -- consumer wakeup across partitions ----------------------------------
 
     def register_waiter(self, event: threading.Event) -> None:
-        """Register an event set on every append (multi-partition polls)."""
+        """Register an event set whenever the consumer-visible end moves
+        (multi-partition polls, the reactor's parked fetches)."""
         with self._lock:
             self._waiters.append(event)
+            starved = self._next_offset > self._visible_end()
+        if starved:
+            self._fence_wait()
 
     def unregister_waiter(self, event: threading.Event) -> None:
         with self._lock:

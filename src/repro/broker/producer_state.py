@@ -118,16 +118,34 @@ class ProducerStateTable:
                 maxlen=_DEDUP_WINDOW,
             )
 
-    def to_wire(self) -> dict:
-        """JSON-able snapshot: ``{str(pid): {epoch, last_sequence, recent}}``."""
-        return {
-            str(pid): {
+    def to_wire(self, end_offset: int | None = None) -> dict:
+        """JSON-able snapshot: ``{str(pid): {epoch, last_sequence, recent}}``.
+
+        With *end_offset*, the snapshot vouches only for a log that ends
+        there: a batch reaching past it is left out of ``recent`` and
+        ``last_sequence`` stops just before it. A replica that holds
+        ``[.., end_offset)`` and installs this can then never ack a
+        retry at offsets it does not have — the retry of a left-out
+        batch reads as fresh and is appended.
+        """
+        out = {}
+        for pid, state in self._producers.items():
+            recent = [list(entry) for entry in state.recent]
+            last_sequence = state.last_sequence
+            if end_offset is not None:
+                for i, (seq, offset, n) in enumerate(recent):
+                    if offset + n > end_offset:
+                        # Sequences are gap-free, so everything the
+                        # producer sent before this batch ends at seq-1.
+                        last_sequence = seq - 1
+                        del recent[i:]
+                        break
+            out[str(pid)] = {
                 "epoch": state.epoch,
-                "last_sequence": state.last_sequence,
-                "recent": [list(entry) for entry in state.recent],
+                "last_sequence": last_sequence,
+                "recent": recent,
             }
-            for pid, state in self._producers.items()
-        }
+        return out
 
     def install(self, snapshot: dict) -> None:
         """Replace the state of every producer named in a wire *snapshot*."""

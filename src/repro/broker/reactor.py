@@ -112,7 +112,8 @@ class _ParkedFetch:
 class _PartitionWaker:
     """Duck-typed waiter handed to ``PartitionLog.register_waiter``.
 
-    The log calls ``set()`` on every append (it expects a
+    The log calls ``set()`` whenever its visible end moves — an append,
+    or a high-watermark advance on a replicated log — (it expects a
     ``threading.Event``); here that marks the partition key dirty and
     nudges the reactor through its self-pipe — the append path needs no
     knowledge of the reactor at all.
