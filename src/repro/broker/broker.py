@@ -18,6 +18,7 @@ from repro.broker.message import BatchMetadata, Record, RecordMetadata
 from repro.broker.partition import PartitionLog
 from repro.broker.storage.log import LogStorageManager
 from repro.broker.topic import Topic
+from repro.monitoring.instruments import MetricsRegistry
 from repro.util.ids import new_id
 from repro.util.validation import ValidationError, check_non_negative, check_positive
 
@@ -73,6 +74,15 @@ class Broker:
         self._topics: dict[str, Topic] = {}
         self._lock = threading.RLock()
         self._coordinator = GroupCoordinator(self)
+        #: Where every number of this broker — and of its storage, its
+        #: server and its replicator — is read from: always there, with
+        #: :meth:`stats` a view of it. A durable broker uses the one its
+        #: storage manager already reports into.
+        self.registry = (
+            self._storage.registry if self._storage is not None else MetricsRegistry()
+        )
+        self.registry.add_reader("counters", self._counter_totals, prefix="broker.")
+        self.registry.add_reader("gauges", self._gauge_totals, prefix="broker.")
         # Committed offsets: (group, topic, partition) -> offset.
         self._committed: dict[tuple, int] = {}
         self._offsets_lock = threading.Lock()
@@ -386,25 +396,46 @@ class Broker:
 
     # -- monitoring --------------------------------------------------------------------
 
-    def stats(self) -> dict:
-        """Broker-level counters for monitoring/bottleneck analysis."""
+    def _topic_list(self) -> list:
         with self._lock:
-            topics = {}
-            for name, topic in self._topics.items():
-                topics[name] = {
-                    "partitions": topic.num_partitions,
-                    "records_in": topic.total_appended,
-                    "bytes_in": topic.total_bytes_in,
-                    "bytes_retained": topic.size_bytes,
-                    "duplicates_dropped": topic.duplicates_dropped,
-                    "long_polls_parked": topic.long_polls_parked,
-                }
+            return list(self._topics.values())
+
+    def _counter_totals(self) -> dict:
+        """The ``broker.*`` counters, summed from the partition logs'
+        own fields at read time."""
+        topics = self._topic_list()
+        return {
+            "records_in": sum(t.total_appended for t in topics),
+            "bytes_in": sum(t.total_bytes_in for t in topics),
+            "duplicates_dropped": sum(t.duplicates_dropped for t in topics),
+            "long_polls_parked": sum(t.long_polls_parked for t in topics),
+            "members_evicted": self._coordinator.members_evicted,
+        }
+
+    def _gauge_totals(self) -> dict:
+        return {"bytes_retained": sum(t.size_bytes for t in self._topic_list())}
+
+    def stats(self) -> dict:
+        """Broker-level numbers for monitoring/bottleneck analysis: the
+        registry's totals plus the per-topic breakdown behind them."""
+        topics = {
+            topic.name: {
+                "partitions": topic.num_partitions,
+                "records_in": topic.total_appended,
+                "bytes_in": topic.total_bytes_in,
+                "bytes_retained": topic.size_bytes,
+                "duplicates_dropped": topic.duplicates_dropped,
+                "long_polls_parked": topic.long_polls_parked,
+            }
+            for topic in self._topic_list()
+        }
+        totals = self._counter_totals()
         out = {
             "broker": self.name,
             "topics": topics,
-            "duplicates_dropped": sum(t["duplicates_dropped"] for t in topics.values()),
-            "long_polls_parked": sum(t["long_polls_parked"] for t in topics.values()),
-            "members_evicted": self._coordinator.members_evicted,
+            "duplicates_dropped": totals["duplicates_dropped"],
+            "long_polls_parked": totals["long_polls_parked"],
+            "members_evicted": totals["members_evicted"],
         }
         if self._storage is not None:
             out["storage"] = self._storage.stats()

@@ -72,7 +72,6 @@ from repro.broker.remote import (
     RemoteRetriableError,
 )
 from repro.monitoring.events import EventJournal
-from repro.monitoring.instruments import MetricsRegistry
 from repro.monitoring.tracing import TRACE_HEADER, Tracer
 from repro.util.validation import ValidationError
 
@@ -130,25 +129,24 @@ class ShardBroker(Broker):
         self.shard_index = int(shard_index)
         self.num_shards = int(num_shards)
         self.replication_factor = int(replication_factor)
-        #: Whether the per-record instrumentation plane (registry +
-        #: tracer) is active. The control-plane journal below is NOT
-        #: gated on this: its emissions are per-election / per-boot /
-        #: per-stall, never per record, so it is always on — the events
-        #: are what an operator needs *after* an incident, when it is
-        #: too late to turn telemetry on.
-        self.telemetry = bool(telemetry)
+        # *telemetry* switches per-record span tracing on — the one
+        # cost worth a switch. The registry (inherited) and the
+        # control-plane journal are NOT gated on it: their numbers and
+        # events are what an operator needs *after* an incident, when
+        # it is too late to turn telemetry on.
         self.events = EventJournal(origin=self.name)
-        self.registry = MetricsRegistry() if self.telemetry else None
-        if self.telemetry and self.tracer is None:
+        if telemetry and self.tracer is None:
             self.tracer = Tracer(
                 service=self.name, sample_rate=float(trace_sample)
             )
         if self._storage is not None:
             # Stores open lazily at create_topic time, so every store —
             # including ones whose boot recovery runs then — inherits
-            # the journal/registry hooks installed here.
+            # the journal hook installed here.
             self._storage.journal = self.events
-            self._storage.registry = self.registry
+        self.registry.add_reader(
+            "gauges", self._hwm_lag_by_partition, prefix="replication.hwm_lag."
+        )
         #: How long an ``acks="all"`` append may wait for the high-
         #: watermark before :class:`NotEnoughReplicasError` (retriable).
         self.acks_timeout_s = 5.0
@@ -156,7 +154,6 @@ class ShardBroker(Broker):
         #: ``on_replication`` hook the replicator consults per push.
         self.fault_injector = None
         self._cluster_meta = ClusterMetadata(epoch=0, shards=())
-        self._server = None
         self._replicator: _ShardReplicator | None = None
         # Replace the base coordinator with one whose every group-scoped
         # entry point re-checks coordinator ownership.
@@ -188,11 +185,6 @@ class ShardBroker(Broker):
         rep = self._replicator
         if rep is not None:
             rep.wake()
-
-    def attach_server(self, server) -> None:
-        """The broker server calls this on start(); keeps a handle so
-        the reactor's gauges can be served over the wire."""
-        self._server = server
 
     @property
     def cluster_epoch(self) -> int:
@@ -504,6 +496,14 @@ class ShardBroker(Broker):
             out["partitions"] = rep.status()
         return out
 
+    def _hwm_lag_by_partition(self) -> dict:
+        """``<topic>.<partition>: log end minus high-watermark`` for
+        every partition this shard replicates."""
+        return {
+            f"{p['topic']}.{p['partition']}": max(0, p["log_end"] - p["high_watermark"])
+            for p in self.replication_status()["partitions"]
+        }
+
     # -- cluster wire ops ----------------------------------------------------
 
     def describe_cluster(self) -> dict:
@@ -520,77 +520,13 @@ class ShardBroker(Broker):
         host, port = meta.shards[idx] if idx < meta.num_shards else (None, None)
         return {"shard": idx, "host": host, "port": port, "epoch": meta.epoch}
 
-    def server_metrics(self) -> dict:
-        out = {
-            "shard": self.shard_index,
-            "num_shards": self.num_shards,
-            "epoch": self._cluster_meta.epoch,
-        }
-        if self._server is not None:
-            out.update(self._server.metrics())
-        return out
-
     # -- observability wire ops ----------------------------------------------
-
-    def _sync_counter(self, name: str, total) -> None:
-        """Mirror a monotonic stats-dict total into a registry counter.
-
-        Incrementing by the positive delta keeps the instrument exact
-        while paying the mirroring cost at scrape time (once per
-        ``metrics_snapshot``) instead of on the hot path.
-        """
-        counter = self.registry.counter(name)
-        delta = float(total) - counter.value
-        if delta > 0:
-            counter.inc(delta)
-
-    def _sync_registry(self) -> None:
-        """Fold the ad-hoc stats dicts into typed instruments.
-
-        Storage recovery/flush counters, broker-level counters, and the
-        reactor's connection gauges only existed in ``stats()`` /
-        ``server_metrics()`` dicts; syncing them here puts them on the
-        ``/metrics`` surface (and the federated exposition) without
-        touching any hot path.
-        """
-        registry = self.registry
-        if registry is None:
-            return
-        stats = self.stats()
-        for key in ("duplicates_dropped", "long_polls_parked", "members_evicted"):
-            self._sync_counter(f"broker.{key}", stats.get(key, 0))
-        records_in = sum(t.get("records_in", 0) for t in stats.get("topics", {}).values())
-        bytes_in = sum(t.get("bytes_in", 0) for t in stats.get("topics", {}).values())
-        retained = sum(
-            t.get("bytes_retained", 0) for t in stats.get("topics", {}).values()
-        )
-        self._sync_counter("broker.records_in", records_in)
-        self._sync_counter("broker.bytes_in", bytes_in)
-        registry.gauge("broker.bytes_retained").set(retained)
-        storage = stats.get("storage")
-        if storage:
-            for key, value in storage.items():
-                if key in ("stores", "size_bytes", "pending_bytes"):
-                    registry.gauge(f"storage.{key}").set(float(value))
-                elif isinstance(value, (int, float)):
-                    self._sync_counter(f"storage.{key}", value)
-        server = self._server
-        if server is not None:
-            for key, value in server.metrics().items():
-                if isinstance(value, (int, float)) and not isinstance(value, bool):
-                    registry.gauge(f"server.{key}").set(float(value))
 
     def metrics_snapshot(self) -> dict:
         """The ``metrics_snapshot`` wire op: this shard's typed registry
-        snapshot, or a disabled marker when telemetry is off (the
-        aggregator skips those instead of fabricating zeros)."""
-        registry = self.registry
-        if registry is None:
-            return {"shard": self.shard_index, "enabled": False}
-        self._sync_registry()
-        snap = registry.snapshot()
+        snapshot (broker, storage, server and replication numbers)."""
+        snap = self.registry.snapshot()
         snap["shard"] = self.shard_index
-        snap["enabled"] = True
         return snap
 
     def events_since(self, since: int = 0) -> dict:
@@ -680,13 +616,9 @@ class _ShardReplicator:
         self.interval_s = float(interval_s)
         self.max_lag_records = int(max_lag_records)
         self.isr_timeout_s = float(isr_timeout_s)
-        # Instruments resolved once (the registry's get-or-create lock
-        # is off the pump's per-push path); None with telemetry off.
-        registry = broker.registry
-        self._ack_latency = (
-            registry.histogram("replication.ack_latency_seconds")
-            if registry is not None
-            else None
+        # Resolved once: the per-push path bumps it without a lookup.
+        self._ack_latency = broker.registry.histogram(
+            "replication.ack_latency_seconds"
         )
         self._wake = threading.Event()
         self._stopping = threading.Event()
@@ -757,11 +689,9 @@ class _ShardReplicator:
                 # deleted underneath it) is survivable — the next cycle
                 # re-reads the world — but not silent, and not allowed
                 # to recur at append rate.
-                registry = self._broker.registry
-                if registry is not None:
-                    registry.counter(
-                        f"replication.pump_errors.{type(exc).__name__}"
-                    ).inc()
+                self._broker.registry.counter(
+                    f"replication.pump_errors.{type(exc).__name__}"
+                ).inc()
                 self._stopping.wait(self.interval_s)
 
     # -- follower connections ------------------------------------------------
@@ -879,8 +809,7 @@ class _ShardReplicator:
                         high_watermark=visible,
                         producers=producers,
                     )
-                    if self._ack_latency is not None:
-                        self._ack_latency.observe(time.perf_counter() - push_start)
+                    self._ack_latency.observe(time.perf_counter() - push_start)
                     if response.get("accepted"):
                         state["acked"] = int(response["log_end"])
                         self._trace_acks(records, index, response)
@@ -951,14 +880,7 @@ class _ShardReplicator:
                 floor.append(state["acked"])
             elif not state["in_isr"] and now - state["last_good"] <= self.isr_timeout_s:
                 floor.append(state["acked"] or 0)
-        hwm = log.set_high_watermark(
-            min([leader_end] + floor) if floor else leader_end
-        )
-        registry = broker.registry
-        if registry is not None:
-            registry.gauge(f"replication.hwm_lag.{name}.{partition}").set(
-                max(0, leader_end - hwm)
-            )
+        log.set_high_watermark(min([leader_end] + floor) if floor else leader_end)
 
     def _trace_acks(self, records, follower: int, response: dict) -> None:
         """Stitch the replication hop into the producer's trace.
@@ -1172,8 +1094,8 @@ class ClusterBrokerSupervisor:
         #: (picklable, shipped to the workers).
         self.log_dir = log_dir
         self.storage = storage
-        #: Ship per-record instrumentation (registry + tracer) to every
-        #: shard; the control-plane journals are always on regardless.
+        #: Turn every shard's per-record tracer on; the shard registries
+        #: and control-plane journals are always on regardless.
         self.telemetry = bool(telemetry)
         self.trace_sample = float(trace_sample)
         #: The supervisor's own control-plane journal: deaths, elections
@@ -1860,12 +1782,6 @@ class ClusterBroker:
 
     def _ask_every_shard(self, fn) -> dict:
         return {index: self._ask_shard(index, fn) for index in range(self.num_shards)}
-
-    def shard_metrics(self) -> dict:
-        """``{shard_index: server_metrics}`` for every responsive shard;
-        dead shards are simply absent (the sampler counts them)."""
-        answers = self._ask_every_shard(lambda r: r.server_metrics())
-        return {i: m for i, m in answers.items() if m is not None}
 
     def metrics_snapshots(self) -> dict:
         """``{shard_index: metrics_snapshot | None}`` across the cluster.

@@ -415,8 +415,6 @@ _OPS = (
     Op("describe_cluster", "describe_cluster", (), "Shard address map + epoch."),
     Op("find_coordinator", "find_coordinator", (F("group"),),
        "Which shard coordinates *group*."),
-    Op("server_metrics", "server_metrics", (),
-       "The serving process's reactor gauges.", route="shard-index"),
     # replication (replicated shards only; leader -> one named follower)
     Op("replicate_append", "replicate_append",
        (*_TP, F("base_offset"), F("records", kind="records"), F("leader", 0),

@@ -171,6 +171,10 @@ class ReactorBrokerServer:
         #: Seconds the loop spent processing its last wakeup — a growing
         #: value means the loop (not the sockets) is the bottleneck.
         self.reactor_loop_lag = 0.0
+        # The fields above are this server's numbers; the broker's
+        # registry reads them (``server.*``) and counts worker errors.
+        self._registry = self.broker.registry
+        self._registry.add_reader("gauges", self.metrics, prefix="server.")
 
         self._selector: selectors.DefaultSelector | None = None
         self._conns: dict[int, _Conn] = {}
@@ -193,11 +197,6 @@ class ReactorBrokerServer:
     def start(self) -> "ReactorBrokerServer":
         if self._reactor_thread is not None:
             raise RuntimeError("server already started")
-        # Shard brokers keep a handle on their server so the reactor's
-        # gauges can be served over the wire (``server_metrics``).
-        attach = getattr(self.broker, "attach_server", None)
-        if attach is not None:
-            attach(self)
         self._stopping = False
         self._listener.setblocking(False)
         self._wake_r, self._wake_w = socket.socketpair()
@@ -260,7 +259,8 @@ class ReactorBrokerServer:
         return sum(len(b) for b in self._parked.values())
 
     def metrics(self) -> dict:
-        """Server-internals snapshot for the telemetry sampler."""
+        """Server-internals snapshot; the broker's registry reads it as
+        its ``server.*`` gauges."""
         return {
             "connections_active": self.connections_active,
             "parked_fetches": self.parked_fetches,
@@ -487,8 +487,11 @@ class ReactorBrokerServer:
             if thunk is not None:
                 try:
                     thunk()
-                except Exception:  # noqa: BLE001 — a worker must survive
-                    pass
+                except Exception as exc:  # noqa: BLE001 — a worker must
+                    # survive, but not silently.
+                    self._registry.counter(
+                        f"server.worker_errors.{type(exc).__name__}"
+                    ).inc()
             requeue = False
             with conn.lock:
                 if conn.pending:

@@ -51,6 +51,7 @@ from repro.broker.storage.segment import (
     segment_filename,
     LOG_SUFFIX,
 )
+from repro.monitoring.instruments import MetricsRegistry
 from repro.util.validation import check_positive
 
 #: Producer-state snapshot file (JSON, atomically replaced).
@@ -390,12 +391,13 @@ class SegmentStore:
         self.config = config or StorageConfig()
         self.directory = directory
         self._flusher = flusher
-        # Observability hooks, duck-typed to avoid importing the
-        # monitoring package from the storage layer: ``journal`` quacks
-        # like EventJournal (``emit``), ``registry`` like
-        # MetricsRegistry (``histogram``/``gauge``). Either may be None.
+        # ``journal`` quacks like EventJournal (``emit``) and may be
+        # None. The latency histograms are resolved here, once; the
+        # counts below are plain fields the manager reports by reader.
         self.journal = journal
-        self.registry = registry
+        registry = registry or MetricsRegistry()
+        self._fsync_latency = registry.histogram("storage.fsync_latency_seconds")
+        self._flush_window = registry.histogram("storage.flush_window_seconds")
         # A flush whose device I/O alone exceeds this is journalled as a
         # flush_stall: 5x the commit window, floored at 250 ms so a
         # tight window doesn't turn every slow fsync into an incident.
@@ -452,8 +454,7 @@ class SegmentStore:
         recover_start = time.monotonic()
         self.recovered = self._recover()
         duration = time.monotonic() - recover_start
-        if registry is not None:
-            registry.histogram("storage.recovery_seconds").observe(duration)
+        registry.histogram("storage.recovery_seconds").observe(duration)
         if journal is not None:
             journal.emit(
                 "recovery_completed",
@@ -717,17 +718,9 @@ class SegmentStore:
             self.counters["fsyncs"] += 1
             self.counters["flushed_bytes"] += flushed_bytes
             self._flush_cond.notify_all()
-            pending_bytes_now = self._pending_bytes
-        registry = self.registry
-        if registry is not None:
-            registry.histogram("storage.fsync_latency_seconds").observe(io_elapsed)
-            now = time.monotonic()
-            registry.histogram("storage.flush_window_seconds").observe_many(
-                [now - b.write_ts for b in pending]
-            )
-            registry.gauge(
-                f"storage.pending_bytes.{self.topic}.{self.partition}"
-            ).set(pending_bytes_now)
+        self._fsync_latency.observe(io_elapsed)
+        now = time.monotonic()
+        self._flush_window.observe_many([now - b.write_ts for b in pending])
         journal = self.journal
         if journal is not None and io_elapsed >= self.flush_stall_s:
             journal.emit(
@@ -1169,12 +1162,19 @@ class LogStorageManager:
         self.root = root
         self.config = config or StorageConfig()
         self.flusher = GroupCommitFlusher(self.config.flush_ms)
-        # Observability hooks inherited by every store opened after they
-        # are set (duck-typed; see SegmentStore.__init__). The owning
-        # broker installs them before any topic is created, so even
-        # boot-recovery stores get instrumented.
+        # Event-journal hook inherited by every store opened after it is
+        # set (duck-typed; see SegmentStore.__init__). The owning broker
+        # installs it before any topic is created, so even boot-recovery
+        # stores report.
         self.journal = None
-        self.registry = None
+        #: Every store's histograms and this manager's totals; the
+        #: owning broker adopts it as its own registry.
+        self.registry = MetricsRegistry()
+        self.registry.add_reader("counters", self._counter_totals, prefix="storage.")
+        self.registry.add_reader("gauges", self._gauge_totals, prefix="storage.")
+        self.registry.add_reader(
+            "gauges", self._pending_by_partition, prefix="storage.pending_bytes."
+        )
         self._stores: dict[tuple, SegmentStore] = {}
         self._lock = threading.Lock()
 
@@ -1203,17 +1203,35 @@ class LogStorageManager:
         for store in victims:
             store.close()
 
-    def stats(self) -> dict:
+    def _store_list(self) -> list:
         with self._lock:
-            stores = list(self._stores.values())
+            return list(self._stores.values())
+
+    def _counter_totals(self) -> dict:
+        """Every store's ``counters`` field, summed."""
         totals: dict = {}
-        for store in stores:
+        for store in self._store_list():
             for key, value in store.counters.items():
                 totals[key] = totals.get(key, 0) + value
-        totals["stores"] = len(stores)
-        totals["size_bytes"] = sum(s.size_bytes for s in stores)
-        totals["pending_bytes"] = sum(s.pending_bytes for s in stores)
         return totals
+
+    def _gauge_totals(self) -> dict:
+        stores = self._store_list()
+        return {
+            "stores": len(stores),
+            "size_bytes": sum(s.size_bytes for s in stores),
+            "pending_bytes": sum(s.pending_bytes for s in stores),
+        }
+
+    def _pending_by_partition(self) -> dict:
+        return {
+            f"{store.topic}.{store.partition}": store.pending_bytes
+            for store in self._store_list()
+        }
+
+    def stats(self) -> dict:
+        """The manager's totals — what the registry reads as ``storage.*``."""
+        return {**self._counter_totals(), **self._gauge_totals()}
 
     def close(self) -> None:
         with self._lock:

@@ -24,8 +24,6 @@ import argparse
 import json
 import sys
 
-from repro.util.log import configure as configure_logging
-
 MODELS = ("baseline", "kmeans", "iforest", "autoencoder")
 LINKS = ("loopback", "lan", "regional-wan", "transatlantic", "cellular-edge")
 
@@ -156,13 +154,14 @@ def cmd_model(args: argparse.Namespace) -> int:
                 sampler=sampler,
             )
             result = pipeline.run()
+            if sampler is not None:
+                # While the cluster is up: the exposition is read live.
+                _dump_telemetry(args, registry, tracer, sampler)
         finally:
             if broker is not None:
                 broker.close()
             if supervisor is not None:
                 supervisor.stop()
-        if registry is not None:
-            _dump_telemetry(args, registry, tracer, sampler)
         _print_report(result, args.json)
         return 0 if result.completed else 1
     finally:
@@ -188,7 +187,6 @@ def _make_cluster(args: argparse.Namespace, sampler):
         from repro.broker.storage import StorageConfig
 
         storage = StorageConfig(fsync_acks=True)
-    telemetry = getattr(args, "telemetry", None) is not None
     supervisor = ClusterBrokerSupervisor(
         num_shards=workers,
         topics=[("pilot-edge-data", args.devices)],
@@ -196,16 +194,15 @@ def _make_cluster(args: argparse.Namespace, sampler):
         replication_factor=min(replication, workers),
         log_dir=log_dir,
         storage=storage,
-        telemetry=telemetry,
+        telemetry=sampler is not None,
         trace_sample=getattr(args, "trace_sample", 1.0),
     ).start()
     broker = ClusterBroker(supervisor.bootstrap)
     if sampler is not None:
-        sampler.watch_cluster(broker)
-        if telemetry:
-            from repro.monitoring.cluster import ClusterMetricsAggregator
+        from repro.monitoring.cluster import ClusterMetricsAggregator
 
-            ClusterMetricsAggregator(broker).attach(sampler)
+        sampler.watch_cluster(broker)
+        ClusterMetricsAggregator(broker).attach(sampler)
     return supervisor, broker
 
 
@@ -278,7 +275,6 @@ def cmd_top(args: argparse.Namespace) -> int:
             last_records, last_t = records, now
             panel = render_dashboard(
                 merged,
-                shard_info=broker.shard_metrics(),
                 events=events.events(),
                 rate_history=rate_history,
                 scrape_s=aggregator.last_scrape_s,
@@ -319,7 +315,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro", description="Pilot-Edge reproduction experiments"
     )
-    parser.add_argument("--verbose", action="store_true", help="enable framework logging")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p: argparse.ArgumentParser, with_model: bool) -> None:
@@ -426,8 +421,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.verbose:
-        configure_logging()
     return args.func(args)
 
 

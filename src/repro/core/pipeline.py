@@ -148,10 +148,8 @@ class EdgeToCloudPipeline:
         self._fn_lock = threading.Lock()
 
         self._param_server = parameter_server or ParameterServer(name=f"{self.run_id}-params")
-        # Telemetry is opt-in: with all three left as None the data path
-        # runs exactly as before (no per-message tracing hooks, no typed
-        # instruments, no background sampling).
-        self._registry = registry
+        # Tracing and sampling are opt-in: left as None the data path has
+        # no per-message tracing hooks and no background sampling.
         self._tracer = tracer
         self._sampler = sampler
         self._owns_sampler = False
@@ -176,6 +174,11 @@ class EdgeToCloudPipeline:
                 storage=storage,
             )
         self._collector = MetricsCollector(self.run_id, registry=registry)
+        # Consumer-side numbers stay plain fields of the consumers; the
+        # run's registry reads them through these two callbacks.
+        self._consumers: list[Consumer] = []
+        self._collector.registry.add_reader("counters", self._consumer_counters)
+        self._collector.registry.add_reader("gauges", self._consumer_gauges)
         self._results = RingBuffer(self.config.keep_results)
         self._errors: list[str] = []
         self._errors_lock = threading.Lock()
@@ -218,7 +221,7 @@ class EdgeToCloudPipeline:
 
     @property
     def registry(self):
-        return self._registry
+        return self._collector.registry
 
     @property
     def tracer(self):
@@ -378,6 +381,7 @@ class EdgeToCloudPipeline:
             trace_site=self.pilot_cloud_processing.site,
         )
         consumer.subscribe(cfg.topic)
+        self._consumers.append(consumer)
         return consumer
 
     # -- the two task bodies -------------------------------------------------------
@@ -538,27 +542,32 @@ class EdgeToCloudPipeline:
         finally:
             try:
                 consumer.commit()
-            except Exception:
-                pass
-            if consumer.evictions:
-                # Each eviction is a missed session deadline observed by
-                # this consumer when its next heartbeat bounced.
-                self._collector.incr("heartbeats_missed", consumer.evictions)
+            except Exception as exc:  # noqa: BLE001 — teardown goes on;
+                # the uncommitted tail is redelivered, and counted.
+                self._collector.incr(f"final_commit_errors.{type(exc).__name__}")
             consumer.close()
-            stats = consumer.stats()
-            if "prefetch_hits" in stats:
-                # close() already evicted any undelivered buffered
-                # records, so these totals are final.
-                if stats["prefetch_hits"]:
-                    self._collector.incr("prefetch_hits", stats["prefetch_hits"])
-                if stats["prefetch_evictions"]:
-                    self._collector.incr(
-                        "prefetch_evictions", stats["prefetch_evictions"]
-                    )
-                self._collector.record_max(
-                    "fetches_in_flight", stats["max_fetches_in_flight"]
-                )
         return handled
+
+    def _consumer_counters(self) -> dict:
+        """Totals over this run's consumers, read from their own fields
+        (names that stayed at zero are left out)."""
+        totals = {"heartbeats_missed": 0, "prefetch_hits": 0, "prefetch_evictions": 0}
+        for consumer in list(self._consumers):
+            # Each eviction is a missed session deadline observed by
+            # the consumer when its next heartbeat bounced.
+            totals["heartbeats_missed"] += consumer.evictions
+            stats = consumer.stats()
+            totals["prefetch_hits"] += stats.get("prefetch_hits", 0)
+            totals["prefetch_evictions"] += stats.get("prefetch_evictions", 0)
+        return {name: value for name, value in totals.items() if value}
+
+    def _consumer_gauges(self) -> dict:
+        peaks = [
+            stats["max_fetches_in_flight"]
+            for stats in (consumer.stats() for consumer in list(self._consumers))
+            if "max_fetches_in_flight" in stats
+        ]
+        return {"fetches_in_flight": max(peaks)} if peaks else {}
 
     @staticmethod
     def _resolve_batch_fn(fn: Callable) -> Callable | None:
@@ -857,15 +866,6 @@ class EdgeToCloudPipeline:
                 self._record_error("consumer", exc)
 
         broker_stats = self._broker.stats()
-        # Fold broker/transport robustness counters into the run's
-        # collector so reports see one consistent namespace.
-        for counter in ("duplicates_dropped", "members_evicted", "long_polls_parked"):
-            value = broker_stats.get(counter, 0)
-            if value:
-                self._collector.incr(counter, value)
-        reconnects = getattr(self._broker, "reconnects", 0)
-        if reconnects:
-            self._collector.incr("reconnects", reconnects)
 
         if self._sampler is not None and self._owns_sampler:
             # Consumers have committed and left by now, so the final

@@ -10,19 +10,20 @@ This package provides:
 
 - :class:`MessageTrace` — one message's timestamps across every stage,
   linked by ``(run_id, message_id)``,
-- :class:`MetricsCollector` — thread-safe trace accumulation plus named
-  counters and high-watermark gauges,
+- :class:`MetricsCollector` — thread-safe trace accumulation; its named
+  counters and high-watermark gauges live in its registry,
 - :class:`Tracer` / :class:`Span` — distributed tracing with
   ``(trace_id, span_id, parent_id)`` context propagated through message
   and frame headers, so one message's produce→broker→consume path
   reconstructs as a span tree across sites,
-- :class:`MetricsRegistry` with typed instruments (:class:`Counter`,
-  :class:`Gauge`, log-bucketed :class:`Histogram` with live
-  p50/p95/p99) and Prometheus text exposition,
-- :class:`TelemetrySampler` — a background thread snapshotting gauges
-  (per-partition log depth, consumer lag, prefetch buffer fill,
-  in-flight requests, group size) into a JSONL-exportable time series,
-  with :func:`serve_exposition` for a live ``/metrics`` endpoint,
+- :class:`MetricsRegistry` — the one place a number is read from: typed
+  instruments (:class:`Counter`, :class:`Gauge`, log-bucketed
+  :class:`Histogram` with live p50/p95/p99) plus read callbacks for
+  numbers a component keeps itself; Prometheus text exposition,
+- :class:`TelemetrySampler` — a background thread recording the
+  registry's counters and gauges (per-partition log depth, consumer
+  lag, group size, ...) as a JSONL-exportable time series, with
+  :func:`serve_exposition` for a live ``/metrics`` endpoint,
 - :class:`ThroughputReport` / :func:`analyze_bottleneck` /
   :func:`lag_over_time` / :func:`span_bottleneck` — the aggregate
   statistics, stage-rate comparison, lag trajectory, and span-tree

@@ -31,7 +31,7 @@ import threading
 import time
 
 from repro.monitoring.events import Event, merge_timeline
-from repro.monitoring.instruments import _prom_name, _prom_value
+from repro.monitoring.instruments import render_prometheus, with_percentiles
 from repro.monitoring.tracing import Span
 
 __all__ = [
@@ -53,8 +53,8 @@ def merge_histogram_snapshots(a: dict, b: dict) -> dict:
 
     The registry's histograms all share the default geometric layout, so
     cross-shard merging is an elementwise bucket add; percentiles are
-    re-estimated from the merged buckets with the same log-linear rule
-    the live instrument uses. Snapshots with differing bounds cannot be
+    re-estimated from the merged buckets by the estimator the live
+    instrument uses. Snapshots with differing bounds cannot be
     merged meaningfully — the larger-count one wins and the mismatch is
     flagged so the exposition never silently lies.
     """
@@ -72,45 +72,15 @@ def merge_histogram_snapshots(a: dict, b: dict) -> dict:
     }
     if merged["min"] == math.inf:
         merged["min"] = 0.0
-    merged["mean"] = merged["sum"] / merged["count"] if merged["count"] else 0.0
-    for q in (50, 95, 99):
-        merged[f"p{q}"] = _percentile_from_snapshot(merged, q)
-    return merged
-
-
-def _percentile_from_snapshot(snap: dict, q: float) -> float:
-    """Log-linear percentile estimate from a (merged) snapshot dict."""
-    count = snap.get("count", 0)
-    if not count:
-        return 0.0
-    buckets, bounds = snap["buckets"], snap["bounds"]
-    lo_clamp = snap.get("min", 0.0)
-    hi_clamp = snap.get("max", 0.0)
-    target = q / 100.0 * count
-    seen = 0
-    for idx, n in enumerate(buckets):
-        if n == 0:
-            continue
-        if seen + n >= target:
-            frac = (target - seen) / n
-            lo = bounds[idx - 1] if idx > 0 else 0.0
-            hi = bounds[idx] if idx < len(bounds) else hi_clamp
-            if hi_clamp:
-                hi = min(hi, hi_clamp)
-            lo = max(lo, lo_clamp)
-            if hi <= lo:
-                return hi
-            return lo + frac * (hi - lo)
-        seen += n
-    return hi_clamp
+    return with_percentiles(merged)
 
 
 def merge_metric_snapshots(snapshots: dict) -> dict:
     """Merge per-shard typed snapshots into one cluster view.
 
     *snapshots* maps a shard index to the dict served by the
-    ``metrics_snapshot`` wire op (or ``None``/disabled for unreachable
-    shards — they are skipped, never fabricated). Returns::
+    ``metrics_snapshot`` wire op (or ``None`` for unreachable shards —
+    they are skipped, never fabricated). Returns::
 
         {
             "counters": {name: summed_total},
@@ -125,7 +95,7 @@ def merge_metric_snapshots(snapshots: dict) -> dict:
     shards: list = []
     for index in sorted(snapshots, key=str):
         snap = snapshots[index]
-        if not snap or not snap.get("enabled", True):
+        if not snap:
             continue
         shards.append(index)
         for name, value in snap.get("counters", {}).items():
@@ -150,9 +120,7 @@ class ClusterMetricsAggregator:
 
     *cluster* is anything with a ``metrics_snapshots()`` method
     returning ``{shard_index: snapshot_dict | None}`` — in practice a
-    :class:`repro.broker.cluster.ClusterBroker`. An optional *registry*
-    (the supervisor process's own ``MetricsRegistry``) is merged in as
-    pseudo-shard ``"local"`` so client-side series ride along.
+    :class:`repro.broker.cluster.ClusterBroker`.
 
     The aggregator is pull-based and stateless between scrapes except
     for scrape metadata; hook it to a
@@ -162,31 +130,25 @@ class ClusterMetricsAggregator:
     duck-types ``to_prometheus``.
     """
 
-    def __init__(self, cluster, registry=None, namespace: str = "repro") -> None:
+    def __init__(self, cluster, namespace: str = "repro") -> None:
         self._cluster = cluster
-        self._registry = registry
         self.namespace = namespace
         self._lock = threading.Lock()
         self._merged: dict = {"counters": {}, "gauges": {}, "histograms": {}, "shards": []}
         self._scrapes = 0
         self._last_scrape_s = 0.0
-        self._last_shards = 0
 
     # -- scraping --------------------------------------------------------
 
     def scrape(self) -> dict:
         """Pull every shard once; returns (and retains) the merged view."""
         t0 = time.perf_counter()
-        snapshots = dict(self._cluster.metrics_snapshots())
-        if self._registry is not None:
-            snapshots["local"] = self._registry.snapshot()
-        merged = merge_metric_snapshots(snapshots)
+        merged = merge_metric_snapshots(self._cluster.metrics_snapshots())
         elapsed = time.perf_counter() - t0
         with self._lock:
             self._merged = merged
             self._scrapes += 1
             self._last_scrape_s = elapsed
-            self._last_shards = len(merged["shards"])
         return merged
 
     def merged(self) -> dict:
@@ -201,43 +163,25 @@ class ClusterMetricsAggregator:
 
     # -- export ----------------------------------------------------------
 
-    def to_prometheus(self) -> str:
-        """Merged text exposition: summed counters, shard-labeled gauges,
-        bucket-merged histograms, plus scrape metadata."""
+    def snapshot(self) -> dict:
+        """The last scrape as one typed snapshot — summed counters,
+        ``{shard: value}`` gauges, bucket-merged histograms — plus the
+        aggregator's own scrape metadata (``cluster.*``)."""
         with self._lock:
-            merged = self._merged
-            scrapes, elapsed, shards_up = self._scrapes, self._last_scrape_s, self._last_shards
-        ns = self.namespace
-        lines: list[str] = []
-        meta = _prom_name(ns, "cluster")
-        lines.append(f"# TYPE {meta}_scrapes_total counter")
-        lines.append(f"{meta}_scrapes_total {scrapes}")
-        lines.append(f"# TYPE {meta}_scrape_seconds gauge")
-        lines.append(f"{meta}_scrape_seconds {_prom_value(elapsed)}")
-        lines.append(f"# TYPE {meta}_shards_scraped gauge")
-        lines.append(f"{meta}_shards_scraped {shards_up}")
-        for name in sorted(merged["counters"]):
-            metric = _prom_name(ns, name)
-            lines.append(f"# TYPE {metric} counter")
-            lines.append(f"{metric} {_prom_value(merged['counters'][name])}")
-        for name in sorted(merged["gauges"]):
-            metric = _prom_name(ns, name)
-            lines.append(f"# TYPE {metric} gauge")
-            for shard in sorted(merged["gauges"][name], key=str):
-                value = merged["gauges"][name][shard]
-                lines.append(f'{metric}{{shard="{shard}"}} {_prom_value(value)}')
-        for name in sorted(merged["histograms"]):
-            snap = merged["histograms"][name]
-            metric = _prom_name(ns, name)
-            lines.append(f"# TYPE {metric} histogram")
-            cumulative = 0
-            for bound, n in zip(snap["bounds"], snap["buckets"]):
-                cumulative += n
-                lines.append(f'{metric}_bucket{{le="{_prom_value(bound)}"}} {cumulative}')
-            lines.append(f'{metric}_bucket{{le="+Inf"}} {snap["count"]}')
-            lines.append(f"{metric}_sum {_prom_value(snap['sum'])}")
-            lines.append(f"{metric}_count {snap['count']}")
-        return "\n".join(lines) + "\n"
+            merged, scrapes, elapsed = self._merged, self._scrapes, self._last_scrape_s
+        return {
+            "counters": {**merged["counters"], "cluster.scrapes_total": scrapes},
+            "gauges": {
+                **merged["gauges"],
+                "cluster.scrape_seconds": elapsed,
+                "cluster.shards_scraped": len(merged["shards"]),
+            },
+            "histograms": merged["histograms"],
+        }
+
+    def to_prometheus(self) -> str:
+        """The merged text exposition (gauges carry a ``shard`` label)."""
+        return render_prometheus(self.snapshot(), self.namespace)
 
     # -- sampler integration ---------------------------------------------
 
@@ -261,9 +205,9 @@ class ClusterMetricsAggregator:
                 out[f"cluster.{name}.max"] = max(per_shard.values())
         return out
 
-    def attach(self, sampler, name: str = "cluster_metrics") -> None:
+    def attach(self, sampler) -> None:
         """Scrape on every tick of *sampler* (a ``TelemetrySampler``)."""
-        sampler.add_source(name, self.sample)
+        sampler.add_source(self.sample)
 
 
 # -- event federation ------------------------------------------------------
@@ -454,7 +398,6 @@ def format_span_tree(node, indent: int = 0) -> list[str]:
 
 def render_dashboard(
     merged: dict,
-    shard_info: dict | None = None,
     events=None,
     rate_history=None,
     scrape_s: float = 0.0,
@@ -462,9 +405,8 @@ def render_dashboard(
 ) -> str:
     """One text panel of the aggregated cluster view (``repro top``).
 
-    *merged* is an aggregator scrape; *shard_info* maps shard index to
-    the ``server_metrics`` dict (connections, epoch); *events* is the
-    collector's recent tail; *rate_history* a list of records/s samples
+    *merged* is an aggregator scrape (its per-shard ``server.*`` gauges
+    fill the shard table); *events* is the collector's recent tail; *rate_history* a list of records/s samples
     (sparklined). Pure function of its inputs so the watch loop and the
     tests share it.
     """
@@ -479,16 +421,15 @@ def render_dashboard(
     if rate_history:
         lines.append(f"produce rate: {sparkline(rate_history, width=width)} "
                      f"{rate_history[-1]:,.0f} rec/s")
-    if shard_info:
+    gauges = merged.get("gauges", {})
+    conns = gauges.get("server.connections_active", {})
+    if conns:
+        requests = gauges.get("server.requests_served", {})
         lines.append("")
-        lines.append("shard  epoch  conns  requests")
-        for index in sorted(shard_info, key=str):
-            info = shard_info[index] or {}
-            server = info.get("server", info)
+        lines.append("shard  conns  requests")
+        for index in sorted(conns, key=str):
             lines.append(
-                f"{str(index):>5}  {info.get('epoch', '?'):>5}  "
-                f"{server.get('connections_open', 0):>5}  "
-                f"{server.get('requests_total', 0):>8}"
+                f"{str(index):>5}  {conns[index]:>5.0f}  {requests.get(index, 0):>8.0f}"
             )
     counters = merged.get("counters", {})
     if counters:
@@ -508,7 +449,6 @@ def render_dashboard(
                 f"{name:<40} n={snap['count']:<8} "
                 f"p50={snap['p50'] * 1e3:.3f}ms p99={snap['p99'] * 1e3:.3f}ms"
             )
-    gauges = merged.get("gauges", {})
     lag_gauges = {k: v for k, v in gauges.items() if "lag" in k or "pending" in k}
     if lag_gauges:
         lines.append("")

@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 import threading
-from collections import defaultdict
 
+from repro.monitoring.instruments import MetricsRegistry
 from repro.monitoring.metrics import MessageTrace
 
 
@@ -16,7 +16,8 @@ def _is_sequence(value) -> bool:
 
 
 class MetricsCollector:
-    """Accumulates message traces and named counters for one run.
+    """Accumulates the message traces of one run; its named counters
+    and high-watermark gauges live in a registry.
 
     All pipeline components share one collector per run; traces are linked
     by ``(run_id, message_id)`` so a message's path can be reconstructed
@@ -26,22 +27,12 @@ class MetricsCollector:
     def __init__(self, run_id: str, registry=None) -> None:
         self.run_id = run_id
         self._traces: dict[str, MessageTrace] = {}
-        self._counters: dict[str, float] = defaultdict(float)
-        #: High-watermark gauges (``record_max``) — kept apart from the
-        #: monotonic counters so exports can tell a level from a rate.
-        self._gauges: dict[str, float] = {}
-        #: Optional :class:`repro.monitoring.MetricsRegistry`. When set,
-        #: counters/gauges are mirrored into typed instruments and
-        #: ``process_end`` stamps feed a live end-to-end latency
+        #: The :class:`repro.monitoring.MetricsRegistry` that holds this
+        #: run's counters and gauges (the caller's, or one of its own);
+        #: ``process_end`` stamps feed its live end-to-end latency
         #: histogram, so percentiles are available mid-run.
-        self._registry = registry
-        # Per-collector instrument caches: the registry's name->instrument
-        # lookup takes the registry lock, which is pure overhead when the
-        # same counters are bumped on every message. A racy double-create
-        # is harmless — the registry dedups by name.
-        self._counter_cache: dict = {}
-        self._gauge_cache: dict = {}
-        self._e2e_hist = None
+        self.registry = registry or MetricsRegistry()
+        self._e2e_hist = self.registry.histogram("pipeline_e2e_latency_s")
         self._lock = threading.Lock()
 
     # -- traces ----------------------------------------------------------
@@ -64,7 +55,7 @@ class MetricsCollector:
             if partition >= 0:
                 trace.partition = partition
             trace.stamp(stage, timestamp, nbytes=nbytes, site=site)
-        if self._registry is not None and stage == "process_end":
+        if stage == "process_end":
             self._observe_latencies((trace,), timestamp)
 
     def stamp_many(
@@ -103,20 +94,17 @@ class MetricsCollector:
                     trace.partition = part
                 trace.stamp(stage, timestamp, nbytes=nb, site=site)
                 touched.append(trace)
-        if self._registry is not None and stage == "process_end":
+        if stage == "process_end":
             self._observe_latencies(touched, timestamp)
 
     def _observe_latencies(self, traces, end_ts: float) -> None:
         """Feed live latency histograms from completed message traces."""
-        e2e = self._e2e_hist
-        if e2e is None:
-            e2e = self._e2e_hist = self._registry.histogram("pipeline_e2e_latency_s")
         latencies = []
         for trace in traces:
             start = trace.at("produce")
             if start is not None and end_ts >= start:
                 latencies.append(end_ts - start)
-        e2e.observe_many(latencies)
+        self._e2e_hist.observe_many(latencies)
 
     def trace(self, message_id: str) -> MessageTrace | None:
         with self._lock:
@@ -136,64 +124,23 @@ class MetricsCollector:
     # -- counters ---------------------------------------------------------
 
     def incr(self, name: str, value: float = 1.0) -> None:
-        with self._lock:
-            self._counters[name] += value
-        if self._registry is not None and value >= 0:
-            counter = self._counter_cache.get(name)
-            if counter is None:
-                counter = self._counter_cache[name] = self._registry.counter(name)
-            counter.inc(value)
+        self.registry.counter(name).inc(value)
 
     def record_max(self, name: str, value: float) -> None:
         """High-watermark gauge: keep the largest value reported.
 
         Used for peak-style metrics (e.g. concurrent fetches in flight)
         where summing per-thread reports would overstate the level.
-        The first report always lands, whatever its sign — "never
-        reported" is tracked by key absence, not by comparing against an
-        implicit 0 (which would silently drop a first negative value).
+        The first report always lands, whatever its sign.
         """
-        with self._lock:
-            current = self._gauges.get(name)
-            if current is None or value > current:
-                self._gauges[name] = float(value)
-        if self._registry is not None:
-            gauge = self._gauge_cache.get(name)
-            if gauge is None:
-                gauge = self._gauge_cache[name] = self._registry.gauge(name)
-            gauge.set_max(value)
+        self.registry.gauge(name).set_max(value)
 
     def counter(self, name: str) -> float:
-        with self._lock:
-            if name in self._counters:
-                return self._counters[name]
-            return self._gauges.get(name, 0.0)
+        """One counter or gauge of the registry; 0 if nothing reported it."""
+        return self.counters().get(name, 0.0)
 
     def counters(self) -> dict:
-        """Flat merged view of counters and gauges (legacy key layout).
-
-        Bench guards and older exports read rates and high-watermarks
-        from one dict; use :meth:`split_counters` when the distinction
-        matters. A name reported through both kinds resolves to the
-        counter.
-        """
-        with self._lock:
-            out = dict(self._gauges)
-            out.update(self._counters)
-            return out
-
-    def split_counters(self) -> dict:
-        """Typed view: ``{"counters": {...}, "gauges": {...}}``.
-
-        Counters are monotonic rates (``incr``); gauges are
-        high-watermark levels (``record_max``).
-        """
-        with self._lock:
-            return {
-                "counters": dict(self._counters),
-                "gauges": dict(self._gauges),
-            }
-
-    def gauges(self) -> dict:
-        with self._lock:
-            return dict(self._gauges)
+        """Flat ``{name: value}`` view of the registry's counters and
+        gauges (rates and levels in one dict, as reports read them)."""
+        snap = self.registry.snapshot()
+        return {**snap["gauges"], **snap["counters"]}

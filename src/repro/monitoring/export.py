@@ -9,7 +9,6 @@ work in constrained environments.
 from __future__ import annotations
 
 import csv
-import io
 import json
 from pathlib import Path
 from typing import Iterable
@@ -57,25 +56,6 @@ def write_reports_csv(
     return path
 
 
-def reports_csv_string(
-    reports: Iterable[ThroughputReport], labels: Iterable[str] | None = None
-) -> str:
-    """CSV text in memory (for logging/embedding)."""
-    rows = report_rows(reports, labels)
-    if not rows:
-        raise ValueError("no reports to render")
-    fieldnames: list[str] = []
-    for row in rows:
-        for key in row:
-            if key not in fieldnames:
-                fieldnames.append(key)
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=fieldnames, restval="")
-    writer.writeheader()
-    writer.writerows(rows)
-    return buf.getvalue()
-
-
 def traces_to_json(collector: MetricsCollector, complete_only: bool = True) -> str:
     """Serialize message traces for offline analysis."""
     out = []
@@ -100,14 +80,6 @@ def traces_to_json(collector: MetricsCollector, complete_only: bool = True) -> s
     return json.dumps({"stages": list(STAGES), "traces": out}, indent=2)
 
 
-def write_traces_json(
-    path: str | Path, collector: MetricsCollector, complete_only: bool = True
-) -> Path:
-    path = Path(path)
-    path.write_text(traces_to_json(collector, complete_only=complete_only))
-    return path
-
-
 def spans_to_json(tracer) -> str:
     """Serialize a tracer's retained spans (grouped by trace) as JSON."""
     traces = {
@@ -115,21 +87,6 @@ def spans_to_json(tracer) -> str:
         for trace_id in tracer.trace_ids()
     }
     return json.dumps({"stats": tracer.stats(), "traces": traces}, indent=2)
-
-
-def spans_from_json(text: str) -> dict:
-    """Parse a :func:`spans_to_json` dump back into Span objects.
-
-    Returns ``{trace_id: [Span, ...]}``; spans are detached (not bound to
-    a tracer), suitable for offline tree reconstruction.
-    """
-    from repro.monitoring.tracing import Span
-
-    data = json.loads(text)
-    return {
-        trace_id: [Span.from_dict(obj) for obj in spans]
-        for trace_id, spans in data.get("traces", {}).items()
-    }
 
 
 def write_spans_json(path: str | Path, tracer) -> Path:

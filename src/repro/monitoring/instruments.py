@@ -11,8 +11,11 @@ monitoring section assumes:
   only from full trace retention afterwards.
 
 A :class:`MetricsRegistry` hands out instruments by name (get-or-create,
-thread-safe) and renders the whole set as Prometheus text exposition
-format for the CLI dump / HTTP endpoint in ``repro.monitoring.sampler``.
+thread-safe) and calls the *readers* components register for numbers
+they keep in a plain field of their own. Every exporter —
+:meth:`MetricsRegistry.to_prometheus`, the sampler's series, a
+component's ``stats()``, the cluster scrape — is a view of
+:meth:`MetricsRegistry.snapshot`; nothing is copied into the registry.
 """
 
 from __future__ import annotations
@@ -73,19 +76,11 @@ class Gauge:
         with self._lock:
             self._value = (self._value or 0.0) + amount
 
-    def dec(self, amount: float = 1.0) -> None:
-        self.inc(-amount)
-
     @property
     def value(self) -> float:
         """Current level; an untouched gauge reads 0."""
         with self._lock:
             return 0.0 if self._value is None else self._value
-
-    @property
-    def reported(self) -> bool:
-        with self._lock:
-            return self._value is not None
 
 
 class Histogram:
@@ -185,72 +180,96 @@ class Histogram:
 
     def percentile(self, q: float) -> float:
         """Estimated q-th percentile (q in [0, 100]) from bucket counts."""
-        if not 0.0 <= q <= 100.0:
-            raise ValueError(f"q must be in [0, 100], got {q}")
+        return bucket_percentile(self._raw(), q)
+
+    def _raw(self) -> dict:
         with self._lock:
-            if self._count == 0:
-                return 0.0
-            target = q / 100.0 * self._count
-            seen = 0
-            for idx, n in enumerate(self._buckets):
-                if n == 0:
-                    continue
-                if seen + n >= target:
-                    frac = (target - seen) / n if n else 0.0
-                    lo = self._bounds[idx - 1] if idx > 0 else 0.0
-                    hi = self._bounds[idx] if idx < len(self._bounds) else self._max
-                    hi = min(hi, self._max)
-                    lo = max(lo, self._min if self._min != math.inf else lo)
-                    if hi <= lo:
-                        return hi
-                    return lo + frac * (hi - lo)
-                seen += n
-            return self._max
+            count = self._count
+            return {
+                "count": count,
+                "sum": self._sum,
+                "min": self._min if count else 0.0,
+                "max": self._max if count else 0.0,
+                "buckets": list(self._buckets),
+                "bounds": list(self._bounds),
+            }
 
     def snapshot(self) -> dict:
-        with self._lock:
-            count, total = self._count, self._sum
-            buckets = list(self._buckets)
-            lo = self._min if self._min != math.inf else 0.0
-            hi = self._max if self._max != -math.inf else 0.0
-        return {
-            "count": count,
-            "sum": total,
-            "mean": total / count if count else 0.0,
-            "p50": self.percentile(50),
-            "p95": self.percentile(95),
-            "p99": self.percentile(99),
-            "min": lo,
-            "max": hi,
-            "buckets": buckets,
-            "bounds": list(self._bounds),
-        }
+        return with_percentiles(self._raw())
+
+
+def bucket_percentile(snap: dict, q: float) -> float:
+    """Estimated q-th percentile (q in [0, 100]) of a histogram snapshot
+    (``count`` / ``buckets`` / ``bounds`` / ``min`` / ``max``): log-linear
+    interpolation inside the winning bucket, clamped to the observed
+    range — the one estimator live instruments and merged cross-shard
+    snapshots share."""
+    if not 0.0 <= q <= 100.0:
+        raise ValueError(f"q must be in [0, 100], got {q}")
+    count = snap["count"]
+    if not count:
+        return 0.0
+    bounds, lo_seen, hi_seen = snap["bounds"], snap["min"], snap["max"]
+    target = q / 100.0 * count
+    seen = 0
+    for idx, n in enumerate(snap["buckets"]):
+        if n == 0:
+            continue
+        if seen + n >= target:
+            lo = max(bounds[idx - 1] if idx > 0 else 0.0, lo_seen)
+            hi = min(bounds[idx], hi_seen) if idx < len(bounds) else hi_seen
+            if hi <= lo:
+                return hi
+            return lo + (target - seen) / n * (hi - lo)
+        seen += n
+    return hi_seen
+
+
+def with_percentiles(snap: dict) -> dict:
+    """Fill in the derived keys (``mean``, ``p50``/``p95``/``p99``) of a
+    histogram snapshot from its counts."""
+    snap["mean"] = snap["sum"] / snap["count"] if snap["count"] else 0.0
+    for q in (50, 95, 99):
+        snap[f"p{q}"] = bucket_percentile(snap, q)
+    return snap
 
 
 class MetricsRegistry:
-    """Named instruments with get-or-create semantics.
+    """Named instruments plus read callbacks: where every number is read.
 
-    A name is bound to a single instrument type for the registry's
-    lifetime; asking for the same name with a different type raises, so
-    wiring bugs (a counter sampled as a gauge) fail loudly.
+    A number has one writer. Either a component bumps an instrument it
+    got from :meth:`counter` / :meth:`gauge` / :meth:`histogram`
+    (get-or-create; a name is bound to a single instrument type for the
+    registry's lifetime, so a counter sampled as a gauge fails loudly),
+    or it keeps a plain field and hands :meth:`add_reader` a callback
+    that reports it. :meth:`snapshot` reads both; every exporter is a
+    view of it.
     """
 
     def __init__(self) -> None:
         self._instruments: dict[str, object] = {}
+        self._readers: list[tuple[str, str, object]] = []
         self._lock = threading.Lock()
+        #: Reader calls that raised — a dying component must not take
+        #: the exposition (or a sampling loop) down with it.
+        self.reader_errors = 0
 
     def _get_or_create(self, name: str, cls, *args, **kwargs):
-        with self._lock:
-            inst = self._instruments.get(name)
-            if inst is None:
-                inst = cls(name, *args, **kwargs)
-                self._instruments[name] = inst
-            elif not isinstance(inst, cls):
-                raise TypeError(
-                    f"instrument {name!r} already registered as "
-                    f"{type(inst).__name__}, not {cls.__name__}"
-                )
-            return inst
+        # Lock-free hit: callers that cannot resolve an instrument once
+        # (per-error-type counters, the collector's named counters) pay
+        # a dict lookup, not the registry lock.
+        inst = self._instruments.get(name)
+        if inst is None:
+            with self._lock:
+                inst = self._instruments.get(name)
+                if inst is None:
+                    inst = self._instruments[name] = cls(name, *args, **kwargs)
+        if not isinstance(inst, cls):
+            raise TypeError(
+                f"instrument {name!r} already registered as "
+                f"{type(inst).__name__}, not {cls.__name__}"
+            )
+        return inst
 
     def counter(self, name: str) -> Counter:
         return self._get_or_create(name, Counter)
@@ -261,65 +280,75 @@ class MetricsRegistry:
     def histogram(self, name: str, **kwargs) -> Histogram:
         return self._get_or_create(name, Histogram, **kwargs)
 
-    def instruments(self) -> dict:
+    def add_reader(self, kind: str, fn, prefix: str = "") -> None:
+        """Report numbers a component keeps itself: ``fn() -> {name:
+        value}`` is called at every :meth:`snapshot` and its names land
+        under *prefix*; *kind* is ``"counters"`` (monotonic totals) or
+        ``"gauges"`` (levels)."""
+        if kind not in ("counters", "gauges"):
+            raise ValueError(f"reader kind must be 'counters' or 'gauges', got {kind!r}")
         with self._lock:
-            return dict(self._instruments)
-
-    def collect(self) -> dict:
-        """Flat snapshot: counters/gauges as floats, histograms as dicts."""
-        out: dict[str, object] = {}
-        for name, inst in sorted(self.instruments().items()):
-            if isinstance(inst, Histogram):
-                out[name] = inst.snapshot()
-            else:
-                out[name] = inst.value
-        return out
+            self._readers.append((kind, prefix, fn))
 
     def snapshot(self) -> dict:
-        """Typed, wire-friendly snapshot for the federated metrics plane.
+        """Every number, typed and JSON-serialisable: ``{"counters":
+        {name: total}, "gauges": {name: level}, "histograms": {name:
+        Histogram.snapshot()}}``.
 
-        Unlike :meth:`collect` (flat, for human dumps), this keeps the
-        instrument *types* — the cluster aggregator needs them to know
-        that counters sum across shards, gauges get a ``shard`` label,
-        and histograms bucket-merge. Everything in the returned dict is
-        JSON-serialisable (floats, ints, lists).
+        The types matter downstream: across shards counters sum, gauges
+        get a ``shard`` label and histograms bucket-merge.
         """
-        counters: dict[str, float] = {}
-        gauges: dict[str, float] = {}
-        histograms: dict[str, dict] = {}
-        for name, inst in sorted(self.instruments().items()):
+        with self._lock:
+            instruments = sorted(self._instruments.items())
+            readers = list(self._readers)
+        out: dict = {"counters": {}, "gauges": {}, "histograms": {}}
+        for name, inst in instruments:
             if isinstance(inst, Counter):
-                counters[name] = inst.value
+                out["counters"][name] = inst.value
             elif isinstance(inst, Gauge):
-                gauges[name] = inst.value
-            elif isinstance(inst, Histogram):
-                histograms[name] = inst.snapshot()
-        return {"counters": counters, "gauges": gauges, "histograms": histograms}
+                out["gauges"][name] = inst.value
+            else:
+                out["histograms"][name] = inst.snapshot()
+        for kind, prefix, fn in readers:
+            try:
+                out[kind].update({prefix + name: value for name, value in fn().items()})
+            except Exception:  # noqa: BLE001 — counted, see reader_errors
+                self.reader_errors += 1
+        return out
 
     def to_prometheus(self, namespace: str = "repro") -> str:
-        """Render every instrument in Prometheus text exposition format."""
-        lines: list[str] = []
-        for name, inst in sorted(self.instruments().items()):
-            metric = _prom_name(namespace, name)
-            if isinstance(inst, Counter):
-                lines.append(f"# TYPE {metric} counter")
-                lines.append(f"{metric} {_prom_value(inst.value)}")
-            elif isinstance(inst, Gauge):
-                lines.append(f"# TYPE {metric} gauge")
-                lines.append(f"{metric} {_prom_value(inst.value)}")
-            elif isinstance(inst, Histogram):
-                snap = inst.snapshot()
-                lines.append(f"# TYPE {metric} histogram")
-                cumulative = 0
-                for bound, n in zip(snap["bounds"], snap["buckets"]):
-                    cumulative += n
-                    lines.append(
-                        f'{metric}_bucket{{le="{_prom_value(bound)}"}} {cumulative}'
-                    )
-                lines.append(f'{metric}_bucket{{le="+Inf"}} {snap["count"]}')
-                lines.append(f"{metric}_sum {_prom_value(snap['sum'])}")
-                lines.append(f"{metric}_count {snap['count']}")
-        return "\n".join(lines) + ("\n" if lines else "")
+        """Render every number in Prometheus text exposition format."""
+        return render_prometheus(self.snapshot(), namespace)
+
+
+def render_prometheus(snapshot: dict, namespace: str = "repro") -> str:
+    """Prometheus text exposition of one typed snapshot — a registry's
+    own, or the cluster aggregator's merge, whose gauges are ``{shard:
+    value}`` dicts and render with a ``shard`` label."""
+    lines: list[str] = []
+    for name, value in sorted(snapshot["counters"].items()):
+        metric = _prom_name(namespace, name)
+        lines.append(f"# TYPE {metric} counter")
+        lines.append(f"{metric} {_prom_value(value)}")
+    for name, value in sorted(snapshot["gauges"].items()):
+        metric = _prom_name(namespace, name)
+        lines.append(f"# TYPE {metric} gauge")
+        if isinstance(value, dict):
+            for shard in sorted(value, key=str):
+                lines.append(f'{metric}{{shard="{shard}"}} {_prom_value(value[shard])}')
+        else:
+            lines.append(f"{metric} {_prom_value(value)}")
+    for name, snap in sorted(snapshot["histograms"].items()):
+        metric = _prom_name(namespace, name)
+        lines.append(f"# TYPE {metric} histogram")
+        cumulative = 0
+        for bound, n in zip(snap["bounds"], snap["buckets"]):
+            cumulative += n
+            lines.append(f'{metric}_bucket{{le="{_prom_value(bound)}"}} {cumulative}')
+        lines.append(f'{metric}_bucket{{le="+Inf"}} {snap["count"]}')
+        lines.append(f"{metric}_sum {_prom_value(snap['sum'])}")
+        lines.append(f"{metric}_count {snap['count']}")
+    return "\n".join(lines) + ("\n" if lines else "")
 
 
 def _prom_name(namespace: str, name: str) -> str:

@@ -1,28 +1,27 @@
-"""Background gauge sampling: live time series for a running pipeline.
+"""Background sampling: live time series for a running pipeline.
 
-A :class:`TelemetrySampler` periodically snapshots gauge *sources* —
-callables returning ``{series_name: value}`` — into an in-memory time
-series.  Convenience ``watch_*`` methods register the gauges the broker
-and clients expose:
+A :class:`TelemetrySampler` is the *history* of a
+:class:`~repro.monitoring.instruments.MetricsRegistry`: every tick it
+takes the registry's snapshot and appends each counter and gauge to an
+in-memory time series. Gauge *sources* — callables returning
+``{series_name: value}`` — are registered as readers of that registry,
+so one value is computed once and reaches the series, the JSONL dump
+and the ``/metrics`` exposition alike. Convenience ``watch_*`` methods
+register the gauges the broker exposes:
 
 * per-partition log depth, end offset, and retained bytes
   (:meth:`Broker.partition_depths`, also served over the wire),
 * **consumer lag** per group × partition (end offset minus committed
   offset, via :meth:`Broker.consumer_lag`),
 * group membership size,
-* prefetch buffer bytes/records (:meth:`Consumer.stats`),
-* pipelined-connection in-flight request count
-  (:attr:`RemoteBroker.requests_in_flight`),
-* broker-server connection gauges — ``connections_active``, parked
-  long-polls, and reactor loop lag (:meth:`ReactorBrokerServer.metrics`).
+* a sharded cluster's per-shard server gauges, shards-up count and
+  replication health (:meth:`ClusterBroker.metrics_snapshots`).
 
-Series export as JSONL (one sample round per line) and, through an
-attached :class:`~repro.monitoring.instruments.MetricsRegistry`, as
-Prometheus text exposition — either dumped by the CLI or served by
-:func:`serve_exposition`.
+Series export as JSONL (one sample round per line); the registry
+renders Prometheus text exposition — either dumped by the CLI or served
+by :func:`serve_exposition`.
 
-Everything here is opt-in: nothing in the data path references a sampler,
-so the disabled-by-default overhead is zero.
+Everything here is opt-in: nothing in the data path references a sampler.
 """
 
 from __future__ import annotations
@@ -32,15 +31,17 @@ import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
+from repro.monitoring.instruments import MetricsRegistry
+
 
 class TelemetrySampler:
-    """Samples registered gauge sources on a fixed interval.
+    """Samples a registry's counters and gauges on a fixed interval.
 
     Parameters
     ----------
     registry:
-        Optional :class:`MetricsRegistry`; sampled values are mirrored
-        into its gauges so the Prometheus exposition shows live levels.
+        The :class:`MetricsRegistry` to sample (one of its own when not
+        given); sources added here become its gauge readers.
     interval_s:
         Background sampling period. :meth:`sample_now` can always be
         called directly (tests do, for determinism).
@@ -58,10 +59,9 @@ class TelemetrySampler:
             raise ValueError(f"interval_s must be positive, got {interval_s}")
         if max_samples <= 0:
             raise ValueError(f"max_samples must be positive, got {max_samples}")
-        self.registry = registry
+        self.registry = registry or MetricsRegistry()
         self.interval_s = float(interval_s)
         self.max_samples = int(max_samples)
-        self._sources: list[tuple[str, object]] = []
         #: series name -> [(elapsed_seconds, value), ...]
         self._series: dict[str, list[tuple[float, float]]] = {}
         self._t0 = time.monotonic()
@@ -69,17 +69,21 @@ class TelemetrySampler:
         self._stop = threading.Event()
         self._thread: threading.Thread | None = None
         self.sample_rounds = 0
-        self.source_errors = 0
         #: Ticks the background loop skipped because sampling overran the
         #: interval (absolute schedule: late rounds don't compound).
         self.ticks_skipped = 0
 
     # -- sources ---------------------------------------------------------
 
-    def add_source(self, name: str, fn) -> None:
+    def add_source(self, fn) -> None:
         """Register a gauge source: ``fn() -> {series_name: value}``."""
-        with self._lock:
-            self._sources.append((name, fn))
+        self.registry.add_reader("gauges", fn)
+
+    @property
+    def source_errors(self) -> int:
+        """Source calls that raised — a dying component must not take
+        the telemetry loop (or the run) down with it."""
+        return self.registry.reader_errors
 
     def watch_broker(self, broker) -> None:
         """Sample per-partition depth/end-offset/bytes, group membership
@@ -119,95 +123,37 @@ class TelemetrySampler:
                         out[f"consumer_lag.{group}.{topic}.{p}"] = lag
             return out
 
-        self.add_source(f"broker:{getattr(broker, 'name', 'broker')}", _sample)
-
-    def watch_consumer(self, consumer) -> None:
-        """Sample prefetch buffer fill and position-based lag."""
-        name = getattr(consumer, "client_id", "consumer")
-
-        def _sample() -> dict:
-            out: dict[str, float] = {}
-            stats = consumer.stats()
-            if "prefetch_buffered_bytes" in stats:
-                out[f"consumer.{name}.prefetch_buffered_bytes"] = stats[
-                    "prefetch_buffered_bytes"
-                ]
-                out[f"consumer.{name}.prefetch_buffered_records"] = stats[
-                    "prefetch_buffered_records"
-                ]
-            out[f"consumer.{name}.position_lag"] = sum(consumer.lag().values())
-            return out
-
-        self.add_source(f"consumer:{name}", _sample)
-
-    def watch_remote(self, remote) -> None:
-        """Sample the pipelined connection's in-flight request count."""
-        name = getattr(remote, "name", "remote")
-
-        def _sample() -> dict:
-            return {f"remote.{name}.requests_in_flight": remote.requests_in_flight}
-
-        self.add_source(f"remote:{name}", _sample)
-
-    def watch_server(self, server) -> None:
-        """Sample a broker server's connection-level gauges.
-
-        Works with any server exposing a ``metrics()`` dict (the reactor
-        server's ``connections_active`` / ``parked_fetches`` /
-        ``reactor_loop_lag_s``); missing keys are simply not sampled.
-        """
-        name = getattr(getattr(server, "broker", None), "name", None) or "server"
-
-        def _sample() -> dict:
-            metrics = server.metrics()
-            out: dict[str, float] = {}
-            for key in (
-                "connections_active",
-                "parked_fetches",
-                "reactor_loop_lag_s",
-                "requests_served",
-                "connections_served",
-            ):
-                value = metrics.get(key)
-                if value is not None:
-                    out[f"server.{name}.{key}"] = float(value)
-            return out
-
-        self.add_source(f"server:{name}", _sample)
+        self.add_source(_sample)
 
     def watch_cluster(self, cluster, name: str = "cluster") -> None:
         """Sample a sharded broker's per-shard server gauges.
 
-        *cluster* is anything exposing ``shard_metrics() ->
-        {shard_index: metrics}`` (a
-        :class:`~repro.broker.cluster.ClusterBroker`). Each shard's
-        ``connections_active`` / ``parked_fetches`` /
-        ``reactor_loop_lag_s`` land under shard-labeled series
-        (``cluster.shard0.parked_fetches``, ...), plus ``shards_up`` /
-        ``shards_total`` so a dead shard is visible as a gap *and* a
-        level drop. On a replicated cluster (``replication_status``)
-        each led partition additionally reports ``isr_size`` and
-        ``replica_lag`` (worst follower), plus the cluster-wide
-        ``under_replicated_partitions`` count — the standard Kafka
-        health gauge. Mirrored into the registry like every source, so
-        the ``/metrics`` exposition covers all shards.
+        *cluster* is anything exposing ``metrics_snapshots() ->
+        {shard_index: typed snapshot | None}`` (a
+        :class:`~repro.broker.cluster.ClusterBroker`). Each responsive
+        shard's ``server.*`` gauges (``connections_active``,
+        ``parked_fetches``, ``reactor_loop_lag_s``, ...) land under
+        shard-labeled series (``cluster.shard0.parked_fetches``, ...),
+        plus ``shards_up`` / ``shards_total`` so a dead shard is visible
+        as a gap *and* a level drop. On a replicated cluster
+        (``replication_status``) each led partition additionally reports
+        ``isr_size`` and ``replica_lag`` (worst follower), plus the
+        cluster-wide ``under_replicated_partitions`` count — the
+        standard Kafka health gauge.
         """
 
         def _sample() -> dict:
             out: dict[str, float] = {}
-            per_shard = cluster.shard_metrics()
-            for index, metrics in per_shard.items():
-                for key in (
-                    "connections_active",
-                    "parked_fetches",
-                    "reactor_loop_lag_s",
-                    "requests_served",
-                    "connections_served",
-                ):
-                    value = metrics.get(key)
-                    if value is not None:
+            up = 0
+            for index, snap in cluster.metrics_snapshots().items():
+                if not snap:
+                    continue
+                up += 1
+                for gauge, value in snap["gauges"].items():
+                    if gauge.startswith("server."):
+                        key = gauge[len("server."):]
                         out[f"{name}.shard{index}.{key}"] = float(value)
-            out[f"{name}.shards_up"] = float(len(per_shard))
+            out[f"{name}.shards_up"] = float(up)
             total = getattr(cluster, "num_shards", None)
             if total is not None:
                 out[f"{name}.shards_total"] = float(total)
@@ -230,21 +176,15 @@ class TelemetrySampler:
                     out[f"{name}.under_replicated_partitions"] = float(under)
             return out
 
-        self.add_source(f"cluster:{name}", _sample)
+        self.add_source(_sample)
 
     # -- sampling --------------------------------------------------------
 
     def sample_now(self) -> dict:
-        """Run every source once; returns this round's ``{name: value}``."""
-        with self._lock:
-            sources = list(self._sources)
-        values: dict[str, float] = {}
-        for _, fn in sources:
-            try:
-                values.update(fn())
-            except Exception:  # noqa: BLE001 — a dying component must not
-                # take the telemetry loop (or the run) down with it.
-                self.source_errors += 1
+        """Read the registry once; returns this round's ``{name: value}``
+        (its counters and gauges, every source's included)."""
+        snap = self.registry.snapshot()
+        values = {**snap["counters"], **snap["gauges"]}
         t = time.monotonic() - self._t0
         with self._lock:
             self.sample_rounds += 1
@@ -253,9 +193,6 @@ class TelemetrySampler:
                 series.append((t, float(value)))
                 if len(series) > self.max_samples:
                     del series[: len(series) - self.max_samples]
-        if self.registry is not None:
-            for name, value in values.items():
-                self.registry.gauge(name).set(value)
         return values
 
     def _run(self) -> None:
@@ -314,11 +251,6 @@ class TelemetrySampler:
     def series(self, name: str) -> list[tuple[float, float]]:
         with self._lock:
             return list(self._series.get(name, ()))
-
-    def latest(self, name: str) -> float | None:
-        with self._lock:
-            series = self._series.get(name)
-            return series[-1][1] if series else None
 
     def snapshot(self) -> dict:
         with self._lock:

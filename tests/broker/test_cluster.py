@@ -234,9 +234,9 @@ class TestClusterRouting:
         stats = broker.stats()
         assert stats["epoch"] == broker.epoch
         assert len(stats["shards"]) == 2
-        metrics = broker.shard_metrics()
-        assert sorted(metrics) == [0, 1]
-        assert all(m["num_shards"] == 2 for m in metrics.values())
+        snapshots = broker.metrics_snapshots()
+        assert sorted(snapshots) == [0, 1]
+        assert all(snap["shard"] == index for index, snap in snapshots.items())
 
 
 class TestStaleMetadataRefresh:

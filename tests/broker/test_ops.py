@@ -63,7 +63,7 @@ class TestSurfacesComeFromTheTable:
         # has, and the per-shard views of the shard-index ops.
         assert _public_methods(ClusterBroker) - routed == {
             "append", "committed_offsets", "close", "refresh_metadata",
-            "shard_metrics", "metrics_snapshots", "shard_events",
+            "metrics_snapshots", "shard_events",
             "events_snapshots", "shard_spans", "span_snapshots",
         }
         for op in BROKER_OPS:

@@ -224,6 +224,29 @@ class TestReactorWirePath:
                 sock.close()
         assert _wait_until(lambda: server.connections_active == 0)
 
+    def test_a_raising_worker_thunk_is_counted(self, server):
+        # Nothing in the serving path should raise past _answer; when
+        # something does, the worker survives and the failure shows up
+        # under server.worker_errors.<Type> in the broker's registry.
+        def boom(conn, request, blobs):
+            raise KeyError("bug in the serving path")
+
+        real, server._handle_request = server._handle_request, boom
+        sock = _connect(server)
+        try:
+            send_frame(sock, {"op": "list_topics", "cid": 1})
+            name = "server.worker_errors.KeyError"
+            assert _wait_until(
+                lambda: server.broker.registry.snapshot()["counters"].get(name) == 1
+            )
+            server._handle_request = real
+            send_frame(sock, {"op": "list_topics", "cid": 2})
+            sock.settimeout(5)
+            response, _ = recv_frame(sock)
+            assert response["ok"] and response["cid"] == 2
+        finally:
+            sock.close()
+
     def test_unknown_op_answered_not_dropped(self, server):
         sock = _connect(server)
         try:

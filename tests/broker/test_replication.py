@@ -705,3 +705,18 @@ class TestPumpErrors:
             assert _wait_until(lambda: errors.value == len(cycles))
         finally:
             cluster.close()
+
+    def test_a_failing_pump_is_counted_with_telemetry_off(self, mini):
+        # The default: telemetry gates the tracer only, so "not silent"
+        # holds for the CLI and the benchmark's untraced pass too.
+        leader = mini.settle(0)
+        assert leader.tracer is None
+
+        def boom(name, partition, meta):
+            raise RuntimeError("boom")
+
+        leader._replicator._pump_partition = boom
+        name = "replication.pump_errors.RuntimeError"
+        assert _wait_until(
+            lambda: leader.metrics_snapshot()["counters"].get(name, 0) >= 1
+        )

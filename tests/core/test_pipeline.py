@@ -111,6 +111,21 @@ class TestBaselineRun:
         stats = result.broker_stats["topics"]["pilot-edge-data"]
         assert stats["records_in"] == 16
 
+    def test_a_failing_final_commit_is_counted(self, running_pilots, monkeypatch):
+        from repro.broker import Consumer
+
+        def refuse(self):
+            raise RuntimeError("coordinator gone")
+
+        # 8 messages per partition stay under the periodic-commit
+        # interval, so the only commit is the one in the teardown.
+        monkeypatch.setattr(Consumer, "commit", refuse)
+        pipeline = make_pipeline(running_pilots)
+        result = pipeline.run()
+        assert result.completed  # teardown went on; redelivery covers the tail
+        counters = pipeline.collector.counters()
+        assert counters["final_commit_errors.RuntimeError"] >= 1
+
     def test_model_processing(self, running_pilots):
         pipeline = make_pipeline(
             running_pilots,

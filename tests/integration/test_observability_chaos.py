@@ -194,8 +194,7 @@ class TestSamplerAcrossRespawn:
             sampler = TelemetrySampler(interval_s=0.05)
             sampler.watch_cluster(broker)
             try:
-                sampler.sample_now()
-                assert sampler.latest("cluster.shards_up") == 2.0
+                assert sampler.sample_now()["cluster.shards_up"] == 2.0
 
                 doomed = 1
                 # The monitor holds the supervisor lock for the whole

@@ -58,7 +58,6 @@ class TestMergeMetricSnapshots:
     def _snap(self, shard, counters=None, gauges=None):
         return {
             "shard": shard,
-            "enabled": True,
             "counters": counters or {},
             "gauges": gauges or {},
             "histograms": {},
@@ -73,11 +72,10 @@ class TestMergeMetricSnapshots:
         assert merged["gauges"]["depth"] == {0: 3, 1: 7}
         assert merged["shards"] == [0, 1]
 
-    def test_unreachable_and_disabled_shards_are_skipped(self):
+    def test_unreachable_shards_are_skipped(self):
         merged = merge_metric_snapshots({
             0: self._snap(0, counters={"records_in": 1}),
             1: None,
-            2: {"shard": 2, "enabled": False},
         })
         assert merged["shards"] == [0]
         assert merged["counters"]["records_in"] == 1
@@ -96,7 +94,7 @@ class _FakeCluster:
                 out[index] = None
                 continue
             snap = registry.snapshot()
-            snap.update(shard=index, enabled=True)
+            snap["shard"] = index
             out[index] = snap
         return out
 
@@ -155,15 +153,6 @@ class TestClusterMetricsAggregator:
         assert merged["counters"]["records_in"] == 10
         assert agg.merged() == merged
         assert agg.last_scrape_s >= 0.0
-
-    def test_local_registry_rides_along_as_pseudo_shard(self):
-        s0 = _shard("shard-0")
-        local = MetricsRegistry()
-        local.gauge("client.in_flight").set(3)
-        agg = ClusterMetricsAggregator(_FakeCluster({0: s0}), registry=local)
-        merged = agg.scrape()
-        assert merged["gauges"]["client.in_flight"] == {"local": 3.0}
-        assert "local" in merged["shards"]
 
     def test_prometheus_export_labels_gauges_by_shard(self):
         s0, s1 = _shard("shard-0"), _shard("shard-1")
@@ -287,6 +276,8 @@ class TestRenderDashboard:
         s0 = _shard("shard-0")
         s0[1].counter("broker.records_in").inc(100)
         s0[1].gauge("replication.hwm_lag.t.0").set(2)
+        s0[1].gauge("server.connections_active").set(2)
+        s0[1].gauge("server.requests_served").set(9)
         s0[1].histogram("storage.fsync_latency_seconds").observe(0.002)
         agg = ClusterMetricsAggregator(_FakeCluster({0: s0}))
         merged = agg.scrape()
@@ -294,12 +285,12 @@ class TestRenderDashboard:
         journal.emit("leader_elected", topic="t", partition=0, epoch=2)
         panel = render_dashboard(
             merged,
-            shard_info={0: {"epoch": 1, "connections_open": 2, "requests_total": 9}},
             events=journal.events(),
             rate_history=[10.0, 50.0, 100.0],
             scrape_s=0.004,
         )
         assert "shards up: 1" in panel
+        assert "    0      2         9" in panel  # shard / conns / requests
         assert "broker.records_in" in panel
         assert "replication.hwm_lag.t.0" in panel
         assert "storage.fsync_latency_seconds" in panel

@@ -8,10 +8,8 @@ import pytest
 from repro.monitoring import MetricsCollector, ThroughputReport
 from repro.monitoring.export import (
     report_rows,
-    reports_csv_string,
     traces_to_json,
     write_reports_csv,
-    write_traces_json,
 )
 
 
@@ -54,8 +52,9 @@ class TestReportRows:
 
 
 class TestCsv:
-    def test_csv_string_parses(self, report):
-        text = reports_csv_string([report, report], labels=["a", "b"])
+    def test_csv_string_parses(self, report, tmp_path):
+        path = write_reports_csv(tmp_path / "out.csv", [report, report], labels=["a", "b"])
+        text = path.read_text()
         rows = list(csv.DictReader(text.splitlines()))
         assert [r["label"] for r in rows] == ["a", "b"]
 
@@ -87,7 +86,8 @@ class TestTraceJson:
         assert len(payload_all["traces"]) == 5
 
     def test_write_file(self, collector, tmp_path):
-        path = write_traces_json(tmp_path / "traces.json", collector)
+        path = tmp_path / "traces.json"
+        path.write_text(traces_to_json(collector))
         assert json.loads(path.read_text())["traces"]
 
 
@@ -106,8 +106,8 @@ class TestTraceJsonRoundTrip:
                 assert dumped["timings"][stage]["nbytes"] == timing.nbytes
                 assert dumped["timings"][stage]["site"] == timing.site
 
-    def test_csv_stage_columns_match_report(self, report):
-        text = reports_csv_string([report], labels=["x"])
+    def test_csv_stage_columns_match_report(self, report, tmp_path):
+        text = write_reports_csv(tmp_path / "out.csv", [report], labels=["x"]).read_text()
         row = next(iter(csv.DictReader(text.splitlines())))
         for stage, seconds in report.stage_means_s.items():
             assert float(row[f"stage:{stage}_ms"]) == pytest.approx(
@@ -127,11 +127,20 @@ class TestSpanJsonRoundTrip:
         root.finish(end=1.5)
         return tracer
 
+    @staticmethod
+    def _parse(text):
+        from repro.monitoring import Span
+
+        return {
+            trace_id: [Span.from_dict(obj) for obj in spans]
+            for trace_id, spans in json.loads(text)["traces"].items()
+        }
+
     def test_spans_roundtrip(self):
-        from repro.monitoring.export import spans_from_json, spans_to_json
+        from repro.monitoring.export import spans_to_json
 
         tracer = self._tracer()
-        parsed = spans_from_json(spans_to_json(tracer))
+        parsed = self._parse(spans_to_json(tracer))
         (trace_id,) = parsed.keys()
         assert trace_id == tracer.trace_ids()[0]
         source = {s.span_id: s for s in tracer.spans()}
@@ -152,11 +161,11 @@ class TestSpanJsonRoundTrip:
         assert payload["stats"]["spans_retained"] == 2
 
     def test_write_spans_file(self, tmp_path):
-        from repro.monitoring.export import spans_from_json, write_spans_json
+        from repro.monitoring.export import write_spans_json
 
         tracer = self._tracer()
         path = write_spans_json(tmp_path / "spans.json", tracer)
-        assert spans_from_json(path.read_text())
+        assert self._parse(path.read_text())
 
 
 class TestSeriesJsonlRoundTrip:
@@ -166,7 +175,7 @@ class TestSeriesJsonlRoundTrip:
 
         sampler = TelemetrySampler()
         level = {"v": 0}
-        sampler.add_source("s", lambda: {"lag": 10 - level["v"], "depth": level["v"]})
+        sampler.add_source(lambda: {"lag": 10 - level["v"], "depth": level["v"]})
         for v in (2, 6, 10):
             level["v"] = v
             sampler.sample_now()

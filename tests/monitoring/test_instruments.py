@@ -38,10 +38,8 @@ class TestGauge:
     def test_set_and_read(self):
         g = Gauge("depth")
         assert g.value == 0.0
-        assert not g.reported
         g.set(7)
         assert g.value == 7.0
-        assert g.reported
 
     def test_set_max_keeps_high_watermark(self):
         g = Gauge("peak")
@@ -63,7 +61,7 @@ class TestGauge:
         g = Gauge("inflight")
         g.inc()
         g.inc(2)
-        g.dec()
+        g.inc(-1)
         assert g.value == 2.0
 
 
@@ -135,15 +133,40 @@ class TestRegistry:
         with pytest.raises(TypeError):
             reg.histogram("x")
 
-    def test_collect_flattens(self):
+    def test_snapshot_is_typed(self):
         reg = MetricsRegistry()
         reg.counter("in").inc(3)
         reg.gauge("depth").set(2)
         reg.histogram("lat").observe(0.5)
-        snap = reg.collect()
-        assert snap["in"] == 3
-        assert snap["depth"] == 2
-        assert snap["lat"]["count"] == 1
+        snap = reg.snapshot()
+        assert snap["counters"] == {"in": 3}
+        assert snap["gauges"] == {"depth": 2}
+        assert snap["histograms"]["lat"]["count"] == 1
+
+    def test_readers_are_called_at_every_snapshot(self):
+        # A component keeps its number in a plain field and registers a
+        # read callback once; nothing is copied into the registry.
+        reg = MetricsRegistry()
+        field = {"served": 1, "depth": 5}
+        reg.add_reader("counters", lambda: {"served": field["served"]})
+        reg.add_reader("gauges", lambda: {"depth": field["depth"]})
+        assert reg.snapshot()["counters"] == {"served": 1}
+        field["served"], field["depth"] = 4, 2
+        snap = reg.snapshot()
+        assert snap["counters"] == {"served": 4}
+        assert snap["gauges"] == {"depth": 2}
+        assert "repro_served 4" in reg.to_prometheus()
+        reg.add_reader("gauges", lambda: {"depth": field["depth"]}, prefix="log.")
+        assert reg.snapshot()["gauges"] == {"depth": 2, "log.depth": 2}
+        with pytest.raises(ValueError):
+            reg.add_reader("histograms", dict)
+
+    def test_a_raising_reader_is_counted_not_fatal(self):
+        reg = MetricsRegistry()
+        reg.counter("in").inc()
+        reg.add_reader("gauges", lambda: 1 / 0)
+        assert reg.snapshot()["counters"] == {"in": 1}
+        assert reg.reader_errors == 1
 
     def test_empty_instrument_name_rejected(self):
         reg = MetricsRegistry()

@@ -108,7 +108,7 @@ class TestRecordMax:
         c = MetricsCollector("run")
         c.record_max("drift", -2.5)
         assert c.counter("drift") == -2.5
-        assert c.gauges() == {"drift": -2.5}
+        assert c.registry.snapshot()["gauges"]["drift"] == -2.5
         c.record_max("drift", -4.0)
         assert c.counter("drift") == -2.5
         c.record_max("drift", -1.0)
@@ -120,15 +120,13 @@ class TestRecordMax:
 
 class TestSplitCounters:
     def test_gauges_separated_from_counters(self):
+        # The collector holds neither: both live, typed, in its registry.
         c = MetricsCollector("run")
         c.incr("records", 3)
         c.record_max("peak_inflight", 7)
-        split = c.split_counters()
-        assert split == {
-            "counters": {"records": 3},
-            "gauges": {"peak_inflight": 7.0},
-        }
-        assert c.gauges() == {"peak_inflight": 7.0}
+        snap = c.registry.snapshot()
+        assert snap["counters"] == {"records": 3}
+        assert snap["gauges"] == {"peak_inflight": 7.0}
 
     def test_merged_view_keeps_legacy_keys(self):
         # Bench guards read both kinds from counters(); both must stay
@@ -138,15 +136,14 @@ class TestSplitCounters:
         c.record_max("peak_inflight", 7)
         assert c.counters() == {"records": 3, "peak_inflight": 7.0}
 
-    def test_counter_wins_name_collisions_in_merged_view(self):
+    def test_name_collision_across_kinds_raises(self):
+        # One registry, one type per name: a counter reported as a
+        # high-watermark is a wiring bug, not a merge rule.
         c = MetricsCollector("run")
         c.record_max("x", 99)
-        c.incr("x", 1)
-        assert c.counters()["x"] == 1
-        assert c.counter("x") == 1
-        split = c.split_counters()
-        assert split["counters"]["x"] == 1
-        assert split["gauges"]["x"] == 99.0
+        with pytest.raises(TypeError):
+            c.incr("x", 1)
+        assert c.counter("x") == 99
 
 
 class TestRegistryForwarding:
@@ -165,9 +162,10 @@ class TestRegistryForwarding:
     def test_negative_incr_skips_monotonic_instrument(self):
         reg = self._registry()
         c = MetricsCollector("run", registry=reg)
-        c.incr("adjustment", -1)
-        assert c.counter("adjustment") == -1  # collector keeps it
-        assert reg.counter("adjustment").value == 0  # instrument stays monotonic
+        c.incr("adjustment", 2)
+        with pytest.raises(ValueError):
+            c.incr("adjustment", -1)
+        assert c.counter("adjustment") == 2  # the instrument stays monotonic
 
     def test_record_max_feeds_gauge_instrument(self):
         reg = self._registry()
@@ -188,10 +186,13 @@ class TestRegistryForwarding:
         assert hist.sum == pytest.approx(1.0)
 
     def test_no_registry_is_default(self):
+        # Given none, the collector makes its own: there is always one.
         c = MetricsCollector("run")
         c.stamp("m1", "produce", 1.0)
-        c.stamp("m1", "process_end", 1.5)  # must not touch any registry
+        c.stamp("m1", "process_end", 1.5)
         assert c.trace("m1").complete
+        assert c.registry.histogram("pipeline_e2e_latency_s").count == 1
+        assert c.registry is not MetricsCollector("other").registry
 
 
 class TestPercentile:

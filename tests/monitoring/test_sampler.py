@@ -14,12 +14,12 @@ from repro.monitoring.export import series_from_jsonl
 class TestSources:
     def test_sample_now_collects_all_sources(self):
         sampler = TelemetrySampler()
-        sampler.add_source("a", lambda: {"x": 1})
-        sampler.add_source("b", lambda: {"y": 2.5})
+        sampler.add_source(lambda: {"x": 1})
+        sampler.add_source(lambda: {"y": 2.5})
         values = sampler.sample_now()
         assert values == {"x": 1, "y": 2.5}
         assert sampler.names() == ["x", "y"]
-        assert sampler.latest("y") == 2.5
+        assert sampler.series("y")[-1][1] == 2.5
 
     def test_failing_source_does_not_kill_round(self):
         sampler = TelemetrySampler()
@@ -27,8 +27,8 @@ class TestSources:
         def bad():
             raise RuntimeError("component died")
 
-        sampler.add_source("bad", bad)
-        sampler.add_source("good", lambda: {"x": 1})
+        sampler.add_source(bad)
+        sampler.add_source(lambda: {"x": 1})
         values = sampler.sample_now()
         assert values == {"x": 1}
         assert sampler.source_errors == 1
@@ -36,7 +36,7 @@ class TestSources:
     def test_series_accumulates_in_time_order(self):
         sampler = TelemetrySampler()
         level = {"v": 0}
-        sampler.add_source("s", lambda: {"x": level["v"]})
+        sampler.add_source(lambda: {"x": level["v"]})
         for v in (1, 5, 2):
             level["v"] = v
             sampler.sample_now()
@@ -46,17 +46,25 @@ class TestSources:
 
     def test_retention_bound(self):
         sampler = TelemetrySampler(max_samples=3)
-        sampler.add_source("s", lambda: {"x": 1})
+        sampler.add_source(lambda: {"x": 1})
         for _ in range(10):
             sampler.sample_now()
         assert len(sampler.series("x")) == 3
 
     def test_registry_mirrors_latest_value(self):
+        # Nothing is mirrored: a source is a reader of the registry, so
+        # the exposition shows the live level with or without a tick, and
+        # the series records what the registry's instruments hold too.
         reg = MetricsRegistry()
         sampler = TelemetrySampler(registry=reg)
-        sampler.add_source("s", lambda: {"depth": 7})
-        sampler.sample_now()
-        assert reg.gauge("depth").value == 7.0
+        level = {"v": 7}
+        sampler.add_source(lambda: {"depth": level["v"]})
+        assert reg.snapshot()["gauges"] == {"depth": 7}
+        level["v"] = 9
+        assert "repro_depth 9" in reg.to_prometheus()
+        reg.counter("records_in").inc(3)
+        assert sampler.sample_now() == {"depth": 9, "records_in": 3}
+        assert sampler.series("records_in")[-1][1] == 3.0
 
     def test_invalid_params_rejected(self):
         with pytest.raises(ValueError):
@@ -128,47 +136,55 @@ class TestWatchServer:
     def test_server_gauges_reach_metrics_endpoint(self):
         from repro.broker.remote import BrokerServer, RemoteBroker
 
+        # The server's gauges are read by its broker's registry, which
+        # is always there: sample it, or serve it, directly.
         broker = Broker(name="edge")
         with BrokerServer(broker) as srv:
             with RemoteBroker(srv.host, srv.port) as remote:
                 remote.create_topic("t", 1)
-                reg = MetricsRegistry()
-                sampler = TelemetrySampler(registry=reg)
-                sampler.watch_server(srv)
+                sampler = TelemetrySampler(registry=broker.registry)
                 values = sampler.sample_now()
-                assert values["server.edge.connections_active"] == 1
-                assert values["server.edge.parked_fetches"] == 0
-                assert values["server.edge.reactor_loop_lag_s"] >= 0.0
-                assert values["server.edge.requests_served"] >= 1
-                http = serve_exposition(reg)
+                assert values["server.connections_active"] == 1
+                assert values["server.parked_fetches"] == 0
+                assert values["server.reactor_loop_lag_s"] >= 0.0
+                assert values["server.requests_served"] >= 1
+                assert srv.metrics()["connections_active"] == 1
+                http = serve_exposition(broker.registry)
                 try:
                     host, port = http.server_address[:2]
                     body = urllib.request.urlopen(
                         f"http://{host}:{port}/metrics", timeout=5
                     ).read().decode()
-                    assert "repro_server_edge_connections_active 1" in body
-                    assert "repro_server_edge_parked_fetches 0" in body
+                    assert "repro_server_connections_active 1" in body
+                    assert "repro_server_parked_fetches 0" in body
                 finally:
                     http.shutdown()
+
+
+def _snapshot(**server_gauges):
+    """One shard's ``metrics_snapshot`` answer with these server gauges."""
+    gauges = {f"server.{key}": value for key, value in server_gauges.items()}
+    return {"counters": {}, "gauges": gauges, "histograms": {}}
 
 
 class TestWatchCluster:
     def test_shard_labeled_series_and_fleet_gauges(self):
         class FakeCluster:
-            """Shape of ClusterBroker.shard_metrics(): one shard (index
-            1) is unreachable this round, so it has no entry."""
+            """Shape of ClusterBroker.metrics_snapshots(): one shard
+            (index 1) is unreachable this round, so it answers None."""
 
             num_shards = 3
 
-            def shard_metrics(self):
+            def metrics_snapshots(self):
                 return {
-                    0: {
-                        "connections_active": 2,
-                        "parked_fetches": 1,
-                        "reactor_loop_lag_s": 0.001,
-                        "requests_served": 7,
-                    },
-                    2: {"connections_active": 1, "requests_served": 3},
+                    0: _snapshot(
+                        connections_active=2,
+                        parked_fetches=1,
+                        reactor_loop_lag_s=0.001,
+                        requests_served=7,
+                    ),
+                    1: None,
+                    2: _snapshot(connections_active=1, requests_served=3),
                 }
 
         reg = MetricsRegistry()
@@ -195,10 +211,10 @@ class TestWatchCluster:
         class FakeReplicatedCluster:
             num_shards = 2
 
-            def shard_metrics(self):
+            def metrics_snapshots(self):
                 return {
-                    0: {"connections_active": 1},
-                    1: {"connections_active": 1},
+                    0: _snapshot(connections_active=1),
+                    1: _snapshot(connections_active=1),
                 }
 
             def replication_status(self):
@@ -243,8 +259,8 @@ class TestWatchCluster:
         class FakeCluster:
             num_shards = 1
 
-            def shard_metrics(self):
-                return {0: {"connections_active": 0}}
+            def metrics_snapshots(self):
+                return {0: _snapshot(connections_active=0)}
 
             def replication_status(self):
                 return {"replication_factor": 1, "partitions": []}
@@ -259,8 +275,8 @@ class TestWatchCluster:
         class FakeCluster:
             num_shards = 1
 
-            def shard_metrics(self):
-                return {0: {"connections_active": 0}}
+            def metrics_snapshots(self):
+                return {0: _snapshot(connections_active=0)}
 
         sampler = TelemetrySampler()
         sampler.watch_cluster(FakeCluster(), name="edge-cluster")
@@ -289,20 +305,31 @@ class TestWatchCluster:
                     )
 
 
+def _wait_for(condition, timeout=10.0):
+    """Poll *condition* until it holds or *timeout* seconds pass."""
+    deadline = time.monotonic() + timeout
+    while not condition():
+        if time.monotonic() >= deadline:
+            return False
+        time.sleep(0.005)
+    return True
+
+
 class TestBackgroundThread:
     def test_start_stop_takes_final_sample(self):
         sampler = TelemetrySampler(interval_s=0.02)
         calls = []
-        sampler.add_source("s", lambda: calls.append(1) or {"x": len(calls)})
+        sampler.add_source(lambda: calls.append(1) or {"x": len(calls)})
         sampler.start()
         assert sampler.running
-        time.sleep(0.1)
+        assert _wait_for(lambda: sampler.sample_rounds >= 2)  # periodic
+        thread = sampler._thread
         sampler.stop()
         assert not sampler.running
+        assert not thread.is_alive()  # thread really stopped
         rounds = sampler.sample_rounds
-        assert rounds >= 2  # several periodic + one final
-        time.sleep(0.06)
-        assert sampler.sample_rounds == rounds  # thread really stopped
+        assert rounds >= 3  # periodic + one final
+        assert len(calls) == rounds
 
     def test_double_start_rejected(self):
         sampler = TelemetrySampler(interval_s=0.05)
@@ -321,21 +348,22 @@ class TestBackgroundThread:
         # rounds: the absolute schedule skips the ticks it can no longer
         # make and counts them.
         sampler = TelemetrySampler(interval_s=0.02)
-        sampler.add_source("slow", lambda: time.sleep(0.07) or {"x": 1})
+        sampler.add_source(lambda: time.sleep(0.07) or {"x": 1})
+        started = time.monotonic()
         sampler.start()
-        time.sleep(0.3)
+        assert _wait_for(lambda: sampler.sample_rounds >= 3)
         sampler.stop(final_sample=False)
+        elapsed = time.monotonic() - started
         assert sampler.ticks_skipped >= 1
         # Rounds ~ elapsed / source_duration, nowhere near elapsed / interval.
-        assert sampler.sample_rounds <= 8
+        assert sampler.sample_rounds <= elapsed / 0.07 + 1
 
     def test_fast_sources_skip_nothing(self):
         sampler = TelemetrySampler(interval_s=0.02)
-        sampler.add_source("fast", lambda: {"x": 1})
+        sampler.add_source(lambda: {"x": 1})
         sampler.start()
-        time.sleep(0.15)
+        assert _wait_for(lambda: sampler.sample_rounds >= 3)
         sampler.stop(final_sample=False)
-        assert sampler.sample_rounds >= 3
         assert sampler.ticks_skipped == 0
 
 
@@ -343,7 +371,7 @@ class TestJsonlExport:
     def test_jsonl_roundtrip_reconstructs_series(self):
         sampler = TelemetrySampler()
         level = {"v": 0}
-        sampler.add_source("s", lambda: {"a": level["v"], "b": level["v"] * 2})
+        sampler.add_source(lambda: {"a": level["v"], "b": level["v"] * 2})
         for v in (1, 2, 3):
             level["v"] = v
             sampler.sample_now()
@@ -356,7 +384,7 @@ class TestJsonlExport:
 
     def test_write_jsonl(self, tmp_path):
         sampler = TelemetrySampler()
-        sampler.add_source("s", lambda: {"x": 1})
+        sampler.add_source(lambda: {"x": 1})
         sampler.sample_now()
         path = tmp_path / "telemetry.jsonl"
         sampler.write_jsonl(path)
