@@ -36,7 +36,11 @@ class Record:
     """One message as stored in / fetched from a partition log.
 
     Treat as immutable: instances are shared between the broker's log
-    and all consumers that fetch them.
+    and all consumers that fetch them. ``value`` is *bytes-like*:
+    ``bytes`` from an in-process producer, the ``bytearray`` it was
+    received into after a TCP hop, a read-only ``memoryview`` off a
+    sealed segment — take ``bytes(record.value)`` where a hashable or
+    immutable value is needed.
     """
 
     __slots__ = _RECORD_FIELDS

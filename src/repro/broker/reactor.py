@@ -5,9 +5,10 @@ well before the connection counts an edge deployment needs, so the
 server half of the wire path is a ``selectors``-based reactor:
 
 * **One I/O thread** multiplexes every client socket with non-blocking
-  reads and writes. Inbound bytes feed a per-connection incremental
-  :class:`~repro.broker.wire.FrameDecoder`; outbound frames accumulate
-  in a per-connection write buffer that drains as the socket allows.
+  reads and writes. Inbound bytes go through a per-connection
+  incremental :class:`~repro.broker.wire.FrameDecoder` (a blob is read
+  from the socket straight into its own buffer); outbound frames queue
+  as the buffers they are and drain scatter-gather as the socket allows.
 * **A small bounded worker pool** executes op dispatch (JSON build,
   base64, broker calls) off the loop. Each connection is a *strand*: its
   requests run one at a time in arrival order — per-connection append
@@ -22,11 +23,8 @@ server half of the wire path is a ``selectors``-based reactor:
   not change at all. A parked fetch therefore costs one table entry —
   no thread, no stack.
 
-The wire format and the client (:class:`repro.broker.remote.RemoteBroker`)
-are untouched: correlation-id pipelining, per-op semantics, deadlines,
-and reconnect/replay behavior all hold. Frames still carry the optional
-``"trace"`` field; a ``server.<op>`` span covers dispatch (and for a
-parked fetch, the full park duration).
+Frames may carry the optional ``"trace"`` field; a ``server.<op>`` span
+covers dispatch (and for a parked fetch, the full park duration).
 
 Tuning knobs: ``num_workers`` (dispatch parallelism; the default of 4
 is plenty for a GIL-bound op table), ``max_buffered_bytes`` (per-
@@ -48,11 +46,10 @@ from functools import partial
 
 from repro.broker.broker import Broker
 from repro.broker.ops import find, lookup
-from repro.broker.wire import FrameDecoder, encode_frame
+from repro.broker.wire import FrameDecoder, encode_frame, send_some
 
 _READ = selectors.EVENT_READ
 _WRITE = selectors.EVENT_WRITE
-_RECV_CHUNK = 262144
 
 
 class _Conn:
@@ -63,6 +60,7 @@ class _Conn:
         "fd",
         "decoder",
         "outbuf",
+        "out_bytes",
         "outbox",
         "lock",
         "pending",
@@ -76,8 +74,10 @@ class _Conn:
         self.sock = sock
         self.fd = sock.fileno()
         self.decoder = FrameDecoder()
-        #: Loop-owned outbound byte buffer, drained as the socket allows.
-        self.outbuf = bytearray()
+        #: Loop-owned outbound queue of buffers (never copied together),
+        #: drained as the socket allows, and the bytes it holds.
+        self.outbuf: deque = deque()
+        self.out_bytes = 0
         #: Worker -> loop handoff: encoded response buffers (under lock).
         self.outbox: deque = deque()
         self.lock = threading.Lock()
@@ -354,6 +354,7 @@ class ReactorBrokerServer:
             conn.closed = True
             conn.outbox.clear()
             conn.pending.clear()
+        conn.outbuf.clear()  # may hold views of a sealed segment's mapping
         try:
             self._selector.unregister(conn.sock)
         except (KeyError, ValueError, OSError):
@@ -375,34 +376,30 @@ class ReactorBrokerServer:
                     entry.span.finish()
 
     def _on_readable(self, conn: _Conn) -> None:
-        try:
-            data = conn.sock.recv(_RECV_CHUNK)
-        except BlockingIOError:
-            return
-        except OSError:
-            self._close_conn(conn)
-            return
-        if not data:
-            self._close_conn(conn)
-            return
-        conn.decoder.feed(data)
-        try:
-            while True:
-                frame = conn.decoder.next_frame()
-                if frame is None:
-                    break
-                request, blobs = frame
-                op = find(request.get("op"))
-                if op is not None and op.park_seconds(request) > 0:
-                    # Long-polls never occupy a worker: probe, then park
-                    # as loop state or complete through the strand.
-                    self._begin_parkable_fetch(conn, op, request, blobs)
-                else:
-                    self._enqueue_task(
-                        conn, partial(self._handle_request, conn, request, blobs)
-                    )
-        except ConnectionError:
-            self._close_conn(conn)
+        decoder = conn.decoder
+        # One read per readiness event, except that a blob's tail is drained
+        # until the socket runs dry (not one trip round ``select`` per read).
+        while True:
+            try:
+                if not decoder.recv_from(conn.sock):
+                    raise ConnectionError("peer closed the connection")
+                for request, blobs in iter(decoder.next_frame, None):
+                    op = find(request.get("op"))
+                    if op is not None and op.park_seconds(request) > 0:
+                        # Long-polls never occupy a worker: probe, then park
+                        # as loop state or complete through the strand.
+                        self._begin_parkable_fetch(conn, op, request, blobs)
+                    else:
+                        self._enqueue_task(
+                            conn, partial(self._handle_request, conn, request, blobs)
+                        )
+            except BlockingIOError:
+                return
+            except OSError:  # the socket's, or the decoder's ConnectionError
+                self._close_conn(conn)
+                return
+            if not decoder.mid_blob:
+                return
 
     # -- outbound -----------------------------------------------------------
 
@@ -426,25 +423,23 @@ class ReactorBrokerServer:
     def _pump_out(self, conn: _Conn) -> None:
         outbuf = conn.outbuf
         with conn.lock:
-            while conn.outbox:
-                outbuf += conn.outbox.popleft()
+            conn.out_bytes += sum(map(len, conn.outbox))
+            outbuf.extend(conn.outbox)
+            conn.outbox.clear()
         while outbuf:
             try:
-                sent = conn.sock.send(outbuf)
+                conn.out_bytes -= send_some(conn.sock, outbuf)
             except BlockingIOError:
                 break
             except OSError:
                 self._close_conn(conn)
                 return
-            if sent == 0:
-                break
-            del outbuf[:sent]
         # Backpressure with hysteresis: a slow reader stops being read
         # once its outbound buffer passes the cap, resumes below half.
         if conn.read_paused:
-            if len(outbuf) < self.max_buffered_bytes // 2:
+            if conn.out_bytes < self.max_buffered_bytes // 2:
                 conn.read_paused = False
-        elif len(outbuf) > self.max_buffered_bytes:
+        elif conn.out_bytes > self.max_buffered_bytes:
             conn.read_paused = True
         self._update_mask(conn)
 

@@ -5,16 +5,10 @@ broker behind a socket so pilots in *separate processes* (or separate
 machines, in a real deployment) can share one broker — the shape of the
 paper's actual Kafka deployment.
 
-Protocol: length-prefixed JSON frames (4-byte big-endian length, then a
-UTF-8 JSON object). A frame may additionally carry *binary blobs*: when
-the JSON object has an ``"nblobs": k`` field, the frame is followed by
-``k`` length-prefixed raw byte strings. The data-path ops
-(``append_batch`` / ``fetch_batch``) move record payloads as blobs —
-one socket round-trip per batch and no base64 (which inflates payloads
-by ~33% and burns CPU on both ends). Small fields (keys, headers,
-offsets) stay base64-in-JSON for debuggability. A single record is a
-batch of one: there are no per-record wire ops. Client and server ship
-in one package, so the wire schema carries no compatibility shims.
+The frame format is :mod:`repro.broker.wire`'s; the ops inside a frame
+are :mod:`repro.broker.ops`'s. A single record is a batch of one: there
+are no per-record wire ops. Client and server ship in one package, so
+the wire schema carries no compatibility shims.
 
 The protocol is *pipelined*: every request carries a correlation id
 (``"cid"``) that the server echoes in the response, so one connection
@@ -24,9 +18,7 @@ On high-RTT links this is the difference between one round-trip per
 request and one round-trip per *window* of requests.
 
 Server side: :class:`BrokerServer` is the ``selectors``-based reactor
-from :mod:`repro.broker.reactor` — one event-loop thread multiplexing
-every client socket, a small worker pool for op dispatch, and long-poll
-fetches parked as loop state instead of side threads.
+of :mod:`repro.broker.reactor`.
 
 Client side: :class:`RemoteBroker` exposes the same data-path surface as
 :class:`~repro.broker.broker.Broker` (`append`, `append_many`, `fetch`,
@@ -342,6 +334,8 @@ class RemoteBroker:
                 # socket timeouts — the reader blocks indefinitely and is
                 # woken by data or by close().
                 sock.settimeout(None)
+                # No TCP_NODELAY, on purpose: Nagle coalescing this shared
+                # connection's small writes is worth 39 % of p50 (DESIGN.md §8).
                 self._conn = _Connection(sock, self.name)
             return self._conn
 

@@ -9,14 +9,13 @@ one socket round-trip per batch and no base64 (which inflates payloads
 by ~33% and burns CPU on both ends). Small fields (keys, headers,
 offsets) stay base64-in-JSON for debuggability.
 
-Two decode styles share the same format:
-
-* :func:`recv_frame` — blocking, for the client's reader thread (one
-  ``recv`` loop per frame on a blocking socket).
-* :class:`FrameDecoder` — incremental, for the reactor server: bytes are
-  fed in whatever chunks the event loop reads and complete frames pop
-  out; partial frames cost no re-parsing (the decoder remembers exactly
-  how many bytes it still needs).
+Two decode styles share the same format — :func:`recv_frame`, blocking,
+for the client's reader thread, and :class:`FrameDecoder`, incremental,
+for the reactor — and in both a blob is received *in place*: straight
+from the socket into one ``bytearray`` of its declared length, which is
+the object the caller gets (nothing writes to it after its frame
+completes). Sending is scatter-gather (:func:`send_some`): a frame's
+buffers go to ``sendmsg`` as they are, never concatenated.
 
 What travels *inside* a frame — the ops, their fields and codecs — is
 declared once in :mod:`repro.broker.ops`.
@@ -28,6 +27,8 @@ import base64
 import json
 import socket
 import struct
+from collections import deque
+from itertools import islice
 
 from repro.util.validation import ValidationError
 
@@ -37,6 +38,9 @@ MAX_FRAME = 64 * 1024 * 1024
 #: The kernel caps sendmsg at IOV_MAX iovec entries (1024 on Linux);
 #: exceeding it fails with EMSGSIZE, so large batches go out in slices.
 IOV_MAX = min(getattr(socket, "IOV_MAX", 1024), 1024)
+
+#: One read into the parse buffer: also the most of a blob copied twice.
+_RECV_CHUNK = 65536
 
 
 # -- encoding ----------------------------------------------------------------
@@ -63,135 +67,160 @@ def send_frame(sock: socket.socket, payload: dict, blobs=()) -> None:
     sendall_vectored(sock, encode_frame(payload, blobs))
 
 
-def sendall_vectored(sock: socket.socket, buffers: list) -> None:
+def send_some(sock: socket.socket, buffers: deque) -> int:
+    """One scatter-gather send from the head of *buffers* (at most
+    ``IOV_MAX`` of them); returns the byte count and consumes it:
+    exhausted (and empty) heads are popped, a partly sent head becomes a
+    view of its rest. The blocking client and the reactor both send with
+    this; on a non-blocking socket ``BlockingIOError`` propagates.
+    """
+    if hasattr(sock, "sendmsg"):
+        sent = n = sock.sendmsg(islice(buffers, IOV_MAX))
+    else:  # no scatter-gather (Windows): one buffer per call
+        sent = n = sock.send(buffers[0])
+    while buffers and len(buffers[0]) <= n:
+        n -= len(buffers.popleft())
+    if n:
+        buffers[0] = memoryview(buffers[0])[n:]
+    return sent
+
+
+def sendall_vectored(sock: socket.socket, buffers) -> None:
     """Send all buffers without concatenating them into one big copy."""
-    if not hasattr(sock, "sendmsg"):
-        sock.sendall(b"".join(buffers))
-        return
-    views = [memoryview(b) for b in buffers if len(b)]
-    while views:
-        sent = sock.sendmsg(views[:IOV_MAX])
-        while sent:
-            if len(views[0]) <= sent:
-                sent -= len(views[0])
-                views.pop(0)
-            else:
-                views[0] = views[0][sent:]
-                sent = 0
+    buffers = deque(buffers)
+    while buffers:
+        send_some(sock, buffers)
 
 
-# -- blocking decode ---------------------------------------------------------
+# -- decoding ----------------------------------------------------------------
 
 
-def recv_exact(sock: socket.socket, n: int) -> bytes:
-    chunks = []
-    while n > 0:
-        chunk = sock.recv(min(n, 65536))
-        if not chunk:
+def recv_exact(sock: socket.socket, n: int) -> bytearray:
+    """Receive exactly *n* bytes (blocking) into one buffer of that size."""
+    out = bytearray(n)
+    view = memoryview(out)
+    got = 0
+    while got < n:
+        k = sock.recv_into(view[got:])
+        if not k:
             raise ConnectionError("peer closed the connection")
-        chunks.append(chunk)
-        n -= len(chunk)
-    return b"".join(chunks)
+        got += k
+    return out
 
 
-def recv_frame(sock: socket.socket) -> tuple[dict, list[bytes]]:
-    """Receive one frame (blocking); returns (json payload, binary blobs)."""
+def _recv_sized(sock: socket.socket) -> bytearray:
     (length,) = LEN.unpack(recv_exact(sock, 4))
     if length > MAX_FRAME:
-        raise ConnectionError(f"oversized frame: {length}")
-    payload = json.loads(recv_exact(sock, length).decode("utf-8"))
-    blobs: list[bytes] = []
-    for _ in range(int(payload.pop("nblobs", 0))):
-        (blob_len,) = LEN.unpack(recv_exact(sock, 4))
-        if blob_len > MAX_FRAME:
-            raise ConnectionError(f"oversized blob: {blob_len}")
-        blobs.append(recv_exact(sock, blob_len))
-    return payload, blobs
+        raise ConnectionError(f"oversized frame or blob: {length}")
+    return recv_exact(sock, length)
+
+
+def recv_frame(sock: socket.socket) -> tuple[dict, list]:
+    """Receive one frame (blocking); returns (json payload, binary blobs)."""
+    payload = json.loads(_recv_sized(sock))
+    return payload, [_recv_sized(sock) for _ in range(int(payload.pop("nblobs", 0)))]
 
 
 class FrameDecoder:
     """Incremental frame assembly for non-blocking sockets.
 
-    Feed raw chunks with :meth:`feed`; pull complete ``(payload, blobs)``
-    frames with :meth:`next_frame` until it returns ``None``. The decoder
-    is a four-state machine (payload length → payload body → blob length
-    → blob body), so a frame arriving in many small reads is parsed
-    exactly once — no rescanning, no quadratic reassembly.
+    Bytes come in through :meth:`recv_from` (one read from a socket) or
+    :meth:`feed`; pull complete ``(payload, blobs)`` frames with
+    :meth:`next_frame` until it returns ``None``. Lengths and JSON pass
+    through a small parse buffer. A blob does not: once its length
+    prefix is parsed (and checked against ``MAX_FRAME``) its buffer is
+    allocated once at the declared length, takes whatever of it already
+    sits in the parse buffer, and the socket is read straight into its
+    tail. A frame arriving in many small reads is parsed exactly once.
 
     Raises :class:`ConnectionError` on protocol violations (oversized
     frame/blob, undecodable JSON); the caller should drop the connection,
     matching the blocking path's behavior.
     """
 
-    __slots__ = ("_buf", "_state", "_need", "_payload", "_blobs", "_nblobs")
+    __slots__ = ("_buf", "_state", "_need", "_payload", "_nblobs", "_blobs",
+                 "_blob", "_filled")
 
-    _WANT_LEN, _WANT_PAYLOAD, _WANT_BLOB_LEN, _WANT_BLOB = range(4)
+    _WANT_LEN, _WANT_PAYLOAD, _WANT_BLOBS = range(3)
 
     def __init__(self) -> None:
         self._buf = bytearray()
         self._state = self._WANT_LEN
         self._need = 4
         self._payload: dict | None = None
-        self._blobs: list[bytes] = []
         self._nblobs = 0
+        self._blobs: list = []
+        #: The blob being received and how much of it has arrived. While
+        #: it is incomplete the parse buffer is empty.
+        self._blob: bytearray | None = None
+        self._filled = 0
 
     @property
     def buffered_bytes(self) -> int:
-        """Bytes held for a not-yet-complete frame (memory accounting)."""
-        return len(self._buf)
+        """Bytes received for a not-yet-complete frame (memory accounting)."""
+        return len(self._buf) + self._filled + sum(map(len, self._blobs))
+
+    @property
+    def mid_blob(self) -> bool:
+        """True while a blob's tail is still on the wire."""
+        return self._blob is not None
+
+    def recv_from(self, sock: socket.socket) -> int:
+        """One read from *sock*: into the pending blob's tail if there is
+        one, else into the parse buffer. Returns the byte count (0 = the
+        peer closed); socket errors propagate."""
+        if self._blob is None:
+            data = sock.recv(_RECV_CHUNK)
+            self._buf += data
+            return len(data)
+        n = sock.recv_into(memoryview(self._blob)[self._filled :])
+        self._filled += n
+        return n
 
     def feed(self, data) -> None:
+        if self._blob is not None:
+            data = memoryview(data)
+            k = min(len(data), len(self._blob) - self._filled)
+            self._blob[self._filled : self._filled + k] = data[:k]
+            self._filled += k
+            data = data[k:]
         self._buf += data
 
-    def _take(self, n: int) -> bytes:
-        out = bytes(self._buf[:n])
-        del self._buf[:n]
-        return out
-
-    def next_frame(self) -> tuple[dict, list[bytes]] | None:
+    def next_frame(self) -> tuple[dict, list] | None:
         buf = self._buf
-        while len(buf) >= self._need:
-            state = self._state
-            if state == self._WANT_LEN:
-                (length,) = LEN.unpack_from(buf)
-                del buf[:4]
-                if length > MAX_FRAME:
-                    raise ConnectionError(f"oversized frame: {length}")
-                self._need = length
-                self._state = self._WANT_PAYLOAD
-            elif state == self._WANT_PAYLOAD:
-                try:
-                    payload = json.loads(self._take(self._need).decode("utf-8"))
-                except (ValueError, UnicodeDecodeError) as exc:
+        while True:
+            if self._blob is not None:
+                if self._filled < len(self._blob):
+                    return None
+                self._blobs.append(self._blob)
+                self._blob, self._filled = None, 0
+            if self._state == self._WANT_BLOBS and len(self._blobs) >= self._nblobs:
+                frame = self._payload, self._blobs
+                self._payload, self._blobs = None, []
+                self._state = self._WANT_LEN
+                return frame
+            if len(buf) < self._need:
+                return None
+            if self._state == self._WANT_PAYLOAD:
+                try:  # bad JSON, bad UTF-8, or not an object at all
+                    self._payload = json.loads(buf[: self._need])
+                    self._nblobs = int(self._payload.pop("nblobs", 0))
+                except (ValueError, TypeError, AttributeError) as exc:
                     raise ConnectionError(f"undecodable frame: {exc}") from exc
-                self._nblobs = int(payload.pop("nblobs", 0))
-                self._payload = payload
-                self._blobs = []
-                if self._nblobs <= 0:
-                    self._state = self._WANT_LEN
-                    self._need = 4
-                    self._payload = None
-                    return payload, []
-                self._state = self._WANT_BLOB_LEN
-                self._need = 4
-            elif state == self._WANT_BLOB_LEN:
-                (blob_len,) = LEN.unpack_from(buf)
-                del buf[:4]
-                if blob_len > MAX_FRAME:
-                    raise ConnectionError(f"oversized blob: {blob_len}")
-                self._need = blob_len
-                self._state = self._WANT_BLOB
-            else:  # _WANT_BLOB
-                self._blobs.append(self._take(self._need))
-                if len(self._blobs) == self._nblobs:
-                    payload, blobs = self._payload, self._blobs
-                    self._payload, self._blobs = None, []
-                    self._state = self._WANT_LEN
-                    self._need = 4
-                    return payload, blobs
-                self._state = self._WANT_BLOB_LEN
-                self._need = 4
-        return None
+                del buf[: self._need]
+                self._state, self._need = self._WANT_BLOBS, 4
+                continue
+            (length,) = LEN.unpack_from(buf)
+            del buf[:4]
+            if length > MAX_FRAME:  # refused before anything is allocated
+                raise ConnectionError(f"oversized frame or blob: {length}")
+            if self._state == self._WANT_LEN:
+                self._state, self._need = self._WANT_PAYLOAD, length
+            else:
+                self._blob = bytearray(length)
+                self._filled = k = min(len(buf), length)
+                self._blob[:k] = memoryview(buf)[:k]
+                del buf[:k]
 
 
 # -- value encoding ----------------------------------------------------------

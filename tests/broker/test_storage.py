@@ -1,5 +1,6 @@
 """Durable segment-backed partition logs: codec, store, recovery, tiering."""
 
+import mmap
 import os
 
 import pytest
@@ -298,6 +299,131 @@ class TestSegmentStore:
         flusher.stop()
         assert store.counters["flush_errors"] == 1
         store.close()
+
+
+PAGE = mmap.PAGESIZE
+
+
+@pytest.fixture
+def released(monkeypatch):
+    """Record every ``DONTNEED`` range by file, checked against what the
+    last ``fsync`` of that file made durable; the real call still runs."""
+    real_fadvise, real_fsync = os.posix_fadvise, os.fsync
+    durable: dict = {}
+    ranges: dict = {}
+
+    def fsync(fd):
+        real_fsync(fd)
+        durable[os.fstat(fd).st_ino] = os.fstat(fd).st_size
+
+    def fadvise(fd, offset, length, advice):
+        assert advice == os.POSIX_FADV_DONTNEED
+        inode = os.fstat(fd).st_ino
+        assert offset + length <= durable[inode], "released past the fsynced end"
+        ranges.setdefault(inode, []).append((offset, length))
+        real_fadvise(fd, offset, length, advice)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    monkeypatch.setattr(os, "posix_fadvise", fadvise)
+    return ranges
+
+
+class TestPageCacheRelease:
+    """The active segment's durable pages go back to the kernel; every
+    read that now comes from disk returns what was written."""
+
+    # A run is an eighth of a segment: 8 KiB here.
+    CONFIG = StorageConfig(segment_bytes=64 * 1024, flush_ms=60_000.0, flush_bytes=1 << 30)
+
+    def _fill(self, log, n=120):
+        values = [bytes([i % 251]) * (500 + 37 * (i % 40)) for i in range(n)]
+        for i in range(0, n, 3):
+            log.append_many(values[i : i + 3])
+            log.storage.flush()
+        return values
+
+    def test_ranges_are_page_aligned_monotone_and_at_least_a_run(self, tmp_path, released):
+        log = PartitionLog("t", 0, log_dir=str(tmp_path), storage=self.CONFIG)
+        self._fill(log)
+        sealed = log.storage.counters["segments_sealed"]
+        assert sealed >= 2 and len(released) >= sealed
+        short_runs = 0
+        for ranges in released.values():
+            cursor = 0
+            for offset, length in ranges:
+                assert offset == cursor and offset % PAGE == 0
+                assert length > 0 and length % PAGE == 0
+                cursor = offset + length
+            # Only what is left when the segment rolls may be shorter
+            # than a run.
+            assert all(length >= 8192 for _, length in ranges[:-1])
+            short_runs += ranges[-1][1] < 8192
+        assert short_runs <= sealed
+        log.close()
+
+    def test_a_flush_smaller_than_a_run_pays_no_syscall(self, tmp_path, released):
+        store = make_store(tmp_path, config=self.CONFIG)
+        store.append_batch(make_records(0, [b"s" * 6000]))
+        store.flush()
+        assert not released
+        store.append_batch(make_records(1, [b"s" * 6000]))
+        store.flush()
+        assert [r for rs in released.values() for r in rs] == [(0, 2 * PAGE)]
+        store.close()
+
+    def test_sealed_reads_and_restart_recovery_are_byte_identical(self, tmp_path, released):
+        log = PartitionLog("t", 0, log_dir=str(tmp_path), storage=self.CONFIG)
+        values = self._fill(log)
+        assert released and log.storage.active_base > 0
+        assert [bytes(r.value) for r in log.fetch(0, max_records=1000)] == values
+        log.close()
+        again = PartitionLog("t", 0, log_dir=str(tmp_path), storage=self.CONFIG)
+        assert again.storage.recovered.truncated_bytes == 0
+        assert [bytes(r.value) for r in again.fetch(0, max_records=1000)] == values
+        again.close()
+
+    def test_torn_write_after_releases_recovers_the_flushed_prefix(self, tmp_path, released):
+        log = PartitionLog("t", 0, log_dir=str(tmp_path), storage=self.CONFIG)
+        values = self._fill(log, n=30)  # stays in the active segment
+        assert released and log.storage.active_base == 0
+        injector = FaultInjector()
+        injector.torn_write_next(op="t/0")
+        log.storage.fault_injector = injector
+        log.append_many([b"doomed" * 1000])
+        try:
+            log.storage.flush()
+        except TornWriteError:
+            pass  # else the log's own flusher thread ran the torn flush
+        assert injector.fired.get("torn") == 1
+        log.close()
+        again = PartitionLog("t", 0, log_dir=str(tmp_path), storage=self.CONFIG)
+        assert again.storage.recovered.truncated_bytes > 0
+        assert [bytes(r.value) for r in again.fetch(0, max_records=1000)] == values
+        again.close()
+
+    def test_truncate_through_a_straddling_batch_after_releases(self, tmp_path, released):
+        log = PartitionLog("t", 0, log_dir=str(tmp_path), storage=self.CONFIG)
+        values = self._fill(log, n=30)
+        assert released and log.storage.active_base == 0
+        log.truncate_to(22)  # batches are 3 records: 21..23 straddles
+        assert log.latest_offset == 22
+        tail = [b"after" * 2000] * 4
+        log.append_many(tail)  # long enough to cross the old cursor
+        log.storage.flush()
+        expected = values[:22] + tail
+        assert [bytes(r.value) for r in log.fetch(0, max_records=1000)] == expected
+        log.close()
+        again = PartitionLog("t", 0, log_dir=str(tmp_path), storage=self.CONFIG)
+        assert [bytes(r.value) for r in again.fetch(0, max_records=1000)] == expected
+        again.close()
+
+    def test_a_platform_without_posix_fadvise_skips_it_silently(self, tmp_path, monkeypatch):
+        monkeypatch.delattr(os, "posix_fadvise")
+        log = PartitionLog("t", 0, log_dir=str(tmp_path), storage=self.CONFIG)
+        values = self._fill(log)
+        assert log.storage.counters["segments_sealed"] >= 2
+        assert [bytes(r.value) for r in log.fetch(0, max_records=1000)] == values
+        log.close()
 
 
 class TestDurablePartitionLog:

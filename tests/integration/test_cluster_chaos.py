@@ -66,7 +66,7 @@ class TestShardKillMidStream:
                         # let the client re-route after the respawn.
                         time.sleep(0.05)
                         continue
-                    consumed.extend(r.value for r in records)
+                    consumed.extend(bytes(r.value) for r in records)
 
             poller = threading.Thread(target=poll_loop, daemon=True)
             poller.start()

@@ -71,7 +71,7 @@ class TestLeaderKillMidStream:
                     except (RetriableError, ConnectionError, OSError):
                         time.sleep(0.05)
                         continue
-                    consumed.extend(r.value for r in records)
+                    consumed.extend(bytes(r.value) for r in records)
 
             poller = threading.Thread(target=poll_loop, daemon=True)
             poller.start()
