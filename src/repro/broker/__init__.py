@@ -59,12 +59,9 @@ from repro.broker.metadata import (
     replica_indices,
     shard_for_partition,
 )
-from repro.broker.cluster import (
-    ClusterBroker,
-    ClusterBrokerSupervisor,
-    ShardBroker,
-    connect_bootstrap,
-)
+from repro.broker.shard import ShardBroker
+from repro.broker.supervisor import ClusterBrokerSupervisor
+from repro.broker.cluster import ClusterBroker, connect_bootstrap
 from repro.broker.storage import (
     GroupCommitFlusher,
     LogStorageManager,

@@ -196,7 +196,7 @@ class Broker:
         broker acknowledges at append time regardless (``"all"`` and
         ``"leader"`` coincide when the leader is the only replica), so
         the knob only changes behavior on a replicated
-        :class:`~repro.broker.cluster.ShardBroker`.
+        :class:`~repro.broker.shard.ShardBroker`.
         """
         md = self.append_many(
             topic,

@@ -23,6 +23,7 @@ refuse to go backwards, mirroring the producer-epoch fencing the broker
 already does for idempotent writes; the per-partition ``partition_epoch``
 additionally fences a deposed leader's replication traffic
 (:class:`~repro.broker.errors.StaleLeaderEpochError`).
+:func:`elect_leaders` is the rule that fills the override table.
 """
 
 from __future__ import annotations
@@ -73,6 +74,42 @@ def coordinator_shard(group_id: str, num_shards: int) -> int:
     return zlib.crc32(group_id.encode("utf-8")) % num_shards
 
 
+def elect_leaders(
+    leaders: dict, topics, num_shards: int, replication_factor: int, dead_index: int,
+    log_end,
+) -> list:
+    """New leaders for the partitions *dead_index* led, as ``(topic,
+    partition, leader, partition_epoch, log_end)`` tuples.
+
+    *leaders* is the override table ``{(topic, partition): (shard,
+    partition_epoch)}``; ``log_end(index, topic, partition)`` is a
+    replica's log end, ``None`` when it is dead or does not answer. The
+    surviving replica with the longest log wins — by the ISR invariant
+    (the high-watermark never passes the slowest ISR member) it holds
+    every record an ``acks="all"`` producer was acknowledged for — and
+    the partition's epoch moves by one to fence the deposed leader's late
+    pushes. With no live replica the slot is left for the respawn.
+    """
+    moved = []
+    for name, partitions in topics:
+        for partition in range(partitions):
+            replicas = replica_indices(name, partition, num_shards, replication_factor)
+            current, epoch = leaders.get((name, partition), (replicas[0], 0))
+            if current != dead_index:
+                continue
+            ends = [
+                (end, index)
+                for index in replicas
+                if index != dead_index
+                and (end := log_end(index, name, partition)) is not None
+            ]
+            if ends:
+                # Longest log; the preferred (earlier) replica on a tie.
+                end, index = max(ends, key=lambda pair: pair[0])
+                moved.append((name, partition, index, epoch + 1, end))
+    return moved
+
+
 @dataclass(frozen=True)
 class ClusterMetadata:
     """An epoch-stamped shard address list with ownership accessors.
@@ -117,13 +154,10 @@ class ClusterMetadata:
             topic, partition, len(self.shards), self.replication_factor
         )
 
-    def owner_index(self, topic: str, partition: int) -> int:
-        # Routing targets the *leader*: with no overrides this is the
-        # plain hash slot, so pre-replication behavior is unchanged.
-        return self.leader_index(topic, partition)
-
     def owner(self, topic: str, partition: int) -> tuple[str, int]:
-        return self.shards[self.owner_index(topic, partition)]
+        """Where routing sends the partition's ops: its *leader* (with
+        no overrides, the plain hash slot)."""
+        return self.shards[self.leader_index(topic, partition)]
 
     def coordinator_index(self, group_id: str) -> int:
         return coordinator_shard(group_id, len(self.shards))

@@ -19,7 +19,7 @@ Adding an op is one entry here plus the broker method. A method the
 served broker does not have (``describe_cluster`` on a plain
 :class:`~repro.broker.broker.Broker`, say) answers ``unknown op`` — one
 rule in :meth:`Op.invoke` instead of a probe per op.
-:class:`~repro.broker.cluster.ShardBroker`'s ownership guards are *not*
+:class:`~repro.broker.shard.ShardBroker`'s ownership guards are *not*
 derived: they are hand-written safety code the routing keys here are
 tested against.
 """

@@ -7,8 +7,6 @@ package models continuum links with exactly those parameters:
 
 - :class:`LinkProfile` / :class:`Link` — latency + bandwidth + jitter +
   loss models with a deterministic RNG, producing per-transfer times,
-- :class:`TokenBucket` — shared-bandwidth enforcement when several flows
-  cross one link,
 - :class:`ContinuumTopology` — named sites connected by links, with
   route lookup used by the placement policies and the simulator.
 
@@ -18,7 +16,6 @@ paper discusses.
 """
 
 from repro.netem.link import Link, LinkProfile, LOOPBACK, LAN, REGIONAL_WAN, TRANSATLANTIC, CELLULAR_EDGE
-from repro.netem.tokenbucket import TokenBucket
 from repro.netem.topology import ContinuumTopology, Site, RouteError
 
 __all__ = [
@@ -29,7 +26,6 @@ __all__ = [
     "REGIONAL_WAN",
     "TRANSATLANTIC",
     "CELLULAR_EDGE",
-    "TokenBucket",
     "ContinuumTopology",
     "Site",
     "RouteError",

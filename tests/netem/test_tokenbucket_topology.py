@@ -1,6 +1,4 @@
-"""Tests for the token bucket and the continuum topology."""
-
-import time
+"""Tests for the continuum topology (the file keeps its name: test ids)."""
 
 import pytest
 
@@ -10,50 +8,8 @@ from repro.netem import (
     TRANSATLANTIC,
     ContinuumTopology,
     RouteError,
-    TokenBucket,
 )
 from repro.util.validation import ValidationError
-
-
-class TestTokenBucket:
-    def test_initial_burst(self):
-        bucket = TokenBucket(rate_bytes_per_s=1000, capacity_bytes=500)
-        assert bucket.try_acquire(500)
-        assert not bucket.try_acquire(1)
-
-    def test_refills_over_time(self):
-        bucket = TokenBucket(rate_bytes_per_s=100_000, capacity_bytes=1000)
-        bucket.try_acquire(1000)
-        time.sleep(0.02)
-        assert bucket.try_acquire(500)
-
-    def test_capacity_caps_refill(self):
-        bucket = TokenBucket(rate_bytes_per_s=1_000_000, capacity_bytes=100)
-        time.sleep(0.01)
-        assert bucket.available <= 100
-
-    def test_blocking_acquire(self):
-        bucket = TokenBucket(rate_bytes_per_s=100_000, capacity_bytes=1000)
-        bucket.try_acquire(1000)  # drain
-        t0 = time.monotonic()
-        assert bucket.acquire(500, timeout=5.0)
-        assert time.monotonic() - t0 >= 0.003
-
-    def test_acquire_timeout(self):
-        bucket = TokenBucket(rate_bytes_per_s=1, capacity_bytes=1)
-        bucket.try_acquire(1)
-        assert not bucket.acquire(1000, timeout=0.05)
-
-    def test_delay_for_virtual_time(self):
-        bucket = TokenBucket(rate_bytes_per_s=1000, capacity_bytes=1000)
-        assert bucket.delay_for(1000) == 0.0
-        # Bucket now empty: next transfer queues behind the refill.
-        delay = bucket.delay_for(500)
-        assert delay == pytest.approx(0.5, abs=0.05)
-
-    def test_invalid_rate(self):
-        with pytest.raises(ValidationError):
-            TokenBucket(rate_bytes_per_s=0)
 
 
 class TestContinuumTopology:
