@@ -12,8 +12,9 @@ out again is derived from :data:`OPS`:
   (:meth:`Op.bind` → :meth:`Op.request` → :meth:`Op.response`),
 * the :class:`~repro.broker.cluster.ClusterBroker` routing
   (:attr:`Op.route`, :attr:`Op.merge`),
-* the replay / exclusive in-flight decision (:meth:`Op.replayable`) and
-  long-poll parking and deadlines (:meth:`Op.park_seconds`).
+* the replay / exclusive in-flight decision (:meth:`Op.replayable`),
+  long-poll parking and deadlines (:meth:`Op.park_seconds`) and which
+  thread serves the op (:attr:`Op.waits`).
 
 Adding an op is one entry here plus the broker method. A method the
 served broker does not have (``describe_cluster`` on a plain
@@ -165,6 +166,9 @@ class Op:
     resend safe — without a producer id such an op takes the client's
     exclusive in-flight slot and fails fast instead of replaying.
     *parkable* ops wait server-side for up to their ``timeout`` field.
+    *waits* says serving the op can wait on something other than the
+    CPU (a disk, a follower's ack): the server runs it on a worker, and
+    every other op on its event loop, where it was read.
     *raises* names a server-side error the client re-raises as that
     typed class, built from the op's required fields.
     """
@@ -177,6 +181,7 @@ class Op:
     route: str = "any"
     replay: str = "always"
     parkable: bool = False
+    waits: bool = False
     codec: Codec = PLAIN
     merge: Callable | None = None
     raises: type | None = None
@@ -353,8 +358,9 @@ _OPS = (
     # topics
     Op("create_topic", "create_topic",
        (F("topic", param="name"), F("num_partitions", 1), F("exist_ok", False)),
-       "Create a topic (on every shard, each with the full partition set).",
-       route="every-shard", codec=TOPIC),
+       "Create a topic (on every shard, each with the full partition set). "
+       "Waits on the disk: directory creation and the recovery scan.",
+       route="every-shard", waits=True, codec=TOPIC),
     Op("num_partitions", "topic", (F("topic", param="name"),),
        "Look a topic up; remote clients learn its partition count.",
        codec=TOPIC),
@@ -368,8 +374,9 @@ _OPS = (
        (*_TP, F("values", kind="blobs"), F("keys", None, kind="b64s"),
         F("headers", None), F("produce_ts", None), *_PRODUCER,
         F("base_sequence", None), F("acks", None)),
-       "Batched append: one round-trip, values as binary blobs.",
-       route="partition", replay="with_producer_id", codec=BATCH_ACK),
+       "Batched append: one round-trip, values as binary blobs. Waits for "
+       "the high-watermark under ``acks=\"all\"`` and the fsync under ``fsync_acks``.",
+       route="partition", replay="with_producer_id", waits=True, codec=BATCH_ACK),
     Op("fetch_batch", "fetch",
        (*_TP, F("offset"), F("max_records", 64), F("timeout", 0.0), F("min_bytes", 1)),
        "Fetch records, values as binary blobs. With ``timeout > 0`` the "

@@ -9,11 +9,17 @@ server half of the wire path is a ``selectors``-based reactor:
   incremental :class:`~repro.broker.wire.FrameDecoder` (a blob is read
   from the socket straight into its own buffer); outbound frames queue
   as the buffers they are and drain scatter-gather as the socket allows.
-* **A small bounded worker pool** executes op dispatch (JSON build,
-  base64, broker calls) off the loop. Each connection is a *strand*: its
-  requests run one at a time in arrival order — per-connection append
-  order is preserved, which idempotent producer sequence numbers rely
-  on — while different connections run in parallel across workers.
+* **The loop serves what cannot wait, workers serve what can.** An op
+  the table declares non-waiting (:attr:`~repro.broker.ops.Op.waits`)
+  runs on the I/O thread where it was read and its response goes
+  straight to the connection's outbound queue: under the GIL a hop to
+  another thread buys no parallelism, only latency. An op that can wait
+  on a disk or a follower (``append_batch``, ``create_topic``) runs on a
+  small bounded worker pool. Each connection is a *strand*: its requests
+  run one at a time in arrival order — an op is served on the loop only
+  while its connection's strand is idle, so per-connection append order
+  is preserved, which idempotent producer sequence numbers rely on —
+  while different connections' waiting ops run in parallel.
 * **Long-poll fetches park as reactor state**, not threads. A parkable
   fetch is probed non-blockingly (:meth:`PartitionLog.poll_fetch`); if
   unsatisfied it lands in a parked-request table keyed by
@@ -21,13 +27,13 @@ server half of the wire path is a ``selectors``-based reactor:
   waiter hook (``register_waiter``) takes a duck-typed waker whose
   ``set()`` nudges the loop through a self-pipe, so the append path did
   not change at all. A parked fetch therefore costs one table entry —
-  no thread, no stack.
+  no thread, no stack — and is answered by the loop, where it completes.
 
 Frames may carry the optional ``"trace"`` field; a ``server.<op>`` span
 covers dispatch (and for a parked fetch, the full park duration).
 
-Tuning knobs: ``num_workers`` (dispatch parallelism; the default of 4
-is plenty for a GIL-bound op table), ``max_buffered_bytes`` (per-
+Tuning knobs: ``num_workers`` (how many waiting ops may wait at once;
+the default of 4 is plenty), ``max_buffered_bytes`` (per-
 connection outbound cap — a slow reader's reads are paused until its
 buffer drains below half the cap, bounding per-connection memory).
 """
@@ -42,7 +48,6 @@ import socket
 import threading
 import time
 from collections import deque
-from functools import partial
 
 from repro.broker.broker import Broker
 from repro.broker.ops import find, lookup
@@ -81,7 +86,8 @@ class _Conn:
         #: Worker -> loop handoff: encoded response buffers (under lock).
         self.outbox: deque = deque()
         self.lock = threading.Lock()
-        #: Strand queue: this connection's requests, executed in order.
+        #: Strand queue: this connection's ``(request, blobs)`` for the
+        #: workers, served in order; ``scheduled`` while any is unserved.
         self.pending: deque = deque()
         self.scheduled = False
         self.closed = False
@@ -115,8 +121,10 @@ class _PartitionWaker:
     The log calls ``set()`` whenever its visible end moves — an append,
     or a high-watermark advance on a replicated log — (it expects a
     ``threading.Event``); here that marks the partition key dirty and
-    nudges the reactor through its self-pipe — the append path needs no
-    knowledge of the reactor at all.
+    nudges the reactor through its self-pipe (from the loop itself — a
+    follower's ``replicate_append`` — the mark is enough: this
+    iteration's ``_process_wakes`` is still to come) — the append path
+    needs no knowledge of the reactor at all.
     """
 
     __slots__ = ("_server", "_key")
@@ -129,7 +137,8 @@ class _PartitionWaker:
         server = self._server
         with server._wake_lock:
             server._pending_wakes.add(self._key)
-        server._wake()
+        if threading.current_thread() is not server._reactor_thread:
+            server._wake()
 
 
 class ReactorBrokerServer:
@@ -299,9 +308,9 @@ class ReactorBrokerServer:
                             self._on_readable(data)
                         if mask & _WRITE and not data.closed:
                             self._pump_out(data)
-                self._flush_dirty()
                 self._process_wakes()
                 self._process_deadlines()
+                self._flush_dirty()  # last: what the two above answered too
                 self.reactor_loop_lag = time.monotonic() - t0
         finally:
             self._teardown()
@@ -386,13 +395,14 @@ class ReactorBrokerServer:
                 for request, blobs in iter(decoder.next_frame, None):
                     op = find(request.get("op"))
                     if op is not None and op.park_seconds(request) > 0:
-                        # Long-polls never occupy a worker: probe, then park
-                        # as loop state or complete through the strand.
+                        # Long-polls never occupy a worker: probe, then
+                        # answer or park as loop state.
                         self._begin_parkable_fetch(conn, op, request, blobs)
+                    elif conn.scheduled or (op is not None and op.waits):
+                        # It can wait, or must not overtake one that can.
+                        self._enqueue_task(conn, (request, blobs))
                     else:
-                        self._enqueue_task(
-                            conn, partial(self._handle_request, conn, request, blobs)
-                        )
+                        self._serve(conn, request, blobs, self._send)
             except BlockingIOError:
                 return
             except OSError:  # the socket's, or the decoder's ConnectionError
@@ -403,8 +413,18 @@ class ReactorBrokerServer:
 
     # -- outbound -----------------------------------------------------------
 
+    def _send(self, conn: _Conn, buffers) -> None:
+        """Queue encoded buffers on *conn* (loop thread only); this
+        iteration's ``_flush_dirty`` puts them on the wire."""
+        if not conn.closed:
+            conn.outbuf.extend(buffers)
+            conn.out_bytes += sum(map(len, buffers))
+            with self._wake_lock:
+                self._dirty.add(conn)
+
     def _queue_output(self, conn: _Conn, buffers) -> None:
-        """Hand encoded buffers to the loop (called from workers)."""
+        """Hand encoded buffers to the loop (workers only: the lock,
+        ``outbox``, ``_dirty`` and the self-pipe are the price of the hop)."""
         with conn.lock:
             if conn.closed:
                 return
@@ -461,12 +481,14 @@ class ReactorBrokerServer:
 
     # -- strand scheduling --------------------------------------------------
 
-    def _enqueue_task(self, conn: _Conn, thunk) -> None:
-        """Queue *thunk* on the connection's strand (FIFO per conn)."""
+    def _enqueue_task(self, conn: _Conn, task: tuple) -> None:
+        """Queue ``(request, blobs)`` on the connection's strand (FIFO
+        per conn). Only the loop sets ``scheduled``, so reading it false
+        there means every queued request has been served."""
         with conn.lock:
             if conn.closed:
                 return
-            conn.pending.append(thunk)
+            conn.pending.append(task)
             if conn.scheduled:
                 return
             conn.scheduled = True
@@ -478,15 +500,9 @@ class ReactorBrokerServer:
             if conn is None:
                 return
             with conn.lock:
-                thunk = conn.pending.popleft() if conn.pending else None
-            if thunk is not None:
-                try:
-                    thunk()
-                except Exception as exc:  # noqa: BLE001 — a worker must
-                    # survive, but not silently.
-                    self._registry.counter(
-                        f"server.worker_errors.{type(exc).__name__}"
-                    ).inc()
+                task = conn.pending.popleft() if conn.pending else None
+            if task is not None:
+                self._serve(conn, *task, self._queue_output)
             requeue = False
             with conn.lock:
                 if conn.pending:
@@ -496,7 +512,17 @@ class ReactorBrokerServer:
             if requeue:
                 self._tasks.put(conn)
 
-    # -- request handling (workers) -----------------------------------------
+    # -- request handling (the loop, or a worker) ---------------------------
+
+    def _serve(self, conn: _Conn, request: dict, blobs, send) -> None:
+        """Answer one request through *send*, this thread's way out."""
+        try:
+            send(conn, self._handle_request(request, blobs))
+        except Exception as exc:  # noqa: BLE001 — survive, but not silently
+            self._count_error(exc)
+
+    def _count_error(self, exc: Exception) -> None:
+        self._registry.counter(f"server.worker_errors.{type(exc).__name__}").inc()
 
     def _open(self, request: dict) -> tuple:
         """Take the envelope off *request*: returns its correlation id
@@ -515,26 +541,23 @@ class ReactorBrokerServer:
             )
         return cid, span
 
-    def _handle_request(self, conn: _Conn, request: dict, blobs) -> None:
+    def _handle_request(self, request: dict, blobs) -> list:
         cid, span = self._open(request)
-        self._answer(
-            conn,
-            cid,
-            span,
-            lambda: lookup(request.get("op")).invoke(self.broker, request, blobs),
-        )
-
-    def _answer(self, conn: _Conn, cid, span, produce) -> None:
-        """Send ``produce() -> (result, out blobs)``, or the error it
-        raised, as the response to *cid*."""
         try:
-            result, out_blobs = produce()
-            response = {"ok": True, "result": result}
+            result = lookup(request.get("op")).invoke(self.broker, request, blobs)
         except Exception as exc:  # noqa: BLE001 — all errors go to the client
-            out_blobs = ()
+            return self._answer(cid, span, error=exc)
+        return self._answer(cid, span, *result)
+
+    def _answer(self, cid, span, result=None, out_blobs=(), error=None) -> list:
+        """The encoded response to *cid*: *result* with its blobs, or
+        *error*."""
+        if error is None:
+            response = {"ok": True, "result": result}
+        else:
             if span is not None:
-                span.set_attr("error", type(exc).__name__)
-            response = {"ok": False, "error": type(exc).__name__, "message": str(exc)}
+                span.set_attr("error", type(error).__name__)
+            response = {"ok": False, "error": type(error).__name__, "message": str(error)}
         if span is not None:
             span.finish()
         if cid is not None:
@@ -542,10 +565,11 @@ class ReactorBrokerServer:
         with self._counts_lock:
             self.requests_served += 1
         try:
-            buffers = encode_frame(response, out_blobs)
-        except Exception:  # noqa: BLE001 — unencodable response: drop it
-            return
-        self._queue_output(conn, buffers)
+            return encode_frame(response, out_blobs)
+        except Exception as exc:  # noqa: BLE001 — unencodable: say so, and count it
+            self._count_error(exc)
+            error = {"ok": False, "error": type(exc).__name__, "message": str(exc)}
+            return encode_frame({**error, "cid": cid})
 
     # -- long-poll parking (reactor thread) ---------------------------------
 
@@ -603,17 +627,11 @@ class ReactorBrokerServer:
             if waker is not None and entry.log is not None:
                 entry.log.unregister_waiter(waker)
 
-    def _finish_parked(self, entry: _ParkedFetch, records=None, error=None) -> None:
-        """Complete a (possibly never-parked) long-poll via the strand."""
-
-        def produce():
-            if error is not None:
-                raise error
-            return entry.op.codec.encode(records or [])
-
-        self._enqueue_task(
-            entry.conn, partial(self._answer, entry.conn, entry.cid, entry.span, produce)
-        )
+    def _finish_parked(self, entry: _ParkedFetch, records=(), error=None) -> None:
+        """Answer a (possibly never-parked) long-poll where it completed:
+        here, on the loop."""
+        result = entry.op.codec.encode(records) if error is None else ()
+        self._send(entry.conn, self._answer(entry.cid, entry.span, *result, error=error))
 
     def _process_wakes(self) -> None:
         with self._wake_lock:

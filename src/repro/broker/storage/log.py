@@ -76,10 +76,11 @@ class StorageConfig:
     """Knobs of the on-disk log backend.
 
     ``segment_bytes`` bounds both roll size and recovery cost (recovery
-    scans one active segment); ``flush_ms``/``flush_bytes`` set the
-    group-commit window; ``fsync_acks`` makes appends block until their
-    batch is fsynced (single-node durability) instead of relying on the
-    background window + replication.
+    scans one active segment); the group-commit window is a deadline:
+    a flush comes ``flush_ms`` after the first append it covers, sooner
+    only once ``flush_bytes`` are pending or under ``fsync_acks``, which
+    makes appends block until their batch is fsynced (single-node
+    durability) instead of relying on that window + replication.
     """
 
     segment_bytes: int = 32 * 1024 * 1024
@@ -109,10 +110,10 @@ class GroupCommitFlusher:
     """One background thread amortizing ``write``+``fsync`` across stores.
 
     Stores enqueue themselves via :meth:`request`; the thread collects a
-    window's worth (``flush_ms``, cut short by *urgent* requests) and
-    flushes each dirty store once. One flusher serves every partition of
-    a broker, so a broker-wide burst costs one fsync per partition per
-    window regardless of producer count.
+    window's worth (``flush_ms`` from the first request, cut short only
+    by an *urgent* one) and flushes each dirty store once. One flusher
+    serves every partition of a broker, so a broker-wide burst costs one
+    fsync per partition per window regardless of producer count.
     """
 
     def __init__(self, flush_ms: float = 50.0) -> None:
@@ -121,6 +122,7 @@ class GroupCommitFlusher:
         self._cond = threading.Condition()
         self._dirty: set = set()
         self._urgent = False
+        self._opened = 0.0  # when the first store of this window went dirty
         self._stopping = False
         self._thread: threading.Thread | None = None
 
@@ -137,10 +139,13 @@ class GroupCommitFlusher:
             if self._stopping:
                 raise StorageError("flusher is stopped")
             self._ensure_thread()
+            opening = not self._dirty
             self._dirty.add(store)
-            if urgent:
-                self._urgent = True
-            self._cond.notify()
+            if opening:
+                self._opened = time.monotonic()
+            self._urgent = self._urgent or urgent
+            if opening or urgent:  # else the window is open: nobody to wake
+                self._cond.notify()
 
     def _run(self) -> None:
         cond = self._cond
@@ -150,10 +155,13 @@ class GroupCommitFlusher:
                     cond.wait()
                 if self._stopping and not self._dirty:
                     return
-                if not self._urgent and not self._stopping:
-                    # The group-commit window: let concurrent appends
-                    # pile into pending so one fsync covers them all.
-                    cond.wait(self._interval)
+                # The group-commit window: concurrent appends pile into
+                # pending, so one fsync covers them all, until flush_ms
+                # after the first — unless one is urgent, or on stop().
+                cond.wait_for(
+                    lambda: self._urgent or self._stopping,
+                    self._opened + self._interval - time.monotonic(),
+                )
                 stores = list(self._dirty)
                 self._dirty.clear()
                 self._urgent = False

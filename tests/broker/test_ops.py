@@ -5,6 +5,8 @@ guards must agree with its routing keys."""
 
 import inspect
 import re
+import socket
+import threading
 from pathlib import Path
 
 import pytest
@@ -23,6 +25,8 @@ from repro.broker import (
 )
 from repro.broker.cluster import _HAND_ROUTED
 from repro.broker.ops import OPS, REQUIRED, CoordinatorClient
+from repro.broker.wire import recv_frame, send_frame
+from repro.monitoring import MetricsRegistry
 
 BROKER_OPS = [op for op in OPS.values() if op.on == "broker"]
 COORDINATOR_OPS = [op for op in OPS.values() if op.on == "coordinator"]
@@ -195,18 +199,62 @@ class TestReplayAndParking:
         assert OPS["append_batch"].park_seconds({"timeout": 9.0}) == 0.0
 
 
+class _NotesItsThread:
+    """A broker (and coordinator) whose every method notes the thread it
+    was called on, then fails: only the dispatch is under test."""
+
+    name = "stub"
+
+    def __init__(self):
+        self.registry = MetricsRegistry()
+        self.coordinator = self
+        self.served_on: dict = {}
+
+    def __getattr__(self, method):
+        def serve(**kwargs):
+            self.served_on[method] = threading.current_thread().name
+            raise LookupError(method)
+
+        return serve
+
+
+class TestDispatchFollowsTheTable:
+    def test_exactly_the_ops_that_can_wait_are_declared_waiting(self):
+        """The acks / fsync wait and the recovery scan. A new op is
+        served on the loop unless it says it waits — and one that can
+        wait there stalls every connection, so this set is pinned."""
+        assert {op.name for op in OPS.values() if op.waits} == {
+            "append_batch", "create_topic",
+        }
+
+    def test_the_loop_serves_what_cannot_wait_and_workers_what_can(self):
+        broker = _NotesItsThread()
+        with BrokerServer(broker) as server:
+            for op in OPS.values():
+                # A connection each: its strand is idle when the op arrives.
+                with socket.create_connection((server.host, server.port), timeout=10) as sock:
+                    frame, blobs = _request(op)
+                    send_frame(sock, {"op": op.name, **frame}, blobs)
+                    response, _ = recv_frame(sock)
+                    assert response["error"] == "LookupError", op.name
+        for op in OPS.values():
+            thread = broker.served_on[op.method]
+            expected = "broker-worker-" if op.waits else "broker-reactor:"
+            assert thread.startswith(expected), (op.name, thread)
+
+
 class TestDocsFollowTheTable:
     def test_api_op_reference_matches_the_registry(self):
         text = (Path(__file__).parents[2] / "docs" / "API.md").read_text()
         section = text.split("#### Op reference", 1)[1].split("\n### ", 1)[0]
         rows = re.findall(
-            r"^\| `(\w+)` \| `([\w.]+)` \| ([\w-]+) \| (\w+) \| (\S+) \| (\S+) \|$",
+            r"^\| `(\w+)` \| `([\w.]+)` \| ([\w-]+) \| (\w+) \| (\S+) \| (\S+) \| (\w+) \|$",
             section,
             re.MULTILINE,
         )
         documented = {row[0]: row[1:] for row in rows}
         assert list(documented) == list(OPS)
-        for name, (serves, route, replay, blobs, parkable) in documented.items():
+        for name, (serves, route, replay, blobs, parkable, served_on) in documented.items():
             op = OPS[name]
             assert serves.split(".")[-1] == op.method
             assert serves.startswith("coordinator.") == (op.on == "coordinator")
@@ -216,3 +264,4 @@ class TestDocsFollowTheTable:
             )
             assert ("out" in blobs) == op.codec.blobs
             assert (parkable == "yes") == op.parkable
+            assert served_on == ("worker" if op.waits else "loop")

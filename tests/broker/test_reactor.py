@@ -155,8 +155,14 @@ class TestReactorWirePath:
             assert threading.active_count() == threads_before
             assert server.broker.stats()["long_polls_parked"] >= 1
             assert server.metrics()["parked_fetches"] == 1
+            # Answered by the loop iteration the wake arrives in (output
+            # is flushed after the wakes are processed): no second
+            # request, no 0.5 s select timeout.
+            sock.settimeout(5)
+            woken = time.monotonic()
             server.broker.append("t", 0, b"wake")
             response, _ = recv_frame(sock)
+            assert time.monotonic() - woken < 0.05
             assert response["ok"] and response["cid"] == 1
             assert len(response["result"]) == 1
             assert server.parked_fetches == 0
@@ -228,7 +234,7 @@ class TestReactorWirePath:
         # Nothing in the serving path should raise past _answer; when
         # something does, the worker survives and the failure shows up
         # under server.worker_errors.<Type> in the broker's registry.
-        def boom(conn, request, blobs):
+        def boom(request, blobs):
             raise KeyError("bug in the serving path")
 
         real, server._handle_request = server._handle_request, boom
@@ -247,6 +253,20 @@ class TestReactorWirePath:
         finally:
             sock.close()
 
+    def test_an_unencodable_response_is_answered_and_counted(self, server):
+        server.broker.list_topics = lambda: {"not", "json"}
+        sock = _connect(server)
+        try:
+            send_frame(sock, {"op": "list_topics", "cid": 5})
+            sock.settimeout(5)
+            response, _ = recv_frame(sock)
+            assert response["cid"] == 5 and not response["ok"]
+            assert response["error"] == "TypeError"
+            counters = server.broker.registry.snapshot()["counters"]
+            assert counters["server.worker_errors.TypeError"] == 1
+        finally:
+            sock.close()
+
     def test_unknown_op_answered_not_dropped(self, server):
         sock = _connect(server)
         try:
@@ -255,6 +275,80 @@ class TestReactorWirePath:
             response, _ = recv_frame(sock)
             assert not response["ok"] and response["cid"] == 3
             assert "unknown op" in response["message"]
+        finally:
+            sock.close()
+
+
+class _HeldAppends(Broker):
+    """Appends wait, on whichever thread serves them, to be released."""
+
+    def __init__(self):
+        super().__init__()
+        self.entered = threading.Event()
+        self.release = threading.Event()
+
+    def append_many(self, *args, **kwargs):
+        self.entered.set()
+        assert self.release.wait(10)
+        return super().append_many(*args, **kwargs)
+
+
+class TestDispatch:
+    """An op that cannot wait runs on the loop, but never overtakes a
+    waiting op queued ahead of it on the same connection."""
+
+    def test_an_inline_op_keeps_its_place_behind_a_queued_append(self):
+        broker = _HeldAppends()
+        broker.create_topic("t", 1)
+        append = {"op": "append_batch", "topic": "t", "partition": 0, "cid": 1}
+        latest = {"op": "latest_offset", "topic": "t", "partition": 0}
+        with ReactorBrokerServer(broker) as server:
+            first, second = _connect(server), _connect(server)
+            try:
+                send_frame(first, append, [b"held"])
+                send_frame(first, {**latest, "cid": 2})
+                assert broker.entered.wait(5)
+                # Another connection's strand is idle: served at once,
+                # before the held append lands.
+                second.settimeout(5)
+                send_frame(second, {**latest, "cid": 3})
+                response, _ = recv_frame(second)
+                assert (response["cid"], response["result"]) == (3, 0)
+                first.settimeout(0.05)
+                with pytest.raises(socket.timeout):
+                    first.recv(1)
+                broker.release.set()
+                first.settimeout(5)
+                responses = [recv_frame(first)[0] for _ in range(2)]
+                assert [r["cid"] for r in responses] == [1, 2]
+                assert responses[1]["result"] == 1  # ran after the append
+            finally:
+                broker.release.set()
+                first.close()
+                second.close()
+
+    def test_a_wake_from_the_loop_itself_skips_the_self_pipe(self, server):
+        # An op served on the loop moves the log end (a follower's
+        # replicate_append does): the parked fetch is answered in the
+        # same iteration, and nobody writes the self-pipe to get there.
+        broker = server.broker
+        broker.create_topic("t", 1)
+        broker.list_topics = lambda: [broker.append("t", 0, b"inline").offset]
+        sock = _connect(server)
+        try:
+            send_frame(
+                sock,
+                {"op": "fetch_batch", "topic": "t", "partition": 0, "offset": 0,
+                 "timeout": 30.0, "cid": 1},
+            )
+            assert _wait_until(lambda: server.parked_fetches == 1)
+            wakes = []
+            real, server._wake = server._wake, lambda: wakes.append(1)
+            sock.settimeout(5)
+            send_frame(sock, {"op": "list_topics", "cid": 2})
+            cids = {recv_frame(sock)[0]["cid"] for _ in range(2)}
+            server._wake = real
+            assert cids == {1, 2} and wakes == []
         finally:
             sock.close()
 

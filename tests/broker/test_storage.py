@@ -2,6 +2,8 @@
 
 import mmap
 import os
+import threading
+import time
 
 import pytest
 
@@ -299,6 +301,121 @@ class TestSegmentStore:
         flusher.stop()
         assert store.counters["flush_errors"] == 1
         store.close()
+
+
+class _FakeStore:
+    """What the flusher needs of a store: ``flush()`` and ``counters``."""
+
+    def __init__(self):
+        self.flushed_at: list = []
+        self.flushed = threading.Event()
+        self.counters = {"flush_errors": 0}
+
+    def flush(self):
+        self.flushed_at.append(time.monotonic())
+        self.flushed.set()
+
+
+class _CountingCondition(threading.Condition):
+    """Counts the times a thread comes back from ``wait`` — the flusher
+    thread's wake-ups (``wait_for`` waits through ``wait``)."""
+
+    wakeups = 0
+
+    def wait(self, timeout=None):
+        woken = super().wait(timeout)
+        self.wakeups += 1
+        return woken
+
+
+class TestGroupCommitWindow:
+    """``flush_ms`` is a deadline from the window's first request; only
+    an urgent request or ``stop()`` ends a window sooner. No sleep here
+    is longer than the window under test."""
+
+    WINDOW_S = 0.2
+
+    @pytest.fixture
+    def flusher(self):
+        flusher = GroupCommitFlusher(self.WINDOW_S * 1000.0)
+        flusher._cond = _CountingCondition()  # before the thread exists
+        yield flusher
+        flusher.stop()
+
+    def test_one_flush_per_store_per_window_not_one_per_request(self, flusher):
+        stores = [_FakeStore(), _FakeStore()]
+        opened = time.monotonic()
+        for i in range(20):
+            flusher.request(stores[i % 2])
+            time.sleep(0.002)
+        for store in stores:
+            assert store.flushed.wait(5.0)
+        time.sleep(self.WINDOW_S / 2)  # a second flush would have come by now
+        for store in stores:
+            assert len(store.flushed_at) == 1
+            assert store.flushed_at[0] - opened >= self.WINDOW_S - 0.005
+
+    def test_a_request_inside_an_open_window_wakes_nobody(self, flusher):
+        store = _FakeStore()
+        flusher.request(store)  # opens the window
+        time.sleep(self.WINDOW_S / 4)  # ... and the flusher is waiting it out
+        cond = flusher._cond
+        before = cond.wakeups
+        for _ in range(50):
+            flusher.request(store)
+        time.sleep(self.WINDOW_S / 4)
+        assert cond.wakeups == before and store.flushed_at == []
+        assert store.flushed.wait(5.0)
+        assert cond.wakeups == before + 1  # the deadline itself
+        assert len(store.flushed_at) == 1
+
+    def test_an_urgent_request_ends_the_window_at_once(self, flusher):
+        store = _FakeStore()
+        opened = time.monotonic()
+        flusher.request(store)
+        flusher.request(store, urgent=True)
+        assert store.flushed.wait(5.0)
+        assert store.flushed_at[0] - opened < self.WINDOW_S / 2
+
+    def test_stop_ends_the_window_at_once_and_flushes_it(self, flusher):
+        store = _FakeStore()
+        opened = time.monotonic()
+        flusher.request(store)
+        flusher.stop()
+        assert len(store.flushed_at) == 1
+        assert store.flushed_at[0] - opened < self.WINDOW_S / 2
+
+    @pytest.mark.parametrize(
+        "knob", [{"flush_bytes": 64}, {"fsync_acks": True}], ids=lambda k: next(iter(k))
+    )
+    def test_flush_bytes_and_fsync_acks_are_urgent(self, tmp_path, knob):
+        config = StorageConfig(flush_ms=60_000.0, **knob)
+        flusher = GroupCommitFlusher(config.flush_ms)
+        store = SegmentStore(str(tmp_path / "t-0"), "t", 0, config=config, flusher=flusher)
+        try:
+            end = store.append_batch(make_records(0, [b"x" * 100]))
+            assert store.wait_durable(end, timeout=5.0)  # a minute early
+            assert store.counters["flushes"] == 1
+        finally:
+            flusher.stop()
+            store.close()
+
+    def test_a_lone_append_is_durable_one_window_after_it(self, tmp_path):
+        config = StorageConfig(flush_ms=self.WINDOW_S * 1000.0)
+        flusher = GroupCommitFlusher(config.flush_ms)
+        store = SegmentStore(str(tmp_path / "t-0"), "t", 0, config=config, flusher=flusher)
+        try:
+            appended = time.monotonic()
+            end = store.append_batch(make_records(0, [b"alone"]))
+            assert store.wait_durable(end, timeout=5.0)
+            waited = time.monotonic() - appended
+            # No sooner than the window, no later than it plus scheduling
+            # slack and one small fsync.
+            assert self.WINDOW_S - 0.005 <= waited < self.WINDOW_S + 1.0
+            assert store.counters["flushes"] == 1
+        finally:
+            flusher.stop()
+            store.close()
 
 
 PAGE = mmap.PAGESIZE
