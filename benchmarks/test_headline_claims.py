@@ -2,10 +2,12 @@
 
 1. "k-means can achieve five times the throughput of isolation forests
    for large message sizes (10,000 points)" — we assert k-means wins by
-   a large factor and report the measured multiple (our from-scratch
-   NumPy isolation forest is slower than the Cython/sklearn forest the
-   paper used via PyOD, so the measured factor is larger than 5x; the
-   ordering and the who-wins structure hold).
+   a large factor and report the measured multiple. Our isolation forest
+   is NumPy where the paper's (sklearn via PyOD) is Cython, and since
+   PR 24 it scores a block in a fifth of the time it did, so the factor
+   has no fixed side of 5x to be on (6x - 14x on a 2-core box, where the
+   two consumers' tree refreshes contend for the GIL; EXPERIMENTS.md);
+   the ordering and the who-wins structure hold.
 2. "auto-encoders proved unsuitable for the investigated resource
    configurations due to their high computational demands" — the
    auto-encoder must be the slowest model by throughput and latency.
@@ -46,9 +48,9 @@ def test_kmeans_beats_iforest_by_large_factor(benchmark):
         results["kmeans"].report.throughput_mb_s
         / results["iforest"].report.throughput_mb_s
     )
-    # Paper: ~5x. Our Python forest is slower than sklearn's Cython one,
-    # so the factor can only be larger; assert the claim's direction and
-    # minimum magnitude.
+    # Paper: ~5x. Which side of that this reads on depends on the box and
+    # on how the two model implementations' constants compare with
+    # sklearn's, so assert the claim's direction and a minimum magnitude.
     assert factor >= 3.0
 
 

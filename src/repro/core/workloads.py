@@ -129,7 +129,7 @@ def make_model_processor(model_factory: Callable, share_key: str | None = None) 
         block = np.asarray(data)
         if model.fitted:
             scores = model.decision_function(block)
-            n_outliers = int((scores > model.threshold).sum()) if model.threshold else 0
+            n_outliers = int((scores > model.threshold).sum()) if model.threshold is not None else 0
         else:
             scores = None
             n_outliers = 0
@@ -149,11 +149,13 @@ def make_model_processor(model_factory: Callable, share_key: str | None = None) 
         """Batched variant: score the whole poll batch in one model call.
 
         The blocks are stacked into a single matrix and scored/fitted
-        once — the stacked-ensemble fast path the models were built for
-        (per-point scoring cost collapses when given 1000s of points at
-        once). Model updates consequently land at batch rather than
-        per-message granularity, which matches the paper's streaming
-        pattern: the model is updated on the data that has arrived.
+        once, so the per-call costs (validation, the tree refresh, the
+        threshold estimate) are paid per batch; a model that needs a
+        bounded working set walks the stack in slabs itself (the
+        isolation forest does). Model updates consequently land at batch
+        rather than per-message granularity, which matches the paper's
+        streaming pattern: the model is updated on the data that has
+        arrived.
         """
         from repro.data.serde import split_rows, stack_blocks
 
@@ -178,7 +180,9 @@ def make_model_processor(model_factory: Callable, share_key: str | None = None) 
             {
                 "model": type(model).__name__,
                 "points": int(offsets[i + 1] - offsets[i]),
-                "outliers": int((s > threshold).sum()) if s is not None and threshold else 0,
+                "outliers": (
+                    int((s > threshold).sum()) if s is not None and threshold is not None else 0
+                ),
                 "max_score": float(s.max()) if s is not None else 0.0,
             }
             for i, s in enumerate(per_block)

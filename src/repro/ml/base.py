@@ -80,22 +80,6 @@ class BaseOutlierDetector(abc.ABC):
         X = self._validate(X, fitting=False)
         return self._score(X)
 
-    def decision_function_many(self, blocks) -> list[np.ndarray]:
-        """Score several blocks through ONE vectorized ``_score`` call.
-
-        The batched consume path's scoring primitive: the blocks are
-        stacked into a single ``(sum(n_i), d)`` matrix, scored once, and
-        the per-row scores are split back out per block. One model/numpy
-        dispatch per poll batch instead of one per message — the
-        fixed-cost side of scoring (ensemble stacking, layer dispatch,
-        threshold bookkeeping) is paid once for the whole batch.
-        """
-        from repro.data.serde import split_rows, stack_blocks
-
-        stacked, offsets = stack_blocks(blocks)
-        scores = self.decision_function(stacked)
-        return split_rows(scores, offsets)
-
     def predict(self, X: np.ndarray) -> np.ndarray:
         """Binary labels: 1 for outliers, 0 for inliers."""
         scores = self.decision_function(X)

@@ -1,11 +1,25 @@
 """Tests for the isolation forest."""
 
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.ml import IsolationForest, roc_auc_score
-from repro.ml.iforest import average_path_length
+from repro.ml.iforest import _SLAB_ROWS, average_path_length
 from repro.util.validation import ValidationError
+
+
+def _snapshot(forest: IsolationForest) -> np.ndarray:
+    return forest._nodes["threshold"].copy()
+
+
+def _rebuilt(before: np.ndarray, forest: IsolationForest) -> np.ndarray:
+    """Which trees' rows of the node table differ from the copy *before*."""
+    return (before != forest._nodes["threshold"]).any(axis=1)
 
 
 class TestAveragePathLength:
@@ -51,19 +65,22 @@ class TestIsolationForest:
     def test_partial_fit_refreshes_some_trees(self, rng):
         forest = IsolationForest(n_estimators=8, refresh_fraction=0.25, seed=0)
         forest.fit(rng.normal(size=(300, 4)))
-        before = forest._trees[:]
+        before = _snapshot(forest)
         forest.partial_fit(rng.normal(size=(300, 4)))
-        replaced = sum(1 for a, b in zip(before, forest._trees) if a is not b)
-        assert replaced == 2  # 25% of 8
+        assert _rebuilt(before, forest).tolist() == [True] * 2 + [False] * 6  # 25% of 8
+        before = _snapshot(forest)
+        forest.partial_fit(rng.normal(size=(300, 4)))
+        assert _rebuilt(before, forest).tolist() == [False] * 2 + [True] * 2 + [False] * 4
 
     def test_refresh_rotates_through_ensemble(self, rng):
         forest = IsolationForest(n_estimators=4, refresh_fraction=0.5, seed=0)
         forest.fit(rng.normal(size=(100, 3)))
-        original = forest._trees[:]
+        original = _snapshot(forest)
         forest.partial_fit(rng.normal(size=(100, 3)))
+        assert _rebuilt(original, forest).sum() == 2
         forest.partial_fit(rng.normal(size=(100, 3)))
         # After two refreshes of 2 trees each, all 4 are replaced.
-        assert all(a is not b for a, b in zip(original, forest._trees))
+        assert _rebuilt(original, forest).all()
 
     def test_streaming_adapts_to_drift(self, rng):
         forest = IsolationForest(n_estimators=30, refresh_fraction=0.5, seed=0)
@@ -107,3 +124,109 @@ class TestIsolationForest:
     def test_default_matches_paper(self):
         forest = IsolationForest()
         assert forest.n_estimators == 100  # "a default of 100 ensemble tasks"
+
+
+def _streaming_digest() -> str:
+    """SHA-256 over every score and threshold of a seeded streaming run."""
+    h = hashlib.sha256()
+
+    def feed(forest, X):
+        h.update(np.ascontiguousarray(forest.decision_function(X)).tobytes())
+        h.update(np.float64(forest.threshold).tobytes())
+
+    rng = np.random.default_rng(2024)
+    blocks = [rng.normal(size=(1500, 8)) + shift for shift in (0.0, 0.0, 0.5, 1.0, 4.0, 4.0)]
+    blocks[3][::97] *= 9.0
+    forest = IsolationForest(n_estimators=100, seed=11).fit(blocks[0])
+    feed(forest, blocks[0])
+    for block in blocks[1:]:
+        feed(forest, block)
+        forest.partial_fit(block)
+        feed(forest, block)
+    feed(forest, np.vstack(blocks))
+
+    dup = IsolationForest(n_estimators=5, seed=0).fit(np.ones((100, 4)))
+    feed(dup, np.ones((100, 4)))
+    feed(dup, rng.normal(size=(40, 4)))
+    dup.partial_fit(rng.normal(size=(300, 4)))
+    feed(dup, rng.normal(size=(40, 4)))
+
+    few = IsolationForest(n_estimators=7, max_samples=256, seed=3).fit(rng.normal(size=(17, 3)))
+    feed(few, rng.normal(size=(33, 3)))
+    few.partial_fit(rng.normal(size=(400, 3)))
+    feed(few, rng.normal(size=(33, 3)))
+    return h.hexdigest()
+
+
+def _walk(forest: IsolationForest, tree: int, x: np.ndarray, node: int = 0) -> float:
+    """Path length of one point in one tree, read off the node table."""
+    feature, threshold, skip, depth, credit = (t[tree] for t in forest._nodes.values())
+    if threshold[node] == -np.inf:
+        return depth[node] + credit[node]
+    if x[feature[node]] < threshold[node]:
+        return _walk(forest, tree, x, node + 1)
+    return _walk(forest, tree, x, node + 1 + skip[node])
+
+
+class TestKernel:
+    def test_scores_and_thresholds_match_the_recorded_digest(self):
+        # Recorded at the parent of PR 24 (per-tree objects, stacked
+        # (rows, trees) descent): fit, five partial_fits with scoring in
+        # between, an all-duplicates fit, a fit on fewer rows than
+        # max_samples. Byte for byte, so a change of summation order, of
+        # random-generator consumption or of the normaliser shows here.
+        assert _streaming_digest() == (
+            "7aa1f161a05b88ed7136ae8b94566b0a86c6fb242bb6ceb43da1018b678641f8"
+        )
+
+    @settings(max_examples=40)
+    @given(
+        rows=st.sampled_from(
+            [1, 2, 17, _SLAB_ROWS - 1, _SLAB_ROWS, _SLAB_ROWS + 1, 2 * _SLAB_ROWS + 1]
+        ),
+        features=st.integers(1, 5),
+        trees=st.integers(1, 4),
+        max_samples=st.integers(1, 64),
+        fit_rows=st.integers(1, 80),
+        discrete=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    def test_slab_descent_equals_a_naive_walk(
+        self, rows, features, trees, max_samples, fit_rows, discrete, seed
+    ):
+        rng = np.random.default_rng(seed)
+
+        def draw(n):  # discrete: duplicate rows, values that sit on a split's bounds
+            if discrete:
+                return rng.integers(0, 3, size=(n, features)).astype(np.float64)
+            return rng.normal(size=(n, features))
+
+        forest = IsolationForest(n_estimators=trees, max_samples=max_samples, seed=seed)
+        forest.fit(draw(fit_rows)).partial_fit(draw(fit_rows + 7))
+        X = draw(rows)
+        mean_path = np.array([np.mean([_walk(forest, t, x) for t in range(trees)]) for x in X])
+        c = max(average_path_length(np.array([min(max_samples, fit_rows + 7)]))[0], 1e-12)
+        expected = 2.0 ** (-mean_path / c)
+        np.testing.assert_allclose(forest.decision_function(X), expected, rtol=1e-12)
+
+    def test_scoring_memory_does_not_grow_with_the_batch(self):
+        # The batch processor stacks a poll batch of eight 10,000-row
+        # blocks into one decision_function call. A temporary the size of
+        # the (rows, trees) plane is 64 MB there, so the peak is a count
+        # of how much of that plane is alive at once — no timing involved.
+        rng = np.random.default_rng(0)
+        block = rng.normal(size=(10_000, 32))
+        forest = IsolationForest(n_estimators=100, seed=0).fit(block)
+
+        def peak(X):
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                forest.decision_function(X)
+                return tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+
+        one, eight = peak(block), peak(np.tile(block, (8, 1)))
+        assert one <= 8 * 2**20, f"{one / 2**20:.1f} MB for one block"
+        assert eight <= one + 4 * 2**20, f"{one / 2**20:.1f} MB -> {eight / 2**20:.1f} MB"
