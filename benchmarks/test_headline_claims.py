@@ -1,13 +1,13 @@
 """Headline quantitative claims from the paper's conclusion.
 
 1. "k-means can achieve five times the throughput of isolation forests
-   for large message sizes (10,000 points)" — we assert k-means wins by
-   a large factor and report the measured multiple. Our isolation forest
-   is NumPy where the paper's (sklearn via PyOD) is Cython, and since
-   PR 24 it scores a block in a fifth of the time it did, so the factor
-   has no fixed side of 5x to be on (6x - 14x on a 2-core box, where the
-   two consumers' tree refreshes contend for the GIL; EXPERIMENTS.md);
-   the ordering and the who-wins structure hold.
+   for large message sizes (10,000 points)" — we assert that k-means
+   wins and report the measured multiple. The multiple is a ratio of two
+   implementations' constants: the paper's forest is sklearn via PyOD,
+   ours is NumPy that scores a block as one slab descent and refreshes
+   its 25 trees together, level by level, while k-means here runs at
+   the pipeline's pass-through ceiling. So it reads below 5x (1.6x - 2.1x
+   on a 2-core box; EXPERIMENTS.md); the ordering holds.
 2. "auto-encoders proved unsuitable for the investigated resource
    configurations due to their high computational demands" — the
    auto-encoder must be the slowest model by throughput and latency.
@@ -48,10 +48,13 @@ def test_kmeans_beats_iforest_by_large_factor(benchmark):
         results["kmeans"].report.throughput_mb_s
         / results["iforest"].report.throughput_mb_s
     )
-    # Paper: ~5x. Which side of that this reads on depends on the box and
-    # on how the two model implementations' constants compare with
-    # sklearn's, so assert the claim's direction and a minimum magnitude.
-    assert factor >= 3.0
+    # Paper: ~5x. The magnitude belongs to sklearn's constants, so what
+    # carries over is the claim's direction: k-means wins. A win is a
+    # factor this box can tell from a tie, and the repo benchmark's bound
+    # for "no change" is 25 %, so the floor is 1.25. (It was 3.0 while the
+    # forest refreshed its trees one node at a time; with the
+    # level-by-level refresh the factor reads 1.6x - 2.1x.)
+    assert factor >= 1.25
 
 
 def test_autoencoder_is_unsuitable_for_streaming(benchmark):

@@ -19,7 +19,7 @@ from repro.ml.kmeans import StreamingKMeans
 from repro.ml.iforest import IsolationForest
 from repro.ml.autoencoder import AutoEncoder
 from repro.ml.preprocessing import StandardScaler
-from repro.ml.metrics import roc_auc_score, precision_at_k, contamination_threshold
+from repro.ml.metrics import roc_auc_score, contamination_threshold
 
 __all__ = [
     "BaseOutlierDetector",
@@ -29,6 +29,5 @@ __all__ = [
     "AutoEncoder",
     "StandardScaler",
     "roc_auc_score",
-    "precision_at_k",
     "contamination_threshold",
 ]

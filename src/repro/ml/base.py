@@ -12,6 +12,7 @@ import abc
 
 import numpy as np
 
+from repro.ml.metrics import contamination_threshold
 from repro.util.validation import ValidationError, check_in_range
 
 
@@ -137,8 +138,7 @@ class BaseOutlierDetector(abc.ABC):
         if X.shape[0] > self._THRESHOLD_SAMPLE:
             idx = np.linspace(0, X.shape[0] - 1, self._THRESHOLD_SAMPLE).astype(int)
             X = X[idx]
-        scores = self._score(X)
-        self._threshold = float(np.quantile(scores, 1.0 - self.contamination))
+        self._threshold = contamination_threshold(self._score(X), self.contamination)
 
     def __repr__(self) -> str:
         state = "fitted" if self._fitted else "unfitted"

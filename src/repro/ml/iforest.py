@@ -12,8 +12,9 @@ an unsuccessful BST search, used both for normalisation and to credit
 unresolved leaf nodes.
 
 The forest is one flat node table — ``(trees, max_nodes)`` arrays of
-split feature, threshold, offset of the right child, depth and leaf
-credit — that tree construction writes in place and scoring reads with a
+split feature, threshold, offset of the first child, depth and leaf
+credit. Construction grows every tree it refreshes at once, one level per
+step, and writes the table in place; scoring reads it with a
 level-by-level descent of all trees at once, a slab of rows at a time
 (DESIGN.md §10 "The model stage").
 
@@ -40,17 +41,17 @@ _EULER_GAMMA = 0.5772156649015329
 _SLAB_ROWS = 512
 
 #: The forest is one table of nodes, a ``(trees, max_nodes)`` array per
-#: field. Row t is tree t numbered pre-order, so the left child of a node
-#: is the next node and the right child is ``skip`` nodes (the size of the
-#: left subtree) after that. A leaf has ``threshold = -inf`` and
-#: ``skip = -1``: every value "goes right" and lands on the leaf again, so
+#: field. Row t is tree t numbered level by level, and the two children of
+#: a node are adjacent: the left one is ``child`` nodes after it, the right
+#: one the node after that. A leaf has ``threshold = -inf`` and
+#: ``child = -1``: every value "goes right" and lands on the leaf again, so
 #: the descent needs no mask for rows that have arrived. The path length
 #: of a row is ``depth`` plus ``credit`` (c(node size)) of the leaf it
 #: ends on.
 _NODE_FIELDS = (
     ("feature", np.intp),
     ("threshold", np.float64),
-    ("skip", np.intp),
+    ("child", np.intp),
     ("depth", np.int16),
     ("credit", np.float64),
 )
@@ -66,6 +67,27 @@ def average_path_length(n) -> np.ndarray:
     nm = n[mask]
     out[mask] = 2.0 * (np.log(nm - 1.0) + _EULER_GAMMA) - 2.0 * (nm - 1.0) / nm
     return out
+
+
+def _varying_feature(values, width, at, start, size, nodes, frac):
+    """The ``frac``-quantile of the features that vary in each of *nodes*.
+
+    For the nodes whose drawn feature is constant. Returns that feature and
+    its ``lo`` and ``hi`` per node; a node where nothing varies gets feature
+    0 with ``lo == hi``, which no threshold splits.
+    """
+    n = size[nodes]
+    sub_start = np.cumsum(n) - n
+    rows = at.take(np.repeat(start[nodes] - sub_start, n) + np.arange(n.sum()))
+    block = values.take(rows[:, None] + np.arange(width))
+    lo = np.minimum.reduceat(block, sub_start)
+    hi = np.maximum.reduceat(block, sub_start)
+    varying = hi > lo
+    count = varying.sum(axis=1)
+    pick = np.minimum((frac[nodes] * count).astype(np.intp), count - 1)
+    f = (varying.cumsum(axis=1) <= pick[:, None]).sum(axis=1)
+    ix = np.arange(nodes.size)
+    return f, lo[ix, f], hi[ix, f]
 
 
 class IsolationForest(BaseOutlierDetector):
@@ -121,45 +143,70 @@ class IsolationForest(BaseOutlierDetector):
                 self._nodes[name] = np.zeros((self.n_estimators, max_nodes), dtype=table.dtype)
                 self._nodes[name][:, : table.shape[1]] = table
 
-    def _build_tree(self, tree: int, X: np.ndarray, m: int) -> None:
-        """Rebuild row *tree* of the table from a fresh *m*-row subsample."""
+    def _build_trees(self, trees: np.ndarray, X: np.ndarray, m: int) -> None:
+        """Rebuild rows *trees* (ascending) of the table, each from a fresh
+        *m*-row subsample, growing all of them one level per step.
+
+        A level's nodes are ordered by tree, then by number, and the rows of
+        each sit contiguously in ``at`` (their offsets in ``X.ravel()``). A
+        node splits when it has more than one row, some feature varies, it
+        is above the depth limit and the threshold sends rows both ways.
+        """
         rng = self._rng
+        values = X.ravel()
+        width = X.shape[1]
         max_depth = int(np.ceil(np.log2(max(m, 2))))
-        X = X[rng.choice(X.shape[0], size=m, replace=False)]
-        feature, threshold, skip, depth, credit = (table[tree] for table in self._nodes.values())
-        n_nodes = 0
-
-        def build(idx: np.ndarray, level: int) -> int:
-            nonlocal n_nodes
-            node = n_nodes
-            n_nodes += 1
+        max_nodes = self._nodes["feature"].shape[1]
+        for name, leaf in (("feature", 0), ("threshold", -np.inf), ("child", -1)):
+            self._nodes[name][trees] = leaf
+        feature, threshold, child, depth, credit = (t.reshape(-1) for t in self._nodes.values())
+        at = np.concatenate([rng.choice(X.shape[0], size=m, replace=False) for _ in trees])
+        at *= width
+        node = trees * max_nodes  # the level's nodes, as flat ids
+        size = np.full(trees.size, m)
+        free = np.arange(self.n_estimators) * max_nodes + 1  # each tree's next unused id
+        for level in range(max_depth + 1):
             depth[node] = level
-            credit[node] = len(idx)  # the size; c(size) once the tree is built
-            if len(idx) > 1 and level < max_depth:
-                sub = X[idx]
-                lo = sub.min(axis=0)
-                hi = sub.max(axis=0)
-                varying = np.flatnonzero(hi > lo)
-                if varying.size:  # else all duplicate points — cannot split
-                    f = int(rng.choice(varying))
-                    t = float(rng.uniform(lo[f], hi[f]))
-                    go_left = sub[:, f] < t
-                    left_idx = idx[go_left]
-                    right_idx = idx[~go_left]
-                    if len(left_idx) and len(right_idx):  # else t sat on the boundary
-                        feature[node] = f
-                        threshold[node] = t
-                        build(left_idx, level + 1)
-                        skip[node] = build(right_idx, level + 1) - node - 1
-                        return node
-            feature[node] = 0
-            threshold[node] = -np.inf
-            skip[node] = -1
-            return node
-
-        build(np.arange(m), 0)
-        credit[:n_nodes] = average_path_length(credit[:n_nodes])
-        self._levels = max(self._levels, int(depth[:n_nodes].max()))
+            credit[node] = average_path_length(size)
+            if level == max_depth:
+                break
+            start = np.cumsum(size) - size
+            # u * width is a uniform feature plus an independent uniform
+            # fraction; where that feature is constant, the fraction picks
+            # among the ones that vary — uniform over those either way.
+            frac = rng.random(node.size) * width
+            f = frac.astype(np.intp)
+            frac -= f
+            v = values.take(at + np.repeat(f, size))
+            lo = np.minimum.reduceat(v, start)
+            hi = np.maximum.reduceat(v, start)
+            stuck = np.flatnonzero((lo == hi) & (size > 1))
+            if stuck.size:
+                f[stuck], lo[stuck], hi[stuck] = _varying_feature(
+                    values, width, at, start, size, stuck, frac
+                )
+                v = values.take(at + np.repeat(f, size))
+            t = rng.uniform(lo, hi)
+            go_left = v < np.repeat(t, size)
+            left = np.add.reduceat(go_left, start)
+            splits = (left > 0) & (left < size)
+            if not splits.any():
+                break
+            parent = node[splits]
+            tree = parent // max_nodes
+            first = free[tree] + 2 * (np.arange(tree.size) - np.searchsorted(tree, tree))
+            free += 2 * np.bincount(tree, minlength=free.size)
+            feature[parent] = f[splits]
+            threshold[parent] = t[splits]
+            child[parent] = first - parent
+            # The next level: the children, left then right, of each node
+            # that split, and their rows in that order.
+            slot = np.repeat(2 * np.cumsum(splits) - 2, size) + ~go_left
+            moving = np.repeat(splits, size)
+            at = at[moving].take(np.argsort(slot[moving], kind="stable"))
+            node = np.column_stack((first, first + 1)).ravel()
+            size = np.column_stack((left, size - left))[splits].ravel()
+        self._levels = max(self._levels, level)
 
     def _fit_batch(self, X: np.ndarray) -> None:
         m = min(self.max_samples, X.shape[0])
@@ -170,13 +217,13 @@ class IsolationForest(BaseOutlierDetector):
         count = max(1, int(self.n_estimators * self.refresh_fraction))
         if not self._n_trees:
             count = self._n_trees = self.n_estimators
-        for _ in range(count):
-            self._build_tree(self._refresh_cursor, X, m)
-            self._refresh_cursor = (self._refresh_cursor + 1) % self.n_estimators
+        trees = (self._refresh_cursor + np.arange(count)) % self.n_estimators
+        self._refresh_cursor = (self._refresh_cursor + count) % self.n_estimators
+        self._build_trees(np.sort(trees), X, m)
 
     def _score(self, X: np.ndarray) -> np.ndarray:
         n, width = X.shape
-        feature, threshold, skip, depth, credit = (table.ravel() for table in self._nodes.values())
+        feature, threshold, child, depth, credit = (table.ravel() for table in self._nodes.values())
         trees = self.n_estimators
         roots = np.arange(trees) * (feature.size // trees)
         path = np.empty(n, dtype=np.float64)
@@ -191,10 +238,8 @@ class IsolationForest(BaseOutlierDetector):
                 at = feature.take(node)
                 at += row_start[:rows]
                 goes_right = values.take(at) >= threshold.take(node)
-                step = skip.take(node)
-                step *= goes_right
-                node += step
-                node += 1
+                node += child.take(node)
+                node += goes_right
             total = depth.take(node).sum(axis=1, dtype=np.float64)
             total += credit.take(node).sum(axis=1)
             path[start : start + rows] = total

@@ -1,15 +1,15 @@
 """Detection-quality metrics.
 
 Implemented from scratch (no scikit-learn available): ROC AUC via the
-Mann-Whitney U statistic, precision-at-k, and the contamination-quantile
-threshold helper shared by the detectors.
+Mann-Whitney U statistic, and the contamination-quantile threshold helper
+shared by the detectors.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.util.validation import ValidationError, check_in_range, check_positive
+from repro.util.validation import ValidationError, check_in_range
 
 
 def roc_auc_score(y_true: np.ndarray, scores: np.ndarray) -> float:
@@ -46,18 +46,6 @@ def roc_auc_score(y_true: np.ndarray, scores: np.ndarray) -> float:
     rank_sum_pos = ranks[pos].sum()
     u = rank_sum_pos - n_pos * (n_pos + 1) / 2.0
     return float(u / (n_pos * n_neg))
-
-
-def precision_at_k(y_true: np.ndarray, scores: np.ndarray, k: int) -> float:
-    """Fraction of true outliers among the k highest-scoring samples."""
-    check_positive("k", k)
-    y = np.asarray(y_true).ravel()
-    s = np.asarray(scores, dtype=np.float64).ravel()
-    if y.shape != s.shape:
-        raise ValidationError(f"shape mismatch: {y.shape} vs {s.shape}")
-    k = int(min(k, len(s)))
-    top = np.argpartition(-s, k - 1)[:k]
-    return float((y[top] == 1).mean())
 
 
 def contamination_threshold(scores: np.ndarray, contamination: float) -> float:

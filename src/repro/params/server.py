@@ -9,6 +9,7 @@ the paper's "model updates are managed via the parameter service".
 from __future__ import annotations
 
 import threading
+from collections import Counter
 from typing import Any, Callable
 
 from repro.params.store import CasConflict, Entry, KeyNotFound, VersionedStore
@@ -24,6 +25,7 @@ class ParameterServer:
         self._lock = threading.RLock()
         self._changed = threading.Condition(self._lock)
         self._subscribers: dict[str, list[Callable]] = {}
+        self._callback_errors: Counter[str] = Counter()
 
     # -- basic KV ------------------------------------------------------------
 
@@ -42,11 +44,7 @@ class ParameterServer:
             entry = self._store.set(key, value, ttl=ttl)
             subscribers = list(self._subscribers.get(key, []))
             self._changed.notify_all()
-        for callback in subscribers:
-            try:
-                callback(entry)
-            except Exception:  # subscriber errors must not poison writers
-                pass
+        self._notify(subscribers, entry)
         return entry
 
     def compare_and_set(
@@ -56,12 +54,19 @@ class ParameterServer:
             entry = self._store.compare_and_set(key, value, expected_version, ttl=ttl)
             subscribers = list(self._subscribers.get(key, []))
             self._changed.notify_all()
+        self._notify(subscribers, entry)
+        return entry
+
+    def _notify(self, subscribers: list[Callable], entry: Entry) -> None:
+        """Call each subscriber; one that raises is counted by exception
+        type in ``stats()["callback_errors"]`` and poisons neither the
+        writer nor the other subscribers."""
         for callback in subscribers:
             try:
                 callback(entry)
-            except Exception:
-                pass
-        return entry
+            except Exception as exc:
+                with self._lock:
+                    self._callback_errors[type(exc).__name__] += 1
 
     def delete(self, key: str) -> bool:
         with self._lock:
@@ -129,6 +134,7 @@ class ParameterServer:
                 "keys": len(self._store),
                 "total_sets": self._store.total_sets,
                 "total_gets": self._store.total_gets,
+                "callback_errors": dict(self._callback_errors),
             }
 
     def __repr__(self) -> str:

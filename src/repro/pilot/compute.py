@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import threading
+from collections import Counter
 
 from repro.compute.cluster import ComputeCluster
 from repro.pilot.description import PilotDescription
@@ -26,6 +27,7 @@ class PilotCompute:
         self._cluster: ComputeCluster | None = None
         self._error: str | None = None
         self._callbacks: list = []
+        self._callback_errors: Counter[str] = Counter()
         #: History of (state, monotonic time) pairs for monitoring.
         self.state_history: list[tuple] = []
 
@@ -45,8 +47,9 @@ class PilotCompute:
         for cb in callbacks:
             try:
                 cb(self, new_state)
-            except Exception:
-                pass
+            except Exception as exc:  # counted, and the transition stands
+                with self._state_lock:
+                    self._callback_errors[type(exc).__name__] += 1
 
     def _attach_cluster(self, cluster: ComputeCluster) -> None:
         self._cluster = cluster
@@ -113,6 +116,8 @@ class PilotCompute:
             cluster.close()
 
     def stats(self) -> dict:
+        with self._state_lock:
+            callback_errors = dict(self._callback_errors)
         return {
             "pilot_id": self.pilot_id,
             "state": self.state.value,
@@ -121,6 +126,7 @@ class PilotCompute:
             "nodes": self.description.nodes,
             "cores": self.description.total_cores,
             "error": self._error,
+            "callback_errors": callback_errors,
         }
 
     def __repr__(self) -> str:

@@ -160,23 +160,123 @@ def _streaming_digest() -> str:
 
 def _walk(forest: IsolationForest, tree: int, x: np.ndarray, node: int = 0) -> float:
     """Path length of one point in one tree, read off the node table."""
-    feature, threshold, skip, depth, credit = (t[tree] for t in forest._nodes.values())
+    feature, threshold, child, depth, credit = (t[tree] for t in forest._nodes.values())
     if threshold[node] == -np.inf:
         return depth[node] + credit[node]
-    if x[feature[node]] < threshold[node]:
-        return _walk(forest, tree, x, node + 1)
-    return _walk(forest, tree, x, node + 1 + skip[node])
+    left = node + child[node]
+    return _walk(forest, tree, x, left if x[feature[node]] < threshold[node] else left + 1)
+
+
+def _route(forest: IsolationForest, tree: int, X: np.ndarray):
+    """Per row of *X*: the leaf it ends on in *tree* and the steps it took;
+    per internal node reached: how many rows it sent left and right."""
+    feature, threshold, child, _, _ = (t[tree] for t in forest._nodes.values())
+    leaves, steps, sent = [], [], {}
+    for x in X:
+        node = walked = 0
+        while threshold[node] != -np.inf:
+            right = int(x[feature[node]] >= threshold[node])
+            sent.setdefault(node, [0, 0])[right] += 1
+            node += child[node] + right
+            walked += 1
+        leaves.append(node)
+        steps.append(walked)
+    return np.array(leaves), np.array(steps), sent
+
+
+class _CountingGenerator:
+    """Forwards to a random generator and counts the calls made on it."""
+
+    def __init__(self, rng):
+        self._rng = rng
+        self.calls = 0
+
+    def __getattr__(self, name):
+        method = getattr(self._rng, name)
+
+        def counted(*args, **kwargs):
+            self.calls += 1
+            return method(*args, **kwargs)
+
+        return counted
+
+
+class TestBuild:
+    @settings(max_examples=40)
+    @given(
+        fit_rows=st.integers(1, 64),
+        spare=st.integers(0, 64),
+        features=st.integers(1, 5),
+        trees=st.integers(1, 4),
+        discrete=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    def test_every_tree_isolates_its_subsample(
+        self, fit_rows, spare, features, trees, discrete, seed
+    ):
+        # max_samples >= the rows, so every tree's subsample is every row
+        # and routing the fitted rows replays each tree's build.
+        rng = np.random.default_rng(seed)
+        if discrete:  # duplicate rows, constant features, values on a split's bounds
+            X = rng.integers(0, 3, size=(fit_rows, features)).astype(np.float64)
+        else:
+            X = rng.normal(size=(fit_rows, features))
+        forest = IsolationForest(n_estimators=trees, max_samples=fit_rows + spare, seed=seed)
+        forest.fit(X)
+        limit = int(np.ceil(np.log2(max(fit_rows, 2))))
+        for tree in range(trees):
+            depth, credit = forest._nodes["depth"][tree], forest._nodes["credit"][tree]
+            leaf, steps, sent = _route(forest, tree, X)
+            assert all(left and right for left, right in sent.values()), sent
+            np.testing.assert_array_equal(depth[leaf], steps)
+            for node in np.unique(leaf):
+                rows = X[leaf == node]
+                expected = average_path_length(np.array([len(rows)]))[0]
+                np.testing.assert_allclose(credit[node], expected, rtol=1e-12)
+                assert depth[node] <= limit
+                if len(np.unique(rows, axis=0)) > 1:  # splittable, so only the limit stopped it
+                    assert depth[node] == limit
+
+    def test_same_algorithm_as_the_recursive_build(self, labeled_block):
+        # Recorded at 637072a, whose recursive build drew a feature and a
+        # threshold per node: IsolationForest(seed=s) fitted and scored on
+        # labeled_block for s = 0..19 gave a mean score averaging 0.435746
+        # (standard error 0.000951) and an AUC of 1.0 at every seed. The
+        # level-by-level build draws in another order, so the trees are
+        # other trees; from the same algorithm, the averages agree within
+        # three standard errors.
+        X, y = labeled_block
+        means, aucs = [], []
+        for seed in range(20):
+            scores = IsolationForest(seed=seed).fit(X).decision_function(X)
+            means.append(scores.mean())
+            aucs.append(roc_auc_score(y, scores))
+        assert abs(np.mean(means) - 0.435746) <= 3 * 0.000951, np.mean(means)
+        assert np.mean(aucs) == 1.0
+
+    def test_a_refresh_draws_per_level_not_per_node(self):
+        # A count, no timing. The 25 refreshed trees draw their subsamples
+        # (one call each), then two arrays per level for all of them. The
+        # recursive build drew per node: 3,499 calls for this refresh.
+        rng = np.random.default_rng(0)
+        forest = IsolationForest(n_estimators=100, seed=0).fit(rng.normal(size=(10_000, 32)))
+        forest._rng = counting = _CountingGenerator(forest._rng)
+        forest.partial_fit(rng.normal(size=(10_000, 32)))
+        assert 25 <= counting.calls <= 25 + 2 * (forest._levels + 1), counting.calls
 
 
 class TestKernel:
     def test_scores_and_thresholds_match_the_recorded_digest(self):
-        # Recorded at the parent of PR 24 (per-tree objects, stacked
-        # (rows, trees) descent): fit, five partial_fits with scoring in
+        # Re-recorded on the commit after 637072a, which grows the
+        # refreshed trees together, level by level. That build asks the
+        # random generator for other numbers in another order — on purpose
+        # — so the trees, and this digest, changed; the algorithm did not
+        # (TestBuild). The sequence: fit, five partial_fits with scoring in
         # between, an all-duplicates fit, a fit on fewer rows than
         # max_samples. Byte for byte, so a change of summation order, of
         # random-generator consumption or of the normaliser shows here.
         assert _streaming_digest() == (
-            "7aa1f161a05b88ed7136ae8b94566b0a86c6fb242bb6ceb43da1018b678641f8"
+            "2d517984a5ac5eee3d3cd1199101aa228fce54ff0e18d8ba1ece2f87dd847fe8"
         )
 
     @settings(max_examples=40)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.ml import contamination_threshold, precision_at_k, roc_auc_score
+from repro.ml import contamination_threshold, roc_auc_score
 from repro.util.validation import ValidationError
 
 
@@ -49,27 +49,6 @@ class TestRocAuc:
         ties = (pos[:, None] == neg[None, :]).sum()
         brute = (wins + 0.5 * ties) / (len(pos) * len(neg))
         assert roc_auc_score(y, s) == pytest.approx(brute, abs=1e-12)
-
-
-class TestPrecisionAtK:
-    def test_all_hits(self):
-        y = np.array([0, 0, 1, 1])
-        s = np.array([0.0, 0.1, 0.9, 0.8])
-        assert precision_at_k(y, s, 2) == 1.0
-
-    def test_no_hits(self):
-        y = np.array([1, 1, 0, 0])
-        s = np.array([0.0, 0.1, 0.9, 0.8])
-        assert precision_at_k(y, s, 2) == 0.0
-
-    def test_k_larger_than_n(self):
-        y = np.array([1, 0])
-        s = np.array([0.9, 0.1])
-        assert precision_at_k(y, s, 10) == 0.5
-
-    def test_invalid_k(self):
-        with pytest.raises(ValidationError):
-            precision_at_k(np.zeros(3), np.zeros(3), 0)
 
 
 class TestContaminationThreshold:

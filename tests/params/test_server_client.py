@@ -55,6 +55,16 @@ class TestParameterServer:
         param_server.subscribe("k", lambda e: 1 / 0)
         param_server.set("k", 1)  # must not raise
 
+    def test_subscriber_error_counted(self, param_server):
+        seen = []
+        param_server.subscribe("k", lambda e: 1 / 0)
+        param_server.subscribe("k", lambda e: seen.append(e.version))
+        assert param_server.stats()["callback_errors"] == {}
+        param_server.set("k", 1)
+        param_server.compare_and_set("k", 2, expected_version=1)
+        assert seen == [1, 2]  # the next subscriber still ran
+        assert param_server.stats()["callback_errors"] == {"ZeroDivisionError": 2}
+
     def test_concurrent_cas_single_winner(self, param_server):
         param_server.set("counter", 0)
         wins = []

@@ -55,6 +55,15 @@ class TestSubmission:
         pilot.cancel()
         assert PilotState.CANCELED in seen
 
+    def test_state_change_callback_error_counted(self, pilot_service):
+        pilot = pilot_service.submit_pilot(PilotDescription())
+        pilot.wait(timeout=10)
+        assert pilot.stats()["callback_errors"] == {}
+        pilot.on_state_change(lambda p, s: 1 / 0)
+        pilot.cancel()
+        assert pilot.state is PilotState.CANCELED
+        assert pilot.stats()["callback_errors"] == {"ZeroDivisionError": 1}
+
     def test_emulated_delay_scaled(self):
         service = PilotComputeService(time_scale=0.01)
         try:
