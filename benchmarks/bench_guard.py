@@ -1571,18 +1571,18 @@ def _storage_recovery_linearity() -> dict:
         ]
 
     store = SegmentStore(directory, "t", 0, config=config)
-    try:
-        offset = 0
-        # Each flushed batch overflows segment_bytes, so every flush
-        # seals a segment — the log ends up dominated by sealed files.
-        for _ in range(STORAGE_LINEAR_SEGMENTS):
-            store.append_batch(records_at(offset, STORAGE_BATCH))
-            offset += STORAGE_BATCH
-            store.flush()
-        # A small unsealed tail so the active segment is non-empty.
-        store.append_batch(records_at(offset, 8))
-    finally:
-        store.close()  # flushes the tail
+    offset = 0
+    # Each flushed batch overflows segment_bytes, so every flush
+    # seals a segment — the log ends up dominated by sealed files.
+    for _ in range(STORAGE_LINEAR_SEGMENTS):
+        store.append_batch(records_at(offset, STORAGE_BATCH))
+        offset += STORAGE_BATCH
+        store.flush()
+    # A small flushed tail, then the store is abandoned as a crash would
+    # leave it: close() would seal the tail and the boot would scan nothing.
+    store.append_batch(records_at(offset, 8))
+    store.flush()
+    os.close(store._active_fd)
 
     reopened = SegmentStore(directory, "t", 0, config=config)
     try:
@@ -1661,6 +1661,11 @@ def _check_storage(results: dict) -> list:
         failures.append(
             f"disk recovery replayed {results['recovered_records']} of "
             f"{results['acked_records']} acked records"
+        )
+    if not results["recovery_scan_bytes"]:
+        failures.append(
+            "boot scanned nothing: the linearity check needs the crashed "
+            "store's non-empty active segment"
         )
     if results["recovery_scan_bytes"] > results["active_bytes"]:
         failures.append(

@@ -28,7 +28,8 @@ truncating at the first torn/corrupt one); sealed segments are trusted
 by construction — they were fsynced and renamed into immutability at
 roll time — and their per-batch position lists are rebuilt lazily by
 one header scan, so boot cost is linear in the active segment size, not
-the log size.
+the log size. A clean ``close()`` seals the active segment too, so only
+a crash leaves anything to scan.
 """
 
 from __future__ import annotations
@@ -75,12 +76,17 @@ class TornWriteError(StorageError):
 class StorageConfig:
     """Knobs of the on-disk log backend.
 
-    ``segment_bytes`` bounds both roll size and recovery cost (recovery
-    scans one active segment); the group-commit window is a deadline:
-    a flush comes ``flush_ms`` after the first append it covers, sooner
-    only once ``flush_bytes`` are pending or under ``fsync_acks``, which
-    makes appends block until their batch is fsynced (single-node
-    durability) instead of relying on that window + replication.
+    A segment rolls at the first *flush* that takes it to ``segment_bytes``,
+    so its size is bounded by ``segment_bytes`` plus one flush's pending
+    data, which nothing caps (an in-process ``acks="all"`` pre-fill of
+    260 x 256 KB wrote one 66.6 MB segment at the 32 MiB default). That
+    is also the most a crash leaves for the next boot to scan; a clean
+    ``close()`` seals the segment and leaves nothing. The group-commit
+    window is a deadline: a flush comes ``flush_ms`` after the first
+    append it covers, sooner only once ``flush_bytes`` are pending or
+    under ``fsync_acks``, which makes appends block until their batch is
+    fsynced (single-node durability) instead of relying on that window +
+    replication.
     """
 
     segment_bytes: int = 32 * 1024 * 1024
@@ -519,18 +525,22 @@ class SegmentStore:
         next_offset = active_base
         producer_batches: list = []
         if os.path.exists(active_path):
-            with open(active_path, "rb") as fh:
-                data = fh.read()
-            file_size = len(data)
-            for info in scan_batches(data, 0, file_size, verify_crc=True):
-                batches.append((info.base_offset, info.pos))
-                records.extend(
-                    decode_batch(data, info, self.topic, self.partition, copy=True)
-                )
-                if info.producer_id >= 0:
-                    producer_batches.append(info)
-                valid_end = info.end_pos
-                next_offset = info.end_offset
+            file_size = os.path.getsize(active_path)
+        if file_size:
+            # Scanned through a mapping, so each record is copied once
+            # (into its own bytes), not twice via a whole-file read.
+            with open(active_path, "rb") as fh, mmap.mmap(
+                fh.fileno(), 0, access=mmap.ACCESS_READ
+            ) as mapped, memoryview(mapped) as data:
+                for info in scan_batches(data, 0, file_size, verify_crc=True):
+                    batches.append((info.base_offset, info.pos))
+                    records.extend(
+                        decode_batch(data, info, self.topic, self.partition, copy=True)
+                    )
+                    if info.producer_id >= 0:
+                        producer_batches.append(info)
+                    valid_end = info.end_pos
+                    next_offset = info.end_offset
             if valid_end < file_size:
                 os.truncate(active_path, valid_end)
 
@@ -754,7 +764,7 @@ class SegmentStore:
         file's durable whole pages from the page cache, in runs of at
         least an eighth of a segment (a call per small flush costs
         small_stream 4 %) or whatever is left when the segment rolls.
-        The price: a just-sealed segment, boot recovery and
+        The price: a just-sealed segment, recovery after a crash and
         ``truncate_to`` read from disk."""
         fadvise = getattr(os, "posix_fadvise", None)
         end = self._active_size & -mmap.PAGESIZE
@@ -1127,7 +1137,12 @@ class SegmentStore:
     # -- lifecycle -----------------------------------------------------------
 
     def close(self) -> None:
-        """Flush, snapshot, and release every file handle and mapping."""
+        """Flush, seal, snapshot, and release every file handle and mapping.
+
+        A healthy store seals its non-empty active segment (the roll
+        writes the snapshot), so the next boot adopts every segment by
+        size and scans nothing. A failed store is left for crash recovery.
+        """
         with self._io_lock:
             try:
                 self._flush_io()
@@ -1136,13 +1151,17 @@ class SegmentStore:
             with self._lock:
                 if self._closed:
                     return
+                sealing = self._failed is None and self._active_size > 0
+            if sealing:
+                self._roll_io()
+            with self._lock:
                 self._closed = True
                 snapshot = self._mirror.to_wire()
                 as_of = self._flushed_offset
                 sealed = list(self._sealed)
                 fd = self._active_fd
                 self._flush_cond.notify_all()
-            if self._failed is None:
+            if self._failed is None and not sealing:
                 self._write_snapshot(snapshot, as_of)
             if fd >= 0:
                 try:

@@ -4,6 +4,7 @@ import mmap
 import os
 import threading
 import time
+import tracemalloc
 
 import pytest
 
@@ -44,6 +45,20 @@ def make_records(base, values, topic="t", partition=0, key=None, headers=None):
 
 def make_store(tmp_path, name="t-0", config=MANUAL, topic="t", partition=0):
     return SegmentStore(str(tmp_path / name), topic, partition, config=config)
+
+
+def crash(store):
+    """Abandon *store* as a SIGKILL would: nothing pending is flushed, the
+    active segment is not sealed and no producer snapshot is written."""
+    with store._lock:
+        store._closed = True
+    os.close(store._active_fd)
+    for seg in store._sealed:
+        seg.close()
+
+
+def log_files(directory):
+    return sorted(n for n in os.listdir(directory) if n.endswith(LOG_SUFFIX))
 
 
 class TestSegmentCodec:
@@ -139,7 +154,7 @@ class TestSegmentStore:
         store.append_batch(make_records(3, [b"bad"] * 2))
         store.flush()
         path = store._active_path
-        store.close()
+        crash(store)  # a clean close() would seal the segment
         # Corrupt the last byte: the final batch fails its CRC.
         with open(path, "r+b") as fh:
             fh.seek(-1, os.SEEK_END)
@@ -212,7 +227,7 @@ class TestSegmentStore:
         store.append_batch(make_records(6, [b"c"]))
         store.flush()
         again_path = store.directory
-        store.close()
+        crash(store)  # keep the cut segment active for the scan below
         again = SegmentStore(again_path, "t", 0, config=MANUAL)
         assert again.recovered.next_offset == 7
         assert [bytes(r.value) for r in again.recovered.records] == (
@@ -301,6 +316,128 @@ class TestSegmentStore:
         flusher.stop()
         assert store.counters["flush_errors"] == 1
         store.close()
+
+    def test_crash_recovery_copies_each_record_once(self, tmp_path):
+        # A whole-file read plus a copy per value peaked at about twice
+        # the segment; scanning a mapping leaves only the copies.
+        store = make_store(tmp_path)
+        for i in range(8):
+            store.append_batch(make_records(i * 8, [bytes([i]) * 65536] * 8))
+        store.flush()
+        size = os.path.getsize(store._active_path)
+        crash(store)
+        tracemalloc.start()
+        try:
+            again = make_store(tmp_path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert again.recovered.scan_bytes == size
+        assert len(again.recovered.records) == 64
+        assert bytes(again.recovered.records[-1].value) == bytes([7]) * 65536
+        assert peak <= 1.25 * size, (peak, size)
+        again.close()
+
+
+class TestCleanClose:
+    """A clean ``close()`` seals the active segment after its last fsync,
+    so a restart adopts every segment without scanning one."""
+
+    def _fill(self, store, batches=4, per=3):
+        for i in range(batches):
+            store.append_batch(make_records(i * per, [b"v%d" % (i * per + j)
+                                                      for j in range(per)]))
+        store.flush()
+        return batches * per
+
+    def test_restart_scans_nothing_and_reads_every_offset(self, tmp_path):
+        store = make_store(tmp_path)
+        total = self._fill(store)
+        store.close()
+        again = make_store(tmp_path)
+        assert again.recovered.scan_bytes == 0
+        assert again.recovered.records == []
+        assert again.recovered.segments == 1
+        assert again.counters["recovered_records"] == 0
+        assert again.active_base == again.next_offset == total
+        out = again.read(0, 100)
+        assert [r.offset for r in out] == list(range(total))
+        assert [bytes(r.value) for r in out] == [b"v%d" % i for i in range(total)]
+        again.close()
+
+    def test_idempotent_replay_after_restart_acks_the_original_offsets(self, tmp_path):
+        log = PartitionLog("t", 0, log_dir=str(tmp_path), storage=MANUAL)
+        log.append_many([b"plain"] * 3)
+        first = log.append_many([b"v1", b"v2"], producer_id=7, producer_epoch=1,
+                                base_sequence=0)
+        log.close()
+        again = PartitionLog("t", 0, log_dir=str(tmp_path), storage=MANUAL)
+        assert again.storage.recovered.scan_bytes == 0
+        replay = again.append_many([b"v1", b"v2"], producer_id=7, producer_epoch=1,
+                                   base_sequence=0)
+        assert [r.offset for r in replay] == [r.offset for r in first] == [3, 4]
+        assert again.latest_offset == 5 and again.duplicates_dropped == 2
+        again.close()
+
+    def test_a_failed_store_is_not_sealed_and_recovery_truncates_it(self, tmp_path):
+        store = make_store(tmp_path)
+        store.append_batch(make_records(0, [b"acked"] * 2))
+        store.flush()
+        store.append_batch(make_records(2, [b"doomed"] * 2))
+        injector = FaultInjector()
+        injector.torn_write_next(op="t/0")
+        store.fault_injector = injector
+        with pytest.raises(TornWriteError):
+            store.flush()
+        store.close()
+        assert store.counters["segments_sealed"] == 0
+        assert log_files(store.directory) == [f"{0:020d}{LOG_SUFFIX}"]
+        again = make_store(tmp_path)
+        assert again.recovered.segments == 0
+        assert again.recovered.truncated_bytes > 0
+        assert [bytes(r.value) for r in again.recovered.records] == [b"acked"] * 2
+        again.close()
+
+    def test_truncate_after_restart_unwinds_the_sealed_tail(self, tmp_path):
+        log = PartitionLog("t", 0, log_dir=str(tmp_path), storage=MANUAL)
+        log.append_many([b"a"] * 4)
+        log.append_many([b"b"] * 4)
+        log.close()
+        again = PartitionLog("t", 0, log_dir=str(tmp_path), storage=MANUAL)
+        assert again.storage.active_base == 8
+        assert again.truncate_to(6) == 2
+        assert again.storage.active_base == 0  # the sealed segment was unwound
+        assert [bytes(r.value) for r in again.fetch(0, 100)] == [b"a"] * 4 + [b"b"] * 2
+        again.append_many([b"c"])
+        again.close()
+        third = PartitionLog("t", 0, log_dir=str(tmp_path), storage=MANUAL)
+        assert [bytes(r.value) for r in third.fetch(0, 100)] == (
+            [b"a"] * 4 + [b"b"] * 2 + [b"c"]
+        )
+        third.close()
+
+    def test_closing_an_empty_active_segment_seals_nothing(self, tmp_path):
+        config = StorageConfig(segment_bytes=64, flush_ms=60_000.0, flush_bytes=1 << 30)
+        store = make_store(tmp_path, config=config)
+        store.append_batch(make_records(0, [b"x" * 100]))
+        store.flush()  # past segment_bytes: the flush itself rolls
+        assert store.counters["segments_sealed"] == 1
+        store.close()
+        assert store.counters["segments_sealed"] == 1
+        assert log_files(store.directory) == [f"{0:020d}{LOG_SUFFIX}",
+                                              f"{1:020d}{LOG_SUFFIX}"]
+
+    def test_reopen_cycles_without_appends_add_no_segments(self, tmp_path):
+        store = make_store(tmp_path)
+        total = self._fill(store)
+        store.close()
+        files = log_files(store.directory)
+        assert len(files) == 2  # the sealed segment and an empty active one
+        for _ in range(3):
+            again = make_store(tmp_path)
+            assert again.recovered.next_offset == total
+            again.close()
+            assert log_files(store.directory) == files
 
 
 class _FakeStore:

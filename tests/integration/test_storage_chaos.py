@@ -186,6 +186,7 @@ class TestFollowerDiskRecoveryBeforeResync:
             # — restored real records rather than starting empty.
             stats = _shard_stats(supervisor, doomed)
             assert stats["storage"]["recovered_records"] >= 2 * PARTITIONS * BATCH
+            assert stats["storage"]["recovery_scan_bytes"] > 0
 
             # And it rejoined the ISR fully caught up: resync only had
             # to ship what landed after the kill.
@@ -215,3 +216,37 @@ class TestFollowerDiskRecoveryBeforeResync:
             finally:
                 status_client.close()
                 producer_broker.close()
+
+
+class TestCleanRestartScansNothing:
+    def test_every_shard_adopts_its_sealed_segments(self, tmp_path):
+        """A clean stop seals every active segment: the next boot reads
+        no record back, yet every acked record is served in order."""
+        expected = {p: [] for p in range(PARTITIONS)}
+        cluster = dict(
+            num_shards=2,
+            topics=[("t", PARTITIONS)],
+            replication_factor=2,
+            log_dir=str(tmp_path),
+            storage=DURABLE,
+        )
+        with ClusterBrokerSupervisor(**cluster) as supervisor:
+            client = ClusterBroker(supervisor.bootstrap)
+            with Producer(client, client_id="clean-restart", acks="all") as producer:
+                for partition in range(PARTITIONS):
+                    values = [f"{partition}:{i}".encode() for i in range(BATCH)]
+                    producer.send_many("t", values, partition=partition)
+                    expected[partition] = values
+            client.close()
+        with ClusterBrokerSupervisor(**cluster) as supervisor:
+            for shard in range(2):
+                storage = _shard_stats(supervisor, shard)["storage"]
+                assert storage["recovery_scan_bytes"] == 0
+                assert storage["recovered_records"] == 0
+            client = ClusterBroker(supervisor.bootstrap)
+            try:
+                for partition, values in expected.items():
+                    records = client.fetch("t", partition, 0, max_records=BATCH * 2)
+                    assert [bytes(r.value) for r in records] == values
+            finally:
+                client.close()
