@@ -1557,9 +1557,7 @@ def _storage_recovery_linearity() -> dict:
     from repro.broker.message import Record
     from repro.broker.storage import SegmentStore, StorageConfig
 
-    config = StorageConfig(
-        segment_bytes=64 * 1024, flush_ms=60_000.0, flush_bytes=1 << 30
-    )
+    config = StorageConfig(segment_bytes=64 * 1024, flush_ms=60_000.0)
     payload = b"\xa5" * STORAGE_VALUE_BYTES
     tmp = tempfile.mkdtemp(prefix="bench-storage-linear-")
     directory = os.path.join(tmp, "t-0")

@@ -69,7 +69,6 @@ from repro.broker.storage import (
     SegmentStore,
     StorageConfig,
     StorageError,
-    TornWriteError,
 )
 
 __all__ = [
@@ -133,5 +132,4 @@ __all__ = [
     "SegmentStore",
     "StorageConfig",
     "StorageError",
-    "TornWriteError",
 ]

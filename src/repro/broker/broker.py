@@ -16,7 +16,7 @@ from repro.broker.errors import ProducerFencedError, TopicExistsError, UnknownTo
 from repro.broker.group import GroupCoordinator
 from repro.broker.message import BatchMetadata, Record, RecordMetadata
 from repro.broker.partition import PartitionLog
-from repro.broker.storage.log import LogStorageManager
+from repro.broker.storage import LogStorageManager
 from repro.broker.topic import Topic
 from repro.monitoring.instruments import MetricsRegistry
 from repro.util.ids import new_id
@@ -40,7 +40,7 @@ class Broker:
         batching, mmap reads of sealed segments, and crash recovery on
         the next boot. All partitions share one flusher thread.
     storage:
-        Optional :class:`~repro.broker.storage.log.StorageConfig` tuning
+        Optional :class:`~repro.broker.storage.store.StorageConfig` tuning
         the durable backend (requires *log_dir*), or a prebuilt
         :class:`~repro.broker.storage.log.LogStorageManager` to share.
     """

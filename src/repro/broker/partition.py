@@ -20,7 +20,7 @@ The log is dense by construction (exactly one record per offset in
 index arithmetic.
 
 Durability: with ``log_dir`` (or a shared ``storage`` manager) set, the
-log gains a :class:`~repro.broker.storage.log.SegmentStore` backend.
+log gains a :class:`~repro.broker.storage.store.SegmentStore` backend.
 Every append is mirrored into the store's group-commit queue; the deque
 then holds only the *active segment's* records (the hot tail — evicted
 below the store's sealed boundary), and reads below that boundary are
@@ -40,8 +40,7 @@ from itertools import islice
 from repro.broker.errors import OffsetOutOfRangeError
 from repro.broker.message import Record
 from repro.broker.producer_state import ProducerStateTable
-from repro.broker.storage.log import (
-    GroupCommitFlusher,
+from repro.broker.storage import (
     LogStorageManager,
     SegmentStore,
     StorageConfig,
@@ -51,7 +50,7 @@ from repro.util.validation import ValidationError, check_non_negative, check_pos
 
 #: Upper bound on an fsync-acked append's wait for its group commit; a
 #: healthy flusher retires the queue within one flush interval, so
-#: hitting this means the disk (or an injected fault) wedged the store.
+#: hitting this means the disk wedged the store.
 _FSYNC_ACK_TIMEOUT = 30.0
 
 
@@ -77,12 +76,12 @@ class PartitionLog:
         Durable backend selector: a
         :class:`~repro.broker.storage.log.LogStorageManager` (the
         broker-level form — stores share one flusher thread), a
-        :class:`~repro.broker.storage.log.StorageConfig` (used with
+        :class:`~repro.broker.storage.store.StorageConfig` (used with
         *log_dir*), or ``None`` for the in-memory deque (default).
     log_dir:
-        Standalone durable form: the log owns a private store (and
-        flusher) rooted at ``{log_dir}/{topic}-{partition}``. Ignored
-        when *storage* is a manager.
+        Standalone durable form: the log opens its store at
+        ``{log_dir}/{topic}-{partition}`` through a private manager,
+        closed with the log. Ignored when *storage* is a manager.
     """
 
     def __init__(
@@ -138,24 +137,15 @@ class PartitionLog:
         #: one is registered. It is how replication learns that somebody
         #: wants those records *now* rather than at its next sweep.
         self.on_fence_wait = None
-        # Durable backend (None = deque-only). _owned_flusher is set when
-        # this log created a private flusher (log_dir form) and must stop
-        # it on close; manager-provided stores share the manager's.
+        # Durable backend (None = deque-only). The log_dir form owns its
+        # manager; a shared manager outlives the log.
         self._store: SegmentStore | None = None
-        self._owned_flusher: GroupCommitFlusher | None = None
+        self._owned_storage: LogStorageManager | None = None
         self._fsync_acks = False
+        if log_dir is not None and (storage is None or isinstance(storage, StorageConfig)):
+            storage = self._owned_storage = LogStorageManager(log_dir, storage)
         if isinstance(storage, LogStorageManager):
             self._store = storage.open(topic, partition)
-        elif log_dir is not None:
-            config = storage if isinstance(storage, StorageConfig) else StorageConfig()
-            self._owned_flusher = GroupCommitFlusher(config.flush_ms)
-            self._store = SegmentStore(
-                f"{log_dir}/{topic}-{partition}",
-                topic,
-                partition,
-                config=config,
-                flusher=self._owned_flusher,
-            )
         elif storage is not None:
             raise ValidationError(
                 "storage must be a LogStorageManager, or a StorageConfig "
@@ -172,9 +162,7 @@ class PartitionLog:
         recovered = self._store.recovered
         self._records.extend(recovered.records)
         self._mem_base = (
-            recovered.records[0].offset
-            if recovered.records
-            else recovered.next_offset
+            recovered.records[0].offset if recovered.records else recovered.next_offset
         )
         self._base_offset = recovered.base_offset
         self._next_offset = recovered.next_offset
@@ -197,10 +185,10 @@ class PartitionLog:
 
     def close(self) -> None:
         """Flush and release the durable backend (no-op when in-memory)."""
-        if self._store is not None:
+        if self._owned_storage is not None:
+            self._owned_storage.close()
+        elif self._store is not None:
             self._store.close()
-        if self._owned_flusher is not None:
-            self._owned_flusher.stop()
 
     # -- write path ---------------------------------------------------------
 

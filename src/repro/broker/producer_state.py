@@ -8,7 +8,7 @@ batches, so a retried (replayed) batch is acknowledged with its
 Two owners keep an instance each and both speak only this class:
 :class:`~repro.broker.partition.PartitionLog` (fed on every append — it
 answers the produce path) and
-:class:`~repro.broker.storage.log.SegmentStore` (fed at flush time only,
+:class:`~repro.broker.storage.store.SegmentStore` (fed at flush time only,
 so the snapshot it writes next to the segments covers flushed data and
 nothing else). The wire form (:meth:`to_wire` / :meth:`from_wire`) is
 what replication pushes to followers and what ``producer.snap`` holds.

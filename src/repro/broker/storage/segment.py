@@ -21,17 +21,23 @@ makes a *torn tail* (power loss mid-``write``) detectable: recovery
 truncates the file at the first batch whose length prefix runs past EOF
 or whose CRC does not match, exactly the LogCabin/Kafka rule.
 
-Everything here operates on buffers (``bytes``, ``mmap``,
-``memoryview``) and stays allocation-light: decoding a batch from an
-``mmap`` yields records whose values are ``memoryview`` slices of the
-page cache — zero copies until the consumer touches the bytes.
+The codec operates on buffers (``bytes``, ``mmap``, ``memoryview``)
+and stays allocation-light: decoding a batch from an ``mmap`` yields
+records whose values are ``memoryview`` slices of the page cache — zero
+copies until the consumer touches the bytes. :class:`_SealedSegment`
+and :class:`_DecodeCache` are the read path built on it: a rolled
+segment is immutable and served from its mapping.
 """
 
 from __future__ import annotations
 
 import json
+import mmap
 import struct
+import threading
 import zlib
+from bisect import bisect_right
+from collections import OrderedDict
 from typing import NamedTuple
 
 from repro.broker.message import Record
@@ -199,6 +205,28 @@ def scan_batches(buf, start: int, end: int, verify_crc: bool = False):
         pos = info.end_pos
 
 
+def shorten_batch(buf, count: int) -> tuple[bytes, int]:
+    """Cut the batch at the start of *buf* to its first *count* records.
+
+    Returns the batch's new headers (batch header + body header: count,
+    body length and CRC over the surviving body) and its new length.
+    The records stay where they are, so writing the headers back over
+    the old ones and cutting the file after the length shortens the
+    batch in place.
+    """
+    info = read_batch_info(buf, 0, len(buf))
+    start = pos = info.body_start + BODY_HEADER.size
+    for _ in range(count):
+        value_len, key_len, headers_len, _, _ = RECORD_HEADER.unpack_from(buf, pos)
+        pos += RECORD_HEADER.size + value_len + max(key_len, 0) + headers_len
+    head = BODY_HEADER.pack(
+        info.base_offset, count, info.producer_id, info.producer_epoch,
+        info.base_sequence, info.write_ts,
+    )
+    crc = zlib.crc32(memoryview(buf)[start:pos], zlib.crc32(head))
+    return BATCH_HEADER.pack(len(head) + pos - start, crc) + head, pos
+
+
 def decode_batch(buf, info: BatchInfo, topic: str, partition: int, copy: bool = False):
     """Decode one batch into :class:`Record` objects.
 
@@ -235,4 +263,166 @@ def decode_batch(buf, info: BatchInfo, topic: str, partition: int, copy: bool = 
         add(Record(topic, partition, offset, value, key, headers, produce_ts, append_ts))
         offset += 1
     return out
+
+
+#: Records the per-partition LRU of decoded sealed batches may hold.
+_DECODE_CACHE_RECORDS = 16384
+
+
+class _DecodeCache:
+    """Record-count-bounded LRU of decoded sealed batches.
+
+    Decoding a batch off the mmap costs ~1µs of struct/object work per
+    record; the deque (hot tail) pays none of that because its records
+    are born decoded. This cache gives re-read sealed data the same
+    property: the first fetch decodes, every later fetch of the batch —
+    another consumer in the group, a replay, a lagging follower — is a
+    dict hit. Values inside cached records stay zero-copy
+    ``memoryview`` slices (they pin their segment's mapping, which is
+    why the cache is cleared whenever segments are truncated or evicted).
+    """
+
+    __slots__ = ("_entries", "_records", "_lock", "counters")
+
+    def __init__(self, counters: dict) -> None:
+        self._entries: OrderedDict = OrderedDict()
+        self._records = 0
+        self._lock = threading.Lock()
+        self.counters = counters
+
+    def get(self, key) -> list | None:
+        with self._lock:
+            records = self._entries.get(key)
+            if records is None:
+                self.counters["decode_cache_misses"] += 1
+                return None
+            self._entries.move_to_end(key)
+            self.counters["decode_cache_hits"] += 1
+            return records
+
+    def put(self, key, records: list) -> None:
+        if not records:
+            return
+        with self._lock:
+            if key in self._entries:
+                return
+            self._entries[key] = records
+            self._records += len(records)
+            while self._records > _DECODE_CACHE_RECORDS and len(self._entries) > 1:
+                _, evicted = self._entries.popitem(last=False)
+                self._records -= len(evicted)
+
+    def clear(self) -> None:
+        with self._lock:
+            self._entries.clear()
+            self._records = 0
+
+
+class _SealedSegment:
+    """An immutable, memory-mapped segment of the log."""
+
+    __slots__ = (
+        "base",
+        "end",
+        "size",
+        "path",
+        "last_write_ts",
+        "_mmap",
+        "_view",
+        "_dense",
+        "_open_lock",
+    )
+
+    def __init__(self, path: str, base: int, end: int, size: int,
+                 last_write_ts: float, batches: list | None = None):
+        self.path = path
+        self.base = base
+        self.end = end
+        self.size = size
+        #: The store's ``now()`` of the newest record (age retention).
+        self.last_write_ts = last_write_ts
+        self._mmap = None
+        self._view = None
+        #: Dense ``[(base_offset, file_pos)]`` for every batch — handed
+        #: over for free at roll time, or rebuilt by one lazy header
+        #: scan for segments adopted at boot. Lets a read jump straight
+        #: to its batch (and, on a decode-cache hit, skip parsing the
+        #: batch header entirely).
+        self._dense = batches
+        self._open_lock = threading.Lock()
+
+    def open_map(self):
+        with self._open_lock:
+            if self._view is None:
+                with open(self.path, "rb") as fh:
+                    self._mmap = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+                self._view = memoryview(self._mmap)
+            return self._view
+
+    def dense_index(self) -> list:
+        """Dense per-batch positions, built by one header scan if absent."""
+        with self._open_lock:
+            if self._dense is not None:
+                return self._dense
+        view = self.open_map()
+        dense = [
+            (info.base_offset, info.pos)
+            for info in scan_batches(view, 0, self.size)
+        ]
+        with self._open_lock:
+            self._dense = dense
+        return dense
+
+    def read(self, offset: int, max_count: int, topic: str, partition: int,
+             cache: _DecodeCache) -> list:
+        """Records in ``[offset, offset+max_count)`` held by this segment."""
+        dense = self._dense
+        if dense is None:
+            dense = self.dense_index()
+        # (offset,) sorts before (offset, pos): lands on the first batch
+        # whose base is >= offset, step back to the one containing it.
+        i = max(0, bisect_right(dense, (offset,)) - 1)
+        n = len(dense)
+        end_cap = offset + max_count
+        seg_base = self.base
+        view = None
+        out: list = []
+        while i < n:
+            base, pos = dense[i]
+            if base >= end_cap:
+                break
+            records = cache.get((seg_base, pos))
+            if records is None:
+                if view is None:
+                    view = self.open_map()
+                info = read_batch_info(view, pos, self.size)
+                if info is None:
+                    break
+                records = decode_batch(view, info, topic, partition)
+                cache.put((seg_base, pos), records)
+            if base + len(records) <= offset:
+                i += 1
+                continue
+            if base < offset:
+                records = records[offset - base :]
+            out.extend(records)
+            if len(out) >= max_count:
+                del out[max_count:]
+                break
+            i += 1
+        return out
+
+    def close(self) -> None:
+        with self._open_lock:
+            view, self._view = self._view, None
+            mapped, self._mmap = self._mmap, None
+        try:
+            if view is not None:
+                view.release()
+            if mapped is not None:
+                mapped.close()
+        except (BufferError, ValueError):
+            # Zero-copy views are still in flight; the mapping dies with
+            # its last reference instead.
+            pass
 

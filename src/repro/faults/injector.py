@@ -14,11 +14,6 @@ matches a channel/op, carries a budget of uses, and applies one effect:
 - ``link`` — inter-shard replication traffic between one pair of shards
   is dropped until healed (a partitioned network link), so ISR eviction
   can be exercised without killing any process.
-- ``torn`` — the next durable-log group commit writes only a prefix of
-  its final batch and then dies (a power loss mid-``write``), so crash-
-  recovery tests get a deterministically torn segment tail instead of
-  relying on real SIGKILL timing. Honoured by the segment store's
-  ``on_flush`` hook.
 
 Rules are evaluated first-match per call and consumed deterministically;
 probabilistic rules draw from a seeded RNG so a plan with randomness is
@@ -51,7 +46,7 @@ class FaultInjected(ConnectionError):
 
 @dataclass
 class _Rule:
-    kind: str  # "drop" | "delay" | "kill" | "pause" | "call" | "link" | "torn"
+    kind: str  # "drop" | "delay" | "kill" | "pause" | "call" | "link"
     op: str | None = None  # op-name filter; None matches every op
     remaining: int = 1  # uses left; negative = unlimited
     seconds: float = 0.0  # delay length / pause deadline horizon
@@ -122,21 +117,6 @@ class FaultInjector:
                     _Rule("call", op=op, remaining=n - 1, callback=None)
                 )
             self._rules.append(_Rule("call", op=op, remaining=1, callback=fn))
-        return self
-
-    def torn_write_next(self, n: int = 1, op: str | None = None) -> "FaultInjector":
-        """Tear the next *n* matching durable-log flushes mid-batch.
-
-        *op* filters on the store identity (``"{topic}/{partition}"``);
-        ``None`` tears the next flush of any store consulting this
-        injector. The store writes a prefix of the flush (cutting the
-        final batch in half), fsyncs it, and marks itself failed — the
-        on-disk state is exactly what a power loss mid-``write`` leaves,
-        and recovery must CRC-truncate the tail.
-        """
-        check_non_negative("n", n)
-        with self._lock:
-            self._rules.append(_Rule("torn", op=op, remaining=n))
         return self
 
     def pause(self, seconds: float, op: str | None = None) -> "FaultInjector":
@@ -257,14 +237,6 @@ class FaultInjector:
     def on_transfer(self, link) -> None:
         """netem :class:`~repro.netem.link.Link` hook: runs per transfer."""
         self._apply("transfer")
-
-    def on_flush(self, op: str) -> bool:
-        """Segment-store hook: runs before each group-commit write.
-
-        Returns True when the flush should be torn (the store performs
-        the partial write itself — only it knows its batch boundaries).
-        """
-        return self._take(op, ("torn",)) is not None
 
     def on_replication(self, src_shard: int, dst_shard: int) -> None:
         """Replicator hook: runs before each leader->follower push."""

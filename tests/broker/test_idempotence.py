@@ -62,7 +62,7 @@ class TestBrokerDedup:
             kwargs = {
                 "log_dir": str(tmp_path),
                 "storage": StorageConfig(
-                    segment_bytes=64, flush_ms=60_000.0, flush_bytes=1 << 30
+                    segment_bytes=64, flush_ms=60_000.0
                 ),
             }
         log = PartitionLog("t", 0, retention_bytes=40, **kwargs)

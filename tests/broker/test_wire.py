@@ -183,7 +183,7 @@ class TestReactorPumpOut:
                 assert _wait_until(lambda: conn.out_bytes == 0 and not conn.outbuf)
 
     def test_closing_with_mapped_views_queued_neither_leaks_nor_raises(self, tmp_path):
-        config = StorageConfig(segment_bytes=256 * 1024, flush_ms=60_000.0, flush_bytes=1 << 30)
+        config = StorageConfig(segment_bytes=256 * 1024, flush_ms=60_000.0)
         broker = Broker(log_dir=str(tmp_path), storage=config)
         with BrokerServer(broker) as server:
             broker.create_topic("t", 1)
