@@ -10,19 +10,6 @@ failure) if the batched path drops below ``MIN_SPEEDUP``x the
 per-record path — the guard that keeps ``append_many`` an actual fast
 path rather than a synonym.
 
-A second guard covers the end-to-end consume fast path through
-:class:`EdgeToCloudPipeline`: it pre-fills the broker with framed
-2048x32 blocks (the paper's block shape) and drains them through the
-pipeline's consumer tasks in per-message (``poll_batch=1``,
-``consume_batch=1``) vs batched (``poll_batch=32``, ``consume_batch=32``)
-configuration, writing ``benchmarks/artifacts/BENCH_pipeline.json``.
-The gated pair runs with ``check_crcs=False`` so both paths measure the
-pipeline's per-message overhead (poll, stamps, completion accounting,
-dispatch) rather than the payload-proportional CRC scan, which is
-identical per frame in both modes — the same reasoning that keeps serde
-cost out of the broker guard above. The default-config (CRC-verifying)
-rates are reported alongside for context.
-
 A fourth guard covers the pipelined-transport work: it drains a
 pre-filled multi-partition topic through a :class:`RemoteBroker` over an
 emulated fixed-RTT WAN link (``repro.netem``), synchronous consumer vs
@@ -85,7 +72,6 @@ from repro.netem import Link, LinkProfile
 from repro.pilot import PilotComputeService, PilotDescription
 
 ARTIFACT = Path(__file__).parent / "artifacts" / "BENCH_broker.json"
-PIPELINE_ARTIFACT = Path(__file__).parent / "artifacts" / "BENCH_pipeline.json"
 ROBUSTNESS_ARTIFACT = Path(__file__).parent / "artifacts" / "BENCH_robustness.json"
 REACTOR_ARTIFACT = Path(__file__).parent / "artifacts" / "BENCH_reactor.json"
 PREFETCH_ARTIFACT = Path(__file__).parent / "artifacts" / "BENCH_prefetch.json"
@@ -121,14 +107,15 @@ ROUNDS = 1 if FAST else 3
 #: guard runs smaller and colder, so it alerts a little below that.
 MIN_SPEEDUP = 2.0
 
-#: Pipeline guard shape: the paper's 2048x32 float64 block (512 KiB).
+#: In-process pipeline legs' shape: a tiny 16x4 block (512 bytes), so
+#: the consumer's CRC scan and decode stay small and the legs measure
+#: the per-message overhead they gate (poll, stamps, dispatch,
+#: completion accounting, telemetry hooks, prefetch handoff). On the
+#: paper's 512 KiB block the CRC scan costs ~6x that overhead (~150 vs
+#: ~22 us a message on a 2-core box) and would hide a regression in it.
 PIPE_MESSAGES = 256
-PIPE_POINTS = 2048
-PIPE_FEATURES = 32
-PIPE_BATCH = 32
-PIPE_ROUNDS = 1 if FAST else 3
-#: Observed ~2-3x on the overhead-isolating pair; alert below 1.5x.
-MIN_PIPELINE_SPEEDUP = 1.5
+PIPE_POINTS = 16
+PIPE_FEATURES = 4
 
 
 def _payload() -> bytes:
@@ -194,36 +181,23 @@ def run_guard() -> dict:
     return results
 
 
-# -- end-to-end pipeline consume guard --------------------------------------
-
-
-def _no_produce(context):
-    return None
+# -- end-to-end pipeline consume rate -----------------------------------------
 
 
 def _guard_process(context, data):
     return {"points": int(data.shape[0])}
 
 
-def _guard_process_batch(context, blocks):
-    return [{"points": int(b.shape[0])} for b in blocks]
-
-
-_guard_process.process_cloud_batch = _guard_process_batch
-
-
 def _pipeline_rate(
-    payload: bytes,
-    batched: bool,
-    check_crcs: bool,
-    prefetch: bool = False,
-    telemetry: tuple | None = None,
+    payload: bytes, prefetch: bool = False, telemetry: tuple | None = None
 ) -> float:
     """Messages/s through the pipeline's consumer for a pre-filled topic.
 
     The producer function yields nothing; the topic is pre-filled with
     correctly-addressed frames, so the timed region is purely the
     consume side: poll -> stamps -> decode -> process -> completion.
+    The producer stays quiet until the topic has drained: a producer
+    that ends at once ends the run at the zero messages it produced.
     The rate comes from the message traces (first ``dequeue`` to last
     ``process_end``), which excludes pilot/task setup time.
     """
@@ -241,25 +215,26 @@ def _pipeline_rate(
     )
     service.wait_all(timeout=30)
     try:
-        batch_knobs = (
-            dict(poll_batch=PIPE_BATCH, consume_batch=PIPE_BATCH)
-            if batched
-            else dict(poll_batch=1, consume_batch=1)
+        knobs = (
+            dict(fetch_prefetch_batches=2, fetch_max_wait_ms=50.0) if prefetch else {}
         )
-        if prefetch:
-            batch_knobs.update(fetch_prefetch_batches=2, fetch_max_wait_ms=50.0)
         config = PipelineConfig(
             num_devices=1,
             messages_per_device=PIPE_MESSAGES,
             max_duration=120.0,
-            check_crcs=check_crcs,
-            **batch_knobs,
+            **knobs,
         )
+        drained = threading.Event()
+
+        def quiet_edge(context):
+            drained.wait(config.max_duration)
+            return None
+
         registry, tracer, sampler = telemetry if telemetry is not None else (None,) * 3
         pipeline = EdgeToCloudPipeline(
             pilot_edge=edge,
             pilot_cloud_processing=cloud,
-            produce_function_handler=_no_produce,
+            produce_function_handler=quiet_edge,
             process_cloud_function_handler=_guard_process,
             config=config,
             run_id="bench",
@@ -277,7 +252,10 @@ def _pipeline_rate(
                 for i in range(PIPE_MESSAGES)
             ],
         )
-        result = pipeline.run()
+        running = pipeline.run(wait=False)
+        running.wait_for_processed(PIPE_MESSAGES, timeout=config.max_duration)
+        drained.set()
+        result = running.join()
         assert result.completed and len(result.results) == PIPE_MESSAGES, (
             result.completed,
             result.errors[:2],
@@ -288,43 +266,6 @@ def _pipeline_rate(
         return PIPE_MESSAGES / (end - start)
     finally:
         service.close()
-
-
-def run_pipeline_guard() -> dict:
-    """Measure the consume fast path, persist the artifact, return results."""
-    payload = encode_block(
-        np.random.default_rng(0).normal(size=(PIPE_POINTS, PIPE_FEATURES))
-    )
-    mb = len(payload) / 1e6
-
-    def best(batched: bool, check_crcs: bool, rounds: int) -> float:
-        return max(_pipeline_rate(payload, batched, check_crcs) for _ in range(rounds))
-
-    single = best(batched=False, check_crcs=False, rounds=PIPE_ROUNDS)
-    batched = best(batched=True, check_crcs=False, rounds=PIPE_ROUNDS)
-    # Default-config (CRC-verifying) context numbers: one round each —
-    # both paths pay the identical per-frame CRC scan, so the pair is
-    # checksum-bound and not gated.
-    single_crc = best(batched=False, check_crcs=True, rounds=1)
-    batched_crc = best(batched=True, check_crcs=True, rounds=1)
-    results = {
-        "messages": PIPE_MESSAGES,
-        "message_bytes": len(payload),
-        "block_shape": [PIPE_POINTS, PIPE_FEATURES],
-        "batch_records": PIPE_BATCH,
-        "check_crcs": False,
-        "per_message_msgs_s": round(single, 1),
-        "per_message_mb_s": round(single * mb, 1),
-        "batched_msgs_s": round(batched, 1),
-        "batched_mb_s": round(batched * mb, 1),
-        "per_message_msgs_s_crc": round(single_crc, 1),
-        "batched_msgs_s_crc": round(batched_crc, 1),
-        "batched_speedup": round(batched / single, 2),
-        "min_speedup": MIN_PIPELINE_SPEEDUP,
-    }
-    PIPELINE_ARTIFACT.parent.mkdir(parents=True, exist_ok=True)
-    PIPELINE_ARTIFACT.write_text(json.dumps(results, indent=2) + "\n")
-    return results
 
 
 # -- prefetch guard: WAN pipelined consume + in-proc no-regression -----------
@@ -341,7 +282,7 @@ PREFETCH_POLL_BATCH = 16
 #: RTT-bound drain should improve far more than 2x; alert below it.
 MIN_PREFETCH_WAN_SPEEDUP = 2.0
 #: In-proc (zero-RTT) the prefetcher only adds a thread handoff; it must
-#: stay within 10% of the direct batched consume path.
+#: stay within 10% of the direct consume path.
 MAX_PREFETCH_INPROC_REGRESSION = 0.10
 #: The in-proc pair interleaves base/prefetch rounds and keeps the best
 #: of each, so whole-run load drift hits both paths alike. Not reduced
@@ -394,8 +335,8 @@ def run_prefetch_guard() -> dict:
     )
     pairs = []
     for _ in range(PREFETCH_INPROC_ROUNDS):
-        base = _pipeline_rate(payload, batched=True, check_crcs=False)
-        pref = _pipeline_rate(payload, batched=True, check_crcs=False, prefetch=True)
+        base = _pipeline_rate(payload)
+        pref = _pipeline_rate(payload, prefetch=True)
         pairs.append((base, pref))
     inproc_base = max(b for b, _ in pairs)
     inproc_prefetch = max(p for _, p in pairs)
@@ -415,7 +356,7 @@ def run_prefetch_guard() -> dict:
         "min_wan_speedup": MIN_PREFETCH_WAN_SPEEDUP,
         "inproc_messages": PIPE_MESSAGES,
         "inproc_rounds": PREFETCH_INPROC_ROUNDS,
-        "inproc_batched_msgs_s": round(inproc_base, 1),
+        "inproc_direct_msgs_s": round(inproc_base, 1),
         "inproc_prefetch_msgs_s": round(inproc_prefetch, 1),
         "inproc_pair_regressions": [
             round(max(0.0, 1.0 - p / b), 3) for b, p in pairs
@@ -443,7 +384,7 @@ def _check_prefetch(results: dict) -> list:
             f"{results['inproc_regression']:.1%} > allowed "
             f"{MAX_PREFETCH_INPROC_REGRESSION:.0%} "
             f"({results['inproc_prefetch_msgs_s']} vs "
-            f"{results['inproc_batched_msgs_s']} msgs/s)"
+            f"{results['inproc_direct_msgs_s']} msgs/s)"
         )
     return failures
 
@@ -496,19 +437,13 @@ def run_telemetry_guard() -> dict:
     enabled_pairs = []
     tracer = sampler = None
     for _ in range(TELEMETRY_ROUNDS):
-        bare = _pipeline_rate(payload, batched=True, check_crcs=False)
-        off = _pipeline_rate(
-            payload, batched=True, check_crcs=False,
-            telemetry=_telemetry_objects(enabled=False),
-        )
+        bare = _pipeline_rate(payload)
+        off = _pipeline_rate(payload, telemetry=_telemetry_objects(enabled=False))
         # Fully-enabled round in the same interleave: every message
         # traced (producer stamp -> broker.append -> consumer.poll
         # spans), live registry histograms, background sampler thread.
         registry, tracer, sampler = _telemetry_objects(enabled=True)
-        on = _pipeline_rate(
-            payload, batched=True, check_crcs=False,
-            telemetry=(registry, tracer, sampler),
-        )
+        on = _pipeline_rate(payload, telemetry=(registry, tracer, sampler))
         pairs.append((bare, off))
         enabled_pairs.append((bare, on))
     off_overhead = min(max(0.0, 1.0 - o / b) for b, o in pairs)
@@ -1700,16 +1635,6 @@ def test_batched_fast_path_guard():
     )
 
 
-@pytest.mark.bench
-def test_pipeline_consume_guard():
-    results = run_pipeline_guard()
-    assert results["batched_speedup"] >= MIN_PIPELINE_SPEEDUP, (
-        f"batched consume regressed to {results['batched_speedup']}x the "
-        f"per-message path ({results['batched_msgs_s']} vs "
-        f"{results['per_message_msgs_s']} msgs/s); see {PIPELINE_ARTIFACT}"
-    )
-
-
 # -- cluster observability guard (BENCH_observability.json) ------------------
 #
 # Two legs for the cluster-wide observability plane:
@@ -1957,23 +1882,6 @@ def main() -> int:
             f"OK: idempotence overhead {robust['idempotence_overhead']:.1%} "
             f"<= {MAX_IDEMPOTENCE_OVERHEAD:.0%}, lossy delivery "
             f"{robust['lossy_delivery_rate']:.2%}"
-        )
-
-    pipe = run_pipeline_guard()
-    for key, value in pipe.items():
-        print(f"{key:>24}: {value}")
-    print(f"[artifact: {PIPELINE_ARTIFACT}]")
-    if pipe["batched_speedup"] < MIN_PIPELINE_SPEEDUP:
-        print(
-            f"FAIL: batched consume speedup {pipe['batched_speedup']}x "
-            f"< required {MIN_PIPELINE_SPEEDUP}x",
-            file=sys.stderr,
-        )
-        status = 1
-    else:
-        print(
-            f"OK: batched consume speedup {pipe['batched_speedup']}x "
-            f">= {MIN_PIPELINE_SPEEDUP}x"
         )
 
     prefetch = run_prefetch_guard()

@@ -31,28 +31,8 @@ class PipelineConfig:
     num_consumers: int = 0
     #: Broker topic name.
     topic: str = "pilot-edge-data"
-    #: Max records per consumer poll.
-    poll_batch: int = 8
-    #: Consumer-side batching: up to this many freshly polled records are
-    #: decoded together and handed to the application in ONE
-    #: ``process_cloud_batch(context, blocks)`` call (or one call of a
-    #: ``supports_batch`` function), with results split back out per
-    #: message. 1 = the per-message path; >1 only takes effect when the
-    #: processing function is batch-capable — plain ``process_cloud``
-    #: functions keep the per-message path regardless.
-    consume_batch: int = 1
-    #: Verify each frame's payload CRC32 when decoding on the consumer
-    #: (Kafka's ``check.crcs``). The CRC scan dominates decode cost for
-    #: large raw frames; disable it when the transport is trusted (the
-    #: in-process broker never corrupts payloads) and throughput matters
-    #: more than end-to-end integrity checking.
-    check_crcs: bool = True
-    #: Blocking-poll timeout per consumer iteration (seconds).
-    poll_timeout: float = 0.2
     #: Hard cap on run duration (seconds); the run fails if exceeded.
     max_duration: float = 600.0
-    #: Keep the last N processing results for inspection.
-    keep_results: int = 1024
     #: Seconds between produced messages per device (0 = as fast as possible).
     produce_interval: float = 0.0
     #: Backpressure: producers pause while more than this many messages
@@ -76,20 +56,15 @@ class PipelineConfig:
     #: polling for longer are evicted and their partitions rebalanced to
     #: the survivors. 0 (default) disables eviction.
     session_timeout_ms: float = 0.0
-    #: Pipelined wire protocol: requests in flight per remote-broker
-    #: connection before callers queue for a slot. Non-idempotent ops
-    #: always cap at 1 regardless (Kafka's max.in.flight rule). Only
-    #: meaningful for remote brokers; the in-process path has no wire.
-    max_in_flight_requests: int = 5
     #: Long-poll fetch: the broker holds a fetch until this many payload
     #: bytes are available (or the wait expires) instead of returning
     #: empty for the consumer to re-poll across the WAN.
     fetch_min_bytes: int = 1
     #: Upper bound (ms) on how long the broker parks a long-poll fetch.
     fetch_max_wait_ms: float = 500.0
-    #: Consumer prefetch depth, in batches of ``poll_batch`` records per
-    #: assigned partition. 0 (default) disables the background fetcher
-    #: and polls synchronously.
+    #: Consumer prefetch depth, in poll batches per assigned partition.
+    #: 0 (default) disables the background fetcher and polls
+    #: synchronously.
     fetch_prefetch_batches: int = 0
     #: Byte budget shared by all of one consumer's prefetch buffers;
     #: fetchers park (backpressure) when it is reached.
@@ -109,17 +84,12 @@ class PipelineConfig:
         check_positive("num_devices", self.num_devices)
         check_positive("messages_per_device", self.messages_per_device)
         check_non_negative("num_consumers", self.num_consumers)
-        check_positive("poll_batch", self.poll_batch)
-        check_positive("consume_batch", self.consume_batch)
-        check_positive("poll_timeout", self.poll_timeout)
         check_positive("max_duration", self.max_duration)
-        check_positive("keep_results", self.keep_results)
         check_non_negative("produce_interval", self.produce_interval)
         check_non_negative("max_inflight", self.max_inflight)
         check_non_negative("producer_retries", self.producer_retries)
         check_non_negative("retry_backoff_ms", self.retry_backoff_ms)
         check_non_negative("session_timeout_ms", self.session_timeout_ms)
-        check_positive("max_in_flight_requests", self.max_in_flight_requests)
         check_positive("fetch_min_bytes", self.fetch_min_bytes)
         check_non_negative("fetch_max_wait_ms", self.fetch_max_wait_ms)
         check_non_negative("fetch_prefetch_batches", self.fetch_prefetch_batches)

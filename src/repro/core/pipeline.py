@@ -46,7 +46,7 @@ from repro.core.events import (
     EventBus,
 )
 from repro.core.placement import CloudCentricPlacement, PlacementDecision, PlacementPolicy
-from repro.data.serde import decode_block, decode_block_many, encode_block
+from repro.data.serde import decode_block, encode_block
 from repro.monitoring.collector import MetricsCollector
 from repro.monitoring.report import ThroughputReport, analyze_bottleneck
 from repro.netem.link import Link
@@ -60,6 +60,11 @@ from repro.util.validation import ValidationError, check_positive
 
 #: Consumer tasks commit their offsets every this many processed records.
 _COMMIT_INTERVAL = 32
+#: Max records per consumer poll, and how long (seconds) one poll blocks.
+_POLL_BATCH = 8
+_POLL_TIMEOUT_S = 0.2
+#: A run keeps the last this many processing results for inspection.
+_KEEP_RESULTS = 1024
 
 
 class _AtomicCounter:
@@ -179,7 +184,7 @@ class EdgeToCloudPipeline:
         self._consumers: list[Consumer] = []
         self._collector.registry.add_reader("counters", self._consumer_counters)
         self._collector.registry.add_reader("gauges", self._consumer_gauges)
-        self._results = RingBuffer(self.config.keep_results)
+        self._results = RingBuffer(_KEEP_RESULTS)
         self._errors: list[str] = []
         self._errors_lock = threading.Lock()
 
@@ -509,7 +514,6 @@ class EdgeToCloudPipeline:
 
     def _consumer_loop(self, consumer: Consumer, index: int, stop: threading.Event) -> int:
         """Body of one processing consumer task; returns records handled."""
-        cfg = self.config
         broker_site = self.pilot_cloud_broker.site
         proc_site = self.pilot_cloud_processing.site
         downlink = self._link(broker_site, proc_site)
@@ -521,7 +525,7 @@ class EdgeToCloudPipeline:
         try:
             while not (self._done.is_set() or self._abort.is_set() or stop.is_set()):
                 records = consumer.poll(
-                    max_records=cfg.poll_batch, timeout=cfg.poll_timeout
+                    max_records=_POLL_BATCH, timeout=_POLL_TIMEOUT_S
                 )
                 if not records:
                     continue
@@ -569,34 +573,16 @@ class EdgeToCloudPipeline:
         ]
         return {"fetches_in_flight": max(peaks)} if peaks else {}
 
-    @staticmethod
-    def _resolve_batch_fn(fn: Callable) -> Callable | None:
-        """The batch FaaS contract: how a function opts into batching.
-
-        A processing function takes the batched fast path when it either
-        carries a callable ``process_cloud_batch(context, blocks)``
-        attribute or declares ``supports_batch = True`` (meaning the
-        function itself accepts a list of blocks). Plain per-message
-        functions return None here and keep the per-message path.
-        """
-        batch = getattr(fn, "process_cloud_batch", None)
-        if callable(batch):
-            return batch
-        if getattr(fn, "supports_batch", False):
-            return fn
-        return None
-
     def _handle_records(
         self, records, context, downlink, broker_site: str, proc_site: str
     ) -> int:
         """Consume one polled record batch: stamp, dedupe, decode, score.
 
         Every per-record stamp loop runs through ``stamp_many`` (one
-        collector lock acquisition per batch per stage), and fresh
-        records reach the user function as ONE ``process_cloud_batch``
-        call when the function is batch-capable and ``consume_batch`` > 1.
+        collector lock acquisition per batch per stage); each fresh
+        record then reaches the user function in its own
+        ``process_cloud(context, block)`` call.
         """
-        cfg = self.config
         # Normalize the message id to str ONCE: the record.offset
         # fallback is an int, and int-keyed stamps would file the same
         # message under two keys (trace vs processed-set).
@@ -648,27 +634,15 @@ class EdgeToCloudPipeline:
             self._collector.incr("duplicate_deliveries", duplicates)
         if fresh:
             fn = self._current_cloud_fn()
-            batch_fn = self._resolve_batch_fn(fn) if cfg.consume_batch > 1 else None
-            if batch_fn is None:
-                for message_id, record in fresh:
-                    self._process_record(message_id, record, fn, context, proc_site)
-            else:
-                for start in range(0, len(fresh), cfg.consume_batch):
-                    self._process_chunk(
-                        fresh[start : start + cfg.consume_batch],
-                        fn,
-                        batch_fn,
-                        context,
-                        proc_site,
-                    )
+            for message_id, record in fresh:
+                self._process_record(message_id, record, fn, context, proc_site)
         return len(records)
 
     def _process_record(
-        self, message_id: str, record, fn: Callable, context, proc_site: str, block=None
+        self, message_id: str, record, fn: Callable, context, proc_site: str
     ) -> None:
         """Per-message processing: decode, score, stamp — one user call."""
-        if block is None:
-            block = decode_block(record.value, verify=self.config.check_crcs)
+        block = decode_block(record.value)
         self._collector.stamp(
             message_id, "process_start", time.monotonic(), site=proc_site
         )
@@ -687,51 +661,6 @@ class EdgeToCloudPipeline:
                 nbytes=record.size,
                 site=proc_site,
             )
-            self._results.append(result)
-
-    def _process_chunk(
-        self, chunk, fn: Callable, batch_fn: Callable, context, proc_site: str
-    ) -> None:
-        """Batched processing: ONE user-function call for the whole chunk."""
-        mids = [message_id for message_id, _ in chunk]
-        blocks = decode_block_many(
-            [record.value for _, record in chunk], verify=self.config.check_crcs
-        )
-        self._collector.stamp_many(
-            mids, "process_start", time.monotonic(), site=proc_site
-        )
-        try:
-            results = batch_fn(context, blocks)
-            if results is None or len(results) != len(chunk):
-                raise ValidationError(
-                    f"process_cloud_batch returned "
-                    f"{0 if results is None else len(results)} results "
-                    f"for {len(chunk)} blocks"
-                )
-        except Exception:
-            # A poisoned message must cost one message, not the chunk:
-            # re-run per message so failure isolation (and the recorded
-            # errors) match the per-message path exactly. A function that
-            # only exists in batch form (``supports_batch``) is re-run on
-            # singleton lists, unwrapping the one result.
-            self._collector.incr("batch_fallbacks")
-            if fn is batch_fn:
-                single_fn = lambda ctx, blk: batch_fn(ctx, [blk])[0]  # noqa: E731
-            else:
-                single_fn = fn
-            for (message_id, record), block in zip(chunk, blocks):
-                self._process_record(
-                    message_id, record, single_fn, context, proc_site, block=block
-                )
-            return
-        self._collector.stamp_many(
-            mids,
-            "process_end",
-            time.monotonic(),
-            nbytes=[record.size for _, record in chunk],
-            site=proc_site,
-        )
-        for result in results:
             self._results.append(result)
 
     def _producer_ended(self, _future) -> None:

@@ -74,31 +74,6 @@ def passthrough_processor(context: dict = None, data=None):
     }
 
 
-def _passthrough_batch(context: dict = None, blocks=None):
-    """Batched counterpart of :func:`passthrough_processor`.
-
-    One call per poll batch: the per-block means remain one (memory-bound)
-    reduction each, but the norms and the Python-level call overhead are
-    paid once for the whole batch.
-    """
-    arrs = [np.asarray(b) for b in blocks]
-    means = np.asarray([a.mean(axis=0) if a.ndim > 1 else a.mean() for a in arrs])
-    norms = np.linalg.norm(np.atleast_2d(means), axis=1)
-    return [
-        {
-            "points": int(a.shape[0]),
-            "features": int(a.shape[1]) if a.ndim > 1 else 1,
-            "mean_norm": float(norm),
-        }
-        for a, norm in zip(arrs, norms)
-    ]
-
-
-#: Batch FaaS contract: the pipeline finds this attribute and makes one
-#: call per polled record batch instead of one per message.
-passthrough_processor.process_cloud_batch = _passthrough_batch
-
-
 def make_model_processor(model_factory: Callable, share_key: str | None = None) -> Callable:
     """Processor factory for streaming outlier detection.
 
@@ -145,51 +120,7 @@ def make_model_processor(model_factory: Callable, share_key: str | None = None) 
             "max_score": float(scores.max()) if scores is not None else 0.0,
         }
 
-    def process_cloud_batch(context: dict = None, blocks=None):
-        """Batched variant: score the whole poll batch in one model call.
-
-        The blocks are stacked into a single matrix and scored/fitted
-        once, so the per-call costs (validation, the tree refresh, the
-        threshold estimate) are paid per batch; a model that needs a
-        bounded working set walks the stack in slabs itself (the
-        isolation forest does). Model updates consequently land at batch
-        rather than per-message granularity, which matches the paper's
-        streaming pattern: the model is updated on the data that has
-        arrived.
-        """
-        from repro.data.serde import split_rows, stack_blocks
-
-        model: BaseOutlierDetector | None = getattr(state, "model", None)
-        if model is None:
-            model = model_factory()
-            state.model = model
-        stacked, offsets = stack_blocks([np.asarray(b) for b in blocks])
-        if model.fitted:
-            scores = model.decision_function(stacked)
-            threshold = model.threshold
-            per_block = split_rows(scores, offsets)
-        else:
-            per_block = [None] * len(blocks)
-            threshold = None
-        model.partial_fit(stacked)
-        if share_key is not None and context is not None:
-            params = FunctionContext(context).params if isinstance(context, dict) else None
-            if params is not None and hasattr(model, "get_weights"):
-                params.set(share_key, model.get_weights())
-        return [
-            {
-                "model": type(model).__name__,
-                "points": int(offsets[i + 1] - offsets[i]),
-                "outliers": (
-                    int((s > threshold).sum()) if s is not None and threshold is not None else 0
-                ),
-                "max_score": float(s.max()) if s is not None else 0.0,
-            }
-            for i, s in enumerate(per_block)
-        ]
-
     process_cloud.__name__ = f"process_{model_factory.__name__}"
-    process_cloud.process_cloud_batch = process_cloud_batch
     return process_cloud
 
 

@@ -11,9 +11,6 @@ from repro.data.generator import DataBlockGenerator, GeneratorConfig
 from repro.data.serde import (
     encode_block,
     decode_block,
-    decode_block_many,
-    stack_blocks,
-    split_rows,
     encoded_size,
     HEADER_SIZE,
     BYTES_PER_VALUE,
@@ -24,9 +21,6 @@ __all__ = [
     "GeneratorConfig",
     "encode_block",
     "decode_block",
-    "decode_block_many",
-    "stack_blocks",
-    "split_rows",
     "encoded_size",
     "HEADER_SIZE",
     "BYTES_PER_VALUE",

@@ -126,56 +126,3 @@ def decode_block(frame: bytes, copy: bool = False, verify: bool = True) -> np.nd
     # writable view; lock it so the shared frame cannot be corrupted.
     arr.flags.writeable = False
     return arr.reshape(points, features)
-
-
-def decode_block_many(frames, copy: bool = False, verify: bool = True) -> list[np.ndarray]:
-    """Decode a batch of frames into a list of ``(points, features)`` arrays.
-
-    The batched consume path's entry point: one call per polled record
-    batch instead of one per message. Decoding is per-frame (each frame
-    carries its own header and CRC), so a corrupt frame raises
-    :class:`SerdeError` exactly as :func:`decode_block` would — callers
-    that need to poison-pill single messages should fall back to
-    per-frame decoding on error. ``verify`` is forwarded to
-    :func:`decode_block`.
-    """
-    return [decode_block(frame, copy=copy, verify=verify) for frame in frames]
-
-
-def stack_blocks(blocks) -> tuple[np.ndarray, np.ndarray]:
-    """Stack homogeneous ``(n_i, d)`` blocks into one matrix plus row offsets.
-
-    Returns ``(matrix, offsets)`` where ``matrix`` is the ``(sum(n_i), d)``
-    row-wise concatenation and ``offsets`` is an ``int64`` array of
-    ``len(blocks) + 1`` row boundaries (``matrix[offsets[i]:offsets[i+1]]``
-    is block *i*). This is what lets a batch of polled messages hit a
-    model's vectorized ``decision_function`` in ONE call; pair with
-    :func:`split_rows` to fan per-row results back out per message.
-
-    A single block is passed through without copying.
-    """
-    if not blocks:
-        raise SerdeError("stack_blocks() requires at least one block")
-    arrs = [np.asarray(b) for b in blocks]
-    for arr in arrs:
-        if arr.ndim != 2:
-            raise SerdeError(f"blocks must be 2-D, got shape {arr.shape}")
-        if arr.shape[1] != arrs[0].shape[1]:
-            raise SerdeError(
-                f"blocks must share a feature count: {arr.shape[1]} != {arrs[0].shape[1]}"
-            )
-    offsets = np.zeros(len(arrs) + 1, dtype=np.int64)
-    np.cumsum([a.shape[0] for a in arrs], out=offsets[1:])
-    if len(arrs) == 1:
-        return arrs[0], offsets
-    return np.concatenate(arrs, axis=0), offsets
-
-
-def split_rows(stacked: np.ndarray, offsets: np.ndarray) -> list[np.ndarray]:
-    """Invert :func:`stack_blocks`: slice row ranges back out as views.
-
-    Works on the stacked matrix itself or on anything row-aligned with it
-    (per-row scores, labels) — each returned array is a zero-copy slice
-    ``stacked[offsets[i]:offsets[i+1]]``.
-    """
-    return [stacked[offsets[i] : offsets[i + 1]] for i in range(len(offsets) - 1)]

@@ -69,7 +69,7 @@ class TestPipelineConfig:
         with pytest.raises(ValidationError):
             PipelineConfig(topic="")
         with pytest.raises(ValidationError):
-            PipelineConfig(poll_timeout=0)
+            PipelineConfig(max_duration=0)
 
     def test_frozen(self):
         cfg = PipelineConfig()

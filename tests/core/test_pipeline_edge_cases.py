@@ -3,14 +3,17 @@
 import time
 
 import numpy as np
-import pytest
 
+from repro.broker import Producer
 from repro.core import (
     EdgeToCloudPipeline,
+    FunctionContext,
     PipelineConfig,
     make_block_producer,
     passthrough_processor,
 )
+from repro.core import pipeline as pipeline_module
+from repro.data import encode_block
 
 
 def build(running_pilots, produce=None, process=None, **cfg):
@@ -133,11 +136,65 @@ class TestConsumerRatios:
         assert partitions == {0, 1}
 
 
-class TestResultBuffer:
-    def test_keep_results_bounds_memory(self, running_pilots):
-        pipeline = build(
-            running_pilots, messages_per_device=12, keep_results=4
+class TestDuplicateDelivery:
+    def test_duplicate_is_counted_once(self, running_pilots):
+        pipeline = build(running_pilots, num_devices=2, messages_per_device=8)
+        config = pipeline.config
+        # Pre-inject a record that collides with the first real message of
+        # device 0: at-least-once delivery hands the consumer the same
+        # message id twice.
+        pipeline.broker.create_topic(
+            config.topic, num_partitions=config.num_devices, exist_ok=True
         )
+        Producer(pipeline.broker).send(
+            config.topic,
+            encode_block(np.zeros((5, 8))),
+            partition=0,
+            headers={"message_id": f"{pipeline.run_id}/d0/m0", "device": "device-0"},
+        )
+        result = pipeline.run()
+        assert result.completed
+        # 16 distinct ids -> 16 results; the 17th record is the duplicate.
+        assert len(result.results) == 16
+        assert pipeline.collector.counters()["duplicate_deliveries"] == 1
+
+
+class TestPoisonedMessages:
+    def test_a_poisoned_message_costs_one_message(self, running_pilots):
+        counts: dict = {}
+
+        def produce_seq(context):
+            # Block values carry the per-device sequence number.
+            device = context.get(FunctionContext.DEVICE_ID)
+            counts[device] = counts.get(device, -1) + 1
+            return np.full((6, 4), float(counts[device]))
+
+        def poison(context=None, data=None):
+            if data[0, 0] == 2.0:
+                raise RuntimeError("poisoned block")
+            return {"first": float(data[0, 0])}
+
+        pipeline = build(
+            running_pilots,
+            produce=produce_seq,
+            process=poison,
+            num_devices=2,
+            messages_per_device=8,
+        )
+        result = pipeline.run()
+        # One poisoned message per device; the consumer keeps consuming.
+        assert not result.completed  # errors were recorded
+        assert pipeline.collector.counters()["processing_errors"] == 2
+        assert len(result.errors) == 2
+        assert all("poisoned block" in err for err in result.errors)
+        assert len(result.results) == 14
+        assert 2.0 not in {r["first"] for r in result.results}
+
+
+class TestResultBuffer:
+    def test_keep_results_bounds_memory(self, running_pilots, monkeypatch):
+        monkeypatch.setattr(pipeline_module, "_KEEP_RESULTS", 4)
+        pipeline = build(running_pilots, messages_per_device=12)
         result = pipeline.run()
         assert result.completed
         assert len(result.results) == 4  # only the last 4 retained

@@ -43,8 +43,6 @@ class TestPrefetchPipeline:
 
     def test_config_validates_knobs(self):
         with pytest.raises(ValidationError):
-            PipelineConfig(max_in_flight_requests=0)
-        with pytest.raises(ValidationError):
             PipelineConfig(fetch_min_bytes=0)
         with pytest.raises(ValidationError):
             PipelineConfig(fetch_prefetch_batches=-1)

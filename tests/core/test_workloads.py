@@ -90,20 +90,15 @@ class TestModelProcessor:
         out = other({}, small_block)
         assert out["outliers"] == 0  # fresh model, first block again
 
-    @pytest.mark.parametrize("batched", [False, True], ids=["single", "batch"])
-    def test_a_threshold_of_zero_is_a_threshold(self, batched):
+    def test_a_threshold_of_zero_is_a_threshold(self):
         # Identical points sit on their centre: every score, and so the
         # fitted threshold, is exactly 0.0 — which is not "no threshold".
         same = np.ones((100, 4))
         moved = same.copy()
         moved[:7] += 5.0
         process = make_model_processor(lambda: StreamingKMeans(n_clusters=3))
-        if batched:
-            process.process_cloud_batch({}, [same])
-            (out,) = process.process_cloud_batch({}, [moved])
-        else:
-            process({}, same)
-            out = process({}, moved)
+        process({}, same)
+        out = process({}, moved)
         assert out["outliers"] == 7
 
     def test_weights_shared_via_parameter_service(self, small_block, param_server):

@@ -7,11 +7,8 @@ from repro.data import (
     BYTES_PER_VALUE,
     HEADER_SIZE,
     decode_block,
-    decode_block_many,
     encode_block,
     encoded_size,
-    split_rows,
-    stack_blocks,
 )
 from repro.data.serde import MAGIC, SerdeError
 
@@ -100,21 +97,6 @@ class TestDecode:
         decoded = decode_block(encode_block(block))
         np.testing.assert_array_equal(decoded, block)
 
-
-class TestBatchSerde:
-    def test_decode_block_many_roundtrip(self, rng):
-        blocks = [rng.normal(size=(n, 4)) for n in (3, 7, 1)]
-        frames = [encode_block(b) for b in blocks]
-        decoded = decode_block_many(frames)
-        assert len(decoded) == 3
-        for got, want in zip(decoded, blocks):
-            np.testing.assert_array_equal(got, want)
-
-    def test_decode_block_many_corrupt_frame_raises(self, small_block):
-        frames = [encode_block(small_block), b"garbage"]
-        with pytest.raises(SerdeError):
-            decode_block_many(frames)
-
     def test_verify_false_skips_crc(self, small_block):
         frame = bytearray(encode_block(small_block))
         frame[-1] ^= 0xFF  # flip a payload byte; header stays intact
@@ -127,41 +109,3 @@ class TestBatchSerde:
     def test_verify_still_checks_structure(self):
         with pytest.raises(SerdeError):
             decode_block(b"PEB1....", verify=False)
-
-    def test_stack_blocks_offsets_and_values(self, rng):
-        blocks = [rng.normal(size=(n, 5)) for n in (2, 4, 3)]
-        stacked, offsets = stack_blocks(blocks)
-        assert stacked.shape == (9, 5)
-        np.testing.assert_array_equal(offsets, [0, 2, 6, 9])
-        np.testing.assert_array_equal(stacked, np.concatenate(blocks))
-
-    def test_stack_single_block_is_no_copy(self, small_block):
-        stacked, offsets = stack_blocks([small_block])
-        assert stacked is small_block or np.shares_memory(stacked, small_block)
-        np.testing.assert_array_equal(offsets, [0, small_block.shape[0]])
-
-    def test_stack_rejects_mismatched_features(self):
-        with pytest.raises(SerdeError):
-            stack_blocks([np.zeros((2, 3)), np.zeros((2, 4))])
-
-    def test_stack_rejects_empty_and_non_2d(self):
-        with pytest.raises(SerdeError):
-            stack_blocks([])
-        with pytest.raises(SerdeError):
-            stack_blocks([np.zeros(3)])
-
-    def test_split_rows_roundtrip(self, rng):
-        blocks = [rng.normal(size=(n, 2)) for n in (1, 5, 2)]
-        stacked, offsets = stack_blocks(blocks)
-        parts = split_rows(stacked, offsets)
-        assert len(parts) == 3
-        for got, want in zip(parts, blocks):
-            np.testing.assert_array_equal(got, want)
-            assert np.shares_memory(got, stacked)  # zero-copy row slices
-
-    def test_split_rows_on_scores_vector(self, rng):
-        blocks = [rng.normal(size=(n, 3)) for n in (4, 2)]
-        stacked, offsets = stack_blocks(blocks)
-        scores = stacked.sum(axis=1)
-        parts = split_rows(scores, offsets)
-        assert [len(p) for p in parts] == [4, 2]

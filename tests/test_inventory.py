@@ -1,4 +1,5 @@
-"""Inventory rule: a config field somebody sets, or no field at all.
+"""Inventory rules: a config field somebody sets and something reads, or
+no field at all.
 
 An option with one value in use is a constant. Every field of
 ``PipelineConfig`` and ``StorageConfig`` must be passed by keyword
@@ -6,11 +7,22 @@ somewhere in the repository outside the module that defines it — by the
 CLI, the pipeline, a benchmark, an example or at least a test. A field
 that fails this is deleted (its default becomes a constant next to its
 use), not added to a list here.
+
+A field is also dead when the code it configures never reads it, however
+often it is set and validated: ``PipelineConfig`` is read by
+``core/pipeline.py``, ``StorageConfig`` by ``broker/storage/``. A read
+through one of the config's own properties (``effective_consumers``
+reads ``num_consumers``) counts. The match is by attribute name alone:
+any ``x.<field>`` load in a reader counts, whatever ``x`` is, so a dead
+field that shares its name with an unrelated attribute read there (a
+consumer's or a link's) still passes. The rule catches a field nothing
+by that name touches; it does not trace the config object.
 """
 
 import ast
 import dataclasses
 import inspect
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -20,6 +32,10 @@ from repro.core import PipelineConfig
 
 ROOT = Path(__file__).resolve().parents[1]
 SEARCHED = ("src", "bench", "benchmarks", "examples", "tests")
+READERS = {
+    PipelineConfig: ("src/repro/core/pipeline.py",),
+    StorageConfig: ("src/repro/broker/storage",),
+}
 
 
 def _keywords_passed(skip: Path) -> set:
@@ -35,6 +51,39 @@ def _keywords_passed(skip: Path) -> set:
     return names
 
 
+def _attributes_loaded(tree: ast.AST, skip=()) -> set:
+    """Names of every ``x.name`` read in *tree*, outside the *skip* nodes."""
+    skipped = {id(node) for root in skip for node in ast.walk(root)}
+    return {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.ctx, ast.Load)
+        and id(node) not in skipped
+    }
+
+
+def _fields_read(config) -> set:
+    """Attribute names the config's reader modules load — its own class
+    body (validation) aside — plus what each property they load reads."""
+    names = set()
+    for reader in READERS[config]:
+        path = ROOT / reader
+        for source in sorted(path.rglob("*.py")) if path.is_dir() else [path]:
+            tree = ast.parse(source.read_text())
+            own = [
+                node
+                for node in ast.walk(tree)
+                if isinstance(node, ast.ClassDef) and node.name == config.__name__
+            ]
+            names |= _attributes_loaded(tree, skip=own)
+    for name, member in vars(config).items():
+        if isinstance(member, property) and name in names:
+            body = ast.parse(textwrap.dedent(inspect.getsource(member.fget)))
+            names |= _attributes_loaded(body)
+    return names
+
+
 @pytest.mark.parametrize("config", [PipelineConfig, StorageConfig])
 def test_every_config_field_is_set_somewhere(config):
     passed = _keywords_passed(skip=Path(inspect.getsourcefile(config)).resolve())
@@ -43,3 +92,12 @@ def test_every_config_field_is_set_somewhere(config):
         f"{config.__name__} fields nobody sets (make each a constant): {unset}"
     )
 
+
+@pytest.mark.parametrize("config", [PipelineConfig, StorageConfig])
+def test_every_config_field_is_read(config):
+    read = _fields_read(config)
+    unread = [f.name for f in dataclasses.fields(config) if f.name not in read]
+    assert not unread, (
+        f"{config.__name__} fields {', '.join(READERS[config])} never reads "
+        f"(delete each): {unread}"
+    )
