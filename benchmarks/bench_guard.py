@@ -10,7 +10,7 @@ failure) if the batched path drops below ``MIN_SPEEDUP``x the
 per-record path — the guard that keeps ``append_many`` an actual fast
 path rather than a synonym.
 
-A fourth guard covers the pipelined-transport work: it drains a
+A fourth guard covers the remote consume path: it drains a
 pre-filled multi-partition topic through a :class:`RemoteBroker` over an
 emulated fixed-RTT WAN link (``repro.netem``), synchronous consumer vs
 prefetching consumer, writing ``benchmarks/artifacts/BENCH_prefetch.json``
@@ -268,10 +268,10 @@ def _pipeline_rate(
         service.close()
 
 
-# -- prefetch guard: WAN pipelined consume + in-proc no-regression -----------
+# -- prefetch guard: WAN concurrent consume + in-proc no-regression ----------
 
 #: The WAN leg drains a pre-filled topic over an emulated fixed-RTT link
-#: (paid client-side per request, so pipelined requests overlap delays).
+#: (paid client-side per request, so concurrent requests overlap delays).
 #: The synchronous baseline pays ~one RTT per poll round; the prefetcher
 #: pays RTTs concurrently across partitions and ahead of the consumer.
 WAN_PARTITIONS = 4

@@ -6,8 +6,9 @@ processes (:mod:`repro.broker.supervisor` runs them,
 :mod:`repro.broker.shard` guards what each owns,
 :mod:`repro.broker.replicator` copies it to followers) and clients route
 per partition. :class:`ClusterBroker` bootstraps metadata from any shard
-(``describe_cluster``), keeps one pipelined
-:class:`~repro.broker.remote.RemoteBroker` per shard, sends every
+(``describe_cluster``), keeps one
+:class:`~repro.broker.remote.RemoteBroker` per shard (each with one
+socket per calling thread), sends every
 partition-affine op to its leader and every group-affine op to its
 coordinator, and on ``NotOwnerError`` or connection loss refreshes
 metadata with capped backoff — replaying only idempotent ops, the rule
@@ -34,7 +35,7 @@ from repro.util.validation import ValidationError
 
 
 class ClusterBroker:
-    """Cluster-aware client: one pipelined connection per shard, ops
+    """Cluster-aware client: one :class:`RemoteBroker` per shard, ops
     routed by the same ownership rule the shards enforce.
 
     Presents the same broker surface as :class:`RemoteBroker`, so
@@ -43,8 +44,8 @@ class ClusterBroker:
     On :class:`NotOwnerError` (always raised before the op applied —
     safe for every op) or connection loss (safe only for idempotent
     ops), the client refreshes metadata with capped exponential backoff
-    and re-routes; the per-shard connections' correlation-id pipelining,
-    deadlines, and replay rules are :class:`RemoteBroker`'s, reused
+    and re-routes; the per-shard clients' socket per calling thread,
+    deadlines and replay rule are :class:`RemoteBroker`'s, reused
     unchanged.
     """
 
@@ -55,7 +56,6 @@ class ClusterBroker:
         op_timeout: float = 10.0,
         max_attempts: int = 3,
         reconnect_backoff_ms: float = 50.0,
-        max_in_flight_requests: int = 5,
         link=None,
         tracer=None,
         metadata: ClusterMetadata | None = None,
@@ -71,7 +71,6 @@ class ClusterBroker:
         self._max_backoff_s = 2.0
         self.link = link
         self._tracer = tracer
-        self.max_in_flight_requests = int(max_in_flight_requests)
         self.name = f"cluster://{bootstrap[0][0]}:{bootstrap[0][1]}"
         self.coordinator = CoordinatorClient(self)
         #: Successful metadata refreshes (bootstrap + re-routes).
@@ -158,7 +157,6 @@ class ClusterBroker:
             op_timeout=self.op_timeout,
             max_attempts=self.max_attempts,
             reconnect_backoff_ms=self.reconnect_backoff_ms,
-            max_in_flight_requests=self.max_in_flight_requests,
             link=self.link,
             tracer=self._tracer,
         )
@@ -279,7 +277,7 @@ class ClusterBroker:
 
         The request is encoded once; each routed attempt re-sends the
         same frame through the chosen shard's :class:`RemoteBroker`
-        (whose pipelining, deadlines and replay rule apply unchanged).
+        (whose deadlines and replay rule apply unchanged).
         """
         fields, blobs = spec.request(bound)
 
@@ -353,12 +351,6 @@ class ClusterBroker:
         return self.coordinator.committed_offsets(group)
 
     # -- telemetry ------------------------------------------------------------
-
-    @property
-    def requests_in_flight(self) -> int:
-        with self._remotes_lock:
-            remotes = list(self._remotes.values())
-        return sum(r.requests_in_flight for r in remotes)
 
     @property
     def requests_sent(self) -> int:

@@ -18,8 +18,8 @@ assignors:
 from __future__ import annotations
 
 import threading
-import time
 from dataclasses import dataclass, field
+from time import monotonic
 
 from repro.broker.errors import UnknownMemberError
 from repro.util.validation import ValidationError, check_non_negative
@@ -89,7 +89,7 @@ class _GroupState:
     members: dict = field(default_factory=dict)
     #: member_id -> [(topic, partition), ...]
     assignment: dict = field(default_factory=dict)
-    #: member_id -> monotonic time of last heartbeat/join.
+    #: member_id -> ``now()`` at its last heartbeat or join.
     last_heartbeat: dict = field(default_factory=dict)
     #: Per-group failure-detection window (seconds); 0 disables eviction.
     session_timeout_s: float = 0.0
@@ -113,9 +113,13 @@ class GroupCoordinator:
     to detect stale assignments, even across group destruction.
     """
 
-    def __init__(self, broker, session_timeout_ms: float = 0.0, guard=None) -> None:
+    def __init__(
+        self, broker, session_timeout_ms: float = 0.0, guard=None, now=monotonic
+    ) -> None:
         check_non_negative("session_timeout_ms", session_timeout_ms)
         self._broker = broker
+        #: The clock leases are read from (a stepped one in tests).
+        self._now = now
         #: Optional ``guard(group_id)`` hook invoked on every group-scoped
         #: entry point. Shard brokers install one that raises
         #: :class:`~repro.broker.errors.NotOwnerError` for groups whose
@@ -163,7 +167,7 @@ class GroupCoordinator:
             if session_timeout_ms is not None:
                 state.session_timeout_s = session_timeout_ms / 1000.0
             state.members[member_id] = list(topics)
-            state.last_heartbeat[member_id] = time.monotonic()
+            state.last_heartbeat[member_id] = self._now()
             self._rebalance(state)
             return state.generation
 
@@ -202,7 +206,7 @@ class GroupCoordinator:
             state = self._groups.get(group_id)
             if state is None or member_id not in state.members:
                 raise UnknownMemberError(group_id, member_id)
-            state.last_heartbeat[member_id] = time.monotonic()
+            state.last_heartbeat[member_id] = self._now()
             return state.generation
 
     def sweep(self, group_id: str | None = None) -> list[str]:
@@ -222,7 +226,7 @@ class GroupCoordinator:
         state = self._groups.get(group_id)
         if state is None or state.session_timeout_s <= 0:
             return []
-        cutoff = time.monotonic() - state.session_timeout_s
+        cutoff = self._now() - state.session_timeout_s
         expired = [
             m for m, last in state.last_heartbeat.items() if last < cutoff
         ]

@@ -12,7 +12,7 @@ out again is derived from :data:`OPS`:
   (:meth:`Op.bind` → :meth:`Op.request` → :meth:`Op.response`),
 * the :class:`~repro.broker.cluster.ClusterBroker` routing
   (:attr:`Op.route`, :attr:`Op.merge`),
-* the replay / exclusive in-flight decision (:meth:`Op.replayable`),
+* the replay decision after a transport failure (:meth:`Op.replayable`),
   long-poll parking and deadlines (:meth:`Op.park_seconds`) and which
   thread serves the op (:attr:`Op.waits`).
 
@@ -163,8 +163,8 @@ class Op:
     ``shard-index`` (the caller names the shard). *replay* is
     ``always`` when a reconnect may resend the op blindly, or
     ``with_producer_id`` when only the broker's dedup window makes a
-    resend safe — without a producer id such an op takes the client's
-    exclusive in-flight slot and fails fast instead of replaying.
+    resend safe — without a producer id such an op fails fast on a
+    transport failure instead of being resent.
     *parkable* ops wait server-side for up to their ``timeout`` field.
     *waits* says serving the op can wait on something other than the
     CPU (a disk, a follower's ack): the server runs it on a worker, and

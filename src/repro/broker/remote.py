@@ -10,12 +10,15 @@ are :mod:`repro.broker.ops`'s. A single record is a batch of one: there
 are no per-record wire ops. Client and server ship in one package, so
 the wire schema carries no compatibility shims.
 
-The protocol is *pipelined*: every request carries a correlation id
-(``"cid"``) that the server echoes in the response, so one connection
-can have many requests in flight and responses may return out of order
-(a parked long-poll fetch does not block the appends queued behind it).
-On high-RTT links this is the difference between one round-trip per
-request and one round-trip per *window* of requests.
+One socket per calling thread: a thread that calls a client dials its
+own connection, writes a request and reads the response itself, so no
+second thread is woken to hand the answer over. A thread waits for each
+call, so at most one request is ever in flight on a socket — the Kafka
+``max.in.flight=1`` rule holds by construction for every op, and a
+reconnect can never reorder what it resends. Concurrency comes from
+threads: a long-poll fetch parked on the consumer's socket does not hold
+up the producer's appends on its own. Every request still carries a
+correlation id (``"cid"``) that the response must echo.
 
 Server side: :class:`BrokerServer` is the ``selectors``-based reactor
 of :mod:`repro.broker.reactor`.
@@ -27,18 +30,15 @@ offsets, commits, coordinator operations), so the existing
 :class:`~repro.broker.consumer.Consumer` work against it unchanged.
 Its methods are not written out: each is a stub generated from the op
 table in :mod:`repro.broker.ops`, which also decides what may be
-replayed. A dedicated reader thread dispatches responses to per-request
-futures; concurrency is bounded by ``max_in_flight_requests``, and ops
-that are not replay-safe cap in-flight at 1 (Kafka-style) so a reconnect
-can never replay or reorder them.
+replayed after a transport failure.
 """
 
 from __future__ import annotations
 
-import json
 import socket
 import threading
 import time
+import weakref
 
 from repro.broker.broker import Broker
 from repro.broker.errors import (
@@ -50,7 +50,7 @@ from repro.broker.errors import (
 )
 from repro.broker.ops import CoordinatorClient, Op, install_stubs
 from repro.broker.reactor import ReactorBrokerServer
-from repro.broker.wire import recv_frame as _recv_frame, send_frame as _send_frame
+from repro.broker.wire import encode_frame, recv_frame, sendall_vectored
 
 BrokerServer = ReactorBrokerServer
 
@@ -102,157 +102,61 @@ def _wire_error(name: str, message: str) -> RemoteBrokerError:
     return RemoteBrokerError(text, error_name=name)
 
 
-class _Pending:
-    """A per-request future the reader thread completes."""
-
-    __slots__ = ("event", "response", "blobs", "error")
-
-    def __init__(self) -> None:
-        self.event = threading.Event()
-        self.response: dict | None = None
-        self.blobs: list[bytes] = []
-        self.error: Exception | None = None
-
-
 class _Connection:
-    """One pipelined socket: a writer lock, a reader thread, and the
-    correlation-id -> pending-future table the reader dispatches into.
+    """One calling thread's socket. Only that thread's thread-local slot
+    holds it, so it closes when the thread exits."""
 
-    Responses for abandoned correlation ids (a caller that gave up on its
-    deadline and reconnected) are silently dropped — the id space is
-    per-connection, so a stale response can never complete a newer
-    request.
-    """
+    __slots__ = ("sock", "cid", "__weakref__")
 
-    def __init__(self, sock: socket.socket, name: str) -> None:
+    def __init__(self, sock: socket.socket) -> None:
         self.sock = sock
-        self.send_lock = threading.Lock()
-        self._pending: dict[int, _Pending] = {}
-        self._plock = threading.Lock()
-        self.dead = False
-        self.reader = threading.Thread(
-            target=self._read_loop, name=f"{name}-reader", daemon=True
-        )
-        self.reader.start()
+        #: Correlation id of the last request sent on this socket.
+        self.cid = 0
 
-    def register(self, cid: int) -> _Pending:
-        pend = _Pending()
-        with self._plock:
-            if self.dead:
-                raise ConnectionError("connection is dead")
-            self._pending[cid] = pend
-        return pend
-
-    def discard(self, cid: int) -> None:
-        with self._plock:
-            self._pending.pop(cid, None)
-
-    def _read_loop(self) -> None:
-        while True:
-            try:
-                response, blobs = _recv_frame(self.sock)
-            except (ConnectionError, OSError, json.JSONDecodeError) as exc:
-                self.fail_all(exc)
-                return
-            cid = response.pop("cid", None)
-            with self._plock:
-                pend = self._pending.pop(cid, None)
-            if pend is not None:
-                pend.response = response
-                pend.blobs = blobs
-                pend.event.set()
-
-    def fail_all(self, exc: Exception) -> None:
-        """Mark the connection dead and wake every in-flight waiter."""
-        with self._plock:
-            self.dead = True
-            pending = list(self._pending.values())
-            self._pending.clear()
-        for pend in pending:
-            pend.error = exc
-            pend.event.set()
-
-    def close(self) -> None:
-        # shutdown() before close(): closing alone does not wake a reader
-        # thread blocked in recv(), which would leave RemoteBroker.close()
-        # burning its full join timeout per connection.
-        try:
-            self.sock.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass
-        try:
-            self.sock.close()
-        except OSError:
-            pass
+    def __del__(self) -> None:
+        # close(), never shutdown(): a forked child dropping its copy must
+        # not cut the parent's connection.
+        self.sock.close()
 
 
-class _InFlightGate:
-    """Bounds concurrent in-flight requests on one client connection.
+class _Deadline:
+    """A socket seen through one request's deadline: before each blocking
+    call the socket's timeout is set to what is left of it. One budget
+    covers the send and the whole response, so a server that trickles
+    its bytes cannot hold the caller past it. :mod:`repro.broker.wire`
+    reads and writes through this as through the socket itself."""
 
-    All ops share up to *limit* slots. Non-idempotent ops additionally
-    serialize **among themselves** — at most one is ever in flight, the
-    Kafka ``max.in.flight=1`` rule for non-idempotent producers, so a
-    reconnect can never duplicate or reorder appends. They still
-    pipeline alongside replayable reads: a fetch parked server-side
-    must not block the append that would satisfy it (reads cannot
-    violate produce ordering).
-    """
+    __slots__ = ("sock", "end")
 
-    def __init__(self, limit: int) -> None:
-        self._limit = max(1, int(limit))
-        self._cond = threading.Condition()
-        self._active = 0
-        self._exclusive = False
-        #: Peak concurrent in-flight requests observed (telemetry).
-        self.max_in_flight_seen = 0
+    def __init__(self, sock: socket.socket, seconds: float) -> None:
+        self.sock = sock
+        self.end = time.monotonic() + seconds
 
-    @property
-    def limit(self) -> int:
-        return self._limit
+    def _arm(self) -> None:
+        left = self.end - time.monotonic()
+        if left <= 0:
+            raise socket.timeout("deadline passed")
+        self.sock.settimeout(left)
 
-    @property
-    def active(self) -> int:
-        """Requests currently in flight (telemetry gauge)."""
-        with self._cond:
-            return self._active
+    def sendmsg(self, buffers) -> int:
+        self._arm()
+        return self.sock.sendmsg(buffers)
 
-    def acquire(self, exclusive: bool, timeout: float) -> bool:
-        deadline = time.monotonic() + timeout
-        with self._cond:
-            while True:
-                admissible = self._active < self._limit and not (
-                    exclusive and self._exclusive
-                )
-                if admissible:
-                    self._active += 1
-                    if exclusive:
-                        self._exclusive = True
-                    if self._active > self.max_in_flight_seen:
-                        self.max_in_flight_seen = self._active
-                    return True
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    return False
-                self._cond.wait(remaining)
-
-    def release(self, exclusive: bool) -> None:
-        with self._cond:
-            self._active -= 1
-            if exclusive:
-                self._exclusive = False
-            self._cond.notify_all()
+    def recv_into(self, buffer) -> int:
+        self._arm()
+        return self.sock.recv_into(buffer)
 
 
 class RemoteBroker:
     """Client handle exposing the broker data-path API over TCP.
 
-    Thread safety: the connection is *pipelined* — any number of threads
-    may issue requests concurrently; up to ``max_in_flight_requests``
-    travel on the wire at once and a dedicated reader thread routes each
-    response to its caller by correlation id. Ops the table marks
-    replay-safe only ``with_producer_id`` (plain appends) serialize at
-    in-flight = 1 without one, so a reconnect can never replay or
-    reorder them.
+    Thread safety: any number of threads may call one client. Each
+    thread dials its own socket on its first call, writes its request
+    and reads the response itself; the socket closes when the thread
+    exits or the client closes. A thread waits for each call, so at most
+    one request is ever in flight on a socket: a reconnect can never
+    reorder what it resends, and the ops the table does not let replay
+    (``append_batch`` without a producer id) are never resent at all.
 
     Every broker method here other than :meth:`append` is a stub
     generated from :data:`repro.broker.ops.OPS`; ops the served broker
@@ -274,7 +178,6 @@ class RemoteBroker:
         op_timeout: float = 10.0,
         max_attempts: int = 3,
         reconnect_backoff_ms: float = 50.0,
-        max_in_flight_requests: int = 5,
         link=None,
         tracer=None,
     ) -> None:
@@ -290,87 +193,79 @@ class RemoteBroker:
         self._max_backoff_s = 2.0
         self.name = f"remote://{host}:{port}"
         self.coordinator = CoordinatorClient(self)
-        #: Requests written to the wire by this client.
+        #: Requests written to the wire by this client, from every thread.
         self.requests_sent = 0
         #: Transport failures that triggered a successful reconnect.
         self.reconnects = 0
         #: Optional FaultInjector consulted before every request (tests).
         self.fault_injector = None
         #: Optional netem Link; when set, every request pays the link's
-        #: sampled RTT client-side *in the calling thread*, so pipelined
-        #: requests overlap their delays the way real concurrent packets
-        #: share a wire.
+        #: sampled RTT client-side *in the calling thread*, so requests
+        #: from several threads overlap their delays the way real
+        #: concurrent packets share a wire.
         self.link = link
         #: Optional :class:`repro.monitoring.Tracer`. When set, every RPC
         #: opens an ``rpc.<op>`` span whose context travels in the frame's
         #: optional ``"trace"`` field (ignored by pre-tracing servers).
         self._tracer = tracer
-        self._gate = _InFlightGate(max_in_flight_requests)
-        self._cid_lock = threading.Lock()
-        self._next_cid = 0
-        self._conn_lock = threading.Lock()
-        self._conn: _Connection | None = None
+        #: The calling thread's :class:`_Connection`, as ``.conn``.
+        self._local = threading.local()
+        #: Every live thread's connection, so close() can reach them all;
+        #: a weak set, so an exited thread's is not kept alive here.
+        self._conns: weakref.WeakSet = weakref.WeakSet()
+        #: Guards ``_conns`` and the two counters above.
+        self._lock = threading.Lock()
         self._closed = False
-        self._ensure_conn()
+        self._connection()  # dial now: an address nobody listens on fails here
 
-    @property
-    def max_in_flight_requests(self) -> int:
-        return self._gate.limit
-
-    @property
-    def max_in_flight_seen(self) -> int:
-        """Peak concurrent in-flight requests observed (telemetry)."""
-        return self._gate.max_in_flight_seen
-
-    def _ensure_conn(self) -> _Connection:
-        with self._conn_lock:
-            if self._closed:
-                raise DisconnectedError(f"{self.name} is closed")
-            if self._conn is None or self._conn.dead:
-                sock = socket.create_connection(
+    def _connection(self) -> _Connection:
+        """The calling thread's connection, dialled on its first call."""
+        if self._closed:
+            raise DisconnectedError(f"{self.name} is closed")
+        conn = getattr(self._local, "conn", None)
+        if conn is None:
+            conn = _Connection(
+                socket.create_connection(
                     (self.host, self.port), timeout=self.connect_timeout
                 )
-                # Deadlines are enforced by per-request future waits, not
-                # socket timeouts — the reader blocks indefinitely and is
-                # woken by data or by close().
-                sock.settimeout(None)
-                # No TCP_NODELAY, on purpose: Nagle coalescing this shared
-                # connection's small writes is worth 39 % of p50 (DESIGN.md §8).
-                self._conn = _Connection(sock, self.name)
-            return self._conn
+            )
+            # No TCP_NODELAY, on purpose (DESIGN.md §8): a request is one
+            # scatter-gather write and the socket's previous request was
+            # answered before it, so Nagle has nothing to hold back.
+            with self._lock:
+                if self._closed:
+                    raise DisconnectedError(f"{self.name} is closed")
+                self._conns.add(conn)
+            self._local.conn = conn
+        return conn
 
-    def _drop_conn(self, conn: _Connection, exc: Exception) -> None:
-        """Retire a connection after a transport failure.
-
-        Every other in-flight caller on it is failed immediately (their
-        requests may or may not have been applied — the same ambiguity a
-        socket timeout has), and the next request dials fresh.
-        """
-        conn.fail_all(exc)
-        conn.close()
-        with self._conn_lock:
-            if self._conn is conn:
-                self._conn = None
+    def _drop(self, conn: _Connection) -> None:
+        """Retire the calling thread's connection after a transport
+        failure; its next request dials fresh."""
+        self._local.conn = None
+        with self._lock:
+            self._conns.discard(conn)
+        conn.sock.close()
 
     def close(self) -> None:
-        with self._conn_lock:
+        with self._lock:
             self._closed = True
-            conn, self._conn = self._conn, None
-        if conn is not None:
-            conn.fail_all(DisconnectedError(f"{self.name} is closed"))
-            conn.close()
-            conn.reader.join(timeout=1.0)
+            conns = list(self._conns)
+            self._conns.clear()
+        for conn in conns:
+            # shutdown() before close(): closing alone does not wake a
+            # thread parked in recv() on its socket.
+            try:
+                conn.sock.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
+            conn.sock.close()
 
     def __enter__(self) -> "RemoteBroker":
         return self
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-    def _new_cid(self) -> int:
-        with self._cid_lock:
-            self._next_cid += 1
-            return self._next_cid
 
     def _backoff(self, attempt: int) -> None:
         """Capped exponential sleep before retry *attempt* (none before
@@ -410,77 +305,52 @@ class RemoteBroker:
         # timeout; give it that long, plus slack for the response's
         # return trip, plus the op budget.
         wait = spec.park_seconds(fields)
-        deadline = self.op_timeout + wait + (self._LONG_POLL_SLACK_S if wait else 0.0)
+        budget = self.op_timeout + wait + (self._LONG_POLL_SLACK_S if wait else 0.0)
         last_exc: Exception | None = None
         for attempt in range(self.max_attempts):
             self._backoff(attempt)
-            if self._closed:
-                raise DisconnectedError(f"{self.name} is closed")
             try:
-                conn = self._ensure_conn()
+                conn = self._connection()
             except (ConnectionError, OSError) as exc:
                 last_exc = exc
                 continue
-            # Non-replayable ops serialize among themselves (at most one
-            # in flight) so a transport failure can never duplicate or
-            # reorder appends; replayable reads pipeline freely.
-            exclusive = not replayable
-            if not self._gate.acquire(exclusive=exclusive, timeout=deadline):
-                raise BrokerTimeoutError(
-                    f"{op} waited {deadline:.1f}s for an in-flight slot on {self.name}"
-                )
+            conn.cid += 1
+            frame = {"op": op, "cid": conn.cid, **fields}
+            if span is not None and span.recording:
+                frame["trace"] = span.context
+            buffers = encode_frame(frame, blobs)  # an oversized frame raises here
             try:
-                cid = self._new_cid()
-                try:
-                    pend = conn.register(cid)
-                    if self.link is not None:
-                        self.link.rtt_delay()
-                    if self.fault_injector is not None:
-                        self.fault_injector.on_remote_op(op, conn.sock)
-                    frame = {"op": op, "cid": cid, **fields}
-                    if span is not None and span.recording:
-                        frame["trace"] = span.context
-                    with conn.send_lock:
-                        self.requests_sent += 1
-                        _send_frame(conn.sock, frame, blobs)
-                except (ConnectionError, OSError) as exc:
-                    conn.discard(cid)
-                    self._drop_conn(conn, exc)
-                    last_exc = exc
-                    if not replayable:
-                        raise DisconnectedError(
-                            f"{op} failed on {self.name}: {exc}"
-                        ) from exc
-                    continue
-                if not pend.event.wait(deadline):
-                    # The server accepted the request but went silent; the
-                    # op may have been applied, so only replayable ops are
-                    # retried on a fresh connection.
-                    conn.discard(cid)
-                    exc = socket.timeout(f"{op} deadline {deadline:.1f}s")
-                    self._drop_conn(conn, exc)
-                    last_exc = exc
-                    if not replayable:
+                if self.link is not None:
+                    self.link.rtt_delay()
+                if self.fault_injector is not None:
+                    self.fault_injector.on_remote_op(op, conn.sock)
+                io = _Deadline(conn.sock, budget)
+                with self._lock:
+                    self.requests_sent += 1
+                sendall_vectored(io, buffers)
+                response, out_blobs = recv_frame(io)
+                if response.pop("cid", None) != conn.cid:
+                    raise ConnectionError(f"{op}: the response echoes another cid")
+            except (ConnectionError, OSError, ValueError) as exc:
+                # A ValueError is an undecodable response. The request
+                # may or may not have been applied, so only replayable
+                # ops are resent, on a fresh socket.
+                self._drop(conn)
+                last_exc = exc
+                if self._closed:
+                    raise DisconnectedError(f"{self.name} is closed") from exc
+                if not replayable:
+                    if isinstance(exc, socket.timeout):
                         raise BrokerTimeoutError(
-                            f"{op} timed out after {deadline:.1f}s on {self.name}"
-                        )
-                    continue
-                if pend.error is not None:
-                    # Reader saw the transport die mid-flight.
-                    self._drop_conn(conn, pend.error)
-                    last_exc = pend.error
-                    if not replayable:
-                        raise DisconnectedError(
-                            f"{op} failed on {self.name}: {pend.error}"
-                        ) from pend.error
-                    continue
-            finally:
-                self._gate.release(exclusive)
+                            f"{op} timed out after {budget:.1f}s on {self.name}"
+                        ) from exc
+                    raise DisconnectedError(f"{op} failed on {self.name}: {exc}") from exc
+                continue
             if attempt:
-                self.reconnects += 1
-            response = pend.response
+                with self._lock:
+                    self.reconnects += 1
             if response.get("ok"):
-                return response.get("result"), pend.blobs
+                return response.get("result"), out_blobs
             error = _wire_error(
                 response.get("error", "Error"), response.get("message", "")
             )
@@ -502,11 +372,6 @@ class RemoteBroker:
 
     def committed_offsets(self, group):
         return self.coordinator.committed_offsets(group)
-
-    @property
-    def requests_in_flight(self) -> int:
-        """Requests currently on the wire (telemetry gauge)."""
-        return self._gate.active
 
 
 install_stubs(RemoteBroker)

@@ -32,7 +32,7 @@ class _ShardReplicator:
     Every cycle it walks the partitions this shard currently leads and,
     per follower replica, pushes the records past the follower's last
     acknowledged offset (``replicate_append`` — in production over the
-    same pipelined wire protocol clients use). Ack progress feeds two
+    same wire protocol clients use). Ack progress feeds two
     derived states:
 
     - the **ISR** — a follower joins once it acks within

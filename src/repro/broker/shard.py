@@ -33,7 +33,9 @@ from repro.util.validation import ValidationError
 class PeerLinks:
     """The production peer transport (``connect`` / ``drop``): one
     cached single-attempt :class:`RemoteBroker` per shard index,
-    redialled after a failure. The election probe uses it too."""
+    redialled after a failure. The replicator's pump thread is its only
+    caller on a leader, so each push reads its ack on that thread's own
+    socket. The election probe uses it too."""
 
     def __init__(self, address_of, **budget) -> None:
         self._address_of = address_of  # index -> (host, port)
@@ -377,7 +379,6 @@ class ShardBroker(Broker):
             links = PeerLinks(
                 lambda index: self.cluster_metadata.shards[index],
                 connect_timeout=0.5,
-                max_in_flight_requests=1,
             )
             self.replicator = _ShardReplicator(self, links)
             self.replicator.start()

@@ -10,7 +10,7 @@ by ~33% and burns CPU on both ends). Small fields (keys, headers,
 offsets) stay base64-in-JSON for debuggability.
 
 Two decode styles share the same format — :func:`recv_frame`, blocking,
-for the client's reader thread, and :class:`FrameDecoder`, incremental,
+for the calling thread of a client, and :class:`FrameDecoder`, incremental,
 for the reactor — and in both a blob is received *in place*: straight
 from the socket into one ``bytearray`` of its declared length, which is
 the object the caller gets (nothing writes to it after its frame

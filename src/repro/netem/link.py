@@ -102,9 +102,9 @@ class Link:
         #: Optional :class:`~repro.faults.FaultInjector` consulted per
         #: transfer (chaos tests); scripted faults count as losses too.
         self.injector = None
-        # rtt_delay() is called concurrently from pipelined request
-        # threads; the numpy Generator and the stats counters need a
-        # lock there (transfer()/transfer_time() stay single-caller).
+        # rtt_delay() is called concurrently from requesting threads; the
+        # numpy Generator and the stats counters need a lock there
+        # (transfer()/transfer_time() stay single-caller).
         self._rtt_lock = threading.Lock()
         self.rtt_delays = 0
 
@@ -160,7 +160,7 @@ class Link:
         This is the wire-protocol counterpart of :meth:`transfer`: a
         :class:`~repro.broker.remote.RemoteBroker` with ``link`` set
         calls it once per request *in the requesting thread*, so
-        pipelined concurrent requests overlap their RTTs the way real
+        requests from several threads overlap their RTTs the way real
         in-flight packets share a wire, while a serial client pays one
         full RTT per request. Returns the modelled (unscaled) RTT.
         """

@@ -7,6 +7,7 @@ import pytest
 from repro.broker import (
     Broker,
     Consumer,
+    GroupCoordinator,
     Producer,
     RebalanceInProgressError,
     UnknownMemberError,
@@ -20,23 +21,44 @@ def broker():
     return b
 
 
+class _Clock:
+    """A clock that moves only when the test says so."""
+
+    def __init__(self) -> None:
+        self.t = 1000.0
+
+    def __call__(self) -> float:
+        return self.t
+
+    def advance(self, seconds: float) -> None:
+        self.t += seconds
+
+
+@pytest.fixture
+def clock():
+    return _Clock()
+
+
+@pytest.fixture
+def coord(broker, clock):
+    return GroupCoordinator(broker, now=clock)
+
+
 class TestCoordinatorHeartbeats:
-    def test_heartbeat_refreshes_lease(self, broker):
-        coord = broker.coordinator
+    def test_heartbeat_refreshes_lease(self, coord, clock):
         coord.join("g", "m1", ["t"], session_timeout_ms=50.0)
         for _ in range(3):
-            time.sleep(0.03)
+            clock.advance(0.03)
             coord.heartbeat("g", "m1")
         assert coord.members("g") == ["m1"]
 
-    def test_silent_member_is_evicted(self, broker):
-        coord = broker.coordinator
+    def test_silent_member_is_evicted(self, coord, clock):
         coord.join("g", "m1", ["t"], session_timeout_ms=30.0)
         coord.join("g", "m2", ["t"], session_timeout_ms=30.0)
         generation = coord.generation("g")
         # m2 heartbeats inside every window; m1 goes silent.
         for _ in range(4):
-            time.sleep(0.015)
+            clock.advance(0.015)
             coord.heartbeat("g", "m2")
         assert coord.members("g") == ["m2"]
         assert coord.generation("g") > generation
@@ -45,26 +67,23 @@ class TestCoordinatorHeartbeats:
         _, assignment = coord.assignment("g", "m2")
         assert len(assignment) == 4
 
-    def test_evicted_member_heartbeat_raises(self, broker):
-        coord = broker.coordinator
+    def test_evicted_member_heartbeat_raises(self, coord, clock):
         coord.join("g", "m1", ["t"], session_timeout_ms=20.0)
-        time.sleep(0.05)
+        clock.advance(0.05)
         with pytest.raises(UnknownMemberError):
             coord.heartbeat("g", "m1")
 
-    def test_unknown_group_heartbeat_raises(self, broker):
+    def test_unknown_group_heartbeat_raises(self, coord):
         with pytest.raises(UnknownMemberError):
-            broker.coordinator.heartbeat("nope", "m1")
+            coord.heartbeat("nope", "m1")
 
-    def test_zero_timeout_never_evicts(self, broker):
-        coord = broker.coordinator
+    def test_zero_timeout_never_evicts(self, coord, clock):
         coord.join("g", "m1", ["t"])  # coordinator default is 0 = disabled
-        time.sleep(0.05)
+        clock.advance(0.05)
         assert coord.sweep() == []
         assert coord.members("g") == ["m1"]
 
-    def test_generations_stay_monotonic_across_group_destruction(self, broker):
-        coord = broker.coordinator
+    def test_generations_stay_monotonic_across_group_destruction(self, coord):
         coord.join("g", "m1", ["t"])
         coord.join("g", "m2", ["t"])
         peak = coord.generation("g")
@@ -74,11 +93,10 @@ class TestCoordinatorHeartbeats:
         rejoined = coord.join("g", "m3", ["t"])
         assert rejoined > peak
 
-    def test_all_members_expiring_bumps_epoch(self, broker):
-        coord = broker.coordinator
+    def test_all_members_expiring_bumps_epoch(self, coord, clock):
         coord.join("g", "m1", ["t"], session_timeout_ms=20.0)
         generation = coord.generation("g")
-        time.sleep(0.05)
+        clock.advance(0.05)
         assert coord.sweep("g") == ["m1"]
         assert coord.join("g", "m2", ["t"]) > generation
 

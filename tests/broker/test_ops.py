@@ -13,12 +13,13 @@ import pytest
 
 from repro.broker import (
     Broker,
+    BrokerError,
     BrokerServer,
     ClusterBroker,
+    DisconnectedError,
     GroupCoordinator,
     NotOwnerError,
     RemoteBroker,
-    RemoteBrokerError,
     ShardBroker,
     coordinator_shard,
     shard_for_partition,
@@ -26,6 +27,7 @@ from repro.broker import (
 from repro.broker.cluster import _HAND_ROUTED
 from repro.broker.ops import OPS, REQUIRED, CoordinatorClient
 from repro.broker.wire import recv_frame, send_frame
+from repro.faults import FaultInjector
 from repro.monitoring import MetricsRegistry
 
 BROKER_OPS = [op for op in OPS.values() if op.on == "broker"]
@@ -155,40 +157,37 @@ class TestRoutingKeysMatchShardGuards:
 
 
 class TestReplayAndParking:
-    def test_exactly_the_with_producer_id_ops_take_the_exclusive_gate(self):
-        """Driven through a real client: the in-flight gate sees
-        exclusive=True only for those ops, and only without a producer id."""
+    def test_exactly_the_with_producer_id_ops_are_never_resent(self):
+        """Driven through a real client whose socket dies under each op:
+        those ops sent without a producer id fail instead of being
+        resent; every other op is resent once, on a fresh socket."""
         shard = ShardBroker(shard_index=0, num_shards=1)
         shard.create_topic("t", 1)
+        injector = FaultInjector()
         with BrokerServer(shard) as server:
             shard.set_cluster([(server.host, server.port)], epoch=1)
-            with RemoteBroker(server.host, server.port) as remote:
-                seen = []
-                acquire = remote._gate.acquire
-
-                def spy(exclusive, timeout):
-                    seen.append(exclusive)
-                    return acquire(exclusive=exclusive, timeout=timeout)
-
-                remote._gate.acquire = spy
-                exclusive = set()
+            with RemoteBroker(server.host, server.port, reconnect_backoff_ms=0.0) as remote:
+                remote.fault_injector = injector
+                sent_once = set()
                 for producer_id in (None, 7):
                     for op in OPS.values():
                         override = {}
                         if any(f.name == "producer_id" for f in op.fields):
                             override = {"producer_id": producer_id, "base_sequence": 0}
                         frame, blobs = _request(op, **override)
-                        del seen[:]
+                        injector.kill_socket_once(op.name)
+                        before = remote.requests_sent
                         try:
                             remote._roundtrip(op, frame, blobs)
-                        except RemoteBrokerError:
-                            pass  # the gate decision is what is under test
-                        assert len(seen) == 1, op.name
-                        if seen[0]:
-                            exclusive.add((op.name, producer_id))
+                        except DisconnectedError:
+                            sent_once.add((op.name, producer_id))
+                        except BrokerError:
+                            pass  # resent and refused: the resend is under test
+                        writes = remote.requests_sent - before
+                        assert writes == (1 if (op.name, producer_id) in sent_once else 2), op.name
         guarded = {op.name for op in OPS.values() if op.replay == "with_producer_id"}
         assert guarded == {"append_batch"}
-        assert exclusive == {(name, None) for name in guarded}
+        assert sent_once == {(name, None) for name in guarded}
 
     def test_exactly_the_timed_fetch_is_parkable(self):
         assert {op.name for op in OPS.values() if op.parkable} == {"fetch_batch"}

@@ -1,12 +1,26 @@
 """Tests for the TCP broker transport."""
 
+import itertools
+import socket
+import sys
 import threading
+import time
 
 import numpy as np
 import pytest
 
-from repro.broker import BlockSerde, Broker, Consumer, Producer
+from repro.broker import (
+    BlockSerde,
+    Broker,
+    BrokerTimeoutError,
+    ClusterBroker,
+    Consumer,
+    DisconnectedError,
+    Producer,
+    ShardBroker,
+)
 from repro.broker.remote import BrokerServer, RemoteBroker, RemoteBrokerError
+from repro.broker.wire import LEN, recv_frame
 
 
 @pytest.fixture
@@ -19,6 +33,34 @@ def server():
 def remote(server):
     with RemoteBroker(server.host, server.port) as rb:
         yield rb
+
+
+def _wait_until(predicate, timeout=5.0, interval=0.005):
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        if predicate():
+            return True
+        time.sleep(interval)
+    return predicate()
+
+
+def _run_threads(n, fn):
+    """Run *fn* on *n* threads at once; every run must finish cleanly."""
+    errors = []
+
+    def run():
+        try:
+            fn()
+        except Exception as exc:  # noqa: BLE001
+            errors.append(exc)
+
+    threads = [threading.Thread(target=run) for _ in range(n)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=30)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors, errors
 
 
 class TestTransport:
@@ -218,3 +260,109 @@ class TestBatchedWire:
         records = remote.fetch("t", 0, 100, max_records=2000)
         assert len(records) == 1400
         assert records[0].offset == 100
+
+
+@pytest.fixture
+def shard_server():
+    """One shard that serves the cluster ops too."""
+    shard = ShardBroker(shard_index=0, num_shards=1)
+    with BrokerServer(shard) as server:
+        shard.set_cluster([(server.host, server.port)], epoch=1)
+        yield server
+
+
+@pytest.fixture
+def trickle_server():
+    """Reads one request, then sends its response one byte every 100 ms,
+    never finishing it."""
+    listener = socket.create_server(("127.0.0.1", 0))
+    stop = threading.Event()
+
+    def serve():
+        conn, _ = listener.accept()
+        with conn:
+            recv_frame(conn)
+            for byte in itertools.chain(LEN.pack(1 << 20), itertools.repeat(32)):
+                if stop.wait(0.1):
+                    return
+                try:
+                    conn.sendall(bytes([byte]))
+                except OSError:
+                    return
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    yield listener.getsockname()
+    stop.set()
+    thread.join(timeout=5)
+    listener.close()
+
+
+class TestOneSocketPerThread:
+    """Each calling thread sends on its own socket and reads its own
+    response: the client runs no thread of its own."""
+
+    @pytest.mark.parametrize("kind", ["remote", "cluster"])
+    def test_calls_from_three_threads_start_no_thread(self, shard_server, kind):
+        before = set(threading.enumerate())
+        address = (shard_server.host, shard_server.port)
+        client = RemoteBroker(*address) if kind == "remote" else ClusterBroker([address])
+        try:
+            client.create_topic("t", 2)
+            _run_threads(3, lambda: [client.latest_offset("t", p) for p in range(2)])
+            assert set(threading.enumerate()) - before == set()
+        finally:
+            client.close()
+
+    def test_close_wakes_a_parked_fetch(self, server, remote):
+        remote.create_topic("t", 1)
+        outcome = []
+
+        def park():
+            try:
+                remote.fetch("t", 0, 0, timeout=5.0)
+            except Exception as exc:  # noqa: BLE001
+                outcome.append((exc, time.monotonic()))
+
+        t = threading.Thread(target=park)
+        t.start()
+        assert _wait_until(lambda: server.broker.stats()["long_polls_parked"] >= 1)
+        closed_at = time.monotonic()
+        remote.close()
+        t.join(timeout=5)
+        [(exc, ended_at)] = outcome
+        assert isinstance(exc, DisconnectedError)
+        assert ended_at - closed_at < 1.0
+
+    def test_an_exited_threads_socket_closes(self, remote):
+        socks = []
+
+        def call():
+            remote.list_topics()
+            socks.append(remote._local.conn.sock)
+
+        _run_threads(1, call)
+        [sock] = socks
+        assert _wait_until(lambda: sock.fileno() == -1)
+        assert len(remote._conns) == 1  # the constructing thread's own
+
+    def test_requests_sent_is_exact_across_threads(self, remote):
+        before = remote.requests_sent
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often: a lost += shows
+        try:
+            _run_threads(8, lambda: [remote.list_topics() for _ in range(50)])
+        finally:
+            sys.setswitchinterval(interval)
+        assert remote.requests_sent - before == 400
+
+    def test_one_deadline_covers_a_trickled_response(self, trickle_server):
+        op_timeout = 0.5
+        rb = RemoteBroker(*trickle_server, op_timeout=op_timeout, max_attempts=1)
+        try:
+            start = time.monotonic()
+            with pytest.raises(BrokerTimeoutError):
+                rb.list_topics()
+            assert time.monotonic() - start < op_timeout + 1.0
+        finally:
+            rb.close()

@@ -219,7 +219,6 @@ class _MiniCluster(_Cluster):
                 links = PeerLinks(
                     self.addresses.__getitem__,
                     connect_timeout=0.5,
-                    max_in_flight_requests=1,
                 )
                 broker.replicator = _ShardReplicator(broker, links, now=now)
                 broker.replicator.start()

@@ -22,7 +22,8 @@ from repro import (
     passthrough_processor,
 )
 from repro.broker import Broker
-from repro.broker.remote import BrokerServer, RemoteBroker, _recv_frame, _send_frame
+from repro.broker.remote import BrokerServer, RemoteBroker
+from repro.broker.wire import recv_frame, send_frame
 from repro.monitoring import MetricsRegistry, TelemetrySampler, Tracer
 
 
@@ -132,12 +133,12 @@ class TestOldFrameCompatibility:
         core = Broker(name="core", tracer=tracer)
         with BrokerServer(broker=core, tracer=tracer) as server:
             with socket.create_connection((server.host, server.port)) as sock:
-                _send_frame(
+                send_frame(
                     sock,
                     {"op": "create_topic", "topic": "t", "num_partitions": 1,
                      "cid": 1},
                 )
-                response, blobs = _recv_frame(sock)
+                response, blobs = recv_frame(sock)
         assert response["ok"], response
         assert response["cid"] == 1
         assert core.topic("t").num_partitions == 1
@@ -152,12 +153,12 @@ class TestOldFrameCompatibility:
         with BrokerServer(broker=core, tracer=tracer) as server:
             root = tracer.start_trace("client.op", site="edge")
             with socket.create_connection((server.host, server.port)) as sock:
-                _send_frame(
+                send_frame(
                     sock,
                     {"op": "create_topic", "topic": "t", "num_partitions": 2,
                      "cid": 7, "trace": root.context},
                 )
-                response, _ = _recv_frame(sock)
+                response, _ = recv_frame(sock)
             root.finish()
         assert response["ok"], response
         assert core.topic("t").num_partitions == 2
