@@ -8,7 +8,8 @@ processes (:mod:`repro.broker.supervisor` runs them,
 per partition. :class:`ClusterBroker` bootstraps metadata from any shard
 (``describe_cluster``), keeps one
 :class:`~repro.broker.remote.RemoteBroker` per shard (each with one
-socket per calling thread), sends every
+socket per calling thread, and a second for a thread's follow-on
+fetch), sends every
 partition-affine op to its leader and every group-affine op to its
 coordinator, and on ``NotOwnerError`` or connection loss refreshes
 metadata with capped backoff — replaying only idempotent ops, the rule

@@ -169,6 +169,9 @@ class Op:
     *waits* says serving the op can wait on something other than the
     CPU (a disk, a follower's ack): the server runs it on a worker, and
     every other op on its event loop, where it was read.
+    *ahead* says a client sends the op's follow-on before it is asked
+    for: a parked request answered with records is followed at once by
+    the same request from where those records end (:meth:`follow_on`).
     *raises* names a server-side error the client re-raises as that
     typed class, built from the op's required fields.
     """
@@ -182,6 +185,7 @@ class Op:
     replay: str = "always"
     parkable: bool = False
     waits: bool = False
+    ahead: bool = False
     codec: Codec = PLAIN
     merge: Callable | None = None
     raises: type | None = None
@@ -250,6 +254,15 @@ class Op:
             return max(0.0, float(frame.get("timeout") or 0.0))
         except (TypeError, ValueError):
             return 0.0
+
+    def follow_on(self, frame: dict, result) -> dict | None:
+        """The request a client sends ahead after *frame* was answered
+        with the wire *result*: the same request, starting where its
+        records end. ``None`` unless the op fetches ahead, *frame* may
+        park and the answer holds records."""
+        if not (self.ahead and result and self.park_seconds(frame)):
+            return None
+        return {**frame, "offset": result[-1]["offset"] + 1}
 
     def typed_error(self, error_name: str, frame: dict) -> Exception | None:
         cls = self.raises
@@ -381,8 +394,9 @@ _OPS = (
        (*_TP, F("offset"), F("max_records", 64), F("timeout", 0.0), F("min_bytes", 1)),
        "Fetch records, values as binary blobs. With ``timeout > 0`` the "
        "server long-polls: it parks the request until *min_bytes* of payload "
-       "(or a full batch) is available instead of answering empty.",
-       route="partition", parkable=True, codec=RECORDS),
+       "(or a full batch) is available instead of answering empty. A timed "
+       "fetch answered with records is followed at once by the next one.",
+       route="partition", parkable=True, ahead=True, codec=RECORDS),
     Op("earliest_offset", "earliest_offset", _TP, route="partition"),
     Op("latest_offset", "latest_offset", _TP, route="partition"),
     # committed offsets and lag (group-affine: the coordinator shard owns them)

@@ -20,6 +20,22 @@ threads: a long-poll fetch parked on the consumer's socket does not hold
 up the producer's appends on its own. Every request still carries a
 correlation id (``"cid"``) that the response must echo.
 
+A thread fetches one batch ahead (``Op.ahead``): when a long-poll fetch
+comes back with records, the thread sends its *follow-on* — the same
+fetch from where those records end — on a second socket of its own
+before it returns them, and its next fetch of exactly that position
+reads the follow-on's answer instead of asking again. The leader parks
+and answers batch N+1 while the caller processes batch N. So a thread
+holds a second socket while a follow-on is outstanding, one follow-on
+at a time, and each socket still carries at most one request. A fetch
+of that partition at another position (a seek, a rebalance),
+``close()`` or a broken socket drops the follow-on — its socket closes
+and its records are never delivered — and so does a follow-on for
+another partition once the first one has been answered. An empty or
+failed follow-on answer falls back to an ordinary fetch within the
+caller's own timeout; a follow-on still parked when that timeout runs
+out answers the fetch empty and stays outstanding.
+
 Server side: :class:`BrokerServer` is the ``selectors``-based reactor
 of :mod:`repro.broker.reactor`.
 
@@ -103,15 +119,19 @@ def _wire_error(name: str, message: str) -> RemoteBrokerError:
 
 
 class _Connection:
-    """One calling thread's socket. Only that thread's thread-local slot
-    holds it, so it closes when the thread exits."""
+    """One of a calling thread's sockets. Only that thread's thread-local
+    slots hold it, so it closes when the thread exits."""
 
-    __slots__ = ("sock", "cid", "__weakref__")
+    __slots__ = ("sock", "cid", "ahead", "sent_at", "__weakref__")
 
     def __init__(self, sock: socket.socket) -> None:
         self.sock = sock
         #: Correlation id of the last request sent on this socket.
         self.cid = 0
+        #: The fields of the follow-on fetch outstanding here, if any.
+        self.ahead: dict | None = None
+        #: When that follow-on was sent (``time.monotonic()``).
+        self.sent_at = 0.0
 
     def __del__(self) -> None:
         # close(), never shutdown(): a forked child dropping its copy must
@@ -147,6 +167,29 @@ class _Deadline:
         return self.sock.recv_into(buffer)
 
 
+def _answered(sock: socket.socket, seconds: float) -> bool:
+    """Whether *sock* has something to read (an answer, or the peer's
+    close) within *seconds*; nothing is consumed."""
+    sock.settimeout(max(seconds, 0.0))  # 0: a look that does not block
+    try:
+        sock.recv(1, socket.MSG_PEEK)
+    except (BlockingIOError, socket.timeout):
+        return False
+    return True
+
+
+#: A follow-on the server has not answered yet.
+_PARKED = object()
+
+#: What a fetch answered with nothing returns: no record metadata, no blobs.
+_EMPTY = ((), ())
+
+
+def _same_request(a: dict, b: dict) -> bool:
+    """Two fetch frames that differ at most in how long they may park."""
+    return a.keys() == b.keys() and all(a[k] == b[k] for k in a if k != "timeout")
+
+
 class RemoteBroker:
     """Client handle exposing the broker data-path API over TCP.
 
@@ -157,6 +200,8 @@ class RemoteBroker:
     one request is ever in flight on a socket: a reconnect can never
     reorder what it resends, and the ops the table does not let replay
     (``append_batch`` without a producer id) are never resent at all.
+    A thread that fetches ahead (see the module docstring) holds a
+    second socket for its follow-on.
 
     Every broker method here other than :meth:`append` is a stub
     generated from :data:`repro.broker.ops.OPS`; ops the served broker
@@ -208,7 +253,8 @@ class RemoteBroker:
         #: opens an ``rpc.<op>`` span whose context travels in the frame's
         #: optional ``"trace"`` field (ignored by pre-tracing servers).
         self._tracer = tracer
-        #: The calling thread's :class:`_Connection`, as ``.conn``.
+        #: The calling thread's :class:`_Connection`, as ``.conn``, and
+        #: the one its follow-on fetches go out on, as ``.ahead``.
         self._local = threading.local()
         #: Every live thread's connection, so close() can reach them all;
         #: a weak set, so an exited thread's is not kept alive here.
@@ -218,11 +264,11 @@ class RemoteBroker:
         self._closed = False
         self._connection()  # dial now: an address nobody listens on fails here
 
-    def _connection(self) -> _Connection:
-        """The calling thread's connection, dialled on its first call."""
+    def _connection(self, slot: str = "conn") -> _Connection:
+        """The calling thread's connection in *slot*, dialled on first use."""
         if self._closed:
             raise DisconnectedError(f"{self.name} is closed")
-        conn = getattr(self._local, "conn", None)
+        conn = getattr(self._local, slot, None)
         if conn is None:
             conn = _Connection(
                 socket.create_connection(
@@ -236,13 +282,14 @@ class RemoteBroker:
                 if self._closed:
                     raise DisconnectedError(f"{self.name} is closed")
                 self._conns.add(conn)
-            self._local.conn = conn
+            setattr(self._local, slot, conn)
         return conn
 
-    def _drop(self, conn: _Connection) -> None:
-        """Retire the calling thread's connection after a transport
-        failure; its next request dials fresh."""
-        self._local.conn = None
+    def _drop(self, conn: _Connection, slot: str = "conn") -> None:
+        """Retire the calling thread's connection in *slot* after a
+        transport failure or with a follow-on nobody will read; the next
+        request there dials fresh."""
+        setattr(self._local, slot, None)
         with self._lock:
             self._conns.discard(conn)
         conn.sock.close()
@@ -286,17 +333,105 @@ class RemoteBroker:
 
     def _roundtrip(self, spec: Op, fields: dict, blobs) -> tuple:
         """Send one encoded request; returns ``(wire result, blobs)``."""
+        send = self._fetch if spec.ahead else self._invoke
         if self._tracer is None:
-            return self._invoke(spec, fields, blobs, None)
+            return send(spec, fields, blobs, None)
         span = self._tracer.start_trace(f"rpc.{spec.name}", site=self.name)
         try:
-            result = self._invoke(spec, fields, blobs, span)
+            result = send(spec, fields, blobs, span)
         except Exception as exc:
             span.set_attr("error", type(exc).__name__)
             span.finish()
             raise
         span.finish()
         return result
+
+    def _fetch(self, spec: Op, fields: dict, blobs, span):
+        """A fetch: answered by the calling thread's follow-on when that
+        asked for exactly this, else sent as usual; either way followed
+        by the next follow-on when it could park and came back with
+        records."""
+        asked = fields
+        conn = getattr(self._local, "ahead", None)
+        ahead = conn.ahead if conn is not None else None
+        if ahead is not None and (ahead["topic"], ahead["partition"]) == (
+            fields["topic"],
+            fields["partition"],
+        ):
+            if not _same_request(ahead, fields):
+                self._drop(conn, "ahead")  # a seek or a rebalance moved on
+            else:
+                wait = spec.park_seconds(fields)
+                start = time.monotonic()
+                answer = self._follow_on_answer(conn, wait)
+                if answer is _PARKED:
+                    return _EMPTY  # nothing yet; the follow-on stays parked
+                if answer is not None and answer[0]:
+                    self._send_ahead(spec, asked, answer[0])
+                    return answer
+                # Empty or failed: ask again for what is left of the wait.
+                left = max(0.0, wait - (time.monotonic() - start))
+                fields = {**fields, "timeout": left}
+        answer = self._invoke(spec, fields, blobs, span)
+        self._send_ahead(spec, asked, answer[0])
+        return answer
+
+    def _follow_on_answer(self, conn: _Connection, wait: float):
+        """Read the follow-on outstanding on *conn*: ``(wire result,
+        blobs)``; ``None`` when it failed or was refused (the caller asks
+        again itself); ``_PARKED`` when the server has not answered
+        within *wait* seconds, and it stays outstanding."""
+        try:
+            if not _answered(conn.sock, wait):
+                return _PARKED
+            if self.link is not None:
+                self.link.rtt_delay(since=conn.sent_at)
+            response, out_blobs = recv_frame(_Deadline(conn.sock, self.op_timeout))
+            if response.pop("cid", None) != conn.cid:
+                raise ConnectionError("follow-on: the response echoes another cid")
+        except (ConnectionError, OSError, ValueError) as exc:
+            self._drop(conn, "ahead")
+            if self._closed:
+                raise DisconnectedError(f"{self.name} is closed") from exc
+            return None
+        conn.ahead = None
+        return (response.get("result"), out_blobs) if response.get("ok") else None
+
+    def _send_ahead(self, spec: Op, fields: dict, result) -> None:
+        """Send the follow-on of a fetch answered with *result*, if it
+        has one, on the calling thread's second socket. A thread keeps
+        one follow-on: one for another partition is replaced once it is
+        answered (its request is spent either way) and kept while it is
+        parked, and then no new one goes out. One that cannot be sent is
+        not; the next fetch asks as usual."""
+        follow_on = spec.follow_on(fields, result)
+        if follow_on is None:
+            return
+        conn = getattr(self._local, "ahead", None)
+        if conn is not None and conn.ahead is not None:
+            try:
+                if not _answered(conn.sock, 0):
+                    return
+            except OSError:
+                pass
+            self._drop(conn, "ahead")
+        try:
+            conn = self._connection("ahead")
+        except (DisconnectedError, ConnectionError, OSError):
+            return
+        conn.cid += 1
+        buffers = encode_frame({"op": spec.name, "cid": conn.cid, **follow_on})
+        try:
+            if self.fault_injector is not None:
+                self.fault_injector.on_remote_op(spec.name, conn.sock)
+            with self._lock:
+                self.requests_sent += 1
+            conn.sent_at = time.monotonic()
+            sendall_vectored(_Deadline(conn.sock, self.op_timeout), buffers)
+        except (ConnectionError, OSError):
+            self._drop(conn, "ahead")
+            return
+        conn.ahead = follow_on
 
     def _invoke(self, spec: Op, fields: dict, blobs, span):
         op = spec.name

@@ -154,7 +154,7 @@ class Link:
             time.sleep(duration * self.time_scale)
         return duration
 
-    def rtt_delay(self) -> float:
+    def rtt_delay(self, since: float | None = None) -> float:
         """Emulate one request/response round trip (sleep in the caller).
 
         This is the wire-protocol counterpart of :meth:`transfer`: a
@@ -162,14 +162,21 @@ class Link:
         calls it once per request *in the requesting thread*, so
         requests from several threads overlap their RTTs the way real
         in-flight packets share a wire, while a serial client pays one
-        full RTT per request. Returns the modelled (unscaled) RTT.
+        full RTT per request. A request sent ahead of need passes its
+        send time as *since* (``time.monotonic()``): the round trip runs
+        from then, and only what is left of it is slept when the answer
+        is read. Returns the modelled (unscaled) RTT.
         """
         with self._rtt_lock:
             rtt = self.sample_rtt_s()
             self.rtt_delays += 1
             self.seconds_accumulated += rtt
         if self.time_scale > 0 and rtt > 0:
-            time.sleep(rtt * self.time_scale)
+            left = rtt * self.time_scale
+            if since is not None:
+                left -= time.monotonic() - since
+            if left > 0:
+                time.sleep(left)
         return rtt
 
     def stats(self) -> dict:

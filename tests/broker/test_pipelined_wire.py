@@ -125,8 +125,9 @@ class TestLongPollFetch:
         remote.append_many("t", 0, [b"v"])
         t.join(timeout=5)
         assert len(out) == 1
-        # One fetch_batch + one append_batch; no re-poll traffic.
-        assert remote.requests_sent - sent_before == 2
+        # One fetch_batch + one append_batch, plus the follow-on the
+        # answered fetch sent for the next batch; no re-poll traffic.
+        assert remote.requests_sent - sent_before == 3
 
     def test_min_bytes_holds_fetch_until_enough_data(self):
         broker = Broker()
