@@ -35,9 +35,11 @@ class PipelineConfig:
     max_duration: float = 600.0
     #: Seconds between produced messages per device (0 = as fast as possible).
     produce_interval: float = 0.0
-    #: Backpressure: producers pause while more than this many messages
-    #: are in flight (produced but not yet processed). 0 = unbounded —
-    #: the paper's configuration, where the broker absorbs the backlog.
+    #: Backpressure, per device: a device's producer pauses while this
+    #: many of its messages are in flight (produced but not yet
+    #: processed), and sends the room it gets back as one append. 0 =
+    #: unbounded — the paper's configuration, where the broker absorbs
+    #: the backlog — and one message per append.
     max_inflight: int = 0
     #: Lossless wire compression (zlib) of blocks before the uplink —
     #: the "data compression step before the data transfer" the paper

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import threading
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -65,24 +66,13 @@ _POLL_BATCH = 8
 _POLL_TIMEOUT_S = 0.2
 #: A run keeps the last this many processing results for inspection.
 _KEEP_RESULTS = 1024
-
-
-class _AtomicCounter:
-    __slots__ = ("_value", "_lock")
-
-    def __init__(self) -> None:
-        self._value = 0
-        self._lock = threading.Lock()
-
-    def increment(self, n: int = 1) -> int:
-        with self._lock:
-            self._value += n
-            return self._value
-
-    @property
-    def value(self) -> int:
-        with self._lock:
-            return self._value
+#: A producer's batch closes once its payloads reach this many bytes: the
+#: store's urgent-flush mark (``_FLUSH_BYTES`` in
+#: ``repro.broker.storage.store``, also 1 MiB), past which an append is
+#: flushed at once anyway. So a 2.56 MB block always goes alone.
+_BATCH_BYTES = 1024 * 1024
+#: What ``_make_message`` returns for a message the edge function absorbed.
+_ABSORBED = object()
 
 
 @dataclass
@@ -191,13 +181,14 @@ class EdgeToCloudPipeline:
         self._user_context = dict(function_context or {})
         # Distinct message ids processed: consumer-group rebalances give
         # at-least-once delivery, so completion must count unique ids,
-        # not deliveries.
+        # not deliveries. Per device, the count the in-flight window reads.
         self._processed_ids: set = set()
+        self._processed_per_device: Counter = Counter()
         self._processed_lock = threading.Lock()
         # Producers park here under backpressure; consumers signal it
-        # from _count_processed* as messages drain.
+        # from _count_processed_many as messages drain.
         self._backpressure = threading.Condition()
-        self._produced = _AtomicCounter()
+        self._produced = 0  # messages made, all devices (``_processed_lock``)
         # Completion target: the configured total until every producer
         # task has ended, then what they actually produced (guarded by
         # ``_processed_lock``, like the count it is compared with).
@@ -241,26 +232,20 @@ class EdgeToCloudPipeline:
         with self._processed_lock:
             return len(self._processed_ids)
 
-    def _count_processed(self, message_id: str) -> bool:
-        """Record a distinct processed message; True if it was new."""
-        return self._count_processed_many((message_id,))[0]
-
-    def _count_processed_many(self, message_ids) -> list[bool]:
-        """Record a batch of processed messages under one lock acquisition.
-
-        Returns, per id, whether it was new (first delivery). Signals any
-        backpressured producers after the lock is released — the notify
-        must not nest inside ``_processed_lock`` because waiting producers
-        read ``processed_count`` (which takes that lock) while holding the
-        backpressure condition.
-        """
+    def _count_processed_many(self, message_ids, devices) -> list[bool]:
+        """Record a batch of processed messages, each with its device (=
+        partition), under one lock acquisition; returns, per id, whether it
+        was new (first delivery). Signals backpressured producers after the
+        lock is released: they read the counts (which take that lock) while
+        holding the backpressure condition."""
         flags = []
         with self._processed_lock:
-            for message_id in message_ids:
+            for message_id, device in zip(message_ids, devices):
                 if message_id in self._processed_ids:
                     flags.append(False)
                 else:
                     self._processed_ids.add(message_id)
+                    self._processed_per_device[device] += 1
                     flags.append(True)
             if len(self._processed_ids) >= self._expected:
                 self._done.set()
@@ -274,7 +259,8 @@ class EdgeToCloudPipeline:
 
     @property
     def produced_count(self) -> int:
-        return self._produced.value
+        with self._processed_lock:
+            return self._produced
 
     # -- runtime reconfiguration -------------------------------------------------
 
@@ -392,15 +378,19 @@ class EdgeToCloudPipeline:
     # -- the two task bodies -------------------------------------------------------
 
     def _producer_loop(self, device_index: int) -> int:
-        """Body of one edge producer task; returns messages produced."""
+        """Body of one edge producer task; returns messages sent.
+
+        Each round waits for room in the device's in-flight window, makes
+        every message that room admits and sends them as one append (one
+        request, one idempotent ``base_sequence``). A round closes early
+        once it holds ``_BATCH_BYTES``; without a window, or when paced,
+        it is one message.
+        """
         cfg = self.config
         edge_site = self.pilot_edge.site
-        broker_site = self.pilot_cloud_broker.site
-        uplink = self._link(edge_site, broker_site)
+        uplink = self._link(edge_site, self.pilot_cloud_broker.site)
         device_id = f"device-{device_index}"
-        context = self._base_context(edge_site).for_device(
-            device_id, device_index, edge_site
-        )
+        context = self._base_context(edge_site).for_device(device_id, device_index, edge_site)
         producer = Producer(
             self._broker,
             client_id=f"{self.run_id}-{device_id}",
@@ -409,108 +399,127 @@ class EdgeToCloudPipeline:
             tracer=self._tracer,
             trace_site=edge_site,
         )
-        edge_processing = (
-            self._decision is not None and self._decision.processing_tier == "edge"
-        )
+        seq = 0  # messages made so far: sent, dropped or absorbed
         sent = 0
-        for seq in range(cfg.messages_per_device):
-            if self._abort.is_set():
-                break
-            if cfg.max_inflight > 0:
-                # Backpressure: park until the processing tier drains.
-                # The condition is signaled from _count_processed_many;
-                # the short wait timeout only covers abort/deadline, not
-                # the drain signal. One stall = one counted wait, however
-                # long the stall lasts.
-                stalled = False
-                with self._backpressure:
-                    while (
-                        self._produced.value - self.processed_count >= cfg.max_inflight
-                        and not self._abort.is_set()
-                        and not self._done.is_set()
-                    ):
-                        if not stalled:
-                            stalled = True
-                            self._collector.incr("backpressure_waits")
-                        self._backpressure.wait(0.05)
-            block = self._produce_fn(context)
-            if block is None:
-                break
-            message_id = f"{self.run_id}/d{device_index}/m{seq}"
-            produce_ts = time.monotonic()
-            headers = {"message_id": message_id, "device": device_id}
-
-            edge_fn = self._current_edge_fn()
-            if edge_fn is not None and (
-                self._decision is None or self._decision.edge_preprocess
-            ):
-                block = edge_fn(context, block)
-                if block is None:
-                    # Windowing/filtering edge functions absorb messages
-                    # (nothing to forward yet). Account the message so
-                    # the run's completion target is still reachable.
-                    self._collector.incr("messages_absorbed_at_edge")
-                    self._count_processed(message_id)
-                    self._produced.increment()
-                    continue
-            if edge_processing:
-                # Edge-centric placement: the heavy function runs on the
-                # device; only its (small) result block crosses the link.
-                self._collector.stamp(
-                    message_id, "process_start", time.monotonic(), site=edge_site
-                )
-                result = self._current_cloud_fn()(context, block)
-                self._collector.stamp(
-                    message_id, "process_end", time.monotonic(), site=edge_site
-                )
-                self._results.append(result)
-                block = _result_block(result)
-                headers["processed"] = True
-
-            payload = encode_block(block, compress=cfg.compress_wire)
-            self._collector.stamp(
-                message_id,
-                "produce",
-                produce_ts,
-                nbytes=len(payload),
-                site=edge_site,
-                partition=device_index,
-            )
-            self._collector.stamp_many(
-                (message_id,), "uplink_start", time.monotonic(), site=edge_site
-            )
-            for attempt in range(cfg.producer_retries + 1):
-                if attempt:
-                    # At-least-once mode: the uplink dropped the message
-                    # (or the broker flapped) — resend it. The producer's
-                    # idempotent sequence makes a resend of an
-                    # already-landed message a broker-side no-op.
-                    self._collector.incr("produce_retries")
-                try:
-                    if uplink is not None:
-                        uplink.transfer(len(payload))
-                    producer.send_many(
-                        cfg.topic, [payload], partition=device_index, headers=[headers]
-                    )
-                except ConnectionError:
-                    continue
-                self._collector.stamp_many(
-                    (message_id,), "broker_in", time.monotonic(), site=broker_site
-                )
-                sent += 1
-                break
-            else:
-                # Lossy-link drop: account for the message (QoS-0
-                # semantics) so the run can still complete.
-                self._collector.incr("messages_dropped")
-                self._count_processed(message_id)
-            self._produced.increment()
+        ended = False
+        while not ended and seq < cfg.messages_per_device and not self._abort.is_set():
+            room = self._wait_for_room(device_index, seq) if cfg.max_inflight > 0 else 1
             if cfg.produce_interval > 0:
+                room = 1  # paced: one message per append
+            first, batch, nbytes = seq, [], 0
+            while len(batch) < room and nbytes < _BATCH_BYTES and seq < cfg.messages_per_device:
+                message = self._make_message(context, device_index, seq)
+                if message is None:
+                    ended = True
+                    break
+                seq += 1
+                if message is not _ABSORBED:
+                    batch.append(message)
+                    nbytes += len(message[1])
+            if batch:
+                sent += self._send_batch(producer, uplink, device_index, batch)
+            with self._processed_lock:
+                self._produced += seq - first
+            if batch and cfg.produce_interval > 0:
                 time.sleep(cfg.produce_interval)
         producer.close()
         if producer.produce_retries:
             self._collector.incr("produce_retries", producer.produce_retries)
         return sent
+
+    def _wait_for_room(self, device_index: int, made: int) -> int:
+        """Park until the device has fewer than ``max_inflight`` messages
+        made and not yet processed; returns the free room (at least 1).
+        _count_processed_many signals the drain; the short wait timeout
+        only covers abort/deadline. One stall = one counted wait."""
+        stalled = False
+        with self._backpressure:
+            while True:
+                with self._processed_lock:
+                    room = self.config.max_inflight - (
+                        made - self._processed_per_device[device_index]
+                    )
+                if room > 0 or self._abort.is_set() or self._done.is_set():
+                    return max(room, 1)
+                if not stalled:
+                    stalled = True
+                    self._collector.incr("backpressure_waits")
+                self._backpressure.wait(0.05)
+
+    def _make_message(self, context, device_index: int, seq: int):
+        """Make message *seq* of a device: ``(message_id, payload,
+        headers)``, ``_ABSORBED`` when the edge function took it, or None
+        when the produce function has no more."""
+        edge_site = self.pilot_edge.site
+        block = self._produce_fn(context)
+        if block is None:
+            return None
+        message_id = f"{self.run_id}/d{device_index}/m{seq}"
+        produce_ts = time.monotonic()
+        headers = {"message_id": message_id, "device": f"device-{device_index}"}
+        edge_fn = self._current_edge_fn()
+        if edge_fn is not None and (self._decision is None or self._decision.edge_preprocess):
+            block = edge_fn(context, block)
+            if block is None:
+                # Windowing/filtering edge functions absorb messages
+                # (nothing to forward yet). Account the message so
+                # the run's completion target is still reachable.
+                self._collector.incr("messages_absorbed_at_edge")
+                self._count_processed_many((message_id,), (device_index,))
+                return _ABSORBED
+        if self._decision is not None and self._decision.processing_tier == "edge":
+            # Edge-centric placement: the heavy function runs on the
+            # device; only its (small) result block crosses the link.
+            self._collector.stamp(message_id, "process_start", time.monotonic(), site=edge_site)
+            result = self._current_cloud_fn()(context, block)
+            self._collector.stamp(message_id, "process_end", time.monotonic(), site=edge_site)
+            self._results.append(result)
+            block = _result_block(result)
+            headers["processed"] = True
+        payload = encode_block(block, compress=self.config.compress_wire)
+        self._collector.stamp(
+            message_id,
+            "produce",
+            produce_ts,
+            nbytes=len(payload),
+            site=edge_site,
+            partition=device_index,
+        )
+        return message_id, payload, headers
+
+    def _send_batch(self, producer: Producer, uplink, device_index: int, batch) -> int:
+        """Send *batch* ``[(message_id, payload, headers)]`` as one append
+        (one uplink transfer, one request); returns the messages sent."""
+        cfg = self.config
+        ids = [message_id for message_id, _, _ in batch]
+        payloads = [payload for _, payload, _ in batch]
+        self._collector.stamp_many(ids, "uplink_start", time.monotonic(), site=self.pilot_edge.site)
+        for attempt in range(cfg.producer_retries + 1):
+            if attempt:
+                # At-least-once mode: the uplink dropped the batch (or the
+                # broker flapped) — resend it. The producer's idempotent
+                # sequence makes a resend of an already-landed batch a
+                # broker-side no-op.
+                self._collector.incr("produce_retries")
+            try:
+                if uplink is not None:
+                    uplink.transfer(sum(len(payload) for payload in payloads))
+                producer.send_many(
+                    cfg.topic,
+                    payloads,
+                    partition=device_index,
+                    headers=[headers for _, _, headers in batch],
+                )
+            except ConnectionError:
+                continue
+            broker_site = self.pilot_cloud_broker.site
+            self._collector.stamp_many(ids, "broker_in", time.monotonic(), site=broker_site)
+            return len(batch)
+        # Lossy-link drop: account for the messages (QoS-0 semantics) so
+        # the run can still complete.
+        self._collector.incr("messages_dropped", len(batch))
+        self._count_processed_many(ids, [device_index] * len(ids))
+        return 0
 
     def _consumer_loop(self, consumer: Consumer, index: int, stop: threading.Event) -> int:
         """Body of one processing consumer task; returns records handled."""
@@ -597,12 +606,12 @@ class EdgeToCloudPipeline:
                 try:
                     downlink.transfer(record.size)
                 except ConnectionError:
-                    dropped.append(message_id)
+                    dropped.append((message_id, record.partition))
                 else:
                     alive.append((message_id, record))
             if dropped:
                 self._collector.incr("messages_dropped", len(dropped))
-                self._count_processed_many(dropped)
+                self._count_processed_many(*zip(*dropped))
             if not alive:
                 return len(records)
         else:
@@ -616,7 +625,9 @@ class EdgeToCloudPipeline:
             site=proc_site,
             partition=[r.partition for _, r in alive],
         )
-        new_flags = self._count_processed_many([m for m, _ in alive])
+        new_flags = self._count_processed_many(
+            [m for m, _ in alive], [r.partition for _, r in alive]
+        )
         fresh = []
         sink = []
         duplicates = 0
@@ -672,7 +683,7 @@ class EdgeToCloudPipeline:
             self._producers_left -= 1
             if self._producers_left:
                 return
-            self._expected = self._produced.value
+            self._expected = self._produced
             if len(self._processed_ids) >= self._expected:
                 self._done.set()
 
