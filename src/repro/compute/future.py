@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import enum
 import threading
+from collections import Counter
 from typing import Any, Callable
 
 
@@ -46,6 +47,7 @@ class Future:
         self._lock = threading.Lock()
         self._done_event = threading.Event()
         self._callbacks: list[Callable] = []
+        self._callback_errors: Counter[str] = Counter()
         #: Worker that executed (or is executing) the task, for locality
         #: decisions and failure attribution.
         self.worker_id: str | None = None
@@ -98,8 +100,9 @@ class Future:
         for cb in callbacks:
             try:
                 cb(self)
-            except Exception:  # callbacks must not break the worker
-                pass
+            except Exception as exc:  # counted; the worker and later callbacks go on
+                with self._lock:
+                    self._callback_errors[type(exc).__name__] += 1
 
     # -- inspection / retrieval -----------------------------------------------
 
@@ -124,6 +127,12 @@ class Future:
         if not self._done_event.wait(timeout):
             raise TimeoutError(f"task {self.task_id} not done after {timeout}s")
         return self._error
+
+    @property
+    def callback_errors(self) -> dict[str, int]:
+        """Done-callbacks that raised, by exception type."""
+        with self._lock:
+            return dict(self._callback_errors)
 
     def add_done_callback(self, callback: Callable) -> None:
         """Run *callback(future)* once done (immediately if already done)."""

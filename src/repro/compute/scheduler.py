@@ -15,6 +15,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import threading
+from collections import Counter
 
 from repro.compute.future import Future, TaskError, TaskState
 from repro.compute.graph import TaskGraph
@@ -317,10 +318,14 @@ class Scheduler:
 
     def stats(self) -> dict:
         with self._lock:
+            callback_errors: Counter[str] = Counter()
+            for future in self._futures.values():
+                callback_errors.update(future.callback_errors)
             return {
                 "workers": len(self._workers),
                 "tasks_submitted": self.tasks_submitted,
                 "tasks_retried": self.tasks_retried,
                 "ready_queue": len(self._ready),
                 "waiting_on_deps": len(self._waiting_deps),
+                "callback_errors": dict(callback_errors),
             }

@@ -16,7 +16,12 @@ split feature, threshold, offset of the first child, depth and leaf
 credit. Construction grows every tree it refreshes at once, one level per
 step, and writes the table in place; scoring reads it with a
 level-by-level descent of all trees at once, a slab of rows at a time
-(DESIGN.md §10 "The model stage").
+(DESIGN.md §10 "The model stage"). The slabs of a block are cut into
+one contiguous range per core the process may run on: the caller
+descends the first range and a thread started for the call each of the
+others, which overlap because NumPy releases the interpreter lock inside
+the descent's takes and adds. Ranges start on slab boundaries, so a
+row's arithmetic, and its score, are the same on any number of cores.
 
 Streaming behaviour: ``partial_fit`` refreshes a rotating subset of trees
 from the newest batch, so the ensemble tracks drift while older trees
@@ -25,6 +30,9 @@ retain history.
 
 from __future__ import annotations
 
+import os
+import threading
+
 import numpy as np
 
 from repro.ml.base import BaseOutlierDetector
@@ -32,12 +40,13 @@ from repro.util.validation import check_in_range, check_positive
 
 _EULER_GAMMA = 0.5772156649015329
 
-#: Rows scored per descent. The working set of one slab is five
-#: (rows, trees) planes of 8-byte values — 2 MB at 100 trees, where the
-#: 80,000-row stacks the batch processor hands over would make each
-#: plane 64 MB. Time is flat in this number (a 10,000 x 32 block scores
-#: in 50-60 ms at 128 to 2,048 rows a slab, 70-80 unslabbed), so memory
-#: is the reason to slab.
+#: Rows scored per descent, and the unit a block is split in across
+#: cores. The working set of one slab is five (rows, trees) planes of
+#: 8-byte values — 2 MB at 100 trees, one per descending thread, where an
+#: 80,000-row call scored as one plane would make each plane 64 MB. Time
+#: is flat in this number (a 10,000 x 32 block scores in 50-60 ms on one
+#: core at 128 to 2,048 rows a slab, 70-80 unslabbed), so memory is the
+#: reason to slab.
 _SLAB_ROWS = 512
 
 #: The forest is one table of nodes, a ``(trees, max_nodes)`` array per
@@ -55,6 +64,14 @@ _NODE_FIELDS = (
     ("depth", np.int16),
     ("credit", np.float64),
 )
+
+
+def _cores() -> int:
+    """How many cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without sched_getaffinity
+        return os.cpu_count() or 1
 
 
 def average_path_length(n) -> np.ndarray:
@@ -222,11 +239,44 @@ class IsolationForest(BaseOutlierDetector):
         self._build_trees(np.sort(trees), X, m)
 
     def _score(self, X: np.ndarray) -> np.ndarray:
+        n = X.shape[0]
+        path = np.empty(n, dtype=np.float64)
+        # Contiguous, slab-aligned ranges, one per core and at most one per
+        # slab (range i starts at slab i * slabs // k). The caller descends
+        # the first; each other one gets a thread, joined before this
+        # returns, so no thread outlives the call.
+        slabs = -(-n // _SLAB_ROWS)
+        k = min(_cores(), slabs)
+        bounds = [min(n, (i * slabs) // k * _SLAB_ROWS) for i in range(k + 1)]
+        errors: list[BaseException] = []
+
+        def descend(lo: int, hi: int) -> None:
+            try:
+                self._descend(X[lo:hi], path[lo:hi])
+            except BaseException as exc:  # raised again on the caller
+                errors.append(exc)
+
+        started = []
+        try:
+            for lo, hi in zip(bounds[1:-1], bounds[2:]):
+                helper = threading.Thread(target=descend, args=(lo, hi), name="iforest-descend")
+                helper.start()
+                started.append(helper)
+            self._descend(X[: bounds[1]], path[: bounds[1]])
+        finally:
+            for helper in started:
+                helper.join()
+        if errors:
+            raise errors[0]
+        return np.power(2.0, -(path / self.n_estimators) / self._normaliser)
+
+    def _descend(self, X: np.ndarray, out: np.ndarray) -> None:
+        """Write the summed path length over all trees of each row of *X*
+        into *out*, one slab of rows at a time."""
         n, width = X.shape
         feature, threshold, child, depth, credit = (table.ravel() for table in self._nodes.values())
         trees = self.n_estimators
         roots = np.arange(trees) * (feature.size // trees)
-        path = np.empty(n, dtype=np.float64)
         # Where each row of a slab starts in its flattened values — a full
         # plane, which adds in half the time a broadcast column does.
         row_start = np.repeat(np.arange(min(n, _SLAB_ROWS)) * width, trees).reshape(-1, trees)
@@ -242,5 +292,4 @@ class IsolationForest(BaseOutlierDetector):
                 node += goes_right
             total = depth.take(node).sum(axis=1, dtype=np.float64)
             total += credit.take(node).sum(axis=1)
-            path[start : start + rows] = total
-        return np.power(2.0, -(path / trees) / self._normaliser)
+            out[start : start + rows] = total

@@ -4,7 +4,16 @@ import threading
 
 import pytest
 
-from repro.compute import CancelledError, Future, ResourceSpec, Task, TaskError, TaskState
+from repro.compute import (
+    CancelledError,
+    Future,
+    ResourceSpec,
+    Scheduler,
+    Task,
+    TaskError,
+    TaskState,
+    Worker,
+)
 from repro.util.validation import ValidationError
 
 
@@ -126,8 +135,30 @@ class TestFuture:
 
     def test_callback_errors_isolated(self):
         f = Future("t1")
+        seen = []
         f.add_done_callback(lambda fut: 1 / 0)
+        f.add_done_callback(lambda fut: seen.append(fut.result()))
+        assert f.callback_errors == {}
         f._resolve(1)  # must not raise
+        assert seen == [1]  # the callback after the raising one still ran
+        assert f.callback_errors == {"ZeroDivisionError": 1}
+
+    def test_scheduler_totals_callback_errors(self):
+        sched = Scheduler()
+        sched.add_worker(Worker(capacity=ResourceSpec(cores=1, memory_gb=1)))
+        try:
+            assert sched.stats()["callback_errors"] == {}
+            for _ in range(2):
+                go, done = threading.Event(), threading.Event()
+                f = sched.submit(Task(fn=lambda: go.wait(timeout=5)))
+                f.add_done_callback(lambda fut: {}["missing"])
+                f.add_done_callback(lambda fut: done.set())
+                go.set()  # the callbacks are in place before the task ends
+                assert done.wait(timeout=5)
+            assert sched.stats()["callback_errors"] == {"KeyError": 2}
+        finally:
+            for w in sched.workers:
+                sched.remove_worker(w.worker_id)
 
     def test_exception_accessor(self):
         f = Future("t1")

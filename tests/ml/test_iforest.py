@@ -1,6 +1,8 @@
 """Tests for the isolation forest."""
 
 import hashlib
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -9,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.ml import IsolationForest, roc_auc_score
+from repro.ml import iforest
 from repro.ml.iforest import _SLAB_ROWS, average_path_length
 from repro.util.validation import ValidationError
 
@@ -310,10 +313,11 @@ class TestKernel:
         np.testing.assert_allclose(forest.decision_function(X), expected, rtol=1e-12)
 
     def test_scoring_memory_does_not_grow_with_the_batch(self):
-        # The batch processor stacks a poll batch of eight 10,000-row
-        # blocks into one decision_function call. A temporary the size of
-        # the (rows, trees) plane is 64 MB there, so the peak is a count
-        # of how much of that plane is alive at once — no timing involved.
+        # Eight 10,000-row blocks in one decision_function call. A
+        # temporary the size of the (rows, trees) plane is 64 MB there, so
+        # the peak is a count of how much of that plane is alive at once
+        # on every thread that descends (tracemalloc traces them all) —
+        # no timing involved.
         rng = np.random.default_rng(0)
         block = rng.normal(size=(10_000, 32))
         forest = IsolationForest(n_estimators=100, seed=0).fit(block)
@@ -330,3 +334,105 @@ class TestKernel:
         one, eight = peak(block), peak(np.tile(block, (8, 1)))
         assert one <= 8 * 2**20, f"{one / 2**20:.1f} MB for one block"
         assert eight <= one + 4 * 2**20, f"{one / 2**20:.1f} MB -> {eight / 2**20:.1f} MB"
+
+
+def _serial_scores(forest: IsolationForest, X: np.ndarray) -> np.ndarray:
+    """decision_function as one _descend over every row, on this thread."""
+    path = np.empty(X.shape[0])
+    forest._descend(X, path)
+    return np.power(2.0, -(path / forest.n_estimators) / forest._normaliser)
+
+
+class TestAcrossCores:
+    @pytest.fixture(scope="class")
+    def forest(self):
+        rng = np.random.default_rng(5)
+        return IsolationForest(n_estimators=100, seed=5).fit(rng.normal(size=(2_000, 32)))
+
+    @pytest.mark.parametrize("cores", [1, 2, 3, 8])
+    def test_split_descent_equals_one_range(self, forest, cores, monkeypatch):
+        monkeypatch.setattr(iforest, "_cores", lambda: cores)
+        rng = np.random.default_rng(cores)
+        caller = threading.current_thread()
+        for n in (1, 511, 512, 513, 1_024, 1_025, 10_000):
+            X = rng.normal(size=(n, 32))
+            expected = _serial_scores(forest, X)
+            ranges = []  # (first row, rows, descended on the caller)
+            descend = forest._descend
+
+            def recorded(rows, out):
+                first = (rows.ctypes.data - X.ctypes.data) // X.strides[0]
+                ranges.append((first, len(rows), threading.current_thread() is caller))
+                descend(rows, out)
+
+            forest._descend = recorded
+            try:
+                scores = forest.decision_function(X)
+            finally:
+                del forest._descend
+            assert np.array_equal(scores, expected), n
+            ranges.sort()
+            slabs = -(-n // _SLAB_ROWS)
+            assert len(ranges) == min(cores, slabs), (n, ranges)
+            on_caller = [mine for _, _, mine in ranges]
+            assert on_caller == [True] + [False] * (len(ranges) - 1), ranges
+            ends = [first + rows for first, rows, _ in ranges]
+            assert [first for first, _, _ in ranges] == [0] + ends[:-1] and ends[-1] == n
+            assert all(first % _SLAB_ROWS == 0 for first, _, _ in ranges), ranges
+            widths = [-(-rows // _SLAB_ROWS) for _, rows, _ in ranges]
+            assert max(widths) - min(widths) <= 1, ranges
+
+    def test_a_helper_exception_reaches_the_caller(self, forest, monkeypatch):
+        monkeypatch.setattr(iforest, "_cores", lambda: 2)
+        caller = threading.current_thread()
+        X = np.random.default_rng(0).normal(size=(4 * _SLAB_ROWS, 32))
+        before = threading.active_count()
+        forest.decision_function(X)
+        assert threading.active_count() == before
+        descend = forest._descend
+
+        def failing(X, out):
+            if threading.current_thread() is not caller:
+                raise RuntimeError("helper failed")
+            descend(X, out)
+
+        forest._descend = failing
+        try:
+            with pytest.raises(RuntimeError, match="helper failed"):
+                forest.decision_function(X)
+        finally:
+            del forest._descend
+        assert threading.active_count() == before
+
+    def test_concurrent_callers_each_get_their_own_scores(self, monkeypatch):
+        # Four callers, each splitting into three ranges: more threads than
+        # cores, switched every 10 µs. A row written by the wrong thread,
+        # or into the wrong caller's path, changes a score.
+        monkeypatch.setattr(iforest, "_cores", lambda: 3)
+        rng = np.random.default_rng(7)
+        work = []
+        for seed in range(4):
+            forest = IsolationForest(n_estimators=50, seed=seed).fit(rng.normal(size=(1_000, 8)))
+            X = rng.normal(size=(3 * _SLAB_ROWS + 100, 8))
+            work.append((forest, X, _serial_scores(forest, X)))
+        results: list = [None] * len(work)
+
+        def score(i):
+            forest, X, _ = work[i]
+            results[i] = [forest.decision_function(X) for _ in range(5)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            callers = [threading.Thread(target=score, args=(i,)) for i in range(len(work))]
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join(timeout=60)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        for (_, _, expected), got in zip(work, results):
+            assert got is not None
+            for scores in got:
+                assert np.array_equal(scores, expected)
