@@ -4,10 +4,9 @@
    for large message sizes (10,000 points)" — we assert that k-means
    wins and report the measured multiple. The multiple is a ratio of two
    implementations' constants: the paper's forest is sklearn via PyOD,
-   ours is NumPy that scores a block as a slab descent split into one
-   range per core and refreshes its 25 trees together, level by level,
-   while k-means here runs at
-   the pipeline's pass-through ceiling. So it reads below 5x (1.6x - 2.1x
+   ours is NumPy that scores a block as a slab descent shared by one
+   thread per core and refreshes its 25 trees together, level by level,
+   while k-means here runs at the pipeline's pass-through ceiling. So it reads below 5x (1.6x - 2.1x
    on a 2-core box; EXPERIMENTS.md); the ordering holds.
 2. "auto-encoders proved unsuitable for the investigated resource
    configurations due to their high computational demands" — the

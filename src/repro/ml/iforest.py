@@ -16,12 +16,13 @@ split feature, threshold, offset of the first child, depth and leaf
 credit. Construction grows every tree it refreshes at once, one level per
 step, and writes the table in place; scoring reads it with a
 level-by-level descent of all trees at once, a slab of rows at a time
-(DESIGN.md §10 "The model stage"). The slabs of a block are cut into
-one contiguous range per core the process may run on: the caller
-descends the first range and a thread started for the call each of the
-others, which overlap because NumPy releases the interpreter lock inside
-the descent's takes and adds. Ranges start on slab boundaries, so a
-row's arithmetic, and its score, are the same on any number of cores.
+(DESIGN.md §10 "The model stage"). The caller and one thread per
+further core the process may run on, each pinned to a core of its own
+and started for the call, take a block's slabs in turn until none is
+left; they overlap because NumPy releases the interpreter lock inside
+the descent's takes and adds. Slabs start at the same rows whichever
+thread takes them, so a row's arithmetic, and its score, are the same on
+any number of cores.
 
 Streaming behaviour: ``partial_fit`` refreshes a rotating subset of trees
 from the newest batch, so the ensemble tracks drift while older trees
@@ -40,13 +41,13 @@ from repro.util.validation import check_in_range, check_positive
 
 _EULER_GAMMA = 0.5772156649015329
 
-#: Rows scored per descent, and the unit a block is split in across
-#: cores. The working set of one slab is five (rows, trees) planes of
-#: 8-byte values — 2 MB at 100 trees, one per descending thread, where an
-#: 80,000-row call scored as one plane would make each plane 64 MB. Time
-#: is flat in this number (a 10,000 x 32 block scores in 50-60 ms on one
-#: core at 128 to 2,048 rows a slab, 70-80 unslabbed), so memory is the
-#: reason to slab.
+#: Rows scored per descent, and the unit the threads that score a block
+#: take in turn. The working set of one slab is five (rows, trees) planes
+#: of 8-byte values — 2 MB at 100 trees, one per descending thread, where
+#: an 80,000-row call scored as one plane would make each plane 64 MB.
+#: Time is flat in this number (a 10,000 x 32 block scores in 50-60 ms on
+#: one core at 128 to 2,048 rows a slab, 70-80 unslabbed), so memory is
+#: the reason to slab.
 _SLAB_ROWS = 512
 
 #: The forest is one table of nodes, a ``(trees, max_nodes)`` array per
@@ -66,12 +67,29 @@ _NODE_FIELDS = (
 )
 
 
+def _cpus() -> list:
+    """The CPUs the calling thread may run on; empty where the platform
+    does not say (and then no thread is pinned)."""
+    try:
+        return sorted(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without sched_getaffinity
+        return []
+
+
 def _cores() -> int:
     """How many cores this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # a platform without sched_getaffinity
-        return os.cpu_count() or 1
+    return len(_cpus()) or os.cpu_count() or 1
+
+
+def _pin(cpus: list, i: int | None = None) -> None:
+    """Keep the calling thread on the *i*-th of *cpus* (round robin), or on
+    all of them when *i* is None. With no *cpus*, or CPUs the process may
+    no longer use, the thread stays where it is."""
+    if cpus:
+        try:
+            os.sched_setaffinity(0, cpus if i is None else (cpus[i % len(cpus)],))
+        except OSError:
+            pass
 
 
 def average_path_length(n) -> np.ndarray:
@@ -241,38 +259,57 @@ class IsolationForest(BaseOutlierDetector):
     def _score(self, X: np.ndarray) -> np.ndarray:
         n = X.shape[0]
         path = np.empty(n, dtype=np.float64)
-        # Contiguous, slab-aligned ranges, one per core and at most one per
-        # slab (range i starts at slab i * slabs // k). The caller descends
-        # the first; each other one gets a thread, joined before this
-        # returns, so no thread outlives the call.
-        slabs = -(-n // _SLAB_ROWS)
-        k = min(_cores(), slabs)
-        bounds = [min(n, (i * slabs) // k * _SLAB_ROWS) for i in range(k + 1)]
+        # One thread per core and at most one per slab: the caller and a
+        # thread started for this call each take the next unscored slab
+        # until none is left, so a thread that starts late or runs on a
+        # busier core scores fewer slabs instead of holding up the call.
+        # Each thread is pinned to a core of its own; left alone, the
+        # scheduler often starts a helper on the caller's core and keeps
+        # the two there, each at half speed. Every helper is joined, and the
+        # caller's cores given back, before this returns.
+        cpus = _cpus()
+        threads = min(_cores(), -(-n // _SLAB_ROWS))
+        slab_starts = iter(range(0, n, _SLAB_ROWS))
+        claim = threading.Lock()
         errors: list[BaseException] = []
 
-        def descend(lo: int, hi: int) -> None:
+        def claimed():
+            while True:
+                with claim:
+                    start = next(slab_starts, None)
+                if start is None:
+                    return
+                yield start
+
+        def descend(i: int) -> None:
             try:
-                self._descend(X[lo:hi], path[lo:hi])
+                _pin(cpus, i)
+                self._descend(X, path, claimed())
             except BaseException as exc:  # raised again on the caller
                 errors.append(exc)
 
         started = []
         try:
-            for lo, hi in zip(bounds[1:-1], bounds[2:]):
-                helper = threading.Thread(target=descend, args=(lo, hi), name="iforest-descend")
+            for i in range(1, threads):
+                helper = threading.Thread(target=descend, args=(i,), name="iforest-descend")
                 helper.start()
                 started.append(helper)
-            self._descend(X[: bounds[1]], path[: bounds[1]])
+            if started:
+                _pin(cpus, 0)
+            self._descend(X, path, claimed())
         finally:
             for helper in started:
                 helper.join()
+            if started:
+                _pin(cpus)
         if errors:
             raise errors[0]
         return np.power(2.0, -(path / self.n_estimators) / self._normaliser)
 
-    def _descend(self, X: np.ndarray, out: np.ndarray) -> None:
-        """Write the summed path length over all trees of each row of *X*
-        into *out*, one slab of rows at a time."""
+    def _descend(self, X: np.ndarray, out: np.ndarray, starts=None) -> None:
+        """Write the summed path length over all trees of each row of the
+        slabs of *X* that begin at *starts* (every slab by default) into the
+        same rows of *out*."""
         n, width = X.shape
         feature, threshold, child, depth, credit = (table.ravel() for table in self._nodes.values())
         trees = self.n_estimators
@@ -280,7 +317,7 @@ class IsolationForest(BaseOutlierDetector):
         # Where each row of a slab starts in its flattened values — a full
         # plane, which adds in half the time a broadcast column does.
         row_start = np.repeat(np.arange(min(n, _SLAB_ROWS)) * width, trees).reshape(-1, trees)
-        for start in range(0, n, _SLAB_ROWS):
+        for start in range(0, n, _SLAB_ROWS) if starts is None else starts:
             values = X[start : start + _SLAB_ROWS].ravel()
             rows = min(_SLAB_ROWS, n - start)
             node = np.tile(roots, (rows, 1))  # (rows, trees)

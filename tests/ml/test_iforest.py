@@ -1,6 +1,7 @@
 """Tests for the isolation forest."""
 
 import hashlib
+import os
 import sys
 import threading
 import tracemalloc
@@ -336,6 +337,10 @@ class TestKernel:
         assert eight <= one + 4 * 2**20, f"{one / 2**20:.1f} MB -> {eight / 2**20:.1f} MB"
 
 
+#: The CPUs this process started with, read before any test scores.
+_CPUS = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
+
+
 def _serial_scores(forest: IsolationForest, X: np.ndarray) -> np.ndarray:
     """decision_function as one _descend over every row, on this thread."""
     path = np.empty(X.shape[0])
@@ -349,52 +354,113 @@ class TestAcrossCores:
         rng = np.random.default_rng(5)
         return IsolationForest(n_estimators=100, seed=5).fit(rng.normal(size=(2_000, 32)))
 
+    @staticmethod
+    def _record(forest, on_each=None):
+        """Replace ``forest._descend`` by one that notes, per call, whether it
+        ran on this thread and which slabs it took; returns that list."""
+        caller = threading.current_thread()
+        descend = forest._descend
+        calls = []  # (descended on the caller, [slab starts taken])
+
+        def recorded(X, out, starts=None):
+            mine = threading.current_thread() is caller
+            taken: list = []
+            calls.append((mine, taken))
+            if on_each is not None:
+                on_each(mine)
+
+            def tap():
+                for start in starts:
+                    taken.append(start)
+                    yield start
+
+            descend(X, out, tap())
+
+        forest._descend = recorded
+        return calls
+
     @pytest.mark.parametrize("cores", [1, 2, 3, 8])
-    def test_split_descent_equals_one_range(self, forest, cores, monkeypatch):
+    def test_every_slab_is_scored_once(self, forest, cores, monkeypatch):
         monkeypatch.setattr(iforest, "_cores", lambda: cores)
         rng = np.random.default_rng(cores)
-        caller = threading.current_thread()
         for n in (1, 511, 512, 513, 1_024, 1_025, 10_000):
             X = rng.normal(size=(n, 32))
             expected = _serial_scores(forest, X)
-            ranges = []  # (first row, rows, descended on the caller)
-            descend = forest._descend
-
-            def recorded(rows, out):
-                first = (rows.ctypes.data - X.ctypes.data) // X.strides[0]
-                ranges.append((first, len(rows), threading.current_thread() is caller))
-                descend(rows, out)
-
-            forest._descend = recorded
+            calls = self._record(forest)
             try:
                 scores = forest.decision_function(X)
             finally:
                 del forest._descend
             assert np.array_equal(scores, expected), n
-            ranges.sort()
             slabs = -(-n // _SLAB_ROWS)
-            assert len(ranges) == min(cores, slabs), (n, ranges)
-            on_caller = [mine for _, _, mine in ranges]
-            assert on_caller == [True] + [False] * (len(ranges) - 1), ranges
-            ends = [first + rows for first, rows, _ in ranges]
-            assert [first for first, _, _ in ranges] == [0] + ends[:-1] and ends[-1] == n
-            assert all(first % _SLAB_ROWS == 0 for first, _, _ in ranges), ranges
-            widths = [-(-rows // _SLAB_ROWS) for _, rows, _ in ranges]
-            assert max(widths) - min(widths) <= 1, ranges
+            assert len(calls) == min(cores, slabs), (n, calls)
+            assert [mine for mine, _ in calls].count(True) == 1, calls
+            taken = sorted(start for _, starts in calls for start in starts)
+            assert taken == list(range(0, n, _SLAB_ROWS)), (n, calls)
+
+    def test_a_late_helper_leaves_its_slabs_to_the_caller(self, forest, monkeypatch):
+        # The helper starts only once the caller has run out of slabs: the
+        # caller has scored them all, and the call still returns.
+        monkeypatch.setattr(iforest, "_cores", lambda: 2)
+        X = np.random.default_rng(1).normal(size=(6 * _SLAB_ROWS, 32))
+        expected = _serial_scores(forest, X)
+        caller, caller_done = threading.current_thread(), threading.Event()
+
+        def hold_helper(mine):
+            if not mine:
+                assert caller_done.wait(timeout=60)
+
+        calls = self._record(forest, hold_helper)
+        descend = forest._descend
+
+        def caller_then_release(X, out, starts=None):
+            descend(X, out, starts)
+            if threading.current_thread() is caller:
+                caller_done.set()
+
+        forest._descend = caller_then_release
+        try:
+            scores = forest.decision_function(X)
+        finally:
+            del forest._descend
+        assert np.array_equal(scores, expected)
+        by_thread = {mine: starts for mine, starts in calls}
+        assert by_thread[True] == list(range(0, len(X), _SLAB_ROWS))
+        assert by_thread[False] == []
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no thread affinity here")
+    def test_threads_are_pinned_apart_and_the_caller_gets_its_cores_back(self, forest, monkeypatch):
+        monkeypatch.setattr(iforest, "_cores", lambda: 3)
+        cpus = _CPUS
+        os.sched_setaffinity(0, cpus)
+        masks = []  # (descended on the caller, its CPUs while descending)
+        calls = self._record(forest, lambda mine: masks.append((mine, os.sched_getaffinity(0))))
+        try:
+            forest.decision_function(np.random.default_rng(2).normal(size=(4 * _SLAB_ROWS, 32)))
+        finally:
+            del forest._descend
+        assert len(calls) == 3
+        assert os.sched_getaffinity(0) == set(cpus)
+        own = sorted((mine, sorted(mask)) for mine, mask in masks)
+        assert [mask for mine, mask in own if mine] == [[cpus[0]]]
+        assert [mask for mine, mask in own if not mine] == sorted(
+            [[cpus[1 % len(cpus)]], [cpus[2 % len(cpus)]]])
 
     def test_a_helper_exception_reaches_the_caller(self, forest, monkeypatch):
         monkeypatch.setattr(iforest, "_cores", lambda: 2)
         caller = threading.current_thread()
         X = np.random.default_rng(0).normal(size=(4 * _SLAB_ROWS, 32))
         before = threading.active_count()
+        if _CPUS:
+            os.sched_setaffinity(0, _CPUS)
         forest.decision_function(X)
         assert threading.active_count() == before
         descend = forest._descend
 
-        def failing(X, out):
+        def failing(X, out, starts=None):
             if threading.current_thread() is not caller:
                 raise RuntimeError("helper failed")
-            descend(X, out)
+            descend(X, out, starts)
 
         forest._descend = failing
         try:
@@ -403,11 +469,12 @@ class TestAcrossCores:
         finally:
             del forest._descend
         assert threading.active_count() == before
+        assert iforest._cpus() == _CPUS
 
     def test_concurrent_callers_each_get_their_own_scores(self, monkeypatch):
-        # Four callers, each splitting into three ranges: more threads than
-        # cores, switched every 10 µs. A row written by the wrong thread,
-        # or into the wrong caller's path, changes a score.
+        # Four callers, each sharing its slabs among three threads: more
+        # threads than cores, switched every 10 µs. A slab scored twice or
+        # not at all, or into the wrong caller's path, changes a score.
         monkeypatch.setattr(iforest, "_cores", lambda: 3)
         rng = np.random.default_rng(7)
         work = []
