@@ -299,9 +299,9 @@ class Consumer:
         Failure-detection window registered with the group coordinator:
         if this consumer stops heartbeating for longer, the coordinator
         evicts it and rebalances its partitions to the survivors.
-        ``poll`` piggybacks a heartbeat every ``session_timeout/3``
-        seconds, so any consumer that keeps polling stays alive. ``None``
-        uses the coordinator's default; 0 disables eviction.
+        Every ``poll`` sends one heartbeat, so any consumer that keeps
+        polling stays alive. ``None`` uses the coordinator's default; 0
+        disables eviction.
     fetch_prefetch_batches:
         When > 0, a background fetcher per assigned partition keeps up to
         this many batches (of ``poll``'s default batch size) buffered
@@ -365,7 +365,6 @@ class Consumer:
         self._positions: dict[tuple, int] = {}
         self._closed = False
         self.session_timeout_ms = session_timeout_ms
-        self._last_heartbeat = 0.0
         # Consume-side metrics.
         self.records_consumed = 0
         self.bytes_consumed = 0
@@ -418,7 +417,6 @@ class Consumer:
             strategy=self._strategy,
             **kwargs,
         )
-        self._last_heartbeat = time.monotonic()
 
     def assign(self, partitions: list[tuple]) -> None:
         """Manually assign ``(topic, partition)`` pairs (no group)."""
@@ -446,44 +444,6 @@ class Consumer:
             self._generation = generation
             self._assignment = assignment
             self._init_positions()
-
-    def _heartbeat_if_due(self) -> None:
-        """Piggyback a heartbeat on poll; re-join if we were evicted.
-
-        Heartbeats go out every third of the session timeout (Kafka's
-        default ratio). A heartbeat rejected with
-        :class:`UnknownMemberError` means the coordinator already evicted
-        us — our assignment is void, so re-join and raise
-        :class:`RebalanceInProgressError` so the caller knows records may
-        have been handed to another member.
-        """
-        timeout_ms = self.session_timeout_ms
-        if not timeout_ms:
-            # No session timeout: membership never expires, but still
-            # send an occasional lease refresh when the coordinator has a
-            # group-level timeout configured.
-            coordinator_default = getattr(
-                self._broker.coordinator, "session_timeout_ms", 0.0
-            )
-            if not coordinator_default:
-                return
-            timeout_ms = coordinator_default
-        interval = timeout_ms / 3000.0
-        now = time.monotonic()
-        if now - self._last_heartbeat < interval:
-            return
-        try:
-            self._broker.coordinator.heartbeat(self.group_id, self.client_id)
-            self.heartbeats_sent += 1
-            self._last_heartbeat = now
-        except UnknownMemberError:
-            self.evictions += 1
-            self._join()
-            self._refresh_assignment()
-            raise RebalanceInProgressError(
-                f"consumer {self.client_id!r} was evicted from group "
-                f"{self.group_id!r} and re-joined"
-            ) from None
 
     def _init_positions(self) -> None:
         positions: dict[tuple, int] = {}
@@ -529,17 +489,21 @@ class Consumer:
         check_positive("max_records", max_records)
         self._check_open()
         if self.group_id is not None and self._subscribed_topics:
+            # One heartbeat per poll: it renews the lease, and its answer
+            # is the generation, so a rebalance is seen on this poll.
             try:
-                self._heartbeat_if_due()
-            except RebalanceInProgressError:
-                # Evicted and re-joined: the refreshed assignment is
-                # already in place, but this poll round returns empty so
-                # the caller observes the boundary (positions were reset
-                # to committed offsets).
+                generation = self._broker.coordinator.heartbeat(
+                    self.group_id, self.client_id
+                )
+            except UnknownMemberError:
+                # Evicted: re-join; this round returns empty so the caller
+                # observes the boundary (positions reset to committed).
+                self.evictions += 1
+                self._join()
+                self._refresh_assignment()
                 return []
-            # Eager rebalance check, as Kafka consumers do on poll().
-            current = self._broker.coordinator.generation(self.group_id)
-            if current != self._generation:
+            self.heartbeats_sent += 1
+            if generation != self._generation:
                 self._refresh_assignment()
         if not self._assignment:
             return []
@@ -694,31 +658,29 @@ class Consumer:
     # -- offsets ----------------------------------------------------------------
 
     def commit(self) -> None:
-        """Commit current positions for all assigned partitions.
+        """Commit current positions for all assigned partitions, in one
+        coordinator request.
 
         Raises :class:`RebalanceInProgressError` when this member is no
         longer part of the group (evicted by the session-timeout sweeper
         mid-batch) — its partitions belong to someone else now, so the
-        commit is refused; the next ``poll`` re-joins and refreshes the
-        assignment. A mere generation bump with this member still in the
-        group does **not** raise: broker-side commits are monotonic, so
-        they can never rewind another member's progress.
+        coordinator refuses the commit and writes nothing; the next
+        ``poll`` re-joins and refreshes the assignment. A mere generation
+        bump with this member still in the group does **not** raise:
+        broker-side commits are monotonic, so they can never rewind
+        another member's progress.
         """
         if self.group_id is None:
             raise ValidationError("commit() requires a consumer group")
-        if self._subscribed_topics and self._generation >= 0:
-            generation, _ = self._broker.coordinator.assignment(
-                self.group_id, self.client_id
-            )
-            if generation == 0:
-                # assignment() returns (0, []) only for non-members: any
-                # live membership has generation >= 1.
-                raise RebalanceInProgressError(
-                    f"member {self.client_id!r} is no longer in group "
-                    f"{self.group_id!r}; positions are stale"
-                )
-        for tp, offset in self._positions.items():
-            self._broker.commit_offset(self.group_id, tp[0], tp[1], offset)
+        member = self.client_id if self._subscribed_topics else None
+        offsets = [(t, p, offset) for (t, p), offset in self._positions.items()]
+        try:
+            self._broker.coordinator.commit(self.group_id, member, offsets)
+        except UnknownMemberError:
+            raise RebalanceInProgressError(
+                f"member {self.client_id!r} is no longer in group "
+                f"{self.group_id!r}; positions are stale"
+            ) from None
 
     def lag(self) -> dict[tuple, int]:
         """Per-partition lag: records between position and the log head.

@@ -3,8 +3,9 @@
 Mirrors Kafka's group-coordinator role: consumers join a group for a set
 of topics, the coordinator assigns each partition to exactly one group
 member, and any membership change (join/leave/crash) triggers an eager
-rebalance that bumps the group *generation*. Consumers detect a stale
-generation on their next poll and refresh their assignment.
+rebalance that bumps the group *generation*. Every consumer poll sends a
+heartbeat, whose answer is the generation: a consumer sees a new one on
+its next poll and refreshes its assignment.
 
 Two assignment strategies are provided, matching Kafka's classic
 assignors:
@@ -99,8 +100,8 @@ class GroupCoordinator:
     """Tracks consumer groups for one broker.
 
     Failure detection mirrors Kafka's session-timeout protocol: members
-    refresh their lease via :meth:`heartbeat` (consumers piggyback it on
-    ``poll``), and any member silent for longer than the group's
+    refresh their lease via :meth:`heartbeat` (a consumer sends one with
+    every ``poll``), and any member silent for longer than the group's
     ``session_timeout_ms`` is evicted by the sweeper — which runs lazily
     on every coordinator access, so no background thread is needed and
     tests stay deterministic. Eviction bumps the generation, triggering a
@@ -109,8 +110,9 @@ class GroupCoordinator:
     Generations are monotonic for the lifetime of the coordinator: when a
     group's last member leaves, the group state is dropped but its
     highest generation is persisted, and a re-created group resumes above
-    it — a consumer can therefore always use ``generation`` comparisons
-    to detect stale assignments, even across group destruction.
+    it — a consumer can therefore always compare the generation its
+    heartbeat returns to detect stale assignments, even across group
+    destruction.
     """
 
     def __init__(
@@ -274,6 +276,28 @@ class GroupCoordinator:
         state.assignment = {m: sorted(tps) for m, tps in final.items()}
         state.generation += 1
 
+    def commit(self, group_id: str, member_id: str | None, offsets) -> None:
+        """Commit ``[(topic, partition, offset), ...]`` for *member_id*.
+
+        Raises :class:`UnknownMemberError` when the member is not in the
+        group (evicted, or never joined): its partitions may belong to
+        someone else now. The check and the writes hold one lock, so a
+        sweep cannot evict the member between them. A member whose
+        generation merely moved on still commits: the writes go through
+        the broker's monotonic ``commit_offset``, which never rewinds
+        another member's progress. ``member_id=None`` commits for a
+        consumer outside any subscription (manual assignment).
+        """
+        self._check_guard(group_id)
+        with self._lock:
+            if member_id is not None:
+                self._sweep_locked(group_id)
+                state = self._groups.get(group_id)
+                if state is None or member_id not in state.members:
+                    raise UnknownMemberError(group_id, member_id)
+            for topic, partition, offset in offsets:
+                self._broker.commit_offset(group_id, topic, partition, offset)
+
     def assignment(self, group_id: str, member_id: str) -> tuple[int, list[tuple]]:
         """Return ``(generation, [(topic, partition), ...])`` for a member."""
         self._check_guard(group_id)
@@ -283,13 +307,6 @@ class GroupCoordinator:
             if state is None or member_id not in state.members:
                 return (0, [])
             return (state.generation, list(state.assignment.get(member_id, [])))
-
-    def generation(self, group_id: str) -> int:
-        self._check_guard(group_id)
-        with self._lock:
-            self._sweep_locked(group_id)
-            state = self._groups.get(group_id)
-            return state.generation if state else 0
 
     def members(self, group_id: str) -> list[str]:
         self._check_guard(group_id)

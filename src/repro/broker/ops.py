@@ -27,6 +27,7 @@ tested against.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -173,7 +174,8 @@ class Op:
     for: a parked request answered with records is followed at once by
     the same request from where those records end (:meth:`follow_on`).
     *raises* names a server-side error the client re-raises as that
-    typed class, built from the op's required fields.
+    typed class, built from the op's leading fields, one per argument
+    the error takes.
     """
 
     name: str
@@ -268,7 +270,8 @@ class Op:
         cls = self.raises
         if cls is None or cls.__name__ != error_name:
             return None
-        return cls(*(frame[f.name] for f in self.fields if f.default is REQUIRED))
+        arity = len(inspect.signature(cls).parameters)
+        return cls(*(frame[f.name] for f in self.fields[:arity]))
 
     # -- server side ---------------------------------------------------------
 
@@ -415,12 +418,17 @@ _OPS = (
         F("session_timeout_ms", None)),
        on="coordinator", route="group"),
     Op("group_heartbeat", "heartbeat", _MEMBER,
+       "Refresh a member's lease; answers the group generation.",
+       on="coordinator", route="group", raises=UnknownMemberError),
+    Op("group_commit", "commit", (*_MEMBER, F("offsets")),
+       "Commit ``[(topic, partition, offset), ...]`` for a member (``None`` "
+       "outside a subscription); a non-member is refused under the lock "
+       "that writes the offsets.",
        on="coordinator", route="group", raises=UnknownMemberError),
     Op("group_leave", "leave", _MEMBER, on="coordinator", route="group"),
     Op("group_assignment", "assignment", _MEMBER,
        "``(generation, [(topic, partition), ...])`` for one member.",
        on="coordinator", route="group", codec=ASSIGNMENT),
-    Op("group_generation", "generation", _GROUP, on="coordinator", route="group"),
     Op("group_members", "members", _GROUP, on="coordinator", route="group"),
     Op("group_topics", "group_topics", _GROUP,
        on="coordinator", route="group", codec=NAME_SET),

@@ -496,14 +496,16 @@ class EdgeToCloudPipeline:
         self._collector.stamp_many(ids, "uplink_start", time.monotonic(), site=self.pilot_edge.site)
         for attempt in range(cfg.producer_retries + 1):
             if attempt:
-                # At-least-once mode: the uplink dropped the batch (or the
-                # broker flapped) — resend it. The producer's idempotent
-                # sequence makes a resend of an already-landed batch a
-                # broker-side no-op.
+                # At-least-once mode: the uplink dropped the batch — resend
+                # it. Only the uplink is retried here: the producer cannot
+                # see it, and it retries a broker failure itself.
                 self._collector.incr("produce_retries")
             try:
                 if uplink is not None:
                     uplink.transfer(sum(len(payload) for payload in payloads))
+            except ConnectionError:
+                continue
+            try:
                 producer.send_many(
                     cfg.topic,
                     payloads,
@@ -511,7 +513,7 @@ class EdgeToCloudPipeline:
                     headers=[headers for _, _, headers in batch],
                 )
             except ConnectionError:
-                continue
+                break  # the producer spent its retries: drop the batch
             broker_site = self.pilot_cloud_broker.site
             self._collector.stamp_many(ids, "broker_in", time.monotonic(), site=broker_site)
             return len(batch)

@@ -36,6 +36,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 
+from repro.broker.ops import OPS
 from repro.util.validation import check_in_range, check_non_negative
 
 
@@ -253,17 +254,19 @@ class FaultyBroker:
     Hand the proxy to producers/consumers in place of the real broker;
     every data-path call first consults the injector, so a ``drop`` rule
     surfaces exactly like a network failure between client and broker.
-    Non-data-path attributes (coordinator, topic registry, stats) pass
-    straight through.
+    The faulted calls are derived from the op table: every broker-face op
+    routed to a partition's leader or a group's coordinator, plus the
+    ``append`` wrapper. Everything else (the coordinator, the topic
+    registry, stats) passes straight through.
     """
 
-    _FAULTED_OPS = (
-        "append",
-        "append_many",
-        "fetch",
-        "commit_offset",
-        "committed_offset",
-        "register_producer",
+    _FAULTED_OPS = frozenset(
+        {"append"}
+        | {
+            op.method
+            for op in OPS.values()
+            if op.on == "broker" and op.route in ("partition", "group")
+        }
     )
 
     def __init__(self, broker, injector: FaultInjector) -> None:

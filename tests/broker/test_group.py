@@ -1,11 +1,14 @@
 """Tests for the group coordinator and assignment strategies."""
 
+import threading
+
 import pytest
 
 from repro.broker import (
     Broker,
     RangeAssignor,
     RoundRobinAssignor,
+    UnknownMemberError,
 )
 from repro.util.validation import ValidationError
 
@@ -86,7 +89,7 @@ class TestGroupCoordinator:
         coord = broker2.coordinator
         coord.join("g", "m1", ["t"])
         coord.leave("g", "m1")
-        assert coord.generation("g") == 0
+        assert coord.describe("g")["generation"] == 0
         assert coord.members("g") == []
 
     def test_leave_unknown_is_noop(self, broker2):
@@ -142,3 +145,66 @@ class TestGroupCoordinator:
         coord.join("g", "m2", ["t"])
         _, a1 = coord.assignment("g", "m1")
         assert a1 == [("t", 0), ("t", 2)]
+
+
+class _ProbesTheCoordinatorLock(Broker):
+    """Notes, at every offset write, whether another thread could take
+    the coordinator's lock right then (and so sweep the writer away)."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.lock_was_free: list[bool] = []
+
+    def commit_offset(self, group, topic, partition, offset) -> None:
+        def probe():
+            lock = self.coordinator._lock
+            free = lock.acquire(blocking=False)
+            if free:
+                lock.release()
+            self.lock_was_free.append(free)
+
+        thread = threading.Thread(target=probe)
+        thread.start()
+        thread.join()
+        super().commit_offset(group, topic, partition, offset)
+
+
+class TestGroupCommit:
+    @pytest.fixture
+    def broker2(self):
+        b = Broker()
+        b.create_topic("t", 4)
+        return b
+
+    def test_a_member_commits_every_partition_in_one_call(self, broker2):
+        coord = broker2.coordinator
+        coord.join("g", "m1", ["t"])
+        coord.commit("g", "m1", [("t", p, 10 + p) for p in range(4)])
+        assert broker2.committed_offsets("g") == {("t", p): 10 + p for p in range(4)}
+
+    def test_a_non_member_is_refused_and_nothing_lands(self, broker2):
+        coord = broker2.coordinator
+        coord.join("g", "m1", ["t"])
+        with pytest.raises(UnknownMemberError):
+            coord.commit("g", "ghost", [("t", 0, 5)])
+        with pytest.raises(UnknownMemberError):
+            coord.commit("empty", "m1", [("t", 0, 5)])
+        assert broker2.committed_offsets() == {}
+
+    def test_no_member_id_commits_without_a_group(self, broker2):
+        broker2.coordinator.commit("tap", None, [("t", 2, 3)])
+        assert broker2.committed_offsets("tap") == {("t", 2): 3}
+
+    def test_commits_stay_monotonic(self, broker2):
+        coord = broker2.coordinator
+        coord.join("g", "m1", ["t"])
+        coord.commit("g", "m1", [("t", 0, 9)])
+        coord.commit("g", "m1", [("t", 0, 4)])
+        assert broker2.committed_offset("g", "t", 0) == 9
+
+    def test_the_check_and_the_writes_hold_one_lock(self):
+        broker = _ProbesTheCoordinatorLock()
+        broker.create_topic("t", 2)
+        broker.coordinator.join("g", "m1", ["t"])
+        broker.coordinator.commit("g", "m1", [("t", 0, 1), ("t", 1, 1)])
+        assert broker.lock_was_free == [False, False]

@@ -20,7 +20,7 @@ from repro.core import (
     make_block_producer,
     passthrough_processor,
 )
-from repro.faults import FaultInjector
+from repro.faults import FaultInjector, FaultyBroker
 from repro.netem import ContinuumTopology, LinkProfile
 
 MIB = 1024 * 1024
@@ -178,6 +178,28 @@ class TestBatchAccounting:
         assert result.report.messages == len(logged)
         dropped = {f"{pipeline.run_id}/d0/m{seq}" for seq in (0, 1, 3, 4)}
         assert not dropped & set(logged)
+
+
+    def test_a_failing_broker_is_retried_by_the_producer_alone(self, running_pilots):
+        # Every append fails. The producer retries it (producer_retries=2:
+        # three attempts a batch); the pipeline retries only the uplink,
+        # which here never drops, so nothing multiplies the attempts.
+        injector = FaultInjector().drop_next(10**6, op="append_many")
+        broker = CountingBroker()
+        pipeline, result = run_pipeline(
+            running_pilots,
+            FaultyBroker(broker, injector),
+            max_inflight=0,  # open loop: one message per batch
+            producer_retries=2,
+            retry_backoff_ms=0.0,
+            messages_per_device=2,
+        )
+        assert result.completed, result.errors
+        assert injector.fired["drop"] == 2 * 3
+        assert broker.appends == []
+        counters = pipeline.collector.counters()
+        assert counters["messages_dropped"] == 2
+        assert counters["produce_retries"] == 2 * 2
 
 
 class TestPerDeviceWindow:

@@ -75,6 +75,23 @@ class TestFaultyBroker:
         assert faulty.list_topics() == ["t"]
         assert faulty.coordinator is broker.coordinator
 
+    def test_faulted_ops_come_from_the_op_table(self):
+        """Every broker-face op routed to a partition's leader or a
+        group's coordinator, plus the ``append`` wrapper."""
+        assert FaultyBroker._FAULTED_OPS == {
+            "append", "append_many", "fetch", "earliest_offset", "latest_offset",
+            "commit_offset", "committed_offset", "consumer_lag", "register_producer",
+        }
+        broker = Broker()
+        broker.create_topic("t", 1)
+        injector = FaultInjector()
+        faulty = FaultyBroker(broker, injector)
+        for method in sorted(FaultyBroker._FAULTED_OPS - {"append"}):
+            injector.drop_next(1, op=method)
+            with pytest.raises(ConnectionError):
+                getattr(faulty, method)()
+        assert injector.pending == 0
+
     def test_injected_drop_surfaces_as_connection_error(self):
         broker = Broker()
         broker.create_topic("t", 1)
