@@ -403,8 +403,6 @@ _OPS = (
     Op("earliest_offset", "earliest_offset", _TP, route="partition"),
     Op("latest_offset", "latest_offset", _TP, route="partition"),
     # committed offsets and lag (group-affine: the coordinator shard owns them)
-    Op("commit_offset", "commit_offset", (F("group"), *_TP, F("offset")),
-       route="group"),
     Op("committed_offset", "committed_offset", (F("group"), *_TP), route="group"),
     Op("committed_offsets", "committed_offsets", _GROUP,
        "``{(topic, partition): offset}`` for one group.",
@@ -447,8 +445,9 @@ _OPS = (
     # replication (replicated shards only; leader -> one named follower)
     Op("replicate_append", "replicate_append",
        (*_TP, F("base_offset"), F("records", kind="records"), F("leader", 0),
-        F("leader_epoch", 0), F("high_watermark", 0), F("producers", None)),
-       "Leader->follower push of a contiguous batch at exact offsets.",
+        F("leader_epoch", 0), F("high_watermark", 0), F("batches", ())),
+       "Leader->follower push of whole batches at exact offsets, with the "
+       "identities of the idempotent ones.",
        route="shard-index"),
     Op("replica_ack", "replica_ack", _TP,
        "A follower's replication progress for one partition.",

@@ -54,6 +54,20 @@ from repro.util.validation import ValidationError, check_non_negative, check_pos
 _FSYNC_ACK_TIMEOUT = 30.0
 
 
+def _runs(records: list, batches):
+    """Cut *records* at the bounds of the identity *batches* among them:
+    ``(run, (producer_id, epoch, base_sequence))`` in offset order, with
+    ``(None, 0, None)`` for a run no batch names."""
+    first, at = records[0].offset, 0
+    for producer_id, epoch, base_sequence, base, count in batches:
+        if base - first > at:
+            yield records[at : base - first], (None, 0, None)
+        at = base - first + count
+        yield records[at - count : at], (producer_id, epoch, base_sequence)
+    if at < len(records):
+        yield records[at:], (None, 0, None)
+
+
 class PartitionLog:
     """A single partition: an append-only record log.
 
@@ -306,9 +320,10 @@ class PartitionLog:
             ts_list = produce_ts
         records: list[Record] = []
         add = records.append
+        idempotent = producer_id is not None and base_sequence is not None
         with self._lock:
             cached = None
-            if producer_id is not None and base_sequence is not None:
+            if idempotent:
                 cached = self._producers.check(
                     producer_id, producer_epoch, base_sequence, n
                 )
@@ -338,28 +353,36 @@ class PartitionLog:
                 self.duplicates_dropped += n
                 retained = {r.offset: r for r in self._slice_at_offset(offset, n)}
                 return [retained.get(r.offset, r) for r in records]
-            self._records.extend(records)
-            if producer_id is not None and base_sequence is not None:
-                self._producers.commit(producer_id, base_sequence, offset, n)
-            self._next_offset = offset + n
-            self._bytes += bytes_added
-            self.total_appended += n
-            self.total_bytes_in += bytes_added
-            if self._store is not None:
-                self._store.append_batch(
-                    records,
-                    producer_id=producer_id if base_sequence is not None else None,
-                    producer_epoch=producer_epoch,
-                    base_sequence=base_sequence,
-                )
-                self._evict_flushed_locked()
-            self._enforce_retention()
-            starved = self._notify_appended()
+            batches = []
+            if idempotent:
+                batches.append((producer_id, producer_epoch, base_sequence, offset, n))
+            starved = self._extend_locked(records, batches, bytes_added)
         if starved:
             self._fence_wait()
         if self._fsync_acks:
             self._wait_durable(offset + n)
         return records
+
+    def _extend_locked(self, records: list, batches, nbytes: int) -> bool:
+        """The one step behind a produce and a replica install (caller
+        holds the lock): *records*, numbered from the log end, join the
+        log; each identity ``(producer_id, epoch, base_sequence,
+        base_offset, count)`` in *batches* feeds the dedup table and goes
+        to the store as one batch carrying it. Returns whether a waiter
+        is left behind the fence (:meth:`_notify_appended`)."""
+        self._records.extend(records)
+        self._next_offset = records[-1].offset + 1
+        self._bytes += nbytes
+        self.total_appended += len(records)
+        self.total_bytes_in += nbytes
+        for batch in batches:
+            self._producers.apply(*batch)
+        if self._store is not None:
+            for run, identity in _runs(records, batches):
+                self._store.append_batch(run, *identity)
+            self._evict_flushed_locked()
+        self._enforce_retention()
+        return self._notify_appended()
 
     def _notify(self) -> None:
         # Caller holds the lock.
@@ -445,26 +468,28 @@ class PartitionLog:
         A rejoining follower truncates its log to the new leader's
         high-watermark before re-syncing: records it appended beyond it
         were never ISR-acknowledged and may not exist on the elected
-        leader, so keeping them would fork the log.
+        leader, so keeping them would fork the log. The dedup table is
+        cut with them (:meth:`ProducerStateTable.truncate`).
         """
         check_non_negative("offset", offset)
-        removed = 0
         with self._lock:
+            offset = max(offset, self._base_offset)
+            removed = self._next_offset - offset
+            if removed <= 0:
+                return 0
+            self._producers.truncate(offset)
             if self._store is not None:
-                return self._truncate_durable_locked(offset)
-            while self._records and self._records[-1].offset >= offset:
-                evicted = self._records.pop()
-                self._bytes -= evicted.size
-                removed += 1
-            self._next_offset = max(offset, self._base_offset)
-            if not self._records:
-                self._base_offset = self._next_offset
-                self._mem_base = self._next_offset
+                self._truncate_durable_locked(offset)
+            else:
+                # Dense and offset >= its base: the last *removed* go.
+                for _ in range(removed):
+                    self._bytes -= self._records.pop().size
+                self._next_offset = offset
             if self._hwm is not None and self._hwm > self._next_offset:
                 self._hwm = self._next_offset
-        return removed
+            return removed
 
-    def _truncate_durable_locked(self, offset: int) -> int:
+    def _truncate_durable_locked(self, offset: int) -> None:
         """Truncate disk + deque together (caller holds the lock).
 
         The store flushes pending data first, cuts the files, and — when
@@ -472,17 +497,11 @@ class PartitionLog:
         records of the segment that becomes the new active one, which
         replace the deque wholesale (the old tail is gone from disk).
         """
-        offset = max(offset, self._base_offset)
-        old_next = self._next_offset
-        if offset >= old_next:
-            return 0
-        removed = old_next - offset
         survivors = self._store.truncate_to(offset)
         if survivors is None:
             # Cut stayed in the active segment: the deque tail covers it.
             while self._records and self._records[-1].offset >= offset:
-                evicted = self._records.pop()
-                self._bytes -= evicted.size
+                self._bytes -= self._records.pop().size
         else:
             self._records = deque(survivors)
             self._bytes = sum(r.size for r in survivors)
@@ -491,35 +510,43 @@ class PartitionLog:
         self._mem_base = (
             self._records[0].offset if self._records else self._next_offset
         )
-        if self._hwm is not None and self._hwm > self._next_offset:
-            self._hwm = self._next_offset
-        return removed
 
     def replication_slice(self, offset: int, max_records: int = 512) -> tuple:
-        """One consistent snapshot for a leader→follower push.
+        """One consistent push for a leader→follower replication.
 
-        Returns ``(records, log_end, high_watermark, producers)`` under a
-        single lock acquisition, so the batch, the end offset it extends
-        toward, the fence it carries and the idempotence state that rides
-        with it can never disagree. *producers* is the dedup table
-        clipped to the end of *records* (``None`` for an empty slice):
-        an append racing the push, or the slice cap cutting the backlog
-        short, must not let the follower learn of batches it was not
-        sent — after a failover it would ack their retries at offsets
-        that exist nowhere. Shipping the table at all is what lets a
-        newly elected leader keep deduplicating retries the old leader
-        already appended. Reads the raw log — replication must ship
-        records *above* the high-watermark; that is the whole point of
-        shipping them.
+        Returns ``(records, log_end, high_watermark, batches)`` under a
+        single lock acquisition, so the records, the end offset they
+        extend toward, the fence and the identities of the idempotent
+        batches among them (from the dedup table, in offset order) can
+        never disagree. The push holds whole batches: a start inside a
+        known batch rounds down to its base (the follower truncates and
+        installs it again), and the push ends before a known batch that
+        would overrun *max_records* — unless it is the first, which goes
+        whole. A replica's table is fed these identities only, so it
+        learns exactly the batches its log holds. A batch whose head
+        retention dropped travels as plain records. Reads the raw log —
+        replication must ship records *above* the high-watermark; that
+        is the whole point of shipping them.
         """
         with self._lock:
-            records = self._slice_at_offset(offset, int(max_records))
-            producers = (
-                self._producers.to_wire(records[-1].offset + 1) if records else None
-            )
-            return records, self._next_offset, self._visible_end(), producers
+            start = max(offset, self._base_offset)
+            batches = self._producers.batches(start, self._next_offset)
+            if batches and self._base_offset <= batches[0][3] < start:
+                start = batches[0][3]
+            batches = [b for b in batches if b[3] >= start]
+            end = min(self._next_offset, start + int(max_records))
+            for i, (_, _, _, base, count) in enumerate(batches):
+                if base + count > end:
+                    if base == start:  # the push's first batch goes whole
+                        end, i = base + count, i + 1
+                    elif base < end:
+                        end = base
+                    del batches[i:]
+                    break
+            records = self._slice_at_offset(start, end - start)
+            return records, self._next_offset, self._visible_end(), batches
 
-    def install_replica_batch(self, base_offset: int, records) -> tuple[bool, int]:
+    def install_replica_batch(self, base_offset: int, records, batches) -> tuple[bool, int]:
         """Follower-side install of a replicated batch at exact offsets.
 
         Accepts only a batch that starts precisely at the log end
@@ -527,40 +554,16 @@ class PartitionLog:
         the leader can re-anchor at the follower's actual progress —
         divergence below the end is the *caller's* job to resolve via
         :meth:`truncate_to` first. Bypasses sequence checking: the leader
-        already deduplicated, and its producer-state snapshot travels
-        separately (:meth:`install_producer_state`).
+        already deduplicated. *batches* are the push's identities
+        (:meth:`replication_slice`); they feed the dedup table and the
+        store through the leader's own append step.
         """
         with self._lock:
             if base_offset != self._next_offset:
                 return False, self._next_offset
-            added_bytes = 0
-            for record in records:
-                self._records.append(record)
-                added_bytes += record.size
             if records:
-                self._next_offset = records[-1].offset + 1
-                self._bytes += added_bytes
-                self.total_appended += len(records)
-                self.total_bytes_in += added_bytes
-                if self._store is not None:
-                    # No producer identity: the leader already
-                    # deduplicated; dedup state arrives via
-                    # install_producer_state alongside the batch.
-                    self._store.append_batch(records)
-                    self._evict_flushed_locked()
-                self._enforce_retention()
-                self._notify_appended()
+                self._extend_locked(records, batches, sum(r.size for r in records))
             return True, self._next_offset
-
-    def install_producer_state(self, snapshot: dict) -> None:
-        """Install a leader's producer-state snapshot (follower side)."""
-        with self._lock:
-            self._producers.install(snapshot)
-            if self._store is not None:
-                # Replica installs carry no per-batch producer ids, so
-                # the store's recovery mirror must track the pushed
-                # snapshot or a restarted follower forgets its windows.
-                self._store.save_producer_snapshot(snapshot)
 
     def _enforce_retention(self) -> None:
         if self._store is not None:
@@ -783,13 +786,9 @@ class PartitionLog:
             return self._bytes
 
     def __len__(self) -> int:
-        if self._store is not None:
-            # The retained count is pure offset arithmetic — no disk
-            # touched.
-            with self._lock:
-                return self._next_offset - self._base_offset
+        # The log is dense: the retained count is offset arithmetic.
         with self._lock:
-            return len(self._records)
+            return self._next_offset - self._base_offset
 
     def __repr__(self) -> str:
         return (

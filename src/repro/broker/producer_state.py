@@ -10,13 +10,17 @@ Two owners keep an instance each and both speak only this class:
 answers the produce path) and
 :class:`~repro.broker.storage.store.SegmentStore` (fed at flush time only,
 so the snapshot it writes next to the segments covers flushed data and
-nothing else). The wire form (:meth:`to_wire` / :meth:`from_wire`) is
-what replication pushes to followers and what ``producer.snap`` holds.
+nothing else). Only batches feed either table, on a follower too: a
+replication push names its batches (:meth:`batches`), never ships a
+table, and a truncation cuts the table with the log. The wire form
+(:meth:`to_wire` / :meth:`from_wire`) is what ``producer.snap`` holds.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from itertools import islice
+from operator import itemgetter
 
 from repro.broker.errors import OutOfOrderSequenceError, ProducerFencedError
 
@@ -66,7 +70,7 @@ class ProducerStateTable:
         """Validate an idempotent batch's sequence before it is appended.
 
         Returns ``None`` when the batch is fresh and should be appended
-        (then :meth:`commit` it), or the original ``(base_offset, count)``
+        (then :meth:`apply` it), or the original ``(base_offset, count)``
         when it is a replay of an already-appended batch (the caller acks
         it without re-appending). Raises :class:`ProducerFencedError` on
         a stale epoch and :class:`OutOfOrderSequenceError` on sequence
@@ -88,19 +92,12 @@ class ProducerStateTable:
             # batch boundary): we cannot prove it duplicate-free.
         raise OutOfOrderSequenceError(producer_id, expected, base_sequence)
 
-    def commit(
-        self, producer_id: int, base_sequence: int, base_offset: int, count: int
-    ) -> None:
-        """Record a batch :meth:`check` passed as fresh, now appended."""
-        state = self._producers[producer_id]
-        state.last_sequence = base_sequence + count - 1
-        state.recent.append((base_sequence, base_offset, count))
-
     def apply(
         self, producer_id: int, epoch: int, base_sequence: int, base_offset: int,
         count: int,
     ) -> None:
-        """Replay a batch that is already in the log (flush, recovery).
+        """Record a batch that is in the log: appended after :meth:`check`
+        passed it as fresh, installed from a leader, flushed or recovered.
 
         Never raises: the produce path validated the batch when it was
         appended. A stale epoch or a batch the table already covers is
@@ -108,44 +105,47 @@ class ProducerStateTable:
         """
         state = self._state_for(producer_id, epoch, base_sequence)
         if state is not None and base_sequence + count - 1 > state.last_sequence:
-            self.commit(producer_id, base_sequence, base_offset, count)
+            state.last_sequence = base_sequence + count - 1
+            state.recent.append((base_sequence, base_offset, count))
 
     def truncate(self, offset: int) -> None:
-        """Forget every cached batch at or above *offset* (log truncation)."""
-        for state in self._producers.values():
-            state.recent = deque(
-                (entry for entry in state.recent if entry[1] < offset),
-                maxlen=_DEDUP_WINDOW,
-            )
+        """Cut the table with a log that now ends at *offset*.
 
-    def to_wire(self, end_offset: int | None = None) -> dict:
-        """JSON-able snapshot: ``{str(pid): {epoch, last_sequence, recent}}``.
-
-        With *end_offset*, the snapshot vouches only for a log that ends
-        there: a batch reaching past it is left out of ``recent`` and
-        ``last_sequence`` stops just before it. A replica that holds
-        ``[.., end_offset)`` and installs this can then never ack a
-        retry at offsets it does not have — the retry of a left-out
-        batch reads as fresh and is appended.
+        Every cached batch reaching to or past *offset* goes, and the
+        producer's ``last_sequence`` rewinds to just before the first of
+        them (sequences are gap-free): the retry of a cut batch reads as
+        fresh and is appended, never acked at offsets the log lost.
         """
-        out = {}
-        for pid, state in self._producers.items():
-            recent = [list(entry) for entry in state.recent]
-            last_sequence = state.last_sequence
-            if end_offset is not None:
-                for i, (seq, offset, n) in enumerate(recent):
-                    if offset + n > end_offset:
-                        # Sequences are gap-free, so everything the
-                        # producer sent before this batch ends at seq-1.
-                        last_sequence = seq - 1
-                        del recent[i:]
-                        break
-            out[str(pid)] = {
+        for state in self._producers.values():
+            for i, (seq, base, n) in enumerate(state.recent):
+                if base + n > offset:
+                    state.last_sequence = seq - 1
+                    state.recent = deque(islice(state.recent, i), maxlen=_DEDUP_WINDOW)
+                    break
+
+    def batches(self, start: int, end: int) -> list[tuple]:
+        """Identities ``(producer_id, epoch, base_sequence, base_offset,
+        count)`` of the cached batches overlapping ``[start, end)``, in
+        offset order: what a replication push names of its records."""
+        found = [
+            (pid, state.epoch, seq, base, n)
+            for pid, state in self._producers.items()
+            for seq, base, n in state.recent
+            if base < end and base + n > start
+        ]
+        found.sort(key=itemgetter(3))
+        return found
+
+    def to_wire(self) -> dict:
+        """JSON-able snapshot: ``{str(pid): {epoch, last_sequence, recent}}``."""
+        return {
+            str(pid): {
                 "epoch": state.epoch,
-                "last_sequence": last_sequence,
-                "recent": recent,
+                "last_sequence": state.last_sequence,
+                "recent": [list(entry) for entry in state.recent],
             }
-        return out
+            for pid, state in self._producers.items()
+        }
 
     def install(self, snapshot: dict) -> None:
         """Replace the state of every producer named in a wire *snapshot*."""

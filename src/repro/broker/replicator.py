@@ -32,8 +32,8 @@ class _ShardReplicator:
     Every cycle it walks the partitions this shard currently leads and,
     per follower replica, pushes the records past the follower's last
     acknowledged offset (``replicate_append`` — in production over the
-    same wire protocol clients use). Ack progress feeds two
-    derived states:
+    same wire protocol clients use), naming the idempotent batches among
+    them. Ack progress feeds two derived states:
 
     - the **ISR** — a follower joins once it acks within
       ``MAX_LAG_RECORDS`` of the leader's log end, and is evicted when it
@@ -217,7 +217,7 @@ class _ShardReplicator:
                     # The slice's own log end, not the one read above: an
                     # append racing this cycle rides the push, and the
                     # watermark below must be allowed to cover it.
-                    records, leader_end, visible, producers = (
+                    records, leader_end, visible, batches = (
                         log.replication_slice(state["acked"])
                     )
                 elif now - state["last_good"] >= INTERVAL_S:
@@ -227,19 +227,21 @@ class _ShardReplicator:
                     # ``acks="all"`` wake-ups does not turn every
                     # caught-up partition into a heartbeat RPC per
                     # client append.
-                    records, visible, producers = [], log.high_watermark, None
+                    records, visible, batches = [], log.high_watermark, []
                 else:
                     continue
                 push_start = self._now()
                 response = peer.replicate_append(
                     name,
                     partition,
-                    base_offset=state["acked"],
+                    # A push starts on a batch boundary, which may lie
+                    # below the follower's end: it truncates and re-takes.
+                    base_offset=records[0].offset if records else state["acked"],
                     records=records,
                     leader=shard.shard_index,
                     leader_epoch=epoch,
                     high_watermark=visible,
-                    producers=producers,
+                    batches=batches,
                 )
                 if records:
                     self._ack_latency.observe(self._now() - push_start)

@@ -331,13 +331,6 @@ class ShardBroker(Broker):
 
     # -- group-affine surface ------------------------------------------------
 
-    def commit_offset(self, group, topic, partition, offset) -> None:
-        # Commits are group-affine (Kafka's __consumer_offsets rule): the
-        # coordinator shard owns a group's offsets even for partitions
-        # whose *data* lives elsewhere.
-        self._check_group_owner(group)
-        super().commit_offset(group, topic, partition, offset)
-
     def committed_offset(self, group, topic, partition):
         self._check_group_owner(group)
         return super().committed_offset(group, topic, partition)
@@ -398,7 +391,7 @@ class ShardBroker(Broker):
         leader=0,
         leader_epoch=0,
         high_watermark=0,
-        producers=None,
+        batches=(),
     ) -> dict:
         """Follower-side: install a leader's batch at exact offsets.
 
@@ -408,8 +401,11 @@ class ShardBroker(Broker):
         already heard about — is fenced by the partition epoch. A gap
         (``base_offset`` past our log end) is refused so the leader
         re-syncs from our actual end; an overlap means our log diverged
-        (we were the old leader, or the leader truncated) and the
-        leader's view wins: we truncate back to ``base_offset`` first.
+        (we were the old leader, the leader truncated, or the push
+        re-sends a whole batch we hold part of) and the leader's view
+        wins: we truncate back to ``base_offset`` first. *batches* name
+        the idempotent batches among *records*; they keep dedup working
+        after a failover to this replica.
         """
         self._check_replica(topic, partition)
         known = self.cluster_metadata.partition_epoch(topic, partition)
@@ -425,13 +421,9 @@ class ShardBroker(Broker):
         if base_offset < end:
             log.truncate_to(base_offset)
         if records:
-            accepted, end = log.install_replica_batch(base_offset, records)
+            accepted, end = log.install_replica_batch(base_offset, records, batches)
             if not accepted:
                 return {"accepted": False, "log_end": end, "hwm": log.high_watermark}
-            if producers:
-                # Producer dedup state rides with the data so idempotence
-                # survives a failover to this replica.
-                log.install_producer_state(producers)
         hwm = log.set_high_watermark(min(int(high_watermark), log.latest_offset))
         tracer = self.tracer
         if tracer is not None and records:

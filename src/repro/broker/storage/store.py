@@ -260,6 +260,9 @@ class SegmentStore:
             if info.base_offset >= snapshot_as_of:
                 mirror.apply(info.producer_id, info.producer_epoch,
                              info.base_sequence, info.base_offset, info.count)
+        # A crash between a truncation's cut and its snapshot write
+        # leaves a snapshot naming batches past the log's end.
+        mirror.truncate(next_offset)
         self._mirror = mirror
 
         self._active_fd = os.open(active_path, os.O_CREAT | os.O_RDWR | os.O_APPEND, 0o644)
@@ -309,15 +312,6 @@ class SegmentStore:
             os.replace(tmp, path)
         except OSError:
             pass
-
-    def save_producer_snapshot(self, snapshot: dict) -> None:
-        """Adopt a full snapshot pushed by replication — a follower's
-        only source of dedup state across a restart, since replica
-        installs carry no producer ids. Memory only: the file is written
-        at roll/close, and the leader re-pushes after a restart anyway."""
-        mirror = ProducerStateTable.from_wire(snapshot)
-        with self._lock:
-            self._mirror = mirror
 
     # -- write path ----------------------------------------------------------
 
@@ -600,6 +594,9 @@ class SegmentStore:
                 if offset < self._active_base:
                     survivors = self._reopen_sealed(offset)
                 self._cut_active(offset)
+                snapshot = self._mirror.to_wire()
+            # The snapshot must not vouch for a batch the cut removed.
+            self._write_snapshot(snapshot, offset)
             return survivors
 
     def _reopen_sealed(self, offset: int) -> list:

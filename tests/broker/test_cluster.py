@@ -129,10 +129,10 @@ class TestShardBroker:
         groups = {coordinator_shard(f"g{i}", 2): f"g{i}" for i in range(16)}
         mine, theirs = groups[0], groups[1]
         shard = self._shard(0)
-        shard.commit_offset(mine, "t", 0, 1)
+        shard.coordinator.commit(mine, None, [("t", 0, 1)])
         assert shard.committed_offset(mine, "t", 0) == 1
         with pytest.raises(NotOwnerError) as excinfo:
-            shard.commit_offset(theirs, "t", 0, 1)
+            shard.coordinator.commit(theirs, None, [("t", 0, 1)])
         assert theirs in excinfo.value.resource
 
     def test_strided_producer_ids_are_globally_unique(self):
@@ -206,7 +206,7 @@ class TestClusterRouting:
     def test_group_commits_live_on_coordinator_shard(self, cluster):
         supervisor, broker = cluster
         group = "routing-group"
-        broker.commit_offset(group, "t", 0, 3)
+        broker.coordinator.commit(group, None, [("t", 0, 3)])
         assert broker.committed_offset(group, "t", 0) == 3
         coord = broker.find_coordinator(group)
         assert coord["shard"] == coordinator_shard(group, 2)
@@ -224,7 +224,7 @@ class TestClusterRouting:
         broker.append("t", 1, b"a")
         broker.append("t", 1, b"b")
         end = broker.latest_offset("t", 1)
-        broker.commit_offset(group, "t", 1, end - 1)
+        broker.coordinator.commit(group, None, [("t", 1, end - 1)])
         lag = broker.consumer_lag(group)
         assert lag[("t", 1)] == 1
 

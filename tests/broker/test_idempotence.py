@@ -198,7 +198,7 @@ class TestProducerStateTable:
         ):
             for seq, offset, n in batches:
                 assert table.check(pid, epoch, seq, n) is None
-                table.commit(pid, seq, offset, n)
+                table.apply(pid, epoch, seq, offset, n)
         return table
 
     def test_wire_round_trip(self):
@@ -220,8 +220,11 @@ class TestProducerStateTable:
         wire = table.to_wire()
         assert wire["7"]["recent"] == [[0, 0, 3], [3, 3, 2]]
         assert wire["8"]["recent"] == []
-        # Sequences are not rewound: the truncated batches stay "seen".
-        assert (wire["7"]["last_sequence"], wire["8"]["last_sequence"]) == (5, 44)
+        # Sequences rewind to just before the first batch cut, so a retry
+        # of a cut batch reads as fresh instead of being acked past the end.
+        assert (wire["7"]["last_sequence"], wire["8"]["last_sequence"]) == (4, 39)
+        assert table.check(7, 0, 5, 1) is None
+        assert table.check(8, 2, 40, 5) is None
 
     def test_apply_replays_without_raising(self):
         table = self.filled()

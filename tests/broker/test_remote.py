@@ -93,7 +93,7 @@ class TestTransport:
 
     def test_commits(self, remote):
         remote.create_topic("t", 1)
-        remote.commit_offset("g", "t", 0, 7)
+        remote.coordinator.commit("g", None, [("t", 0, 7)])
         assert remote.committed_offset("g", "t", 0) == 7
         assert remote.committed_offset("other", "t", 0) is None
 

@@ -15,8 +15,10 @@ few behaviours that need the wire (multiprocess chaos lives in
 
 import threading
 import time
+from functools import partial
 
 import pytest
+from test_storage import MANUAL, crash
 
 from repro.broker import (
     Broker,
@@ -42,6 +44,7 @@ from repro.broker.replicator import (
     _ShardReplicator,
 )
 from repro.broker.shard import PeerLinks
+from repro.broker.storage import StorageConfig
 from repro.faults import FaultInjected, FaultInjector
 
 TOPIC = "t"
@@ -138,14 +141,25 @@ class _SimCluster(_Cluster):
     """N replicated shards, one thread, a clock that the test owns."""
 
     def __init__(
-        self, num_shards: int = 2, replication_factor: int = 2, inline: bool = True
+        self,
+        num_shards: int = 2,
+        replication_factor: int = 2,
+        inline: bool = True,
+        log_dir=None,
+        storage=None,
     ):
+        """With *log_dir* each shard keeps durable logs under
+        ``log_dir/shard-<index>`` (``storage`` is their config); then
+        :meth:`close` the cluster."""
         self.clock = _Clock()
+        self.log_dir, self.storage = log_dir, storage
         self.brokers = [
             ShardBroker(
                 shard_index=index,
                 num_shards=num_shards,
                 replication_factor=replication_factor,
+                log_dir=None if log_dir is None else str(log_dir / f"shard-{index}"),
+                storage=storage,
             )
             for index in range(num_shards)
         ]
@@ -172,6 +186,18 @@ class _SimCluster(_Cluster):
     def sweep(self) -> None:
         # A hair over, so float rounding never lands short of the deadline.
         self.step(INTERVAL_S * 1.001)
+
+    def reopen(self, broker: ShardBroker, partition: int) -> PartitionLog:
+        """*broker*'s durable log of *partition*, opened afresh from disk
+        (after :func:`crash` of its store: what a respawn recovers)."""
+        return PartitionLog(
+            TOPIC, partition, log_dir=str(self.log_dir / f"shard-{broker.shard_index}"),
+            storage=self.storage,
+        )
+
+    def close(self) -> None:
+        for broker in self.brokers:
+            broker.close()
 
     def settle(self, partition: int) -> ShardBroker:
         """Leader of *partition* with one record everywhere, its
@@ -442,6 +468,27 @@ class TestFirstContact:
         pushes = self._restarted(sim, lambda log: log.append_many([b"junk", b"junk"]))
         assert pushes == [(5, 1)]
 
+    def test_a_follower_holding_part_of_a_batch_takes_all_of_it_again(self, sim):
+        leader, follower = sim.leader_of(0), sim.follower_of(0)
+        pid, epoch = leader.register_producer("p")
+        leader.append_many(
+            TOPIC, 0, [b"a", b"b", b"c"], producer_id=pid, producer_epoch=epoch,
+            base_sequence=0, acks="all",
+        )
+        follower_log = sim.log(follower, 0)
+        follower_log.truncate_to(1)  # respawned with the batch's head only
+        pushes = _spy_pushes(follower)
+        sim.restart(leader)
+        sim.step()
+        assert pushes == [(0, 3)]  # resumed at 1, rounded down to the base
+        sim.move_leader(0, to=follower)
+        replay = follower.append_many(
+            TOPIC, 0, [b"a", b"b", b"c"], producer_id=pid, producer_epoch=epoch,
+            base_sequence=0,
+        )
+        assert replay.base_offset == 0
+        assert follower_log.latest_offset == 3
+
 
 class TestFollowerResync:
     def test_diverged_follower_truncates_to_leader(self, sim):
@@ -523,6 +570,70 @@ class TestFollowerResync:
         assert sim.log(new_leader, 0).latest_offset == 2
 
 
+class TestDurableReplicaDedup:
+    """A replica's dedup state on disk is fed by the batches it installs
+    and nothing else, so it survives a crash exactly as a leader's does."""
+
+    def test_a_follower_killed_before_its_first_roll_still_dedups(self, tmp_path):
+        sim = _SimCluster(log_dir=tmp_path, storage=MANUAL)
+        try:
+            leader, follower = sim.leader_of(0), sim.follower_of(0)
+            pid, epoch = leader.register_producer("p")
+            leader.append_many(
+                TOPIC, 0, [b"a", b"b"], producer_id=pid, producer_epoch=epoch,
+                base_sequence=0, acks="all",
+            )
+            store = sim.log(follower, 0).storage
+            store.flush()
+            crash(store)
+            elected = sim.reopen(follower, 0)
+            replay = elected.append_many(
+                [b"a", b"b"], producer_id=pid, producer_epoch=epoch, base_sequence=0
+            )
+            assert [r.offset for r in replay] == [0, 1]
+            assert elected.duplicates_dropped == 2
+            assert elected.latest_offset == 2
+            elected.close()
+        finally:
+            sim.close()
+
+    def test_a_push_landing_during_the_follower_s_flush_is_not_vouched_for(
+        self, tmp_path
+    ):
+        rolling = StorageConfig(segment_bytes=1, flush_ms=60_000.0)
+        sim = _SimCluster(log_dir=tmp_path, storage=rolling)
+        try:
+            leader, follower = sim.leader_of(0), sim.follower_of(0)
+            pid, epoch = leader.register_producer("p")
+            send = partial(
+                leader.append_many, TOPIC, 0, producer_id=pid, producer_epoch=epoch
+            )
+            send([b"a", b"b"], base_sequence=0, acks="all")  # pushed at once
+            send([b"c", b"d"], base_sequence=2)  # waits for the sweep
+            store = sim.log(follower, 0).storage
+            write = store._write_buffers
+
+            def racing_write(buffers):
+                write(buffers)
+                sim.sweep()  # [c, d] lands while [a, b] is being written
+
+            store._write_buffers = racing_write
+            store.flush()  # [a, b] is durable and the segment rolls
+            assert sim.log(follower, 0).latest_offset == 4
+            assert (store.flushed_offset, store.counters["segments_sealed"]) == (2, 1)
+            crash(store)  # [c, d] was never written
+            elected = sim.reopen(follower, 0)
+            assert elected.latest_offset == 2
+            retry = elected.append_many(
+                [b"c", b"d"], producer_id=pid, producer_epoch=epoch, base_sequence=2
+            )
+            assert [r.offset for r in retry] == [2, 3]
+            assert elected.duplicates_dropped == 0
+            elected.close()
+        finally:
+            sim.close()
+
+
 class TestClusterClientSurface:
     def test_acks_all_via_wire_and_status_merge(self, mini):
         client = ClusterBroker(mini.addresses)
@@ -567,24 +678,21 @@ class TestPartitionLinkRules:
 
 
 class TestSliceSnapshotConsistency:
-    """The dedup snapshot a push carries never reaches past its records."""
+    """A push carries whole batches and names the idempotent ones; a
+    replica's dedup table learns of nothing else."""
 
-    def test_snapshot_is_clipped_to_the_slice(self):
+    def test_an_unpushed_batch_is_not_deduped(self):
         leader, follower = PartitionLog(TOPIC, 0), PartitionLog(TOPIC, 0)
         leader.append_many([b"a", b"b"], producer_id=7, base_sequence=0)
         leader.append_many([b"c", b"d"], producer_id=7, base_sequence=2)
         # The push that raced the second append (or hit the slice cap).
-        records, log_end, _, producers = leader.replication_slice(0, max_records=2)
+        records, log_end, _, batches = leader.replication_slice(0, max_records=2)
         assert [r.offset for r in records] == [0, 1]
         assert log_end == 4
-        assert producers == {
-            "7": {"epoch": 0, "last_sequence": 1, "recent": [[0, 0, 2]]}
-        }
-        follower.install_replica_batch(0, records)
-        follower.install_producer_state(producers)
+        assert batches == [(7, 0, 0, 0, 2)]
+        follower.install_replica_batch(0, records, batches)
         # Failover, and the client retries the batch that was not carried:
-        # it is appended (it used to be "deduplicated" and acked at
-        # offsets [2, 3] of a log that ended at 2).
+        # it is appended, not acked at offsets [2, 3] of a log ending at 2.
         retry = follower.append_many([b"c", b"d"], producer_id=7, base_sequence=2)
         assert [r.offset for r in retry] == [2, 3]
         assert follower.latest_offset == 4
@@ -596,11 +704,18 @@ class TestSliceSnapshotConsistency:
 
     def test_batch_cut_by_the_slice_cap_is_left_out(self):
         leader = PartitionLog(TOPIC, 0)
-        leader.append_many([b"a", b"b", b"c"], producer_id=7, base_sequence=10)
-        records, _, _, producers = leader.replication_slice(0, max_records=2)
-        assert len(records) == 2
-        assert producers == {"7": {"epoch": 0, "last_sequence": 9, "recent": []}}
-        assert leader.replication_slice(3) == ([], 3, 3, None)
+        leader.append_many([b"x"])  # not idempotent: no bounds to keep
+        leader.append_many([b"a", b"b"], producer_id=7, base_sequence=10)
+        leader.append_many([b"c", b"d", b"e"], producer_id=7, base_sequence=12)
+        records, _, _, batches = leader.replication_slice(0, max_records=4)
+        assert [r.offset for r in records] == [0, 1, 2]
+        assert batches == [(7, 0, 10, 1, 2)]
+        # A start inside a batch rounds down to its base; a batch larger
+        # than the cap that begins the push goes whole.
+        records, _, _, batches = leader.replication_slice(4, max_records=2)
+        assert [r.offset for r in records] == [3, 4, 5]
+        assert batches == [(7, 0, 12, 3, 3)]
+        assert leader.replication_slice(6) == ([], 6, 6, [])
 
     def test_capped_push_over_the_wire_then_failover(self, mini):
         leader, follower = mini.settle(0), mini.follower_of(0)
@@ -610,7 +725,7 @@ class TestSliceSnapshotConsistency:
         def spy(topic, partition, **kwargs):
             if kwargs["records"]:
                 pushes.append(
-                    (kwargs["base_offset"] + len(kwargs["records"]), kwargs["producers"])
+                    (kwargs["base_offset"], len(kwargs["records"]), kwargs["batches"])
                 )
             return install(topic, partition, **kwargs)
 
@@ -631,15 +746,17 @@ class TestSliceSnapshotConsistency:
         follower_log = mini.log(follower, 0)
         assert _wait_until(lambda: follower_log.latest_offset == 601)
         assert len(pushes) >= 2  # the 512-record cap split it
-        for end, producers in pushes:
-            state = producers[str(pid)]
-            assert all(offset + n <= end for _, offset, n in state["recent"])
-            if state["recent"]:
-                seq, _, n = state["recent"][-1]
-                assert state["last_sequence"] == seq + n - 1
-        first_end, first = pushes[0]
-        assert first_end == 513
-        assert first[str(pid)]["last_sequence"] == 499
+        for base, count, batches in pushes:
+            for _, _, _, offset, n in batches:
+                assert base <= offset and offset + n <= base + count
+        # The cap fell inside the sixth batch: the first push ends before
+        # it. The first batch had left the dedup window, so it travelled
+        # as plain records.
+        base, count, batches = pushes[0]
+        assert (base, count) == (1, 500)
+        assert [tuple(b) for b in batches] == [
+            (pid, epoch, 100 * k, 1 + 100 * k, 100) for k in range(1, 5)
+        ]
         # Leadership moves; the retried last batch dedups at its offsets.
         assert _wait_until(lambda: leader.latest_offset(TOPIC, 0) == 601)
         mini.move_leader(0, to=follower)

@@ -810,6 +810,57 @@ class TestDurablePartitionLog:
         assert again.duplicates_dropped == 2
         again.close()
 
+    def test_a_retry_of_a_truncated_batch_is_appended_at_the_log_end(self, tmp_path):
+        log = PartitionLog("t", 0, log_dir=str(tmp_path), storage=MANUAL)
+        log.append_many([b"a", b"b"], producer_id=7, base_sequence=0)
+        log.append_many([b"c", b"d"], producer_id=7, base_sequence=2)
+        assert log.truncate_to(2) == 2
+        retry = log.append_many([b"c", b"d"], producer_id=7, base_sequence=2)
+        assert [r.offset for r in retry] == [2, 3]
+        assert (log.latest_offset, log.duplicates_dropped) == (4, 0)
+        log.close()
+
+    @staticmethod
+    def _two_sealed_batches(path):
+        """A log whose batches (pid 7, seqs 0 and 2) each filled and
+        sealed a segment: ``producer.snap`` names both."""
+        config = StorageConfig(segment_bytes=1024, flush_ms=60_000.0)
+        log = PartitionLog("t", 0, log_dir=path, storage=config)
+        for seq in (0, 2):
+            log.append_many([b"%d" % seq * 1024] * 2, producer_id=7, base_sequence=seq)
+            log.storage.flush()
+        assert log.storage.counters["segments_sealed"] == 2
+        return log, config
+
+    def test_a_truncation_rewrites_the_snapshot(self, tmp_path):
+        log, config = self._two_sealed_batches(str(tmp_path))
+        log.truncate_to(2)
+        log.append_many([b"new"], producer_id=8, base_sequence=0)
+        log.storage.flush()  # small: the active segment stays active
+        crash(log.storage)
+        again = PartitionLog("t", 0, log_dir=str(tmp_path), storage=config)
+        assert again.latest_offset == 3
+        # The snapshot covers the cut log, the active segment the rest.
+        assert again.append_many([b"new"], producer_id=8, base_sequence=0)[0].offset == 2
+        retry = again.append_many([b"2" * 1024] * 2, producer_id=7, base_sequence=2)
+        assert [r.offset for r in retry] == [3, 4]
+        assert again.duplicates_dropped == 1
+        again.close()
+
+    def test_a_crash_between_a_cut_and_its_snapshot_write(self, tmp_path, monkeypatch):
+        log, config = self._two_sealed_batches(str(tmp_path))
+        monkeypatch.setattr(log.storage, "_write_snapshot", lambda *args: None)
+        log.truncate_to(2)
+        crash(log.storage)  # producer.snap still names the cut batch
+        again = PartitionLog("t", 0, log_dir=str(tmp_path), storage=config)
+        assert again.latest_offset == 2
+        retry = again.append_many([b"2" * 1024] * 2, producer_id=7, base_sequence=2)
+        assert [r.offset for r in retry] == [2, 3]
+        replay = again.append_many([b"0" * 1024] * 2, producer_id=7, base_sequence=0)
+        assert [r.offset for r in replay] == [0, 1]
+        assert again.duplicates_dropped == 2
+        again.close()
+
     def test_fetch_merges_sealed_and_active(self, tmp_path):
         config = StorageConfig(segment_bytes=300, flush_ms=60_000.0)
         log = PartitionLog("t", 0, log_dir=str(tmp_path), storage=config)

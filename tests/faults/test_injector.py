@@ -80,7 +80,7 @@ class TestFaultyBroker:
         group's coordinator, plus the ``append`` wrapper."""
         assert FaultyBroker._FAULTED_OPS == {
             "append", "append_many", "fetch", "earliest_offset", "latest_offset",
-            "commit_offset", "committed_offset", "consumer_lag", "register_producer",
+            "committed_offset", "consumer_lag", "register_producer",
         }
         broker = Broker()
         broker.create_topic("t", 1)

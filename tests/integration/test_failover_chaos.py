@@ -191,18 +191,18 @@ class TestGroupCommitFailover:
             # instead of being absorbed by the client's retry loop.
             client = ClusterBroker(supervisor.bootstrap, max_attempts=1)
             try:
-                client.commit_offset(group, "t", 0, 5)
+                client.coordinator.commit(group, None, [("t", 0, 5)])
                 assert client.committed_offset(group, "t", 0) == 5
 
                 supervisor.kill_shard(coordinator)
                 with pytest.raises((RetriableError, ConnectionError, OSError)):
-                    client.commit_offset(group, "t", 0, 9)
+                    client.coordinator.commit(group, None, [("t", 0, 9)])
 
                 # Retry until the respawned coordinator takes the commit.
                 deadline = time.monotonic() + 30.0
                 while True:
                     try:
-                        client.commit_offset(group, "t", 0, 9)
+                        client.coordinator.commit(group, None, [("t", 0, 9)])
                         break
                     except (BrokerError, ConnectionError, OSError):
                         if time.monotonic() >= deadline:
