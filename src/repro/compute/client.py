@@ -1,8 +1,8 @@
 """User-facing compute client (Dask-``Client``-like API).
 
-Thin convenience layer over a cluster: ``submit`` / ``map`` / ``gather``
-plus DAG submission. The Pilot-Edge pipeline uses it to run the packaged
-FaaS tasks on whichever pilot the placement policy selected.
+Thin convenience layer over a cluster: ``submit`` / ``map`` / ``gather``.
+The Pilot-Edge pipeline uses it to run the packaged FaaS tasks on
+whichever pilot the placement policy selected.
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ from typing import Any, Callable, Iterable, Sequence
 
 from repro.compute.cluster import ComputeCluster
 from repro.compute.future import Future
-from repro.compute.graph import TaskGraph
 from repro.compute.task import ResourceSpec, Task
 
 
@@ -30,9 +29,6 @@ class Client:
         fn: Callable,
         *args,
         resources: ResourceSpec | None = None,
-        priority: int = 0,
-        max_retries: int = 0,
-        run_id: str | None = None,
         **kwargs,
     ) -> Future:
         """Run ``fn(*args, **kwargs)`` on the cluster; returns a future."""
@@ -41,9 +37,6 @@ class Client:
             args=args,
             kwargs=kwargs,
             resources=resources or ResourceSpec(),
-            priority=priority,
-            max_retries=max_retries,
-            run_id=run_id,
         )
         return self._cluster.submit_task(task)
 
@@ -52,23 +45,9 @@ class Client:
         fn: Callable,
         items: Iterable,
         resources: ResourceSpec | None = None,
-        priority: int = 0,
-        max_retries: int = 0,
     ) -> list[Future]:
         """Submit ``fn(item)`` for every item; returns futures in order."""
-        return [
-            self.submit(
-                fn,
-                item,
-                resources=resources,
-                priority=priority,
-                max_retries=max_retries,
-            )
-            for item in items
-        ]
-
-    def submit_graph(self, graph: TaskGraph) -> dict[str, Future]:
-        return self._cluster.scheduler.submit_graph(graph)
+        return [self.submit(fn, item, resources=resources) for item in items]
 
     @staticmethod
     def gather(futures: Sequence[Future], timeout: float | None = None) -> list[Any]:

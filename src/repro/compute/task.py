@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from repro.util.ids import new_id
-from repro.util.validation import check_non_negative, check_positive
+from repro.util.validation import check_positive
 
 
 @dataclass(frozen=True)
@@ -57,25 +57,14 @@ class Task:
     kwargs: dict = field(default_factory=dict)
     task_id: str = field(default_factory=lambda: new_id("task"))
     resources: ResourceSpec = field(default_factory=ResourceSpec)
-    priority: int = 0
-    max_retries: int = 0
-    #: Soft timeout in seconds (0 = none): the scheduler's watchdog
-    #: rejects the future once exceeded. Python threads cannot be
-    #: interrupted, so the task body keeps running to completion — its
-    #: result is discarded. Same semantics as Dask's ``timeout`` on wait.
-    timeout: float = 0.0
-    #: Optional run identifier for cross-component metric linking.
-    run_id: str | None = None
 
     def __post_init__(self) -> None:
         if not callable(self.fn):
             raise TypeError(f"fn must be callable, got {type(self.fn).__name__}")
-        check_non_negative("max_retries", self.max_retries)
-        check_non_negative("timeout", self.timeout)
 
     def execute(self) -> Any:
         return self.fn(*self.args, **self.kwargs)
 
     def __repr__(self) -> str:
         name = getattr(self.fn, "__name__", repr(self.fn))
-        return f"Task({self.task_id}, fn={name}, priority={self.priority})"
+        return f"Task({self.task_id}, fn={name})"

@@ -6,9 +6,11 @@ Raspberry Pi) and runs admitted tasks on its own thread pool, one thread
 per core. Memory is accounted, not enforced — sufficient for placement
 decisions, which is all the paper's evaluation needs.
 
-Failure injection: :meth:`kill` stops the worker abruptly; tasks it was
-running are reported back to the scheduler for retry, which the fault-
-tolerance tests exercise.
+Failure injection: :meth:`kill` stops the worker abruptly. Tasks still
+waiting on its queue are handed back to the scheduler, which runs them on
+another worker. A task already running is not stopped: Python threads
+cannot be interrupted, so its thread runs the task to the end and its
+outcome is reported as usual.
 """
 
 from __future__ import annotations
@@ -36,8 +38,8 @@ class Worker:
         task finishes, where *outcome* is ``("ok", result)``,
         ``("error", exception)`` or ``("bounced", None)`` for tasks a dead
         worker returned unexecuted. When set (the scheduler), the callback
-        owns resolving the future — this is what allows transparent
-        retries; a standalone worker resolves the future itself.
+        owns resolving the future — this is what lets a bounced task run
+        on another worker; a standalone worker resolves the future itself.
     name:
         Stable name for logs/monitoring; auto-generated by default.
     """
@@ -58,13 +60,6 @@ class Worker:
         self.tasks_completed = 0
         self.tasks_failed = 0
         self.busy_seconds = 0.0
-        #: Monotonic time of the last executor-thread activity; the
-        #: scheduler's health check uses it as a heartbeat.
-        self.last_heartbeat = time.monotonic()
-        #: (task, future, started_at) of tasks currently executing —
-        #: scanned by the scheduler's timeout watchdog.
-        self._running: dict = {}
-        self._running_lock = threading.Lock()
         n_threads = max(1, int(self.capacity.cores))
         self._threads = [
             threading.Thread(target=self._run_loop, name=f"{self.worker_id}-{i}", daemon=True)
@@ -113,7 +108,7 @@ class Worker:
             task, future = item
             if not self._alive:
                 # Killed between admission and execution: bounce the task
-                # back so the scheduler can retry it elsewhere.
+                # back so the scheduler can run it elsewhere.
                 self._release(task)
                 self._report(task, future, ("bounced", None))
                 continue
@@ -121,9 +116,6 @@ class Worker:
                 self._release(task)
                 continue  # cancelled while queued
             t0 = time.monotonic()
-            self.last_heartbeat = t0
-            with self._running_lock:
-                self._running[task.task_id] = (task, future, t0)
             try:
                 result = task.execute()
             except BaseException as exc:  # noqa: BLE001 — workers must survive any task error
@@ -132,17 +124,9 @@ class Worker:
             else:
                 self.tasks_completed += 1
                 outcome = ("ok", result)
-            with self._running_lock:
-                self._running.pop(task.task_id, None)
-            self.last_heartbeat = time.monotonic()
-            self.busy_seconds += self.last_heartbeat - t0
+            self.busy_seconds += time.monotonic() - t0
             self._release(task)
             self._report(task, future, outcome)
-
-    def running_tasks(self) -> list:
-        """Snapshot of ``(task, future, started_at)`` currently executing."""
-        with self._running_lock:
-            return list(self._running.values())
 
     def _report(self, task: Task, future: Future, outcome: tuple) -> None:
         if self._on_task_done is not None:
@@ -177,7 +161,11 @@ class Worker:
                 t.join(timeout=5.0)
 
     def kill(self) -> list:
-        """Abrupt failure: drop queued tasks, return them for rescheduling."""
+        """Abrupt failure: drop queued tasks, return them for rescheduling.
+
+        A task already running is not stopped; its thread finishes it
+        and reports the outcome, then exits.
+        """
         self._alive = False
         orphans = []
         try:

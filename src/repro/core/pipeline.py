@@ -314,7 +314,6 @@ class EdgeToCloudPipeline:
                     fn=self._consumer_loop,
                     args=(consumer, start + i, stop),
                     resources=ResourceSpec(cores=1, memory_gb=1),
-                    run_id=self.run_id,
                 )
             )
             self._extra_consumer_futures.append(future)
@@ -751,7 +750,6 @@ class EdgeToCloudPipeline:
                         fn=self._consumer_loop,
                         args=(consumer, i, stop),
                         resources=ResourceSpec(cores=1, memory_gb=1),
-                        run_id=self.run_id,
                     )
                 )
             )
@@ -762,7 +760,6 @@ class EdgeToCloudPipeline:
                     fn=self._producer_loop,
                     args=(device,),
                     resources=ResourceSpec(cores=1, memory_gb=1),
-                    run_id=self.run_id,
                 )
             )
             for device in range(cfg.num_devices)

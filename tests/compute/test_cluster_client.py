@@ -4,7 +4,7 @@ import threading
 
 import pytest
 
-from repro.compute import Client, ComputeCluster, ResourceSpec, Task, TaskGraph
+from repro.compute import Client, ComputeCluster, ResourceSpec, Task
 from repro.util.validation import ValidationError
 
 
@@ -77,28 +77,10 @@ class TestClient:
         with pytest.raises(TaskError):
             Client.gather(futures, timeout=5)
 
-    def test_submit_graph(self, client):
-        g = TaskGraph()
-        a = g.add_task(Task(fn=lambda: 10))
-        b = g.add_task(Task(fn=lambda: 20), depends_on=[a])
-        futures = client.submit_graph(g)
-        assert futures[b].result(timeout=5) == 20
-
     def test_resources_respected(self, client, small_cluster):
         # A task requiring both cores of one worker still runs.
         f = client.submit(lambda: "big", resources=ResourceSpec(cores=2, memory_gb=2))
         assert f.result(timeout=5) == "big"
-
-    def test_max_retries_forwarded(self, client):
-        calls = {"n": 0}
-
-        def flaky():
-            calls["n"] += 1
-            if calls["n"] == 1:
-                raise RuntimeError()
-            return "ok"
-
-        assert client.submit(flaky, max_retries=2).result(timeout=5) == "ok"
 
     def test_work_distributes_across_workers(self, small_cluster):
         client = Client(small_cluster)

@@ -63,10 +63,6 @@ class TestTask:
         with pytest.raises(TypeError):
             Task(fn=42)
 
-    def test_negative_retries_rejected(self):
-        with pytest.raises(ValidationError):
-            Task(fn=lambda: None, max_retries=-1)
-
     def test_unique_ids(self):
         ids = {Task(fn=lambda: None).task_id for _ in range(100)}
         assert len(ids) == 100

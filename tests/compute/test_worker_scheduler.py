@@ -1,7 +1,6 @@
 """Tests for workers and the scheduler."""
 
 import threading
-import time
 
 import pytest
 
@@ -73,7 +72,6 @@ class TestWorkerStandalone:
             future = Future(task.task_id)
             worker.submit(task, future)
             future.result(timeout=5)
-            time.sleep(0.02)  # release happens just after resolve
             free = worker.free_resources()
             assert free.cores == pytest.approx(1, abs=1e-6)
         finally:
@@ -123,7 +121,6 @@ class TestWorkerStandalone:
             f = Future(t.task_id)
             worker.submit(t, f)
             f.result(timeout=5)
-            time.sleep(0.02)
             stats = worker.stats()
             assert stats["tasks_completed"] == 1
             assert stats["alive"]
@@ -156,48 +153,6 @@ class TestScheduler:
             f.result(timeout=5)
         assert isinstance(exc_info.value.cause, NoCapacityError)
 
-    def test_retry_on_error(self, sched):
-        calls = {"n": 0}
-
-        def flaky():
-            calls["n"] += 1
-            if calls["n"] < 3:
-                raise RuntimeError("transient")
-            return "ok"
-
-        f = sched.submit(Task(fn=flaky, max_retries=5))
-        assert f.result(timeout=5) == "ok"
-        assert calls["n"] == 3
-
-    def test_retries_exhausted(self, sched):
-        f = sched.submit(Task(fn=lambda: 1 / 0, max_retries=2))
-        with pytest.raises(TaskError):
-            f.result(timeout=5)
-        assert sched.tasks_retried >= 2
-
-    def test_priority_order(self):
-        s = Scheduler()
-        # No workers yet: submissions queue up, then a worker drains
-        # them in priority order.
-        order = []
-        lock = threading.Lock()
-
-        def record(tag):
-            with lock:
-                order.append(tag)
-
-        futures = [
-            s.submit(Task(fn=record, args=("low",), priority=0)),
-            s.submit(Task(fn=record, args=("high",), priority=10)),
-            s.submit(Task(fn=record, args=("mid",), priority=5)),
-        ]
-        s.add_worker(Worker(capacity=ResourceSpec(cores=1, memory_gb=1)))
-        for f in futures:
-            f.result(timeout=5)
-        assert order == ["high", "mid", "low"]
-        for w in s.workers:
-            s.remove_worker(w.worker_id)
-
     def test_worker_killed_task_retried_elsewhere(self):
         s = Scheduler()
         w1 = Worker(capacity=ResourceSpec(cores=1, memory_gb=1))
@@ -221,34 +176,34 @@ class TestScheduler:
         assert f2.result(timeout=5) == "second"
         s.remove_worker(w2.worker_id)
 
-    def test_graph_dependencies_respected(self, sched):
-        from repro.compute import TaskGraph
+    def test_killed_worker_queued_task_runs_elsewhere(self):
+        # Two half-core tasks both fit the 1-core worker, but its single
+        # thread runs one at a time: the second waits on the worker's own
+        # queue, which is what kill() hands back to the scheduler.
+        s = Scheduler()
+        w1 = Worker(capacity=ResourceSpec(cores=1, memory_gb=1))
+        s.add_worker(w1)
+        started = threading.Event()
+        release = threading.Event()
 
-        order = []
-        lock = threading.Lock()
+        def blocker():
+            started.set()
+            release.wait(timeout=5)
 
-        def record(tag):
-            with lock:
-                order.append(tag)
-            return tag
-
-        g = TaskGraph()
-        a = g.add_task(Task(fn=record, args=("a",)))
-        b = g.add_task(Task(fn=record, args=("b",)), depends_on=[a])
-        c = g.add_task(Task(fn=record, args=("c",)), depends_on=[b])
-        futures = sched.submit_graph(g)
-        assert futures[c].result(timeout=5) == "c"
-        assert order == ["a", "b", "c"]
-
-    def test_graph_failure_propagates_to_dependents(self, sched):
-        from repro.compute import TaskGraph
-
-        g = TaskGraph()
-        a = g.add_task(Task(fn=lambda: 1 / 0))
-        b = g.add_task(Task(fn=lambda: "never"), depends_on=[a])
-        futures = sched.submit_graph(g)
-        with pytest.raises(TaskError):
-            futures[b].result(timeout=5)
+        half = ResourceSpec(cores=0.5, memory_gb=0.5)
+        s.submit(Task(fn=blocker, resources=half))
+        assert started.wait(timeout=5)
+        f2 = s.submit(Task(fn=lambda: "second", resources=half))
+        assert s.pending_count() == 0  # admitted by w1, not held by the scheduler
+        w2 = Worker(capacity=ResourceSpec(cores=1, memory_gb=1))
+        s.add_worker(w2)
+        try:
+            s.remove_worker(w1.worker_id, graceful=False)
+            assert f2.result(timeout=5) == "second"
+            assert f2.worker_id == w2.worker_id
+        finally:
+            release.set()
+            s.remove_worker(w2.worker_id)
 
     def test_duplicate_submission_rejected(self, sched):
         from repro.util.validation import ValidationError

@@ -141,30 +141,3 @@ class TestComputeUnderContention:
             futures = client.map(lambda x: x * 3, range(500))
             results = Client.gather(futures, timeout=60)
             assert results == [x * 3 for x in range(500)]
-
-    def test_mixed_priorities_under_load(self):
-        with ComputeCluster(n_workers=1, worker_resources=ResourceSpec(cores=1, memory_gb=1)) as cluster:
-            client = Client(cluster)
-            order: list = []
-            lock = threading.Lock()
-
-            def record(tag):
-                with lock:
-                    order.append(tag)
-
-            block = threading.Event()
-            started = threading.Event()
-
-            def gate():
-                started.set()
-                block.wait(5)
-
-            client.submit(gate)  # occupy the single core
-            started.wait(5)
-            lows = [client.submit(record, f"low{i}") for i in range(5)]
-            highs = [client.submit(record, f"high{i}", priority=10) for i in range(5)]
-            block.set()
-            Client.gather(lows + highs, timeout=30)
-            # All high-priority tasks ran before any low-priority one.
-            first_low = order.index("low0")
-            assert all(order.index(f"high{i}") < first_low for i in range(5))
