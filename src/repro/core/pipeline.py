@@ -1,53 +1,36 @@
 """The EdgeToCloudPipeline: Pilot-Edge's execution engine.
 
-Wires the application's FaaS functions across the acquired pilots
-(paper Listing 2 / Fig. 1 step 2):
-
-1. A topic with one partition per edge device is created on the
-   pilot-managed broker.
-2. One long-running *producer task* per device is placed on the edge
-   pilot's compute cluster. It repeatedly calls ``produce_edge``,
-   optionally applies ``process_edge`` (hybrid/edge placements), frames
-   the block in the wire format and publishes it to the device's
-   partition — paying the edge→broker link cost when a topology is
-   configured.
-3. *Consumer tasks* (one per partition by default) are placed on the
-   processing pilot's cluster. Each joins the run's consumer group,
-   polls its partitions, pays the broker→processing link cost, decodes
-   and runs ``process_cloud`` — whose reference can be swapped at
-   runtime (:meth:`replace_cloud_function`), the paper's low/high
-   fidelity model exchange.
-4. Every message is stamped at produce / broker_in / consume /
-   process_start / process_end, linked by a run-scoped message id, so
-   the result's report can attribute the bottleneck.
-
-The pipeline is synchronous from the caller's perspective: ``run()``
-blocks until every expected message is processed (or the deadline
-passes) and returns a :class:`PipelineResult`.
+Wires the application's FaaS functions across the acquired pilots (paper
+Listing 2 / Fig. 1 step 2): it creates a topic with one partition per edge
+device on the pilot-managed broker, places one producer task per device
+on the edge pilot (an :class:`~repro.core.edge.EdgeDevice`) and consumer
+tasks on the processing pilot (each a
+:class:`~repro.core.cloud.CloudConsumer`). The two halves share the
+broker, the metrics collector, the result ring, a getter for the current
+functions and one :class:`~repro.core.edge.Progress`. ``run()`` blocks
+until every expected message is processed (or the deadline passes) and
+returns a :class:`PipelineResult`.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from collections import Counter
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from functools import partial
+from typing import Callable
 
 from repro.broker.broker import Broker
 from repro.broker.consumer import Consumer
-from repro.broker.errors import RebalanceInProgressError
 from repro.broker.producer import Producer
 from repro.compute.task import ResourceSpec, Task
+from repro.core.cloud import CloudConsumer, consumer_counters, consumer_gauges
 from repro.core.config import PipelineConfig
 from repro.core.context import FunctionContext
-from repro.core.events import (
-    FUNCTION_REPLACED,
-    SCALED,
-    EventBus,
-)
+from repro.core.edge import EdgeDevice, Progress
+from repro.core.events import FUNCTION_REPLACED, SCALED, EventBus
 from repro.core.placement import CloudCentricPlacement, PlacementDecision, PlacementPolicy
-from repro.data.serde import decode_block, encode_block
+from repro.data.serde import encode_block
 from repro.monitoring.collector import MetricsCollector
 from repro.monitoring.report import ThroughputReport, analyze_bottleneck
 from repro.netem.link import Link
@@ -59,20 +42,8 @@ from repro.util.ids import new_run_id
 from repro.util.ringbuffer import RingBuffer
 from repro.util.validation import ValidationError, check_positive
 
-#: Consumer tasks commit their offsets every this many processed records.
-_COMMIT_INTERVAL = 32
-#: Max records per consumer poll, and how long (seconds) one poll blocks.
-_POLL_BATCH = 8
-_POLL_TIMEOUT_S = 0.2
 #: A run keeps the last this many processing results for inspection.
 _KEEP_RESULTS = 1024
-#: A producer's batch closes once its payloads reach this many bytes: the
-#: store's urgent-flush mark (``_FLUSH_BYTES`` in
-#: ``repro.broker.storage.store``, also 1 MiB), past which an append is
-#: flushed at once anyway. So a 2.56 MB block always goes alone.
-_BATCH_BYTES = 1024 * 1024
-#: What ``_make_message`` returns for a message the edge function absorbed.
-_ABSORBED = object()
 
 
 @dataclass
@@ -153,51 +124,28 @@ class EdgeToCloudPipeline:
         # manages a private one — durable (segment-backed, with crash
         # recovery) when the config names a log_dir.
         self._owns_broker = broker is None
-        if broker is not None:
-            self._broker = broker
-        else:
-            cfg = self.config
-            storage = None
+        if broker is None:
+            cfg, storage = self.config, None
             if cfg.log_dir is not None:
                 from repro.broker.storage import StorageConfig
 
                 storage = StorageConfig(fsync_acks=cfg.log_fsync_acks)
-            self._broker = Broker(
-                name=f"{self.run_id}-broker",
-                tracer=tracer,
-                log_dir=cfg.log_dir,
-                storage=storage,
-            )
+            broker = Broker(name=f"{self.run_id}-broker", tracer=tracer, log_dir=cfg.log_dir,
+                            storage=storage)
+        self._broker = broker
         self._collector = MetricsCollector(self.run_id, registry=registry)
         # Consumer-side numbers stay plain fields of the consumers; the
         # run's registry reads them through these two callbacks.
         self._consumers: list[Consumer] = []
-        self._collector.registry.add_reader("counters", self._consumer_counters)
-        self._collector.registry.add_reader("gauges", self._consumer_gauges)
+        self._collector.registry.add_reader("counters", partial(consumer_counters, self._consumers))
+        self._collector.registry.add_reader("gauges", partial(consumer_gauges, self._consumers))
         self._results = RingBuffer(_KEEP_RESULTS)
         self._errors: list[str] = []
         self._errors_lock = threading.Lock()
 
         self._user_context = dict(function_context or {})
-        # Distinct message ids processed: consumer-group rebalances give
-        # at-least-once delivery, so completion must count unique ids,
-        # not deliveries. Per device, the count the in-flight window reads.
-        self._processed_ids: set = set()
-        self._processed_per_device: Counter = Counter()
-        self._processed_lock = threading.Lock()
-        # Producers park here under backpressure; consumers signal it
-        # from _count_processed_many as messages drain.
-        self._backpressure = threading.Condition()
-        self._produced = 0  # messages made, all devices (``_processed_lock``)
-        # Completion target: the configured total until every producer
-        # task has ended, then what they actually produced (guarded by
-        # ``_processed_lock``, like the count it is compared with).
-        self._expected = self.config.total_messages
-        self._producers_left = self.config.num_devices
-        self._done = threading.Event()
-        self._abort = threading.Event()
+        self._progress = Progress(self.config.total_messages, self.config.num_devices)
         self._started = False
-        self._consumer_stops: list[threading.Event] = []
         self._extra_consumer_futures: list = []
         self._decision: PlacementDecision | None = None
 
@@ -229,38 +177,11 @@ class EdgeToCloudPipeline:
 
     @property
     def processed_count(self) -> int:
-        with self._processed_lock:
-            return len(self._processed_ids)
-
-    def _count_processed_many(self, message_ids, devices) -> list[bool]:
-        """Record a batch of processed messages, each with its device (=
-        partition), under one lock acquisition; returns, per id, whether it
-        was new (first delivery). Signals backpressured producers after the
-        lock is released: they read the counts (which take that lock) while
-        holding the backpressure condition."""
-        flags = []
-        with self._processed_lock:
-            for message_id, device in zip(message_ids, devices):
-                if message_id in self._processed_ids:
-                    flags.append(False)
-                else:
-                    self._processed_ids.add(message_id)
-                    self._processed_per_device[device] += 1
-                    flags.append(True)
-            if len(self._processed_ids) >= self._expected:
-                self._done.set()
-        # Always notify: besides backpressured producers, outside callers
-        # (RunningPipeline.wait_for_processed) wait on this condition for
-        # progress.
-        if any(flags):
-            with self._backpressure:
-                self._backpressure.notify_all()
-        return flags
+        return self._progress.processed_count
 
     @property
     def produced_count(self) -> int:
-        with self._processed_lock:
-            return self._produced
+        return self._progress.produced_count
 
     # -- runtime reconfiguration -------------------------------------------------
 
@@ -271,52 +192,29 @@ class EdgeToCloudPipeline:
         with self._fn_lock:
             old = self._cloud_fn
             self._cloud_fn = fn
-        self.events.publish(
-            FUNCTION_REPLACED,
-            stage="cloud",
-            old=getattr(old, "__name__", "?"),
-            new=getattr(fn, "__name__", "?"),
-        )
+        self.events.publish(FUNCTION_REPLACED, stage="cloud", old=getattr(old, "__name__", "?"),
+                            new=getattr(fn, "__name__", "?"))
 
     def replace_edge_function(self, fn: Callable | None) -> None:
         """Swap (or remove) the edge pre-processing function at runtime."""
         with self._fn_lock:
             old = self._edge_fn
             self._edge_fn = fn
-        self.events.publish(
-            FUNCTION_REPLACED,
-            stage="edge",
-            old=getattr(old, "__name__", None),
-            new=getattr(fn, "__name__", None),
-        )
+        self.events.publish(FUNCTION_REPLACED, stage="edge", old=getattr(old, "__name__", None),
+                            new=getattr(fn, "__name__", None))
 
-    def _current_cloud_fn(self) -> Callable:
+    def _functions(self) -> tuple:
+        """The current ``(process_edge, process_cloud)``."""
         with self._fn_lock:
-            return self._cloud_fn
-
-    def _current_edge_fn(self) -> Callable | None:
-        with self._fn_lock:
-            return self._edge_fn
+            return self._edge_fn, self._cloud_fn
 
     def scale_consumers(self, additional: int) -> None:
         """Add consumer tasks at runtime (responds to load peaks)."""
         check_positive("additional", additional)
         if not self._started:
             raise ValidationError("scale_consumers() requires a running pipeline")
-        cluster = self._processing_cluster()
-        start = len(self._consumer_stops)
-        for i in range(int(additional)):
-            consumer = self._make_consumer()
-            stop = threading.Event()
-            self._consumer_stops.append(stop)
-            future = cluster.scheduler.submit(
-                Task(
-                    fn=self._consumer_loop,
-                    args=(consumer, start + i, stop),
-                    resources=ResourceSpec(cores=1, memory_gb=1),
-                )
-            )
-            self._extra_consumer_futures.append(future)
+        for _ in range(int(additional)):
+            self._extra_consumer_futures.append(self._submit_consumer(self._make_consumer()))
         self.events.publish(SCALED, component="consumers", added=int(additional))
 
     # -- wiring helpers --------------------------------------------------------------
@@ -333,22 +231,10 @@ class EdgeToCloudPipeline:
             return None
         return self.topology.link(a_site, b_site)
 
-    def _processing_cluster(self):
-        # Consumers always run on the processing pilot. In edge-centric
-        # placement the heavy function executes inline on the device
-        # (inside the producer task) and the consumers are mere sinks —
-        # running them on the edge would steal the devices' single cores.
-        return self.pilot_cloud_processing.cluster
-
     def _base_context(self, site: str, link: Link | None = None) -> FunctionContext:
         params = ParameterClient(self._param_server, link=link, namespace=self.run_id)
-        return FunctionContext.build(
-            run_id=self.run_id,
-            user_context=self._user_context,
-            params=params,
-            topology=self.topology,
-            site=site,
-        )
+        return FunctionContext.build(run_id=self.run_id, user_context=self._user_context,
+                                     params=params, topology=self.topology, site=site)
 
     def _record_error(self, where: str, exc: BaseException) -> None:
         with self._errors_lock:
@@ -358,17 +244,12 @@ class EdgeToCloudPipeline:
     def _make_consumer(self) -> Consumer:
         cfg = self.config
         consumer = Consumer(
-            self._broker,
-            group_id=f"{self.run_id}-processors",
-            session_timeout_ms=(
-                cfg.session_timeout_ms if cfg.session_timeout_ms > 0 else None
-            ),
+            self._broker, group_id=f"{self.run_id}-processors",
+            session_timeout_ms=cfg.session_timeout_ms if cfg.session_timeout_ms > 0 else None,
             fetch_prefetch_batches=cfg.fetch_prefetch_batches,
             fetch_max_buffer_bytes=cfg.fetch_max_buffer_bytes,
-            fetch_min_bytes=cfg.fetch_min_bytes,
-            fetch_max_wait_ms=cfg.fetch_max_wait_ms,
-            tracer=self._tracer,
-            trace_site=self.pilot_cloud_processing.site,
+            fetch_min_bytes=cfg.fetch_min_bytes, fetch_max_wait_ms=cfg.fetch_max_wait_ms,
+            tracer=self._tracer, trace_site=self.pilot_cloud_processing.site,
         )
         consumer.subscribe(cfg.topic)
         self._consumers.append(consumer)
@@ -376,317 +257,36 @@ class EdgeToCloudPipeline:
 
     # -- the two task bodies -------------------------------------------------------
 
-    def _producer_loop(self, device_index: int) -> int:
-        """Body of one edge producer task; returns messages sent.
+    def _edge_task(self, index: int) -> int:
+        """Body of one edge producer task; returns messages sent."""
+        cfg, run_id = self.config, self.run_id
+        edge_site, broker_site = self.pilot_edge.site, self.pilot_cloud_broker.site
+        producer = Producer(self._broker, client_id=f"{run_id}-device-{index}",
+                            retries=cfg.producer_retries, retry_backoff_ms=cfg.retry_backoff_ms,
+                            tracer=self._tracer, trace_site=edge_site)
+        context = self._base_context(edge_site).for_device(f"device-{index}", index, edge_site)
+        return EdgeDevice(
+            index, cfg, producer, self._progress, self._collector, self._produce_fn,
+            self._functions, run_id=run_id, context=context, results=self._results,
+            decision=self._decision, uplink=self._link(edge_site, broker_site),
+            sites=(edge_site, broker_site),
+        ).run()
 
-        Each round waits for room in the device's in-flight window, makes
-        every message that room admits and sends them as one append (one
-        request, one idempotent ``base_sequence``). A round closes early
-        once it holds ``_BATCH_BYTES``; without a window, or when paced,
-        it is one message.
-        """
-        cfg = self.config
-        edge_site = self.pilot_edge.site
-        uplink = self._link(edge_site, self.pilot_cloud_broker.site)
-        device_id = f"device-{device_index}"
-        context = self._base_context(edge_site).for_device(device_id, device_index, edge_site)
-        producer = Producer(
-            self._broker,
-            client_id=f"{self.run_id}-{device_id}",
-            retries=cfg.producer_retries,
-            retry_backoff_ms=cfg.retry_backoff_ms,
-            tracer=self._tracer,
-            trace_site=edge_site,
+    def _submit_consumer(self, consumer: Consumer):
+        """Place one consumer task, a :class:`CloudConsumer`, on the
+        processing pilot. In edge-centric placement the heavy function runs
+        on the device and the consumers are mere sinks — running them on
+        the edge would steal the devices' single cores."""
+        broker_site, proc_site = self.pilot_cloud_broker.site, self.pilot_cloud_processing.site
+        name = f"consumer-{self._consumers.index(consumer)}"
+        cloud = CloudConsumer(
+            consumer, self._progress, self._collector, self._results, self._functions,
+            self._record_error, context=self._base_context(proc_site).for_device(name, -1, proc_site),
+            downlink=self._link(broker_site, proc_site), sites=(broker_site, proc_site),
         )
-        seq = 0  # messages made so far: sent, dropped or absorbed
-        sent = 0
-        ended = False
-        while not ended and seq < cfg.messages_per_device and not self._abort.is_set():
-            room = self._wait_for_room(device_index, seq) if cfg.max_inflight > 0 else 1
-            if cfg.produce_interval > 0:
-                room = 1  # paced: one message per append
-            first, batch, nbytes = seq, [], 0
-            while len(batch) < room and nbytes < _BATCH_BYTES and seq < cfg.messages_per_device:
-                message = self._make_message(context, device_index, seq)
-                if message is None:
-                    ended = True
-                    break
-                seq += 1
-                if message is not _ABSORBED:
-                    batch.append(message)
-                    nbytes += len(message[1])
-            if batch:
-                sent += self._send_batch(producer, uplink, device_index, batch)
-            with self._processed_lock:
-                self._produced += seq - first
-            if batch and cfg.produce_interval > 0:
-                time.sleep(cfg.produce_interval)
-        producer.close()
-        if producer.produce_retries:
-            self._collector.incr("produce_retries", producer.produce_retries)
-        return sent
-
-    def _wait_for_room(self, device_index: int, made: int) -> int:
-        """Park until the device has fewer than ``max_inflight`` messages
-        made and not yet processed; returns the free room (at least 1).
-        _count_processed_many signals the drain; the short wait timeout
-        only covers abort/deadline. One stall = one counted wait."""
-        stalled = False
-        with self._backpressure:
-            while True:
-                with self._processed_lock:
-                    room = self.config.max_inflight - (
-                        made - self._processed_per_device[device_index]
-                    )
-                if room > 0 or self._abort.is_set() or self._done.is_set():
-                    return max(room, 1)
-                if not stalled:
-                    stalled = True
-                    self._collector.incr("backpressure_waits")
-                self._backpressure.wait(0.05)
-
-    def _make_message(self, context, device_index: int, seq: int):
-        """Make message *seq* of a device: ``(message_id, payload,
-        headers)``, ``_ABSORBED`` when the edge function took it, or None
-        when the produce function has no more."""
-        edge_site = self.pilot_edge.site
-        block = self._produce_fn(context)
-        if block is None:
-            return None
-        message_id = f"{self.run_id}/d{device_index}/m{seq}"
-        produce_ts = time.monotonic()
-        headers = {"message_id": message_id, "device": f"device-{device_index}"}
-        edge_fn = self._current_edge_fn()
-        if edge_fn is not None and (self._decision is None or self._decision.edge_preprocess):
-            block = edge_fn(context, block)
-            if block is None:
-                # Windowing/filtering edge functions absorb messages
-                # (nothing to forward yet). Account the message so
-                # the run's completion target is still reachable.
-                self._collector.incr("messages_absorbed_at_edge")
-                self._count_processed_many((message_id,), (device_index,))
-                return _ABSORBED
-        if self._decision is not None and self._decision.processing_tier == "edge":
-            # Edge-centric placement: the heavy function runs on the
-            # device; only its (small) result block crosses the link.
-            self._collector.stamp(message_id, "process_start", time.monotonic(), site=edge_site)
-            result = self._current_cloud_fn()(context, block)
-            self._collector.stamp(message_id, "process_end", time.monotonic(), site=edge_site)
-            self._results.append(result)
-            block = _result_block(result)
-            headers["processed"] = True
-        payload = encode_block(block, compress=self.config.compress_wire)
-        self._collector.stamp(
-            message_id,
-            "produce",
-            produce_ts,
-            nbytes=len(payload),
-            site=edge_site,
-            partition=device_index,
+        return self.pilot_cloud_processing.cluster.scheduler.submit(
+            Task(fn=cloud.run, resources=ResourceSpec(cores=1, memory_gb=1))
         )
-        return message_id, payload, headers
-
-    def _send_batch(self, producer: Producer, uplink, device_index: int, batch) -> int:
-        """Send *batch* ``[(message_id, payload, headers)]`` as one append
-        (one uplink transfer, one request); returns the messages sent."""
-        cfg = self.config
-        ids = [message_id for message_id, _, _ in batch]
-        payloads = [payload for _, payload, _ in batch]
-        self._collector.stamp_many(ids, "uplink_start", time.monotonic(), site=self.pilot_edge.site)
-        for attempt in range(cfg.producer_retries + 1):
-            if attempt:
-                # At-least-once mode: the uplink dropped the batch — resend
-                # it. Only the uplink is retried here: the producer cannot
-                # see it, and it retries a broker failure itself.
-                self._collector.incr("produce_retries")
-            try:
-                if uplink is not None:
-                    uplink.transfer(sum(len(payload) for payload in payloads))
-            except ConnectionError:
-                continue
-            try:
-                producer.send_many(
-                    cfg.topic,
-                    payloads,
-                    partition=device_index,
-                    headers=[headers for _, _, headers in batch],
-                )
-            except ConnectionError:
-                break  # the producer spent its retries: drop the batch
-            broker_site = self.pilot_cloud_broker.site
-            self._collector.stamp_many(ids, "broker_in", time.monotonic(), site=broker_site)
-            return len(batch)
-        # Lossy-link drop: account for the messages (QoS-0 semantics) so
-        # the run can still complete.
-        self._collector.incr("messages_dropped", len(batch))
-        self._count_processed_many(ids, [device_index] * len(ids))
-        return 0
-
-    def _consumer_loop(self, consumer: Consumer, index: int, stop: threading.Event) -> int:
-        """Body of one processing consumer task; returns records handled."""
-        broker_site = self.pilot_cloud_broker.site
-        proc_site = self.pilot_cloud_processing.site
-        downlink = self._link(broker_site, proc_site)
-        context = self._base_context(proc_site).for_device(
-            f"consumer-{index}", -1, proc_site
-        )
-        handled = 0
-        since_commit = 0
-        try:
-            while not (self._done.is_set() or self._abort.is_set() or stop.is_set()):
-                records = consumer.poll(
-                    max_records=_POLL_BATCH, timeout=_POLL_TIMEOUT_S
-                )
-                if not records:
-                    continue
-                handled += self._handle_records(
-                    records, context, downlink, broker_site, proc_site
-                )
-                since_commit += len(records)
-                if since_commit >= _COMMIT_INTERVAL:
-                    try:
-                        consumer.commit()
-                    except RebalanceInProgressError:
-                        # Evicted mid-batch: positions are stale, the next
-                        # poll re-fetches the post-rebalance assignment.
-                        # At-least-once delivery + the pipeline's dedup
-                        # absorb the redelivered records.
-                        self._collector.incr("commits_refused")
-                    since_commit = 0
-        finally:
-            try:
-                consumer.commit()
-            except Exception as exc:  # noqa: BLE001 — teardown goes on;
-                # the uncommitted tail is redelivered, and counted.
-                self._collector.incr(f"final_commit_errors.{type(exc).__name__}")
-            consumer.close()
-        return handled
-
-    def _consumer_counters(self) -> dict:
-        """Totals over this run's consumers, read from their own fields
-        (names that stayed at zero are left out)."""
-        totals = {"heartbeats_missed": 0, "prefetch_hits": 0, "prefetch_evictions": 0}
-        for consumer in list(self._consumers):
-            # Each eviction is a missed session deadline observed by
-            # the consumer when its next heartbeat bounced.
-            totals["heartbeats_missed"] += consumer.evictions
-            stats = consumer.stats()
-            totals["prefetch_hits"] += stats.get("prefetch_hits", 0)
-            totals["prefetch_evictions"] += stats.get("prefetch_evictions", 0)
-        return {name: value for name, value in totals.items() if value}
-
-    def _consumer_gauges(self) -> dict:
-        peaks = [
-            stats["max_fetches_in_flight"]
-            for stats in (consumer.stats() for consumer in list(self._consumers))
-            if "max_fetches_in_flight" in stats
-        ]
-        return {"fetches_in_flight": max(peaks)} if peaks else {}
-
-    def _handle_records(
-        self, records, context, downlink, broker_site: str, proc_site: str
-    ) -> int:
-        """Consume one polled record batch: stamp, dedupe, decode, score.
-
-        Every per-record stamp loop runs through ``stamp_many`` (one
-        collector lock acquisition per batch per stage); each fresh
-        record then reaches the user function in its own
-        ``process_cloud(context, block)`` call.
-        """
-        # Normalize the message id to str ONCE: the record.offset
-        # fallback is an int, and int-keyed stamps would file the same
-        # message under two keys (trace vs processed-set).
-        ids = [str(r.headers.get("message_id", r.offset)) for r in records]
-        # Queue exit: the records left the broker; downlink transfers
-        # happen next.
-        self._collector.stamp_many(ids, "dequeue", time.monotonic(), site=broker_site)
-        if downlink is not None:
-            alive = []
-            dropped = []
-            for message_id, record in zip(ids, records):
-                try:
-                    downlink.transfer(record.size)
-                except ConnectionError:
-                    dropped.append((message_id, record.partition))
-                else:
-                    alive.append((message_id, record))
-            if dropped:
-                self._collector.incr("messages_dropped", len(dropped))
-                self._count_processed_many(*zip(*dropped))
-            if not alive:
-                return len(records)
-        else:
-            alive = list(zip(ids, records))
-        now = time.monotonic()
-        self._collector.stamp_many(
-            [m for m, _ in alive],
-            "consume",
-            now,
-            nbytes=[r.size for _, r in alive],
-            site=proc_site,
-            partition=[r.partition for _, r in alive],
-        )
-        new_flags = self._count_processed_many(
-            [m for m, _ in alive], [r.partition for _, r in alive]
-        )
-        fresh = []
-        sink = []
-        duplicates = 0
-        for (message_id, record), is_new in zip(alive, new_flags):
-            if record.headers.get("processed"):
-                # Edge-centric mode: already processed on-device.
-                sink.append(message_id)
-            elif is_new:
-                fresh.append((message_id, record))
-            else:
-                duplicates += 1
-        if sink:
-            self._collector.stamp_many(sink, "consume_sink", now)
-        if duplicates:
-            self._collector.incr("duplicate_deliveries", duplicates)
-        if fresh:
-            fn = self._current_cloud_fn()
-            for message_id, record in fresh:
-                self._process_record(message_id, record, fn, context, proc_site)
-        return len(records)
-
-    def _process_record(
-        self, message_id: str, record, fn: Callable, context, proc_site: str
-    ) -> None:
-        """Per-message processing: decode, score, stamp — one user call."""
-        block = decode_block(record.value)
-        self._collector.stamp(
-            message_id, "process_start", time.monotonic(), site=proc_site
-        )
-        try:
-            result = fn(context, block)
-        except Exception as exc:
-            # A failing user function poisons one message,
-            # not the consumer: record and keep consuming.
-            self._collector.incr("processing_errors")
-            self._record_error(f"process[{message_id}]", exc)
-        else:
-            self._collector.stamp(
-                message_id,
-                "process_end",
-                time.monotonic(),
-                nbytes=record.size,
-                site=proc_site,
-            )
-            self._results.append(result)
-
-    def _producer_ended(self, _future) -> None:
-        """Done-callback of every producer task (returned, went quiet
-        early or raised). After the last one nothing more will arrive, so
-        the run ends when what was produced is processed instead of
-        waiting out ``max_duration`` for messages that never existed."""
-        with self._processed_lock:
-            self._producers_left -= 1
-            if self._producers_left:
-                return
-            self._expected = self._produced
-            if len(self._processed_ids) >= self._expected:
-                self._done.set()
 
     # -- the run -----------------------------------------------------------------------
 
@@ -709,22 +309,16 @@ class EdgeToCloudPipeline:
         # Placement decision (step 2.1): which tier processes, and
         # whether the edge pre-processing stage is active. Only
         # cost-driven policies need the message-size probe.
-        sample_bytes = (
-            self._estimate_message_bytes()
-            if getattr(self.placement_policy, "requires_probe", False)
-            else 0
-        )
+        probe = getattr(self.placement_policy, "requires_probe", False)
         self._decision = self.placement_policy.decide(
-            message_bytes=sample_bytes,
+            message_bytes=self._estimate_message_bytes() if probe else 0,
             edge_site=self.pilot_edge.site,
             cloud_site=self.pilot_cloud_processing.site,
             topology=self.topology,
             compression_ratio=getattr(self._edge_fn, "compression_ratio", 1.0),
         )
 
-        self._broker.create_topic(
-            cfg.topic, num_partitions=cfg.num_devices, exist_ok=True
-        )
+        self._broker.create_topic(cfg.topic, num_partitions=cfg.num_devices, exist_ok=True)
 
         if self._sampler is not None:
             # Watch the run's broker (log depth, end offsets, group size,
@@ -739,33 +333,15 @@ class EdgeToCloudPipeline:
         # Consumers join the group before producers start so the initial
         # partition assignment is stable for the whole run.
         consumers = [self._make_consumer() for _ in range(cfg.effective_consumers)]
-        processing_cluster = self._processing_cluster()
-        consumer_futures = []
-        for i, consumer in enumerate(consumers):
-            stop = threading.Event()
-            self._consumer_stops.append(stop)
-            consumer_futures.append(
-                processing_cluster.scheduler.submit(
-                    Task(
-                        fn=self._consumer_loop,
-                        args=(consumer, i, stop),
-                        resources=ResourceSpec(cores=1, memory_gb=1),
-                    )
-                )
-            )
-
+        consumer_futures = [self._submit_consumer(consumer) for consumer in consumers]
         producer_futures = [
             self.pilot_edge.cluster.scheduler.submit(
-                Task(
-                    fn=self._producer_loop,
-                    args=(device,),
-                    resources=ResourceSpec(cores=1, memory_gb=1),
-                )
+                Task(fn=self._edge_task, args=(device,), resources=ResourceSpec(cores=1, memory_gb=1))
             )
             for device in range(cfg.num_devices)
         ]
         for future in producer_futures:
-            future.add_done_callback(self._producer_ended)
+            future.add_done_callback(self._progress.device_ended)
 
         handle = RunningPipeline(self, producer_futures, consumer_futures)
         if wait:
@@ -774,9 +350,8 @@ class EdgeToCloudPipeline:
 
     def _estimate_message_bytes(self) -> int:
         """Probe one block from the producer to size placement estimates."""
-        probe_ctx = self._base_context(self.pilot_edge.site).for_device(
-            "device-probe", -1, self.pilot_edge.site
-        )
+        site = self.pilot_edge.site
+        probe_ctx = self._base_context(site).for_device("device-probe", -1, site)
         try:
             block = self._produce_fn(probe_ctx)
             if block is None:
@@ -788,21 +363,17 @@ class EdgeToCloudPipeline:
     def _finalize(self, producer_futures, consumer_futures) -> PipelineResult:
         cfg = self.config
         deadline = time.monotonic() + cfg.max_duration
-        completed = self._done.wait(timeout=cfg.max_duration)
-        if not completed:
-            self._abort.set()
-        self._done.set()  # release consumer loops
+        completed = self._progress.done.wait(timeout=cfg.max_duration)
+        # Release the task loops (aborting the devices after a timeout).
+        self._progress.finish(abort=not completed)
 
-        for future in producer_futures:
-            try:
-                future.result(timeout=max(1.0, deadline - time.monotonic()))
-            except Exception as exc:
-                self._record_error("producer", exc)
-        for future in consumer_futures + self._extra_consumer_futures:
-            try:
-                future.result(timeout=max(1.0, deadline - time.monotonic()))
-            except Exception as exc:
-                self._record_error("consumer", exc)
+        consumer_futures = consumer_futures + self._extra_consumer_futures
+        for where, futures in (("producer", producer_futures), ("consumer", consumer_futures)):
+            for future in futures:
+                try:
+                    future.result(timeout=max(1.0, deadline - time.monotonic()))
+                except Exception as exc:
+                    self._record_error(where, exc)
 
         broker_stats = self._broker.stats()
 
@@ -816,36 +387,18 @@ class EdgeToCloudPipeline:
             # no-op for in-memory brokers.
             self._broker.close()
 
-        report = ThroughputReport.from_collector(
-            self._collector, sampler=self._sampler, tracer=self._tracer
-        )
         return PipelineResult(
             run_id=self.run_id,
-            completed=(
-                completed
-                and self.processed_count >= cfg.total_messages
-                and not self._errors
+            completed=completed and self.processed_count >= cfg.total_messages and not self._errors,
+            report=ThroughputReport.from_collector(
+                self._collector, sampler=self._sampler, tracer=self._tracer
             ),
-            report=report,
             bottleneck=analyze_bottleneck(self._collector),
             results=self._results.to_list(),
             errors=list(self._errors),
             broker_stats=broker_stats,
             placement=self._decision,
         )
-
-
-def _result_block(result: Any):
-    """Encode a processing result as a tiny 1-row block for transport."""
-    import numpy as np
-
-    if isinstance(result, np.ndarray) and result.ndim == 2:
-        return result
-    if isinstance(result, dict):
-        numeric = [float(v) for v in result.values() if isinstance(v, (int, float))]
-        if numeric:
-            return np.asarray([numeric], dtype=np.float64)
-    return np.zeros((1, 1), dtype=np.float64)
 
 
 class RunningPipeline:
@@ -858,38 +411,22 @@ class RunningPipeline:
 
     @property
     def done(self) -> bool:
-        return self.pipeline._done.is_set()
+        return self.pipeline._progress.done.is_set()
 
     def wait_for_processed(self, count: int, timeout: float = 30.0) -> bool:
-        """Block until at least *count* messages have been processed.
-
-        Waits on the pipeline's progress condition (consumers notify it
-        as messages drain) instead of sleep-polling; the wait is capped
-        so done/abort transitions — which can fire without a final
-        progress notification — are still observed promptly.
-        """
-        pipeline = self.pipeline
-        deadline = time.monotonic() + timeout
-        while True:
-            if pipeline.processed_count >= count:
-                return True
-            if self.done:
-                return pipeline.processed_count >= count
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                return False
-            with pipeline._backpressure:
-                # Re-check under the lock so a notify racing the checks
-                # above is not lost.
-                if pipeline.processed_count >= count or self.done:
-                    continue
-                pipeline._backpressure.wait(min(remaining, 0.25))
+        """Block until at least *count* messages have been processed, the
+        run has ended or *timeout* has passed; True when *count* was
+        reached. Waits on the progress condition, which consumers notify
+        as messages drain and which done and abort notify too."""
+        progress = self.pipeline._progress
+        with progress.changed:
+            progress.changed.wait_for(
+                lambda: progress.processed_count >= count or progress.done.is_set(), timeout
+            )
+        return progress.processed_count >= count
 
     def abort(self) -> None:
-        self.pipeline._abort.set()
-        self.pipeline._done.set()
-        with self.pipeline._backpressure:
-            self.pipeline._backpressure.notify_all()
+        self.pipeline._progress.finish(abort=True)
 
     def join(self) -> PipelineResult:
         return self.pipeline._finalize(self._producer_futures, self._consumer_futures)

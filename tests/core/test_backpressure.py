@@ -1,63 +1,85 @@
-"""Tests for producer backpressure."""
+"""Producer backpressure: a device's in-flight window, stepped by hand.
 
-import time
+Each test steps one ``EdgeDevice`` against an in-process broker and
+counts its messages processed itself, so the window's state is set, not
+raced for.
+"""
+
+import threading
 
 import pytest
 
-from repro.core import (
-    EdgeToCloudPipeline,
-    PipelineConfig,
-    make_block_producer,
-    passthrough_processor,
-)
+from repro.core import PipelineConfig
 
 
-def slow_processor(context=None, data=None):
-    time.sleep(0.02)
-    return passthrough_processor(context, data)
+class ParkSignal(threading.Condition):
+    """The run's progress condition, telling the test when a device parks."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.parked = threading.Event()
+
+    def wait(self, timeout=None):
+        self.parked.set()
+        return super().wait(timeout)
+
+
+def step_in_thread(device):
+    """Run one round on a thread; returns the thread and the list its
+    result lands in."""
+    out: list = []
+    thread = threading.Thread(target=lambda: out.append(device.step()), daemon=True)
+    thread.start()
+    return thread, out
 
 
 class TestBackpressure:
-    def test_bounded_inflight(self, running_pilots):
-        edge, cloud = running_pilots
-        pipeline = EdgeToCloudPipeline(
-            pilot_edge=edge,
-            pilot_cloud_processing=cloud,
-            produce_function_handler=make_block_producer(points=20, features=4, clusters=2),
-            process_cloud_function_handler=slow_processor,
-            config=PipelineConfig(
-                num_devices=1,
-                messages_per_device=20,
-                max_inflight=3,
-                max_duration=60.0,
-            ),
-        )
-        handle = pipeline.run(wait=False)
-        # Sample the in-flight level while the run progresses.
-        max_seen = 0
-        while not handle.done:
-            inflight = pipeline.produced_count - pipeline.processed_count
-            max_seen = max(max_seen, inflight)
-            time.sleep(0.002)
-        result = handle.join()
-        assert result.completed
-        # Bounded by max_inflight exactly: a batch is sized from the
-        # window's free room, and counted produced only once it is sent.
-        assert max_seen <= 3
-        assert pipeline.collector.counter("backpressure_waits") > 0
+    def test_bounded_inflight(self, halves):
+        run = halves(max_inflight=3, messages_per_device=20)
+        device = run.device()
+        assert device.step() == 3
+        run.process(0, 1)
+        assert device.step() == 1
+        run.process(0, 4)
+        assert device.step() == 3
+        # Bounded by max_inflight exactly: a round is sized from the free
+        # room, and counted produced once it is sent.
+        progress = run.progress
+        assert progress.produced_count == 7
+        assert progress.produced_count - progress.processed_count == 3
 
-    def test_unbounded_by_default(self, running_pilots):
-        edge, cloud = running_pilots
-        pipeline = EdgeToCloudPipeline(
-            pilot_edge=edge,
-            pilot_cloud_processing=cloud,
-            produce_function_handler=make_block_producer(points=20, features=4, clusters=2),
-            process_cloud_function_handler=slow_processor,
-            config=PipelineConfig(num_devices=1, messages_per_device=10, max_duration=60.0),
-        )
-        result = pipeline.run()
-        assert result.completed
-        assert pipeline.collector.counter("backpressure_waits") == 0
+    def test_a_full_window_parks_until_the_drain(self, halves):
+        run = halves(max_inflight=3, messages_per_device=20)
+        run.progress.changed = ParkSignal()
+        device = run.device()
+        assert device.step() == 3
+        thread, out = step_in_thread(device)
+        assert run.progress.changed.parked.wait(10)
+        run.process(0, 2)
+        thread.join(10)
+        assert out == [2]
+        # One stall is one counted wait.
+        assert run.collector.counter("backpressure_waits") == 1
+
+    def test_abort_releases_a_parked_device(self, halves):
+        run = halves(max_inflight=3, messages_per_device=20)
+        run.progress.changed = ParkSignal()
+        device = run.device()
+        assert device.step() == 3
+        thread, out = step_in_thread(device)
+        assert run.progress.changed.parked.wait(10)
+        run.progress.finish(abort=True)
+        thread.join(10)
+        assert out == [None]
+        assert run.progress.produced_count == 3
+
+    def test_unbounded_by_default(self, halves):
+        run = halves(messages_per_device=10)
+        device = run.device()
+        assert [device.step() for _ in range(10)] == [1] * 10
+        assert device.step() is None
+        assert run.progress.produced_count == 10
+        assert run.collector.counter("backpressure_waits") == 0
 
     def test_invalid_config(self):
         from repro.util.validation import ValidationError

@@ -1,5 +1,7 @@
 """Tests for the EdgeToCloudPipeline (live execution)."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -247,6 +249,20 @@ class TestRuntimeDynamism:
         handle.abort()
         result = handle.join()
         assert result.report.messages < 1000
+
+
+    def test_abort_wakes_a_paced_device(self, running_pilots):
+        pipeline = make_pipeline(
+            running_pilots,
+            config=small_config(num_devices=1, messages_per_device=5, produce_interval=5.0),
+        )
+        handle = pipeline.run(wait=False)
+        assert handle.wait_for_processed(1, timeout=30)
+        handle.abort()
+        started = time.monotonic()
+        handle.join()
+        # The device waits out its pacing on the abort, not in a sleep.
+        assert time.monotonic() - started < 1.0
 
 
 class TestParameterSharing:

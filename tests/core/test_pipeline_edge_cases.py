@@ -4,7 +4,7 @@ import time
 
 import numpy as np
 
-from repro.broker import Producer
+from repro.broker import Broker, Producer
 from repro.core import (
     EdgeToCloudPipeline,
     FunctionContext,
@@ -14,6 +14,7 @@ from repro.core import (
 )
 from repro.core import pipeline as pipeline_module
 from repro.data import encode_block
+from repro.data.serde import SerdeError
 
 
 def build(running_pilots, produce=None, process=None, **cfg):
@@ -189,6 +190,39 @@ class TestPoisonedMessages:
         assert all("poisoned block" in err for err in result.errors)
         assert len(result.results) == 14
         assert 2.0 not in {r["first"] for r in result.results}
+
+
+    def test_an_undecodable_record_costs_one_message(self, running_pilots):
+        class CorruptingBroker(Broker):
+            """Flips the last payload byte of message m3 on its way in."""
+
+            def append_many(self, topic, partition, values, *args, headers=None, **kwargs):
+                values = [
+                    value[:-1] + bytes([value[-1] ^ 0xFF])
+                    if meta["message_id"].endswith("/m3")
+                    else value
+                    for value, meta in zip(values, headers)
+                ]
+                return super().append_many(
+                    topic, partition, values, *args, headers=headers, **kwargs
+                )
+
+        edge, cloud = running_pilots
+        pipeline = EdgeToCloudPipeline(
+            pilot_edge=edge,
+            pilot_cloud_processing=cloud,
+            produce_function_handler=make_block_producer(points=20, features=4, clusters=2),
+            process_cloud_function_handler=passthrough_processor,
+            config=PipelineConfig(num_devices=1, messages_per_device=10, max_duration=5.0),
+            broker=CorruptingBroker(),
+        )
+        result = pipeline.run()
+        # The CRC check fails for m3 alone; the consumer goes on.
+        assert pipeline.processed_count == 10
+        assert pipeline.collector.counters()["processing_errors"] == 1
+        assert len(result.errors) == 1
+        assert SerdeError.__name__ in result.errors[0]
+        assert len(result.results) == 9
 
 
 class TestResultBuffer:

@@ -3,12 +3,12 @@
 Every test counts the ``append_many`` calls reaching an in-process
 ``Broker``: a device that gets room in its window sends every message that
 room admits in one call, up to 1 MiB; without a window or when paced, one
-message per call.
+message per call. The batch-size tests step one device by hand and count
+its messages processed themselves; the rest run the whole pipeline.
 """
 
 import sys
 import threading
-import time
 
 import pytest
 
@@ -51,12 +51,14 @@ class CountingBroker(Broker):
         return [r.headers["message_id"] for r in records]
 
 
-def slow_processor(delay: float):
-    def process(context=None, data=None):
-        time.sleep(delay)
-        return passthrough_processor(context, data)
-
-    return process
+def step_until_done(run, device, in_flight: int) -> list[int]:
+    """Step *device* to the end, counting all but *in_flight* of its
+    messages processed after each round; returns the batch sizes."""
+    sizes = []
+    while (size := device.step()) is not None:
+        sizes.append(size)
+        run.process(device.index, max(device.made - in_flight, 0))
+    return sizes
 
 
 def run_pipeline(running_pilots, broker, *, producer=None, processor=None, **config):
@@ -70,7 +72,7 @@ def run_pipeline(running_pilots, broker, *, producer=None, processor=None, **con
         pilot_edge=edge,
         pilot_cloud_processing=cloud,
         produce_function_handler=producer or make_block_producer(points=20, features=4, clusters=2),
-        process_cloud_function_handler=processor or slow_processor(0.005),
+        process_cloud_function_handler=processor or passthrough_processor,
         process_edge_function_handler=edge_fn,
         config=PipelineConfig(**kwargs),
         topology=topology,
@@ -81,29 +83,26 @@ def run_pipeline(running_pilots, broker, *, producer=None, processor=None, **con
 
 
 class TestBatchSize:
-    def test_a_window_is_one_append(self, running_pilots):
+    def test_a_window_is_one_append(self, halves):
         broker = CountingBroker()
-        pipeline, result = run_pipeline(running_pilots, broker, max_inflight=4)
-        assert result.completed, result.errors
-        per_append = broker.records_per_append()
-        assert sum(per_append) == 24
-        assert max(per_append) <= 4
-        # The first round has the whole window free.
-        assert per_append[0] == 4
-        assert len(per_append) < 24
+        run = halves(broker, max_inflight=4)
+        # Two of the window's four stay in flight after every round: the
+        # first round has the whole window, every later one the two freed.
+        sizes = step_until_done(run, run.device(), in_flight=2)
+        assert sizes == [4] + [2] * 10
+        assert broker.records_per_append() == sizes
 
-    def test_open_loop_sends_one_record_per_append(self, running_pilots):
+    def test_open_loop_sends_one_record_per_append(self, halves):
         broker = CountingBroker()
-        _, result = run_pipeline(running_pilots, broker, max_inflight=0, messages_per_device=12)
-        assert result.completed, result.errors
+        run = halves(broker, max_inflight=0, messages_per_device=12)
+        assert step_until_done(run, run.device(), in_flight=12) == [1] * 12
         assert broker.records_per_append() == [1] * 12
 
-    def test_paced_producer_sends_one_record_per_append(self, running_pilots):
+    def test_paced_producer_sends_one_record_per_append(self, halves):
         broker = CountingBroker()
-        _, result = run_pipeline(
-            running_pilots, broker, max_inflight=4, produce_interval=0.002, messages_per_device=12
-        )
-        assert result.completed, result.errors
+        run = halves(broker, max_inflight=4, produce_interval=0.002, messages_per_device=12)
+        # The whole window is free before every round.
+        assert step_until_done(run, run.device(), in_flight=0) == [1] * 12
         assert broker.records_per_append() == [1] * 12
 
     def test_a_block_of_a_mebibyte_rides_alone(self, running_pilots):
@@ -112,7 +111,6 @@ class TestBatchSize:
             running_pilots,
             broker,
             producer=make_block_producer(points=4_200, features=32, clusters=2),
-            processor=passthrough_processor,
             max_inflight=4,
             messages_per_device=6,
         )
@@ -120,20 +118,14 @@ class TestBatchSize:
         assert all(size >= MIB for _, sizes in broker.appends for size in sizes)
         assert broker.records_per_append() == [1] * 6
 
-    def test_a_batch_closes_at_a_mebibyte(self, running_pilots):
+    def test_a_batch_closes_at_a_mebibyte(self, halves):
         broker = CountingBroker()
-        _, result = run_pipeline(
-            running_pilots,
-            broker,
-            producer=make_block_producer(points=1_200, features=32, clusters=2),  # ~300 KB
-            processor=slow_processor(0.01),
-            max_inflight=8,
-            messages_per_device=16,
-        )
-        assert result.completed, result.errors
+        run = halves(broker, max_inflight=8, messages_per_device=16)
+        device = run.device(produce=make_block_producer(points=1_200, features=32, clusters=2))
+        # ~300 KB blocks with the whole window of eight free every round.
+        assert step_until_done(run, device, in_flight=0) == [4] * 4
         # Every block but the last of a batch went in below the mark.
         assert all(sum(sizes[:-1]) < MIB for _, sizes in broker.appends)
-        assert broker.records_per_append()[0] == 4
 
 
 class TestBatchAccounting:
@@ -231,7 +223,7 @@ class TestPerDeviceWindow:
             # The highest a device's in-flight count gets: right as its
             # batch is appended, before any of it is processed.
             appended[partition] += count
-            processed = holder["pipeline"]._processed_per_device[partition]
+            processed = holder["pipeline"]._progress.processed_by(partition)
             peaks[partition] = max(peaks[partition], appended[partition] - processed)
 
         broker.before_append = before_append
@@ -240,7 +232,7 @@ class TestPerDeviceWindow:
             pilot_edge=edge,
             pilot_cloud_processing=cloud,
             produce_function_handler=make_block_producer(points=20, features=4, clusters=2),
-            process_cloud_function_handler=slow_processor(0.002),
+            process_cloud_function_handler=passthrough_processor,
             config=PipelineConfig(
                 num_devices=devices,
                 messages_per_device=messages,

@@ -10,7 +10,8 @@ use), not added to a list here.
 
 A field is also dead when the code it configures never reads it, however
 often it is set and validated: ``PipelineConfig`` is read by
-``core/pipeline.py``, ``StorageConfig`` by ``broker/storage/``. A read
+``core/pipeline.py`` and its two halves ``core/edge.py`` and
+``core/cloud.py``, ``StorageConfig`` by ``broker/storage/``. A read
 through one of the config's own properties (``effective_consumers``
 reads ``num_consumers``) counts. The match is by attribute name alone:
 any ``x.<field>`` load in a reader counts, whatever ``x`` is, so a dead
@@ -33,7 +34,11 @@ from repro.core import PipelineConfig
 ROOT = Path(__file__).resolve().parents[1]
 SEARCHED = ("src", "bench", "benchmarks", "examples", "tests")
 READERS = {
-    PipelineConfig: ("src/repro/core/pipeline.py",),
+    PipelineConfig: (
+        "src/repro/core/pipeline.py",
+        "src/repro/core/edge.py",
+        "src/repro/core/cloud.py",
+    ),
     StorageConfig: ("src/repro/broker/storage",),
 }
 
