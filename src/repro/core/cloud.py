@@ -35,13 +35,12 @@ class CloudConsumer:
     """
 
     def __init__(self, consumer: Consumer, progress, collector, results,
-                 functions: Callable[[], tuple], record_error: Callable, *, context=None,
-                 downlink=None, sites: tuple[str, str] = ("broker", "processing"),
-                 now=monotonic) -> None:
+                 functions: Callable[[], tuple], record_error: Callable, *, context,
+                 downlink, sites: tuple[str, str], now=monotonic) -> None:
         self.consumer, self.downlink = consumer, downlink
         self.progress, self.collector, self.results = progress, collector, results
         self.functions, self.record_error = functions, record_error
-        self.context = {} if context is None else context
+        self.context = context
         self.broker_site, self.proc_site = sites
         self.now = now
         self.handled = 0

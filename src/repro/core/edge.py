@@ -40,13 +40,13 @@ class EdgeDevice:
 
     def __init__(self, index: int, config, producer: Producer, progress, collector,
                  produce_fn: Callable, functions: Callable[[], tuple], *, run_id: str,
-                 context=None, results=None, decision=None, uplink=None,
-                 sites: tuple[str, str] = ("edge", "broker"), now=monotonic) -> None:
+                 context, results, decision, uplink, sites: tuple[str, str],
+                 now=monotonic) -> None:
         self.index, self.config, self.run_id = index, config, run_id
         self.producer, self.uplink = producer, uplink
         self.progress, self.collector, self.results = progress, collector, results
         self.produce_fn, self.functions, self.decision = produce_fn, functions, decision
-        self.context = {} if context is None else context
+        self.context = context
         self.edge_site, self.broker_site = sites
         self.now = now
         self.made = 0  # messages made so far: sent, dropped or absorbed

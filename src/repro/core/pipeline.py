@@ -28,7 +28,11 @@ from repro.core.cloud import CloudConsumer, consumer_counters, consumer_gauges
 from repro.core.config import PipelineConfig
 from repro.core.context import FunctionContext
 from repro.core.edge import EdgeDevice, Progress
-from repro.core.events import FUNCTION_REPLACED, SCALED, EventBus
+from repro.core.events import (
+    FUNCTION_REPLACED,
+    SCALED,
+    EventBus,
+)
 from repro.core.placement import CloudCentricPlacement, PlacementDecision, PlacementPolicy
 from repro.data.serde import encode_block
 from repro.monitoring.collector import MetricsCollector
@@ -124,15 +128,21 @@ class EdgeToCloudPipeline:
         # manages a private one — durable (segment-backed, with crash
         # recovery) when the config names a log_dir.
         self._owns_broker = broker is None
-        if broker is None:
-            cfg, storage = self.config, None
+        if broker is not None:
+            self._broker = broker
+        else:
+            cfg = self.config
+            storage = None
             if cfg.log_dir is not None:
                 from repro.broker.storage import StorageConfig
 
                 storage = StorageConfig(fsync_acks=cfg.log_fsync_acks)
-            broker = Broker(name=f"{self.run_id}-broker", tracer=tracer, log_dir=cfg.log_dir,
-                            storage=storage)
-        self._broker = broker
+            self._broker = Broker(
+                name=f"{self.run_id}-broker",
+                tracer=tracer,
+                log_dir=cfg.log_dir,
+                storage=storage,
+            )
         self._collector = MetricsCollector(self.run_id, registry=registry)
         # Consumer-side numbers stay plain fields of the consumers; the
         # run's registry reads them through these two callbacks.
@@ -192,16 +202,24 @@ class EdgeToCloudPipeline:
         with self._fn_lock:
             old = self._cloud_fn
             self._cloud_fn = fn
-        self.events.publish(FUNCTION_REPLACED, stage="cloud", old=getattr(old, "__name__", "?"),
-                            new=getattr(fn, "__name__", "?"))
+        self.events.publish(
+            FUNCTION_REPLACED,
+            stage="cloud",
+            old=getattr(old, "__name__", "?"),
+            new=getattr(fn, "__name__", "?"),
+        )
 
     def replace_edge_function(self, fn: Callable | None) -> None:
         """Swap (or remove) the edge pre-processing function at runtime."""
         with self._fn_lock:
             old = self._edge_fn
             self._edge_fn = fn
-        self.events.publish(FUNCTION_REPLACED, stage="edge", old=getattr(old, "__name__", None),
-                            new=getattr(fn, "__name__", None))
+        self.events.publish(
+            FUNCTION_REPLACED,
+            stage="edge",
+            old=getattr(old, "__name__", None),
+            new=getattr(fn, "__name__", None),
+        )
 
     def _functions(self) -> tuple:
         """The current ``(process_edge, process_cloud)``."""
@@ -233,8 +251,13 @@ class EdgeToCloudPipeline:
 
     def _base_context(self, site: str, link: Link | None = None) -> FunctionContext:
         params = ParameterClient(self._param_server, link=link, namespace=self.run_id)
-        return FunctionContext.build(run_id=self.run_id, user_context=self._user_context,
-                                     params=params, topology=self.topology, site=site)
+        return FunctionContext.build(
+            run_id=self.run_id,
+            user_context=self._user_context,
+            params=params,
+            topology=self.topology,
+            site=site,
+        )
 
     def _record_error(self, where: str, exc: BaseException) -> None:
         with self._errors_lock:
@@ -244,12 +267,17 @@ class EdgeToCloudPipeline:
     def _make_consumer(self) -> Consumer:
         cfg = self.config
         consumer = Consumer(
-            self._broker, group_id=f"{self.run_id}-processors",
-            session_timeout_ms=cfg.session_timeout_ms if cfg.session_timeout_ms > 0 else None,
+            self._broker,
+            group_id=f"{self.run_id}-processors",
+            session_timeout_ms=(
+                cfg.session_timeout_ms if cfg.session_timeout_ms > 0 else None
+            ),
             fetch_prefetch_batches=cfg.fetch_prefetch_batches,
             fetch_max_buffer_bytes=cfg.fetch_max_buffer_bytes,
-            fetch_min_bytes=cfg.fetch_min_bytes, fetch_max_wait_ms=cfg.fetch_max_wait_ms,
-            tracer=self._tracer, trace_site=self.pilot_cloud_processing.site,
+            fetch_min_bytes=cfg.fetch_min_bytes,
+            fetch_max_wait_ms=cfg.fetch_max_wait_ms,
+            tracer=self._tracer,
+            trace_site=self.pilot_cloud_processing.site,
         )
         consumer.subscribe(cfg.topic)
         self._consumers.append(consumer)
@@ -309,16 +337,22 @@ class EdgeToCloudPipeline:
         # Placement decision (step 2.1): which tier processes, and
         # whether the edge pre-processing stage is active. Only
         # cost-driven policies need the message-size probe.
-        probe = getattr(self.placement_policy, "requires_probe", False)
+        sample_bytes = (
+            self._estimate_message_bytes()
+            if getattr(self.placement_policy, "requires_probe", False)
+            else 0
+        )
         self._decision = self.placement_policy.decide(
-            message_bytes=self._estimate_message_bytes() if probe else 0,
+            message_bytes=sample_bytes,
             edge_site=self.pilot_edge.site,
             cloud_site=self.pilot_cloud_processing.site,
             topology=self.topology,
             compression_ratio=getattr(self._edge_fn, "compression_ratio", 1.0),
         )
 
-        self._broker.create_topic(cfg.topic, num_partitions=cfg.num_devices, exist_ok=True)
+        self._broker.create_topic(
+            cfg.topic, num_partitions=cfg.num_devices, exist_ok=True
+        )
 
         if self._sampler is not None:
             # Watch the run's broker (log depth, end offsets, group size,
@@ -336,7 +370,11 @@ class EdgeToCloudPipeline:
         consumer_futures = [self._submit_consumer(consumer) for consumer in consumers]
         producer_futures = [
             self.pilot_edge.cluster.scheduler.submit(
-                Task(fn=self._edge_task, args=(device,), resources=ResourceSpec(cores=1, memory_gb=1))
+                Task(
+                    fn=self._edge_task,
+                    args=(device,),
+                    resources=ResourceSpec(cores=1, memory_gb=1),
+                )
             )
             for device in range(cfg.num_devices)
         ]
@@ -350,8 +388,9 @@ class EdgeToCloudPipeline:
 
     def _estimate_message_bytes(self) -> int:
         """Probe one block from the producer to size placement estimates."""
-        site = self.pilot_edge.site
-        probe_ctx = self._base_context(site).for_device("device-probe", -1, site)
+        probe_ctx = self._base_context(self.pilot_edge.site).for_device(
+            "device-probe", -1, self.pilot_edge.site
+        )
         try:
             block = self._produce_fn(probe_ctx)
             if block is None:
@@ -367,13 +406,16 @@ class EdgeToCloudPipeline:
         # Release the task loops (aborting the devices after a timeout).
         self._progress.finish(abort=not completed)
 
-        consumer_futures = consumer_futures + self._extra_consumer_futures
-        for where, futures in (("producer", producer_futures), ("consumer", consumer_futures)):
-            for future in futures:
-                try:
-                    future.result(timeout=max(1.0, deadline - time.monotonic()))
-                except Exception as exc:
-                    self._record_error(where, exc)
+        for future in producer_futures:
+            try:
+                future.result(timeout=max(1.0, deadline - time.monotonic()))
+            except Exception as exc:
+                self._record_error("producer", exc)
+        for future in consumer_futures + self._extra_consumer_futures:
+            try:
+                future.result(timeout=max(1.0, deadline - time.monotonic()))
+            except Exception as exc:
+                self._record_error("consumer", exc)
 
         broker_stats = self._broker.stats()
 
@@ -387,12 +429,17 @@ class EdgeToCloudPipeline:
             # no-op for in-memory brokers.
             self._broker.close()
 
+        report = ThroughputReport.from_collector(
+            self._collector, sampler=self._sampler, tracer=self._tracer
+        )
         return PipelineResult(
             run_id=self.run_id,
-            completed=completed and self.processed_count >= cfg.total_messages and not self._errors,
-            report=ThroughputReport.from_collector(
-                self._collector, sampler=self._sampler, tracer=self._tracer
+            completed=(
+                completed
+                and self.processed_count >= cfg.total_messages
+                and not self._errors
             ),
+            report=report,
             bottleneck=analyze_bottleneck(self._collector),
             results=self._results.to_list(),
             errors=list(self._errors),

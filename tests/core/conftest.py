@@ -7,6 +7,8 @@ thread: a test steps an ``EdgeDevice`` or a ``CloudConsumer`` one round at
 a time and may count messages processed itself.
 """
 
+import threading
+
 import pytest
 
 from repro.broker import Broker, Consumer, Producer
@@ -30,6 +32,18 @@ class Clock:
         self.now += seconds
 
 
+class ParkSignal(threading.Condition):
+    """A run's progress condition that tells the test when a device parks."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.parked = threading.Event()
+
+    def wait(self, timeout=None):
+        self.parked.set()
+        return super().wait(timeout)
+
+
 class Halves:
     RUN_ID = "run"
 
@@ -46,7 +60,7 @@ class Halves:
         self.errors: list = []
         self.functions = (edge_fn, cloud_fn)
 
-    def device(self, index: int = 0, produce=None, **kwargs) -> EdgeDevice:
+    def device(self, index: int = 0, produce=None) -> EdgeDevice:
         cfg = self.config
         producer = Producer(
             self.broker, retries=cfg.producer_retries, retry_backoff_ms=cfg.retry_backoff_ms
@@ -60,12 +74,15 @@ class Halves:
             produce or make_block_producer(points=20, features=4, clusters=2),
             lambda: self.functions,
             run_id=self.RUN_ID,
+            context={},
             results=self.results,
+            decision=None,
+            uplink=None,
+            sites=("edge", "broker"),
             now=self.clock,
-            **kwargs,
         )
 
-    def consumer(self, **kwargs) -> CloudConsumer:
+    def consumer(self) -> CloudConsumer:
         consumer = Consumer(self.broker, group_id=f"{self.RUN_ID}-processors")
         consumer.subscribe(self.config.topic)
         return CloudConsumer(
@@ -75,8 +92,10 @@ class Halves:
             self.results,
             lambda: self.functions,
             lambda where, exc: self.errors.append((where, exc)),
+            context={},
+            downlink=None,
+            sites=("broker", "processing"),
             now=self.clock,
-            **kwargs,
         )
 
     def process(self, device: int, count: int) -> None:
@@ -89,3 +108,8 @@ class Halves:
 @pytest.fixture
 def halves():
     return Halves
+
+
+@pytest.fixture
+def park_signal():
+    return ParkSignal

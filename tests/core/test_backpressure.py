@@ -12,18 +12,6 @@ import pytest
 from repro.core import PipelineConfig
 
 
-class ParkSignal(threading.Condition):
-    """The run's progress condition, telling the test when a device parks."""
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.parked = threading.Event()
-
-    def wait(self, timeout=None):
-        self.parked.set()
-        return super().wait(timeout)
-
-
 def step_in_thread(device):
     """Run one round on a thread; returns the thread and the list its
     result lands in."""
@@ -48,9 +36,9 @@ class TestBackpressure:
         assert progress.produced_count == 7
         assert progress.produced_count - progress.processed_count == 3
 
-    def test_a_full_window_parks_until_the_drain(self, halves):
+    def test_a_full_window_parks_until_the_drain(self, halves, park_signal):
         run = halves(max_inflight=3, messages_per_device=20)
-        run.progress.changed = ParkSignal()
+        run.progress.changed = park_signal()
         device = run.device()
         assert device.step() == 3
         thread, out = step_in_thread(device)
@@ -61,9 +49,9 @@ class TestBackpressure:
         # One stall is one counted wait.
         assert run.collector.counter("backpressure_waits") == 1
 
-    def test_abort_releases_a_parked_device(self, halves):
+    def test_abort_releases_a_parked_device(self, halves, park_signal):
         run = halves(max_inflight=3, messages_per_device=20)
-        run.progress.changed = ParkSignal()
+        run.progress.changed = park_signal()
         device = run.device()
         assert device.step() == 3
         thread, out = step_in_thread(device)
@@ -72,6 +60,22 @@ class TestBackpressure:
         thread.join(10)
         assert out == [None]
         assert run.progress.produced_count == 3
+
+    def test_a_device_gets_room_only_from_its_own_drain(self, halves, park_signal):
+        run = halves(num_devices=2, max_inflight=3, messages_per_device=20)
+        first, second = run.device(0), run.device(1)
+        assert first.step() == 3
+        assert second.step() == 3
+        run.process(1, 3)  # device 1's window drains; none of device 0's
+        run.progress.changed = park_signal()
+        thread, out = step_in_thread(first)
+        assert run.progress.changed.parked.wait(10)
+        assert out == []
+        run.process(0, 1)
+        thread.join(10)
+        assert out == [1]
+        assert second.step() == 3
+        assert run.collector.counter("backpressure_waits") == 1
 
     def test_unbounded_by_default(self, halves):
         run = halves(messages_per_device=10)

@@ -250,7 +250,6 @@ class TestRuntimeDynamism:
         result = handle.join()
         assert result.report.messages < 1000
 
-
     def test_abort_wakes_a_paced_device(self, running_pilots):
         pipeline = make_pipeline(
             running_pilots,
@@ -261,8 +260,9 @@ class TestRuntimeDynamism:
         handle.abort()
         started = time.monotonic()
         handle.join()
-        # The device waits out its pacing on the abort, not in a sleep.
-        assert time.monotonic() - started < 1.0
+        # The device waits out its pacing on the abort, not in a sleep:
+        # well under the 5 s a sleeping device would take.
+        assert time.monotonic() - started < 2.5
 
 
 class TestParameterSharing:

@@ -211,10 +211,18 @@ class TestPerDeviceWindow:
         ids=["two-devices", "four-devices-short-switch-interval"],
     )
     def test_each_device_keeps_its_own_window(
-        self, running_pilots, devices, consumers, switch_interval
+        self, running_pilots, park_signal, devices, consumers, switch_interval
     ):
         window, messages = 3, 30
         broker = CountingBroker()
+        parking = park_signal()
+
+        def process_once_a_device_parks(context, data):
+            # Nothing is processed before a device has filled its window
+            # and parked; after that the consumers drain freely.
+            parking.parked.wait(10)
+            return passthrough_processor(context, data)
+
         appended = [0] * devices
         peaks = [0] * devices
         holder = {}
@@ -232,7 +240,7 @@ class TestPerDeviceWindow:
             pilot_edge=edge,
             pilot_cloud_processing=cloud,
             produce_function_handler=make_block_producer(points=20, features=4, clusters=2),
-            process_cloud_function_handler=passthrough_processor,
+            process_cloud_function_handler=process_once_a_device_parks,
             config=PipelineConfig(
                 num_devices=devices,
                 messages_per_device=messages,
@@ -243,6 +251,7 @@ class TestPerDeviceWindow:
             broker=broker,
         )
         holder["pipeline"] = pipeline
+        pipeline._progress.changed = parking
         previous = sys.getswitchinterval()
         if switch_interval is not None:
             sys.setswitchinterval(switch_interval)
@@ -253,5 +262,6 @@ class TestPerDeviceWindow:
         assert result.completed, result.errors
         assert appended == [messages] * devices
         assert all(0 < peak <= window for peak in peaks), peaks
+        assert pipeline.collector.counter("backpressure_waits") > 0
         assert max(broker.records_per_append()) <= window
         assert pipeline.produced_count == pipeline.processed_count == devices * messages
