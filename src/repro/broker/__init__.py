@@ -65,7 +65,6 @@ from repro.broker.cluster import ClusterBroker, connect_bootstrap
 from repro.broker.storage import (
     GroupCommitFlusher,
     LogStorageManager,
-    PilotDataOffloader,
     SegmentStore,
     StorageConfig,
     StorageError,
@@ -128,7 +127,6 @@ __all__ = [
     "MqttStyleBroker",
     "GroupCommitFlusher",
     "LogStorageManager",
-    "PilotDataOffloader",
     "SegmentStore",
     "StorageConfig",
     "StorageError",

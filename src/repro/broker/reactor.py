@@ -32,10 +32,10 @@ server half of the wire path is a ``selectors``-based reactor:
 Frames may carry the optional ``"trace"`` field; a ``server.<op>`` span
 covers dispatch (and for a parked fetch, the full park duration).
 
-Tuning knobs: ``num_workers`` (how many waiting ops may wait at once;
-the default of 4 is plenty), ``max_buffered_bytes`` (per-
-connection outbound cap — a slow reader's reads are paused until its
-buffer drains below half the cap, bounding per-connection memory).
+Tuning knob: ``num_workers`` (how many waiting ops may wait at once;
+the default of 4 is plenty). A slow reader's reads are paused once its
+outbound buffer passes ``MAX_BUFFERED_BYTES`` and resume when it drains
+below half, bounding per-connection memory.
 """
 
 from __future__ import annotations
@@ -55,6 +55,10 @@ from repro.broker.wire import FrameDecoder, encode_frame, send_some
 
 _READ = selectors.EVENT_READ
 _WRITE = selectors.EVENT_WRITE
+
+#: Per-connection outbound buffer cap: beyond it the connection's reads
+#: pause until the buffer drains below half (backpressure).
+MAX_BUFFERED_BYTES = 8 * 1024 * 1024
 
 
 class _Conn:
@@ -156,16 +160,12 @@ class ReactorBrokerServer:
         port: int = 0,
         tracer=None,
         num_workers: int = 4,
-        max_buffered_bytes: int = 8 * 1024 * 1024,
     ) -> None:
         self.broker = broker if broker is not None else Broker()
         #: Optional :class:`repro.monitoring.Tracer`; frames carrying the
         #: optional ``"trace"`` field get a ``server.<op>`` span.
         self._tracer = tracer
         self.num_workers = max(1, int(num_workers))
-        #: Per-connection outbound buffer cap: beyond it the connection's
-        #: reads pause until the buffer drains below half (backpressure).
-        self.max_buffered_bytes = int(max_buffered_bytes)
         self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         self._listener.bind((host, port))
@@ -457,9 +457,9 @@ class ReactorBrokerServer:
         # Backpressure with hysteresis: a slow reader stops being read
         # once its outbound buffer passes the cap, resumes below half.
         if conn.read_paused:
-            if conn.out_bytes < self.max_buffered_bytes // 2:
+            if conn.out_bytes < MAX_BUFFERED_BYTES // 2:
                 conn.read_paused = False
-        elif conn.out_bytes > self.max_buffered_bytes:
+        elif conn.out_bytes > MAX_BUFFERED_BYTES:
             conn.read_paused = True
         self._update_mask(conn)
 

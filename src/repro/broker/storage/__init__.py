@@ -10,8 +10,7 @@ One component per module, each handed what it talks through:
 - :mod:`~repro.broker.storage.flusher` — the :class:`GroupCommitFlusher`
   that retires every store's pending queue once per window;
 - :mod:`~repro.broker.storage.log` — the broker's
-  :class:`LogStorageManager`, one store per partition and one flusher;
-- :mod:`~repro.broker.storage.tiering` — segment offload to pilot-data.
+  :class:`LogStorageManager`, one store per partition and one flusher.
 
 The flusher and the store read the clock only through ``now``.
 """
@@ -30,12 +29,10 @@ from repro.broker.storage.store import (
     StorageConfig,
     StorageError,
 )
-from repro.broker.storage.tiering import PilotDataOffloader
 
 __all__ = [
     "GroupCommitFlusher",
     "LogStorageManager",
-    "PilotDataOffloader",
     "RecoveryResult",
     "SegmentStore",
     "StorageConfig",

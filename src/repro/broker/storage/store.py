@@ -157,10 +157,6 @@ class SegmentStore:
         # flush_stall: 5x the commit window, floored at 250 ms so a
         # tight window doesn't turn every slow fsync into an incident.
         self.flush_stall_s = max(0.25, 5.0 * self.config.flush_ms / 1000.0)
-        #: Optional callback ``(topic, partition, base, end, path, size)``
-        #: invoked with the file still on disk before a retention-evicted
-        #: segment is unlinked — the tiered-offload hook.
-        self.on_evict = None
         # _lock guards in-memory state; _io_lock serializes file mutation
         # (flush/roll/truncate). _io_lock is taken first, never while
         # holding _lock.
@@ -177,8 +173,8 @@ class SegmentStore:
         self._closed = False
         self.counters: dict = dict.fromkeys((
             "appended_batches", "flushes", "fsyncs", "flushed_bytes",
-            "segments_sealed", "segments_deleted", "segments_offloaded",
-            "offload_errors", "flush_errors", "truncations",
+            "segments_sealed", "segments_deleted", "flush_errors",
+            "truncations",
             "recovered_records", "recovered_batches", "recovery_scan_bytes",
             "decode_cache_hits", "decode_cache_misses",
         ), 0)
@@ -664,10 +660,10 @@ class SegmentStore:
         self._released = min(self._released, cut & -mmap.PAGESIZE)
         self._flushed_offset = self._end_offset = offset
 
-    # -- retention + tiered offload -----------------------------------------
+    # -- retention -----------------------------------------------------------
 
     def enforce_retention(self, retention_bytes: int, retention_seconds: float) -> tuple:
-        """Drop (or offload) whole sealed segments per the retention caps.
+        """Drop whole sealed segments per the retention caps.
 
         The active segment is never dropped (Kafka's rule); granularity
         is a whole segment, so size retention can overshoot by at most
@@ -693,20 +689,6 @@ class SegmentStore:
             )
         dropped = 0
         for seg in victims:
-            callback = self.on_evict
-            if callback is not None:
-                try:
-                    callback(self.topic, self.partition, seg.base, seg.end,
-                             seg.path, seg.size)
-                    self.counters["segments_offloaded"] += 1
-                    journal = self.journal
-                    if journal is not None:
-                        journal.emit("segment_offloaded", topic=self.topic,
-                                     partition=self.partition, base=seg.base,
-                                     end=seg.end, bytes=seg.size)
-                except Exception:
-                    # Offload is best-effort; retention proceeds.
-                    self.counters["offload_errors"] += 1
             seg.close()
             try:
                 os.unlink(seg.path)

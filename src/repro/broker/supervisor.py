@@ -25,6 +25,8 @@ from repro.util.validation import ValidationError
 
 #: How long a (re)spawned worker keeps retrying a bind that fails.
 BIND_TIMEOUT_S = 5.0
+#: How long the supervisor waits for (re)spawned workers to report bound.
+START_TIMEOUT_S = 30.0
 
 
 def _shard_worker_main(
@@ -128,7 +130,6 @@ class ClusterBrokerSupervisor:
         topics=None,
         restart: bool = False,
         num_workers: int = 4,
-        start_timeout: float = 30.0,
         replication_factor: int = 1,
         log_dir: str | None = None,
         storage=None,
@@ -147,7 +148,6 @@ class ClusterBrokerSupervisor:
         self.topics = [(str(n), int(p)) for n, p in (topics or [])]
         self.restart = bool(restart)
         self.num_workers = int(num_workers)
-        self.start_timeout = float(start_timeout)
         self.replication_factor = int(replication_factor)
         #: Root for durable shard logs; each shard gets its own subtree
         #: (``{log_dir}/shard-{index}``) that a respawn on the same index
@@ -263,7 +263,7 @@ class ClusterBrokerSupervisor:
         for index in range(self.num_shards):
             self._procs[index], self._pipes[index] = self._spawn(index, port=0)
         try:
-            self._await_bound(set(range(self.num_shards)), self.start_timeout)
+            self._await_bound(set(range(self.num_shards)), START_TIMEOUT_S)
         except Exception:
             self._teardown()
             raise
@@ -320,7 +320,7 @@ class ClusterBrokerSupervisor:
                     _, port = self._addresses[index]
                     self._procs[index], self._pipes[index] = self._spawn(index, port)
                     try:
-                        self._await_bound({index}, self.start_timeout)
+                        self._await_bound({index}, START_TIMEOUT_S)
                     except RuntimeError:
                         continue  # next tick tries again
                     if self._stopping.is_set():
@@ -395,9 +395,9 @@ class ClusterBrokerSupervisor:
             self._stopping.set()
             monitor, self._monitor = self._monitor, None
         if monitor is not None:
-            # A respawn can legitimately take up to start_timeout inside
+            # A respawn can legitimately take up to START_TIMEOUT_S inside
             # _await_bound; joining shorter than that leaks the thread.
-            monitor.join(timeout=self.start_timeout + 10)
+            monitor.join(timeout=START_TIMEOUT_S + 10)
         with self._lock:
             self._teardown()
 

@@ -19,10 +19,6 @@ from repro.util.ids import new_id
 #: Well-known event types emitted by the framework.
 LOAD_PEAK = "load.peak"
 LOAD_NORMAL = "load.normal"
-WORKER_FAILED = "resource.worker_failed"
-PILOT_STATE = "resource.pilot_state"
-MODEL_UPDATED = "model.updated"
-PATTERN_DETECTED = "data.pattern_detected"
 FUNCTION_REPLACED = "pipeline.function_replaced"
 SCALED = "pipeline.scaled"
 

@@ -47,7 +47,6 @@ EVENT_TYPES = (
     "isr_join",           # follower caught up, joined the ISR (leader shard)
     "isr_evict",          # follower lagged/timed out, left the ISR (leader shard)
     "recovery_completed", # boot recovery replayed a partition's segments (shard)
-    "segment_offloaded",  # retention shipped a sealed segment to the cloud tier (shard)
     "flush_stall",        # a group-commit flush exceeded the stall threshold (shard)
     "producer_fenced",    # idempotent producer rejected by epoch fencing (shard)
 )

@@ -29,12 +29,8 @@ class PilotDescription:
         ``ResourceSpec(cores=10, memory_gb=44)``.
     walltime_minutes:
         Requested lifetime; the HPC plugin enforces queue policies on it.
-    queue:
-        Batch queue name (HPC only).
     instance_type:
         Cloud instance-type label (cloud only; informational + quota key).
-    attributes:
-        Free-form plugin-specific settings.
     """
 
     resource: str = "localhost"
@@ -42,9 +38,7 @@ class PilotDescription:
     nodes: int = 1
     node_spec: ResourceSpec = field(default_factory=ResourceSpec)
     walltime_minutes: float = 60.0
-    queue: str = "normal"
     instance_type: str = ""
-    attributes: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if not self.resource:

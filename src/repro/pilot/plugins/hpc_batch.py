@@ -2,8 +2,8 @@
 
 Models the placeholder-job pattern the pilot abstraction comes from: a
 pilot is a job in a queuing system, and it waits in line while the
-partition is busy. The emulation keeps a FIFO backlog per queue with a
-fixed node pool; the acquisition delay is the computed head-of-line wait
+partition is busy. The emulation keeps one FIFO backlog over a fixed
+node pool; the acquisition delay is the computed head-of-line wait
 (based on the walltimes of the jobs ahead) plus the launcher overhead.
 """
 

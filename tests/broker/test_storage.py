@@ -1,4 +1,4 @@
-"""Durable segment-backed partition logs: codec, store, recovery, tiering."""
+"""Durable segment-backed partition logs: codec, store, recovery, retention."""
 
 import errno
 import mmap
@@ -15,7 +15,6 @@ from repro.broker import OffsetOutOfRangeError, PartitionLog
 from repro.broker.message import Record
 from repro.broker.storage import (
     GroupCommitFlusher,
-    PilotDataOffloader,
     SegmentStore,
     StorageConfig,
     StorageError,
@@ -28,7 +27,6 @@ from repro.broker.storage.segment import (
     scan_batches,
 )
 from repro.broker.storage.store import SNAPSHOT_FILE
-from repro.pilotdata import PilotDataService
 
 # A minute-long window and payloads far below the 1 MiB urgent mark:
 # tests control flush timing explicitly via store.flush(), so nothing
@@ -271,13 +269,9 @@ class TestSegmentStore:
         assert store.next_offset == 4
         store.close()
 
-    def test_retention_drops_sealed_segments_and_offloads(self, tmp_path):
+    def test_retention_drops_sealed_segments(self, tmp_path):
         config = StorageConfig(segment_bytes=150, flush_ms=60_000.0)
         store = make_store(tmp_path, config=config)
-        service = PilotDataService()
-        service.register_site("cloud", capacity_bytes=10**9)
-        offloader = PilotDataOffloader(service, "cloud")
-        store.on_evict = offloader
         for i in range(10):
             store.append_batch(make_records(i * 2, [b"r" * 40] * 2))
             store.flush()
@@ -285,41 +279,21 @@ class TestSegmentStore:
         assert dropped > 0 and new_base > 0
         assert store.earliest_offset == new_base
         assert store.counters["segments_deleted"] >= 1
-        assert offloader.offloaded_segments == store.counters["segments_offloaded"] > 0
-        # Each evicted segment became one pilot-data unit at the site,
-        # and its bytes decode back into a scannable segment file.
-        stats = service.stats()
-        assert stats["units"] == offloader.offloaded_segments
-        unit = service.get(f"segments/t-0/{0:020d}")
-        blob = PilotDataOffloader.segment_bytes(unit)
-        infos = list(scan_batches(blob, 0, len(blob), verify_crc=True))
-        assert infos and infos[0].base_offset == 0
         store.close()
 
-
     def test_swallowed_failures_are_counted(self, tmp_path, monkeypatch):
-        # A failing offload callback does not stop retention, and a flush
-        # the background flusher cannot land does not kill its thread —
-        # but neither vanishes: both count into the store's counters.
+        # A flush the background flusher cannot land does not kill its
+        # thread — but it does not vanish: it counts into the store's
+        # counters, and the store refuses what follows.
         config = StorageConfig(segment_bytes=150, flush_ms=1.0)
         clock = _Clock()
         flusher = GroupCommitFlusher(config.flush_ms, now=clock)
         store = SegmentStore(
             str(tmp_path / "t-0"), "t", 0, config=config, flusher=flusher, now=clock
         )
-
-        def broken_offload(*segment):
-            raise OSError("cloud site unreachable")
-
-        store.on_evict = broken_offload
         for i in range(6):
             store.append_batch(make_records(i * 2, [b"r" * 40] * 2))
             store.flush()
-        dropped, _ = store.enforce_retention(300, 0.0)
-        assert dropped > 0
-        assert store.counters["offload_errors"] == store.counters["segments_deleted"] > 0
-        assert store.counters["segments_offloaded"] == 0
-
         sealed = store.counters["segments_sealed"]
         monkeypatch.setattr(os, "writev", enospc)
         store.append_batch(make_records(12, [b"doomed"]))

@@ -2,16 +2,18 @@
 no field at all.
 
 An option with one value in use is a constant. Every field of
-``PipelineConfig`` and ``StorageConfig`` must be passed by keyword
-somewhere in the repository outside the module that defines it — by the
-CLI, the pipeline, a benchmark, an example or at least a test. A field
+``PipelineConfig``, ``StorageConfig`` and ``PilotDescription`` must be
+passed by keyword somewhere in the repository outside the module that
+defines it — by the CLI, the pipeline, a benchmark, an example or at
+least a test. A field
 that fails this is deleted (its default becomes a constant next to its
 use), not added to a list here.
 
 A field is also dead when the code it configures never reads it, however
 often it is set and validated: ``PipelineConfig`` is read by
 ``core/pipeline.py`` and its two halves ``core/edge.py`` and
-``core/cloud.py``, ``StorageConfig`` by ``broker/storage/``. A read
+``core/cloud.py``, ``StorageConfig`` by ``broker/storage/``,
+``PilotDescription`` by ``pilot/`` (its service and plugins). A read
 through one of the config's own properties (``effective_consumers``
 reads ``num_consumers``) counts. The match is by attribute name alone:
 any ``x.<field>`` load in a reader counts, whatever ``x`` is, so a dead
@@ -30,6 +32,7 @@ import pytest
 
 from repro.broker.storage import StorageConfig
 from repro.core import PipelineConfig
+from repro.pilot import PilotDescription
 
 ROOT = Path(__file__).resolve().parents[1]
 SEARCHED = ("src", "bench", "benchmarks", "examples", "tests")
@@ -40,6 +43,7 @@ READERS = {
         "src/repro/core/cloud.py",
     ),
     StorageConfig: ("src/repro/broker/storage",),
+    PilotDescription: ("src/repro/pilot",),
 }
 
 
@@ -89,7 +93,7 @@ def _fields_read(config) -> set:
     return names
 
 
-@pytest.mark.parametrize("config", [PipelineConfig, StorageConfig])
+@pytest.mark.parametrize("config", list(READERS))
 def test_every_config_field_is_set_somewhere(config):
     passed = _keywords_passed(skip=Path(inspect.getsourcefile(config)).resolve())
     unset = [f.name for f in dataclasses.fields(config) if f.name not in passed]
@@ -98,7 +102,7 @@ def test_every_config_field_is_set_somewhere(config):
     )
 
 
-@pytest.mark.parametrize("config", [PipelineConfig, StorageConfig])
+@pytest.mark.parametrize("config", list(READERS))
 def test_every_config_field_is_read(config):
     read = _fields_read(config)
     unread = [f.name for f in dataclasses.fields(config) if f.name not in read]

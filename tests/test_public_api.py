@@ -17,7 +17,6 @@ SUBPACKAGES = [
     "repro.netem",
     "repro.params",
     "repro.pilot",
-    "repro.pilotdata",
     "repro.sim",
     "repro.util",
     "repro.cli",
