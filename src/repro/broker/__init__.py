@@ -6,9 +6,10 @@ this package provides a from-scratch broker with the same semantics the
 paper's evaluation depends on:
 
 - topics split into append-only, offset-addressed partitions,
-- producers with pluggable partitioners (key-hash / round-robin / sticky),
-- consumers organised in consumer groups with cooperative rebalancing and
-  committed offsets,
+- producers that send bytes to an explicit partition (or by key hash),
+  idempotent when they retry,
+- consumers organised in consumer groups with range-assigned partitions,
+  eager rebalancing and committed offsets,
 - broker-side metrics (bytes/records in and out per topic) so broker
   throughput can be observed independently from consumer throughput —
   the Fig. 2 observation that "the broker can process more data than the
@@ -40,10 +41,9 @@ from repro.broker.message import BatchMetadata, Record, RecordMetadata
 from repro.broker.partition import PartitionLog
 from repro.broker.topic import Topic
 from repro.broker.broker import Broker
-from repro.broker.producer import Producer, Partitioner, KeyHashPartitioner, RoundRobinPartitioner, StickyPartitioner
+from repro.broker.producer import Producer
 from repro.broker.consumer import Consumer
-from repro.broker.group import GroupCoordinator, AssignmentStrategy, RangeAssignor, RoundRobinAssignor
-from repro.broker.serde import Serde, BytesSerde, JsonSerde, BlockSerde, PickleSerde
+from repro.broker.group import GroupCoordinator
 from repro.broker.plugins import broker_plugin, create_broker, available_plugins
 from repro.broker.mqtt import MqttStyleBroker
 from repro.broker.remote import (
@@ -107,20 +107,8 @@ __all__ = [
     "Topic",
     "Broker",
     "Producer",
-    "Partitioner",
-    "KeyHashPartitioner",
-    "RoundRobinPartitioner",
-    "StickyPartitioner",
     "Consumer",
     "GroupCoordinator",
-    "AssignmentStrategy",
-    "RangeAssignor",
-    "RoundRobinAssignor",
-    "Serde",
-    "BytesSerde",
-    "JsonSerde",
-    "BlockSerde",
-    "PickleSerde",
     "broker_plugin",
     "create_broker",
     "available_plugins",

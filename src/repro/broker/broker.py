@@ -118,16 +118,6 @@ class Broker:
             self._topics[name] = topic
             return topic
 
-    def delete_topic(self, name: str) -> None:
-        with self._lock:
-            if name not in self._topics:
-                raise UnknownTopicError(name)
-            del self._topics[name]
-        if self._storage is not None:
-            # Close (but keep on disk) the topic's stores; a re-created
-            # topic with the same name resumes from the files.
-            self._storage.drop_topic(name)
-
     def topic(self, name: str) -> Topic:
         with self._lock:
             try:
@@ -140,10 +130,6 @@ class Broker:
     def list_topics(self) -> list[str]:
         with self._lock:
             return sorted(self._topics)
-
-    def has_topic(self, name: str) -> bool:
-        with self._lock:
-            return name in self._topics
 
     # -- idempotent-producer registry ----------------------------------------
 

@@ -12,13 +12,10 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from typing import Any
 
 from repro.broker.broker import Broker
 from repro.broker.errors import BrokerError, RebalanceInProgressError, UnknownMemberError
-from repro.broker.group import AssignmentStrategy
 from repro.broker.message import Record
-from repro.broker.serde import BytesSerde, Serde
 from repro.util.ids import new_id
 from repro.util.validation import ValidationError, check_non_negative, check_positive
 
@@ -290,11 +287,8 @@ class Consumer:
         The broker to consume from.
     group_id:
         Consumer-group name; ``None`` for standalone (manual-assign) use.
-    serde:
-        Value deserializer applied in :meth:`poll`.
-    auto_offset_reset:
-        Where to start when the group has no committed offset:
-        ``"earliest"`` or ``"latest"``.
+        A partition the group has no committed offset for starts at its
+        earliest offset.
     session_timeout_ms:
         Failure-detection window registered with the group coordinator:
         if this consumer stops heartbeating for longer, the coordinator
@@ -311,17 +305,18 @@ class Consumer:
         Global byte budget across all prefetch buffers; fetchers park
         when it is reached (backpressure), resuming as ``poll`` drains.
     fetch_min_bytes / fetch_max_wait_ms:
-        Long-poll fetch contract forwarded to the broker: a fetch waits
-        server-side until *fetch_min_bytes* of payload is available or
-        *fetch_max_wait_ms* elapses, instead of returning empty.
+        Long-poll fetch contract forwarded to the broker: every fetch
+        with a timeout waits server-side until *fetch_min_bytes* of
+        payload (or a full batch) is available, instead of answering
+        with less. *fetch_max_wait_ms* bounds only the prefetcher's
+        parked fetches; a synchronous ``poll`` waits up to its own
+        *timeout*.
     """
 
     def __init__(
         self,
         broker: Broker | None = None,
         group_id: str | None = None,
-        serde: Serde | None = None,
-        auto_offset_reset: str = "earliest",
         client_id: str | None = None,
         session_timeout_ms: float | None = None,
         fetch_prefetch_batches: int = 0,
@@ -332,10 +327,6 @@ class Consumer:
         trace_site: str = "",
         bootstrap=None,
     ) -> None:
-        if auto_offset_reset not in ("earliest", "latest"):
-            raise ValidationError(
-                f"auto_offset_reset must be 'earliest' or 'latest', got {auto_offset_reset!r}"
-            )
         if session_timeout_ms is not None:
             check_non_negative("session_timeout_ms", session_timeout_ms)
         check_non_negative("fetch_prefetch_batches", fetch_prefetch_batches)
@@ -353,12 +344,9 @@ class Consumer:
 
             broker = connect_bootstrap(bootstrap)
         self._broker = broker
-        self._serde = serde or BytesSerde()
         self.group_id = group_id
         self.client_id = client_id or new_id("consumer")
-        self._auto_offset_reset = auto_offset_reset
         self._subscribed_topics: list[str] = []
-        self._strategy: AssignmentStrategy | None = None
         self._generation = -1
         self._assignment: list[tuple] = []
         #: (topic, partition) -> next offset to fetch
@@ -394,7 +382,7 @@ class Consumer:
 
     # -- subscription -----------------------------------------------------
 
-    def subscribe(self, topics: list[str] | str, strategy: AssignmentStrategy | None = None) -> None:
+    def subscribe(self, topics: list[str] | str) -> None:
         """Join the consumer group for *topics*."""
         if self.group_id is None:
             raise ValidationError("subscribe() requires a group_id; use assign() instead")
@@ -402,7 +390,6 @@ class Consumer:
             topics = [topics]
         self._check_open()
         self._subscribed_topics = list(topics)
-        self._strategy = strategy
         self._join()
         self._refresh_assignment()
 
@@ -414,7 +401,6 @@ class Consumer:
             self.group_id,
             self.client_id,
             self._subscribed_topics,
-            strategy=self._strategy,
             **kwargs,
         )
 
@@ -456,12 +442,11 @@ class Consumer:
                 if self.group_id
                 else None
             )
-            if committed is not None:
-                positions[tp] = committed
-            elif self._auto_offset_reset == "earliest":
-                positions[tp] = self._broker.earliest_offset(*tp)
-            else:
-                positions[tp] = self._broker.latest_offset(*tp)
+            positions[tp] = (
+                committed
+                if committed is not None
+                else self._broker.earliest_offset(*tp)
+            )
         self._positions = positions
 
     @property
@@ -482,9 +467,8 @@ class Consumer:
     def poll(self, max_records: int = 64, timeout: float = 0.0) -> list[Record]:
         """Fetch up to *max_records* across assigned partitions.
 
-        Returns raw :class:`Record` objects; use :meth:`poll_values` to
-        get deserialized payloads. Blocks up to *timeout* seconds when no
-        data is available on any partition.
+        Returns :class:`Record` objects. Blocks up to *timeout* seconds
+        when no data is available on any partition.
         """
         check_positive("max_records", max_records)
         self._check_open()
@@ -522,7 +506,11 @@ class Consumer:
             # replicator, which ships on demand to parked fetches.
             tp = self._assignment[0]
             batch = self._broker.fetch(
-                *tp, self._positions[tp], max_records=int(max_records), timeout=timeout
+                *tp,
+                self._positions[tp],
+                max_records=int(max_records),
+                timeout=timeout,
+                min_bytes=self.fetch_min_bytes,
             )
             if batch:
                 self._positions[tp] = batch[-1].offset + 1
@@ -646,14 +634,11 @@ class Consumer:
                     self._positions[tp],
                     max_records=max_records,
                     timeout=min(slice_s, remaining),
+                    min_bytes=self.fetch_min_bytes,
                 )
                 if batch:
                     self._positions[tp] = batch[-1].offset + 1
                     return batch
-
-    def poll_values(self, max_records: int = 64, timeout: float = 0.0) -> list:
-        """Like :meth:`poll`, but returns deserialized values."""
-        return [self._serde.deserialize(r.value) for r in self.poll(max_records, timeout)]
 
     # -- offsets ----------------------------------------------------------------
 

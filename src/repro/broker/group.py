@@ -7,13 +7,9 @@ rebalance that bumps the group *generation*. Every consumer poll sends a
 heartbeat, whose answer is the generation: a consumer sees a new one on
 its next poll and refreshes its assignment.
 
-Two assignment strategies are provided, matching Kafka's classic
-assignors:
-
-- :class:`RangeAssignor` — contiguous partition ranges per member
-  (Kafka's default; keeps a device's partition stream on one consumer),
-- :class:`RoundRobinAssignor` — partitions dealt one-by-one for the most
-  even spread.
+Partitions are assigned by :func:`assign_ranges`, Kafka's default range
+rule: contiguous partition ranges per member, which keeps a device's
+partition stream on one consumer.
 """
 
 from __future__ import annotations
@@ -26,65 +22,34 @@ from repro.broker.errors import UnknownMemberError
 from repro.util.validation import ValidationError, check_non_negative
 
 
-class AssignmentStrategy:
-    """Maps (members, partitions) to a per-member partition allocation."""
+def assign_ranges(members: list[str], partitions: list[tuple]) -> dict[str, list[tuple]]:
+    """``{member_id: [(topic, partition), ...]}``: member i gets the i-th
+    contiguous slice of each topic's partitions.
 
-    name = "base"
-
-    def assign(
-        self, members: list[str], partitions: list[tuple]
-    ) -> dict[str, list[tuple]]:
-        """Return ``{member_id: [(topic, partition), ...]}``.
-
-        *members* is sorted; *partitions* is a sorted list of
-        ``(topic, partition)`` pairs. Every partition must appear exactly
-        once in the result.
-        """
-        raise NotImplementedError
-
-
-class RangeAssignor(AssignmentStrategy):
-    """Contiguous ranges: member i gets the i-th slice of each topic."""
-
-    name = "range"
-
-    def assign(self, members, partitions):
-        out = {m: [] for m in members}
-        if not members:
-            return out
-        by_topic: dict[str, list[tuple]] = {}
-        for tp in partitions:
-            by_topic.setdefault(tp[0], []).append(tp)
-        for topic in sorted(by_topic):
-            tps = sorted(by_topic[topic])
-            n, k = len(tps), len(members)
-            base, extra = divmod(n, k)
-            start = 0
-            for i, member in enumerate(members):
-                take = base + (1 if i < extra else 0)
-                out[member].extend(tps[start : start + take])
-                start += take
+    *members* is sorted; *partitions* is a list of ``(topic, partition)``
+    pairs. Every partition appears exactly once in the result, and the
+    members' shares of one topic differ by at most one.
+    """
+    out = {m: [] for m in members}
+    if not members:
         return out
-
-
-class RoundRobinAssignor(AssignmentStrategy):
-    """Deal partitions across members one at a time."""
-
-    name = "roundrobin"
-
-    def assign(self, members, partitions):
-        out = {m: [] for m in members}
-        if not members:
-            return out
-        for i, tp in enumerate(sorted(partitions)):
-            out[members[i % len(members)]].append(tp)
-        return out
+    by_topic: dict[str, list[tuple]] = {}
+    for tp in partitions:
+        by_topic.setdefault(tp[0], []).append(tp)
+    for topic in sorted(by_topic):
+        tps = sorted(by_topic[topic])
+        base, extra = divmod(len(tps), len(members))
+        start = 0
+        for i, member in enumerate(members):
+            take = base + (1 if i < extra else 0)
+            out[member].extend(tps[start : start + take])
+            start += take
+    return out
 
 
 @dataclass
 class _GroupState:
     group_id: str
-    strategy: AssignmentStrategy
     generation: int = 0
     #: member_id -> subscribed topics
     members: dict = field(default_factory=dict)
@@ -142,7 +107,6 @@ class GroupCoordinator:
         group_id: str,
         member_id: str,
         topics: list[str],
-        strategy: AssignmentStrategy | None = None,
         session_timeout_ms: float | None = None,
     ) -> int:
         """Add *member_id* to the group; returns the new generation."""
@@ -156,16 +120,10 @@ class GroupCoordinator:
             if state is None:
                 state = _GroupState(
                     group_id=group_id,
-                    strategy=strategy or RangeAssignor(),
                     generation=self._epochs.get(group_id, 0),
                     session_timeout_s=self.session_timeout_ms / 1000.0,
                 )
                 self._groups[group_id] = state
-            elif strategy is not None and type(strategy) is not type(state.strategy):
-                raise ValidationError(
-                    f"group {group_id!r} already uses strategy "
-                    f"{state.strategy.name!r}"
-                )
             if session_timeout_ms is not None:
                 state.session_timeout_s = session_timeout_ms / 1000.0
             state.members[member_id] = list(topics)
@@ -254,11 +212,7 @@ class GroupCoordinator:
             topic = self._broker.topic(topic_name)  # raises on unknown topic
             partitions.extend((topic_name, p) for p in topic.partitions)
         members = sorted(state.members)
-        # Only members subscribed to a topic are eligible for its partitions.
-        eligible: dict[str, list[str]] = {}
-        for tp in partitions:
-            eligible.setdefault(tp[0], [])
-        raw = state.strategy.assign(members, partitions)
+        raw = assign_ranges(members, partitions)
         # Strip partitions of topics a member did not subscribe to, and
         # reassign them among the subscribers.
         final = {m: [] for m in members}
@@ -341,19 +295,3 @@ class GroupCoordinator:
         """
         self._check_guard(group_id)
         return self._broker.committed_offsets(group_id)
-
-    def describe(self, group_id: str) -> dict:
-        """Full group snapshot for monitoring."""
-        self._check_guard(group_id)
-        with self._lock:
-            self._sweep_locked(group_id)
-            state = self._groups.get(group_id)
-            if state is None:
-                return {"group": group_id, "members": {}, "generation": 0}
-            return {
-                "group": group_id,
-                "generation": state.generation,
-                "strategy": state.strategy.name,
-                "session_timeout_ms": state.session_timeout_s * 1000.0,
-                "members": {m: list(tps) for m, tps in state.assignment.items()},
-            }

@@ -54,10 +54,7 @@ class Field(NamedTuple):
     ``b64s``
         a list of optional byte strings, base64 inside the frame;
     ``records``
-        a :class:`Record` list — metadata in the frame, values as blobs;
-    ``local``
-        never sent: an in-process-only parameter that remote callers
-        must leave at its default (the server's own setting applies).
+        a :class:`Record` list — metadata in the frame, values as blobs.
     """
 
     name: str
@@ -225,7 +222,7 @@ class Op:
         """Bound arguments → ``(request frame fields, request blobs)``."""
         frame: dict = {}
         blobs: list = []
-        for name, param, kind, default in self._plan:
+        for name, param, kind, _ in self._plan:
             value = bound[param]
             if kind == "json":
                 frame[name] = value
@@ -235,11 +232,6 @@ class Op:
                 frame[name] = None if value is None else [b64(v) for v in value]
             elif kind == "records":
                 frame[name], blobs = records_to_wire(value)
-            elif value is not default:  # local
-                raise ValidationError(
-                    f"{self.method}(): {name!r} cannot cross the wire; "
-                    f"the server's own setting applies"
-                )
         return frame, blobs
 
     def response(self, result, blobs, frame: dict):
@@ -279,8 +271,6 @@ class Op:
         """Decoded request → keyword arguments for the serving method."""
         kwargs = {}
         for name, param, kind, default in self._plan:
-            if kind == "local":
-                continue
             value = blobs if kind == "blobs" else request.get(name, default)
             if value is REQUIRED:
                 raise ValidationError(f"{self.name}: missing field {name!r}")
@@ -412,8 +402,7 @@ _OPS = (
        route="group", codec=BY_PARTITION),
     # group coordination
     Op("group_join", "join",
-       (*_MEMBER, F("topics"), F("strategy", None, kind="local"),
-        F("session_timeout_ms", None)),
+       (*_MEMBER, F("topics"), F("session_timeout_ms", None)),
        on="coordinator", route="group"),
     Op("group_heartbeat", "heartbeat", _MEMBER,
        "Refresh a member's lease; answers the group generation.",

@@ -1,10 +1,10 @@
-"""Producer client: serialization, partitioning, produce metrics.
+"""Producer client: partition choice, retries, produce metrics.
 
 Producers are cheap, thread-compatible objects bound to one broker. The
-partitioner decides which partition a record lands on; the paper's
-experiments pin one partition per edge device, which corresponds to an
+paper's experiments pin one partition per edge device, which is an
 explicit ``partition=`` argument (each simulated device produces only to
-its own partition).
+its own partition); a send without one picks the partition from the
+record's key.
 """
 
 from __future__ import annotations
@@ -17,65 +17,18 @@ from typing import Any
 from repro.broker.broker import Broker
 from repro.broker.errors import is_retriable
 from repro.broker.message import BatchMetadata, RecordMetadata
-from repro.broker.serde import BytesSerde, Serde
 from repro.util.ids import new_id
 from repro.util.validation import ValidationError, check_non_negative
 
 
-class Partitioner:
-    """Chooses the partition for a record when none is given explicitly."""
-
-    def select(self, key: bytes | None, num_partitions: int) -> int:
-        raise NotImplementedError
-
-
-class KeyHashPartitioner(Partitioner):
-    """Stable key hash (crc32, like Kafka's murmur2 role); round-robin
-    for keyless records."""
-
-    def __init__(self) -> None:
-        self._counter = 0
-
-    def select(self, key: bytes | None, num_partitions: int) -> int:
-        if key is None:
-            self._counter += 1
-            return (self._counter - 1) % num_partitions
-        return zlib.crc32(key) % num_partitions
-
-
-class RoundRobinPartitioner(Partitioner):
-    """Strict rotation regardless of key."""
-
-    def __init__(self) -> None:
-        self._counter = 0
-
-    def select(self, key: bytes | None, num_partitions: int) -> int:
-        p = self._counter % num_partitions
-        self._counter += 1
-        return p
-
-
-class StickyPartitioner(Partitioner):
-    """Stick to one partition for a batch of records, then rotate.
-
-    Mimics Kafka's sticky partitioner, which improves batching for
-    high-rate keyless producers.
-    """
-
-    def __init__(self, batch_size: int = 16) -> None:
-        check_non_negative("batch_size", batch_size)
-        self._batch_size = max(1, int(batch_size))
-        self._current = 0
-        self._sent_in_batch = 0
-
-    def select(self, key: bytes | None, num_partitions: int) -> int:
-        if key is not None:
-            return zlib.crc32(key) % num_partitions
-        if self._sent_in_batch >= self._batch_size:
-            self._current = (self._current + 1) % num_partitions
-            self._sent_in_batch = 0
-        self._sent_in_batch += 1
-        return self._current % num_partitions
+def _as_bytes(value: Any) -> bytes:
+    """A record value as ``bytes``: buffers are copied, anything else is
+    refused (encode blocks with :func:`repro.data.serde.encode_block`)."""
+    if isinstance(value, bytes):
+        return value
+    if isinstance(value, (bytearray, memoryview)):
+        return bytes(value)
+    raise TypeError(f"record values must be bytes, got {type(value).__name__}")
 
 
 class Producer:
@@ -90,22 +43,19 @@ class Producer:
     Delivery knobs (Kafka-shaped):
 
     - ``acks=1`` (default, alias ``"leader"``): the send blocks for the
-      leader's ack; failures raise (after any retries). ``acks=0``:
-      fire-and-forget — transport failures are swallowed (counted in
-      ``sends_failed``) and ``None`` is returned. ``acks="all"``: the
-      broker additionally holds the ack until every in-sync replica
+      leader's ack; failures raise (after any retries). ``acks="all"``:
+      the broker additionally holds the ack until every in-sync replica
       holds the records (high-watermark advance) — on an unreplicated
       broker this coincides with ``acks=1``.
     - ``retries``: transient failures (``RetriableError``,
       ``ConnectionError``, timeouts) are retried up to this many times
       with exponential backoff and jitter starting at
-      ``retry_backoff_ms``.
-    - ``enable_idempotence`` (default: on whenever ``retries > 0``): the
-      producer registers with the broker for a ``(producer_id, epoch)``
-      identity and stamps every append with a per-partition sequence
-      number, so a retried batch that *did* land the first time is
-      deduplicated broker-side — at-least-once retries, exactly-once log
-      offsets.
+      ``retry_backoff_ms``. A producer with ``retries > 0`` is
+      idempotent: it registers with the broker for a ``(producer_id,
+      epoch)`` identity and stamps every append with a per-partition
+      sequence number, so a retried batch that *did* land the first time
+      is deduplicated broker-side — at-least-once retries, exactly-once
+      log offsets.
     """
 
     #: Backoff growth cap: sleeps never exceed this many seconds.
@@ -114,21 +64,16 @@ class Producer:
     def __init__(
         self,
         broker: Broker | None = None,
-        serde: Serde | None = None,
-        partitioner: Partitioner | None = None,
         client_id: str | None = None,
         acks: int | str = 1,
         retries: int = 0,
         retry_backoff_ms: float = 100.0,
-        enable_idempotence: bool | None = None,
         tracer=None,
         trace_site: str = "",
         bootstrap=None,
     ) -> None:
-        if acks not in (0, 1, "leader", "all"):
-            raise ValidationError(
-                f"acks must be 0, 1, 'leader' or 'all', got {acks!r}"
-            )
+        if acks not in (1, "leader", "all"):
+            raise ValidationError(f"acks must be 1, 'leader' or 'all', got {acks!r}")
         check_non_negative("retries", retries)
         check_non_negative("retry_backoff_ms", retry_backoff_ms)
         if (broker is None) == (bootstrap is None):
@@ -142,18 +87,16 @@ class Producer:
 
             broker = connect_bootstrap(bootstrap)
         self._broker = broker
-        self._serde = serde or BytesSerde()
-        self._partitioner = partitioner or KeyHashPartitioner()
+        #: Keyless sends without ``partition=`` rotate from here.
+        self._next_keyless = 0
         self.client_id = client_id or new_id("producer")
-        self.acks = acks if isinstance(acks, str) else int(acks)
+        self.acks = acks
         # What rides to the broker: only "all" changes broker behavior
-        # (0/1/"leader" all ack at the leader).
+        # (1 and "leader" both ack at the leader).
         self._wire_acks = "all" if self.acks == "all" else None
         self.retries = int(retries)
         self.retry_backoff_ms = float(retry_backoff_ms)
-        self.idempotent = (
-            bool(enable_idempotence) if enable_idempotence is not None else retries > 0
-        )
+        self.idempotent = self.retries > 0
         # Idempotent identity, assigned lazily on the first send so plain
         # producers never pay the registration round-trip.
         self._pid: int | None = None
@@ -179,6 +122,15 @@ class Producer:
     @property
     def broker(self) -> Broker:
         return self._broker
+
+    def _partition_for(self, topic: str, key: bytes | None) -> int:
+        """The partition of a send without ``partition=``: ``crc32(key)``
+        modulo the partition count; keyless records rotate."""
+        num = self._broker.topic(topic).num_partitions
+        if key is not None:
+            return zlib.crc32(key) % num
+        self._next_keyless += 1
+        return (self._next_keyless - 1) % num
 
     # -- idempotence ------------------------------------------------------
 
@@ -262,22 +214,15 @@ class Producer:
         key: bytes | None = None,
         partition: int | None = None,
         headers: dict | None = None,
-    ) -> RecordMetadata | None:
-        """Serialize and append one record — a batch of one through
-        :meth:`send_many`, on the partition its *key* selects.
-
-        With ``acks=0`` transport failures return ``None`` instead of
-        raising (fire-and-forget).
-        """
+    ) -> RecordMetadata:
+        """Append one record — a batch of one through :meth:`send_many`,
+        on the partition its *key* selects."""
         self._check_open()
         if partition is None:
-            num = self._broker.topic(topic).num_partitions
-            partition = self._partitioner.select(key, num)
+            partition = self._partition_for(topic, key)
         md = self.send_many(
             topic, [value], keys=[key], partition=partition, headers=headers
         )
-        if md is None:
-            return None
         return RecordMetadata(topic=topic, partition=partition, offset=md.base_offset)
 
     def send_many(
@@ -287,24 +232,22 @@ class Producer:
         keys=None,
         partition: int | None = None,
         headers=None,
-    ) -> BatchMetadata | None:
-        """Serialize and append a batch of records in one broker call.
+    ) -> BatchMetadata:
+        """Append a batch of ``bytes`` values in one broker call.
 
         The whole batch lands on **one** partition: either the explicit
-        ``partition`` or one chosen once by the partitioner (per-record
-        key routing would split the batch). ``keys`` are stored with the
+        ``partition`` or the next in the keyless rotation (per-record key
+        routing would split the batch). ``keys`` are stored with the
         records but do not route. Against a
         :class:`~repro.broker.remote.RemoteBroker` this is a single socket
-        round-trip. With ``acks=0`` transport failures return ``None``
-        instead of raising.
+        round-trip.
         """
         self._check_open()
-        payloads = [self._serde.serialize(v) for v in values]
+        payloads = [_as_bytes(v) for v in values]
         if not payloads:
             raise ValidationError("send_many requires at least one value")
         if partition is None:
-            num = self._broker.topic(topic).num_partitions
-            partition = self._partitioner.select(None, num)
+            partition = self._partition_for(topic, None)
         spans = None
         if self._tracer is not None:
             spans, headers = self._trace_send(headers, len(payloads))
@@ -333,8 +276,6 @@ class Producer:
             if base_sequence is not None:
                 self._rollback_sequence(topic, partition, len(payloads))
             self.sends_failed += 1
-            if self.acks == 0:
-                return None
             raise
         self._finish_spans(spans)
         self.records_sent += md.count

@@ -64,14 +64,6 @@ class LogStorageManager:
                 self._stores[key] = store
             return store
 
-    def drop_topic(self, topic: str) -> None:
-        """Close (but keep on disk) every store of *topic*."""
-        with self._lock:
-            victims = [s for (t, _), s in self._stores.items() if t == topic]
-            self._stores = {k: s for k, s in self._stores.items() if k[0] != topic}
-        for store in victims:
-            store.close()
-
     def _store_list(self) -> list:
         with self._lock:
             return list(self._stores.values())

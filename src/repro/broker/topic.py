@@ -10,10 +10,7 @@ from repro.util.validation import ValidationError, check_positive
 class Topic:
     """A named collection of :class:`PartitionLog` instances.
 
-    The partition count is fixed at creation (as in Kafka, growing a topic
-    is an administrative operation — provided here as
-    :meth:`add_partitions` since the paper's dynamism scenarios scale the
-    pipeline at runtime).
+    The partition count is fixed at creation.
     """
 
     def __init__(
@@ -27,11 +24,9 @@ class Topic:
             raise ValidationError(f"invalid topic name {name!r}")
         check_positive("num_partitions", num_partitions)
         self.name = name
-        self.retention_bytes = int(retention_bytes)
-        #: Durable backend shared by every partition (a
-        #: :class:`~repro.broker.storage.log.LogStorageManager`) or
-        #: ``None`` for in-memory logs.
-        self.storage = storage
+        # *storage* is the durable backend every partition shares (a
+        # :class:`~repro.broker.storage.log.LogStorageManager`), ``None``
+        # for in-memory logs.
         self._partitions = [
             PartitionLog(name, p, retention_bytes=retention_bytes, storage=storage)
             for p in range(int(num_partitions))
@@ -49,20 +44,6 @@ class Topic:
         if not 0 <= index < len(self._partitions):
             raise UnknownPartitionError(self.name, index)
         return self._partitions[index]
-
-    def add_partitions(self, count: int) -> None:
-        """Grow the topic by *count* partitions (runtime scaling)."""
-        check_positive("count", count)
-        start = len(self._partitions)
-        for p in range(start, start + int(count)):
-            self._partitions.append(
-                PartitionLog(
-                    self.name,
-                    p,
-                    retention_bytes=self.retention_bytes,
-                    storage=self.storage,
-                )
-            )
 
     @property
     def total_appended(self) -> int:

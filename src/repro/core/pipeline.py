@@ -367,6 +367,10 @@ class EdgeToCloudPipeline:
         # Consumers join the group before producers start so the initial
         # partition assignment is stable for the whole run.
         consumers = [self._make_consumer() for _ in range(cfg.effective_consumers)]
+        if self._sampler is not None:
+            # A remote group is seen only while it has members: sample it
+            # now, so a run shorter than one tick still records its lag.
+            self._sampler.sample_now()
         consumer_futures = [self._submit_consumer(consumer) for consumer in consumers]
         producer_futures = [
             self.pilot_edge.cluster.scheduler.submit(

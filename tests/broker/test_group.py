@@ -1,59 +1,41 @@
-"""Tests for the group coordinator and assignment strategies."""
+"""Tests for the group coordinator and its range assignment."""
 
 import threading
 
 import pytest
 
-from repro.broker import (
-    Broker,
-    RangeAssignor,
-    RoundRobinAssignor,
-    UnknownMemberError,
-)
+from repro.broker import Broker, UnknownMemberError
+from repro.broker.group import assign_ranges
 from repro.util.validation import ValidationError
 
 
 class TestRangeAssignor:
     def test_even_split(self):
         parts = [("t", p) for p in range(4)]
-        out = RangeAssignor().assign(["a", "b"], parts)
+        out = assign_ranges(["a", "b"], parts)
         assert out["a"] == [("t", 0), ("t", 1)]
         assert out["b"] == [("t", 2), ("t", 3)]
 
     def test_uneven_split_favors_first(self):
         parts = [("t", p) for p in range(5)]
-        out = RangeAssignor().assign(["a", "b"], parts)
+        out = assign_ranges(["a", "b"], parts)
         assert len(out["a"]) == 3
         assert len(out["b"]) == 2
 
     def test_more_members_than_partitions(self):
         parts = [("t", 0)]
-        out = RangeAssignor().assign(["a", "b", "c"], parts)
+        out = assign_ranges(["a", "b", "c"], parts)
         assert out["a"] == [("t", 0)]
         assert out["b"] == [] and out["c"] == []
 
     def test_multi_topic_ranges(self):
         parts = [("t1", 0), ("t1", 1), ("t2", 0), ("t2", 1)]
-        out = RangeAssignor().assign(["a", "b"], parts)
+        out = assign_ranges(["a", "b"], parts)
         assert out["a"] == [("t1", 0), ("t2", 0)]
         assert out["b"] == [("t1", 1), ("t2", 1)]
 
     def test_no_members(self):
-        assert RangeAssignor().assign([], [("t", 0)]) == {}
-
-
-class TestRoundRobinAssignor:
-    def test_deals_alternately(self):
-        parts = [("t", p) for p in range(5)]
-        out = RoundRobinAssignor().assign(["a", "b"], parts)
-        assert out["a"] == [("t", 0), ("t", 2), ("t", 4)]
-        assert out["b"] == [("t", 1), ("t", 3)]
-
-    def test_every_partition_exactly_once(self):
-        parts = [("t", p) for p in range(7)]
-        out = RoundRobinAssignor().assign(["a", "b", "c"], parts)
-        flat = sorted(tp for tps in out.values() for tp in tps)
-        assert flat == parts
+        assert assign_ranges([], [("t", 0)]) == {}
 
 
 class TestGroupCoordinator:
@@ -89,7 +71,7 @@ class TestGroupCoordinator:
         coord = broker2.coordinator
         coord.join("g", "m1", ["t"])
         coord.leave("g", "m1")
-        assert coord.describe("g")["generation"] == 0
+        assert coord.group_ids() == []
         assert coord.members("g") == []
 
     def test_leave_unknown_is_noop(self, broker2):
@@ -98,6 +80,12 @@ class TestGroupCoordinator:
     def test_unknown_member_assignment_empty(self, broker2):
         gen, assignment = broker2.coordinator.assignment("g", "ghost")
         assert (gen, assignment) == (0, [])
+
+    def test_describe_unknown_group(self, broker2):
+        coord = broker2.coordinator
+        assert coord.assignment("nope", "m") == (0, [])
+        assert coord.members("nope") == []
+        assert "nope" not in coord.group_ids()
 
     def test_empty_subscription_rejected(self, broker2):
         with pytest.raises(ValidationError):
@@ -108,12 +96,6 @@ class TestGroupCoordinator:
 
         with pytest.raises(UnknownTopicError):
             broker2.coordinator.join("g", "m", ["missing"])
-
-    def test_strategy_conflict_rejected(self, broker2):
-        coord = broker2.coordinator
-        coord.join("g", "m1", ["t"], strategy=RangeAssignor())
-        with pytest.raises(ValidationError):
-            coord.join("g", "m2", ["t"], strategy=RoundRobinAssignor())
 
     def test_mixed_subscriptions(self, broker2):
         broker2.create_topic("u", 2)
@@ -127,24 +109,6 @@ class TestGroupCoordinator:
         assert all(tp[0] == "u" for tp in a2)
         assert len(a1) == 4 and len(a2) == 2
 
-    def test_describe(self, broker2):
-        coord = broker2.coordinator
-        coord.join("g", "m1", ["t"])
-        desc = coord.describe("g")
-        assert desc["generation"] == 1
-        assert desc["strategy"] == "range"
-        assert "m1" in desc["members"]
-
-    def test_describe_unknown_group(self, broker2):
-        desc = broker2.coordinator.describe("nope")
-        assert desc["generation"] == 0
-
-    def test_roundrobin_strategy_applied(self, broker2):
-        coord = broker2.coordinator
-        coord.join("g", "m1", ["t"], strategy=RoundRobinAssignor())
-        coord.join("g", "m2", ["t"])
-        _, a1 = coord.assignment("g", "m1")
-        assert a1 == [("t", 0), ("t", 2)]
 
 
 class _ProbesTheCoordinatorLock(Broker):

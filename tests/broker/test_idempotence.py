@@ -149,14 +149,6 @@ class TestProducerRetries:
             producer.send_many("t", [b"a"], partition=0)
         assert producer.sends_failed == 1
 
-    def test_acks_zero_swallows_failures(self, broker):
-        injector = FaultInjector().drop_next(10, op="append_many")
-        producer = Producer(
-            FaultyBroker(broker, injector), client_id="p", acks=0, retry_backoff_ms=0.0
-        )
-        assert producer.send_many("t", [b"a"], partition=0) is None
-        assert producer.sends_failed == 1
-
     def test_sequence_reuse_after_failed_send_dedups(self, broker):
         # The drop hits the broker *after* a hypothetical partial landing:
         # model the lost-ack case by appending directly, then letting the
@@ -175,7 +167,6 @@ class TestProducerRetries:
     def test_idempotence_defaults_to_on_with_retries(self, broker):
         assert Producer(broker, retries=3).idempotent
         assert not Producer(broker).idempotent
-        assert not Producer(broker, retries=3, enable_idempotence=False).idempotent
 
 
 class TestProducerLifecycle:

@@ -1,19 +1,26 @@
 """Tests for producer and consumer clients."""
 
+import threading
+import zlib
+
 import numpy as np
 import pytest
 
-from repro.broker import (
-    BlockSerde,
-    Broker,
-    Consumer,
-    JsonSerde,
-    KeyHashPartitioner,
-    Producer,
-    RoundRobinPartitioner,
-    StickyPartitioner,
-)
+from repro.broker import Broker, Consumer, Producer
+from repro.data.serde import decode_block, encode_block
 from repro.util.validation import ValidationError
+
+
+class _ParkSignal(threading.Condition):
+    """A partition's data condition that tells the test when a fetch parks."""
+
+    def __init__(self, lock) -> None:
+        super().__init__(lock)
+        self.parked = threading.Event()
+
+    def wait(self, timeout=None):
+        self.parked.set()
+        return super().wait(timeout)
 
 
 @pytest.fixture
@@ -23,34 +30,23 @@ def topic_broker(broker):
 
 
 class TestPartitioners:
-    def test_key_hash_is_stable(self):
-        p = KeyHashPartitioner()
-        assert p.select(b"key", 4) == p.select(b"key", 4)
+    """A send without ``partition=`` picks one from the record's key."""
 
-    def test_key_hash_within_range(self):
-        p = KeyHashPartitioner()
+    def test_key_hash_is_stable(self, topic_broker):
+        producer = Producer(topic_broker)
+        first = producer.send("t", b"x", key=b"key").partition
+        assert producer.send("t", b"y", key=b"key").partition == first
+
+    def test_key_hash_within_range(self, topic_broker):
+        producer = Producer(topic_broker)
         for i in range(50):
-            assert 0 <= p.select(f"k{i}".encode(), 4) < 4
+            key = f"k{i}".encode()
+            assert producer.send("t", b"x", key=key).partition == zlib.crc32(key) % 4
 
-    def test_keyless_round_robins(self):
-        p = KeyHashPartitioner()
-        picks = [p.select(None, 4) for _ in range(8)]
+    def test_keyless_round_robins(self, topic_broker):
+        producer = Producer(topic_broker)
+        picks = [producer.send("t", b"x").partition for _ in range(8)]
         assert picks == [0, 1, 2, 3, 0, 1, 2, 3]
-
-    def test_round_robin_ignores_key(self):
-        p = RoundRobinPartitioner()
-        picks = [p.select(b"same", 3) for _ in range(6)]
-        assert picks == [0, 1, 2, 0, 1, 2]
-
-    def test_sticky_batches(self):
-        p = StickyPartitioner(batch_size=3)
-        picks = [p.select(None, 4) for _ in range(9)]
-        assert picks[:3] == [0, 0, 0]
-        assert picks[3:6] == [1, 1, 1]
-
-    def test_sticky_respects_keys(self):
-        p = StickyPartitioner(batch_size=2)
-        assert p.select(b"k", 4) == p.select(b"k", 4)
 
 
 class TestProducer:
@@ -60,24 +56,35 @@ class TestProducer:
         assert md.partition == 2
 
     def test_send_via_partitioner(self, topic_broker):
-        producer = Producer(topic_broker, partitioner=RoundRobinPartitioner())
-        partitions = [producer.send("t", b"x").partition for _ in range(4)]
-        assert partitions == [0, 1, 2, 3]
+        # Keyless sends and batches take turns on one rotation.
+        producer = Producer(topic_broker)
+        first = producer.send("t", b"x").partition
+        batch = producer.send_many("t", [b"y", b"z"]).partition
+        assert (first, batch, producer.send("t", b"w").partition) == (0, 1, 2)
 
     def test_serde_applied(self, topic_broker):
-        producer = Producer(topic_broker, serde=JsonSerde())
-        producer.send("t", {"a": 1}, partition=0)
-        record = topic_broker.fetch("t", 0, 0)[0]
-        assert record.value == b'{"a":1}'
+        # Buffers are stored as the bytes they hold.
+        producer = Producer(topic_broker)
+        producer.send("t", bytearray(b"ab"), partition=0)
+        producer.send("t", memoryview(b"cd"), partition=0)
+        values = [r.value for r in topic_broker.fetch("t", 0, 0)]
+        assert values == [b"ab", b"cd"]
+        assert all(type(v) is bytes for v in values)
 
     def test_block_serde_roundtrip(self, topic_broker):
         block = np.arange(12.0).reshape(3, 4)
-        producer = Producer(topic_broker, serde=BlockSerde())
-        producer.send("t", block, partition=0)
-        consumer = Consumer(topic_broker, serde=BlockSerde())
+        Producer(topic_broker).send("t", encode_block(block), partition=0)
+        consumer = Consumer(topic_broker)
         consumer.assign([("t", 0)])
-        [decoded] = consumer.poll_values()
-        np.testing.assert_array_equal(decoded, block)
+        [record] = consumer.poll()
+        np.testing.assert_array_equal(decode_block(record.value), block)
+
+    def test_acks_values(self, topic_broker):
+        for acks in (1, "leader", "all"):
+            assert Producer(topic_broker, acks=acks).acks == acks
+        for acks in (0, 2, "none"):
+            with pytest.raises(ValidationError):
+                Producer(topic_broker, acks=acks)
 
     def test_metrics(self, topic_broker):
         producer = Producer(topic_broker)
@@ -99,15 +106,19 @@ class TestBatchedProducer:
         assert producer.bytes_sent == 6
 
     def test_send_many_routes_whole_batch_to_one_partition(self, topic_broker):
-        producer = Producer(topic_broker, partitioner=RoundRobinPartitioner())
+        producer = Producer(topic_broker)
         md = producer.send_many("t", [b"a", b"b", b"c"])
         assert topic_broker.latest_offset("t", md.partition) == 3
 
     def test_send_many_applies_serde(self, topic_broker):
-        producer = Producer(topic_broker, serde=JsonSerde())
-        producer.send_many("t", [{"a": 1}, {"b": 2}], partition=0)
-        values = [r.value for r in topic_broker.fetch("t", 0, 0, max_records=4)]
-        assert values == [b'{"a":1}', b'{"b":2}']
+        # A value that is not bytes is refused, and none of its batch lands.
+        producer = Producer(topic_broker)
+        with pytest.raises(TypeError):
+            producer.send_many("t", [b"a", {"b": 2}], partition=0)
+        with pytest.raises(TypeError):
+            producer.send("t", "text", partition=0)
+        assert topic_broker.latest_offset("t", 0) == 0
+        assert producer.records_sent == 0
 
     def test_send_many_empty_rejected(self, topic_broker):
         with pytest.raises(ValidationError):
@@ -147,15 +158,6 @@ class TestConsumerManualAssign:
         consumer.assign([("t", 0)])
         with pytest.raises(ValidationError):
             consumer.seek("t", 3, 0)
-
-    def test_latest_offset_reset(self, topic_broker):
-        producer = Producer(topic_broker)
-        producer.send("t", b"old", partition=0)
-        consumer = Consumer(topic_broker, auto_offset_reset="latest")
-        consumer.assign([("t", 0)])
-        assert consumer.poll() == []
-        producer.send("t", b"new", partition=0)
-        assert consumer.poll()[0].value == b"new"
 
     def test_lag(self, topic_broker):
         producer = Producer(topic_broker)
@@ -220,9 +222,25 @@ class TestConsumerManualAssign:
         assert [r.value for r in records] == [b"wake"]
         assert elapsed < 2.0, f"poll blocked {elapsed:.2f}s on the wrong partition"
 
-    def test_invalid_offset_reset(self, topic_broker):
-        with pytest.raises(ValidationError):
-            Consumer(topic_broker, auto_offset_reset="middle")
+    def test_timed_poll_waits_for_fetch_min_bytes(self, topic_broker):
+        log = topic_broker.partition_log("t", 0)
+        log._data_available = _ParkSignal(log._lock)
+        producer = Producer(topic_broker)
+        producer.send("t", b"0123456789", partition=0)
+        consumer = Consumer(topic_broker, fetch_min_bytes=20)
+        consumer.assign([("t", 0)])
+        polled = []
+        poller = threading.Thread(
+            target=lambda: polled.extend(consumer.poll(timeout=30.0))
+        )
+        poller.start()
+        # 10 bytes are short of 20: the poll parks instead of answering.
+        parked = log._data_available.parked.wait(5.0)
+        producer.send("t", b"abcdefghij", partition=0)
+        poller.join(timeout=35.0)
+        assert not poller.is_alive()
+        assert parked
+        assert [r.value for r in polled] == [b"0123456789", b"abcdefghij"]
 
     def test_consume_metrics(self, topic_broker):
         Producer(topic_broker).send("t", b"abc", partition=0)
@@ -294,7 +312,7 @@ class TestConsumerGroups:
         assert topic_broker.coordinator.members("g") == []
 
     def test_group_consumption_covers_all_messages(self, topic_broker):
-        producer = Producer(topic_broker, partitioner=RoundRobinPartitioner())
+        producer = Producer(topic_broker)
         for i in range(20):
             producer.send("t", bytes([i]))
         c1 = Consumer(topic_broker, group_id="g")

@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from repro.broker import (
-    BlockSerde,
     Broker,
     BrokerTimeoutError,
     ClusterBroker,
@@ -21,6 +20,7 @@ from repro.broker import (
 )
 from repro.broker.remote import BrokerServer, RemoteBroker, RemoteBrokerError
 from repro.broker.wire import LEN, recv_frame
+from repro.data.serde import decode_block, encode_block
 
 
 @pytest.fixture
@@ -136,10 +136,11 @@ class TestClientsOverRemote:
     def test_block_serde_over_the_wire(self, remote):
         remote.create_topic("t", 1)
         block = np.arange(20.0).reshape(4, 5)
-        Producer(remote, serde=BlockSerde()).send("t", block, partition=0)
-        consumer = Consumer(remote, serde=BlockSerde())
+        Producer(remote).send("t", encode_block(block), partition=0)
+        consumer = Consumer(remote)
         consumer.assign([("t", 0)])
-        [decoded] = consumer.poll_values()
+        [record] = consumer.poll()
+        decoded = decode_block(record.value)
         np.testing.assert_array_equal(decoded, block)
 
     def test_consumer_group_over_remote(self, server):

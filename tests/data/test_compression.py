@@ -56,12 +56,16 @@ class TestCompressedFrames:
 
 class TestBlockSerdeCompression:
     def test_serde_flag(self, small_block):
-        from repro.broker import BlockSerde
+        from repro.broker import Broker, Consumer, Producer
 
-        serde = BlockSerde(compress=True)
-        payload = serde.serialize(small_block)
-        assert payload[:4] == MAGIC_COMPRESSED
-        np.testing.assert_array_equal(serde.deserialize(payload), small_block)
+        broker = Broker(name="compression")
+        broker.create_topic("t")
+        Producer(broker).send("t", encode_block(small_block, compress=True), partition=0)
+        consumer = Consumer(broker)
+        consumer.assign([("t", 0)])
+        [record] = consumer.poll()
+        assert record.value[:4] == MAGIC_COMPRESSED
+        np.testing.assert_array_equal(decode_block(record.value), small_block)
 
 
 class TestPipelineWireCompression:

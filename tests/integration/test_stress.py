@@ -5,7 +5,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro.broker import Broker, Consumer, Producer, RoundRobinPartitioner
+from repro.broker import Broker, Consumer, Producer
 from repro.compute import Client, ComputeCluster, ResourceSpec
 from repro.params import CasConflict, ParameterClient, ParameterServer
 
@@ -17,7 +17,7 @@ class TestBrokerUnderContention:
         n_producers, per_producer = 4, 200
 
         def produce(idx):
-            producer = Producer(broker, partitioner=RoundRobinPartitioner())
+            producer = Producer(broker)
             for i in range(per_producer):
                 producer.send("t", f"{idx}:{i}".encode())
 
@@ -57,7 +57,7 @@ class TestBrokerUnderContention:
         semantics guarantee every record is seen at least once."""
         broker = Broker()
         broker.create_topic("t", 4)
-        producer = Producer(broker, partitioner=RoundRobinPartitioner())
+        producer = Producer(broker)
         total = 400
         for i in range(total):
             producer.send("t", i.to_bytes(4, "big"))

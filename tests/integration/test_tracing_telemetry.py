@@ -101,6 +101,33 @@ class TestTracedRemotePipeline:
         # End-to-end latency flowed into the shared registry.
         assert registry.histogram("pipeline_e2e_latency_s").count == delivered
 
+    def test_lag_sampled_when_the_run_ends_before_the_first_tick(self, service):
+        """Over the wire the sampler learns a group only while it has
+        members; the pipeline samples once after its consumers join, so a
+        sampler that never ticks still records the group's lag."""
+        edge, cloud = acquire(service)
+        sampler = TelemetrySampler(interval_s=60.0)
+        with BrokerServer() as server:
+            with RemoteBroker(server.host, server.port) as remote:
+                result = EdgeToCloudPipeline(
+                    pilot_edge=edge,
+                    pilot_cloud_processing=cloud,
+                    produce_function_handler=make_block_producer(
+                        points=20, features=4, clusters=2
+                    ),
+                    process_cloud_function_handler=passthrough_processor,
+                    config=PipelineConfig(num_devices=2, messages_per_device=5),
+                    broker=remote,
+                    sampler=sampler,
+                ).run()
+        assert result.completed
+        names = sampler.names()
+        lag_series = sorted(n for n in names if n.startswith("consumer_lag."))
+        assert [n.rsplit(".", 1)[1] for n in lag_series] == ["0", "1"], names
+        assert [n for n in names if n.startswith("group.members.")], names
+        for name in lag_series:
+            assert sampler.series(name)[-1][1] == 0.0
+
     def test_sampled_out_traces_skip_downstream_hops(self, service):
         """sample_rate=0 means no trace headers, no spans, same delivery."""
         edge, cloud = acquire(service, devices=1)

@@ -4,7 +4,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.broker import PartitionLog, RangeAssignor, RoundRobinAssignor
+from repro.broker import PartitionLog
+from repro.broker.group import assign_ranges
 from repro.data import decode_block, encode_block
 from repro.ml import StandardScaler
 from repro.ml.metrics import roc_auc_score
@@ -103,21 +104,11 @@ class TestAssignorProperties:
     @settings(max_examples=50)
     def test_range_assignor_partition_function(self, data):
         members, parts = data
-        out = RangeAssignor().assign(members, parts)
+        out = assign_ranges(members, parts)
         flat = sorted(tp for tps in out.values() for tp in tps)
         assert flat == sorted(parts)          # every partition exactly once
         sizes = [len(v) for v in out.values()]
         assert max(sizes) - min(sizes) <= 1    # balanced within 1
-
-    @given(data=members_and_partitions())
-    @settings(max_examples=50)
-    def test_roundrobin_assignor_partition_function(self, data):
-        members, parts = data
-        out = RoundRobinAssignor().assign(members, parts)
-        flat = sorted(tp for tps in out.values() for tp in tps)
-        assert flat == sorted(parts)
-        sizes = [len(v) for v in out.values()]
-        assert max(sizes) - min(sizes) <= 1
 
 
 class TestScalerProperties:

@@ -20,6 +20,11 @@ any ``x.<field>`` load in a reader counts, whatever ``x`` is, so a dead
 field that shares its name with an unrelated attribute read there (a
 consumer's or a link's) still passes. The rule catches a field nothing
 by that name touches; it does not trace the config object.
+
+The broker clients' constructors are held to a stricter rule: every
+keyword of ``Producer`` and ``Consumer`` must be passed by some caller
+in ``src`` (outside the client's own module), ``bench``, ``benchmarks``
+or ``examples``. A knob only tests set is deleted.
 """
 
 import ast
@@ -30,12 +35,14 @@ from pathlib import Path
 
 import pytest
 
+from repro.broker import Consumer, Producer
 from repro.broker.storage import StorageConfig
 from repro.core import PipelineConfig
 from repro.pilot import PilotDescription
 
 ROOT = Path(__file__).resolve().parents[1]
 SEARCHED = ("src", "bench", "benchmarks", "examples", "tests")
+CLIENT_CALLERS = ("src", "bench", "benchmarks", "examples")
 READERS = {
     PipelineConfig: (
         "src/repro/core/pipeline.py",
@@ -47,10 +54,11 @@ READERS = {
 }
 
 
-def _keywords_passed(skip: Path) -> set:
-    """Every keyword-argument name of every call outside *skip*."""
+def _keywords_passed(skip: Path, tops=SEARCHED) -> set:
+    """Every keyword-argument name of every call under *tops*, outside
+    *skip*."""
     names = set()
-    for top in SEARCHED:
+    for top in tops:
         for path in (ROOT / top).rglob("*.py"):
             if path == skip:
                 continue
@@ -109,4 +117,16 @@ def test_every_config_field_is_read(config):
     assert not unread, (
         f"{config.__name__} fields {', '.join(READERS[config])} never reads "
         f"(delete each): {unread}"
+    )
+
+
+@pytest.mark.parametrize("client", [Producer, Consumer])
+def test_every_client_keyword_is_passed_outside_tests(client):
+    passed = _keywords_passed(
+        skip=Path(inspect.getsourcefile(client)).resolve(), tops=CLIENT_CALLERS
+    )
+    params = list(inspect.signature(client.__init__).parameters)[1:]
+    unset = [name for name in params if name not in passed]
+    assert not unset, (
+        f"{client.__name__} keywords only tests pass (make each a constant): {unset}"
     )
