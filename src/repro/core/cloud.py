@@ -2,12 +2,13 @@
 
 A consumer is a member of the run's consumer group. One round
 (:meth:`CloudConsumer.step`) is one poll and the records it returned: it
-pays the broker→processing link, stamps them, counts each distinct
+pays the broker→processing link, stamps them, claims each distinct
 message id once, decodes and runs ``process_cloud`` — whose reference the
 pipeline can swap at runtime, the paper's low/high fidelity model
-exchange. It commits every ``_COMMIT_INTERVAL`` records. The consumer
-reads time only through the ``now`` it is handed and blocks only in
-``Consumer.poll``.
+exchange — and then counts the poll's messages processed, which frees
+their room in their devices' windows. It commits every
+``_COMMIT_INTERVAL`` records. The consumer reads time only through the
+``now`` it is handed and blocks only in ``Consumer.poll``.
 """
 
 from __future__ import annotations
@@ -30,7 +31,8 @@ class CloudConsumer:
     """One processing consumer of a run, stepped a poll at a time.
 
     *functions* returns the current ``(process_edge, process_cloud)``;
-    *progress* is the run's shared count of processed messages;
+    *progress* is the run's shared count: a polled message is claimed, and
+    counted processed once its ``process_cloud`` returned or raised;
     *record_error* ``(where, exc)`` keeps a failed message's error.
     """
 
@@ -82,7 +84,8 @@ class CloudConsumer:
         return len(records)
 
     def _handle_records(self, records) -> int:
-        """Consume one polled record batch: stamp, dedupe, decode, score.
+        """Consume one polled record batch: stamp, claim, decode, score,
+        then count the new ones processed together (one wake-up per poll).
 
         Every per-record stamp loop runs through ``stamp_many`` (one
         collector lock acquisition per batch per stage); each fresh
@@ -108,7 +111,7 @@ class CloudConsumer:
                     alive.append((message_id, record))
             if dropped:
                 collector.incr("messages_dropped", len(dropped))
-                self.progress.count_processed_many(*zip(*dropped))
+                self.progress.count_at_once(*zip(*dropped))
             if not alive:
                 return len(records)
         else:
@@ -116,9 +119,7 @@ class CloudConsumer:
         now = self.now()
         collector.stamp_many([m for m, _ in alive], "consume", now, nbytes=[r.size for _, r in alive],
                              site=self.proc_site, partition=[r.partition for _, r in alive])
-        new_flags = self.progress.count_processed_many(
-            [m for m, _ in alive], [r.partition for _, r in alive]
-        )
+        new_flags = self.progress.claim([m for m, _ in alive])
         fresh, sink, duplicates = [], [], 0
         for (message_id, record), is_new in zip(alive, new_flags):
             if record.headers.get("processed"):
@@ -136,6 +137,7 @@ class CloudConsumer:
             fn = self.functions()[1]
             for message_id, record in fresh:
                 self._process_record(message_id, record, fn)
+        self.progress.count_processed([r.partition for (_, r), new in zip(alive, new_flags) if new])
         return len(records)
 
     def _process_record(self, message_id: str, record, fn: Callable) -> None:

@@ -132,7 +132,7 @@ class EdgeDevice:
                 # (nothing to forward yet). Account the message so
                 # the run's completion target is still reachable.
                 self.collector.incr("messages_absorbed_at_edge")
-                self.progress.count_processed_many((message_id,), (self.index,))
+                self.progress.count_at_once((message_id,), (self.index,))
                 return _ABSORBED
         if decision is not None and decision.processing_tier == "edge":
             # Edge-centric placement: the heavy function runs on the
@@ -176,23 +176,24 @@ class EdgeDevice:
         # Lossy-link drop: account for the messages (QoS-0 semantics) so
         # the run can still complete.
         self.collector.incr("messages_dropped", len(batch))
-        self.progress.count_processed_many(ids, [self.index] * len(ids))
+        self.progress.count_at_once(ids, [self.index] * len(ids))
         return 0
 
 
 class Progress:
     """How far a run is, shared by its devices, its consumers and the
-    caller: the distinct message ids processed, in all and per device;
-    the messages made; the completion target; and done / abort.
+    caller: the message ids claimed, the messages processed (in all and
+    per device), the messages made, the completion target, done / abort.
 
-    Consumer-group rebalances give at-least-once delivery, so completion
-    counts unique ids, not deliveries. Devices park on ``changed`` for
-    room in their window and callers for progress: every drain, done and
-    abort notifies it.
+    A polled id is claimed, so a redelivery is not run again, and counts
+    as processed once its function has run: until then it holds its
+    place in its device's window. Devices park on ``changed`` for room
+    and callers for progress: every count, done and abort notifies it.
     """
 
     def __init__(self, expected: int, devices: int) -> None:
         self._ids: set = set()
+        self._processed = 0
         self._per_device: Counter = Counter()
         self._lock = threading.Lock()
         self.changed = threading.Condition()
@@ -207,7 +208,7 @@ class Progress:
     @property
     def processed_count(self) -> int:
         with self._lock:
-            return len(self._ids)
+            return self._processed
 
     @property
     def produced_count(self) -> int:
@@ -215,8 +216,8 @@ class Progress:
             return self._produced
 
     def processed_by(self, device: int) -> int:
-        """Distinct messages of *device* (= partition) processed: the
-        count its in-flight window reads."""
+        """Messages of *device* (= partition) processed: the count its
+        in-flight window reads."""
         with self._lock:
             return self._per_device[device]
 
@@ -224,27 +225,35 @@ class Progress:
         with self._lock:
             self._produced += count
 
-    def count_processed_many(self, message_ids, devices) -> list[bool]:
-        """Record a batch of processed messages, each with its device (=
-        partition), under one lock acquisition; returns, per id, whether it
-        was new (first delivery). Signals ``changed`` after the lock is
-        released: a parked device reads the counts (which take that lock)
-        while holding the condition."""
+    def claim(self, message_ids) -> list[bool]:
+        """Claim a batch of polled message ids under one lock acquisition;
+        returns, per id, whether it was new (first delivery)."""
         flags = []
         with self._lock:
-            for message_id, device in zip(message_ids, devices):
-                if message_id in self._ids:
-                    flags.append(False)
-                else:
-                    self._ids.add(message_id)
-                    self._per_device[device] += 1
-                    flags.append(True)
-            if len(self._ids) >= self._expected:
-                self.done.set()
-        if any(flags):
-            with self.changed:
-                self.changed.notify_all()
+            for message_id in message_ids:
+                flags.append(message_id not in self._ids)
+                self._ids.add(message_id)
         return flags
+
+    def count_processed(self, devices) -> None:
+        """Count a batch of processed messages, one device (= partition)
+        each, under one lock acquisition. Signals ``changed`` after the
+        lock is released: a parked device reads the counts (which take
+        that lock) while holding the condition."""
+        if not devices:
+            return
+        with self._lock:
+            self._per_device.update(devices)
+            self._processed += len(devices)
+            if self._processed >= self._expected:
+                self.done.set()
+        with self.changed:
+            self.changed.notify_all()
+
+    def count_at_once(self, message_ids, devices) -> None:
+        """Claim and count messages absorbed at the edge or dropped on a link."""
+        new = self.claim(message_ids)
+        self.count_processed([device for device, fresh in zip(devices, new) if fresh])
 
     def device_ended(self, _future=None) -> None:
         """Done-callback of every producer task (returned, went quiet
@@ -256,7 +265,7 @@ class Progress:
             if self._devices_left:
                 return
             self._expected = self._produced
-            done = len(self._ids) >= self._expected
+            done = self._processed >= self._expected
         if done:
             self.finish()
 

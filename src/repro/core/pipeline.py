@@ -209,18 +209,6 @@ class EdgeToCloudPipeline:
             new=getattr(fn, "__name__", "?"),
         )
 
-    def replace_edge_function(self, fn: Callable | None) -> None:
-        """Swap (or remove) the edge pre-processing function at runtime."""
-        with self._fn_lock:
-            old = self._edge_fn
-            self._edge_fn = fn
-        self.events.publish(
-            FUNCTION_REPLACED,
-            stage="edge",
-            old=getattr(old, "__name__", None),
-            new=getattr(fn, "__name__", None),
-        )
-
     def _functions(self) -> tuple:
         """The current ``(process_edge, process_cloud)``."""
         with self._fn_lock:

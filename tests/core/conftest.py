@@ -102,7 +102,7 @@ class Halves:
         """Count the first *count* messages of *device* processed: the
         consumers' part of the window, done by the test."""
         ids = [f"{self.RUN_ID}/d{device}/m{seq}" for seq in range(count)]
-        self.progress.count_processed_many(ids, [device] * count)
+        self.progress.count_at_once(ids, [device] * count)
 
 
 @pytest.fixture

@@ -1,5 +1,7 @@
 """Tests for the event bus and autoscaler."""
 
+import threading
+
 import pytest
 
 from repro.core import AutoScaler, EventBus, ScalingPolicy
@@ -142,18 +144,18 @@ class TestAutoScaler:
         assert scaler.actions == [(7.0, 1, 50)]
 
     def test_background_loop_runs(self):
-        import time
-
-        counter = {"n": 0}
+        calls, second_tick = [], threading.Event()
 
         def lag():
-            counter["n"] += 1
+            calls.append(1)
+            if len(calls) == 2:
+                second_tick.set()
             return 0
 
         scaler = AutoScaler(lag_fn=lag, scale_fn=lambda d: None, interval=0.01)
         scaler.start()
         with pytest.raises(RuntimeError):
             scaler.start()  # double start rejected
-        time.sleep(0.08)
+        assert second_tick.wait(10)
         scaler.stop()
-        assert counter["n"] >= 2
+        assert len(calls) >= 2
