@@ -57,14 +57,13 @@ def main() -> None:
     result = pipeline.run()
 
     # -- step 3: monitoring ------------------------------------------------
-    from repro.monitoring.ascii import render_run
-
     print(f"\ncompleted: {result.completed}")
     print("report:   ", result.report.row())
     print("bottleneck:", result.bottleneck["bottleneck"], "-", result.bottleneck["reason"])
     print("broker:    ", result.broker_stats["topics"])
-    print()
-    print(render_run(pipeline.collector, title="run timeline"))
+    print("\nwhere a message's time goes (mean per stage):")
+    for stage, seconds in result.report.stage_means_s.items():
+        print(f"  {stage:<28} {seconds * 1e3:8.2f} ms")
     pcs.close()
 
 

@@ -26,7 +26,7 @@ from repro import (
     make_block_producer,
     passthrough_processor,
 )
-from repro.monitoring import MetricsRegistry, TelemetrySampler, Tracer
+from repro.monitoring import MetricsRegistry, TelemetrySampler, Tracer, stitch_spans
 
 
 def main() -> None:
@@ -65,12 +65,9 @@ def main() -> None:
     print(f"completed: {result.completed}, messages: {result.report.messages}")
 
     # -- one trace per message, spanning all three tiers -------------------
-    roots = [
-        tracer.span_tree(tid)
-        for tid in tracer.trace_ids()
-    ]
     message_trees = [
-        t for t in roots if t is not None and t["span"].name == "producer.send"
+        t for t in stitch_spans(tracer.spans()).values()
+        if t["span"].name == "producer.send"
     ]
     sites = set()
     for tree in message_trees:

@@ -68,6 +68,8 @@ def _print_report(result, as_json: bool) -> None:
     if result.report.spans:
         payload["span_bottleneck"] = result.report.spans.get("slowest")
         payload["traces"] = result.report.spans.get("traces")
+        payload["spans_dropped"] = result.report.spans.get("spans_dropped")
+        payload["traces_sampled_out"] = result.report.spans.get("traces_sampled_out")
     if as_json:
         print(json.dumps(payload, indent=2))
     else:
@@ -87,16 +89,24 @@ def _make_telemetry(args: argparse.Namespace):
     return registry, tracer, sampler
 
 
-def _dump_telemetry(args: argparse.Namespace, registry, tracer, sampler) -> None:
-    """Write telemetry.jsonl / spans.json / metrics.prom into the dir."""
+def _dump_telemetry(
+    args: argparse.Namespace, registry, tracer, sampler, broker
+) -> None:
+    """Write telemetry.jsonl / spans.json / metrics.prom into the dir.
+
+    ``spans.json`` holds the client tracer's spans and, with *broker* a
+    :class:`ClusterBroker`, every shard's, drained over the wire.
+    """
     from pathlib import Path
 
-    from repro.monitoring.export import write_series_jsonl, write_spans_json
+    from repro.monitoring import ClusterTraceCollector
 
     out = Path(args.telemetry)
     out.mkdir(parents=True, exist_ok=True)
-    write_series_jsonl(out / "telemetry.jsonl", sampler)
-    write_spans_json(out / "spans.json", tracer)
+    sampler.write_jsonl(out / "telemetry.jsonl")
+    spans = ClusterTraceCollector(cluster=broker, tracers=[tracer])
+    spans.poll()
+    spans.write_json(out / "spans.json")
     (out / "metrics.prom").write_text(registry.to_prometheus())
     print(f"telemetry_dir={out}", file=sys.stderr)
 
@@ -156,7 +166,7 @@ def cmd_model(args: argparse.Namespace) -> int:
             result = pipeline.run()
             if sampler is not None:
                 # While the cluster is up: the exposition is read live.
-                _dump_telemetry(args, registry, tracer, sampler)
+                _dump_telemetry(args, registry, tracer, sampler, broker)
         finally:
             if broker is not None:
                 broker.close()

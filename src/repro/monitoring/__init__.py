@@ -11,7 +11,7 @@ This package provides:
 - :class:`MessageTrace` — one message's timestamps across every stage,
   linked by ``(run_id, message_id)``,
 - :class:`MetricsCollector` — thread-safe trace accumulation; its named
-  counters and high-watermark gauges live in its registry,
+  counters live in its registry,
 - :class:`Tracer` / :class:`Span` — distributed tracing with
   ``(trace_id, span_id, parent_id)`` context propagated through message
   and frame headers, so one message's produce→broker→consume path
@@ -22,8 +22,14 @@ This package provides:
   numbers a component keeps itself; Prometheus text exposition,
 - :class:`TelemetrySampler` — a background thread recording the
   registry's counters and gauges (per-partition log depth, consumer
-  lag, group size, ...) as a JSONL-exportable time series, with
-  :func:`serve_exposition` for a live ``/metrics`` endpoint,
+  lag, group size, ...) as a JSONL-exportable time series,
+- :class:`EventJournal` / :func:`merge_timeline` — each process's
+  control-plane events and the one timeline they interleave into,
+- :class:`ClusterMetricsAggregator`, :class:`ClusterEventCollector` and
+  :class:`ClusterTraceCollector` — what a sharded broker's processes
+  measure, record and trace, drained into one view (``repro top``, and
+  the ``spans.json`` that ``--telemetry DIR`` writes); :func:`stitch_spans`
+  reassembles the span trees,
 - :class:`ThroughputReport` / :func:`analyze_bottleneck` /
   :func:`lag_over_time` / :func:`span_bottleneck` — the aggregate
   statistics, stage-rate comparison, lag trajectory, and span-tree
@@ -34,7 +40,7 @@ from repro.monitoring.metrics import MessageTrace, StageTiming
 from repro.monitoring.collector import MetricsCollector
 from repro.monitoring.instruments import Counter, Gauge, Histogram, MetricsRegistry
 from repro.monitoring.tracing import NOOP_SPAN, Span, Tracer
-from repro.monitoring.sampler import TelemetrySampler, serve_exposition
+from repro.monitoring.sampler import TelemetrySampler
 from repro.monitoring.events import Event, EventJournal, merge_timeline
 from repro.monitoring.cluster import (
     ClusterEventCollector,
@@ -62,7 +68,6 @@ __all__ = [
     "Span",
     "Tracer",
     "TelemetrySampler",
-    "serve_exposition",
     "Event",
     "EventJournal",
     "merge_timeline",

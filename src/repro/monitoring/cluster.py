@@ -15,20 +15,22 @@ side is three wire ops each shard answers:
 tick and re-exports ONE merged Prometheus exposition: counters are
 summed across shards (a rate is a rate wherever it happened), gauges
 keep a ``shard`` label (a level is only meaningful per process), and
-histograms are bucket-merged (identical geometric bounds make the merge
-an elementwise add). :class:`ClusterEventCollector` drains journals
-into one wall-clock-ordered incident timeline, and
-:class:`ClusterTraceCollector` + :func:`stitch_spans` reassemble span
-trees whose hops happened in different processes — the produce path's
-leader append and follower replication ack included.
+histograms are bucket-merged (every histogram shares one bucket layout,
+so the merge is an elementwise add). :class:`ClusterEventCollector`
+drains journals into one wall-clock-ordered incident timeline (``repro
+top``), and :class:`ClusterTraceCollector` drains every tracer into the
+one span pool the CLI writes as ``spans.json``; :func:`stitch_spans`
+reassembles its trees, whose hops happened in different processes — the
+produce path's leader append and follower replication ack included.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import threading
 import time
+
+import numpy as np
 
 from repro.monitoring.events import Event, merge_timeline
 from repro.monitoring.instruments import render_prometheus, with_percentiles
@@ -49,29 +51,23 @@ __all__ = [
 
 
 def merge_histogram_snapshots(a: dict, b: dict) -> dict:
-    """Merge two histogram snapshots with identical bucket bounds.
+    """Merge two histogram snapshots.
 
-    The registry's histograms all share the default geometric layout, so
-    cross-shard merging is an elementwise bucket add; percentiles are
-    re-estimated from the merged buckets by the estimator the live
-    instrument uses. Snapshots with differing bounds cannot be
-    merged meaningfully — the larger-count one wins and the mismatch is
-    flagged so the exposition never silently lies.
+    Every histogram shares the one bucket layout of
+    :mod:`repro.monitoring.instruments`, so cross-shard merging is an
+    elementwise bucket add; percentiles are re-estimated from the merged
+    buckets by the estimator the live instrument uses. An empty
+    snapshot (``count`` 0) has no minimum or maximum to contribute.
     """
-    if list(a.get("bounds", [])) != list(b.get("bounds", [])):
-        winner = dict(a if a.get("count", 0) >= b.get("count", 0) else b)
-        winner["bounds_mismatch"] = True
-        return winner
+    seen = [snap for snap in (a, b) if snap["count"]]
     merged = {
         "count": a["count"] + b["count"],
         "sum": a["sum"] + b["sum"],
-        "min": min(a.get("min", 0.0) or math.inf, b.get("min", 0.0) or math.inf),
-        "max": max(a.get("max", 0.0), b.get("max", 0.0)),
+        "min": min((snap["min"] for snap in seen), default=0.0),
+        "max": max((snap["max"] for snap in seen), default=0.0),
         "buckets": [x + y for x, y in zip(a["buckets"], b["buckets"])],
         "bounds": list(a["bounds"]),
     }
-    if merged["min"] == math.inf:
-        merged["min"] = 0.0
     return with_percentiles(merged)
 
 
@@ -125,14 +121,11 @@ class ClusterMetricsAggregator:
     The aggregator is pull-based and stateless between scrapes except
     for scrape metadata; hook it to a
     :class:`~repro.monitoring.sampler.TelemetrySampler` via
-    :meth:`attach` to scrape on the sampler tick, and hand it directly
-    to :func:`~repro.monitoring.sampler.serve_exposition` — it
-    duck-types ``to_prometheus``.
+    :meth:`attach` to scrape on the sampler tick.
     """
 
-    def __init__(self, cluster, namespace: str = "repro") -> None:
+    def __init__(self, cluster) -> None:
         self._cluster = cluster
-        self.namespace = namespace
         self._lock = threading.Lock()
         self._merged: dict = {"counters": {}, "gauges": {}, "histograms": {}, "shards": []}
         self._scrapes = 0
@@ -181,7 +174,7 @@ class ClusterMetricsAggregator:
 
     def to_prometheus(self) -> str:
         """The merged text exposition (gauges carry a ``shard`` label)."""
-        return render_prometheus(self.snapshot(), self.namespace)
+        return render_prometheus(self.snapshot())
 
     # -- sampler integration ---------------------------------------------
 
@@ -189,7 +182,7 @@ class ClusterMetricsAggregator:
         """Scrape and flatten for a ``TelemetrySampler`` source.
 
         Counters federate as ``cluster.<name>`` totals; per-shard gauge
-        detail stays on the Prometheus endpoint (the sampler's JSONL is
+        detail stays in the Prometheus exposition (the sampler's JSONL is
         a time series, and per-shard fan-out there would explode the
         series count without adding anything the exposition lacks).
         """
@@ -232,9 +225,6 @@ class ClusterEventCollector:
         self._local_cursors: dict = {}    # id(journal) -> last_seq
         self._events: list[Event] = []
         self._lock = threading.Lock()
-
-    def add_journal(self, journal) -> None:
-        self._journals.append(journal)
 
     def poll(self) -> list[Event]:
         """Fetch events new since the last poll; returns just the new ones."""
@@ -304,9 +294,6 @@ class ClusterTraceCollector:
         self._spans: list[dict] = []
         self._lock = threading.Lock()
 
-    def add_tracer(self, tracer) -> None:
-        self._tracers.append(tracer)
-
     def poll(self) -> list[dict]:
         new: list[dict] = []
         if self._cluster is not None:
@@ -335,9 +322,6 @@ class ClusterTraceCollector:
         with self._lock:
             return list(self._spans)
 
-    def trees(self) -> dict:
-        return stitch_spans(self.spans())
-
     def write_json(self, path) -> int:
         spans = self.spans()
         with open(path, "w", encoding="utf-8") as fh:
@@ -348,12 +332,13 @@ class ClusterTraceCollector:
 def stitch_spans(span_dicts) -> dict:
     """Reassemble cross-process span trees from a flat span-dict pool.
 
-    Returns ``{trace_id: {"span": Span, "children": [...]}}`` — the same
-    node shape :meth:`Tracer.span_tree` produces, but built from spans
-    collected out of many tracers. Traces whose root was not collected
-    (e.g. the rooting process died) are returned under their trace id
-    with a synthetic rootless node list, because an incident trace with
-    a dead leader is exactly the one worth inspecting.
+    Returns ``{trace_id: {"span": Span, "children": [...]}}``; a span
+    whose parent was not collected attaches under the root. The pool may
+    mix span dicts and :class:`Span` objects, so a collector's pool and
+    one tracer's ``spans()`` stitch alike. Traces whose root was not
+    collected (e.g. the rooting process died) are returned under their
+    trace id with a synthetic rootless node list, because an incident
+    trace with a dead leader is exactly the one worth inspecting.
     """
     by_trace: dict[str, list[Span]] = {}
     for data in span_dicts:
@@ -382,18 +367,37 @@ def stitch_spans(span_dicts) -> dict:
     return trees
 
 
-def format_span_tree(node, indent: int = 0) -> list[str]:
-    """Indented one-line-per-span rendering of a stitched tree."""
-    span = node["span"]
-    ms = span.duration * 1e3
-    line = f"{'  ' * indent}{span.name} [{span.site}] {ms:.3f} ms"
-    lines = [line]
-    for child in sorted(node["children"], key=lambda n: n["span"].start):
-        lines.extend(format_span_tree(child, indent + 1))
-    return lines
-
-
 # -- dashboard -------------------------------------------------------------
+
+_BLOCKS = " ▁▂▃▄▅▆▇█"
+
+
+def sparkline(values, width: int = 60) -> str:
+    """Compress a series into a unicode sparkline of ~width chars."""
+    arr = np.asarray(list(values), dtype=np.float64)
+    if arr.size == 0:
+        return ""
+    if arr.size > width:
+        # Bucket-average down to the target width.
+        edges = np.linspace(0, arr.size, width + 1).astype(int)
+        arr = np.array([
+            arr[a:b].mean() if b > a else 0.0 for a, b in zip(edges, edges[1:])
+        ])
+    lo, hi = float(arr.min()), float(arr.max())
+    span = hi - lo
+    if span <= 0:
+        return _BLOCKS[4] * arr.size
+    idx = ((arr - lo) / span * (len(_BLOCKS) - 1)).round().astype(int)
+    return "".join(_BLOCKS[i] for i in idx)
+
+
+def bar(value: float, maximum: float, width: int = 40) -> str:
+    """A horizontal bar scaled against *maximum*."""
+    if maximum <= 0:
+        return ""
+    filled = int(round(min(value / maximum, 1.0) * width))
+    return "█" * filled + "·" * (width - filled)
+
 
 
 def render_dashboard(
@@ -410,8 +414,6 @@ def render_dashboard(
     (sparklined). Pure function of its inputs so the watch loop and the
     tests share it.
     """
-    from repro.monitoring.ascii import bar, sparkline
-
     lines: list[str] = []
     shards = merged.get("shards", [])
     lines.append(

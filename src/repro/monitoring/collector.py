@@ -17,7 +17,7 @@ def _is_sequence(value) -> bool:
 
 class MetricsCollector:
     """Accumulates the message traces of one run; its named counters
-    and high-watermark gauges live in a registry.
+    live in a registry.
 
     All pipeline components share one collector per run; traces are linked
     by ``(run_id, message_id)`` so a message's path can be reconstructed
@@ -125,15 +125,6 @@ class MetricsCollector:
 
     def incr(self, name: str, value: float = 1.0) -> None:
         self.registry.counter(name).inc(value)
-
-    def record_max(self, name: str, value: float) -> None:
-        """High-watermark gauge: keep the largest value reported.
-
-        Used for peak-style metrics (e.g. concurrent fetches in flight)
-        where summing per-thread reports would overstate the level.
-        The first report always lands, whatever its sign.
-        """
-        self.registry.gauge(name).set_max(value)
 
     def counter(self, name: str) -> float:
         """One counter or gauge of the registry; 0 if nothing reported it."""

@@ -36,6 +36,9 @@ __all__ = [
     "read_jsonl",
 ]
 
+#: Events one journal retains; older ones fall off the head.
+MAX_EVENTS = 4096
+
 # The closed set of control-plane event types. ``emit`` accepts only
 # these so a typo'd event name fails at the emission site, not silently
 # at query time. Extend the tuple when a new subsystem gains a voice.
@@ -103,13 +106,13 @@ class EventJournal:
     the caller's cursor simply returning fewer events than the gap.
     """
 
-    def __init__(self, origin: str = "local", maxlen: int = 4096) -> None:
+    def __init__(self, origin: str = "local") -> None:
         self.origin = origin
         # A fresh random token per journal instance: a collector that
         # cached a cursor against a dead process's journal sees the boot
         # token change after a respawn and re-drains from zero.
         self.boot = os.urandom(4).hex()
-        self._events: deque[Event] = deque(maxlen=maxlen)
+        self._events: deque[Event] = deque(maxlen=MAX_EVENTS)
         self._seq = 0
         self._lock = threading.Lock()
 

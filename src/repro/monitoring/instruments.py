@@ -5,7 +5,6 @@ monitoring section assumes:
 
 * :class:`Counter` — monotonically increasing rate (records in, retries).
 * :class:`Gauge` — a level that can go up and down (log depth, lag).
-  ``set_max`` supports high-watermark use (peak in-flight requests).
 * :class:`Histogram` — log-bucketed latency distribution with live
   p50/p95/p99, so percentiles are available *during* a run instead of
   only from full trace retention afterwards.
@@ -22,6 +21,15 @@ from __future__ import annotations
 
 import math
 import threading
+
+#: Every histogram's bucket layout: ``BUCKET_BASE * BUCKET_GROWTH**i``
+#: for i in [0, BUCKETS) — 1 µs .. ~1100 s. One layout for every
+#: instrument is what makes a cross-shard merge an elementwise add.
+BUCKET_BASE = 1e-6
+BUCKET_GROWTH = 2.0
+BUCKETS = 31
+#: Prefix of every name in a Prometheus exposition.
+NAMESPACE = "repro"
 
 
 def _check_name(name: str) -> str:
@@ -53,7 +61,7 @@ class Counter:
 
 
 class Gauge:
-    """A settable level; also supports high-watermark and delta updates."""
+    """A settable level; also supports delta updates."""
 
     __slots__ = ("name", "_value", "_lock")
 
@@ -65,12 +73,6 @@ class Gauge:
     def set(self, value: float) -> None:
         with self._lock:
             self._value = float(value)
-
-    def set_max(self, value: float) -> None:
-        """Keep the largest value ever reported (first report always lands)."""
-        with self._lock:
-            if self._value is None or value > self._value:
-                self._value = float(value)
 
     def inc(self, amount: float = 1.0) -> None:
         with self._lock:
@@ -86,28 +88,20 @@ class Gauge:
 class Histogram:
     """Log-bucketed histogram for latency-style observations.
 
-    Buckets are geometric: ``base * growth**i`` for i in [0, nbuckets),
-    defaulting to 1 µs .. ~1100 s with x2 growth (31 buckets) — wide
-    enough for in-proc microseconds and WAN-emulated seconds alike while
-    staying O(30) memory per instrument.  Percentiles are estimated by
-    log-linear interpolation inside the winning bucket, which is exact to
-    within one bucket's resolution (a factor of ``growth``).
+    Buckets are geometric (:data:`BUCKET_BASE`, :data:`BUCKET_GROWTH`,
+    :data:`BUCKETS`): 1 µs .. ~1100 s with x2 growth — wide enough for
+    in-proc microseconds and WAN-emulated seconds alike while staying
+    O(30) memory per instrument.  Percentiles are estimated by log-linear
+    interpolation inside the winning bucket, which is exact to within one
+    bucket's resolution (a factor of the growth).
     """
 
     __slots__ = ("name", "_bounds", "_buckets", "_count", "_sum", "_min", "_max", "_lock")
 
-    def __init__(
-        self,
-        name: str,
-        base: float = 1e-6,
-        growth: float = 2.0,
-        nbuckets: int = 31,
-    ) -> None:
+    def __init__(self, name: str) -> None:
         self.name = _check_name(name)
-        if base <= 0 or growth <= 1.0 or nbuckets < 1:
-            raise ValueError("histogram needs base > 0, growth > 1, nbuckets >= 1")
-        self._bounds = [base * growth**i for i in range(nbuckets)]
-        self._buckets = [0] * (nbuckets + 1)  # +1 overflow bucket
+        self._bounds = [BUCKET_BASE * BUCKET_GROWTH**i for i in range(BUCKETS)]
+        self._buckets = [0] * (BUCKETS + 1)  # +1 overflow bucket
         self._count = 0
         self._sum = 0.0
         self._min = math.inf
@@ -254,7 +248,7 @@ class MetricsRegistry:
         #: the exposition (or a sampling loop) down with it.
         self.reader_errors = 0
 
-    def _get_or_create(self, name: str, cls, *args, **kwargs):
+    def _get_or_create(self, name: str, cls):
         # Lock-free hit: callers that cannot resolve an instrument once
         # (per-error-type counters, the collector's named counters) pay
         # a dict lookup, not the registry lock.
@@ -263,7 +257,7 @@ class MetricsRegistry:
             with self._lock:
                 inst = self._instruments.get(name)
                 if inst is None:
-                    inst = self._instruments[name] = cls(name, *args, **kwargs)
+                    inst = self._instruments[name] = cls(name)
         if not isinstance(inst, cls):
             raise TypeError(
                 f"instrument {name!r} already registered as "
@@ -277,8 +271,8 @@ class MetricsRegistry:
     def gauge(self, name: str) -> Gauge:
         return self._get_or_create(name, Gauge)
 
-    def histogram(self, name: str, **kwargs) -> Histogram:
-        return self._get_or_create(name, Histogram, **kwargs)
+    def histogram(self, name: str) -> Histogram:
+        return self._get_or_create(name, Histogram)
 
     def add_reader(self, kind: str, fn, prefix: str = "") -> None:
         """Report numbers a component keeps itself: ``fn() -> {name:
@@ -316,22 +310,22 @@ class MetricsRegistry:
                 self.reader_errors += 1
         return out
 
-    def to_prometheus(self, namespace: str = "repro") -> str:
+    def to_prometheus(self) -> str:
         """Render every number in Prometheus text exposition format."""
-        return render_prometheus(self.snapshot(), namespace)
+        return render_prometheus(self.snapshot())
 
 
-def render_prometheus(snapshot: dict, namespace: str = "repro") -> str:
+def render_prometheus(snapshot: dict) -> str:
     """Prometheus text exposition of one typed snapshot — a registry's
     own, or the cluster aggregator's merge, whose gauges are ``{shard:
     value}`` dicts and render with a ``shard`` label."""
     lines: list[str] = []
     for name, value in sorted(snapshot["counters"].items()):
-        metric = _prom_name(namespace, name)
+        metric = _prom_name(name)
         lines.append(f"# TYPE {metric} counter")
         lines.append(f"{metric} {_prom_value(value)}")
     for name, value in sorted(snapshot["gauges"].items()):
-        metric = _prom_name(namespace, name)
+        metric = _prom_name(name)
         lines.append(f"# TYPE {metric} gauge")
         if isinstance(value, dict):
             for shard in sorted(value, key=str):
@@ -339,7 +333,7 @@ def render_prometheus(snapshot: dict, namespace: str = "repro") -> str:
         else:
             lines.append(f"{metric} {_prom_value(value)}")
     for name, snap in sorted(snapshot["histograms"].items()):
-        metric = _prom_name(namespace, name)
+        metric = _prom_name(name)
         lines.append(f"# TYPE {metric} histogram")
         cumulative = 0
         for bound, n in zip(snap["bounds"], snap["buckets"]):
@@ -351,9 +345,9 @@ def render_prometheus(snapshot: dict, namespace: str = "repro") -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def _prom_name(namespace: str, name: str) -> str:
+def _prom_name(name: str) -> str:
     safe = "".join(c if c.isalnum() or c == "_" else "_" for c in name)
-    return f"{namespace}_{safe}" if namespace else safe
+    return f"{NAMESPACE}_{safe}"
 
 
 def _prom_value(value: float) -> str:

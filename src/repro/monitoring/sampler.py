@@ -6,7 +6,7 @@ takes the registry's snapshot and appends each counter and gauge to an
 in-memory time series. Gauge *sources* — callables returning
 ``{series_name: value}`` — are registered as readers of that registry,
 so one value is computed once and reaches the series, the JSONL dump
-and the ``/metrics`` exposition alike. Convenience ``watch_*`` methods
+and the Prometheus exposition alike. Convenience ``watch_*`` methods
 register the gauges the broker exposes:
 
 * per-partition log depth, end offset, and retained bytes
@@ -17,9 +17,9 @@ register the gauges the broker exposes:
 * a sharded cluster's per-shard server gauges, shards-up count and
   replication health (:meth:`ClusterBroker.metrics_snapshots`).
 
-Series export as JSONL (one sample round per line); the registry
-renders Prometheus text exposition — either dumped by the CLI or served
-by :func:`serve_exposition`.
+Series export as JSONL (one sample round per line, read back by
+:func:`series_from_jsonl`); the registry renders Prometheus text
+exposition, which the CLI dumps as ``metrics.prom``.
 
 Everything here is opt-in: nothing in the data path references a sampler.
 """
@@ -29,9 +29,11 @@ from __future__ import annotations
 import json
 import threading
 import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from repro.monitoring.instruments import MetricsRegistry
+
+#: Retention bound per series; the oldest samples are dropped first.
+MAX_SAMPLES = 10_000
 
 
 class TelemetrySampler:
@@ -45,23 +47,15 @@ class TelemetrySampler:
     interval_s:
         Background sampling period. :meth:`sample_now` can always be
         called directly (tests do, for determinism).
-    max_samples:
-        Retention bound per series; the oldest samples are dropped first.
+
+    Each series keeps its last :data:`MAX_SAMPLES` points.
     """
 
-    def __init__(
-        self,
-        registry=None,
-        interval_s: float = 0.25,
-        max_samples: int = 10_000,
-    ) -> None:
+    def __init__(self, registry=None, interval_s: float = 0.25) -> None:
         if interval_s <= 0:
             raise ValueError(f"interval_s must be positive, got {interval_s}")
-        if max_samples <= 0:
-            raise ValueError(f"max_samples must be positive, got {max_samples}")
         self.registry = registry or MetricsRegistry()
         self.interval_s = float(interval_s)
-        self.max_samples = int(max_samples)
         #: series name -> [(elapsed_seconds, value), ...]
         self._series: dict[str, list[tuple[float, float]]] = {}
         self._t0 = time.monotonic()
@@ -191,8 +185,8 @@ class TelemetrySampler:
             for name, value in values.items():
                 series = self._series.setdefault(name, [])
                 series.append((t, float(value)))
-                if len(series) > self.max_samples:
-                    del series[: len(series) - self.max_samples]
+                if len(series) > MAX_SAMPLES:
+                    del series[: len(series) - MAX_SAMPLES]
         return values
 
     def _run(self) -> None:
@@ -261,7 +255,7 @@ class TelemetrySampler:
 
         Rebuilt by grouping every series' points by timestamp, so a
         parsed dump reconstructs the exact in-memory series (see
-        ``series_from_jsonl`` in :mod:`repro.monitoring.export`).
+        :func:`series_from_jsonl`).
         """
         rounds: dict[float, dict] = {}
         for name, points in self.snapshot().items():
@@ -278,43 +272,21 @@ class TelemetrySampler:
             fh.write(self.to_jsonl())
 
 
-class _ExpositionHandler(BaseHTTPRequestHandler):
-    def do_GET(self) -> None:  # noqa: N802 — BaseHTTPRequestHandler API
-        registry = self.server.registry  # type: ignore[attr-defined]
-        if self.path not in ("/", "/metrics"):
-            self.send_error(404)
-            return
-        body = registry.to_prometheus().encode("utf-8")
-        self.send_response(200)
-        self.send_header("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+def series_from_jsonl(text: str) -> dict:
+    """Parse a sampler JSONL dump back into per-series point lists.
 
-    def log_message(self, *args) -> None:  # silence per-request stderr spam
-        pass
-
-
-def serve_exposition(registry, host: str = "127.0.0.1", port: int = 0):
-    """Serve *registry* as Prometheus text at ``/metrics`` (daemon thread).
-
-    *registry* is anything with ``to_prometheus()`` — a
-    :class:`~repro.monitoring.instruments.MetricsRegistry` or a
-    :class:`~repro.monitoring.cluster.ClusterMetricsAggregator`.
-
-    Returns the HTTP server. With ``port=0`` the kernel picks a free
-    port; the actually-bound one is on ``server.port`` (and the full
-    scrape target on ``server.url``) — ``server.server_address`` holds
-    the same ``(host, port)`` pair. Stop with ``server.shutdown()``.
+    Inverse of :meth:`TelemetrySampler.to_jsonl`: returns
+    ``{series_name: [(t, value), ...]}`` with points in time order.
     """
-    server = ThreadingHTTPServer((host, port), _ExpositionHandler)
-    server.registry = registry  # type: ignore[attr-defined]
-    server.daemon_threads = True
-    bound_host, bound_port = server.server_address[:2]
-    server.port = bound_port  # type: ignore[attr-defined]
-    server.url = f"http://{bound_host}:{bound_port}/metrics"  # type: ignore[attr-defined]
-    thread = threading.Thread(
-        target=server.serve_forever, name="telemetry-exposition", daemon=True
-    )
-    thread.start()
-    return server
+    series: dict[str, list] = {}
+    for line in text.splitlines():
+        line = line.strip()
+        if not line:
+            continue
+        obj = json.loads(line)
+        t = obj["t"]
+        for name, value in obj["values"].items():
+            series.setdefault(name, []).append((t, value))
+    for points in series.values():
+        points.sort(key=lambda p: p[0])
+    return series

@@ -17,8 +17,8 @@ Design constraints (mirroring the rest of ``repro.monitoring``):
   :meth:`Tracer.start_trace` return the shared :data:`NOOP_SPAN`, whose
   child spans and injections are all no-ops, so long runs can keep a
   statistical sample of full trees without per-message allocation.
-* **Bounded retention.**  At most ``max_spans`` finished spans are kept;
-  further spans are counted in ``dropped`` rather than stored.
+* **Bounded retention.**  At most :data:`MAX_SPANS` finished spans are
+  kept; further spans are counted in ``dropped`` rather than stored.
 """
 
 from __future__ import annotations
@@ -30,6 +30,10 @@ import threading
 import time
 
 TRACE_HEADER = "trace"
+#: Finished spans one tracer retains; later ones are counted as dropped.
+MAX_SPANS = 100_000
+#: Seed of the sampling decisions; ``None`` seeds from the OS.
+SAMPLE_SEED = None
 
 _tracer_seq = itertools.count(1)
 
@@ -212,21 +216,12 @@ class Tracer:
     in memory without a collection backend).
     """
 
-    def __init__(
-        self,
-        service: str = "",
-        sample_rate: float = 1.0,
-        max_spans: int = 100_000,
-        seed: int | None = None,
-    ) -> None:
+    def __init__(self, service: str = "", sample_rate: float = 1.0) -> None:
         if not 0.0 <= sample_rate <= 1.0:
             raise ValueError(f"sample_rate must be in [0, 1], got {sample_rate}")
-        if max_spans <= 0:
-            raise ValueError(f"max_spans must be positive, got {max_spans}")
         self.service = service
         self.sample_rate = float(sample_rate)
-        self.max_spans = int(max_spans)
-        self._rng = random.Random(seed)
+        self._rng = random.Random(SAMPLE_SEED)
         self._prefix = f"{next(_tracer_seq):x}{os.urandom(3).hex()}"
         self._seq = itertools.count(1)
         self._spans: list[Span] = []
@@ -309,7 +304,7 @@ class Tracer:
 
     def _record(self, span: Span) -> None:
         with self._lock:
-            if len(self._spans) >= self.max_spans:
+            if len(self._spans) >= MAX_SPANS:
                 self._dropped += 1
                 return
             self._spans.append(span)
@@ -364,7 +359,7 @@ class Tracer:
         if not spans:
             return
         with self._lock:
-            room = self.max_spans - len(self._spans)
+            room = MAX_SPANS - len(self._spans)
             if room >= len(spans):
                 self._spans.extend(spans)
             elif room > 0:
@@ -373,12 +368,9 @@ class Tracer:
             else:
                 self._dropped += len(spans)
 
-    def spans(self, trace_id: str | None = None) -> list[Span]:
+    def spans(self) -> list[Span]:
         with self._lock:
-            out = list(self._spans)
-        if trace_id is not None:
-            out = [s for s in out if s.trace_id == trace_id]
-        return out
+            return list(self._spans)
 
     def trace_ids(self) -> list[str]:
         seen: dict[str, None] = {}
@@ -386,31 +378,6 @@ class Tracer:
             for span in self._spans:
                 seen.setdefault(span.trace_id, None)
         return list(seen)
-
-    def span_tree(self, trace_id: str) -> dict | None:
-        """Nested ``{"span": Span, "children": [...]}`` tree for a trace.
-
-        Returns ``None`` if the trace has no root (e.g. retention dropped
-        it).  Orphan spans (parent not retained) attach under the root.
-        """
-        spans = self.spans(trace_id)
-        if not spans:
-            return None
-        nodes = {s.span_id: {"span": s, "children": []} for s in spans}
-        root = None
-        orphans = []
-        for s in spans:
-            node = nodes[s.span_id]
-            if s.parent_id and s.parent_id in nodes:
-                nodes[s.parent_id]["children"].append(node)
-            elif not s.parent_id:
-                root = node if root is None else root
-            else:
-                orphans.append(node)
-        if root is None:
-            return None
-        root["children"].extend(orphans)
-        return root
 
     def stats(self) -> dict:
         with self._lock:

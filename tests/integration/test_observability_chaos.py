@@ -34,7 +34,7 @@ from repro.broker import (
 )
 from repro.broker.errors import BrokerError, RetriableError
 from repro.faults import FaultInjector
-from repro.monitoring import TelemetrySampler, Tracer, serve_exposition
+from repro.monitoring import TelemetrySampler, Tracer
 from repro.monitoring.cluster import (
     ClusterEventCollector,
     ClusterMetricsAggregator,
@@ -235,28 +235,7 @@ class TestSamplerAcrossRespawn:
 
 
 class TestExpositionEndpoint:
-    def test_bound_port_and_charset(self):
-        from urllib.request import urlopen
-
-        from repro.monitoring import MetricsRegistry
-
-        registry = MetricsRegistry()
-        registry.counter("records_in").inc(3)
-        server = serve_exposition(registry, port=0)
-        try:
-            assert server.port == server.server_address[1] > 0
-            assert server.url.endswith(f":{server.port}/metrics")
-            with urlopen(server.url) as response:
-                content_type = response.headers["Content-Type"]
-                body = response.read().decode("utf-8")
-            assert "charset=utf-8" in content_type
-            assert "repro_records_in 3" in body
-        finally:
-            server.shutdown()
-
     def test_serves_cluster_aggregator_merged_view(self):
-        from urllib.request import urlopen
-
         with ClusterBrokerSupervisor(
             num_shards=2, topics=[("t", 2)], telemetry=True
         ) as supervisor:
@@ -266,13 +245,8 @@ class TestExpositionEndpoint:
                     broker.append("t", i % 2, b"v%d" % i)
                 aggregator = ClusterMetricsAggregator(broker)
                 aggregator.scrape()
-                server = serve_exposition(aggregator, port=0)
-                try:
-                    with urlopen(server.url) as response:
-                        body = response.read().decode("utf-8")
-                    assert "repro_cluster_shards_scraped 2" in body
-                    assert "repro_broker_records_in 20" in body
-                finally:
-                    server.shutdown()
+                body = aggregator.to_prometheus()
+                assert "repro_cluster_shards_scraped 2" in body
+                assert "repro_broker_records_in 20" in body
             finally:
                 broker.close()

@@ -24,7 +24,7 @@ from repro import (
 from repro.broker import Broker
 from repro.broker.remote import BrokerServer, RemoteBroker
 from repro.broker.wire import recv_frame, send_frame
-from repro.monitoring import MetricsRegistry, TelemetrySampler, Tracer
+from repro.monitoring import MetricsRegistry, TelemetrySampler, Tracer, stitch_spans
 
 
 @pytest.fixture
@@ -75,9 +75,8 @@ class TestTracedRemotePipeline:
         # Reconstruct every trace rooted at a producer send and check the
         # span tree touches all three tiers of the continuum.
         full = 0
-        for trace_id in tracer.trace_ids():
-            tree = tracer.span_tree(trace_id)
-            if tree is None or tree["span"].name != "producer.send":
+        for tree in stitch_spans(tracer.spans()).values():
+            if tree["span"].name != "producer.send":
                 continue  # rpc.* wire traces are accounted separately
             sites = {tree["span"].site}
             stack = list(tree["children"])

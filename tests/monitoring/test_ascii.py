@@ -1,15 +1,6 @@
-"""Tests for the terminal visualisations."""
+"""Tests for the text drawing helpers of ``repro top``'s dashboard."""
 
-import pytest
-
-from repro.monitoring import MetricsCollector, ThroughputReport
-from repro.monitoring.ascii import (
-    bar,
-    render_run,
-    render_stage_breakdown,
-    render_throughput_timeline,
-    sparkline,
-)
+from repro.monitoring.cluster import bar, sparkline
 
 
 class TestSparkline:
@@ -48,42 +39,3 @@ class TestBar:
 
     def test_zero_max(self):
         assert bar(1, 0) == ""
-
-
-@pytest.fixture
-def collector():
-    c = MetricsCollector("run")
-    for i in range(20):
-        start = i * 0.05
-        c.stamp(f"m{i}", "produce", start, nbytes=1000)
-        c.stamp(f"m{i}", "broker_in", start + 0.01)
-        c.stamp(f"m{i}", "dequeue", start + 0.015)
-        c.stamp(f"m{i}", "consume", start + 0.02)
-        c.stamp(f"m{i}", "process_start", start + 0.02)
-        c.stamp(f"m{i}", "process_end", start + 0.06)
-    return c
-
-
-class TestRenderers:
-    def test_stage_breakdown_lines(self, collector):
-        report = ThroughputReport.from_collector(collector)
-        text = render_stage_breakdown(report)
-        assert "produce->broker_in" in text
-        assert "ms" in text
-
-    def test_stage_breakdown_empty(self):
-        report = ThroughputReport.from_collector(MetricsCollector("x"))
-        assert "no stage data" in render_stage_breakdown(report)
-
-    def test_timeline_nonempty(self, collector):
-        line = render_throughput_timeline(collector)
-        assert len(line) > 0
-
-    def test_timeline_empty_collector(self):
-        assert "no complete traces" in render_throughput_timeline(MetricsCollector("x"))
-
-    def test_render_run_panel(self, collector):
-        panel = render_run(collector, title="demo")
-        assert "== demo ==" in panel
-        assert "msgs/s" in panel
-        assert "completions over time" in panel

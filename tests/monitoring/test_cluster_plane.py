@@ -7,7 +7,6 @@ from repro.monitoring.cluster import (
     ClusterEventCollector,
     ClusterMetricsAggregator,
     ClusterTraceCollector,
-    format_span_tree,
     merge_histogram_snapshots,
     merge_metric_snapshots,
     render_dashboard,
@@ -45,13 +44,21 @@ class TestHistogramMerge:
         for q in ("p50", "p95", "p99"):
             assert abs(merged[q] - one[q]) < 1e-9
 
-    def test_bounds_mismatch_is_flagged_not_fabricated(self):
-        a = _hist_snapshot([0.001, 0.002])
-        small = Histogram("s", base=1e-3, nbuckets=4)
-        small.observe(0.002)
-        merged = merge_histogram_snapshots(a, small.snapshot())
-        assert merged["bounds_mismatch"] is True
-        assert merged["count"] == 2  # larger-count snapshot won
+    def test_split_observations_merge_to_one_histogram(self):
+        # A genuine 0.0 minimum is an observation, not "empty": only a
+        # snapshot's count says it holds nothing.
+        for left, right in (
+            ([0.0, 1e-3], [0.5]),
+            ([0.5], [0.0, 1e-3]),
+            ([], [0.0, 0.25]),
+            ([0.0], []),
+        ):
+            one = _hist_snapshot(left + right)
+            merged = merge_histogram_snapshots(
+                _hist_snapshot(left), _hist_snapshot(right)
+            )
+            for key in ("count", "min", "max", "p50", "p99"):
+                assert merged[key] == one[key], (left, right, key)
 
 
 class TestMergeMetricSnapshots:
@@ -244,9 +251,6 @@ class TestTraceStitching:
         assert root["span"].name == "produce"
         children = sorted(n["span"].name for n in root["children"])
         assert children == ["broker.append", "replica.append"]
-        rendering = "\n".join(format_span_tree(root))
-        assert "broker.append [shard-0]" in rendering
-        assert rendering.splitlines()[0].startswith("produce [client]")
 
     def test_rootless_trace_survives(self):
         pool = [

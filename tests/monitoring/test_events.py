@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.monitoring import events
 from repro.monitoring.events import (
     EVENT_TYPES,
     Event,
@@ -42,8 +43,9 @@ class TestEventJournal:
         assert [e.fields["shard"] for e in delta] == [3, 4]
         assert journal.events_since(journal.events()[-1].seq) == []
 
-    def test_ring_bound_drops_oldest(self):
-        journal = EventJournal(maxlen=3)
+    def test_ring_bound_drops_oldest(self, monkeypatch):
+        monkeypatch.setattr(events, "MAX_EVENTS", 3)
+        journal = EventJournal()
         for shard in range(6):
             journal.emit("shard_started", shard=shard)
         kept = journal.events()

@@ -4,7 +4,7 @@ and the lock-free sampled-out counter."""
 
 import threading
 
-from repro.monitoring import MetricsRegistry, Tracer
+from repro.monitoring import MetricsRegistry, Tracer, tracing
 from repro.monitoring.instruments import Histogram
 
 
@@ -18,8 +18,7 @@ class TestRecordHops:
             (root.context, None),
         ]
         tracer.record_hops("broker.append", hops, site="b1", start=1.0, end=2.0)
-        spans = tracer.spans(root.trace_id)
-        leaves = [s for s in spans if s.name == "broker.append"]
+        leaves = [s for s in tracer.spans() if s.name == "broker.append"]
         assert len(leaves) == 3
         for leaf in leaves:
             assert leaf.parent_id == root.span_id
@@ -42,8 +41,9 @@ class TestRecordHops:
         ids = [s.span_id for s in tracer.spans()]
         assert len(set(ids)) == 50
 
-    def test_retention_cap_counts_drops(self):
-        tracer = Tracer("svc", max_spans=5)
+    def test_retention_cap_counts_drops(self, monkeypatch):
+        monkeypatch.setattr(tracing, "MAX_SPANS", 5)
+        tracer = Tracer("svc")
         tracer.record_hops("hop", [("t:p", None)] * 8)
         assert len(tracer.spans()) == 5
         assert tracer.stats()["spans_dropped"] == 3

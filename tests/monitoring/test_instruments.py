@@ -4,7 +4,14 @@ import threading
 
 import pytest
 
-from repro.monitoring import Counter, Gauge, Histogram, MetricsRegistry
+from repro.monitoring import Counter, Gauge, Histogram, MetricsRegistry, instruments
+
+
+def _bucket_layout(monkeypatch, buckets):
+    """Bounds 1, 2, 4, ... (*buckets* of them) for histograms made next."""
+    monkeypatch.setattr(instruments, "BUCKET_BASE", 1.0)
+    monkeypatch.setattr(instruments, "BUCKET_GROWTH", 2.0)
+    monkeypatch.setattr(instruments, "BUCKETS", buckets)
 
 
 class TestCounter:
@@ -41,22 +48,6 @@ class TestGauge:
         g.set(7)
         assert g.value == 7.0
 
-    def test_set_max_keeps_high_watermark(self):
-        g = Gauge("peak")
-        g.set_max(3)
-        g.set_max(1)
-        g.set_max(5)
-        assert g.value == 5.0
-
-    def test_set_max_first_negative_value_lands(self):
-        # The regression the collector bug fix guards against: a first
-        # report below zero must not lose to an implicit 0 baseline.
-        g = Gauge("drift")
-        g.set_max(-2.5)
-        assert g.value == -2.5
-        g.set_max(-4.0)
-        assert g.value == -2.5
-
     def test_inc_dec(self):
         g = Gauge("inflight")
         g.inc()
@@ -86,8 +77,9 @@ class TestHistogram:
         assert p50 < p99 <= 0.1
         assert h.percentile(0) <= h.percentile(100)
 
-    def test_bucket_edges_consistent(self):
-        h = Histogram("lat", base=1.0, growth=2.0, nbuckets=4)  # 1,2,4,8
+    def test_bucket_edges_consistent(self, monkeypatch):
+        _bucket_layout(monkeypatch, buckets=4)
+        h = Histogram("lat")  # 1,2,4,8
         for v in (0.5, 1.0, 1.5, 8.0, 9.0):
             h.observe(v)
         snap = h.snapshot()
@@ -102,14 +94,6 @@ class TestHistogram:
     def test_percentile_range_checked(self):
         with pytest.raises(ValueError):
             Histogram("lat").percentile(101)
-
-    def test_invalid_shape_rejected(self):
-        with pytest.raises(ValueError):
-            Histogram("lat", base=0)
-        with pytest.raises(ValueError):
-            Histogram("lat", growth=1.0)
-        with pytest.raises(ValueError):
-            Histogram("lat", nbuckets=0)
 
     def test_snapshot_percentile_keys(self):
         h = Histogram("lat")
@@ -186,9 +170,10 @@ class TestPrometheusExposition:
         assert "# TYPE repro_log_depth gauge" in text
         assert "repro_log_depth 4.5" in text
 
-    def test_histogram_buckets_cumulative(self):
+    def test_histogram_buckets_cumulative(self, monkeypatch):
+        _bucket_layout(monkeypatch, buckets=3)
         reg = MetricsRegistry()
-        h = reg.histogram("lat", base=1.0, growth=2.0, nbuckets=3)  # 1,2,4
+        h = reg.histogram("lat")  # 1,2,4
         for v in (0.5, 1.5, 3.0, 99.0):
             h.observe(v)
         text = reg.to_prometheus()
@@ -200,8 +185,8 @@ class TestPrometheusExposition:
         assert 'le="+Inf"' in lines[3] and lines[3].endswith(" 4")
         assert "repro_lat_count 4" in text
 
-    def test_custom_namespace_and_empty_registry(self):
+    def test_empty_registry(self):
         reg = MetricsRegistry()
         assert reg.to_prometheus() == ""
         reg.counter("x").inc()
-        assert reg.to_prometheus(namespace="edge").startswith("# TYPE edge_x")
+        assert reg.to_prometheus().startswith("# TYPE repro_x")

@@ -93,27 +93,7 @@ class TestMetricsCollector:
         assert len(c) == 2000
 
 
-class TestRecordMax:
-    def test_keeps_high_watermark(self):
-        c = MetricsCollector("run")
-        c.record_max("fetches_in_flight", 2)
-        c.record_max("fetches_in_flight", 5)
-        c.record_max("fetches_in_flight", 3)
-        assert c.counter("fetches_in_flight") == 5
-
-    def test_first_negative_value_lands(self):
-        # Regression: the old implementation compared against an implicit
-        # 0, silently discarding a first report below zero (e.g. a clock
-        # drift or balance-style gauge).
-        c = MetricsCollector("run")
-        c.record_max("drift", -2.5)
-        assert c.counter("drift") == -2.5
-        assert c.registry.snapshot()["gauges"]["drift"] == -2.5
-        c.record_max("drift", -4.0)
-        assert c.counter("drift") == -2.5
-        c.record_max("drift", -1.0)
-        assert c.counter("drift") == -1.0
-
+class TestCounterRead:
     def test_unreported_name_reads_zero(self):
         assert MetricsCollector("run").counter("nope") == 0.0
 
@@ -123,7 +103,7 @@ class TestSplitCounters:
         # The collector holds neither: both live, typed, in its registry.
         c = MetricsCollector("run")
         c.incr("records", 3)
-        c.record_max("peak_inflight", 7)
+        c.registry.gauge("peak_inflight").set(7)
         snap = c.registry.snapshot()
         assert snap["counters"] == {"records": 3}
         assert snap["gauges"] == {"peak_inflight": 7.0}
@@ -133,14 +113,14 @@ class TestSplitCounters:
         # visible under their old names.
         c = MetricsCollector("run")
         c.incr("records", 3)
-        c.record_max("peak_inflight", 7)
+        c.registry.gauge("peak_inflight").set(7)
         assert c.counters() == {"records": 3, "peak_inflight": 7.0}
 
     def test_name_collision_across_kinds_raises(self):
         # One registry, one type per name: a counter reported as a
-        # high-watermark is a wiring bug, not a merge rule.
+        # gauge is a wiring bug, not a merge rule.
         c = MetricsCollector("run")
-        c.record_max("x", 99)
+        c.registry.gauge("x").set(99)
         with pytest.raises(TypeError):
             c.incr("x", 1)
         assert c.counter("x") == 99
@@ -166,13 +146,6 @@ class TestRegistryForwarding:
         with pytest.raises(ValueError):
             c.incr("adjustment", -1)
         assert c.counter("adjustment") == 2  # the instrument stays monotonic
-
-    def test_record_max_feeds_gauge_instrument(self):
-        reg = self._registry()
-        c = MetricsCollector("run", registry=reg)
-        c.record_max("peak", 4)
-        c.record_max("peak", 2)
-        assert reg.gauge("peak").value == 4.0
 
     def test_process_end_stamps_feed_latency_histogram(self):
         reg = self._registry()

@@ -1,14 +1,13 @@
-"""Tests for the background telemetry sampler and the /metrics endpoint."""
+"""Tests for the background telemetry sampler and its JSONL export."""
 
 import json
 import time
-import urllib.request
 
 import pytest
 
 from repro.broker import Broker, Consumer, Producer
-from repro.monitoring import MetricsRegistry, TelemetrySampler, serve_exposition
-from repro.monitoring.export import series_from_jsonl
+from repro.monitoring import MetricsRegistry, TelemetrySampler, sampler as sampler_module
+from repro.monitoring.sampler import series_from_jsonl
 
 
 class TestSources:
@@ -44,8 +43,9 @@ class TestSources:
         assert [p[1] for p in points] == [1.0, 5.0, 2.0]
         assert points == sorted(points)
 
-    def test_retention_bound(self):
-        sampler = TelemetrySampler(max_samples=3)
+    def test_retention_bound(self, monkeypatch):
+        monkeypatch.setattr(sampler_module, "MAX_SAMPLES", 3)
+        sampler = TelemetrySampler()
         sampler.add_source(lambda: {"x": 1})
         for _ in range(10):
             sampler.sample_now()
@@ -69,8 +69,6 @@ class TestSources:
     def test_invalid_params_rejected(self):
         with pytest.raises(ValueError):
             TelemetrySampler(interval_s=0)
-        with pytest.raises(ValueError):
-            TelemetrySampler(max_samples=0)
 
 
 class TestWatchBroker:
@@ -137,7 +135,7 @@ class TestWatchServer:
         from repro.broker.remote import BrokerServer, RemoteBroker
 
         # The server's gauges are read by its broker's registry, which
-        # is always there: sample it, or serve it, directly.
+        # is always there: sample it, or render it, directly.
         broker = Broker(name="edge")
         with BrokerServer(broker) as srv:
             with RemoteBroker(srv.host, srv.port) as remote:
@@ -149,16 +147,9 @@ class TestWatchServer:
                 assert values["server.reactor_loop_lag_s"] >= 0.0
                 assert values["server.requests_served"] >= 1
                 assert srv.metrics()["connections_active"] == 1
-                http = serve_exposition(broker.registry)
-                try:
-                    host, port = http.server_address[:2]
-                    body = urllib.request.urlopen(
-                        f"http://{host}:{port}/metrics", timeout=5
-                    ).read().decode()
-                    assert "repro_server_connections_active 1" in body
-                    assert "repro_server_parked_fetches 0" in body
-                finally:
-                    http.shutdown()
+                body = broker.registry.to_prometheus()
+                assert "repro_server_connections_active 1" in body
+                assert "repro_server_parked_fetches 0" in body
 
 
 def _snapshot(**server_gauges):
@@ -392,33 +383,3 @@ class TestJsonlExport:
 
     def test_empty_sampler_exports_empty(self):
         assert TelemetrySampler().to_jsonl() == ""
-
-
-class TestExposition:
-    def test_metrics_endpoint_serves_registry(self):
-        reg = MetricsRegistry()
-        reg.counter("records_in").inc(5)
-        server = serve_exposition(reg)
-        try:
-            host, port = server.server_address[:2]
-            body = urllib.request.urlopen(
-                f"http://{host}:{port}/metrics", timeout=5
-            ).read().decode()
-            assert "repro_records_in 5" in body
-            # live: a later scrape sees updated values
-            reg.counter("records_in").inc(2)
-            body = urllib.request.urlopen(
-                f"http://{host}:{port}/metrics", timeout=5
-            ).read().decode()
-            assert "repro_records_in 7" in body
-        finally:
-            server.shutdown()
-
-    def test_unknown_path_is_404(self):
-        server = serve_exposition(MetricsRegistry())
-        try:
-            host, port = server.server_address[:2]
-            with pytest.raises(urllib.error.HTTPError):
-                urllib.request.urlopen(f"http://{host}:{port}/nope", timeout=5)
-        finally:
-            server.shutdown()

@@ -4,7 +4,7 @@ import threading
 
 import pytest
 
-from repro.monitoring import NOOP_SPAN, Span, Tracer
+from repro.monitoring import NOOP_SPAN, Span, Tracer, stitch_spans, tracing
 from repro.monitoring.tracing import TRACE_HEADER, parse_context
 
 
@@ -121,9 +121,10 @@ class TestSampling:
         root.finish()
         assert tracer.spans() == []
 
-    def test_partial_sampling_is_deterministic_with_seed(self):
-        a = Tracer("svc", sample_rate=0.5, seed=42)
-        b = Tracer("svc", sample_rate=0.5, seed=42)
+    def test_partial_sampling_is_deterministic_with_seed(self, monkeypatch):
+        monkeypatch.setattr(tracing, "SAMPLE_SEED", 42)
+        a = Tracer("svc", sample_rate=0.5)
+        b = Tracer("svc", sample_rate=0.5)
         decisions_a = [a.start_trace("op") is NOOP_SPAN for _ in range(100)]
         decisions_b = [b.start_trace("op") is NOOP_SPAN for _ in range(100)]
         assert decisions_a == decisions_b
@@ -137,16 +138,18 @@ class TestSampling:
 
 
 class TestRetention:
-    def test_bounded_retention_counts_drops(self):
-        tracer = Tracer("svc", max_spans=5)
+    def test_bounded_retention_counts_drops(self, monkeypatch):
+        monkeypatch.setattr(tracing, "MAX_SPANS", 5)
+        tracer = Tracer("svc")
         for _ in range(8):
             tracer.start_trace("op").finish()
         stats = tracer.stats()
         assert stats["spans_retained"] == 5
         assert stats["spans_dropped"] == 3
 
-    def test_clear_resets(self):
-        tracer = Tracer("svc", max_spans=2)
+    def test_clear_resets(self, monkeypatch):
+        monkeypatch.setattr(tracing, "MAX_SPANS", 2)
+        tracer = Tracer("svc")
         for _ in range(4):
             tracer.start_trace("op").finish()
         tracer.clear()
@@ -184,7 +187,7 @@ class TestSpanTree:
         leaf = tracer.start_span("process", parent=consume, site="cloud")
         for s in (leaf, consume, broker, root):
             s.finish()
-        tree = tracer.span_tree(root.trace_id)
+        tree = stitch_spans(tracer.spans())[root.trace_id]
         assert tree["span"].name == "produce"
         names = sorted(ch["span"].name for ch in tree["children"])
         assert names == ["append", "poll"]
@@ -202,16 +205,8 @@ class TestSpanTree:
         )
         orphan.finish()
         root.finish()
-        tree = tracer.span_tree(root.trace_id)
+        tree = stitch_spans(tracer.spans())[root.trace_id]
         assert [ch["span"].name for ch in tree["children"]] == ["orphan"]
-
-    def test_missing_trace_or_root_is_none(self):
-        tracer = Tracer("svc")
-        assert tracer.span_tree("nope") is None
-        root = tracer.start_trace("root")
-        child = tracer.start_span("child", parent=root)
-        child.finish()  # root never finished/retained
-        assert tracer.span_tree(root.trace_id) is None
 
     def test_trace_ids_in_first_seen_order(self):
         tracer = Tracer("svc")

@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from repro.broker import ClusterBrokerSupervisor
 from repro.cli import build_parser, main
+from repro.monitoring.sampler import series_from_jsonl
 
 
 class TestParser:
@@ -67,3 +69,41 @@ class TestRuns:
         assert payload["messages"] == 16
         assert "virtual_duration_s" in payload
         assert payload["bottleneck"] in ("processing", "transfer")
+
+
+class TestClusterArtifacts:
+    def test_telemetry_dir_holds_both_sides_of_the_wire(self, tmp_path, capsys):
+        out = tmp_path / "telemetry"
+        rc = main(
+            ["baseline", "--points", "100", "--devices", "2", "--messages", "8",
+             "--broker-workers", "2", "--telemetry", str(out), "--json"]
+        )
+        assert rc == 0
+        assert json.loads(capsys.readouterr().out)["completed"] is True
+
+        spans = json.loads((out / "spans.json").read_text())
+        appends = [s for s in spans if s["name"] == "broker.append"]
+        assert appends
+        assert all(s["site"].startswith("shard-") for s in appends)
+        sends = {s["trace_id"] for s in spans if s["name"] == "producer.send"}
+        assert all(s["trace_id"] in sends for s in appends)
+        ids = {s["span_id"] for s in spans}
+        assert all(s["parent_id"] in ids for s in spans if s["parent_id"])
+
+        text = (out / "telemetry.jsonl").read_text()
+        series = series_from_jsonl(text)
+        assert any(name.startswith("consumer_lag.") for name in series)
+        points = [
+            (name, (r["t"], value))
+            for r in map(json.loads, text.splitlines())
+            for name, value in r["values"].items()
+        ]
+        assert sorted(points) == sorted(
+            (name, point) for name, pts in series.items() for point in pts
+        )
+
+    def test_top_prints_one_panel(self, capsys):
+        with ClusterBrokerSupervisor(num_shards=2, topics=[("t", 2)]) as supervisor:
+            bootstrap = ",".join(f"{host}:{port}" for host, port in supervisor.bootstrap)
+            assert main(["top", "--bootstrap", bootstrap]) == 0
+        assert "shards up: 2" in capsys.readouterr().out

@@ -25,6 +25,15 @@ The broker clients' constructors are held to a stricter rule: every
 keyword of ``Producer`` and ``Consumer`` must be passed by some caller
 in ``src`` (outside the client's own module), ``bench``, ``benchmarks``
 or ``examples``. A knob only tests set is deleted.
+
+The monitoring constructors are held to the same rule, matched by
+callee: every parameter with a default of ``Tracer``,
+``TelemetrySampler``, ``EventJournal``, ``Histogram``,
+``MetricsRegistry.histogram`` / ``to_prometheus``,
+``ClusterMetricsAggregator`` and the two cluster collectors must be
+passed by keyword to a call of that name (``Tracer(...)``,
+``x.histogram(...)``) outside ``repro.monitoring``. A bound or seed only
+tests set is a module constant, which a test monkeypatches.
 """
 
 import ast
@@ -38,6 +47,16 @@ import pytest
 from repro.broker import Consumer, Producer
 from repro.broker.storage import StorageConfig
 from repro.core import PipelineConfig
+from repro.monitoring import (
+    ClusterEventCollector,
+    ClusterMetricsAggregator,
+    ClusterTraceCollector,
+    EventJournal,
+    Histogram,
+    MetricsRegistry,
+    TelemetrySampler,
+    Tracer,
+)
 from repro.pilot import PilotDescription
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -52,20 +71,38 @@ READERS = {
     StorageConfig: ("src/repro/broker/storage",),
     PilotDescription: ("src/repro/pilot",),
 }
+MONITORING = ROOT / "src" / "repro" / "monitoring"
+MONITORING_CALLABLES = {
+    "Tracer": Tracer.__init__,
+    "TelemetrySampler": TelemetrySampler.__init__,
+    "EventJournal": EventJournal.__init__,
+    "Histogram": Histogram.__init__,
+    "histogram": MetricsRegistry.histogram,
+    "to_prometheus": MetricsRegistry.to_prometheus,
+    "ClusterMetricsAggregator": ClusterMetricsAggregator.__init__,
+    "ClusterEventCollector": ClusterEventCollector.__init__,
+    "ClusterTraceCollector": ClusterTraceCollector.__init__,
+}
 
 
-def _keywords_passed(skip: Path, tops=SEARCHED) -> set:
+def _keywords_passed(skip: Path, tops=SEARCHED, callee=None) -> set:
     """Every keyword-argument name of every call under *tops*, outside
-    *skip*."""
+    *skip* (a file or a directory); only of calls to *callee*
+    (``callee(...)`` or ``x.callee(...)``) when one is named."""
     names = set()
     for top in tops:
         for path in (ROOT / top).rglob("*.py"):
-            if path == skip:
+            if path == skip or skip in path.parents:
                 continue
             for node in ast.walk(ast.parse(path.read_text())):
-                if isinstance(node, ast.Call):
+                if isinstance(node, ast.Call) and callee in (None, _name(node.func)):
                     names.update(kw.arg for kw in node.keywords if kw.arg)
     return names
+
+
+def _name(func: ast.expr):
+    """``f`` of a call ``f(...)`` or ``x.f(...)``."""
+    return getattr(func, "attr", None) or getattr(func, "id", None)
 
 
 def _attributes_loaded(tree: ast.AST, skip=()) -> set:
@@ -129,4 +166,16 @@ def test_every_client_keyword_is_passed_outside_tests(client):
     unset = [name for name in params if name not in passed]
     assert not unset, (
         f"{client.__name__} keywords only tests pass (make each a constant): {unset}"
+    )
+
+
+@pytest.mark.parametrize("callee", list(MONITORING_CALLABLES))
+def test_every_monitoring_keyword_is_passed_outside_tests(callee):
+    params = inspect.signature(MONITORING_CALLABLES[callee]).parameters.values()
+    assert not any(p.kind is p.VAR_KEYWORD for p in params), f"{callee} takes **kwargs"
+    knobs = [p.name for p in params if p.default is not p.empty]
+    passed = _keywords_passed(skip=MONITORING, tops=CLIENT_CALLERS, callee=callee)
+    unset = [name for name in knobs if name not in passed]
+    assert not unset, (
+        f"{callee} keywords only tests pass (make each a module constant): {unset}"
     )
