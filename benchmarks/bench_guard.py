@@ -260,9 +260,9 @@ def _pipeline_rate(
             result.completed,
             result.errors[:2],
         )
-        traces = pipeline.collector.traces()
-        start = min(t.at("dequeue") for t in traces if t.has("dequeue"))
-        end = max(t.at("process_end") for t in traces if t.has("process_end"))
+        rows = pipeline.collector.columns()
+        start = np.nanmin(rows["dequeue"])
+        end = np.nanmax(rows["process_end"])
         return PIPE_MESSAGES / (end - start)
     finally:
         service.close()

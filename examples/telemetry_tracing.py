@@ -90,11 +90,12 @@ def main() -> None:
         f"e2e latency: count={hist.count} "
         f"p50={hist.percentile(50) * 1e3:.1f}ms p99={hist.percentile(99) * 1e3:.1f}ms"
     )
-    out = Path(tempfile.mkdtemp(prefix="telemetry-"))
-    sampler.write_jsonl(out / "telemetry.jsonl")
-    (out / "metrics.prom").write_text(registry.to_prometheus())
-    lines = (out / "telemetry.jsonl").read_text().strip().splitlines()
-    print(f"exported {len(lines)} telemetry samples to {out}")
+    with tempfile.TemporaryDirectory(prefix="telemetry-") as tmp:
+        out = Path(tmp)
+        sampler.write_jsonl(out / "telemetry.jsonl")
+        (out / "metrics.prom").write_text(registry.to_prometheus())
+        lines = (out / "telemetry.jsonl").read_text().strip().splitlines()
+        print(f"exported {len(lines)} telemetry samples to {out}")
     print("telemetry accounting verified" if result.completed else "run failed")
     pcs.close()
 

@@ -38,12 +38,11 @@ class CloudConsumer:
 
     def __init__(self, consumer: Consumer, progress, collector, results,
                  functions: Callable[[], tuple], record_error: Callable, *, context,
-                 downlink, sites: tuple[str, str], now=monotonic) -> None:
+                 downlink, now=monotonic) -> None:
         self.consumer, self.downlink = consumer, downlink
         self.progress, self.collector, self.results = progress, collector, results
         self.functions, self.record_error = functions, record_error
         self.context = context
-        self.broker_site, self.proc_site = sites
         self.now = now
         self.handled = 0
         self._since_commit = 0
@@ -85,12 +84,12 @@ class CloudConsumer:
 
     def _handle_records(self, records) -> int:
         """Consume one polled record batch: stamp, claim, decode, score,
-        then count the new ones processed together (one wake-up per poll).
+        then count the new ones processed together (one wake-up per poll);
+        a poll stopped midway releases its claims, so a redelivery runs them.
 
-        Every per-record stamp loop runs through ``stamp_many`` (one
-        collector lock acquisition per batch per stage); each fresh
-        record then reaches the user function in its own
-        ``process_cloud(context, block)`` call.
+        Each stage is stamped through ``stamp_many`` (one collector lock
+        per batch per stage); each fresh record reaches the user function
+        in its own ``process_cloud(context, block)`` call.
         """
         collector = self.collector
         # Normalize the message id to str ONCE: the record.offset
@@ -99,7 +98,7 @@ class CloudConsumer:
         ids = [str(r.headers.get("message_id", r.offset)) for r in records]
         # Queue exit: the records left the broker; downlink transfers
         # happen next.
-        collector.stamp_many(ids, "dequeue", self.now(), site=self.broker_site)
+        collector.stamp_many(ids, "dequeue", self.now())
         if self.downlink is not None:
             alive, dropped = [], []
             for message_id, record in zip(ids, records):
@@ -118,7 +117,7 @@ class CloudConsumer:
             alive = list(zip(ids, records))
         now = self.now()
         collector.stamp_many([m for m, _ in alive], "consume", now, nbytes=[r.size for _, r in alive],
-                             site=self.proc_site, partition=[r.partition for _, r in alive])
+                             partition=[r.partition for _, r in alive])
         new_flags = self.progress.claim([m for m, _ in alive])
         fresh, sink, duplicates = [], [], 0
         for (message_id, record), is_new in zip(alive, new_flags):
@@ -133,10 +132,13 @@ class CloudConsumer:
             collector.stamp_many(sink, "consume_sink", now)
         if duplicates:
             collector.incr("duplicate_deliveries", duplicates)
-        if fresh:
+        try:
             fn = self.functions()[1]
             for message_id, record in fresh:
                 self._process_record(message_id, record, fn)
+        except BaseException:
+            self.progress.release([m for (m, _), new in zip(alive, new_flags) if new])
+            raise
         self.progress.count_processed([r.partition for (_, r), new in zip(alive, new_flags) if new])
         return len(records)
 
@@ -146,15 +148,13 @@ class CloudConsumer:
         that one message, not the consumer: record it and keep consuming."""
         try:
             block = decode_block(record.value)
-            self.collector.stamp(message_id, "process_start", self.now(), site=self.proc_site)
+            self.collector.stamp(message_id, "process_start", self.now())
             result = fn(self.context, block)
         except Exception as exc:
             self.collector.incr("processing_errors")
             self.record_error(f"process[{message_id}]", exc)
         else:
-            self.collector.stamp(
-                message_id, "process_end", self.now(), nbytes=record.size, site=self.proc_site
-            )
+            self.collector.stamp(message_id, "process_end", self.now(), nbytes=record.size)
             self.results.append(result)
 
 

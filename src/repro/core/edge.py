@@ -40,14 +40,12 @@ class EdgeDevice:
 
     def __init__(self, index: int, config, producer: Producer, progress, collector,
                  produce_fn: Callable, functions: Callable[[], tuple], *, run_id: str,
-                 context, results, decision, uplink, sites: tuple[str, str],
-                 now=monotonic) -> None:
+                 context, results, decision, uplink, now=monotonic) -> None:
         self.index, self.config, self.run_id = index, config, run_id
         self.producer, self.uplink = producer, uplink
         self.progress, self.collector, self.results = progress, collector, results
         self.produce_fn, self.functions, self.decision = produce_fn, functions, decision
         self.context = context
-        self.edge_site, self.broker_site = sites
         self.now = now
         self.made = 0  # messages made so far: sent, dropped or absorbed
         self.sent = 0
@@ -137,15 +135,14 @@ class EdgeDevice:
         if decision is not None and decision.processing_tier == "edge":
             # Edge-centric placement: the heavy function runs on the
             # device; only its (small) result block crosses the link.
-            self.collector.stamp(message_id, "process_start", self.now(), site=self.edge_site)
+            self.collector.stamp(message_id, "process_start", self.now())
             result = cloud_fn(context, block)
-            self.collector.stamp(message_id, "process_end", self.now(), site=self.edge_site)
+            self.collector.stamp(message_id, "process_end", self.now())
             self.results.append(result)
             block = _result_block(result)
             headers["processed"] = True
         payload = encode_block(block, compress=self.config.compress_wire)
-        self.collector.stamp(message_id, "produce", produce_ts, nbytes=len(payload),
-                             site=self.edge_site, partition=self.index)
+        self.collector.stamp(message_id, "produce", produce_ts, nbytes=len(payload), partition=self.index)
         return message_id, payload, headers
 
     def _send_batch(self, batch) -> int:
@@ -154,7 +151,7 @@ class EdgeDevice:
         cfg = self.config
         ids = [message_id for message_id, _, _ in batch]
         payloads = [payload for _, payload, _ in batch]
-        self.collector.stamp_many(ids, "uplink_start", self.now(), site=self.edge_site)
+        self.collector.stamp_many(ids, "uplink_start", self.now())
         for attempt in range(cfg.producer_retries + 1):
             if attempt:
                 # At-least-once mode: the uplink dropped the batch — resend
@@ -171,7 +168,7 @@ class EdgeDevice:
                                         headers=[headers for _, _, headers in batch])
             except ConnectionError:
                 break  # the producer spent its retries: drop the batch
-            self.collector.stamp_many(ids, "broker_in", self.now(), site=self.broker_site)
+            self.collector.stamp_many(ids, "broker_in", self.now())
             return len(batch)
         # Lossy-link drop: account for the messages (QoS-0 semantics) so
         # the run can still complete.
@@ -234,6 +231,11 @@ class Progress:
                 flags.append(message_id not in self._ids)
                 self._ids.add(message_id)
         return flags
+
+    def release(self, message_ids) -> None:
+        """Unclaim ids a stopped poll claimed and never counted: a redelivery runs them."""
+        with self._lock:
+            self._ids.difference_update(message_ids)
 
     def count_processed(self, devices) -> None:
         """Count a batch of processed messages, one device (= partition)

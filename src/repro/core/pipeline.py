@@ -88,7 +88,6 @@ class EdgeToCloudPipeline:
         topology=None,
         parameter_server: ParameterServer | None = None,
         placement: PlacementPolicy | None = None,
-        event_bus: EventBus | None = None,
         run_id: str | None = None,
         broker: Broker | None = None,
         registry=None,
@@ -109,7 +108,7 @@ class EdgeToCloudPipeline:
         self.config = config or PipelineConfig()
         self.topology = topology
         self.run_id = run_id or new_run_id()
-        self.events = event_bus or EventBus()
+        self.events = EventBus()
         self.placement_policy = placement or CloudCentricPlacement()
 
         self._produce_fn = produce_function_handler
@@ -285,7 +284,6 @@ class EdgeToCloudPipeline:
             index, cfg, producer, self._progress, self._collector, self._produce_fn,
             self._functions, run_id=run_id, context=context, results=self._results,
             decision=self._decision, uplink=self._link(edge_site, broker_site),
-            sites=(edge_site, broker_site),
         ).run()
 
     def _submit_consumer(self, consumer: Consumer):
@@ -298,7 +296,7 @@ class EdgeToCloudPipeline:
         cloud = CloudConsumer(
             consumer, self._progress, self._collector, self._results, self._functions,
             self._record_error, context=self._base_context(proc_site).for_device(name, -1, proc_site),
-            downlink=self._link(broker_site, proc_site), sites=(broker_site, proc_site),
+            downlink=self._link(broker_site, proc_site),
         )
         return self.pilot_cloud_processing.cluster.scheduler.submit(
             Task(fn=cloud.run, resources=ResourceSpec(cores=1, memory_gb=1))

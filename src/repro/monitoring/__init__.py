@@ -8,10 +8,10 @@ consumers, not the broker, limit throughput).
 
 This package provides:
 
-- :class:`MessageTrace` — one message's timestamps across every stage,
-  linked by ``(run_id, message_id)``,
-- :class:`MetricsCollector` — thread-safe trace accumulation; its named
-  counters live in its registry,
+- :class:`MetricsCollector` — one fixed-slot row per message of a run:
+  a timestamp per stage (``produce`` → ``process_end``), its size and
+  partition, read back as columns; its named counters live in its
+  registry,
 - :class:`Tracer` / :class:`Span` — distributed tracing with
   ``(trace_id, span_id, parent_id)`` context propagated through message
   and frame headers, so one message's produce→broker→consume path
@@ -36,7 +36,6 @@ This package provides:
   attribution the benchmark harness prints for each figure.
 """
 
-from repro.monitoring.metrics import MessageTrace, StageTiming
 from repro.monitoring.collector import MetricsCollector
 from repro.monitoring.instruments import Counter, Gauge, Histogram, MetricsRegistry
 from repro.monitoring.tracing import NOOP_SPAN, Span, Tracer
@@ -57,8 +56,6 @@ from repro.monitoring.report import (
 )
 
 __all__ = [
-    "MessageTrace",
-    "StageTiming",
     "MetricsCollector",
     "Counter",
     "Gauge",

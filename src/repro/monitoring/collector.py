@@ -1,32 +1,49 @@
-"""Thread-safe metric collection."""
+"""Thread-safe metric collection: one fixed-slot row per message.
+
+A message's row holds one timestamp per stage of :data:`STAGES`, its
+payload size and its partition. Stage names follow the pipeline's
+dataflow: ``produce`` is stamped by the edge device, ``uplink_start``
+when the edge→broker transfer starts, ``broker_in`` when the append
+returned, ``dequeue`` when a consumer took the record off the broker
+(before the downlink transfer), ``consume`` when the processing task has
+received it, ``consume_sink`` when a message already processed on the
+device reached a consumer, and ``process_start`` / ``process_end``
+around the model execution.
+"""
 
 from __future__ import annotations
 
 import threading
 
+import numpy as np
+
 from repro.monitoring.instruments import MetricsRegistry
-from repro.monitoring.metrics import MessageTrace
+
+#: The stages a row has a timestamp slot for, in dataflow order.
+STAGES = (
+    "produce", "uplink_start", "broker_in", "dequeue",
+    "consume", "consume_sink", "process_start", "process_end",
+)
+_SLOT = {stage: slot for slot, stage in enumerate(STAGES)}
+_PRODUCE, _END = _SLOT["produce"], _SLOT["process_end"]
+_NBYTES, _PARTITION = len(STAGES), len(STAGES) + 1
+_EMPTY_ROW = [float("nan")] * len(STAGES) + [0, -1]
 
 
-def _is_sequence(value) -> bool:
-    """Sequence-of-values vs scalar for the stamp_many broadcast rule."""
-    return isinstance(value, (list, tuple)) or (
-        hasattr(value, "__len__") and not isinstance(value, (str, bytes))
-    )
+def _slot(stage: str) -> int:
+    try:
+        return _SLOT[stage]
+    except KeyError:
+        raise ValueError(f"unknown stage {stage!r}; the stages are {STAGES}") from None
 
 
 class MetricsCollector:
-    """Accumulates the message traces of one run; its named counters
-    live in a registry.
-
-    All pipeline components share one collector per run; traces are linked
-    by ``(run_id, message_id)`` so a message's path can be reconstructed
-    regardless of which thread/site stamped each stage.
-    """
+    """The stage stamps of one run, one row per message id whichever
+    thread stamped it; its named counters live in a registry."""
 
     def __init__(self, run_id: str, registry=None) -> None:
         self.run_id = run_id
-        self._traces: dict[str, MessageTrace] = {}
+        self._rows: dict[str, list] = {}
         #: The :class:`repro.monitoring.MetricsRegistry` that holds this
         #: run's counters and gauges (the caller's, or one of its own);
         #: ``process_end`` stamps feed its live end-to-end latency
@@ -35,93 +52,63 @@ class MetricsCollector:
         self._e2e_hist = self.registry.histogram("pipeline_e2e_latency_s")
         self._lock = threading.Lock()
 
-    # -- traces ----------------------------------------------------------
-
-    def stamp(
-        self,
-        message_id: str,
-        stage: str,
-        timestamp: float,
-        nbytes: int = 0,
-        site: str = "",
-        partition: int = -1,
-    ) -> None:
+    def stamp(self, message_id: str, stage: str, timestamp: float, nbytes: int = 0,
+              partition: int = -1) -> None:
         """Record one stage hit for *message_id*."""
+        slot = _slot(stage)
         with self._lock:
-            trace = self._traces.get(message_id)
-            if trace is None:
-                trace = MessageTrace(self.run_id, message_id)
-                self._traces[message_id] = trace
-            if partition >= 0:
-                trace.partition = partition
-            trace.stamp(stage, timestamp, nbytes=nbytes, site=site)
-        if stage == "process_end":
-            self._observe_latencies((trace,), timestamp)
+            start = self._put(slot, timestamp, message_id, nbytes, partition)
+        if slot == _END and timestamp >= start:
+            self._e2e_hist.observe(timestamp - start)
 
-    def stamp_many(
-        self,
-        message_ids,
-        stage: str,
-        timestamp: float,
-        nbytes=0,
-        site: str = "",
-        partition=-1,
-    ) -> None:
-        """Record one stage hit for a whole batch of messages.
-
-        The batched pipeline paths stamp every message of a poll/publish
-        batch at the same stage and timestamp; doing it here costs ONE
-        lock acquisition instead of one per message (~6 lock round-trips
-        per message across the six pipeline stages otherwise).
+    def stamp_many(self, message_ids, stage: str, timestamp: float, nbytes=0, partition=-1) -> None:
+        """Record one stage hit for a whole batch of messages, under one
+        lock acquisition.
 
         ``nbytes`` and ``partition`` may be scalars (applied to every
-        message) or sequences aligned with *message_ids* (per-message
-        values, e.g. record sizes at the ``consume`` stage).
+        message) or sequences aligned with *message_ids*. A stage stamped
+        twice keeps its last time; a row keeps the first non-zero
+        ``nbytes`` and the last non-negative ``partition`` it was given.
+        An unknown *stage* raises ``ValueError``.
         """
+        slot = _slot(stage)
         ids = list(message_ids)
-        nbytes_seq = nbytes if _is_sequence(nbytes) else [nbytes] * len(ids)
-        part_seq = partition if _is_sequence(partition) else [partition] * len(ids)
+        nbytes_seq = nbytes if hasattr(nbytes, "__len__") else [nbytes] * len(ids)
+        part_seq = partition if hasattr(partition, "__len__") else [partition] * len(ids)
         if len(nbytes_seq) != len(ids) or len(part_seq) != len(ids):
             raise ValueError("per-message nbytes/partition must align with message_ids")
-        touched = []
+        put = self._put
         with self._lock:
-            for message_id, nb, part in zip(ids, nbytes_seq, part_seq):
-                trace = self._traces.get(message_id)
-                if trace is None:
-                    trace = MessageTrace(self.run_id, message_id)
-                    self._traces[message_id] = trace
-                if part >= 0:
-                    trace.partition = part
-                trace.stamp(stage, timestamp, nbytes=nb, site=site)
-                touched.append(trace)
-        if stage == "process_end":
-            self._observe_latencies(touched, timestamp)
+            starts = [put(slot, timestamp, m, nb, part) for m, nb, part in zip(ids, nbytes_seq, part_seq)]
+        if slot == _END:
+            # Live end-to-end latency; an unstamped produce (NaN) compares false.
+            self._e2e_hist.observe_many([timestamp - s for s in starts if timestamp >= s])
 
-    def _observe_latencies(self, traces, end_ts: float) -> None:
-        """Feed live latency histograms from completed message traces."""
-        latencies = []
-        for trace in traces:
-            start = trace.at("produce")
-            if start is not None and end_ts >= start:
-                latencies.append(end_ts - start)
-        self._e2e_hist.observe_many(latencies)
+    def _put(self, slot: int, timestamp: float, message_id: str, nbytes: int, partition: int):
+        """Stamp one row, the lock held; returns the row's produce time."""
+        row = self._rows.get(message_id)
+        if row is None:
+            row = self._rows[message_id] = _EMPTY_ROW.copy()
+        row[slot] = timestamp
+        if nbytes and not row[_NBYTES]:
+            row[_NBYTES] = nbytes
+        if partition >= 0:
+            row[_PARTITION] = partition
+        return row[_PRODUCE]
 
-    def trace(self, message_id: str) -> MessageTrace | None:
+    def columns(self) -> dict:
+        """The rows as columns, in the order the messages were first
+        stamped: ``message_id`` (a list), one float64 array per stage of
+        :data:`STAGES` (NaN where that stage was not stamped), and int64
+        ``nbytes`` and ``partition`` arrays."""
         with self._lock:
-            return self._traces.get(message_id)
-
-    def traces(self, complete_only: bool = False) -> list[MessageTrace]:
-        with self._lock:
-            out = list(self._traces.values())
-        if complete_only:
-            out = [t for t in out if t.complete]
-        return out
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._traces)
-
-    # -- counters ---------------------------------------------------------
+            ids = list(self._rows)
+            table = np.array(list(self._rows.values()), dtype=np.float64).reshape(-1, len(_EMPTY_ROW))
+        columns = {"message_id": ids}
+        columns.update((stage, table[:, slot]) for stage, slot in _SLOT.items())
+        columns["nbytes"] = table[:, _NBYTES].astype(np.int64)
+        columns["partition"] = table[:, _PARTITION].astype(np.int64)
+        return columns
 
     def incr(self, name: str, value: float = 1.0) -> None:
         self.registry.counter(name).inc(value)

@@ -23,6 +23,10 @@ def percentile(values, q: float) -> float:
     return float(np.percentile(arr, q))
 
 
+#: A report's ``stage_means_s`` are the mean gaps between these stages, each to the next.
+_REPORTED_STAGES = ("produce", "broker_in", "consume", "process_start", "process_end")
+
+
 @dataclass
 class ThroughputReport:
     """Summary statistics for one pipeline run."""
@@ -55,8 +59,9 @@ class ThroughputReport:
     ) -> "ThroughputReport":
         lag = lag_over_time(sampler) if sampler is not None else {}
         spans = span_bottleneck(tracer) if tracer is not None else {}
-        traces = collector.traces(complete_only=True)
-        if not traces:
+        rows = _complete_rows(collector)
+        messages = len(rows["produce"])
+        if not messages:
             return cls(
                 run_id=collector.run_id,
                 messages=0,
@@ -71,30 +76,20 @@ class ThroughputReport:
                 lag=lag,
                 spans=spans,
             )
-        latencies = np.array([t.end_to_end_latency for t in traces])
-        total_bytes = int(sum(t.nbytes for t in traces))
+        latencies = rows["process_end"] - rows["produce"]
+        total_bytes = int(rows["nbytes"].sum())
         if duration_s is None:
-            start = min(t.at("produce") for t in traces)
-            end = max(t.at("process_end") for t in traces)
-            duration_s = max(end - start, 1e-9)
-        stage_pairs = (
-            ("produce", "broker_in"),
-            ("broker_in", "consume"),
-            ("consume", "process_start"),
-            ("process_start", "process_end"),
-        )
+            duration_s = max(float(rows["process_end"].max() - rows["produce"].min()), 1e-9)
         stage_means = {}
-        for a, b in stage_pairs:
-            vals = [t.stage_latency(a, b) for t in traces]
-            vals = [v for v in vals if v is not None]
-            if vals:
-                stage_means[f"{a}->{b}"] = float(np.mean(vals))
+        for a, b in zip(_REPORTED_STAGES, _REPORTED_STAGES[1:]):
+            if (mean := _mean_gap(rows, a, b, empty=None)) is not None:
+                stage_means[f"{a}->{b}"] = mean
         return cls(
             run_id=collector.run_id,
-            messages=len(traces),
+            messages=messages,
             total_bytes=total_bytes,
             duration_s=float(duration_s),
-            throughput_msgs_s=len(traces) / duration_s,
+            throughput_msgs_s=messages / duration_s,
             throughput_mb_s=total_bytes / duration_s / 1e6,
             latency_mean_s=float(latencies.mean()),
             latency_p50_s=percentile(latencies, 50),
@@ -192,30 +187,21 @@ def analyze_bottleneck(collector: MetricsCollector) -> dict:
     exactly the paper's Fig. 2 four-partition observation ("the broker
     can process more data than the consuming processing tasks").
     """
-    traces = collector.traces(complete_only=True)
-    if not traces:
+    rows = _complete_rows(collector)
+    if not len(rows["produce"]):
         return {"bottleneck": "unknown", "reason": "no complete traces"}
 
-    def stage_mean(a: str, b: str) -> float:
-        vals = [t.stage_latency(a, b) for t in traces]
-        vals = [v for v in vals if v is not None]
-        return float(np.mean(vals)) if vals else 0.0
-
     # Transfer service: uplink (uplink_start->broker_in, i.e. link
-    # serialization + propagation, excluding queue wait at the link) plus
-    # downlink (dequeue->consume). Queue waits — produce->uplink_start,
+    # serialization + propagation, excluding queue wait at the link; from
+    # produce when no message has an uplink_start) plus downlink
+    # (dequeue->consume). Queue waits — produce->uplink_start,
     # broker_in->dequeue, consume->process_start — are symptoms of
     # whichever service is saturated, so they are excluded from the
     # comparison itself and reported separately.
-    has_uplink = any(t.has("uplink_start") for t in traces)
-    uplink = (
-        stage_mean("uplink_start", "broker_in")
-        if has_uplink
-        else stage_mean("produce", "broker_in")
-    )
-    mean_transfer = uplink + stage_mean("dequeue", "consume")
-    mean_processing = stage_mean("process_start", "process_end")
-    mean_queueing = stage_mean("broker_in", "dequeue")
+    uplink_from = "produce" if np.isnan(rows["uplink_start"]).all() else "uplink_start"
+    mean_transfer = _mean_gap(rows, uplink_from, "broker_in") + _mean_gap(rows, "dequeue", "consume")
+    mean_processing = _mean_gap(rows, "process_start", "process_end")
+    mean_queueing = _mean_gap(rows, "broker_in", "dequeue")
     if mean_processing >= mean_transfer:
         bottleneck = "processing"
         reason = (
@@ -235,3 +221,17 @@ def analyze_bottleneck(collector: MetricsCollector) -> dict:
         "mean_processing_s": mean_processing,
         "mean_broker_queue_s": mean_queueing,
     }
+
+
+def _complete_rows(collector: MetricsCollector) -> dict:
+    """The collector's columns, cut to the rows stamped at both ``produce`` and ``process_end``."""
+    columns = collector.columns()
+    complete = ~(np.isnan(columns["produce"]) | np.isnan(columns["process_end"]))
+    return {name: values[complete] for name, values in columns.items() if name != "message_id"}
+
+
+def _mean_gap(rows: dict, a: str, b: str, empty=0.0) -> float | None:
+    """Mean seconds from stage *a* to stage *b* over the rows stamped at both; *empty* if none is."""
+    gaps = rows[b] - rows[a]
+    gaps = gaps[~np.isnan(gaps)]
+    return float(gaps.mean()) if gaps.size else empty

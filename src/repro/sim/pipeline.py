@@ -149,18 +149,14 @@ class SimulatedPipeline:
         message_id = f"{self.run_id}/d{device}/m{seq}"
         now = self._sim.now
         nbytes = cfg.message_bytes
-        self._collector.stamp(
-            message_id, "produce", now, nbytes=nbytes, partition=device, site="edge"
-        )
+        self._collector.stamp(message_id, "produce", now, nbytes=nbytes, partition=device)
         ser, lat = self._link_times(cfg.uplink, nbytes)
 
         # The serialization occupies the uplink; propagation happens after.
         def sent() -> None:
             # Uplink service started when the message reached the head of
             # the link's queue.
-            self._collector.stamp(
-                message_id, "uplink_start", self._sim.now - ser, site="edge"
-            )
+            self._collector.stamp(message_id, "uplink_start", self._sim.now - ser)
             self._sim.schedule(lat, self._broker_in, message_id, nbytes)
 
         self._uplink.submit(ser, sent)
@@ -169,22 +165,18 @@ class SimulatedPipeline:
         self._emit(device, seq + 1)
 
     def _broker_in(self, message_id: str, nbytes: int) -> None:
-        self._collector.stamp(message_id, "broker_in", self._sim.now, site="broker")
+        self._collector.stamp(message_id, "broker_in", self._sim.now)
         ser, lat = self._link_times(self.config.downlink, nbytes)
 
         def sent() -> None:
             # Queue exit happened when the downlink started serializing.
-            self._collector.stamp(
-                message_id, "dequeue", self._sim.now - ser, site="broker"
-            )
+            self._collector.stamp(message_id, "dequeue", self._sim.now - ser)
             self._sim.schedule(lat, self._consume, message_id, nbytes)
 
         self._downlink.submit(ser, sent)
 
     def _consume(self, message_id: str, nbytes: int) -> None:
-        self._collector.stamp(
-            message_id, "consume", self._sim.now, nbytes=nbytes, site="cloud"
-        )
+        self._collector.stamp(message_id, "consume", self._sim.now, nbytes=nbytes)
         # The consumer pool starts processing when a server frees up;
         # stamp process_start at actual service start via a zero-cost
         # pre-job ordering trick: FifoServer is FIFO, so we enqueue one
@@ -194,10 +186,8 @@ class SimulatedPipeline:
 
         def done() -> None:
             end = self._sim.now
-            self._collector.stamp(message_id, "process_start", end - cost, site="cloud")
-            self._collector.stamp(
-                message_id, "process_end", end, nbytes=nbytes, site="cloud"
-            )
+            self._collector.stamp(message_id, "process_start", end - cost)
+            self._collector.stamp(message_id, "process_end", end, nbytes=nbytes)
 
         self._consumers.submit(cost, done)
 

@@ -78,7 +78,6 @@ class Halves:
             results=self.results,
             decision=None,
             uplink=None,
-            sites=("edge", "broker"),
             now=self.clock,
         )
 
@@ -94,7 +93,6 @@ class Halves:
             lambda where, exc: self.errors.append((where, exc)),
             context={},
             downlink=None,
-            sites=("broker", "processing"),
             now=self.clock,
         )
 

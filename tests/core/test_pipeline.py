@@ -94,11 +94,10 @@ class TestBaselineRun:
     def test_traces_have_all_stages(self, running_pilots):
         pipeline = make_pipeline(running_pilots)
         pipeline.run()
-        traces = pipeline.collector.traces(complete_only=True)
-        assert len(traces) == 16
-        for t in traces:
-            for stage in ("produce", "broker_in", "consume", "process_start", "process_end"):
-                assert t.has(stage), stage
+        rows = pipeline.collector.columns()
+        assert len(rows["message_id"]) == 16
+        for stage in ("produce", "broker_in", "consume", "process_start", "process_end"):
+            assert not np.isnan(rows[stage]).any(), stage
 
     def test_one_partition_per_device(self, running_pilots):
         pipeline = make_pipeline(running_pilots)
@@ -188,9 +187,12 @@ class TestPlacements:
         result = pipeline.run()
         assert result.completed
         assert result.placement.processing_tier == "edge"
-        # Processing happened at the edge site.
-        traces = pipeline.collector.traces(complete_only=True)
-        assert all(t.timings["process_end"].site == "edge-site" for t in traces)
+        # Processing happened on the device: before the append, each
+        # message then reaching a consumer as a sink.
+        rows = pipeline.collector.columns()
+        assert len(rows["message_id"]) == 16
+        assert (rows["process_end"] <= rows["broker_in"]).all()
+        assert not np.isnan(rows["consume_sink"]).any()
 
 
 class TestRuntimeDynamism:

@@ -133,8 +133,7 @@ class TestConsumerRatios:
         result = pipeline.run()
         assert result.completed
         assert result.report.messages == 10
-        partitions = {t.partition for t in pipeline.collector.traces(complete_only=True)}
-        assert partitions == {0, 1}
+        assert set(pipeline.collector.columns()["partition"].tolist()) == {0, 1}
 
 
 class TestDuplicateDelivery:
@@ -244,8 +243,8 @@ class TestRunIdPropagation:
     def test_message_ids_carry_run_id(self, running_pilots):
         pipeline = build(running_pilots)
         pipeline.run()
-        for trace in pipeline.collector.traces():
-            assert trace.message_id.startswith(pipeline.run_id)
+        for message_id in pipeline.collector.columns()["message_id"]:
+            assert message_id.startswith(pipeline.run_id)
 
     def test_explicit_run_id(self, running_pilots):
         edge, cloud = running_pilots

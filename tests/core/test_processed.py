@@ -94,10 +94,16 @@ class TestProcessedWhenTheFunctionHasRun:
         assert device.step() == 4
         with pytest.raises(Stop):
             consumer.step()
-        # Claimed, so a redelivery would not run them, but not processed:
-        # the run does not read complete.
+        # Not processed: the run does not read complete.
         assert run.progress.processed_count == 0
         assert not run.progress.done.is_set()
+        # The stopped poll released its claims, so a redelivery runs them.
+        run.functions = (None, lambda context, block: block)
+        consumer.consumer.seek(run.config.topic, 0, 0)
+        assert consumer.step() == 4
+        assert run.progress.processed_count == 4
+        assert run.collector.counter("duplicate_deliveries") == 0
+        assert run.progress.done.is_set()
 
 
 def test_claims_and_counts_hold_across_threads():

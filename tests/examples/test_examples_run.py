@@ -6,6 +6,7 @@ timeout; its stdout must contain a marker proving it reached its final
 reporting section.
 """
 
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -26,7 +27,7 @@ EXAMPLES = {
 
 
 @pytest.mark.parametrize("script,marker", sorted(EXAMPLES.items()))
-def test_example_runs(script, marker):
+def test_example_runs(script, marker, tmp_path):
     path = EXAMPLES_DIR / script
     assert path.exists(), f"example {script} is missing"
     proc = subprocess.run(
@@ -34,9 +35,12 @@ def test_example_runs(script, marker):
         capture_output=True,
         text=True,
         timeout=300,
+        env={**os.environ, "TMPDIR": str(tmp_path)},
     )
     assert proc.returncode == 0, f"{script} failed:\n{proc.stdout}\n{proc.stderr}"
     assert marker in proc.stdout, f"{script} output missing {marker!r}:\n{proc.stdout}"
+    # An example cleans up after itself: nothing left in the temp dir.
+    assert list(tmp_path.iterdir()) == [], f"{script} left files in its temp dir"
 
 
 def test_every_example_is_covered():

@@ -1,11 +1,11 @@
-"""Tests for traces, the collector and reports."""
+"""Tests for the collector's per-message rows and the reports."""
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.monitoring import (
-    MessageTrace,
     MetricsCollector,
     ThroughputReport,
     analyze_bottleneck,
@@ -13,61 +13,55 @@ from repro.monitoring import (
 )
 
 
-class TestMessageTrace:
-    def test_stamp_and_read(self):
-        trace = MessageTrace("run", "m1")
-        trace.stamp("produce", 10.0, nbytes=100)
-        assert trace.at("produce") == 10.0
-        assert trace.has("produce")
-        assert not trace.has("consume")
-
-    def test_end_to_end_latency(self):
-        trace = MessageTrace("run", "m1")
-        trace.stamp("produce", 10.0)
-        trace.stamp("process_end", 10.5)
-        assert trace.end_to_end_latency == pytest.approx(0.5)
-
-    def test_latency_none_when_incomplete(self):
-        trace = MessageTrace("run", "m1")
-        trace.stamp("produce", 10.0)
-        assert trace.end_to_end_latency is None
-        assert not trace.complete
-
-    def test_stage_latency(self):
-        trace = MessageTrace("run", "m1")
-        trace.stamp("produce", 1.0)
-        trace.stamp("broker_in", 1.2)
-        assert trace.stage_latency("produce", "broker_in") == pytest.approx(0.2)
-        assert trace.stage_latency("produce", "consume") is None
-
-    def test_nbytes_taken_from_first_stamped(self):
-        trace = MessageTrace("run", "m1")
-        trace.stamp("produce", 1.0, nbytes=128)
-        trace.stamp("process_end", 2.0)
-        assert trace.nbytes == 128
-
-
 class TestMetricsCollector:
     def test_stamps_link_across_stages(self):
         c = MetricsCollector("run")
         c.stamp("m1", "produce", 1.0, nbytes=10)
         c.stamp("m1", "process_end", 2.0)
-        trace = c.trace("m1")
-        assert trace.complete
-        assert trace.end_to_end_latency == 1.0
+        rows = c.columns()
+        assert rows["message_id"] == ["m1"]
+        assert rows["process_end"][0] - rows["produce"][0] == 1.0
+        assert rows["nbytes"][0] == 10
 
     def test_partition_recorded(self):
         c = MetricsCollector("run")
         c.stamp("m1", "produce", 1.0, partition=3)
-        assert c.trace("m1").partition == 3
+        assert c.columns()["partition"].tolist() == [3]
 
     def test_complete_only_filter(self):
+        # Every row is read back; the reports count only the complete ones
+        # (produce and process_end), an unstamped stage reading NaN.
         c = MetricsCollector("run")
         c.stamp("m1", "produce", 1.0)
         c.stamp("m2", "produce", 1.0)
         c.stamp("m2", "process_end", 2.0)
-        assert len(c.traces()) == 2
-        assert len(c.traces(complete_only=True)) == 1
+        rows = c.columns()
+        assert rows["message_id"] == ["m1", "m2"]
+        assert math.isnan(rows["process_end"][0]) and rows["process_end"][1] == 2.0
+        assert rows["partition"].tolist() == [-1, -1]
+        assert ThroughputReport.from_collector(c).messages == 1
+
+    def test_nbytes_taken_from_first_stamped(self):
+        # A stage stamped twice keeps its last time; the size is the first given.
+        c = MetricsCollector("run")
+        c.stamp("m1", "consume", 1.0, nbytes=64)
+        c.stamp("m1", "produce", 0.5, nbytes=48)
+        c.stamp("m1", "consume", 2.0, nbytes=80)
+        rows = c.columns()
+        assert (rows["produce"][0], rows["consume"][0], rows["nbytes"][0]) == (0.5, 2.0, 64)
+
+    def test_unknown_stage_rejected(self):
+        c = MetricsCollector("run")
+        with pytest.raises(ValueError, match="unknown stage"):
+            c.stamp("m1", "prodcue", 1.0)
+        with pytest.raises(ValueError, match="unknown stage"):
+            c.stamp_many(["m1"], "sent", 1.0)
+        assert c.columns()["message_id"] == []
+
+    def test_empty_collector_has_empty_columns(self):
+        rows = MetricsCollector("run").columns()
+        assert rows["message_id"] == []
+        assert rows["produce"].shape == rows["nbytes"].shape == (0,)
 
     def test_counters(self):
         c = MetricsCollector("run")
@@ -90,7 +84,7 @@ class TestMetricsCollector:
             t.start()
         for t in threads:
             t.join()
-        assert len(c) == 2000
+        assert len(c.columns()["message_id"]) == 2000
 
 
 class TestCounterRead:
@@ -163,7 +157,6 @@ class TestRegistryForwarding:
         c = MetricsCollector("run")
         c.stamp("m1", "produce", 1.0)
         c.stamp("m1", "process_end", 1.5)
-        assert c.trace("m1").complete
         assert c.registry.histogram("pipeline_e2e_latency_s").count == 1
         assert c.registry is not MetricsCollector("other").registry
 
@@ -266,6 +259,16 @@ class TestBottleneckAnalysis:
         assert result["bottleneck"] == "processing"
         assert result["mean_broker_queue_s"] == pytest.approx(1.99)
 
+    def test_gaps_never_stamped_read_zero(self):
+        c = MetricsCollector("run")
+        c.stamp("m1", "produce", 1.0)
+        c.stamp("m1", "process_end", 2.0)
+        result = analyze_bottleneck(c)
+        assert result["bottleneck"] == "processing"
+        assert result["mean_transfer_s"] == result["mean_processing_s"] == 0.0
+        assert result["mean_broker_queue_s"] == 0.0
+        assert ThroughputReport.from_collector(c).stage_means_s == {}
+
     def test_no_traces(self):
         assert analyze_bottleneck(MetricsCollector("run"))["bottleneck"] == "unknown"
 
@@ -276,22 +279,19 @@ class TestStampMany:
         looped = MetricsCollector("run")
         ids = [f"m{i}" for i in range(8)]
         sizes = [100 * (i + 1) for i in range(8)]
-        batched.stamp_many(ids, "consume", 1.5, nbytes=sizes, site="cloud", partition=3)
+        batched.stamp_many(ids, "consume", 1.5, nbytes=sizes, partition=3)
         for mid, nb in zip(ids, sizes):
-            looped.stamp(mid, "consume", 1.5, nbytes=nb, site="cloud", partition=3)
-        for mid in ids:
-            b = batched.trace(mid)
-            l = looped.trace(mid)
-            assert b.at("consume") == l.at("consume")
-            assert b.timings["consume"].nbytes == l.timings["consume"].nbytes
-            assert b.timings["consume"].site == l.timings["consume"].site
-            assert b.partition == l.partition == 3
+            looped.stamp(mid, "consume", 1.5, nbytes=nb, partition=3)
+        b, l = batched.columns(), looped.columns()
+        assert b["message_id"] == l["message_id"] == ids
+        assert b["consume"].tolist() == l["consume"].tolist() == [1.5] * 8
+        assert b["nbytes"].tolist() == l["nbytes"].tolist() == sizes
+        assert b["partition"].tolist() == l["partition"].tolist() == [3] * 8
 
     def test_scalar_nbytes_broadcasts(self):
         c = MetricsCollector("run")
         c.stamp_many(["a", "b"], "dequeue", 2.0, nbytes=64)
-        assert c.trace("a").timings["dequeue"].nbytes == 64
-        assert c.trace("b").timings["dequeue"].nbytes == 64
+        assert c.columns()["nbytes"].tolist() == [64, 64]
 
     def test_misaligned_sequence_rejected(self):
         c = MetricsCollector("run")
@@ -303,7 +303,7 @@ class TestStampMany:
     def test_empty_batch_is_noop(self):
         c = MetricsCollector("run")
         c.stamp_many([], "dequeue", 1.0)
-        assert len(c) == 0
+        assert c.columns()["message_id"] == []
 
     def test_concurrent_stamp_many_hammer(self):
         import threading
@@ -325,12 +325,13 @@ class TestStampMany:
         for t in threads:
             t.join()
         # All threads hammered the SAME id set on different stages: every
-        # trace must exist exactly once and carry all four stamps.
-        assert len(c) == per_thread * batch
-        for i in range(per_thread):
-            for j in range(batch):
-                trace = c.trace(f"m{i}-{j}")
-                assert all(trace.has(s) for s in stages)
-                assert trace.timings["consume"].nbytes == j
+        # row must exist exactly once and carry all four stamps.
+        rows = c.columns()
+        assert sorted(rows["message_id"]) == sorted(
+            f"m{i}-{j}" for i in range(per_thread) for j in range(batch)
+        )
+        for stage in stages:
+            assert not np.isnan(rows[stage]).any()
+        assert rows["nbytes"].tolist() == [int(m.split("-")[1]) for m in rows["message_id"]]
         for stage in stages:
             assert c.counters()[f"batches_{stage}"] == per_thread

@@ -30,8 +30,9 @@ The monitoring constructors are held to the same rule, matched by
 callee: every parameter with a default of ``Tracer``,
 ``TelemetrySampler``, ``EventJournal``, ``Histogram``,
 ``MetricsRegistry.histogram`` / ``to_prometheus``,
-``ClusterMetricsAggregator`` and the two cluster collectors must be
-passed by keyword to a call of that name (``Tracer(...)``,
+``ClusterMetricsAggregator``, the two cluster collectors and
+``MetricsCollector`` (its constructor, ``stamp`` and ``stamp_many``)
+must be passed by keyword to a call of that name (``Tracer(...)``,
 ``x.histogram(...)``) outside ``repro.monitoring``. A bound or seed only
 tests set is a module constant, which a test monkeypatches.
 """
@@ -53,6 +54,7 @@ from repro.monitoring import (
     ClusterTraceCollector,
     EventJournal,
     Histogram,
+    MetricsCollector,
     MetricsRegistry,
     TelemetrySampler,
     Tracer,
@@ -82,6 +84,9 @@ MONITORING_CALLABLES = {
     "ClusterMetricsAggregator": ClusterMetricsAggregator.__init__,
     "ClusterEventCollector": ClusterEventCollector.__init__,
     "ClusterTraceCollector": ClusterTraceCollector.__init__,
+    "MetricsCollector": MetricsCollector.__init__,
+    "stamp": MetricsCollector.stamp,
+    "stamp_many": MetricsCollector.stamp_many,
 }
 
 
