@@ -69,11 +69,6 @@ class _Prefetcher:
         self.fetches_in_flight = 0
         self.max_fetches_in_flight = 0
 
-    @property
-    def buffered_records(self) -> int:
-        with self._cond:
-            return sum(len(b) for b in self._buffers.values())
-
     def sync(
         self,
         assignment: list[tuple],
@@ -293,9 +288,9 @@ class Consumer:
         Failure-detection window registered with the group coordinator:
         if this consumer stops heartbeating for longer, the coordinator
         evicts it and rebalances its partitions to the survivors.
-        Every ``poll`` sends one heartbeat, so any consumer that keeps
-        polling stays alive. ``None`` uses the coordinator's default; 0
-        disables eviction.
+        Every ``poll`` heartbeats (over the wire, by reading the parked
+        one), so a consumer that keeps polling stays alive. ``None`` uses
+        the coordinator's default; 0 disables eviction.
     fetch_prefetch_batches:
         When > 0, a background fetcher per assigned partition keeps up to
         this many batches (of ``poll``'s default batch size) buffered
@@ -473,8 +468,8 @@ class Consumer:
         check_positive("max_records", max_records)
         self._check_open()
         if self.group_id is not None and self._subscribed_topics:
-            # One heartbeat per poll: it renews the lease, and its answer
-            # is the generation, so a rebalance is seen on this poll.
+            # A heartbeat per poll (over the wire, the parked one's answer
+            # once it came): its answer is the generation to compare.
             try:
                 generation = self._broker.coordinator.heartbeat(
                     self.group_id, self.client_id

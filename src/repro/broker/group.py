@@ -3,9 +3,11 @@
 Mirrors Kafka's group-coordinator role: consumers join a group for a set
 of topics, the coordinator assigns each partition to exactly one group
 member, and any membership change (join/leave/crash) triggers an eager
-rebalance that bumps the group *generation*. Every consumer poll sends a
-heartbeat, whose answer is the generation: a consumer sees a new one on
-its next poll and refreshes its assignment.
+rebalance that bumps the group *generation*. A consumer's poll asks for
+the generation with a heartbeat, and a new one makes it refresh its
+assignment. Over the wire the heartbeat parks here until the generation
+moves (:meth:`GroupCoordinator.watch`), so a poll in a steady group
+reads the answer it already has and asks nothing.
 
 Partitions are assigned by :func:`assign_ranges`, Kafka's default range
 rule: contiguous partition ranges per member, which keeps a device's
@@ -47,6 +49,17 @@ def assign_ranges(members: list[str], partitions: list[tuple]) -> dict[str, list
     return out
 
 
+class _Waiters(list):
+    """The wakers of one group's parked heartbeats, set whenever its
+    membership moves: a partition log's waiter hook, for a group."""
+
+    register_waiter = list.append
+    unregister_waiter = list.remove
+
+    def note_long_poll_parked(self) -> None:
+        """``long_polls_parked`` counts fetches: a heartbeat is not one."""
+
+
 @dataclass
 class _GroupState:
     group_id: str
@@ -65,12 +78,13 @@ class GroupCoordinator:
     """Tracks consumer groups for one broker.
 
     Failure detection mirrors Kafka's session-timeout protocol: members
-    refresh their lease via :meth:`heartbeat` (a consumer sends one with
-    every ``poll``), and any member silent for longer than the group's
-    ``session_timeout_ms`` is evicted by the sweeper — which runs lazily
-    on every coordinator access, so no background thread is needed and
-    tests stay deterministic. Eviction bumps the generation, triggering a
-    rebalance that hands the dead member's partitions to the survivors.
+    refresh their lease via :meth:`heartbeat` (a consumer's every ``poll``
+    calls it, or reads the answer of one parked here), and any member
+    silent for longer than the group's ``session_timeout_ms`` is evicted
+    by the sweeper — which runs lazily on every coordinator access, so no
+    background thread is needed and tests stay deterministic. Eviction
+    bumps the generation, triggering a rebalance that hands the dead
+    member's partitions to the survivors.
 
     Generations are monotonic for the lifetime of the coordinator: when a
     group's last member leaves, the group state is dropped but its
@@ -96,6 +110,8 @@ class GroupCoordinator:
         self._groups: dict[str, _GroupState] = {}
         #: group_id -> highest generation ever reached (survives deletion).
         self._epochs: dict[str, int] = {}
+        #: group_id -> the wakers of its parked heartbeats.
+        self._waiters: dict[str, _Waiters] = {}
         self._lock = threading.RLock()
         #: Default failure-detection window for new groups (0 = disabled).
         self.session_timeout_ms = float(session_timeout_ms)
@@ -146,10 +162,7 @@ class GroupCoordinator:
             if state.members:
                 self._rebalance(state)
             else:
-                # Persist the epoch so a re-created group's generations
-                # stay monotonic (stale-assignment checks remain sound).
-                self._epochs[group_id] = state.generation
-                del self._groups[group_id]
+                self._retire(state)
 
     # -- failure detection ----------------------------------------------------
 
@@ -201,9 +214,45 @@ class GroupCoordinator:
                 # Bump past the dead generation so rejoining members see
                 # a change even though nobody is left to rebalance.
                 state.generation += 1
-                self._epochs[group_id] = state.generation
-                del self._groups[group_id]
+                self._retire(state)
         return expired
+
+    def _retire(self, state: _GroupState) -> None:
+        """Drop a group nobody is left in. Its generation is kept, so a
+        re-created group's stay monotonic (stale-assignment checks remain
+        sound), and its parked heartbeats are woken."""
+        self._epochs[state.group_id] = state.generation
+        del self._groups[state.group_id]
+        self._wake(state.group_id)
+
+    def _wake(self, group_id: str) -> None:
+        for waker in list(self._waiters.get(group_id, ())):
+            waker.set()
+
+    def wake_all(self) -> None:
+        """Wake every parked heartbeat, to re-check that this coordinator
+        still owns its group (the shard's map moved)."""
+        with self._lock:
+            for group_id in self._waiters:
+                self._wake(group_id)
+
+    def watch(self, group_id: str, member_id: str, generation, seconds: float) -> tuple:
+        """What a server parks a heartbeat on (``Op.parkable``). Its probe
+        is a heartbeat, renewing the lease when the request arrives and
+        when it is answered, satisfied once the generation is not
+        *generation*; under a session timeout it parks a third of it."""
+        self._check_guard(group_id)
+        with self._lock:
+            state = self._groups.get(group_id)
+            if state is not None and state.session_timeout_s > 0:
+                seconds = min(seconds, state.session_timeout_s / 3)
+            waiters = self._waiters.setdefault(group_id, _Waiters())
+
+        def probe() -> tuple:
+            current = self.heartbeat(group_id, member_id)
+            return current, current != generation
+
+        return ("group", group_id), waiters, probe, seconds
 
     def _rebalance(self, state: _GroupState) -> None:
         all_topics = sorted({t for topics in state.members.values() for t in topics})
@@ -229,6 +278,7 @@ class GroupCoordinator:
                 final[subscribers[i % len(subscribers)]].append(tp)
         state.assignment = {m: sorted(tps) for m, tps in final.items()}
         state.generation += 1
+        self._wake(state.group_id)
 
     def commit(self, group_id: str, member_id: str | None, offsets) -> None:
         """Commit ``[(topic, partition, offset), ...]`` for *member_id*.

@@ -163,13 +163,17 @@ class Op:
     ``with_producer_id`` when only the broker's dedup window makes a
     resend safe — without a producer id such an op fails fast on a
     transport failure instead of being resent.
-    *parkable* ops wait server-side for up to their ``timeout`` field.
+    *parkable* ops wait server-side for up to their ``timeout`` field,
+    on what ``parkable(broker, arguments, seconds)`` names: ``(key,
+    source, probe, seconds)``, where *source* takes the server's waker
+    (``register_waiter``) and ``probe() -> (result, satisfied)``.
     *waits* says serving the op can wait on something other than the
     CPU (a disk, a follower's ack): the server runs it on a worker, and
     every other op on its event loop, where it was read.
-    *ahead* says a client sends the op's follow-on before it is asked
-    for: a parked request answered with records is followed at once by
-    the same request from where those records end (:meth:`follow_on`).
+    *ahead* names the field a client's follow-on moves on: an answered
+    request is followed at once by the same request asking what comes
+    after the answer (:meth:`follow_on`), so the server parks it until
+    that is there and the client's next call reads it.
     *raises* names a server-side error the client re-raises as that
     typed class, built from the op's leading fields, one per argument
     the error takes.
@@ -182,9 +186,9 @@ class Op:
     on: str = "broker"
     route: str = "any"
     replay: str = "always"
-    parkable: bool = False
+    parkable: Callable | None = None
     waits: bool = False
-    ahead: bool = False
+    ahead: str = ""
     codec: Codec = PLAIN
     merge: Callable | None = None
     raises: type | None = None
@@ -249,14 +253,21 @@ class Op:
         except (TypeError, ValueError):
             return 0.0
 
-    def follow_on(self, frame: dict, result) -> dict | None:
+    def follow_on(self, frame: dict, result, wait: float = 0.0) -> dict | None:
         """The request a client sends ahead after *frame* was answered
-        with the wire *result*: the same request, starting where its
-        records end. ``None`` unless the op fetches ahead, *frame* may
-        park and the answer holds records."""
+        with the wire *result*: a heartbeat naming the generation, parked
+        for *wait* seconds, or the fetch from where the records end (none
+        unless *frame* could park and records came back)."""
+        if self.ahead == "generation":
+            return {**frame, "generation": result, "timeout": wait}
         if not (self.ahead and result and self.park_seconds(frame)):
             return None
         return {**frame, "offset": result[-1]["offset"] + 1}
+
+    def standing(self, follow_on: dict) -> tuple:
+        """``(wire result, blobs)`` while *follow_on* is still parked:
+        no records yet, or the generation it names has not moved."""
+        return (follow_on["generation"] if self.ahead == "generation" else (), ())
 
     def typed_error(self, error_name: str, frame: dict) -> Exception | None:
         cls = self.raises
@@ -352,6 +363,21 @@ def _merge_stats(cluster, results: dict) -> dict:
     return merged
 
 
+def _park_fetch(broker, args: dict, seconds: float) -> tuple:
+    """A fetch parks on its partition log until *min_bytes* are there."""
+    log = broker.partition_log(args["topic"], args["partition"])
+    want = (args["offset"], args["max_records"], args["min_bytes"])
+    key = ("partition", args["topic"], args["partition"])
+    return key, log, lambda: log.poll_fetch(*want), seconds
+
+
+def _park_heartbeat(broker, args: dict, seconds: float) -> tuple:
+    """A heartbeat parks on its group until the generation moves."""
+    return broker.coordinator.watch(
+        args["group_id"], args["member_id"], args.get("generation"), seconds
+    )
+
+
 # -- the table ---------------------------------------------------------------
 
 F = Field
@@ -389,7 +415,7 @@ _OPS = (
        "server long-polls: it parks the request until *min_bytes* of payload "
        "(or a full batch) is available instead of answering empty. A timed "
        "fetch answered with records is followed at once by the next one.",
-       route="partition", parkable=True, ahead=True, codec=RECORDS),
+       route="partition", parkable=_park_fetch, ahead="offset", codec=RECORDS),
     Op("earliest_offset", "earliest_offset", _TP, route="partition"),
     Op("latest_offset", "latest_offset", _TP, route="partition"),
     # committed offsets and lag (group-affine: the coordinator shard owns them)
@@ -405,8 +431,11 @@ _OPS = (
        (*_MEMBER, F("topics"), F("session_timeout_ms", None)),
        on="coordinator", route="group"),
     Op("group_heartbeat", "heartbeat", _MEMBER,
-       "Refresh a member's lease; answers the group generation.",
-       on="coordinator", route="group", raises=UnknownMemberError),
+       "Refresh a member's lease; answers the group generation. Each answer "
+       "is followed at once by a heartbeat naming it, which the coordinator "
+       "parks until the generation moves.",
+       on="coordinator", route="group", raises=UnknownMemberError,
+       parkable=_park_heartbeat, ahead="generation"),
     Op("group_commit", "commit", (*_MEMBER, F("offsets")),
        "Commit ``[(topic, partition, offset), ...]`` for a member (``None`` "
        "outside a subscription); a non-member is refused under the lock "

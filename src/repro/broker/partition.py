@@ -31,7 +31,6 @@ mode is unchanged and remains the default.
 
 from __future__ import annotations
 
-import bisect
 import threading
 import time
 from collections import deque
@@ -743,25 +742,16 @@ class PartitionLog:
             self.long_polls_parked += 1
 
     def offset_for_time(self, timestamp: float) -> int | None:
-        """Earliest offset whose append time is >= *timestamp*.
-
-        Returns ``None`` when every retained record is older — the
-        consumer should then start at :attr:`latest_offset`.
-        """
-        if self._store is not None:
-            # Sealed records are strictly older than the deque tail, so a
-            # sealed hit (found via batch headers, at most one decode) is
-            # the earliest answer; miss = continue into the tail below.
-            sealed = self._store.offset_for_time(timestamp)
-            if sealed is not None:
-                return sealed
-        with self._lock:
-            idx = bisect.bisect_left(
-                self._records, timestamp, key=lambda r: r.append_ts
-            )
-            if idx >= len(self._records):
-                return None
-            return self._records[idx].offset
+        """Earliest offset whose append time is >= *timestamp*, by a scan
+        through :meth:`fetch` (no data path asks, so there is no index);
+        ``None`` when every retained record is older."""
+        offset = self.earliest_offset
+        while batch := self.fetch(offset, max_records=512):
+            for record in batch:
+                if record.append_ts >= timestamp:
+                    return record.offset
+            offset = batch[-1].offset + 1
+        return None
 
     # -- introspection -----------------------------------------------------------
 

@@ -20,14 +20,15 @@ server half of the wire path is a ``selectors``-based reactor:
   while its connection's strand is idle, so per-connection append order
   is preserved, which idempotent producer sequence numbers rely on —
   while different connections' waiting ops run in parallel.
-* **Long-poll fetches park as reactor state**, not threads. A parkable
-  fetch is probed non-blockingly (:meth:`PartitionLog.poll_fetch`); if
-  unsatisfied it lands in a parked-request table keyed by
-  ``(topic, partition)`` with a deadline heap. The partition's existing
-  waiter hook (``register_waiter``) takes a duck-typed waker whose
-  ``set()`` nudges the loop through a self-pipe, so the append path did
-  not change at all. A parked fetch therefore costs one table entry —
-  no thread, no stack — and is answered by the loop, where it completes.
+* **Long polls park as reactor state**, not threads. A parkable
+  request is probed non-blockingly on what its op names
+  (:attr:`~repro.broker.ops.Op.parkable`): a fetch on its partition
+  log, a heartbeat on its group. If unsatisfied it lands in one
+  parked-request table keyed by what it waits on, with one deadline
+  heap. The log's (or the group's) waiter hook takes a duck-typed waker
+  whose ``set()`` nudges the loop through a self-pipe, so the append and
+  rebalance paths know nothing of the reactor. A parked request costs
+  one table entry — no thread, no stack — and is answered by the loop.
 
 Frames may carry the optional ``"trace"`` field; a ``server.<op>`` span
 covers dispatch (and for a parked fetch, the full park duration).
@@ -65,18 +66,8 @@ class _Conn:
     """Per-connection reactor state (loop-owned except where noted)."""
 
     __slots__ = (
-        "sock",
-        "fd",
-        "decoder",
-        "outbuf",
-        "out_bytes",
-        "outbox",
-        "lock",
-        "pending",
-        "scheduled",
-        "closed",
-        "read_paused",
-        "mask",
+        "sock", "fd", "decoder", "outbuf", "out_bytes", "outbox", "lock",
+        "pending", "scheduled", "closed", "read_paused", "mask",
     )
 
     def __init__(self, sock: socket.socket) -> None:
@@ -99,43 +90,42 @@ class _Conn:
         self.mask = 0
 
 
-class _ParkedFetch:
-    """A long-poll fetch parked as reactor state instead of a thread."""
+class _Parked:
+    """A long poll parked as reactor state instead of a thread."""
 
-    __slots__ = ("conn", "op", "cid", "span", "log", "key", "want", "deadline", "done")
+    __slots__ = ("conn", "op", "cid", "span", "key", "source", "probe", "deadline", "done")
 
     def __init__(self, conn, op, cid, span) -> None:
         self.conn = conn
         self.op = op
         self.cid = cid
         self.span = span
-        #: Set once the request decodes: the partition log, its
-        #: ``(topic, partition)`` and ``(offset, max_records, min_bytes)``.
-        self.log = self.key = self.want = None
+        #: Set once the request decodes (see ``Op.parkable``): its table
+        #: key, what it waits on and ``probe() -> (result, satisfied)``.
+        self.key = self.source = self.probe = None
         self.deadline = 0.0
         self.done = False
 
-    def probe(self) -> tuple:
-        return self.log.poll_fetch(*self.want)
 
+class _Waker:
+    """Duck-typed waiter handed to a parked request's source.
 
-class _PartitionWaker:
-    """Duck-typed waiter handed to ``PartitionLog.register_waiter``.
-
-    The log calls ``set()`` whenever its visible end moves — an append,
-    or a high-watermark advance on a replicated log — (it expects a
-    ``threading.Event``); here that marks the partition key dirty and
-    nudges the reactor through its self-pipe (from the loop itself — a
-    follower's ``replicate_append`` — the mark is enough: this
-    iteration's ``_process_wakes`` is still to come) — the append path
-    needs no knowledge of the reactor at all.
+    A partition log calls ``set()`` whenever its visible end moves — an
+    append, or a high-watermark advance on a replicated log — (it
+    expects a ``threading.Event``), a group whenever its membership
+    moves; here that marks the key dirty and nudges the reactor through
+    its self-pipe (from the loop itself — a follower's
+    ``replicate_append``, a join — the mark is enough: this iteration's
+    ``_process_wakes`` is still to come).
     """
 
-    __slots__ = ("_server", "_key")
+    __slots__ = ("_server", "_key", "source")
 
-    def __init__(self, server: "ReactorBrokerServer", key: tuple) -> None:
+    def __init__(self, server: "ReactorBrokerServer", key: tuple, source) -> None:
         self._server = server
         self._key = key
+        #: What it is registered with (unregistered from the same one).
+        self.source = source
 
     def set(self) -> None:
         server = self._server
@@ -187,8 +177,8 @@ class ReactorBrokerServer:
 
         self._selector: selectors.DefaultSelector | None = None
         self._conns: dict[int, _Conn] = {}
-        self._parked: dict[tuple, list[_ParkedFetch]] = {}
-        self._wakers: dict[tuple, _PartitionWaker] = {}
+        self._parked: dict[tuple, list[_Parked]] = {}
+        self._wakers: dict[tuple, _Waker] = {}
         self._deadlines: list = []
         self._park_seq = itertools.count()
         self._wake_lock = threading.Lock()
@@ -264,7 +254,7 @@ class ReactorBrokerServer:
 
     @property
     def parked_fetches(self) -> int:
-        """Long-poll fetches currently parked in the reactor (gauge)."""
+        """Long polls (fetches and heartbeats) parked in the reactor (gauge)."""
         return sum(len(b) for b in self._parked.values())
 
     def metrics(self) -> dict:
@@ -316,6 +306,8 @@ class ReactorBrokerServer:
             self._teardown()
 
     def _next_timeout(self) -> float:
+        if self._pending_wakes:  # marked on the loop after this pass's wakes
+            return 0.0
         heap = self._deadlines
         while heap and heap[0][2].done:
             heapq.heappop(heap)
@@ -375,7 +367,7 @@ class ReactorBrokerServer:
         self._conns.pop(conn.fd, None)
         with self._wake_lock:
             self._dirty.discard(conn)
-        # Drop this connection's parked fetches; finish their spans so a
+        # Drop this connection's parked requests; finish their spans so a
         # traced run does not leak unrecorded server spans.
         for key in list(self._parked):
             for entry in [e for e in self._parked.get(key, ()) if e.conn is conn]:
@@ -397,7 +389,7 @@ class ReactorBrokerServer:
                     if op is not None and op.park_seconds(request) > 0:
                         # Long-polls never occupy a worker: probe, then
                         # answer or park as loop state.
-                        self._begin_parkable_fetch(conn, op, request, blobs)
+                        self._begin_park(conn, op, request, blobs)
                     elif conn.scheduled or (op is not None and op.waits):
                         # It can wait, or must not overtake one that can.
                         self._enqueue_task(conn, (request, blobs))
@@ -573,45 +565,33 @@ class ReactorBrokerServer:
 
     # -- long-poll parking (reactor thread) ---------------------------------
 
-    def _begin_parkable_fetch(self, conn: _Conn, op, request: dict, blobs) -> None:
+    def _begin_park(self, conn: _Conn, op, request: dict, blobs) -> None:
         cid, span = self._open(request)  # the span covers the full park
-        entry = _ParkedFetch(conn, op, cid, span)
+        entry = _Parked(conn, op, cid, span)
         try:
-            args = op.arguments(request, blobs)
-            entry.key = key = (args["topic"], args["partition"])
-            entry.want = (args["offset"], args["max_records"], args["min_bytes"])
-            entry.log = self.broker.partition_log(*key)
-            records, satisfied = entry.probe()
+            args = {**request, **op.arguments(request, blobs)}
+            entry.key, entry.source, entry.probe, seconds = op.parkable(
+                self.broker, args, op.park_seconds(request)
+            )
         except Exception as exc:  # noqa: BLE001
             self._finish_parked(entry, error=exc)
             return
-        if satisfied:
-            self._finish_parked(entry, records=records)
-            return
-        # Park: waiter first, then re-probe, so an append racing the park
+        if not self._probe(entry):
+            return  # answered at once, never parked
+        # Park: waiter first, then re-probe, so a change racing the park
         # can never be missed (it either lands before the probe or sets
         # the waker after registration).
-        entry.deadline = time.monotonic() + op.park_seconds(request)
-        bucket = self._parked.setdefault(key, [])
-        bucket.append(entry)
+        entry.deadline = time.monotonic() + seconds
+        key = entry.key
+        self._parked.setdefault(key, []).append(entry)
         if key not in self._wakers:
-            waker = _PartitionWaker(self, key)
-            self._wakers[key] = waker
-            entry.log.register_waiter(waker)
+            self._wakers[key] = waker = _Waker(self, key, entry.source)
+            entry.source.register_waiter(waker)
         heapq.heappush(self._deadlines, (entry.deadline, next(self._park_seq), entry))
-        try:
-            records, satisfied = entry.probe()
-        except Exception as exc:  # noqa: BLE001
-            self._unpark(entry)
-            self._finish_parked(entry, error=exc)
-            return
-        if satisfied:
-            self._unpark(entry)
-            self._finish_parked(entry, records=records)
-            return
-        entry.log.note_long_poll_parked()
+        if self._probe(entry):
+            entry.source.note_long_poll_parked()
 
-    def _unpark(self, entry: _ParkedFetch) -> None:
+    def _unpark(self, entry: _Parked) -> None:
         entry.done = True
         key = entry.key
         bucket = self._parked.get(key)
@@ -624,14 +604,30 @@ class ReactorBrokerServer:
         if not bucket:
             del self._parked[key]
             waker = self._wakers.pop(key, None)
-            if waker is not None and entry.log is not None:
-                entry.log.unregister_waiter(waker)
+            if waker is not None:
+                waker.source.unregister_waiter(waker)
 
-    def _finish_parked(self, entry: _ParkedFetch, records=(), error=None) -> None:
+    def _finish_parked(self, entry: _Parked, result=(), error=None) -> None:
         """Answer a (possibly never-parked) long-poll where it completed:
         here, on the loop."""
-        result = entry.op.codec.encode(records) if error is None else ()
-        self._send(entry.conn, self._answer(entry.cid, entry.span, *result, error=error))
+        out = entry.op.codec.encode(result) if error is None else ()
+        self._send(entry.conn, self._answer(entry.cid, entry.span, *out, error=error))
+
+    def _probe(self, entry: _Parked, deadline: bool = False) -> bool:
+        """Probe a long poll (parked or about to be) and answer it if it
+        is satisfied or at its *deadline* (with whatever there is,
+        possibly no records); whether it stays parked."""
+        try:
+            result, satisfied = entry.probe()
+        except Exception as exc:  # noqa: BLE001 — the client gets it
+            self._unpark(entry)
+            self._finish_parked(entry, error=exc)
+            return False
+        if satisfied or deadline:
+            self._unpark(entry)
+            self._finish_parked(entry, result)
+            return False
+        return True
 
     def _process_wakes(self) -> None:
         with self._wake_lock:
@@ -639,33 +635,13 @@ class ReactorBrokerServer:
                 return
             keys, self._pending_wakes = self._pending_wakes, set()
         for key in keys:
-            bucket = self._parked.get(key)
-            if not bucket:
-                continue
-            for entry in list(bucket):
-                try:
-                    records, satisfied = entry.probe()
-                except Exception as exc:  # noqa: BLE001
-                    self._unpark(entry)
-                    self._finish_parked(entry, error=exc)
-                    continue
-                if satisfied:
-                    self._unpark(entry)
-                    self._finish_parked(entry, records=records)
+            for entry in list(self._parked.get(key, ())):
+                self._probe(entry)
 
     def _process_deadlines(self) -> None:
         heap = self._deadlines
         now = time.monotonic()
         while heap and heap[0][0] <= now:
             _, _, entry = heapq.heappop(heap)
-            if entry.done:
-                continue
-            self._unpark(entry)
-            try:
-                # Deadline contract: return whatever is available, even
-                # if the min_bytes threshold never filled (possibly []).
-                records, _ = entry.probe()
-            except Exception as exc:  # noqa: BLE001
-                self._finish_parked(entry, error=exc)
-                continue
-            self._finish_parked(entry, records=records)
+            if not entry.done:
+                self._probe(entry, deadline=True)

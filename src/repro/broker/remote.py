@@ -20,33 +20,29 @@ threads: a long-poll fetch parked on the consumer's socket does not hold
 up the producer's appends on its own. Every request still carries a
 correlation id (``"cid"``) that the response must echo.
 
-A thread fetches one batch ahead (``Op.ahead``): when a long-poll fetch
-comes back with records, the thread sends its *follow-on* — the same
-fetch from where those records end — on a second socket of its own
-before it returns them, and its next fetch of exactly that position
-reads the follow-on's answer instead of asking again. The leader parks
-and answers batch N+1 while the caller processes batch N. So a thread
-holds a second socket while a follow-on is outstanding, one follow-on
-at a time, and each socket still carries at most one request. A fetch
-of that partition at another position (a seek, a rebalance),
-``close()`` or a broken socket drops the follow-on — its socket closes
-and its records are never delivered — and so does a follow-on for
-another partition once the first one has been answered. An empty or
-failed follow-on answer falls back to an ordinary fetch within the
-caller's own timeout; a follow-on still parked when that timeout runs
-out answers the fetch empty and stays outstanding.
+A thread goes one request ahead (``Op.ahead``). A long-poll fetch
+answered with records is followed at once by its *follow-on*, the same
+fetch from where those records end, which the leader parks and answers
+while the caller processes the batch. An answered heartbeat is followed
+by one naming the generation just learned, which the coordinator parks
+until the group changes or its park runs out. The thread's next call of
+exactly that request reads the follow-on instead of asking again, and
+one still parked stands for "nothing new" (no records yet, the same
+generation): a poll in a steady group sends no heartbeat. Follow-ons go
+out on one more socket per op, so each socket carries at most one
+request. Another request of that op for the same target (a seek, a
+rebalance), ``close()`` or a broken socket drops the follow-on, and so
+does one for another target once it has been answered. A failed answer,
+a fetch's empty one, or none by the follow-on's park plus
+``_LONG_POLL_SLACK_S`` falls back to an ordinary request within the
+caller's timeout, so a hung server still raises
+:class:`BrokerTimeoutError`.
 
 Server side: :class:`BrokerServer` is the ``selectors``-based reactor
-of :mod:`repro.broker.reactor`.
-
-Client side: :class:`RemoteBroker` exposes the same data-path surface as
-:class:`~repro.broker.broker.Broker` (`append`, `append_many`, `fetch`,
-offsets, commits, coordinator operations), so the existing
+of :mod:`repro.broker.reactor`. Client side: :class:`RemoteBroker` has
+:class:`~repro.broker.broker.Broker`'s data-path surface, so
 :class:`~repro.broker.producer.Producer` and
 :class:`~repro.broker.consumer.Consumer` work against it unchanged.
-Its methods are not written out: each is a stub generated from the op
-table in :mod:`repro.broker.ops`, which also decides what may be
-replayed after a transport failure.
 """
 
 from __future__ import annotations
@@ -56,6 +52,7 @@ import threading
 import time
 import weakref
 
+from repro.broker import errors
 from repro.broker.broker import Broker
 from repro.broker.errors import (
     BrokerError,
@@ -88,50 +85,38 @@ class RemoteFatalError(RemoteBrokerError, FatalError):
     """A server-side *permanent* error; retrying cannot succeed."""
 
 
-#: Server-side exception names that map onto the retriable/fatal axes
-#: client-side, so ``is_retriable`` keeps working across the wire.
-_RETRIABLE_WIRE = {
-    "RetriableError",
-    "BrokerTimeoutError",
-    "DisconnectedError",
-    "UnknownMemberError",
-    "RebalanceInProgressError",
-    "NotOwnerError",
-    "NotEnoughReplicasError",
-    "ConnectionError",
-    "TimeoutError",
-}
-_FATAL_WIRE = {
-    "FatalError",
-    "ProducerFencedError",
-    "OutOfOrderSequenceError",
-    "StaleLeaderEpochError",
-}
-
-
 def _wire_error(name: str, message: str) -> RemoteBrokerError:
+    """A server-side error, retriable or fatal as its class in
+    :mod:`repro.broker.errors` is (a builtin network error is retriable),
+    so ``is_retriable`` keeps working across the wire."""
     text = f"{name}: {message}"
-    if name in _RETRIABLE_WIRE:
+    cls = getattr(errors, name, None)
+    if name in ("ConnectionError", "TimeoutError") or _is(cls, RetriableError):
         return RemoteRetriableError(text, error_name=name)
-    if name in _FATAL_WIRE:
+    if _is(cls, FatalError):
         return RemoteFatalError(text, error_name=name)
     return RemoteBrokerError(text, error_name=name)
+
+
+def _is(cls, base: type) -> bool:
+    return isinstance(cls, type) and issubclass(cls, base)
 
 
 class _Connection:
     """One of a calling thread's sockets. Only that thread's thread-local
     slots hold it, so it closes when the thread exits."""
 
-    __slots__ = ("sock", "cid", "ahead", "sent_at", "__weakref__")
+    __slots__ = ("sock", "cid", "ahead", "sent_at", "due", "__weakref__")
 
     def __init__(self, sock: socket.socket) -> None:
         self.sock = sock
         #: Correlation id of the last request sent on this socket.
         self.cid = 0
-        #: The fields of the follow-on fetch outstanding here, if any.
+        #: The fields of the follow-on outstanding here, if any.
         self.ahead: dict | None = None
-        #: When that follow-on was sent (``time.monotonic()``).
-        self.sent_at = 0.0
+        #: When that follow-on was sent, and when it is overdue unanswered
+        #: (``time.monotonic()``).
+        self.sent_at = self.due = 0.0
 
     def __del__(self) -> None:
         # close(), never shutdown(): a forked child dropping its copy must
@@ -181,13 +166,16 @@ def _answered(sock: socket.socket, seconds: float) -> bool:
 #: A follow-on the server has not answered yet.
 _PARKED = object()
 
-#: What a fetch answered with nothing returns: no record metadata, no blobs.
-_EMPTY = ((), ())
+
+def _target(spec: Op, fields: dict) -> tuple:
+    """What a request is about: a partition, or a group member."""
+    return tuple(fields[f.name] for f in spec.fields[:2])
 
 
-def _same_request(a: dict, b: dict) -> bool:
-    """Two fetch frames that differ at most in how long they may park."""
-    return a.keys() == b.keys() and all(a[k] == b[k] for k in a if k != "timeout")
+def _same_request(ahead: dict, fields: dict) -> bool:
+    """Whether the follow-on *ahead* asks what *fields* asks: it may park
+    longer, and a heartbeat's names the generation it knows."""
+    return all(ahead.get(k, _PARKED) == v for k, v in fields.items() if k != "timeout")
 
 
 class RemoteBroker:
@@ -200,8 +188,8 @@ class RemoteBroker:
     one request is ever in flight on a socket: a reconnect can never
     reorder what it resends, and the ops the table does not let replay
     (``append_batch`` without a producer id) are never resent at all.
-    A thread that fetches ahead (see the module docstring) holds a
-    second socket for its follow-on.
+    A thread that goes ahead (see the module docstring) holds a socket
+    per op for its follow-on.
 
     Every broker method here other than :meth:`append` is a stub
     generated from :data:`repro.broker.ops.OPS`; ops the served broker
@@ -254,7 +242,8 @@ class RemoteBroker:
         #: optional ``"trace"`` field (ignored by pre-tracing servers).
         self._tracer = tracer
         #: The calling thread's :class:`_Connection`, as ``.conn``, and
-        #: the one its follow-on fetches go out on, as ``.ahead``.
+        #: the ones its follow-ons go out on, as the op's name
+        #: (``.fetch_batch``, ``.group_heartbeat``).
         self._local = threading.local()
         #: Every live thread's connection, so close() can reach them all;
         #: a weak set, so an exited thread's is not kept alive here.
@@ -333,7 +322,7 @@ class RemoteBroker:
 
     def _roundtrip(self, spec: Op, fields: dict, blobs) -> tuple:
         """Send one encoded request; returns ``(wire result, blobs)``."""
-        send = self._fetch if spec.ahead else self._invoke
+        send = self._go_ahead if spec.ahead else self._invoke
         if self._tracer is None:
             return send(spec, fields, blobs, None)
         span = self._tracer.start_trace(f"rpc.{spec.name}", site=self.name)
@@ -346,51 +335,49 @@ class RemoteBroker:
         span.finish()
         return result
 
-    def _fetch(self, spec: Op, fields: dict, blobs, span):
-        """A fetch: answered by the calling thread's follow-on when that
-        asked for exactly this, else sent as usual; either way followed
-        by the next follow-on when it could park and came back with
-        records."""
+    def _go_ahead(self, spec: Op, fields: dict, blobs, span):
+        """An op that goes ahead: answered by the calling thread's
+        follow-on when that asked for exactly this, else sent as usual;
+        either way followed by the next follow-on."""
         asked = fields
-        conn = getattr(self._local, "ahead", None)
+        slot = spec.name
+        conn = getattr(self._local, slot, None)
         ahead = conn.ahead if conn is not None else None
-        if ahead is not None and (ahead["topic"], ahead["partition"]) == (
-            fields["topic"],
-            fields["partition"],
-        ):
+        if ahead is not None and _target(spec, ahead) == _target(spec, fields):
             if not _same_request(ahead, fields):
-                self._drop(conn, "ahead")  # a seek or a rebalance moved on
+                self._drop(conn, slot)  # a seek or a rebalance moved on
             else:
                 wait = spec.park_seconds(fields)
                 start = time.monotonic()
-                answer = self._follow_on_answer(conn, wait)
+                answer = self._follow_on_answer(conn, slot, wait)
                 if answer is _PARKED:
-                    return _EMPTY  # nothing yet; the follow-on stays parked
+                    return spec.standing(ahead)  # nothing new; it stays parked
                 if answer is not None and answer[0]:
                     self._send_ahead(spec, asked, answer[0])
                     return answer
-                # Empty or failed: ask again for what is left of the wait.
-                left = max(0.0, wait - (time.monotonic() - start))
-                fields = {**fields, "timeout": left}
+                if wait:  # failed or empty: ask again for what is left of it
+                    fields = {**fields, "timeout": max(0.0, wait - (time.monotonic() - start))}
         answer = self._invoke(spec, fields, blobs, span)
         self._send_ahead(spec, asked, answer[0])
         return answer
 
-    def _follow_on_answer(self, conn: _Connection, wait: float):
+    def _follow_on_answer(self, conn: _Connection, slot: str, wait: float):
         """Read the follow-on outstanding on *conn*: ``(wire result,
-        blobs)``; ``None`` when it failed or was refused (the caller asks
-        again itself); ``_PARKED`` when the server has not answered
-        within *wait* seconds, and it stays outstanding."""
+        blobs)``; ``None`` when it failed, was refused or is overdue (the
+        caller asks again itself); ``_PARKED`` when the server has not
+        answered within *wait* seconds, and it stays outstanding."""
         try:
             if not _answered(conn.sock, wait):
-                return _PARKED
+                if time.monotonic() < conn.due:
+                    return _PARKED
+                raise ConnectionError("follow-on: unanswered past its deadline")
             if self.link is not None:
                 self.link.rtt_delay(since=conn.sent_at)
             response, out_blobs = recv_frame(_Deadline(conn.sock, self.op_timeout))
             if response.pop("cid", None) != conn.cid:
                 raise ConnectionError("follow-on: the response echoes another cid")
         except (ConnectionError, OSError, ValueError) as exc:
-            self._drop(conn, "ahead")
+            self._drop(conn, slot)
             if self._closed:
                 raise DisconnectedError(f"{self.name} is closed") from exc
             return None
@@ -398,25 +385,26 @@ class RemoteBroker:
         return (response.get("result"), out_blobs) if response.get("ok") else None
 
     def _send_ahead(self, spec: Op, fields: dict, result) -> None:
-        """Send the follow-on of a fetch answered with *result*, if it
-        has one, on the calling thread's second socket. A thread keeps
-        one follow-on: one for another partition is replaced once it is
-        answered (its request is spent either way) and kept while it is
-        parked, and then no new one goes out. One that cannot be sent is
-        not; the next fetch asks as usual."""
-        follow_on = spec.follow_on(fields, result)
+        """Send the follow-on of a request answered with *result*, if it
+        has one, on the calling thread's socket for the op. A thread
+        keeps one follow-on per op: one for another target is replaced
+        once it is answered (its request is spent either way) and kept
+        while it is parked, and then no new one goes out. One that cannot
+        be sent is not; the next call asks as usual."""
+        follow_on = spec.follow_on(fields, result, self.op_timeout)
         if follow_on is None:
             return
-        conn = getattr(self._local, "ahead", None)
+        slot = spec.name
+        conn = getattr(self._local, slot, None)
         if conn is not None and conn.ahead is not None:
             try:
                 if not _answered(conn.sock, 0):
                     return
             except OSError:
                 pass
-            self._drop(conn, "ahead")
+            self._drop(conn, slot)
         try:
-            conn = self._connection("ahead")
+            conn = self._connection(slot)
         except (DisconnectedError, ConnectionError, OSError):
             return
         conn.cid += 1
@@ -427,9 +415,10 @@ class RemoteBroker:
             with self._lock:
                 self.requests_sent += 1
             conn.sent_at = time.monotonic()
+            conn.due = conn.sent_at + spec.park_seconds(follow_on) + self._LONG_POLL_SLACK_S
             sendall_vectored(_Deadline(conn.sock, self.op_timeout), buffers)
         except (ConnectionError, OSError):
-            self._drop(conn, "ahead")
+            self._drop(conn, slot)
             return
         conn.ahead = follow_on
 

@@ -22,7 +22,7 @@ from repro.broker.errors import (
     StaleLeaderEpochError,
 )
 from repro.broker.group import GroupCoordinator
-from repro.broker.metadata import ClusterMetadata, coordinator_shard
+from repro.broker.metadata import ClusterMetadata
 from repro.broker.remote import RemoteBroker
 from repro.broker.replicator import _ShardReplicator
 from repro.monitoring.events import EventJournal
@@ -175,6 +175,7 @@ class ShardBroker(Broker):
                 f"{self.num_shards}"
             )
         self.cluster_metadata = meta
+        self._coordinator.wake_all()  # a parked heartbeat re-checks its group's owner
         rep = self.replicator
         if rep is not None:
             rep.wake()
@@ -210,7 +211,7 @@ class ShardBroker(Broker):
             )
 
     def _check_group_owner(self, group: str) -> None:
-        owner = coordinator_shard(group, self.num_shards)
+        owner = self.cluster_metadata.coordinator_index(group)
         if owner != self.shard_index:
             raise NotOwnerError(
                 f"group {group!r}", owner, self.shard_index, self.cluster_metadata.epoch
@@ -480,7 +481,7 @@ class ShardBroker(Broker):
 
     def find_coordinator(self, group: str) -> dict:
         meta = self.cluster_metadata
-        idx = coordinator_shard(group, self.num_shards)
+        idx = meta.coordinator_index(group)
         host, port = meta.shards[idx]  # (None, None) before the map arrives
         return {"shard": idx, "host": host, "port": port, "epoch": meta.epoch}
 

@@ -537,29 +537,6 @@ class SegmentStore:
             i += 1
         return out
 
-    def offset_for_time(self, timestamp: float) -> int | None:
-        """Earliest sealed-segment offset appended at/after *timestamp*.
-
-        Batch headers carry the flush time (``>=`` every contained
-        record's append time), so segments/batches wholly older than
-        *timestamp* are skipped from their headers alone; only the first
-        candidate batch is decoded. ``None`` = nothing sealed qualifies
-        (the caller continues the search in its in-memory tail).
-        """
-        with self._lock:
-            sealed = list(self._sealed)
-        for seg in sealed:
-            if seg.last_write_ts < timestamp:
-                continue
-            view = seg.open_map()
-            for info in scan_batches(view, 0, seg.size):
-                if info.write_ts < timestamp:
-                    continue
-                for record in decode_batch(view, info, self.topic, self.partition):
-                    if record.append_ts >= timestamp:
-                        return record.offset
-        return None
-
     # -- truncation (follower resync) ---------------------------------------
 
     def truncate_to(self, offset: int):

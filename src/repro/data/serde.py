@@ -20,11 +20,15 @@ the data transfer" losslessly; :func:`decode_block` dispatches on the
 magic, so producers can switch compression on without touching
 consumers.
 
-Copy discipline: :func:`encode_block` writes the array straight into one
-preallocated frame buffer (no ``header + payload`` concatenation copy),
-and :func:`decode_block` is zero-copy by default — it returns a
-read-only :func:`np.frombuffer` view over the frame's payload bytes.
-Pass ``copy=True`` when the caller needs to mutate the result.
+Copy discipline: :func:`encode_block` copies the block twice. It writes
+the array straight into one preallocated frame buffer (no ``header +
+payload`` concatenation copy), and then copies that buffer once more into
+the immutable ``bytes`` it returns, the value a producer stores and
+sends: a ``bytearray`` the caller could still change must not become a
+record (the producer would copy one itself). :func:`decode_block` is
+zero-copy by default — it returns a read-only :func:`np.frombuffer` view
+over the frame's payload bytes. Pass ``copy=True`` when the caller needs
+to mutate the result.
 """
 
 from __future__ import annotations
@@ -58,8 +62,9 @@ def encode_block(block: np.ndarray, compress: bool = False, level: int = 1) -> b
     level 1 is the streaming-friendly default: most of the win at a
     fraction of the CPU).
 
-    The frame is assembled in one preallocated buffer: the array is
-    copied exactly once, directly into place after the header.
+    The frame is assembled in one preallocated buffer, the array copied
+    directly into place after the header; returning it as ``bytes``
+    copies it a second time, into the immutable value a producer stores.
     """
     arr = np.ascontiguousarray(block, dtype=np.float64)
     if arr.ndim != 2:
@@ -73,11 +78,11 @@ def encode_block(block: np.ndarray, compress: bool = False, level: int = 1) -> b
         frame[HEADER_SIZE:] = payload
         return bytes(frame)
     frame = bytearray(HEADER_SIZE + arr.nbytes)
-    # Fill the payload region in place: the sole copy of the block data.
+    # Fill the payload region in place: the first of the two copies.
     np.frombuffer(frame, dtype=np.float64, offset=HEADER_SIZE)[:] = arr.reshape(-1)
     crc = zlib.crc32(memoryview(frame)[HEADER_SIZE:])
     _HEADER.pack_into(frame, 0, MAGIC, arr.shape[0], arr.shape[1], crc)
-    return bytes(frame)
+    return bytes(frame)  # the second: what the producer stores is immutable
 
 
 def decode_block(frame: bytes, copy: bool = False, verify: bool = True) -> np.ndarray:

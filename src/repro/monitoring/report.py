@@ -179,25 +179,19 @@ def analyze_bottleneck(collector: MetricsCollector) -> dict:
     """Attribute the pipeline bottleneck to a stage.
 
     Compares the mean per-message *service* times of the transfer path
-    (produce->broker_in, i.e. the uplink, plus the consume->process
-    hand-off) against the processing stage (process_start->end).
-    Queue wait inside the broker (broker_in->consume) is reported
-    separately but deliberately excluded from the transfer side: a
-    backlog in the broker is the *symptom* of slow consumers, which is
-    exactly the paper's Fig. 2 four-partition observation ("the broker
-    can process more data than the consuming processing tasks").
+    against the processing stage (process_start->process_end). Transfer
+    is the uplink, uplink_start->broker_in (produce->broker_in when no
+    message has an uplink_start), plus the downlink, dequeue->consume.
+    The queue waits are left out: broker_in->dequeue (reported as
+    ``mean_broker_queue_s``), produce->uplink_start and
+    consume->process_start. A backlog is the *symptom* of a slow
+    service, as in the paper's Fig. 2 four-partition observation ("the
+    broker can process more data than the consuming processing tasks").
     """
     rows = _complete_rows(collector)
     if not len(rows["produce"]):
         return {"bottleneck": "unknown", "reason": "no complete traces"}
 
-    # Transfer service: uplink (uplink_start->broker_in, i.e. link
-    # serialization + propagation, excluding queue wait at the link; from
-    # produce when no message has an uplink_start) plus downlink
-    # (dequeue->consume). Queue waits — produce->uplink_start,
-    # broker_in->dequeue, consume->process_start — are symptoms of
-    # whichever service is saturated, so they are excluded from the
-    # comparison itself and reported separately.
     uplink_from = "produce" if np.isnan(rows["uplink_start"]).all() else "uplink_start"
     mean_transfer = _mean_gap(rows, uplink_from, "broker_in") + _mean_gap(rows, "dequeue", "consume")
     mean_processing = _mean_gap(rows, "process_start", "process_end")

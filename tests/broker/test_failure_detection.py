@@ -5,6 +5,8 @@ Every lease runs on a stepped clock: each test installs a
 reads no clock for membership.
 """
 
+import time
+
 import pytest
 
 import repro.broker.consumer as consumer_module
@@ -130,18 +132,30 @@ class TestConsumerHeartbeats:
         assert consumer.evictions == 0
 
     def test_a_poll_asks_the_coordinator_once(self, broker):
+        def sent_since(before):
+            return {
+                op: n - before.get(op, 0)
+                for op, n in server.op_counts.items()
+                if n != before.get(op, 0)
+            }
+
         with BrokerServer(broker) as server, RemoteBroker(server.host, server.port) as remote:
             consumer = Consumer(remote, group_id="g")
             consumer.subscribe("t")
             before = dict(server.op_counts)
             consumer.poll(timeout=0.0)
-            sent = {
-                op: n - before.get(op, 0)
-                for op, n in server.op_counts.items()
-                if n != before.get(op, 0)
-            }
-            # One heartbeat; the rest are the four partitions' fetches.
-            assert sent == {"group_heartbeat": 1, "fetch_batch": 4}
+            # The answered heartbeat and its follow-on, which the
+            # coordinator parks; the rest are the four partitions' fetches.
+            deadline = time.monotonic() + 5.0
+            while server.parked_fetches != 1 and time.monotonic() < deadline:
+                time.sleep(0.005)
+            assert sent_since(before) == {"group_heartbeat": 2, "fetch_batch": 4}
+            before = dict(server.op_counts)
+            for _ in range(3):
+                consumer.poll(timeout=0.0)
+            # The parked follow-on stands for each later poll's heartbeat.
+            assert sent_since(before) == {"fetch_batch": 12}
+            assert consumer.heartbeats_sent == 4
 
     def test_the_heartbeat_answer_carries_the_rebalance(self, broker):
         first = Consumer(broker, group_id="g")

@@ -3,6 +3,7 @@ its follow-on before it returns, and the calling thread's next fetch of
 exactly that position reads the follow-on's answer."""
 
 import random
+import select
 import socket
 import statistics
 import threading
@@ -42,8 +43,15 @@ def _filled(remote, n, partitions=1):
 
 def _ahead(client):
     """The calling thread's outstanding follow-on on *client*, if any."""
-    conn = getattr(client._local, "ahead", None)
+    conn = getattr(client._local, "fetch_batch", None)
     return None if conn is None else conn.ahead
+
+
+def _heard_from_the_coordinator(client, timeout=5.0):
+    """Whether the answer to the calling thread's parked heartbeat on
+    *client* arrives (is readable on its socket) within *timeout*."""
+    sock = client._local.group_heartbeat.sock
+    return bool(select.select([sock], [], [], timeout)[0])
 
 
 def _wait_until(predicate, timeout=5.0, interval=0.005):
@@ -72,8 +80,19 @@ class _Recorder:
 
 
 class TestTheTable:
-    def test_exactly_the_fetch_fetches_ahead(self):
-        assert {op.name for op in OPS.values() if op.ahead} == {"fetch_batch"}
+    def test_the_fetch_and_the_heartbeat_go_ahead(self):
+        assert {op.name: op.ahead for op in OPS.values() if op.ahead} == {
+            "fetch_batch": "offset", "group_heartbeat": "generation",
+        }
+
+    def test_a_heartbeats_follow_on_names_the_generation_and_parks(self):
+        heartbeat = OPS["group_heartbeat"]
+        frame = {"group_id": "g", "member_id": "m"}
+        follow_on = heartbeat.follow_on(frame, 7, 10.0)
+        assert follow_on == {**frame, "generation": 7, "timeout": 10.0}
+        assert heartbeat.park_seconds(follow_on) == 10.0
+        assert heartbeat.standing(follow_on) == (7, ())  # parked: nothing moved
+        assert OPS["fetch_batch"].standing({"offset": 3}) == ((), ())
 
     def test_a_follow_on_starts_where_the_records_end(self):
         fetch = OPS["fetch_batch"]
@@ -155,7 +174,7 @@ class TestWhatDropsAFollowOn:
         consumer = Consumer(remote)
         consumer.assign([("t", 0)])
         consumer.poll(max_records=4, timeout=0.5)
-        sock = remote._local.ahead.sock
+        sock = remote._local.fetch_batch.sock
         consumer.seek("t", 0, 1)
         again = consumer.poll(max_records=4, timeout=0.5)
         assert [r.offset for r in again] == [1, 2, 3, 4]
@@ -174,11 +193,14 @@ class TestWhatDropsAFollowOn:
             c1.subscribe("t")
             first = c1.poll(max_records=4, timeout=0.5)
             assert [r.offset for r in first] == [0, 1, 2, 3]
-            sock = rb1._local.ahead.sock
+            sock = rb1._local.fetch_batch.sock
             c2 = Consumer(rb2, group_id="g", client_id="a")
             c2.subscribe("t")
             assert c1.poll(max_records=4, timeout=0.2) == []  # revoked
             c2.close()
+            # The leave is seen by c1's first poll after the coordinator's
+            # answer to its parked heartbeat has arrived.
+            assert _heard_from_the_coordinator(rb1)
             # Back from the committed offset (none: earliest), not from 4.
             again = c1.poll(max_records=4, timeout=0.5)
             assert [r.offset for r in again] == [0, 1, 2, 3]
@@ -190,7 +212,7 @@ class TestWhatDropsAFollowOn:
         consumer = Consumer(remote)
         consumer.assign([("t", 0)])
         consumer.poll(max_records=4, timeout=0.5)
-        remote._local.ahead.sock.shutdown(socket.SHUT_RDWR)
+        remote._local.fetch_batch.sock.shutdown(socket.SHUT_RDWR)
         again = consumer.poll(max_records=4, timeout=0.5)
         assert [r.offset for r in again] == [4, 5, 6, 7]
         assert remote.reconnects == 0  # not a retry: an ordinary fetch

@@ -213,3 +213,56 @@ class TestGroupCommitFailover:
                 assert supervisor.restarts == 1
             finally:
                 client.close()
+
+
+class TestCoordinatorKillUnderAPollingConsumer:
+    def test_the_consumer_keeps_consuming_and_no_poll_outlasts_its_deadline(self):
+        """SIGKILL the shard that coordinates a polling consumer's group
+        (its heartbeat parked there) and leads half the partitions. Each
+        poll still returns or raises within the client's op timeout, and
+        the consumer re-joins at the respawned coordinator and reads every
+        acknowledged record (at least once: the group's commits died with
+        the coordinator)."""
+        from repro.broker.metadata import coordinator_shard
+
+        group = "polling-group"
+        op_timeout = 2.0
+        with ClusterBrokerSupervisor(
+            num_shards=2,
+            topics=[("t", PARTITIONS)],
+            restart=True,
+            replication_factor=2,
+        ) as supervisor:
+            coordinator = coordinator_shard(group, 2)
+            expected = {f"{p}:{i}".encode() for p in range(PARTITIONS) for i in range(BATCH)}
+            with ClusterBroker(supervisor.bootstrap) as producer_broker:
+                producer = Producer(producer_broker, acks="all")
+                for p in range(PARTITIONS):
+                    producer.send_many("t", [f"{p}:{i}".encode() for i in range(BATCH)], partition=p)
+            client = ClusterBroker(supervisor.bootstrap, op_timeout=op_timeout)
+            consumer = Consumer(client, group_id=group)
+            seen: set = set()
+            slowest = 0.0
+
+            def poll_once() -> None:
+                nonlocal slowest
+                start = time.monotonic()
+                try:
+                    records = consumer.poll(max_records=4, timeout=0.1)
+                except (RetriableError, ConnectionError, OSError):
+                    records = []
+                slowest = max(slowest, time.monotonic() - start)
+                seen.update(bytes(r.value) for r in records)
+
+            try:
+                consumer.subscribe("t")
+                assert _wait_until(lambda: poll_once() or len(seen) >= BATCH)
+                supervisor.kill_shard(coordinator)
+                before = consumer.evictions
+                assert _wait_until(lambda: poll_once() or seen == expected)
+                assert _wait_until(lambda: poll_once() or consumer.evictions > before)
+            finally:
+                consumer.close()
+                client.close()
+            assert supervisor.restarts == 1
+            assert slowest < op_timeout, f"a poll took {slowest:.2f} s"

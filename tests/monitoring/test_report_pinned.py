@@ -92,6 +92,32 @@ def test_analyze_bottleneck():
     assert result["mean_broker_queue_s"] == pytest.approx(0.042333333333333556, rel=1e-12)
 
 
+def test_the_bottleneck_decomposition():
+    """Transfer is uplink_start->broker_in (from produce when no message
+    has an uplink_start) plus dequeue->consume; the broker queue is
+    broker_in->dequeue; produce->uplink_start and consume->process_start
+    count nowhere."""
+
+    def analyzed(uplink: bool) -> dict:
+        c = MetricsCollector("decomposed")
+        c.stamp("m", "produce", 1.0)
+        if uplink:
+            c.stamp("m", "uplink_start", 1.5)
+        c.stamp("m", "broker_in", 1.75)
+        c.stamp("m", "dequeue", 2.75)
+        c.stamp("m", "consume", 3.0)
+        c.stamp("m", "process_start", 5.0)
+        c.stamp("m", "process_end", 5.125)
+        return analyze_bottleneck(c)
+
+    result = analyzed(uplink=True)
+    assert result["mean_transfer_s"] == 0.25 + 0.25
+    assert result["mean_broker_queue_s"] == 1.0
+    assert result["mean_processing_s"] == 0.125
+    assert result["bottleneck"] == "transfer"
+    assert analyzed(uplink=False)["mean_transfer_s"] == 0.75 + 0.25
+
+
 def test_report_with_an_explicit_duration():
     report = ThroughputReport.from_collector(_stamped(), duration_s=4.0)
     assert report.duration_s == 4.0
