@@ -24,8 +24,8 @@ from repro import (
     make_block_producer,
     make_model_processor,
 )
-from repro.core.events import FUNCTION_REPLACED, LOAD_PEAK, SCALED
 from repro.ml import AutoEncoder, StreamingKMeans
+from repro.monitoring import merge_timeline
 
 
 def main() -> None:
@@ -67,7 +67,6 @@ def main() -> None:
         scale_fn=pipeline.scale_consumers,
         policy=ScalingPolicy(min_consumers=1, max_consumers=6,
                              scale_up_lag=12, scale_down_lag=2, cooldown=0.5),
-        event_bus=pipeline.events,
         interval=0.1,
     )
 
@@ -88,13 +87,15 @@ def main() -> None:
 
     print(f"\ncompleted: {result.completed}   messages: {result.report.messages}")
     print("report:", result.report.row())
-    peaks = pipeline.events.history(LOAD_PEAK)
-    scalings = pipeline.events.history(SCALED)
-    swaps = pipeline.events.history(FUNCTION_REPLACED)
+    # The run's and the autoscaler's events, as one timeline.
+    timeline = merge_timeline(pipeline.events, scaler.events)
+    peaks = [e for e in timeline if e.type == "load_peak"]
+    scalings = [e for e in timeline if e.type == "consumers_scaled"]
+    swaps = [e for e in timeline if e.type == "function_replaced"]
     print(f"load-peak events: {len(peaks)}, scale-ups: {len(scalings)}, "
           f"function swaps: {len(swaps)}")
     for e in scalings:
-        print(f"  scaled: +{e.payload['added']} consumers")
+        print(f"  scaled: +{e.fields['added']} consumers")
     by_model: dict = {}
     for r in result.results:
         by_model[r["model"]] = by_model.get(r["model"], 0) + 1

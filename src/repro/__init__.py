@@ -40,7 +40,6 @@ from repro.core import (
     CostBasedPlacement,
     AutoScaler,
     ScalingPolicy,
-    EventBus,
     make_block_producer,
     make_model_processor,
     passthrough_processor,
@@ -66,7 +65,6 @@ __all__ = [
     "CostBasedPlacement",
     "AutoScaler",
     "ScalingPolicy",
-    "EventBus",
     "make_block_producer",
     "make_model_processor",
     "passthrough_processor",

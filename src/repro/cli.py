@@ -60,7 +60,7 @@ def _print_report(result, as_json: bool) -> None:
         **result.report.row(),
         "bottleneck": result.bottleneck.get("bottleneck"),
         "bottleneck_reason": result.bottleneck.get("reason"),
-        "errors": len(result.errors),
+        "errors": len(result.errors) + result.errors_left_out,
     }
     if result.report.lag:
         payload["lag_peak"] = result.report.lag["peak"]
@@ -90,16 +90,19 @@ def _make_telemetry(args: argparse.Namespace):
 
 
 def _dump_telemetry(
-    args: argparse.Namespace, registry, tracer, sampler, broker
+    args: argparse.Namespace, registry, tracer, sampler, broker, journals
 ) -> None:
-    """Write telemetry.jsonl / spans.json / metrics.prom into the dir.
+    """Write telemetry.jsonl / spans.json / metrics.prom / events.jsonl
+    into the dir.
 
     ``spans.json`` holds the client tracer's spans and, with *broker* a
-    :class:`ClusterBroker`, every shard's, drained over the wire.
+    :class:`ClusterBroker`, every shard's, drained over the wire;
+    ``events.jsonl`` is one timeline of the local *journals* and, with a
+    cluster, every shard's journal.
     """
     from pathlib import Path
 
-    from repro.monitoring import ClusterTraceCollector
+    from repro.monitoring import ClusterEventCollector, ClusterTraceCollector
 
     out = Path(args.telemetry)
     out.mkdir(parents=True, exist_ok=True)
@@ -107,6 +110,9 @@ def _dump_telemetry(
     spans = ClusterTraceCollector(cluster=broker, tracers=[tracer])
     spans.poll()
     spans.write_json(out / "spans.json")
+    events = ClusterEventCollector(cluster=broker, journals=journals)
+    events.poll()
+    events.write_jsonl(out / "events.jsonl")
     (out / "metrics.prom").write_text(registry.to_prometheus())
     print(f"telemetry_dir={out}", file=sys.stderr)
 
@@ -166,7 +172,10 @@ def cmd_model(args: argparse.Namespace) -> int:
             result = pipeline.run()
             if sampler is not None:
                 # While the cluster is up: the exposition is read live.
-                _dump_telemetry(args, registry, tracer, sampler, broker)
+                journals = [pipeline.events, edge.events, cloud.events]
+                if supervisor is not None:
+                    journals.append(supervisor.events)
+                _dump_telemetry(args, registry, tracer, sampler, broker, journals)
         finally:
             if broker is not None:
                 broker.close()

@@ -20,8 +20,10 @@ Supporting pieces:
   (resource topology, parameter client, per-device identity),
 - placement policies (:mod:`repro.core.placement`) — cloud-centric,
   edge-centric, hybrid, and a cost-model-driven policy,
-- :class:`EventBus` + :class:`AutoScaler` — runtime dynamism: load
-  peaks, failures, function replacement, resource scaling.
+- :class:`AutoScaler` — runtime dynamism: load peaks, function
+  replacement, resource scaling; the run, the autoscaler and the pilots
+  record each as an event in their own
+  :class:`~repro.monitoring.events.EventJournal` (``.events``).
 """
 
 from repro.core.context import FunctionContext
@@ -35,7 +37,6 @@ from repro.core.placement import (
     CostBasedPlacement,
     PlacementDecision,
 )
-from repro.core.events import EventBus, Event
 from repro.core.scaling import AutoScaler, ScalingPolicy
 from repro.core.workloads import (
     make_block_producer,
@@ -55,8 +56,6 @@ __all__ = [
     "HybridPlacement",
     "CostBasedPlacement",
     "PlacementDecision",
-    "EventBus",
-    "Event",
     "AutoScaler",
     "ScalingPolicy",
     "make_block_producer",

@@ -28,14 +28,10 @@ from repro.core.cloud import CloudConsumer, consumer_counters, consumer_gauges
 from repro.core.config import PipelineConfig
 from repro.core.context import FunctionContext
 from repro.core.edge import EdgeDevice, Progress
-from repro.core.events import (
-    FUNCTION_REPLACED,
-    SCALED,
-    EventBus,
-)
 from repro.core.placement import CloudCentricPlacement, PlacementDecision, PlacementPolicy
 from repro.data.serde import encode_block
 from repro.monitoring.collector import MetricsCollector
+from repro.monitoring.events import EventJournal
 from repro.monitoring.report import ThroughputReport, analyze_bottleneck
 from repro.netem.link import Link
 from repro.params.client import ParameterClient
@@ -48,6 +44,9 @@ from repro.util.validation import ValidationError, check_positive
 
 #: A run keeps the last this many processing results for inspection.
 _KEEP_RESULTS = 1024
+#: A run keeps the first this many error texts (and journals each); it
+#: counts the rest in ``PipelineResult.errors_left_out``.
+_KEEP_ERRORS = 100
 
 
 @dataclass
@@ -60,6 +59,7 @@ class PipelineResult:
     bottleneck: dict
     results: list = field(default_factory=list)
     errors: list = field(default_factory=list)
+    errors_left_out: int = 0
     broker_stats: dict = field(default_factory=dict)
     placement: PlacementDecision | None = None
 
@@ -108,7 +108,7 @@ class EdgeToCloudPipeline:
         self.config = config or PipelineConfig()
         self.topology = topology
         self.run_id = run_id or new_run_id()
-        self.events = EventBus()
+        self.events = EventJournal(origin=self.run_id)
         self.placement_policy = placement or CloudCentricPlacement()
 
         self._produce_fn = produce_function_handler
@@ -150,6 +150,7 @@ class EdgeToCloudPipeline:
         self._collector.registry.add_reader("gauges", partial(consumer_gauges, self._consumers))
         self._results = RingBuffer(_KEEP_RESULTS)
         self._errors: list[str] = []
+        self._errors_left_out = 0
         self._errors_lock = threading.Lock()
 
         self._user_context = dict(function_context or {})
@@ -201,8 +202,8 @@ class EdgeToCloudPipeline:
         with self._fn_lock:
             old = self._cloud_fn
             self._cloud_fn = fn
-        self.events.publish(
-            FUNCTION_REPLACED,
+        self.events.emit(
+            "function_replaced",
             stage="cloud",
             old=getattr(old, "__name__", "?"),
             new=getattr(fn, "__name__", "?"),
@@ -220,7 +221,7 @@ class EdgeToCloudPipeline:
             raise ValidationError("scale_consumers() requires a running pipeline")
         for _ in range(int(additional)):
             self._extra_consumer_futures.append(self._submit_consumer(self._make_consumer()))
-        self.events.publish(SCALED, component="consumers", added=int(additional))
+        self.events.emit("consumers_scaled", added=int(additional), consumers=len(self._consumers))
 
     # -- wiring helpers --------------------------------------------------------------
 
@@ -248,8 +249,11 @@ class EdgeToCloudPipeline:
 
     def _record_error(self, where: str, exc: BaseException) -> None:
         with self._errors_lock:
+            if len(self._errors) >= _KEEP_ERRORS:
+                self._errors_left_out += 1
+                return
             self._errors.append(f"{where}: {exc!r}")
-        self.events.publish("pipeline.error", where=where, error=repr(exc))
+        self.events.emit("processing_error", where=where, error=repr(exc))
 
     def _make_consumer(self) -> Consumer:
         cfg = self.config
@@ -433,6 +437,7 @@ class EdgeToCloudPipeline:
             bottleneck=analyze_bottleneck(self._collector),
             results=self._results.to_list(),
             errors=list(self._errors),
+            errors_left_out=self._errors_left_out,
             broker_stats=broker_stats,
             placement=self._decision,
         )

@@ -14,7 +14,7 @@ import threading
 import time
 from dataclasses import dataclass
 
-from repro.core.events import LOAD_NORMAL, LOAD_PEAK, EventBus
+from repro.monitoring.events import EventJournal
 from repro.util.validation import check_non_negative, check_positive
 
 
@@ -58,6 +58,10 @@ class AutoScaler:
       positive deltas are requested from a live pipeline; scale-down is
       advisory via events since in-flight consumer tasks drain and exit
       with the run).
+
+    Each action is one ``load_peak`` / ``load_normal`` event in
+    :attr:`events`, carrying the lag it saw and the consumer count it
+    set.
     """
 
     def __init__(
@@ -65,12 +69,11 @@ class AutoScaler:
         lag_fn,
         scale_fn,
         policy: ScalingPolicy | None = None,
-        event_bus: EventBus | None = None,
         interval: float = 0.2,
     ) -> None:
         check_positive("interval", interval)
         self.policy = policy or ScalingPolicy()
-        self.events = event_bus or EventBus()
+        self.events = EventJournal(origin="autoscaler")
         self._lag_fn = lag_fn
         self._scale_fn = scale_fn
         self._interval = float(interval)
@@ -78,7 +81,6 @@ class AutoScaler:
         self._last_action = 0.0
         self._stop = threading.Event()
         self._thread: threading.Thread | None = None
-        self.actions: list[tuple] = []
 
     @property
     def current_consumers(self) -> int:
@@ -93,16 +95,15 @@ class AutoScaler:
         delta = 0
         if lag >= self.policy.scale_up_lag and self._current < self.policy.max_consumers:
             delta = min(self.policy.step, self.policy.max_consumers - self._current)
-            self.events.publish(LOAD_PEAK, lag=lag, consumers=self._current + delta)
+            self.events.emit("load_peak", lag=lag, consumers=self._current + delta)
         elif lag <= self.policy.scale_down_lag and self._current > self.policy.min_consumers:
             delta = -min(self.policy.step, self._current - self.policy.min_consumers)
-            self.events.publish(LOAD_NORMAL, lag=lag, consumers=self._current + delta)
+            self.events.emit("load_normal", lag=lag, consumers=self._current + delta)
         if delta > 0:
             self._scale_fn(delta)
         if delta != 0:
             self._current += delta
             self._last_action = now
-            self.actions.append((now, delta, lag))
         return delta
 
     # -- background operation ---------------------------------------------------

@@ -212,10 +212,11 @@ class ClusterEventCollector:
     Remote shard journals are drained through the ``events_since`` wire
     op with a per-shard cursor; *journals* adds local
     :class:`~repro.monitoring.events.EventJournal` instances (the
-    supervisor's, typically) polled directly. A shard respawn resets
-    that shard's journal — the payload's ``boot`` token changes — and
-    the collector re-drains from zero so the fresh process's first
-    events (recovery, ISR rejoin) are never skipped.
+    supervisor's, the pilots', a pipeline run's) polled directly, and
+    :meth:`write_jsonl` writes the merged timeline (``events.jsonl``).
+    A shard respawn resets that shard's journal — the payload's ``boot``
+    token changes — and the collector re-drains from zero so the fresh
+    process's first events (recovery, ISR rejoin) are never skipped.
     """
 
     def __init__(self, cluster=None, journals=()) -> None:
@@ -262,9 +263,6 @@ class ClusterEventCollector:
     def events(self) -> list[Event]:
         with self._lock:
             return list(self._events)
-
-    def timeline(self) -> list[str]:
-        return [e.format() for e in self.events()]
 
     def write_jsonl(self, path) -> int:
         events = self.events()

@@ -1,22 +1,28 @@
-"""Structured control-plane event journal.
+"""Structured event journal: one timeline for the cluster and the run.
 
 Metrics answer *how much*; the journal answers *what happened*. Every
-control-plane transition the cluster makes — a leader election, an ISR
-eviction, a shard respawn, a boot recovery, a flush stall — is appended
-to a ring-buffered :class:`EventJournal` as a typed, monotonically
-sequenced :class:`Event`. Each process (supervisor, every shard) owns
-one journal; the ``events_since`` wire op lets the aggregation plane
-drain them incrementally, and :func:`merge_timeline` interleaves the
-drained streams into one incident narrative ordered by wall clock with
-``(origin, seq)`` as the tiebreak, so a SIGKILL'd leader's story reads
-"shard_died → leader_elected → shard_respawned → recovery_completed →
-isr_join" even though four processes wrote it.
+control-plane transition — a leader election, an ISR eviction, a shard
+respawn, a boot recovery, a flush stall, a pilot's state change, a load
+peak, a function swap, a consumer scale-up — is appended to a
+ring-buffered :class:`EventJournal` as a typed, monotonically sequenced
+:class:`Event`. Each origin owns one journal (the supervisor, every
+shard, every pilot, the autoscaler, a pipeline run); the
+``events_since`` wire op lets the aggregation plane drain the shards'
+incrementally, and :func:`merge_timeline` interleaves the streams into
+one narrative ordered by wall clock with ``(origin, seq)`` as the
+tiebreak, so a SIGKILL'd leader's story reads "shard_died →
+leader_elected → shard_respawned → recovery_completed → isr_join" even
+though four processes wrote it.
 
 The journal is deliberately always-on: emissions are control-plane rare
-(per election, per boot, per stall — never per record), so one lock and
-one deque append per event costs nothing measurable, and the events are
-exactly what an operator needs *after* the incident, when it is too
-late to turn telemetry on.
+(per election, per boot, per transition — never per record), so one
+lock and one deque append per event costs nothing measurable, and the
+events are exactly what an operator needs *after* the incident, when it
+is too late to turn telemetry on. The one per-message type,
+``processing_error``, is emitted only for the first ``_KEEP_ERRORS``
+errors of a run (``repro.core.pipeline``): a function that raises on
+every message would otherwise flood the ring and evict the rare events
+around it.
 """
 
 from __future__ import annotations
@@ -39,9 +45,9 @@ __all__ = [
 #: Events one journal retains; older ones fall off the head.
 MAX_EVENTS = 4096
 
-# The closed set of control-plane event types. ``emit`` accepts only
-# these so a typo'd event name fails at the emission site, not silently
-# at query time. Extend the tuple when a new subsystem gains a voice.
+# The closed set of event types. ``emit`` accepts only these so a
+# typo'd event name fails at the emission site, not silently at query
+# time. Extend the tuple when a new subsystem gains a voice.
 EVENT_TYPES = (
     "shard_started",      # worker process bound its port (supervisor)
     "shard_died",         # monitor detected a dead worker (supervisor)
@@ -52,6 +58,12 @@ EVENT_TYPES = (
     "recovery_completed", # boot recovery replayed a partition's segments (shard)
     "flush_stall",        # a group-commit flush exceeded the stall threshold (shard)
     "producer_fenced",    # idempotent producer rejected by epoch fencing (shard)
+    "load_peak",          # backlog crossed the scale-up mark (autoscaler)
+    "load_normal",        # backlog fell to the scale-down mark (autoscaler)
+    "function_replaced",  # the processing function was swapped (pipeline run)
+    "consumers_scaled",   # consumer tasks were added mid-run (pipeline run)
+    "processing_error",   # a message's processing raised (pipeline run)
+    "pilot_state",        # a pilot changed state (pilot)
 )
 
 
@@ -155,22 +167,6 @@ class EventJournal:
         with self._lock:
             return [e for e in self._events if e.seq > seq]
 
-    def timeline(self) -> list[str]:
-        """Human-readable lines for this journal's retained events."""
-        return [e.format() for e in self.events()]
-
-    def to_jsonl(self) -> str:
-        """JSONL export — one event per line, oldest first."""
-        return "".join(json.dumps(e.to_dict(), sort_keys=True) + "\n" for e in self.events())
-
-    def write_jsonl(self, path) -> int:
-        """Write the retained events to ``path``; returns the event count."""
-        events = self.events()
-        with open(path, "w", encoding="utf-8") as fh:
-            for e in events:
-                fh.write(json.dumps(e.to_dict(), sort_keys=True) + "\n")
-        return len(events)
-
 
 def merge_timeline(*streams) -> list[Event]:
     """Interleave events from many journals into one global order.
@@ -194,7 +190,7 @@ def merge_timeline(*streams) -> list[Event]:
 
 
 def read_jsonl(path) -> list[Event]:
-    """Re-read a journal artifact written by :meth:`EventJournal.write_jsonl`."""
+    """Re-read the ``events.jsonl`` that ``ClusterEventCollector.write_jsonl`` wrote."""
     events: list[Event] = []
     with open(path, "r", encoding="utf-8") as fh:
         for line in fh:

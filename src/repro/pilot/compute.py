@@ -6,6 +6,7 @@ import threading
 from collections import Counter
 
 from repro.compute.cluster import ComputeCluster
+from repro.monitoring.events import EventJournal
 from repro.pilot.description import PilotDescription
 from repro.pilot.states import PilotState, check_transition
 from repro.util.ids import new_id
@@ -15,7 +16,8 @@ class PilotCompute:
     """Handle to one provisioned (or provisioning) pilot.
 
     State changes are driven by the owning service; applications observe
-    them through :attr:`state`, :meth:`wait` and :meth:`on_state_change`.
+    them through :attr:`state`, :meth:`wait` and :meth:`on_state_change`,
+    and each is one ``pilot_state`` event in :attr:`events`.
     """
 
     def __init__(self, description: PilotDescription) -> None:
@@ -28,20 +30,17 @@ class PilotCompute:
         self._error: str | None = None
         self._callbacks: list = []
         self._callback_errors: Counter[str] = Counter()
-        #: History of (state, monotonic time) pairs for monitoring.
-        self.state_history: list[tuple] = []
+        self.events = EventJournal(origin=self.pilot_id)
 
     # -- state machine (service-facing) -------------------------------------
 
     def _transition(self, new_state: PilotState, error: str | None = None) -> None:
-        import time
-
         with self._state_lock:
             check_transition(self._state, new_state)
             self._state = new_state
             if error is not None:
                 self._error = error
-            self.state_history.append((new_state, time.monotonic()))
+            self.events.emit("pilot_state", state=new_state.value, site=self.site)
             callbacks = list(self._callbacks)
             self._state_changed.notify_all()
         for cb in callbacks:

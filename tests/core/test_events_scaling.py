@@ -1,62 +1,10 @@
-"""Tests for the event bus and autoscaler."""
+"""Tests for the autoscaler and the events it journals."""
 
 import threading
 
 import pytest
 
-from repro.core import AutoScaler, EventBus, ScalingPolicy
-from repro.core.events import LOAD_NORMAL, LOAD_PEAK
-
-
-class TestEventBus:
-    def test_publish_subscribe(self):
-        bus = EventBus()
-        seen = []
-        bus.subscribe("a", lambda e: seen.append(e.payload["v"]))
-        bus.publish("a", v=1)
-        bus.publish("b", v=2)  # not subscribed
-        assert seen == [1]
-
-    def test_wildcard_subscription(self):
-        bus = EventBus()
-        seen = []
-        bus.subscribe("*", lambda e: seen.append(e.type))
-        bus.publish("x")
-        bus.publish("y")
-        assert seen == ["x", "y"]
-
-    def test_unsubscribe(self):
-        bus = EventBus()
-        seen = []
-        unsub = bus.subscribe("a", lambda e: seen.append(1))
-        bus.publish("a")
-        unsub()
-        bus.publish("a")
-        assert seen == [1]
-
-    def test_handler_errors_counted_and_isolated(self):
-        bus = EventBus()
-        bus.subscribe("a", lambda e: 1 / 0)
-        seen = []
-        bus.subscribe("a", lambda e: seen.append(1))
-        bus.publish("a")
-        assert bus.handler_errors == 1
-        assert seen == [1]
-
-    def test_history(self):
-        bus = EventBus()
-        bus.publish("a", x=1)
-        bus.publish("b")
-        bus.publish("a", x=2)
-        assert len(bus.history()) == 3
-        assert [e.payload["x"] for e in bus.history("a")] == [1, 2]
-
-    def test_events_have_identity(self):
-        bus = EventBus()
-        e1 = bus.publish("a")
-        e2 = bus.publish("a")
-        assert e1.event_id != e2.event_id
-        assert e2.timestamp >= e1.timestamp
+from repro.core import AutoScaler, ScalingPolicy
 
 
 class TestScalingPolicy:
@@ -124,24 +72,25 @@ class TestAutoScaler:
         assert scaler.evaluate(now=111.0) == 1  # cooldown passed
 
     def test_events_published(self):
-        bus = EventBus()
         lags = iter([50, 0])
         scaler = AutoScaler(
             lag_fn=lambda: next(lags),
             scale_fn=lambda d: None,
             policy=ScalingPolicy(max_consumers=4, scale_up_lag=10,
                                  scale_down_lag=2, cooldown=0.0),
-            event_bus=bus,
         )
         scaler.evaluate(now=1.0)
         scaler.evaluate(now=2.0)
-        assert len(bus.history(LOAD_PEAK)) == 1
-        assert len(bus.history(LOAD_NORMAL)) == 1
+        events = scaler.events.events()
+        assert [e.type for e in events] == ["load_peak", "load_normal"]
+        assert {e.origin for e in events} == {"autoscaler"}
 
     def test_actions_log(self):
         scaler, _ = self.make([50])
         scaler.evaluate(now=7.0)
-        assert scaler.actions == [(7.0, 1, 50)]
+        assert [(e.type, e.fields) for e in scaler.events.events()] == [
+            ("load_peak", {"lag": 50, "consumers": 2})
+        ]
 
     def test_background_loop_runs(self):
         calls, second_tick = [], threading.Event()

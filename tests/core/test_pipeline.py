@@ -219,9 +219,10 @@ class TestRuntimeDynamism:
         pipeline = make_pipeline(running_pilots)
         pipeline.run()
         pipeline.replace_cloud_function(passthrough_processor)
-        from repro.core.events import FUNCTION_REPLACED
-
-        assert len(pipeline.events.history(FUNCTION_REPLACED)) == 1
+        replaced = [e for e in pipeline.events.events() if e.type == "function_replaced"]
+        assert len(replaced) == 1
+        assert replaced[0].origin == pipeline.run_id
+        assert replaced[0].fields["new"] == "passthrough_processor"
 
     def test_scale_consumers_mid_run(self, running_pilots):
         pipeline = make_pipeline(

@@ -15,6 +15,7 @@ from repro.core import (
 from repro.core import pipeline as pipeline_module
 from repro.data import encode_block
 from repro.data.serde import SerdeError
+from repro.monitoring import events
 
 
 def build(running_pilots, produce=None, process=None, **cfg):
@@ -237,6 +238,31 @@ class TestResultBuffer:
         result = pipeline.run()
         assert result.completed
         assert "my-sensors" in result.broker_stats["topics"]
+
+
+class TestBoundedUnderFailure:
+    def test_a_function_that_always_raises_keeps_the_run_bounded(
+        self, running_pilots, monkeypatch
+    ):
+        # The ring is set small, but above the kept errors, so the one
+        # rare event of the run must outlive the error flood.
+        monkeypatch.setattr(events, "MAX_EVENTS", pipeline_module._KEEP_ERRORS + 28)
+        messages = 2 * events.MAX_EVENTS
+
+        def always_raises(context=None, data=None):
+            raise RuntimeError("model crashed")
+
+        pipeline = build(running_pilots, num_devices=2, messages_per_device=messages // 2)
+        pipeline.replace_cloud_function(always_raises)
+        result = pipeline.run()
+
+        assert pipeline.processed_count == messages
+        assert len(result.errors) <= pipeline_module._KEEP_ERRORS
+        assert result.errors_left_out == messages - len(result.errors)
+        assert not result.completed
+        journal = pipeline.events.events()
+        assert [e.type for e in journal[:1]] == ["function_replaced"]
+        assert sum(e.type == "processing_error" for e in journal) == len(result.errors)
 
 
 class TestRunIdPropagation:

@@ -220,7 +220,7 @@ class TestClusterEventCollector:
         assert [e.type for e in collector.poll()] == [
             "shard_died", "leader_elected",
         ]
-        assert collector.timeline()[0].endswith("shard_died shard=1")
+        assert collector.events()[0].format().endswith("shard_died shard=1")
 
     def test_write_jsonl_round_trips(self, tmp_path):
         supervisor = EventJournal(origin="supervisor")

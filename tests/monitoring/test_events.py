@@ -1,10 +1,12 @@
 """Unit tests for the control-plane event journal."""
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
-from repro.monitoring import events
+from repro.monitoring import ClusterEventCollector, events
 from repro.monitoring.events import (
     EVENT_TYPES,
     Event,
@@ -73,8 +75,10 @@ class TestEventJournal:
         journal = EventJournal(origin="shard-0")
         journal.emit("recovery_completed", topic="t", partition=0, records=7)
         journal.emit("flush_stall", topic="t", partition=0, duration_ms=300.0)
+        collector = ClusterEventCollector(journals=[journal])
+        collector.poll()
         path = tmp_path / "events.jsonl"
-        assert journal.write_jsonl(path) == 2
+        assert collector.write_jsonl(path) == 2
         assert read_jsonl(path) == journal.events()
 
 
@@ -98,3 +102,11 @@ class TestMergeTimeline:
         first = Event(seq=1, ts=7.0, type="isr_evict", origin="shard-0")
         second = Event(seq=2, ts=7.0, type="isr_join", origin="shard-0")
         assert merge_timeline([second, first]) == [first, second]
+
+
+class TestDocsFollowTheTypes:
+    def test_api_event_schema_matches_event_types(self):
+        text = (Path(__file__).parents[2] / "docs" / "API.md").read_text()
+        section = text.split("#### Event journal schema", 1)[1].split("\n**CLI.**", 1)[0]
+        documented = re.findall(r"^\| `(\w+)` \| [^|]+ \| [^|]+ \|$", section, re.MULTILINE)
+        assert documented == list(EVENT_TYPES)

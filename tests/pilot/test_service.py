@@ -44,7 +44,9 @@ class TestSubmission:
     def test_state_history_records_path(self, pilot_service):
         pilot = pilot_service.submit_pilot(PilotDescription())
         pilot.wait(timeout=10)
-        states = [s for s, _ in pilot.state_history]
+        events = pilot.events.events()
+        assert {(e.type, e.origin) for e in events} == {("pilot_state", pilot.pilot_id)}
+        states = [PilotState(e.fields["state"]) for e in events]
         assert states == [PilotState.PENDING, PilotState.RUNNING]
 
     def test_state_change_callbacks(self, pilot_service):

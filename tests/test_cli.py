@@ -6,6 +6,7 @@ import pytest
 
 from repro.broker import ClusterBrokerSupervisor
 from repro.cli import build_parser, main
+from repro.monitoring.events import read_jsonl
 from repro.monitoring.sampler import series_from_jsonl
 
 
@@ -101,6 +102,17 @@ class TestClusterArtifacts:
         assert sorted(points) == sorted(
             (name, point) for name, pts in series.items() for point in pts
         )
+
+        timeline = read_jsonl(out / "events.jsonl")
+        assert timeline == sorted(timeline, key=lambda e: (e.ts, e.origin, e.seq))
+        running = [
+            e for e in timeline
+            if e.type == "pilot_state" and e.fields["state"] == "running"
+        ]
+        assert len({e.origin for e in running}) == 2
+        started = [e for e in timeline if e.type == "shard_started"]
+        assert {e.origin for e in started} == {"supervisor"}
+        assert {e.fields["shard"] for e in started} == {0, 1}
 
     def test_top_prints_one_panel(self, capsys):
         with ClusterBrokerSupervisor(num_shards=2, topics=[("t", 2)]) as supervisor:

@@ -34,7 +34,8 @@ callee: every parameter with a default of ``Tracer``,
 ``MetricsCollector`` (its constructor, ``stamp`` and ``stamp_many``)
 must be passed by keyword to a call of that name (``Tracer(...)``,
 ``x.histogram(...)``) outside ``repro.monitoring``. A bound or seed only
-tests set is a module constant, which a test monkeypatches.
+tests set is a module constant, which a test monkeypatches. So must
+every keyword of ``AutoScaler``, outside ``tests/``.
 """
 
 import ast
@@ -47,7 +48,7 @@ import pytest
 
 from repro.broker import Consumer, Producer
 from repro.broker.storage import StorageConfig
-from repro.core import PipelineConfig
+from repro.core import AutoScaler, PipelineConfig
 from repro.monitoring import (
     ClusterEventCollector,
     ClusterMetricsAggregator,
@@ -184,3 +185,15 @@ def test_every_monitoring_keyword_is_passed_outside_tests(callee):
     assert not unset, (
         f"{callee} keywords only tests pass (make each a module constant): {unset}"
     )
+
+
+def test_every_autoscaler_keyword_is_passed_outside_tests():
+    params = inspect.signature(AutoScaler.__init__).parameters.values()
+    knobs = [p.name for p in params if p.default is not p.empty]
+    passed = _keywords_passed(
+        skip=Path(inspect.getsourcefile(AutoScaler)).resolve(),
+        tops=CLIENT_CALLERS,
+        callee="AutoScaler",
+    )
+    unset = [name for name in knobs if name not in passed]
+    assert not unset, f"AutoScaler keywords only tests pass (make each a constant): {unset}"

@@ -14,7 +14,7 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 #: package (relative to ``src/repro``) -> the most lines one of its files may have.
 FILE_CAPS = {"broker": 800, ".": 900, "core": 480}
 #: package -> the most lines all its files may have together.
-PACKAGE_CAPS = {"broker": 8850, "compute": 850, "core": 1730, "monitoring": 2166}
+PACKAGE_CAPS = {"broker": 8850, "compute": 850, "core": 1650, "monitoring": 2154}
 
 
 def line_counts(package: str) -> dict[str, int]:
