@@ -63,7 +63,7 @@ import pytest
 from repro.broker import Broker, Consumer, Producer
 from repro.broker.reactor import ReactorBrokerServer
 from repro.broker.remote import BrokerServer, RemoteBroker
-from repro.broker.wire import recv_frame, send_frame
+from repro.broker.wire import encode_frame, recv_frame, sendall_vectored
 from repro.compute import ResourceSpec
 from repro.core import EdgeToCloudPipeline, PipelineConfig
 from repro.data import encode_block
@@ -571,11 +571,10 @@ def _reactor_connection_scale() -> dict:
         per_conn = (after - before) / n_idle
 
         for sock in pollers:
-            send_frame(
-                sock,
+            sendall_vectored(sock, encode_frame(
                 {"op": "fetch_batch", "topic": "lp", "partition": 0, "offset": 0,
                  "timeout": 60.0, "cid": 0},
-            )
+            ))
         deadline = time.monotonic() + 30
         while (
             server.parked_fetches < REACTOR_LONG_POLLERS
@@ -588,11 +587,10 @@ def _reactor_connection_scale() -> dict:
         answered = 0
         for i, sock in enumerate(producers):
             for j in range(REACTOR_APPENDS_PER_PRODUCER):
-                send_frame(
-                    sock,
+                sendall_vectored(sock, encode_frame(
                     {"op": "append_batch", "topic": "prod", "partition": 0, "cid": j},
                     [b"m%d-%d" % (i, j)],
-                )
+                ))
         for sock in producers:
             for _ in range(REACTOR_APPENDS_PER_PRODUCER):
                 response, _ = recv_frame(sock)

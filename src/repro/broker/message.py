@@ -37,10 +37,10 @@ class Record:
 
     Treat as immutable: instances are shared between the broker's log
     and all consumers that fetch them. ``value`` is *bytes-like*:
-    ``bytes`` from an in-process producer, the ``bytearray`` it was
-    received into after a TCP hop, a read-only ``memoryview`` off a
-    sealed segment — take ``bytes(record.value)`` where a hashable or
-    immutable value is needed.
+    ``bytes`` from an in-process producer, a read-only ``memoryview``
+    after a TCP hop (16-byte aligned, sharing a receive buffer of up to
+    1 MiB with its frame neighbours) or off a sealed segment — take
+    ``bytes(record.value)`` where a hashable or immutable value is needed.
     """
 
     __slots__ = _RECORD_FIELDS

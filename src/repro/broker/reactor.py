@@ -6,8 +6,8 @@ server half of the wire path is a ``selectors``-based reactor:
 
 * **One I/O thread** multiplexes every client socket with non-blocking
   reads and writes. Inbound bytes go through a per-connection
-  incremental :class:`~repro.broker.wire.FrameDecoder` (a blob is read
-  from the socket straight into its own buffer); outbound frames queue
+  incremental :class:`~repro.broker.wire.FrameDecoder` (blobs are read
+  from the socket straight into one buffer per chunk); outbound frames queue
   as the buffers they are and drain scatter-gather as the socket allows.
 * **The loop serves what cannot wait, workers serve what can.** An op
   the table declares non-waiting (:attr:`~repro.broker.ops.Op.waits`)
@@ -378,7 +378,7 @@ class ReactorBrokerServer:
 
     def _on_readable(self, conn: _Conn) -> None:
         decoder = conn.decoder
-        # One read per readiness event, except that a blob's tail is drained
+        # One read per readiness event, except that a chunk's tail is drained
         # until the socket runs dry (not one trip round ``select`` per read).
         while True:
             try:

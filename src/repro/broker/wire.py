@@ -1,21 +1,20 @@
 """Wire framing shared by the broker server and client.
 
 Protocol: length-prefixed JSON frames (4-byte big-endian length, then a
-UTF-8 JSON object). A frame may additionally carry *binary blobs*: when
-the JSON object has an ``"nblobs": k`` field, the frame is followed by
-``k`` length-prefixed raw byte strings. The batched data-path ops
-(``append_batch`` / ``fetch_batch``) move record payloads as blobs —
-one socket round-trip per batch and no base64 (which inflates payloads
-by ~33% and burns CPU on both ends). Small fields (keys, headers,
-offsets) stay base64-in-JSON for debuggability.
+UTF-8 JSON object). A frame may carry *binary blobs*: its JSON object
+then has a ``"sizes": [n1, ...]`` field, and a body follows with the
+blobs back to back, each zero-padded to a multiple of ``ALIGN``. The
+batched data-path ops (``append_batch`` / ``fetch_batch``) move record
+payloads as blobs: one round-trip per batch and no base64. Small fields
+(keys, headers, offsets) stay base64-in-JSON for debuggability.
 
-Two decode styles share the same format — :func:`recv_frame`, blocking,
-for the calling thread of a client, and :class:`FrameDecoder`, incremental,
-for the reactor — and in both a blob is received *in place*: straight
-from the socket into one ``bytearray`` of its declared length, which is
-the object the caller gets (nothing writes to it after its frame
-completes). Sending is scatter-gather (:func:`send_some`): a frame's
-buffers go to ``sendmsg`` as they are, never concatenated.
+Both decoders — :func:`recv_frame`, blocking, for a client's calling
+thread, :class:`FrameDecoder`, incremental, for the reactor — read the
+body *in place*: consecutive blobs share one ``bytearray`` of at most
+``CHUNK`` bytes (a larger blob is a chunk of its own; a buffer per value
+was faulted in afresh on every poll), each blob a read-only
+``memoryview`` of it on an ``ALIGN`` boundary, so float64 blocks decode
+aligned. Sending is scatter-gather (:func:`send_some`).
 
 What travels *inside* a frame — the ops, their fields and codecs — is
 declared once in :mod:`repro.broker.ops`.
@@ -39,8 +38,10 @@ MAX_FRAME = 64 * 1024 * 1024
 #: exceeding it fails with EMSGSIZE, so large batches go out in slices.
 IOV_MAX = min(getattr(socket, "IOV_MAX", 1024), 1024)
 
-#: One read into the parse buffer: also the most of a blob copied twice.
+#: One read into the parse buffer: also the most of a chunk copied twice.
 _RECV_CHUNK = 65536
+#: A blob starts at a multiple of ALIGN bytes; blobs share buffers of ≤ CHUNK.
+ALIGN, CHUNK = 16, 1 << 20
 
 
 # -- encoding ----------------------------------------------------------------
@@ -49,8 +50,7 @@ _RECV_CHUNK = 65536
 def encode_frame(payload: dict, blobs=()) -> list:
     """Encode one frame as a list of buffers (no concatenation copy)."""
     if blobs:
-        payload = dict(payload)
-        payload["nblobs"] = len(blobs)
+        payload = {**payload, "sizes": [len(blob) for blob in blobs]}
     data = json.dumps(payload, separators=(",", ":")).encode("utf-8")
     if len(data) > MAX_FRAME:
         raise ValidationError(f"frame too large: {len(data)} bytes")
@@ -58,13 +58,10 @@ def encode_frame(payload: dict, blobs=()) -> list:
     for blob in blobs:
         if len(blob) > MAX_FRAME:
             raise ValidationError(f"blob too large: {len(blob)} bytes")
-        buffers.append(LEN.pack(len(blob)))
         buffers.append(blob)
+        if len(blob) % ALIGN:
+            buffers.append(bytes(-len(blob) % ALIGN))
     return buffers
-
-
-def send_frame(sock: socket.socket, payload: dict, blobs=()) -> None:
-    sendall_vectored(sock, encode_frame(payload, blobs))
 
 
 def send_some(sock: socket.socket, buffers: deque) -> int:
@@ -95,11 +92,30 @@ def sendall_vectored(sock: socket.socket, buffers) -> None:
 # -- decoding ----------------------------------------------------------------
 
 
+def _header(data) -> tuple[dict, list]:
+    """JSON header → ``(payload, [[chunk bytes, its blobs' slices], ...])``;
+    anything malformed raises ConnectionError before the body is allocated."""
+    try:
+        payload = json.loads(data)
+        sizes = payload.pop("sizes", [])
+        if type(sizes) is not list or not all(type(n) is int and 0 <= n <= MAX_FRAME for n in sizes):
+            raise ValueError(f"bad blob sizes {sizes!r:.60}")
+    except (ValueError, TypeError, AttributeError) as exc:
+        raise ConnectionError(f"undecodable frame: {exc}") from exc
+    chunks: list = []
+    for n in sizes:
+        if not chunks or chunks[-1][0] and chunks[-1][0] + n > CHUNK:
+            chunks.append([0, []])
+        at = chunks[-1][0]
+        chunks[-1][1].append(slice(at, at + n))
+        chunks[-1][0] = at + n + -n % ALIGN
+    return payload, chunks
+
+
 def recv_exact(sock: socket.socket, n: int) -> bytearray:
     """Receive exactly *n* bytes (blocking) into one buffer of that size."""
     out = bytearray(n)
-    view = memoryview(out)
-    got = 0
+    view, got = memoryview(out), 0
     while got < n:
         k = sock.recv_into(view[got:])
         if not k:
@@ -108,17 +124,17 @@ def recv_exact(sock: socket.socket, n: int) -> bytearray:
     return out
 
 
-def _recv_sized(sock: socket.socket) -> bytearray:
-    (length,) = LEN.unpack(recv_exact(sock, 4))
-    if length > MAX_FRAME:
-        raise ConnectionError(f"oversized frame or blob: {length}")
-    return recv_exact(sock, length)
-
-
 def recv_frame(sock: socket.socket) -> tuple[dict, list]:
     """Receive one frame (blocking); returns (json payload, binary blobs)."""
-    payload = json.loads(_recv_sized(sock))
-    return payload, [_recv_sized(sock) for _ in range(int(payload.pop("nblobs", 0)))]
+    (length,) = LEN.unpack(recv_exact(sock, 4))
+    if length > MAX_FRAME:
+        raise ConnectionError(f"oversized frame: {length}")
+    payload, chunks = _header(recv_exact(sock, length))
+    blobs = []
+    for nbytes, spans in chunks:
+        view = memoryview(recv_exact(sock, nbytes)).toreadonly()
+        blobs += [view[span] for span in spans]
+    return payload, blobs
 
 
 class FrameDecoder:
@@ -127,32 +143,23 @@ class FrameDecoder:
     Bytes come in through :meth:`recv_from` (one read from a socket) or
     :meth:`feed`; pull complete ``(payload, blobs)`` frames with
     :meth:`next_frame` until it returns ``None``. Lengths and JSON pass
-    through a small parse buffer. A blob does not: once its length
-    prefix is parsed (and checked against ``MAX_FRAME``) its buffer is
-    allocated once at the declared length, takes whatever of it already
-    sits in the parse buffer, and the socket is read straight into its
-    tail. A frame arriving in many small reads is parsed exactly once.
-
-    Raises :class:`ConnectionError` on protocol violations (oversized
-    frame/blob, undecodable JSON); the caller should drop the connection,
-    matching the blocking path's behavior.
+    through a small parse buffer; a chunk's buffer is allocated when the
+    stream reaches it, takes what of it sits in the parse buffer, and the
+    socket is read straight into its tail. Protocol violations raise
+    :class:`ConnectionError`: drop the connection.
     """
 
-    __slots__ = ("_buf", "_state", "_need", "_payload", "_nblobs", "_blobs",
-                 "_blob", "_filled")
-
-    _WANT_LEN, _WANT_PAYLOAD, _WANT_BLOBS = range(3)
+    __slots__ = ("_buf", "_payload", "_chunks", "_blobs", "_chunk", "_filled")
 
     def __init__(self) -> None:
         self._buf = bytearray()
-        self._state = self._WANT_LEN
-        self._need = 4
+        #: The header of the frame whose body is arriving, its chunks to come, blobs done.
         self._payload: dict | None = None
-        self._nblobs = 0
+        self._chunks: list = []
         self._blobs: list = []
-        #: The blob being received and how much of it has arrived. While
+        #: The chunk being received and how much of it has arrived. While
         #: it is incomplete the parse buffer is empty.
-        self._blob: bytearray | None = None
+        self._chunk: bytearray | None = None
         self._filled = 0
 
     @property
@@ -162,26 +169,26 @@ class FrameDecoder:
 
     @property
     def mid_blob(self) -> bool:
-        """True while a blob's tail is still on the wire."""
-        return self._blob is not None
+        """True while a chunk's tail is still on the wire."""
+        return self._chunk is not None
 
     def recv_from(self, sock: socket.socket) -> int:
-        """One read from *sock*: into the pending blob's tail if there is
+        """One read from *sock*: into the pending chunk's tail if there is
         one, else into the parse buffer. Returns the byte count (0 = the
         peer closed); socket errors propagate."""
-        if self._blob is None:
+        if self._chunk is None:
             data = sock.recv(_RECV_CHUNK)
             self._buf += data
             return len(data)
-        n = sock.recv_into(memoryview(self._blob)[self._filled :])
+        n = sock.recv_into(memoryview(self._chunk)[self._filled :])
         self._filled += n
         return n
 
     def feed(self, data) -> None:
-        if self._blob is not None:
+        if self._chunk is not None:
             data = memoryview(data)
-            k = min(len(data), len(self._blob) - self._filled)
-            self._blob[self._filled : self._filled + k] = data[:k]
+            k = min(len(data), len(self._chunk) - self._filled)
+            self._chunk[self._filled : self._filled + k] = data[:k]
             self._filled += k
             data = data[k:]
         self._buf += data
@@ -189,38 +196,31 @@ class FrameDecoder:
     def next_frame(self) -> tuple[dict, list] | None:
         buf = self._buf
         while True:
-            if self._blob is not None:
-                if self._filled < len(self._blob):
+            if self._chunk is not None:
+                if self._filled < len(self._chunk):
                     return None
-                self._blobs.append(self._blob)
-                self._blob, self._filled = None, 0
-            if self._state == self._WANT_BLOBS and len(self._blobs) >= self._nblobs:
+                view = memoryview(self._chunk).toreadonly()
+                self._blobs += [view[span] for span in self._chunks.pop(0)[1]]
+                self._chunk, self._filled = None, 0
+            if self._payload is None:
+                if len(buf) < 4:
+                    return None
+                (length,) = LEN.unpack_from(buf)
+                if length > MAX_FRAME:  # refused before anything is allocated
+                    raise ConnectionError(f"oversized frame: {length}")
+                if len(buf) < 4 + length:
+                    return None
+                self._payload, self._chunks = _header(buf[4 : 4 + length])
+                del buf[: 4 + length]
+            elif self._chunks:  # the stream has reached the next chunk
+                self._chunk = bytearray(self._chunks[0][0])
+                self._filled = k = min(len(buf), len(self._chunk))
+                self._chunk[:k] = memoryview(buf)[:k]
+                del buf[:k]
+            else:
                 frame = self._payload, self._blobs
                 self._payload, self._blobs = None, []
-                self._state = self._WANT_LEN
                 return frame
-            if len(buf) < self._need:
-                return None
-            if self._state == self._WANT_PAYLOAD:
-                try:  # bad JSON, bad UTF-8, or not an object at all
-                    self._payload = json.loads(buf[: self._need])
-                    self._nblobs = int(self._payload.pop("nblobs", 0))
-                except (ValueError, TypeError, AttributeError) as exc:
-                    raise ConnectionError(f"undecodable frame: {exc}") from exc
-                del buf[: self._need]
-                self._state, self._need = self._WANT_BLOBS, 4
-                continue
-            (length,) = LEN.unpack_from(buf)
-            del buf[:4]
-            if length > MAX_FRAME:  # refused before anything is allocated
-                raise ConnectionError(f"oversized frame or blob: {length}")
-            if self._state == self._WANT_LEN:
-                self._state, self._need = self._WANT_PAYLOAD, length
-            else:
-                self._blob = bytearray(length)
-                self._filled = k = min(len(buf), length)
-                self._blob[:k] = memoryview(buf)[:k]
-                del buf[:k]
 
 
 # -- value encoding ----------------------------------------------------------

@@ -28,7 +28,7 @@ from repro.broker.remote import (
     RemoteBroker,
     RemoteRetriableError,
 )
-from repro.broker.wire import recv_frame, send_frame
+from repro.broker.wire import encode_frame, recv_frame, sendall_vectored
 from repro.util.validation import ValidationError
 
 
@@ -369,11 +369,10 @@ class TestSupervisorLifecycle:
                 p for p in range(2) if shard_for_partition("t", p, 2) == 0
             )
             owner = shard_for_partition("t", partition, 2)
-            send_frame(
-                socks[owner],
+            sendall_vectored(socks[owner], encode_frame(
                 {"op": "fetch_batch", "topic": "t", "partition": partition,
                  "offset": 0, "timeout": 60.0, "cid": 1},
-            )
+            ))
             time.sleep(0.3)  # let the fetch park server-side
             supervisor.stop()
             assert multiprocessing.active_children() == []

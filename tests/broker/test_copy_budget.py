@@ -4,8 +4,8 @@ One large blob is appended and fetched through a loopback
 ``BrokerServer`` under ``tracemalloc``. Every extra userspace copy of a
 payload shows up as a traced allocation of its size, so the peaks below
 bound the copies per hop deterministically: a blob is received into one
-buffer of its declared length (which is the object the broker stores),
-and sent from the buffer it already lives in.
+buffer (its chunk; a blob over 1 MiB is a chunk of its own), the broker
+stores a read-only view of it, and sends from the buffer it lives in.
 """
 
 import socket
@@ -76,7 +76,10 @@ def test_append_allocates_the_blob_once_and_stores_that_buffer(server, sock, mon
     assert traced.peak <= 1.5 * BLOB, f"{traced.peak / BLOB:.2f}x the blob"
     (stored,) = server.broker.fetch("t", 0, 0)
     assert len(decoded) == 1 and stored.value is decoded[0]
-    assert type(stored.value) is bytearray and stored.value == blob
+    # A read-only view of the one buffer the blob was received into.
+    assert type(stored.value) is memoryview and stored.value.readonly
+    assert type(stored.value.obj) is bytearray and len(stored.value.obj) == BLOB
+    assert stored.value == blob
 
 
 def test_fetch_sends_the_stored_buffer_without_copying_it(server, sock):

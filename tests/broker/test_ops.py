@@ -26,7 +26,7 @@ from repro.broker import (
 )
 from repro.broker.cluster import _HAND_ROUTED
 from repro.broker.ops import OPS, REQUIRED, CoordinatorClient
-from repro.broker.wire import recv_frame, send_frame
+from repro.broker.wire import encode_frame, recv_frame, sendall_vectored
 from repro.faults import FaultInjector
 from repro.monitoring import MetricsRegistry
 
@@ -242,7 +242,7 @@ class TestDispatchFollowsTheTable:
                 # A connection each: its strand is idle when the op arrives.
                 with socket.create_connection((server.host, server.port), timeout=10) as sock:
                     frame, blobs = _request(op)
-                    send_frame(sock, {"op": op.name, **frame}, blobs)
+                    sendall_vectored(sock, encode_frame({"op": op.name, **frame}, blobs))
                     response, _ = recv_frame(sock)
                     assert response["error"] == "LookupError", op.name
         for op in OPS.values():

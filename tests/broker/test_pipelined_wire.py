@@ -81,7 +81,7 @@ class TestPipelining:
         assert not errors
         assert remote.latest_offset("t", 0) == 10
         records = remote.fetch("t", 0, 0, max_records=20)
-        assert sorted(r.value for r in records) == [bytes([i]) for i in range(10)]
+        assert sorted(bytes(r.value) for r in records) == [bytes([i]) for i in range(10)]
 
     def test_concurrent_fetches_overlap_link_rtt(self, server):
         """Requests from several threads pay their emulated RTTs

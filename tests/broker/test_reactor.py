@@ -17,7 +17,7 @@ from repro.broker.wire import (
     FrameDecoder,
     encode_frame,
     recv_frame,
-    send_frame,
+    sendall_vectored,
 )
 
 
@@ -144,11 +144,10 @@ class TestReactorWirePath:
         threads_before = threading.active_count()
         sock = _connect(server)
         try:
-            send_frame(
-                sock,
+            sendall_vectored(sock, encode_frame(
                 {"op": "fetch_batch", "topic": "t", "partition": 0, "offset": 0,
                  "timeout": 30.0, "cid": 1},
-            )
+            ))
             assert _wait_until(lambda: server.parked_fetches == 1)
             # Parked as reactor state: no thread was spawned for it, and
             # the broker-level counter sees it while it is parked.
@@ -174,11 +173,10 @@ class TestReactorWirePath:
         sock = _connect(server)
         try:
             t0 = time.monotonic()
-            send_frame(
-                sock,
+            sendall_vectored(sock, encode_frame(
                 {"op": "fetch_batch", "topic": "t", "partition": 0, "offset": 0,
                  "timeout": 0.2, "cid": 9},
-            )
+            ))
             sock.settimeout(5)
             response, _ = recv_frame(sock)
             assert response["ok"] and response["result"] == []
@@ -190,19 +188,17 @@ class TestReactorWirePath:
         server.broker.create_topic("t", 1)
         sock = _connect(server)
         try:
-            send_frame(
-                sock,
+            sendall_vectored(sock, encode_frame(
                 {"op": "fetch_batch", "topic": "t", "partition": 0, "offset": 0,
                  "timeout": 30.0, "cid": 1},
-            )
+            ))
             assert _wait_until(lambda: server.parked_fetches == 1)
             # The same connection's append must get through — it is also
             # the append that wakes the parked fetch.
-            send_frame(
-                sock,
+            sendall_vectored(sock, encode_frame(
                 {"op": "append_batch", "topic": "t", "partition": 0, "cid": 2},
                 [b"wake"],
-            )
+            ))
             sock.settimeout(5)
             by_cid = {}
             for _ in range(2):
@@ -218,7 +214,7 @@ class TestReactorWirePath:
         socks = [_connect(server) for _ in range(3)]
         try:
             for sock in socks:  # force the accept to have happened
-                send_frame(sock, {"op": "list_topics"})
+                sendall_vectored(sock, encode_frame({"op": "list_topics"}))
                 recv_frame(sock)
             assert server.connections_active == 3
             metrics = server.metrics()
@@ -240,13 +236,13 @@ class TestReactorWirePath:
         real, server._handle_request = server._handle_request, boom
         sock = _connect(server)
         try:
-            send_frame(sock, {"op": "list_topics", "cid": 1})
+            sendall_vectored(sock, encode_frame({"op": "list_topics", "cid": 1}))
             name = "server.worker_errors.KeyError"
             assert _wait_until(
                 lambda: server.broker.registry.snapshot()["counters"].get(name) == 1
             )
             server._handle_request = real
-            send_frame(sock, {"op": "list_topics", "cid": 2})
+            sendall_vectored(sock, encode_frame({"op": "list_topics", "cid": 2}))
             sock.settimeout(5)
             response, _ = recv_frame(sock)
             assert response["ok"] and response["cid"] == 2
@@ -257,7 +253,7 @@ class TestReactorWirePath:
         server.broker.list_topics = lambda: {"not", "json"}
         sock = _connect(server)
         try:
-            send_frame(sock, {"op": "list_topics", "cid": 5})
+            sendall_vectored(sock, encode_frame({"op": "list_topics", "cid": 5}))
             sock.settimeout(5)
             response, _ = recv_frame(sock)
             assert response["cid"] == 5 and not response["ok"]
@@ -270,7 +266,7 @@ class TestReactorWirePath:
     def test_unknown_op_answered_not_dropped(self, server):
         sock = _connect(server)
         try:
-            send_frame(sock, {"op": "definitely_not_an_op", "cid": 3})
+            sendall_vectored(sock, encode_frame({"op": "definitely_not_an_op", "cid": 3}))
             sock.settimeout(5)
             response, _ = recv_frame(sock)
             assert not response["ok"] and response["cid"] == 3
@@ -305,13 +301,13 @@ class TestDispatch:
         with ReactorBrokerServer(broker) as server:
             first, second = _connect(server), _connect(server)
             try:
-                send_frame(first, append, [b"held"])
-                send_frame(first, {**latest, "cid": 2})
+                sendall_vectored(first, encode_frame(append, [b"held"]))
+                sendall_vectored(first, encode_frame({**latest, "cid": 2}))
                 assert broker.entered.wait(5)
                 # Another connection's strand is idle: served at once,
                 # before the held append lands.
                 second.settimeout(5)
-                send_frame(second, {**latest, "cid": 3})
+                sendall_vectored(second, encode_frame({**latest, "cid": 3}))
                 response, _ = recv_frame(second)
                 assert (response["cid"], response["result"]) == (3, 0)
                 first.settimeout(0.05)
@@ -336,16 +332,15 @@ class TestDispatch:
         broker.list_topics = lambda: [broker.append("t", 0, b"inline").offset]
         sock = _connect(server)
         try:
-            send_frame(
-                sock,
+            sendall_vectored(sock, encode_frame(
                 {"op": "fetch_batch", "topic": "t", "partition": 0, "offset": 0,
                  "timeout": 30.0, "cid": 1},
-            )
+            ))
             assert _wait_until(lambda: server.parked_fetches == 1)
             wakes = []
             real, server._wake = server._wake, lambda: wakes.append(1)
             sock.settimeout(5)
-            send_frame(sock, {"op": "list_topics", "cid": 2})
+            sendall_vectored(sock, encode_frame({"op": "list_topics", "cid": 2}))
             cids = {recv_frame(sock)[0]["cid"] for _ in range(2)}
             server._wake = real
             assert cids == {1, 2} and wakes == []
@@ -361,11 +356,10 @@ class TestDeterministicStop:
         socks = [_connect(server) for _ in range(4)]
         try:
             # One connection parks a long-poll that would outlive stop().
-            send_frame(
-                socks[0],
+            sendall_vectored(socks[0], encode_frame(
                 {"op": "fetch_batch", "topic": "t", "partition": 0, "offset": 0,
                  "timeout": 60.0},
-            )
+            ))
             assert _wait_until(lambda: server.parked_fetches == 1)
             server.stop()
             leaked = [
@@ -402,11 +396,10 @@ class TestRetiredOps:
         server.broker.create_topic("t", 1)
         sock = _connect(server)
         try:
-            send_frame(
-                sock,
+            sendall_vectored(sock, encode_frame(
                 {"op": op, "topic": "t", "partition": 0, "offset": 0,
                  "value": "eA==", "timeout": 1.0, "cid": 4},
-            )
+            ))
             sock.settimeout(5)
             response, _ = recv_frame(sock)
             assert not response["ok"] and response["cid"] == 4

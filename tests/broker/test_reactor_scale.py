@@ -15,7 +15,7 @@ import tracemalloc
 import pytest
 
 from repro.broker.reactor import ReactorBrokerServer
-from repro.broker.wire import recv_frame, send_frame
+from repro.broker.wire import encode_frame, recv_frame, sendall_vectored
 
 TARGET_CLIENTS = 1000
 N_PRODUCERS = 100
@@ -81,11 +81,10 @@ def test_1k_concurrent_clients_on_one_reactor():
 
         # Park every long-poller on one wire request each.
         for sock in pollers:
-            send_frame(
-                sock,
+            sendall_vectored(sock, encode_frame(
                 {"op": "fetch_batch", "topic": "lp", "partition": 0, "offset": 0,
                  "timeout": 60.0, "cid": 0},
-            )
+            ))
         assert _wait_until(lambda: server.parked_fetches == N_LONG_POLLERS)
 
         # O(1) threads: 1000 connections and 300 parked long-polls added
@@ -95,11 +94,10 @@ def test_1k_concurrent_clients_on_one_reactor():
         # Pipelined producers: several in-flight appends per connection.
         for i, sock in enumerate(producers):
             for j in range(APPENDS_PER_PRODUCER):
-                send_frame(
-                    sock,
+                sendall_vectored(sock, encode_frame(
                     {"op": "append_batch", "topic": "prod", "partition": 0, "cid": j},
                     [b"m%d-%d" % (i, j)],
-                )
+                ))
         for sock in producers:
             cids = set()
             for _ in range(APPENDS_PER_PRODUCER):

@@ -159,8 +159,8 @@ class TestClientsOverRemote:
             c2.subscribe("t")
             seen = []
             for _ in range(8):
-                seen.extend(r.value for r in c1.poll(max_records=16))
-                seen.extend(r.value for r in c2.poll(max_records=16))
+                seen.extend(bytes(r.value) for r in c1.poll(max_records=16))
+                seen.extend(bytes(r.value) for r in c2.poll(max_records=16))
             assert sorted(seen) == [bytes([i]) for i in range(8)]
             # Rebalanced split: two partitions each.
             assert len(c1.assignment) == 2

@@ -23,7 +23,7 @@ from repro import (
 )
 from repro.broker import Broker
 from repro.broker.remote import BrokerServer, RemoteBroker
-from repro.broker.wire import recv_frame, send_frame
+from repro.broker.wire import encode_frame, recv_frame, sendall_vectored
 from repro.monitoring import MetricsRegistry, TelemetrySampler, Tracer, stitch_spans
 
 
@@ -159,11 +159,10 @@ class TestOldFrameCompatibility:
         core = Broker(name="core", tracer=tracer)
         with BrokerServer(broker=core, tracer=tracer) as server:
             with socket.create_connection((server.host, server.port)) as sock:
-                send_frame(
-                    sock,
+                sendall_vectored(sock, encode_frame(
                     {"op": "create_topic", "topic": "t", "num_partitions": 1,
                      "cid": 1},
-                )
+                ))
                 response, blobs = recv_frame(sock)
         assert response["ok"], response
         assert response["cid"] == 1
@@ -179,11 +178,10 @@ class TestOldFrameCompatibility:
         with BrokerServer(broker=core, tracer=tracer) as server:
             root = tracer.start_trace("client.op", site="edge")
             with socket.create_connection((server.host, server.port)) as sock:
-                send_frame(
-                    sock,
+                sendall_vectored(sock, encode_frame(
                     {"op": "create_topic", "topic": "t", "num_partitions": 2,
                      "cid": 7, "trace": root.context},
-                )
+                ))
                 response, _ = recv_frame(sock)
             root.finish()
         assert response["ok"], response
