@@ -8,10 +8,13 @@ detectors evaluated in section III:
 - :class:`IsolationForest` — 100-tree ensemble, PyOD-compatible defaults,
 - :class:`AutoEncoder` — dense auto-encoder replicating PyOD's
   construction for hidden layers [64, 32, 32, 64] on 32 features, which
-  yields exactly the paper's 11,552 trainable parameters.
+  yields exactly the paper's 11,552 trainable parameters; its forward
+  pass, gradients and Adam step are its own.
 
 All detectors share the :class:`BaseOutlierDetector` interface:
-``fit`` / ``partial_fit`` / ``decision_function`` / ``predict``.
+``fit`` / ``partial_fit`` / ``decision_function`` / ``predict``. The
+contamination share that sets their decision threshold is one constant,
+``repro.ml.base.CONTAMINATION``.
 """
 
 from repro.ml.base import BaseOutlierDetector, NotFittedError

@@ -12,6 +12,12 @@ to the hidden layer list *and* adds a final output layer, so the stack for
 
 parameter count: 1056 + 2112 + 2080 + 1056 + 2112 + 2080 + 1056 = 11,552.
 
+The network is the detector's own: a flat list of parameters
+``[W0, b0, W1, b1, ...]`` with Glorot-uniform weights and zero biases,
+ReLU between layers and identity on the last, trained on the mean squared
+reconstruction error with Adam, in mini-batches, all at Keras's defaults
+(PyOD's, and so the paper's).
+
 Outlier scoring uses the per-sample reconstruction error (L2 norm of the
 residual), the standard auto-encoder anomaly criterion. Input is
 standardised with an incrementally-updated :class:`StandardScaler`, which
@@ -24,9 +30,16 @@ from __future__ import annotations
 import numpy as np
 
 from repro.ml.base import BaseOutlierDetector
-from repro.ml.nn import Adam, Dense, MSELoss, Sequential
 from repro.ml.preprocessing import StandardScaler
 from repro.util.validation import ValidationError, check_positive
+
+#: Rows per training step (Keras's default batch size).
+BATCH_SIZE = 32
+#: Adam's learning rate, moment decays and epsilon (Keras's defaults).
+LR = 1e-3
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
 
 
 class AutoEncoder(BaseOutlierDetector):
@@ -40,44 +53,33 @@ class AutoEncoder(BaseOutlierDetector):
     epochs:
         Training epochs per ``fit``/``partial_fit`` batch. Streaming
         deployments use small values since every block triggers an update.
-    batch_size, lr:
-        Mini-batch size and Adam learning rate (Keras defaults).
-    activation:
-        Hidden activation; PyOD's default is ReLU.
+    seed:
+        Seeds the weights and the order rows are trained in.
     """
 
     def __init__(
         self,
         hidden_neurons: tuple = (64, 32, 32, 64),
-        contamination: float = 0.01,
         epochs: int = 4,
-        batch_size: int = 32,
-        lr: float = 1e-3,
-        activation: str = "relu",
         seed: int = 0,
     ) -> None:
-        super().__init__(contamination=contamination)
+        super().__init__()
         if not hidden_neurons:
             raise ValidationError("hidden_neurons must be non-empty")
         for h in hidden_neurons:
             check_positive("hidden layer size", h)
         check_positive("epochs", epochs)
-        check_positive("batch_size", batch_size)
-        check_positive("lr", lr)
         self.hidden_neurons = tuple(int(h) for h in hidden_neurons)
         self.epochs = int(epochs)
-        self.batch_size = int(batch_size)
-        self.lr = float(lr)
-        self.activation = activation
         self._seed = seed
-        self.network: Sequential | None = None
         self.scaler = StandardScaler()
+        self._params: list[np.ndarray] = []  # [W0, b0, W1, b1, ...]; empty until built
         self._epoch_losses: list[float] = []
 
-    # -- construction ------------------------------------------------------
+    # -- the network -------------------------------------------------------
 
-    def _layer_sizes(self, n_features: int) -> list[int]:
-        """PyOD-compatible layer sizes.
+    def _build(self, n_features: int) -> None:
+        """Fresh weights and Adam moments for PyOD's stack.
 
         PyOD builds a Dense layer for every entry of
         ``[n_features, *hidden_neurons, n_features]`` (including the first,
@@ -85,43 +87,71 @@ class AutoEncoder(BaseOutlierDetector):
         output Dense(n_features). For 32 features and [64, 32, 32, 64] this
         yields exactly the paper's 11,552 parameters.
         """
-        return [n_features, n_features, *self.hidden_neurons, n_features, n_features]
+        sizes = [n_features, n_features, *self.hidden_neurons, n_features, n_features]
+        seeds = np.random.default_rng(self._seed)
+        self._params = []
+        for n_in, n_out in zip(sizes, sizes[1:]):
+            rng = np.random.default_rng(int(seeds.integers(2**31)))
+            limit = np.sqrt(6.0 / (n_in + n_out))
+            self._params += [rng.uniform(-limit, limit, size=(n_in, n_out)), np.zeros(n_out)]
+        self._m = [np.zeros_like(p) for p in self._params]
+        self._v = [np.zeros_like(p) for p in self._params]
+        self._t = 0
 
-    def _build(self, n_features: int) -> Sequential:
-        sizes = self._layer_sizes(n_features)
-        layers = []
-        rng = np.random.default_rng(self._seed)
-        for i in range(len(sizes) - 1):
-            is_output = i == len(sizes) - 2
-            layers.append(
-                Dense(
-                    sizes[i],
-                    sizes[i + 1],
-                    activation=None if is_output else self.activation,
-                    seed=int(rng.integers(2**31)),
-                )
-            )
-        return Sequential(layers, loss=MSELoss(), optimizer=Adam(lr=self.lr))
+    def _forward(self, x: np.ndarray) -> list[np.ndarray]:
+        """Every layer's pre-activation; the last is the reconstruction."""
+        zs = []
+        for i in range(0, len(self._params), 2):
+            a = np.maximum(zs[-1], 0.0) if zs else x
+            zs.append(a @ self._params[i] + self._params[i + 1])
+        return zs
+
+    def _gradients(self, x: np.ndarray) -> tuple[float, list[np.ndarray]]:
+        """Mean squared reconstruction error of *x*, and its gradient for
+        every parameter, in ``_params`` order."""
+        zs = self._forward(x)
+        diff = zs[-1] - x
+        grad = 2.0 * diff / diff.size
+        grads = [None] * len(self._params)
+        for i in range(len(zs) - 1, -1, -1):
+            a = np.maximum(zs[i - 1], 0.0) if i else x
+            grads[2 * i] = a.T @ grad
+            grads[2 * i + 1] = grad.sum(axis=0)
+            if i:
+                grad = (grad @ self._params[2 * i].T) * (zs[i - 1] > 0.0)
+        return float(np.mean(diff * diff)), grads
+
+    def _adam_step(self, grads: list[np.ndarray]) -> None:
+        """One bias-corrected Adam update of every parameter."""
+        self._t += 1
+        bc1 = 1.0 - BETA1**self._t
+        bc2 = 1.0 - BETA2**self._t
+        for p, g, m, v in zip(self._params, grads, self._m, self._v):
+            m *= BETA1
+            m += (1.0 - BETA1) * g
+            v *= BETA2
+            v += (1.0 - BETA2) * (g * g)
+            p -= LR * (m / bc1) / (np.sqrt(v / bc2) + EPS)
 
     @property
     def n_params(self) -> int:
         """Trainable parameter count (11,552 for the paper's config)."""
-        if self.network is None:
+        if not self._params:
             raise ValidationError("model has not been built; call fit first")
-        return self.network.n_params
+        return sum(p.size for p in self._params)
 
     @property
     def training_history(self) -> list[float]:
-        """Mean epoch losses accumulated over the model's lifetime."""
+        """Mean epoch losses of the latest ``fit`` / ``partial_fit`` call."""
         return list(self._epoch_losses)
 
     # -- weights (for the parameter server) ---------------------------------
 
     def get_weights(self) -> dict:
-        if self.network is None:
+        if not self._params:
             raise ValidationError("model has no weights yet")
         return {
-            "arrays": self.network.get_weights(),
+            "arrays": [p.copy() for p in self._params],
             "scaler_mean": None if self.scaler.mean_ is None else self.scaler.mean_.copy(),
             "scaler_m2": None if self.scaler._m2 is None else self.scaler._m2.copy(),
             "scaler_n": self.scaler.n_samples_seen_,
@@ -129,12 +159,18 @@ class AutoEncoder(BaseOutlierDetector):
 
     def set_weights(self, weights: dict) -> None:
         arrays = weights["arrays"]
-        if self.network is None:
+        if not self._params:
             # Infer the input dimension from the first weight matrix.
             n_features = int(np.asarray(arrays[0]).shape[0])
-            self.network = self._build(n_features)
+            self._build(n_features)
             self._n_features = n_features
-        self.network.set_weights(arrays)
+        if len(arrays) != len(self._params):
+            raise ValueError(f"expected {len(self._params)} weight arrays, got {len(arrays)}")
+        for p, w in zip(self._params, arrays):
+            w = np.asarray(w, dtype=np.float64)
+            if w.shape != p.shape:
+                raise ValueError(f"shape mismatch: {w.shape} vs {p.shape}")
+            p[...] = w
         if weights.get("scaler_mean") is not None:
             self.scaler.mean_ = np.asarray(weights["scaler_mean"], dtype=np.float64)
             self.scaler._m2 = np.asarray(weights["scaler_m2"], dtype=np.float64)
@@ -145,33 +181,35 @@ class AutoEncoder(BaseOutlierDetector):
 
     def _reset(self) -> None:
         super()._reset()
-        self.network = None
+        self._params = []
         self.scaler = StandardScaler()
         self._epoch_losses = []
 
     def _fit_batch(self, X: np.ndarray) -> None:
-        if self.network is None:
-            self.network = self._build(X.shape[1])
+        """``epochs`` passes over the block in seeded mini-batches."""
+        if not self._params:
+            self._build(X.shape[1])
         self.scaler.partial_fit(X)
         Xs = self.scaler.transform(X)
-        history = self.network.fit(
-            Xs,
-            Xs,
-            epochs=self.epochs,
-            batch_size=self.batch_size,
-            seed=self._seed,
-        )
-        self._epoch_losses.extend(history)
+        rng = np.random.default_rng(self._seed)
+        self._epoch_losses = []
+        for _ in range(self.epochs):
+            order = rng.permutation(Xs.shape[0])
+            losses = []
+            for start in range(0, Xs.shape[0], BATCH_SIZE):
+                loss, grads = self._gradients(Xs[order[start : start + BATCH_SIZE]])
+                self._adam_step(grads)
+                losses.append(loss)
+            self._epoch_losses.append(float(np.mean(losses)))
 
     def _score(self, X: np.ndarray) -> np.ndarray:
         Xs = self.scaler.transform(X)
-        recon = self.network.forward(Xs)
-        return np.linalg.norm(Xs - recon, axis=1)
+        return np.linalg.norm(Xs - self._forward(Xs)[-1], axis=1)
 
     def reconstruct(self, X: np.ndarray) -> np.ndarray:
         """Reconstruction of X in the original feature space."""
-        if self.network is None:
+        if not self._params:
             raise ValidationError("model has not been fitted")
         X = self._validate(X, fitting=False)
         Xs = self.scaler.transform(X)
-        return self.scaler.inverse_transform(self.network.forward(Xs))
+        return self.scaler.inverse_transform(self._forward(Xs)[-1])

@@ -13,7 +13,11 @@ import abc
 import numpy as np
 
 from repro.ml.metrics import contamination_threshold
-from repro.util.validation import ValidationError, check_in_range
+from repro.util.validation import ValidationError
+
+#: Expected share of outliers: a fit sets the decision threshold at this
+#: upper quantile of its scores (PyOD's default, which the paper used).
+CONTAMINATION = 0.01
 
 
 class NotFittedError(RuntimeError):
@@ -28,9 +32,7 @@ class BaseOutlierDetector(abc.ABC):
     contamination-quantile decision threshold.
     """
 
-    def __init__(self, contamination: float = 0.01) -> None:
-        check_in_range("contamination", contamination, 0.0, 0.5)
-        self.contamination = float(contamination)
+    def __init__(self) -> None:
         self._fitted = False
         self._n_features: int | None = None
         self._n_samples_seen = 0
@@ -138,8 +140,8 @@ class BaseOutlierDetector(abc.ABC):
         if X.shape[0] > self._THRESHOLD_SAMPLE:
             idx = np.linspace(0, X.shape[0] - 1, self._THRESHOLD_SAMPLE).astype(int)
             X = X[idx]
-        self._threshold = contamination_threshold(self._score(X), self.contamination)
+        self._threshold = contamination_threshold(self._score(X), CONTAMINATION)
 
     def __repr__(self) -> str:
         state = "fitted" if self._fitted else "unfitted"
-        return f"{type(self).__name__}(contamination={self.contamination}, {state})"
+        return f"{type(self).__name__}({state})"

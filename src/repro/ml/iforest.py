@@ -41,6 +41,9 @@ from repro.util.validation import check_in_range, check_positive
 
 _EULER_GAMMA = 0.5772156649015329
 
+#: Rows subsampled per tree (256, per the original algorithm).
+MAX_SAMPLES = 256
+
 #: Rows scored per descent, and the unit the threads that score a block
 #: take in turn. The working set of one slab is five (rows, trees) planes
 #: of 8-byte values — 2 MB at 100 trees, one per descending thread, where
@@ -132,26 +135,22 @@ class IsolationForest(BaseOutlierDetector):
     ----------
     n_estimators:
         Ensemble size; the paper uses the PyOD default of 100.
-    max_samples:
-        Subsample size per tree (256, per the original algorithm).
     refresh_fraction:
         Fraction of trees rebuilt from each ``partial_fit`` batch.
+    seed:
+        Seeds the subsamples and splits.
     """
 
     def __init__(
         self,
         n_estimators: int = 100,
-        max_samples: int = 256,
-        contamination: float = 0.01,
         refresh_fraction: float = 0.25,
         seed: int = 0,
     ) -> None:
-        super().__init__(contamination=contamination)
+        super().__init__()
         check_positive("n_estimators", n_estimators)
-        check_positive("max_samples", max_samples)
         check_in_range("refresh_fraction", refresh_fraction, 0.0, 1.0)
         self.n_estimators = int(n_estimators)
-        self.max_samples = int(max_samples)
         self.refresh_fraction = float(refresh_fraction)
         self._seed = seed
         self._reset()
@@ -244,7 +243,7 @@ class IsolationForest(BaseOutlierDetector):
         self._levels = max(self._levels, level)
 
     def _fit_batch(self, X: np.ndarray) -> None:
-        m = min(self.max_samples, X.shape[0])
+        m = min(MAX_SAMPLES, X.shape[0])
         self._normaliser = max(average_path_length(np.array([m]))[0], 1e-12)
         self._reserve(2 * m - 1)
         # The first batch builds every tree; later ones rebuild a rotating

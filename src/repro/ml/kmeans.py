@@ -46,19 +46,12 @@ class StreamingKMeans(BaseOutlierDetector):
     ----------
     n_clusters:
         Number of centres; the paper uses 25 throughout.
-    contamination:
-        Expected outlier fraction, sets the decision threshold.
     seed:
         Seed for the k-means++ initialisation.
     """
 
-    def __init__(
-        self,
-        n_clusters: int = 25,
-        contamination: float = 0.01,
-        seed: int = 0,
-    ) -> None:
-        super().__init__(contamination=contamination)
+    def __init__(self, n_clusters: int = 25, seed: int = 0) -> None:
+        super().__init__()
         check_positive("n_clusters", n_clusters)
         self.n_clusters = int(n_clusters)
         self._rng = np.random.default_rng(seed)

@@ -12,6 +12,11 @@ import numpy as np
 
 from repro.util.validation import ValidationError
 
+#: Whether ``transform`` removes the mean and divides by the standard
+#: deviation (both, as every model here standardises its input).
+WITH_MEAN = True
+WITH_STD = True
+
 
 class StandardScaler:
     """Zero-mean / unit-variance scaling with incremental updates.
@@ -23,9 +28,7 @@ class StandardScaler:
     2.0
     """
 
-    def __init__(self, with_mean: bool = True, with_std: bool = True) -> None:
-        self.with_mean = bool(with_mean)
-        self.with_std = bool(with_std)
+    def __init__(self) -> None:
         self.n_samples_seen_ = 0
         self.mean_: np.ndarray | None = None
         self._m2: np.ndarray | None = None  # sum of squared deviations
@@ -76,9 +79,9 @@ class StandardScaler:
             raise ValidationError("StandardScaler has not been fitted")
         X = self._check(X)
         out = X.astype(np.float64, copy=True)
-        if self.with_mean:
+        if WITH_MEAN:
             out -= self.mean_
-        if self.with_std:
+        if WITH_STD:
             out /= self.scale_
         return out
 
@@ -90,9 +93,9 @@ class StandardScaler:
             raise ValidationError("StandardScaler has not been fitted")
         X = self._check(X)
         out = X.astype(np.float64, copy=True)
-        if self.with_std:
+        if WITH_STD:
             out *= self.scale_
-        if self.with_mean:
+        if WITH_MEAN:
             out += self.mean_
         return out
 

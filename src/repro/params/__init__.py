@@ -1,26 +1,24 @@
 """Shared-state / parameter-server substrate (Redis-equivalent).
 
 The paper shares ML model weights across the continuum through "a
-Redis-based parameter server". This package provides the same
-capability from scratch:
+Redis-based parameter server". This package provides the part of it the
+pipeline uses:
 
-- :class:`VersionedStore` — versioned key/value entries with
-  compare-and-set, TTL expiry and per-key statistics,
-- :class:`ParameterServer` — thread-safe store plus blocking *watch*
-  (wait for a newer version) and update subscriptions,
+- :class:`ParameterServer` — a thread-safe versioned key/value store:
+  ``set`` bumps the key's version, ``get`` returns the latest
+  :class:`Entry` (``KeyNotFound`` when there is none), ``keys`` lists
+  them,
 - :class:`ParameterClient` — the client handle given to pipeline tasks;
-  it can be bound to a :mod:`repro.netem` link so cross-continuum
-  parameter traffic pays realistic latency/bandwidth costs.
+  it namespaces its keys and can be bound to a :mod:`repro.netem` link so
+  cross-continuum parameter traffic pays realistic latency/bandwidth
+  costs.
 """
 
-from repro.params.store import VersionedStore, Entry, CasConflict, KeyNotFound
-from repro.params.server import ParameterServer
+from repro.params.server import Entry, KeyNotFound, ParameterServer
 from repro.params.client import ParameterClient
 
 __all__ = [
-    "VersionedStore",
     "Entry",
-    "CasConflict",
     "KeyNotFound",
     "ParameterServer",
     "ParameterClient",

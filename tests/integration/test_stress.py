@@ -7,7 +7,6 @@ import pytest
 
 from repro.broker import Broker, Consumer, Producer
 from repro.compute import Client, ComputeCluster, ResourceSpec
-from repro.params import CasConflict, ParameterClient, ParameterServer
 
 
 class TestBrokerUnderContention:
@@ -89,49 +88,6 @@ class TestBrokerUnderContention:
         for t in threads:
             t.join(timeout=10)
         assert len(seen) == total
-
-
-class TestParameterServerUnderContention:
-    def test_hammering_cas_counter(self):
-        server = ParameterServer()
-        server.set("counter", 0)
-        increments_per_thread = 50
-
-        def increment_loop():
-            client = ParameterClient(server)
-            done = 0
-            while done < increments_per_thread:
-                entry = client.get("counter")
-                try:
-                    client.compare_and_set("counter", entry.value + 1, entry.version)
-                    done += 1
-                except CasConflict:
-                    continue
-
-        threads = [threading.Thread(target=increment_loop) for _ in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert server.get("counter").value == 4 * increments_per_thread
-
-    def test_concurrent_watchers_all_wake(self):
-        server = ParameterServer()
-        results: list = []
-        lock = threading.Lock()
-
-        def watcher():
-            entry = server.watch("key", after_version=0, timeout=10.0)
-            with lock:
-                results.append(entry.value)
-
-        threads = [threading.Thread(target=watcher) for _ in range(8)]
-        for t in threads:
-            t.start()
-        server.set("key", "broadcast")
-        for t in threads:
-            t.join(timeout=10)
-        assert results == ["broadcast"] * 8
 
 
 class TestComputeUnderContention:

@@ -32,6 +32,20 @@ class TestArchitecture:
         with pytest.raises(ValidationError):
             AutoEncoder(epochs=0)
 
+    def test_seeded_scores_match_the_recorded_ones(self):
+        # Recorded before the network moved into AutoEncoder, from the
+        # separate layer / optimizer classes it had: the same draws and
+        # the same arithmetic in the same order give the same scores.
+        X = np.random.default_rng(0).normal(size=(64, 4))
+        ae = AutoEncoder(hidden_neurons=(8,), epochs=2, seed=0).fit(X)
+        np.testing.assert_allclose(
+            ae.decision_function(X)[:5],
+            [0.7151252234923409, 2.2333335561230934, 1.694001873991629,
+             3.0875824745978058, 1.572267203600875],
+            rtol=0, atol=1e-12,
+        )
+        assert ae.threshold == pytest.approx(3.6615723109611116, rel=0, abs=1e-12)
+
 
 class TestDetection:
     def test_detects_injected_outliers(self, labeled_block):
@@ -52,9 +66,18 @@ class TestDetection:
     def test_partial_fit_continues_training(self, small_block):
         ae = AutoEncoder(epochs=2, seed=0)
         ae.partial_fit(small_block)
-        n1 = len(ae.training_history)
+        first = ae.training_history
         ae.partial_fit(small_block)
-        assert len(ae.training_history) == 2 * n1
+        assert ae.training_history[0] < first[0]
+
+    def test_streamed_history_stays_bounded(self):
+        # One partial_fit per message: the history holds the latest
+        # call's epochs, not every call's.
+        ae = AutoEncoder(hidden_neurons=(8,), epochs=2, seed=0)
+        block = np.random.default_rng(0).normal(size=(8, 4))
+        for _ in range(1000):
+            ae.partial_fit(block)
+        assert len(ae._epoch_losses) <= ae.epochs
 
     def test_reconstruct_shape(self, small_block):
         ae = AutoEncoder(epochs=2, seed=0).fit(small_block)
@@ -87,7 +110,7 @@ class TestWeightSharing:
         fresh = AutoEncoder()
         fresh.set_weights(ae.get_weights())
         assert fresh.fitted
-        assert fresh.network is not None
+        assert fresh.n_params == ae.n_params
 
     def test_get_weights_before_fit_raises(self):
         with pytest.raises(ValidationError):

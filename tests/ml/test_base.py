@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.ml import NotFittedError
+from repro.ml import base
 from repro.ml.base import BaseOutlierDetector
 from repro.util.validation import ValidationError
 
@@ -11,8 +12,8 @@ from repro.util.validation import ValidationError
 class _MeanDistanceDetector(BaseOutlierDetector):
     """Trivial concrete detector: score = distance to running mean."""
 
-    def __init__(self, **kw):
-        super().__init__(**kw)
+    def __init__(self):
+        super().__init__()
         self._sum = None
         self._n = 0
 
@@ -35,7 +36,7 @@ class _MeanDistanceDetector(BaseOutlierDetector):
 
 @pytest.fixture
 def det():
-    return _MeanDistanceDetector(contamination=0.1)
+    return _MeanDistanceDetector()
 
 
 class TestLifecycle:
@@ -100,9 +101,10 @@ class TestValidation:
         with pytest.raises(ValidationError, match="features"):
             det.decision_function(np.zeros((3, 5)))
 
-    def test_rejects_bad_contamination(self):
-        with pytest.raises(ValidationError):
-            _MeanDistanceDetector(contamination=0.7)
+    def test_rejects_bad_contamination(self, det, small_block, monkeypatch):
+        monkeypatch.setattr(base, "CONTAMINATION", 0.7)
+        with pytest.raises(ValidationError, match="contamination"):
+            det.fit(small_block)
 
 
 class TestPredictions:
@@ -110,8 +112,8 @@ class TestPredictions:
         labels = det.fit_predict(small_block)
         assert set(np.unique(labels)) <= {0, 1}
 
-    def test_contamination_controls_positive_rate(self, small_block):
-        det = _MeanDistanceDetector(contamination=0.2)
+    def test_contamination_controls_positive_rate(self, det, small_block, monkeypatch):
+        monkeypatch.setattr(base, "CONTAMINATION", 0.2)
         labels = det.fit_predict(small_block)
         # Quantile thresholding: roughly 20% flagged on the training data.
         assert 0.05 <= labels.mean() <= 0.35

@@ -5,6 +5,7 @@ import os
 import sys
 import threading
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -97,8 +98,8 @@ class TestIsolationForest:
         assert score_after < score_before  # shifted data became "normal"
 
     def test_subsample_capped_by_data(self, rng):
-        forest = IsolationForest(n_estimators=5, max_samples=256, seed=0)
-        forest.fit(rng.normal(size=(50, 3)))  # fewer points than max_samples
+        forest = IsolationForest(n_estimators=5, seed=0)
+        forest.fit(rng.normal(size=(50, 3)))  # fewer points than MAX_SAMPLES
         scores = forest.decision_function(rng.normal(size=(10, 3)))
         assert scores.shape == (10,)
 
@@ -155,7 +156,7 @@ def _streaming_digest() -> str:
     dup.partial_fit(rng.normal(size=(300, 4)))
     feed(dup, rng.normal(size=(40, 4)))
 
-    few = IsolationForest(n_estimators=7, max_samples=256, seed=3).fit(rng.normal(size=(17, 3)))
+    few = IsolationForest(n_estimators=7, seed=3).fit(rng.normal(size=(17, 3)))
     feed(few, rng.normal(size=(33, 3)))
     few.partial_fit(rng.normal(size=(400, 3)))
     feed(few, rng.normal(size=(33, 3)))
@@ -218,15 +219,16 @@ class TestBuild:
     def test_every_tree_isolates_its_subsample(
         self, fit_rows, spare, features, trees, discrete, seed
     ):
-        # max_samples >= the rows, so every tree's subsample is every row
+        # MAX_SAMPLES >= the rows, so every tree's subsample is every row
         # and routing the fitted rows replays each tree's build.
         rng = np.random.default_rng(seed)
         if discrete:  # duplicate rows, constant features, values on a split's bounds
             X = rng.integers(0, 3, size=(fit_rows, features)).astype(np.float64)
         else:
             X = rng.normal(size=(fit_rows, features))
-        forest = IsolationForest(n_estimators=trees, max_samples=fit_rows + spare, seed=seed)
-        forest.fit(X)
+        forest = IsolationForest(n_estimators=trees, seed=seed)
+        with mock.patch.object(iforest, "MAX_SAMPLES", fit_rows + spare):
+            forest.fit(X)
         limit = int(np.ceil(np.log2(max(fit_rows, 2))))
         for tree in range(trees):
             depth, credit = forest._nodes["depth"][tree], forest._nodes["credit"][tree]
@@ -277,7 +279,7 @@ class TestKernel:
         # — so the trees, and this digest, changed; the algorithm did not
         # (TestBuild). The sequence: fit, five partial_fits with scoring in
         # between, an all-duplicates fit, a fit on fewer rows than
-        # max_samples. Byte for byte, so a change of summation order, of
+        # MAX_SAMPLES. Byte for byte, so a change of summation order, of
         # random-generator consumption or of the normaliser shows here.
         assert _streaming_digest() == (
             "2d517984a5ac5eee3d3cd1199101aa228fce54ff0e18d8ba1ece2f87dd847fe8"
@@ -305,8 +307,9 @@ class TestKernel:
                 return rng.integers(0, 3, size=(n, features)).astype(np.float64)
             return rng.normal(size=(n, features))
 
-        forest = IsolationForest(n_estimators=trees, max_samples=max_samples, seed=seed)
-        forest.fit(draw(fit_rows)).partial_fit(draw(fit_rows + 7))
+        forest = IsolationForest(n_estimators=trees, seed=seed)
+        with mock.patch.object(iforest, "MAX_SAMPLES", max_samples):
+            forest.fit(draw(fit_rows)).partial_fit(draw(fit_rows + 7))
         X = draw(rows)
         mean_path = np.array([np.mean([_walk(forest, t, x) for t in range(trees)]) for x in X])
         c = max(average_path_length(np.array([min(max_samples, fit_rows + 7)]))[0], 1e-12)

@@ -1,239 +1,174 @@
-"""Tests for the neural-network stack, including gradient checking."""
+"""Tests for the auto-encoder's network: forward pass, gradients checked
+against finite differences, the Adam step, and its weights' round trip."""
 
 import numpy as np
 import pytest
 
-from repro.ml.nn import (
-    Adam,
-    Dense,
-    Identity,
-    MSELoss,
-    ReLU,
-    SGD,
-    Sequential,
-    Sigmoid,
-    Tanh,
-    activation_by_name,
-)
+from repro.ml import AutoEncoder
+from repro.ml.autoencoder import LR
+
+STEP = 1e-6
+
+
+@pytest.fixture
+def block():
+    return np.random.default_rng(8).normal(size=(40, 4))
+
+
+def _net(n_features=3, hidden=(4,), seed=0):
+    """A built, untrained auto-encoder. Its biases are drawn too, so that
+    no pre-activation sits on ReLU's kink at 0, where a central difference
+    and the gradient disagree."""
+    ae = AutoEncoder(hidden_neurons=hidden, seed=seed)
+    ae._build(n_features)
+    rng = np.random.default_rng(seed)
+    for b in ae._params[1::2]:
+        b[...] = rng.normal(scale=0.1, size=b.shape)
+    return ae
+
+
+def _numeric(ae, x, index):
+    """Central differences of the loss in every entry of parameter *index*."""
+    p = ae._params[index]
+    out = np.zeros_like(p)
+    for i in np.ndindex(p.shape):
+        orig = p[i]
+        p[i] = orig + STEP
+        lp = ae._gradients(x)[0]
+        p[i] = orig - STEP
+        lm = ae._gradients(x)[0]
+        p[i] = orig
+        out[i] = (lp - lm) / (2 * STEP)
+    return out
 
 
 class TestActivations:
-    @pytest.mark.parametrize("name,cls", [
-        ("relu", ReLU), ("sigmoid", Sigmoid), ("tanh", Tanh), ("identity", Identity),
-    ])
-    def test_registry(self, name, cls):
-        assert isinstance(activation_by_name(name), cls)
-
-    def test_unknown_name(self):
-        with pytest.raises(ValueError, match="unknown activation"):
-            activation_by_name("swish")
-
     def test_relu_forward(self):
-        z = np.array([-1.0, 0.0, 2.0])
-        np.testing.assert_array_equal(ReLU().forward(z), [0.0, 0.0, 2.0])
-
-    def test_sigmoid_stable_at_extremes(self):
-        z = np.array([-1000.0, 1000.0])
-        out = Sigmoid().forward(z)
-        assert out[0] == pytest.approx(0.0, abs=1e-12)
-        assert out[1] == pytest.approx(1.0, abs=1e-12)
-        assert np.isfinite(out).all()
-
-    @pytest.mark.parametrize("act", [ReLU(), Sigmoid(), Tanh(), Identity()])
-    def test_gradient_matches_finite_difference(self, act):
-        rng = np.random.default_rng(0)
-        z = rng.normal(size=(5, 3)) + 0.1  # avoid ReLU kink at 0
-        grad_out = rng.normal(size=(5, 3))
-        analytic = act.backward(z, grad_out)
-        eps = 1e-6
-        numeric = np.zeros_like(z)
-        for i in np.ndindex(z.shape):
-            zp, zm = z.copy(), z.copy()
-            zp[i] += eps
-            zm[i] -= eps
-            numeric[i] = ((act.forward(zp) - act.forward(zm)) / (2 * eps) * grad_out)[i]
-        np.testing.assert_allclose(analytic, numeric, atol=1e-5)
+        ae = _net()
+        x = np.random.default_rng(0).normal(size=(5, 3))
+        zs = ae._forward(x)
+        W, b = ae._params[0::2], ae._params[1::2]
+        np.testing.assert_array_equal(zs[0], x @ W[0] + b[0])
+        for i in range(1, len(zs)):
+            np.testing.assert_array_equal(zs[i], np.maximum(zs[i - 1], 0.0) @ W[i] + b[i])
+        assert (zs[-1] < 0).any()  # identity on the last layer
 
 
 class TestDense:
     def test_output_shape(self):
-        layer = Dense(4, 7, seed=0)
-        assert layer.forward(np.zeros((3, 4))).shape == (3, 7)
+        zs = _net()._forward(np.zeros((7, 3)))
+        assert [z.shape for z in zs] == [(7, 3), (7, 4), (7, 3), (7, 3)]
 
     def test_param_count(self):
-        assert Dense(4, 7).n_params == 4 * 7 + 7
-
-    def test_backward_before_forward_raises(self):
-        with pytest.raises(RuntimeError):
-            Dense(2, 2).backward(np.zeros((1, 2)))
+        ae = _net()
+        assert ae._params[4].size + ae._params[5].size == 4 * 3 + 3
 
     def test_glorot_initialisation_bounds(self):
-        layer = Dense(100, 100, seed=1)
-        limit = np.sqrt(6.0 / 200)
-        assert np.abs(layer.W).max() <= limit
-        assert (layer.b == 0).all()
+        ae = AutoEncoder(hidden_neurons=(50,), seed=1)
+        ae._build(100)
+        for W, b in zip(ae._params[0::2], ae._params[1::2]):
+            limit = np.sqrt(6.0 / sum(W.shape))
+            assert np.abs(W).max() <= limit
+            assert np.abs(W).max() > 0.9 * limit
+            assert (b == 0).all()
 
     def test_gradient_check_weights(self):
-        rng = np.random.default_rng(2)
-        layer = Dense(3, 2, activation="tanh", seed=0)
-        x = rng.normal(size=(4, 3))
-        target = rng.normal(size=(4, 2))
-        loss = MSELoss()
-
-        pred = layer.forward(x)
-        layer.backward(loss.gradient(pred, target))
-        analytic_dW = layer.dW.copy()
-
-        eps = 1e-6
-        numeric_dW = np.zeros_like(layer.W)
-        for i in np.ndindex(layer.W.shape):
-            orig = layer.W[i]
-            layer.W[i] = orig + eps
-            lp = loss.value(layer.forward(x), target)
-            layer.W[i] = orig - eps
-            lm = loss.value(layer.forward(x), target)
-            layer.W[i] = orig
-            numeric_dW[i] = (lp - lm) / (2 * eps)
-        np.testing.assert_allclose(analytic_dW, numeric_dW, atol=1e-5)
+        ae = _net(seed=2)
+        x = np.random.default_rng(2).normal(size=(4, 3))
+        _, grads = ae._gradients(x)
+        for index in (len(ae._params) - 2, len(ae._params) - 1):  # the output layer
+            np.testing.assert_allclose(grads[index], _numeric(ae, x, index), atol=1e-5)
 
     def test_gradient_check_input(self):
-        rng = np.random.default_rng(3)
-        layer = Dense(3, 3, activation="sigmoid", seed=1)
-        x = rng.normal(size=(2, 3))
-        target = rng.normal(size=(2, 3))
-        loss = MSELoss()
-
-        pred = layer.forward(x)
-        dx = layer.backward(loss.gradient(pred, target))
-
-        eps = 1e-6
-        numeric = np.zeros_like(x)
-        for i in np.ndindex(x.shape):
-            xp, xm = x.copy(), x.copy()
-            xp[i] += eps
-            xm[i] -= eps
-            numeric[i] = (
-                loss.value(layer.forward(xp), target)
-                - loss.value(layer.forward(xm), target)
-            ) / (2 * eps)
-        np.testing.assert_allclose(dx, numeric, atol=1e-5)
+        # What reaches the first layer went back through every later
+        # layer's input, so it is right only if each of those is.
+        ae = _net(seed=3)
+        x = np.random.default_rng(3).normal(size=(6, 3))
+        _, grads = ae._gradients(x)
+        for index in (0, 1):
+            np.testing.assert_allclose(grads[index], _numeric(ae, x, index), atol=1e-5)
 
 
 class TestLosses:
     def test_mse_value(self):
-        loss = MSELoss()
-        assert loss.value(np.array([1.0, 2.0]), np.array([1.0, 0.0])) == 2.0
+        ae = _net(n_features=2)
+        for p in ae._params:
+            p[...] = 0.0  # reconstructs every row as zeros
+        loss, _ = ae._gradients(np.array([[1.0, 2.0]]))
+        assert loss == 2.5
 
     def test_mse_gradient_matches_finite_difference(self):
-        rng = np.random.default_rng(4)
-        pred = rng.normal(size=(3, 2))
-        target = rng.normal(size=(3, 2))
-        loss = MSELoss()
-        g = loss.gradient(pred, target)
-        eps = 1e-7
-        for i in np.ndindex(pred.shape):
-            pp, pm = pred.copy(), pred.copy()
-            pp[i] += eps
-            pm[i] -= eps
-            num = (loss.value(pp, target) - loss.value(pm, target)) / (2 * eps)
-            assert g[i] == pytest.approx(num, abs=1e-5)
+        # The output bias's gradient is the loss's gradient in the output.
+        ae = _net(seed=4)
+        x = np.random.default_rng(4).normal(size=(3, 3))
+        _, grads = ae._gradients(x)
+        pred = ae._forward(x)[-1]
+        np.testing.assert_allclose(grads[-1], (2 * (pred - x) / pred.size).sum(axis=0))
+        np.testing.assert_allclose(grads[-1], _numeric(ae, x, len(ae._params) - 1), atol=1e-5)
 
 
 class TestOptimizers:
-    def _quadratic_descent(self, optimizer, steps=300):
-        """Minimise ||p||^2 starting from p=[5, -3]."""
-        p = np.array([5.0, -3.0])
-        g = np.zeros_like(p)
-        optimizer.attach([p], [g])
-        for _ in range(steps):
-            g[...] = 2 * p
-            optimizer.step()
-        return p
-
-    def test_sgd_converges(self):
-        p = self._quadratic_descent(SGD(lr=0.1))
-        assert np.abs(p).max() < 1e-3
-
-    def test_sgd_momentum_converges(self):
-        p = self._quadratic_descent(SGD(lr=0.05, momentum=0.9))
-        assert np.abs(p).max() < 1e-2
-
     def test_adam_converges(self):
-        p = self._quadratic_descent(Adam(lr=0.1), steps=500)
-        assert np.abs(p).max() < 1e-2
-
-    def test_attach_mismatch(self):
-        with pytest.raises(ValueError):
-            SGD().attach([np.zeros(2)], [])
+        ae = _net(seed=5)
+        x = np.random.default_rng(5).normal(size=(32, 3))
+        first = ae._gradients(x)[0]
+        for _ in range(1000):
+            ae._adam_step(ae._gradients(x)[1])
+        assert ae._gradients(x)[0] < 0.6 * first
 
     def test_adam_bias_correction_first_step(self):
-        # After one step with gradient g, Adam moves by ~lr * sign(g).
-        p = np.array([1.0])
-        g = np.array([0.5])
-        opt = Adam(lr=0.01)
-        opt.attach([p], [g])
-        opt.step()
-        assert p[0] == pytest.approx(1.0 - 0.01, abs=1e-4)
+        # After one step with gradient g, Adam moves each parameter by
+        # ~lr * sign(g), whatever |g| is.
+        ae = _net()
+        before = [p.copy() for p in ae._params]
+        signs = [np.where(np.arange(p.size).reshape(p.shape) % 2, 1.0, -1.0) for p in before]
+        ae._adam_step([0.5 * s for s in signs])
+        for p, b, s in zip(ae._params, before, signs):
+            np.testing.assert_allclose(b - p, LR * s, rtol=1e-6)
 
 
 class TestSequential:
     def test_param_count(self):
-        net = Sequential([Dense(4, 2, seed=0), Dense(2, 4, seed=0)])
-        assert net.n_params == (4 * 2 + 2) + (2 * 4 + 4)
+        # sizes [4, 4, 2, 4, 4]: (4*4+4) + (4*2+2) + (2*4+4) + (4*4+4)
+        assert _net(n_features=4, hidden=(2,)).n_params == 20 + 10 + 12 + 20
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            Sequential([])
+        # a network with no hidden layer, or one of zero width, is refused
+        # before anything is built
+        for hidden in ((), (4, 0, 4)):
+            with pytest.raises(ValueError):
+                AutoEncoder(hidden_neurons=hidden)
 
     def test_learns_identity_map(self):
-        rng = np.random.default_rng(5)
-        X = rng.normal(size=(256, 4))
-        net = Sequential([Dense(4, 16, "relu", seed=0), Dense(16, 4, seed=1)])
-        history = net.fit(X, X, epochs=60, batch_size=32, seed=0)
-        assert history[-1] < history[0] * 0.2
-
-    def test_weights_roundtrip(self):
-        net1 = Sequential([Dense(3, 5, "relu", seed=0), Dense(5, 3, seed=1)])
-        net2 = Sequential([Dense(3, 5, "relu", seed=7), Dense(5, 3, seed=8)])
-        net2.set_weights(net1.get_weights())
-        x = np.random.default_rng(0).normal(size=(4, 3))
-        np.testing.assert_allclose(net1.forward(x), net2.forward(x))
-
-    def test_set_weights_wrong_count(self):
-        net = Sequential([Dense(2, 2, seed=0)])
-        with pytest.raises(ValueError, match="expected"):
-            net.set_weights([np.zeros((2, 2))])
-
-    def test_set_weights_wrong_shape(self):
-        net = Sequential([Dense(2, 2, seed=0)])
-        with pytest.raises(ValueError, match="shape"):
-            net.set_weights([np.zeros((3, 2)), np.zeros(2)])
-
-    def test_fit_row_mismatch(self):
-        net = Sequential([Dense(2, 2, seed=0)])
-        with pytest.raises(ValueError):
-            net.fit(np.zeros((4, 2)), np.zeros((3, 2)))
+        X = np.random.default_rng(5).normal(size=(256, 4))
+        ae = AutoEncoder(hidden_neurons=(32, 16, 32), epochs=60, seed=0).fit(X)
+        assert ae.training_history[-1] < ae.training_history[0] * 0.4
 
     def test_full_network_gradient_check(self):
-        rng = np.random.default_rng(6)
-        net = Sequential([Dense(3, 4, "tanh", seed=0), Dense(4, 2, seed=1)])
-        x = rng.normal(size=(5, 3))
-        target = rng.normal(size=(5, 2))
-        loss = MSELoss()
+        ae = _net(hidden=(5, 2), seed=7)
+        x = np.random.default_rng(7).normal(size=(5, 3))
+        _, grads = ae._gradients(x)
+        assert len(grads) == len(ae._params)
+        for index, grad in enumerate(grads):
+            np.testing.assert_allclose(grad, _numeric(ae, x, index), atol=1e-5)
 
-        pred = net.forward(x)
-        net.backward(loss.gradient(pred, target))
-        layer0 = net.layers[0]
-        analytic = layer0.dW.copy()
+    def test_weights_roundtrip(self, block):
+        ae = AutoEncoder(hidden_neurons=(5,), epochs=1, seed=0).fit(block)
+        other = AutoEncoder(hidden_neurons=(5,), epochs=1, seed=7).fit(block)
+        other.set_weights(ae.get_weights())
+        for mine, theirs in zip(ae.get_weights()["arrays"], other.get_weights()["arrays"]):
+            np.testing.assert_array_equal(mine, theirs)
+        np.testing.assert_array_equal(ae.reconstruct(block), other.reconstruct(block))
 
-        eps = 1e-6
-        numeric = np.zeros_like(layer0.W)
-        for i in np.ndindex(layer0.W.shape):
-            orig = layer0.W[i]
-            layer0.W[i] = orig + eps
-            lp = loss.value(net.forward(x), target)
-            layer0.W[i] = orig - eps
-            lm = loss.value(net.forward(x), target)
-            layer0.W[i] = orig
-            numeric[i] = (lp - lm) / (2 * eps)
-        np.testing.assert_allclose(analytic, numeric, atol=1e-5)
+    def test_set_weights_wrong_count(self, block):
+        ae = AutoEncoder(hidden_neurons=(5,), epochs=1, seed=0).fit(block)
+        arrays = ae.get_weights()["arrays"]
+        with pytest.raises(ValueError, match="expected"):
+            ae.set_weights({"arrays": arrays[:-2]})
+
+    def test_set_weights_wrong_shape(self, block):
+        ae = AutoEncoder(hidden_neurons=(5,), epochs=1, seed=0).fit(block)
+        arrays = ae.get_weights()["arrays"]
+        arrays[2] = np.zeros((3, 5))
+        with pytest.raises(ValueError, match="shape"):
+            ae.set_weights({"arrays": arrays})

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.ml import StandardScaler
+from repro.ml import StandardScaler, preprocessing
 from repro.util.validation import ValidationError
 
 
@@ -46,14 +46,16 @@ class TestStandardScaler:
         with pytest.raises(ValidationError):
             scaler.transform(rng.normal(size=(10, 4)))
 
-    def test_with_mean_false(self, rng):
+    def test_with_mean_false(self, rng, monkeypatch):
+        monkeypatch.setattr(preprocessing, "WITH_MEAN", False)
         X = rng.normal(10.0, 2.0, size=(200, 2))
-        out = StandardScaler(with_mean=False).fit_transform(X)
+        out = StandardScaler().fit_transform(X)
         assert out.mean() > 1.0  # mean not removed
 
-    def test_with_std_false(self, rng):
+    def test_with_std_false(self, rng, monkeypatch):
+        monkeypatch.setattr(preprocessing, "WITH_STD", False)
         X = rng.normal(0.0, 5.0, size=(200, 2))
-        out = StandardScaler(with_std=False).fit_transform(X)
+        out = StandardScaler().fit_transform(X)
         assert out.std() > 2.0  # variance not normalised
 
     def test_n_samples_tracked(self, rng):

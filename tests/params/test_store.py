@@ -1,15 +1,13 @@
-"""Tests for the versioned store."""
-
-import time
+"""Tests for the parameter server's versioned store."""
 
 import pytest
 
-from repro.params import CasConflict, KeyNotFound, VersionedStore
+from repro.params import KeyNotFound, ParameterServer
 
 
 @pytest.fixture
 def store():
-    return VersionedStore()
+    return ParameterServer()
 
 
 class TestBasicOps:
@@ -28,73 +26,9 @@ class TestBasicOps:
         store.set("k", 2)
         assert store.get("k").version == 2
 
-    def test_delete(self, store):
-        store.set("k", 1)
-        assert store.delete("k")
-        assert not store.delete("k")
-        assert not store.contains("k")
-
     def test_keys_with_prefix(self, store):
         store.set("model/a", 1)
         store.set("model/b", 2)
         store.set("other", 3)
         assert store.keys("model/") == ["model/a", "model/b"]
-        assert len(store) == 3
-
-    def test_counters(self, store):
-        store.set("k", 1)
-        store.get("k")
-        assert store.total_sets == 1
-        assert store.total_gets == 1
-
-
-class TestCompareAndSet:
-    def test_create_if_absent(self, store):
-        entry = store.compare_and_set("k", 1, expected_version=0)
-        assert entry.version == 1
-
-    def test_create_conflicts_when_present(self, store):
-        store.set("k", 1)
-        with pytest.raises(CasConflict):
-            store.compare_and_set("k", 2, expected_version=0)
-
-    def test_successful_cas(self, store):
-        store.set("k", 1)
-        entry = store.compare_and_set("k", 2, expected_version=1)
-        assert entry.version == 2
-        assert store.get("k").value == 2
-
-    def test_stale_cas_conflicts(self, store):
-        store.set("k", 1)
-        store.set("k", 2)
-        with pytest.raises(CasConflict) as exc_info:
-            store.compare_and_set("k", 99, expected_version=1)
-        assert exc_info.value.expected == 1
-        assert exc_info.value.actual == 2
-        assert store.get("k").value == 2  # unchanged
-
-
-class TestTtl:
-    def test_expired_key_not_found(self, store):
-        store.set("k", 1, ttl=0.01)
-        time.sleep(0.03)
-        with pytest.raises(KeyNotFound):
-            store.get("k")
-
-    def test_expired_key_resets_version(self, store):
-        store.set("k", 1, ttl=0.01)
-        time.sleep(0.03)
-        assert store.set("k", 2).version == 1  # fresh key
-
-    def test_purge_expired(self, store):
-        store.set("a", 1, ttl=0.01)
-        store.set("b", 2)
-        time.sleep(0.03)
-        assert store.purge_expired() == 1
-        assert store.keys() == ["b"]
-
-    def test_invalid_ttl(self, store):
-        from repro.util.validation import ValidationError
-
-        with pytest.raises(ValidationError):
-            store.set("k", 1, ttl=0)
+        assert len(store.keys()) == 3

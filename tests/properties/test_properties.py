@@ -9,7 +9,7 @@ from repro.broker.group import assign_ranges
 from repro.data import decode_block, encode_block
 from repro.ml import StandardScaler
 from repro.ml.metrics import roc_auc_score
-from repro.params import VersionedStore
+from repro.params import ParameterServer
 from repro.sim import FifoServer, Simulator
 from repro.util import RingBuffer
 
@@ -130,25 +130,17 @@ class TestScalerProperties:
 
 
 class TestVersionedStoreProperties:
-    @given(ops=st.lists(
-        st.tuples(st.sampled_from(["set", "delete"]), st.sampled_from("abc")),
-        max_size=60,
-    ))
+    @given(keys=st.lists(st.sampled_from("abc"), max_size=60))
     @settings(max_examples=50)
-    def test_version_strictly_increases_per_key_lifetime(self, ops):
-        store = VersionedStore()
+    def test_version_strictly_increases_per_key_lifetime(self, keys):
+        store = ParameterServer()
         last_version: dict = {}
-        for op, key in ops:
-            if op == "set":
-                entry = store.set(key, 0)
-                if key in last_version:
-                    assert entry.version == last_version[key] + 1
-                else:
-                    assert entry.version == 1
-                last_version[key] = entry.version
-            else:
-                store.delete(key)
-                last_version.pop(key, None)
+        for key in keys:
+            entry = store.set(key, 0)
+            assert entry.version == last_version.get(key, 0) + 1
+            assert store.get(key) is entry
+            last_version[key] = entry.version
+        assert store.keys() == sorted(last_version)
 
 
 class TestRocAucProperties:

@@ -36,6 +36,17 @@ must be passed by keyword to a call of that name (``Tracer(...)``,
 ``x.histogram(...)``) outside ``repro.monitoring``. A bound or seed only
 tests set is a module constant, which a test monkeypatches. So must
 every keyword of ``AutoScaler``, outside ``tests/``.
+
+The paper's models and its parameter service are held to the monitoring
+rule too: every defaulted keyword of ``AutoEncoder``, ``StreamingKMeans``,
+``IsolationForest``, ``StandardScaler``, ``ParameterServer``,
+``ParameterClient`` and ``set`` must be passed to a call of that name
+outside ``repro.ml`` and ``repro.params``, or the knob is a module
+constant (``repro.ml.base.CONTAMINATION``, ``iforest.MAX_SAMPLES``, the
+auto-encoder's ``BATCH_SIZE`` and ``LR``). ``seed`` is the one
+exemption: the models' tests replay fits at chosen seeds to check
+statistical properties (an AUC, a mean score across seeds), and one
+module constant could not give them that.
 """
 
 import ast
@@ -49,6 +60,7 @@ import pytest
 from repro.broker import Consumer, Producer
 from repro.broker.storage import StorageConfig
 from repro.core import AutoScaler, PipelineConfig
+from repro.ml import AutoEncoder, IsolationForest, StandardScaler, StreamingKMeans
 from repro.monitoring import (
     ClusterEventCollector,
     ClusterMetricsAggregator,
@@ -60,6 +72,7 @@ from repro.monitoring import (
     TelemetrySampler,
     Tracer,
 )
+from repro.params import ParameterClient, ParameterServer
 from repro.pilot import PilotDescription
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -89,16 +102,31 @@ MONITORING_CALLABLES = {
     "stamp": MetricsCollector.stamp,
     "stamp_many": MetricsCollector.stamp_many,
 }
+MODELS_AND_PARAMS = (ROOT / "src" / "repro" / "ml", ROOT / "src" / "repro" / "params")
+#: (callee, the function whose keywords a call of that name passes).
+MODEL_AND_PARAMS_CALLABLES = [
+    ("AutoEncoder", AutoEncoder.__init__),
+    ("StreamingKMeans", StreamingKMeans.__init__),
+    ("IsolationForest", IsolationForest.__init__),
+    ("StandardScaler", StandardScaler.__init__),
+    ("ParameterServer", ParameterServer.__init__),
+    ("ParameterClient", ParameterClient.__init__),
+    ("set", ParameterServer.set),
+    ("set", ParameterClient.set),
+]
+#: Passed only by the tests that replay fits at chosen seeds.
+SEEDED = {"seed"}
 
 
-def _keywords_passed(skip: Path, tops=SEARCHED, callee=None) -> set:
+def _keywords_passed(skip, tops=SEARCHED, callee=None) -> set:
     """Every keyword-argument name of every call under *tops*, outside
-    *skip* (a file or a directory); only of calls to *callee*
-    (``callee(...)`` or ``x.callee(...)``) when one is named."""
+    *skip* (a file or a directory, or a tuple of them); only of calls to
+    *callee* (``callee(...)`` or ``x.callee(...)``) when one is named."""
+    skips = skip if isinstance(skip, tuple) else (skip,)
     names = set()
     for top in tops:
         for path in (ROOT / top).rglob("*.py"):
-            if path == skip or skip in path.parents:
+            if any(path == s or s in path.parents for s in skips):
                 continue
             for node in ast.walk(ast.parse(path.read_text())):
                 if isinstance(node, ast.Call) and callee in (None, _name(node.func)):
@@ -197,3 +225,19 @@ def test_every_autoscaler_keyword_is_passed_outside_tests():
     )
     unset = [name for name in knobs if name not in passed]
     assert not unset, f"AutoScaler keywords only tests pass (make each a constant): {unset}"
+
+
+@pytest.mark.parametrize(
+    "callee, function",
+    MODEL_AND_PARAMS_CALLABLES,
+    ids=[f"{callee}:{f.__qualname__}" for callee, f in MODEL_AND_PARAMS_CALLABLES],
+)
+def test_every_model_and_params_keyword_is_passed_outside_tests(callee, function):
+    params = inspect.signature(function).parameters.values()
+    assert not any(p.kind is p.VAR_KEYWORD for p in params), f"{callee} takes **kwargs"
+    knobs = [p.name for p in params if p.default is not p.empty and p.name not in SEEDED]
+    passed = _keywords_passed(skip=MODELS_AND_PARAMS, tops=CLIENT_CALLERS, callee=callee)
+    unset = [name for name in knobs if name not in passed]
+    assert not unset, (
+        f"{callee} keywords only tests pass (make each a module constant): {unset}"
+    )

@@ -12,7 +12,6 @@ SUBPACKAGES = [
     "repro.core",
     "repro.data",
     "repro.ml",
-    "repro.ml.nn",
     "repro.monitoring",
     "repro.netem",
     "repro.params",
